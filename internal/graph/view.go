@@ -73,6 +73,12 @@ func (g *Graph) View() *View {
 	return v
 }
 
+// View wraps the segment as a view with no deltas, so code written against
+// a pinned *View (the cold push) also runs on a bare snapshot.
+func (c *CSR) View() *View {
+	return &View{base: c, n: c.n, m: c.NumEdges()}
+}
+
 // NumVertices returns the number of vertices in the view.
 func (v *View) NumVertices() int { return v.n }
 
@@ -89,17 +95,6 @@ func (v *View) DeltaEdges() int { return v.deltaEdges }
 // OverlaidVertices returns the number of vertices read from delta segments
 // rather than the base.
 func (v *View) OverlaidVertices() int { return len(v.ov) }
-
-// Base returns the pinned CSR base segment when the view carries no deltas,
-// and nil otherwise. Readers with a fast path for flat CSR data (the cold
-// push, the walk refinement) use it to skip per-vertex overlay lookups in
-// the common freshly-compacted case.
-func (v *View) Base() *CSR {
-	if len(v.ov) == 0 && v.base.n == v.n {
-		return v.base
-	}
-	return nil
-}
 
 // OutDegree returns the out-degree of u (0 for out-of-range ids).
 func (v *View) OutDegree(u VertexID) int { return len(v.OutNeighbors(u)) }

@@ -258,6 +258,11 @@ type OnDemandStats struct {
 	AutoSources     int   `json:"auto_sources"`
 	LastMicros      int64 `json:"last_micros"`
 	TotalMicros     int64 `json:"total_micros"`
+
+	// CacheAnswerEntries is the summed length of the cached answers' sparse
+	// estimate vectors, CacheBytes the memory those vectors hold.
+	CacheAnswerEntries int64 `json:"cache_answer_entries"`
+	CacheBytes         int64 `json:"cache_bytes"`
 }
 
 // SourceStats is the wire form of dynppr.SourceStats.
@@ -346,6 +351,9 @@ func serviceStats(st dynppr.ServiceStats) ServiceStats {
 			AutoSources:     od.AutoSources,
 			LastMicros:      od.LastLatency.Microseconds(),
 			TotalMicros:     od.TotalLatency.Microseconds(),
+
+			CacheAnswerEntries: od.CacheAnswerEntries,
+			CacheBytes:         od.CacheBytes,
 		}
 	}
 	for _, ss := range st.Sources {

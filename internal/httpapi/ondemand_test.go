@@ -342,7 +342,8 @@ func TestHTTPOnDemandBudgetAndCache(t *testing.T) {
 	}
 	od := st.Service.OnDemand
 	if od == nil || od.ColdPushes == 0 || od.CacheHits == 0 || od.CacheCapacity == 0 ||
-		od.CacheEntries == 0 || od.PoolWorkers <= 0 {
+		od.CacheEntries == 0 || od.PoolWorkers <= 0 ||
+		od.CacheAnswerEntries < int64(od.CacheEntries) || od.CacheBytes < 12*od.CacheAnswerEntries {
 		t.Fatalf("on-demand concurrency stats not populated: %+v", od)
 	}
 	text, err := client.Metrics()
@@ -362,6 +363,7 @@ func TestHTTPOnDemandBudgetAndCache(t *testing.T) {
 		"dppr_ondemand_cache_misses_total", "dppr_ondemand_coalesced_total",
 		"dppr_ondemand_budget_truncated_total", "dppr_ondemand_cache_entries",
 		"dppr_ondemand_pool_workers", "dppr_ondemand_pool_depth",
+		"dppr_ondemand_cache_answer_entries", "dppr_ondemand_cache_bytes",
 	} {
 		if !byName[name] {
 			t.Fatalf("family %s missing from /metrics", name)

@@ -122,6 +122,10 @@ func (h *Handler) gather() []promexp.Family {
 				"Budgeted on-demand queries stopped by their latency budget.", float64(od.BudgetTruncated)),
 			gauge("dppr_ondemand_cache_entries",
 				"Entries resident in the on-demand result cache.", float64(od.CacheEntries)),
+			gauge("dppr_ondemand_cache_answer_entries",
+				"Summed length of the cached answers' sparse estimate vectors.", float64(od.CacheAnswerEntries)),
+			gauge("dppr_ondemand_cache_bytes",
+				"Bytes held by the cached answers' sparse estimate vectors.", float64(od.CacheBytes)),
 			gauge("dppr_ondemand_pool_workers",
 				"Workers in the on-demand cold-push pool.", float64(od.PoolWorkers)),
 			gauge("dppr_ondemand_pool_depth",

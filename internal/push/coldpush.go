@@ -2,30 +2,37 @@ package push
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"dynppr/internal/graph"
 )
 
 // ColdPushResult is the outcome of a one-shot local push on a frozen
-// snapshot.
+// snapshot. It is sparse: a push costs — and its answer holds — what it
+// touched, not the graph.
 type ColdPushResult struct {
-	// Estimates[v] approximates π_v(s): the probability that an
-	// α-terminating walk from v stops at the pushed source s — the same
-	// contribution vector (Equation 2 of the paper) the live engines
-	// maintain for tracked sources. Entries are nonnegative.
+	// Vertices lists, strictly ascending, the vertices the answer carries:
+	// every vertex with a nonzero estimate or, when the residuals were asked
+	// for (ColdPushBounds.KeepResiduals), every vertex the push touched.
+	Vertices []graph.VertexID
+	// Estimates[i] approximates π_v(s) for v = Vertices[i]: the probability
+	// that an α-terminating walk from v stops at the pushed source s — the
+	// same contribution vector (Equation 2 of the paper) the live engines
+	// maintain for tracked sources. Entries are nonnegative; a vertex not
+	// listed has estimate exactly 0.
 	Estimates []float64
-	// Residuals[v] is the unpushed probability mass parked at v. All
-	// residuals are nonnegative: the push starts from a unit residual at the
-	// source and only ever splits it.
+	// Residuals[i] is the unpushed probability mass parked at Vertices[i];
+	// nil unless ColdPushBounds.KeepResiduals. All residuals are nonnegative
+	// (the push starts from a unit residual at the source and only ever
+	// splits it) and a vertex not listed has residual exactly 0.
 	Residuals []float64
-	// ResidualMass is Σ_v Residuals[v].
-	ResidualMass float64
-	// MaxResidual is max_v Residuals[v] — the per-vertex error bound.
-	// The invariant π_v(s) = Estimates[v] + Σ_u Residuals[u]·π_v(u) holds
+	// MaxResidual is the largest residual left anywhere — the per-vertex
+	// error bound. The invariant π_v(s) = P(v) + Σ_u R(u)·π_v(u) holds
 	// exactly throughout the push, and Σ_u π_v(u) ≤ 1 (a walk stops at most
-	// once), so |π_v(s) − Estimates[v]| ≤ MaxResidual for every v. It is
-	// ≤ the configured ε unless Capped.
+	// once), so |π_v(s) − P(v)| ≤ MaxResidual for every v. It is ≤ the
+	// configured ε unless Capped.
 	MaxResidual float64
 	// Pushes counts vertex pushes performed.
 	Pushes int64
@@ -38,14 +45,22 @@ type ColdPushResult struct {
 	BudgetExhausted bool
 }
 
-// ColdPushBounds bound a single budgeted cold push (the ColdPushCSRBounded /
-// ColdPushBounded entry points).
+// SparseValue looks v up in a sparse vector — ascending ids with parallel
+// values — and returns 0 when it is absent.
+func SparseValue(ids []graph.VertexID, vals []float64, v graph.VertexID) float64 {
+	if i, ok := slices.BinarySearch(ids, v); ok {
+		return vals[i]
+	}
+	return 0
+}
+
+// ColdPushBounds bound a single cold push (ColdPushBounded).
 type ColdPushBounds struct {
 	// MaxPushes bounds the total vertex pushes across all refinement levels;
 	// <= 0 means unbounded.
 	MaxPushes int64
 	// Budget is the wall-clock budget for the push. <= 0 disables the
-	// adaptive ladder: the push runs exactly like ColdPushCSR/ColdPush.
+	// adaptive ladder: the push runs exactly like ColdPushCSR.
 	//
 	// When set, the push first drains the frontier at the configured
 	// cfg.Epsilon — that first level is never time-truncated, so a budgeted
@@ -59,6 +74,10 @@ type ColdPushBounds struct {
 	// MinEpsilon is the floor of the adaptive ladder; the push never refines
 	// past it no matter how much budget remains. <= 0 selects 1e-9.
 	MinEpsilon float64
+	// KeepResiduals makes the result carry the residual of every touched
+	// vertex (the walk refinement reads them); otherwise only MaxResidual
+	// survives.
+	KeepResiduals bool
 }
 
 // budgetCheckStride is how many frontier iterations pass between deadline
@@ -76,90 +95,126 @@ const budgetCheckStride = 4096
 // documented on ColdPushResult.MaxResidual.
 //
 // Unlike State (which owns a mutable graph and maintains the invariant
-// across edge updates), ColdPushCSR is a pure function of the snapshot: it
-// never mutates anything and is safe to call concurrently on the same CSR,
-// which is what the on-demand query path needs. The FIFO frontier seeded
-// with the source makes results deterministic for a given snapshot. Division
-// is always by the out-degree of an in-neighbor, which is ≥ 1 by
+// across edge updates), a cold push is a pure function of the snapshot: it
+// never mutates anything and is safe to call concurrently on the same
+// snapshot, which is what the on-demand query path needs. The FIFO frontier
+// seeded with the source makes results deterministic for a given snapshot.
+// Division is always by the out-degree of an in-neighbor, which is ≥ 1 by
 // construction, so dangling vertices need no special case: one with no
 // in-edges simply never accumulates residual (its exact value is α·1{v=s}).
-//
-// ColdPush is the same algorithm over any graph.Adjacency — in particular a
-// layered graph.View, which is how a cold query runs right after a batch
-// without paying for a full CSR rebuild. The two are kept as separate bodies
-// deliberately: the CSR loop is the hot steady-state path (the on-demand
-// cache hands out the bare base segment whenever the graph is compacted) and
-// must stay free of interface dispatch, while the layered path trades a few
-// ns/edge for touched-proportional setup. A differential test pins them to
-// bit-identical results.
 func ColdPushCSR(c *graph.CSR, source graph.VertexID, cfg Config, maxPushes int64) (*ColdPushResult, error) {
-	return ColdPushCSRBounded(c, source, cfg, ColdPushBounds{MaxPushes: maxPushes})
+	return ColdPushBounded(c.View(), source, cfg, ColdPushBounds{MaxPushes: maxPushes})
 }
 
-// ColdPushCSRBounded is ColdPushCSR under explicit bounds — in particular
-// the adaptive-ε latency budget documented on ColdPushBounds.Budget. With a
-// zero Budget it is exactly ColdPushCSR.
-func ColdPushCSRBounded(c *graph.CSR, source graph.VertexID, cfg Config, b ColdPushBounds) (*ColdPushResult, error) {
+// ColdPushBounded is the cold push over a pinned view — the bare base
+// segment of a compacted graph, or base plus delta overlays right after a
+// batch — under explicit bounds, in particular the adaptive-ε latency budget
+// documented on ColdPushBounds.Budget. Results on logically equal graphs are
+// bit-identical however the edges are split between base and overlays:
+// adjacency order is preserved across segments, so the FIFO visits neighbors
+// identically and every float64 sum associates identically.
+//
+// The push is local in cost as well as in effect: it runs over pooled scratch
+// that is dense in the vertex count but reset in O(touched) afterwards, so a
+// query allocates only its sparse answer.
+func ColdPushBounded(view *graph.View, source graph.VertexID, cfg Config, b ColdPushBounds) (*ColdPushResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := c.NumVertices()
-	if source < 0 || int(source) >= n {
+	if n := view.NumVertices(); source < 0 || int(source) >= n {
 		return nil, fmt.Errorf("push: source %d outside snapshot vertex range [0,%d)", source, n)
+	}
+	sc := coldScratchPool.Get().(*coldScratch)
+	res := sc.push(view, source, cfg, b)
+	coldScratchPool.Put(sc) // not deferred: a scratch a panic left dirty must not be reused
+	return res, nil
+}
+
+var coldScratchPool = sync.Pool{New: func() any { return new(coldScratch) }}
+
+// coldCell is one vertex's push state: residual, estimate and the vertex's
+// out-degree, looked up when residual first arrives and kept beside the
+// residual it divides so that relaxing an edge touches one cell and nothing
+// else. A zero outDeg marks a cell no edge has relaxed yet (a vertex reached
+// as an in-neighbor has an out-edge).
+type coldCell struct{ r, p, outDeg float64 }
+
+// coldScratch is the reusable working set of the cold-push kernel. Between
+// queries every cell is zero and the lists are empty; a query dirties only
+// the cells named in touched and push() zeroes exactly those before it
+// returns, so reuse costs O(touched), not O(n).
+type coldScratch struct {
+	cells []coldCell
+	// touched names, once each, every vertex whose cell may be nonzero, in
+	// first-touch order (ascending after a ladder level sorted it).
+	touched []graph.VertexID
+	// queue[head:] is the FIFO frontier. Within a level a vertex is queued
+	// exactly while its residual exceeds the level's ε (it enters when an
+	// update carries it across ε and leaves when it is pushed to zero), so
+	// no membership bitmap is needed.
+	queue []graph.VertexID
+	head  int
+	// saved is the rollback image of the last completed ladder level,
+	// parallel to touched[:len(saved)].
+	saved       []coldCell
+	savedPushes int64
+	ids         []graph.VertexID // sort buffer for the answer's vertex list
+}
+
+// push runs one bounded cold push on scratch sc. The caller has validated
+// cfg and source.
+func (sc *coldScratch) push(view *graph.View, source graph.VertexID, cfg Config, b ColdPushBounds) *ColdPushResult {
+	if n := view.NumVertices(); len(sc.cells) < n {
+		// The old cells are all zero, so growing is a fresh allocation; the
+		// slack keeps a graph that grows a vertex at a time from paying it
+		// per query.
+		sc.cells = make([]coldCell, n+n/8)
 	}
 	var deadline time.Time
 	if b.Budget > 0 {
 		deadline = time.Now().Add(b.Budget)
 	}
-	res := &ColdPushResult{
-		Estimates: make([]float64, n),
-		Residuals: make([]float64, n),
-	}
-	res.Residuals[source] = 1
-	queue := make([]graph.VertexID, 0, 64)
-	queue = append(queue, source)
-	inQueue := make([]bool, n)
-	inQueue[source] = true
+	res := &ColdPushResult{}
+	sc.cells[source] = coldCell{r: 1, outDeg: float64(view.OutDegree(source))}
+	sc.touched = append(sc.touched, source)
+	sc.queue = append(sc.queue, source)
 
 	// Level 0: the configured ε, bounded by MaxPushes only. The deadline is
 	// deliberately not consulted, so the coarse answer is never a
 	// timing-dependent intermediate state (see ColdPushBounds.Budget).
-	queue = coldPushLevelCSR(c, res, queue, inQueue, cfg.Alpha, cfg.Epsilon, b.MaxPushes, time.Time{})
+	sc.drain(view, res, cfg.Alpha, cfg.Epsilon, b.MaxPushes, time.Time{})
 
 	if b.Budget > 0 && !res.Capped {
-		var saved ladderState
 		for eps := range b.ladder(cfg.Epsilon) {
 			if time.Now().After(deadline) {
 				res.BudgetExhausted = true
 				break
 			}
-			saved.save(res)
-			queue = rebuildFrontier(res.Residuals, eps, queue, inQueue)
-			queue = coldPushLevelCSR(c, res, queue, inQueue, cfg.Alpha, eps, b.MaxPushes, deadline)
+			sc.beginLevel(res, eps)
+			sc.drain(view, res, cfg.Alpha, eps, b.MaxPushes, deadline)
 			if res.Capped {
 				// Interrupted mid-level: the emitted answer is the last
 				// completed level, not the partial drain.
-				saved.restore(res)
+				sc.rollback(res)
 				res.Capped = false
 				break
 			}
 		}
 	}
-
-	finishColdPush(res)
-	return res, nil
+	sc.finish(res, b.KeepResiduals)
+	return res
 }
 
-// coldPushLevelCSR drains the frontier at threshold eps on the dispatch-free
-// CSR body. It stops early when the cumulative push count reaches maxPushes
-// (res.Capped) or, when deadline is nonzero, once the deadline passes
-// (res.Capped and res.BudgetExhausted; checked every budgetCheckStride
-// iterations). The returned slice is the unconsumed frontier.
-func coldPushLevelCSR(c *graph.CSR, res *ColdPushResult, queue []graph.VertexID, inQueue []bool, alpha, eps float64, maxPushes int64, deadline time.Time) []graph.VertexID {
-	r := res.Residuals
-	p := res.Estimates
+// drain is the frontier kernel: it pushes the queue dry at threshold eps. It
+// stops early when the cumulative push count reaches maxPushes (res.Capped)
+// or, when deadline is nonzero, once the deadline passes (res.Capped and
+// res.BudgetExhausted; checked every budgetCheckStride iterations). The
+// view is consulted once per push (the in-neighbor slice) and once per first
+// touch (the out-degree, cached in the cell), never per edge.
+func (sc *coldScratch) drain(view *graph.View, res *ColdPushResult, alpha, eps float64, maxPushes int64, deadline time.Time) {
+	cells := sc.cells
 	sinceCheck := 0
-	for len(queue) > 0 {
+	for sc.head < len(sc.queue) {
 		if maxPushes > 0 && res.Pushes >= maxPushes {
 			res.Capped = true
 			break
@@ -174,122 +229,30 @@ func coldPushLevelCSR(c *graph.CSR, res *ColdPushResult, queue []graph.VertexID,
 				}
 			}
 		}
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		ru := r[u]
+		u := sc.queue[sc.head]
+		sc.head++
+		ru := cells[u].r
 		if ru <= eps {
 			continue
 		}
 		res.Pushes++
-		p[u] += alpha * ru
-		r[u] = 0
-		for _, v := range c.InNeighbors(u) {
-			r[v] += (1 - alpha) * ru / float64(c.OutDegree(v))
-			if r[v] > eps && !inQueue[v] {
-				inQueue[v] = true
-				queue = append(queue, v)
+		cells[u].p += alpha * ru
+		cells[u].r = 0
+		spread := (1 - alpha) * ru
+		for _, v := range view.InNeighbors(u) {
+			c := &cells[v]
+			if c.outDeg == 0 {
+				c.outDeg = float64(view.OutDegree(v))
+				sc.touched = append(sc.touched, v)
+			}
+			old := c.r
+			c.r = old + spread/c.outDeg
+			if old <= eps && c.r > eps {
+				sc.queue = append(sc.queue, v)
 			}
 		}
 	}
-	return queue
-}
-
-// ColdPush runs the identical cold push over any frozen adjacency (see
-// ColdPushCSR for the algorithm and the two-body rationale). Push order,
-// and therefore every floating-point sum, matches ColdPushCSR exactly on a
-// logically equal graph.
-func ColdPush(a graph.Adjacency, source graph.VertexID, cfg Config, maxPushes int64) (*ColdPushResult, error) {
-	return ColdPushBounded(a, source, cfg, ColdPushBounds{MaxPushes: maxPushes})
-}
-
-// ColdPushBounded is ColdPush under explicit bounds (see
-// ColdPushCSRBounded); bit-identical to it on a logically equal graph.
-func ColdPushBounded(a graph.Adjacency, source graph.VertexID, cfg Config, b ColdPushBounds) (*ColdPushResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := a.NumVertices()
-	if source < 0 || int(source) >= n {
-		return nil, fmt.Errorf("push: source %d outside snapshot vertex range [0,%d)", source, n)
-	}
-	var deadline time.Time
-	if b.Budget > 0 {
-		deadline = time.Now().Add(b.Budget)
-	}
-	res := &ColdPushResult{
-		Estimates: make([]float64, n),
-		Residuals: make([]float64, n),
-	}
-	res.Residuals[source] = 1
-	queue := make([]graph.VertexID, 0, 64)
-	queue = append(queue, source)
-	inQueue := make([]bool, n)
-	inQueue[source] = true
-
-	queue = coldPushLevel(a, res, queue, inQueue, cfg.Alpha, cfg.Epsilon, b.MaxPushes, time.Time{})
-
-	if b.Budget > 0 && !res.Capped {
-		var saved ladderState
-		for eps := range b.ladder(cfg.Epsilon) {
-			if time.Now().After(deadline) {
-				res.BudgetExhausted = true
-				break
-			}
-			saved.save(res)
-			queue = rebuildFrontier(res.Residuals, eps, queue, inQueue)
-			queue = coldPushLevel(a, res, queue, inQueue, cfg.Alpha, eps, b.MaxPushes, deadline)
-			if res.Capped {
-				saved.restore(res)
-				res.Capped = false
-				break
-			}
-		}
-	}
-
-	finishColdPush(res)
-	return res, nil
-}
-
-// coldPushLevel is coldPushLevelCSR over any frozen adjacency.
-func coldPushLevel(a graph.Adjacency, res *ColdPushResult, queue []graph.VertexID, inQueue []bool, alpha, eps float64, maxPushes int64, deadline time.Time) []graph.VertexID {
-	r := res.Residuals
-	p := res.Estimates
-	sinceCheck := 0
-	for len(queue) > 0 {
-		if maxPushes > 0 && res.Pushes >= maxPushes {
-			res.Capped = true
-			break
-		}
-		if !deadline.IsZero() {
-			if sinceCheck++; sinceCheck >= budgetCheckStride {
-				sinceCheck = 0
-				if time.Now().After(deadline) {
-					res.Capped = true
-					res.BudgetExhausted = true
-					break
-				}
-			}
-		}
-		u := queue[0]
-		queue = queue[1:]
-		inQueue[u] = false
-		ru := r[u]
-		if ru <= eps {
-			continue
-		}
-		res.Pushes++
-		p[u] += alpha * ru
-		r[u] = 0
-		for _, v := range a.InNeighbors(u) {
-			r[v] += (1 - alpha) * ru / float64(a.OutDegree(v))
-			if r[v] > eps && !inQueue[v] {
-				inQueue[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return queue
+	sc.queue, sc.head = sc.queue[:0], 0
 }
 
 // ladder yields the ε levels below the configured start, halving down to
@@ -308,49 +271,61 @@ func (b ColdPushBounds) ladder(start float64) func(func(float64) bool) {
 	}
 }
 
-// ladderState snapshots a completed refinement level so a level interrupted
-// mid-drain can be rolled back (see ColdPushBounds.Budget). Buffers are
-// reused across levels.
-type ladderState struct {
-	est, res []float64
-	pushes   int64
-}
-
-func (ls *ladderState) save(r *ColdPushResult) {
-	ls.est = append(ls.est[:0], r.Estimates...)
-	ls.res = append(ls.res[:0], r.Residuals...)
-	ls.pushes = r.Pushes
-}
-
-func (ls *ladderState) restore(r *ColdPushResult) {
-	copy(r.Estimates, ls.est)
-	copy(r.Residuals, ls.res)
-	r.Pushes = ls.pushes
-}
-
-// rebuildFrontier collects every vertex whose residual exceeds eps, in
-// ascending vertex order (deterministic), resetting the membership bitmap.
-func rebuildFrontier(r []float64, eps float64, queue []graph.VertexID, inQueue []bool) []graph.VertexID {
-	queue = queue[:0]
-	for i := range inQueue {
-		inQueue[i] = false
-	}
-	for v, rv := range r {
-		if rv > eps {
-			queue = append(queue, graph.VertexID(v))
-			inQueue[v] = true
+// beginLevel opens a ladder level at threshold eps: it snapshots the
+// completed level for rollback and rebuilds the frontier from every vertex
+// whose residual exceeds eps, in ascending vertex order (deterministic).
+func (sc *coldScratch) beginLevel(res *ColdPushResult, eps float64) {
+	slices.Sort(sc.touched)
+	sc.saved, sc.savedPushes = sc.saved[:0], res.Pushes
+	for _, v := range sc.touched {
+		c := sc.cells[v]
+		sc.saved = append(sc.saved, c)
+		if c.r > eps {
+			sc.queue = append(sc.queue, v)
 		}
 	}
-	return queue
 }
 
-// finishColdPush computes the residual aggregates from the final residual
-// vector.
-func finishColdPush(res *ColdPushResult) {
-	for _, rv := range res.Residuals {
-		res.ResidualMass += rv
-		if rv > res.MaxResidual {
-			res.MaxResidual = rv
+// rollback restores the level beginLevel snapshotted. Vertices first touched
+// since then go back to zero (and stay listed, which is harmless).
+func (sc *coldScratch) rollback(res *ColdPushResult) {
+	for i, c := range sc.saved {
+		sc.cells[sc.touched[i]] = c
+	}
+	for _, v := range sc.touched[len(sc.saved):] {
+		sc.cells[v] = coldCell{}
+	}
+	res.Pushes = sc.savedPushes
+}
+
+// finish extracts the sparse answer and the residual bound from the touched
+// cells and returns the scratch to its all-zero state.
+func (sc *coldScratch) finish(res *ColdPushResult, keepResiduals bool) {
+	ids := sc.ids[:0]
+	for _, v := range sc.touched {
+		c := sc.cells[v]
+		if c.r > res.MaxResidual {
+			res.MaxResidual = c.r
+		}
+		if keepResiduals || c.p != 0 {
+			ids = append(ids, v)
 		}
 	}
+	slices.Sort(ids)
+	res.Vertices = make([]graph.VertexID, len(ids))
+	copy(res.Vertices, ids)
+	res.Estimates = make([]float64, len(ids))
+	if keepResiduals {
+		res.Residuals = make([]float64, len(ids))
+	}
+	for i, v := range ids {
+		res.Estimates[i] = sc.cells[v].p
+		if keepResiduals {
+			res.Residuals[i] = sc.cells[v].r
+		}
+	}
+	for _, v := range sc.touched {
+		sc.cells[v] = coldCell{}
+	}
+	sc.touched, sc.ids = sc.touched[:0], ids
 }

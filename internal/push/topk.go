@@ -92,6 +92,35 @@ func AppendTopKFunc(dst []VertexScore, n int, get func(int) float64, k int) []Ve
 	return append(dst[:base], heap...)
 }
 
+// AppendTopKSparse is AppendTopK over a sparse nonnegative vector of n
+// entries — ascending ids with parallel values, every unlisted vertex 0 —
+// and appends exactly the ranking AppendTopK produces on the dense
+// expansion: the positive entries by score, then, when fewer than k are
+// positive, zero-score vertices in ascending id order.
+func AppendTopKSparse(dst []VertexScore, n int, ids []graph.VertexID, vals []float64, k int) []VertexScore {
+	if k > n {
+		k = n
+	}
+	if k <= 0 {
+		return dst
+	}
+	base := len(dst)
+	// The selection ranks positions; ids ascend, so its tie-break by position
+	// is the tie-break by vertex id.
+	dst = AppendTopKFunc(dst, len(ids), func(i int) float64 { return vals[i] }, k)
+	positive := base
+	for ; positive < len(dst) && dst[positive].Score > 0; positive++ {
+		dst[positive].Vertex = ids[dst[positive].Vertex]
+	}
+	dst = dst[:positive]
+	for v := graph.VertexID(0); len(dst)-base < k; v++ {
+		if SparseValue(ids, vals, v) <= 0 {
+			dst = append(dst, VertexScore{Vertex: v})
+		}
+	}
+	return dst
+}
+
 // TopKScores is AppendTopK into a fresh slice.
 func TopKScores(est []float64, k int) []VertexScore {
 	return AppendTopK(nil, est, k)

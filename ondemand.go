@@ -4,17 +4,18 @@
 // The tracked path can never reach "millions of users" — each tracked source
 // costs a full estimate/residual pair kept converged on every batch. The
 // on-demand path answers the long tail instead: a one-shot run of the
-// paper's local push (push.ColdPushCSR / push.ColdPush) over an immutable
-// view of the current graph down to a coarse ε, optionally refined by
-// deterministic Monte-Carlo walks (internal/montecarlo) from the answer's
-// candidate vertices. The view is epoch-pinned and touched-proportional: it
-// layers the delta segments recent batches produced over the shared
-// immutable CSR base, so refreshing it after a mutation costs O(what the
-// batch touched), not O(graph) — and when the graph is freshly compacted the
-// queries run directly on the bare base segment. Both tiers estimate the same quantity — the contribution vector
-// π_·(s) the live trackers maintain — so promoting a source tightens its
-// error bound without ever changing the meaning of its answers. The result
-// carries the achieved per-vertex bound so callers know what they got.
+// paper's local push (push.ColdPushBounded) over an immutable view of the
+// current graph down to a coarse ε, optionally refined by deterministic
+// Monte-Carlo walks (internal/montecarlo) from the answer's candidate
+// vertices. The view is epoch-pinned and touched-proportional: it layers the
+// delta segments recent batches produced over the shared immutable CSR base,
+// so refreshing it after a mutation costs O(what the batch touched), not
+// O(graph). The push is local the same way: it costs, allocates and caches
+// what it touched — a sparse estimate vector — never a length-n array. Both
+// tiers estimate the same quantity — the contribution vector π_·(s) the live
+// trackers maintain — so promoting a source tightens its error bound without
+// ever changing the meaning of its answers. The result carries the achieved
+// per-vertex bound so callers know what they got.
 //
 // Cold answers are computed concurrently but never redundantly: identical
 // in-flight queries are singleflight-coalesced by (source, graph
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,23 +241,11 @@ type onDemand struct {
 	totalLatency      atomic.Int64 // nanoseconds
 }
 
+// odSnapshot is the epoch-pinned layered view cold queries walk, tagged with
+// the graph generation it was taken at.
 type odSnapshot struct {
-	gen uint64
-	// view is the epoch-pinned layered view cold queries walk.
+	gen  uint64
 	view *graph.View
-	// base is view's bare CSR base segment when the view carries no deltas
-	// (the graph was compacted), nil otherwise. Queries use it to take the
-	// dispatch-free CSR fast paths.
-	base *graph.CSR
-}
-
-// adj returns the adjacency cold-query work should run on: the bare base
-// segment when available, the layered view otherwise.
-func (s *odSnapshot) adj() graph.Adjacency {
-	if s.base != nil {
-		return s.base
-	}
-	return s.view
 }
 
 // odCandidate is one admission-cache entry: how often and how recently an
@@ -346,6 +336,11 @@ type OnDemandStats struct {
 	CacheCapacity int
 	PoolWorkers   int
 	PoolDepth     int64
+	// CacheAnswerEntries is the summed length of the cached answers' sparse
+	// estimate vectors (÷ CacheEntries = entries per answer) and CacheBytes
+	// the memory those vectors hold — what the result cache keeps resident.
+	CacheAnswerEntries int64
+	CacheBytes         int64
 	// Walks counts Monte-Carlo refinement walks across all queries.
 	Walks int64
 	// SnapshotBuilds counts graph-view rebuilds (one per graph mutation
@@ -397,7 +392,7 @@ func (od *onDemand) stats() *OnDemandStats {
 		TotalLatency:           time.Duration(od.totalLatency.Load()),
 	}
 	if od.cache != nil {
-		st.CacheEntries = od.cache.size()
+		st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes = od.cache.resident()
 		st.CacheCapacity = od.cache.cap
 	}
 	return st
@@ -460,49 +455,13 @@ func (s *Service) QueryEstimateOpts(ctx context.Context, source, v VertexID, opt
 	if err != nil {
 		return 0, QueryInfo{}, err
 	}
-	return e.res.estimate(v), qi, nil
+	return push.SparseValue(e.ids, e.vals, v), qi, nil
 }
 
 // errorIsUnknownSource reports whether err is the untracked-source error —
 // the only error the on-demand path may absorb.
 func errorIsUnknownSource(err error) bool {
 	return err != nil && errors.Is(err, ErrUnknownSource)
-}
-
-// odResult is a computed on-demand answer over one snapshot.
-type odResult struct {
-	// estimates is indexed by vertex; nil when the source lies outside the
-	// snapshot (an isolated vertex: no walk from another vertex can step
-	// into it, and its own walk contributes the α of its first step, so
-	// π_v(s) = α·1{v=s} exactly).
-	estimates []float64
-	source    VertexID
-	alpha     float64
-}
-
-func (r *odResult) estimate(v VertexID) float64 {
-	if r.estimates == nil {
-		if v == r.source {
-			return r.alpha
-		}
-		return 0
-	}
-	if v < 0 || int(v) >= len(r.estimates) {
-		return 0
-	}
-	return r.estimates[v]
-}
-
-func (r *odResult) topK(k int) []VertexScore {
-	if r.estimates == nil {
-		if k <= 0 {
-			return nil
-		}
-		return []VertexScore{{Vertex: r.source, Score: r.alpha}}
-	}
-	return push.AppendTopKFunc(nil, len(r.estimates), func(i int) float64 {
-		return r.estimates[i]
-	}, k)
 }
 
 // odKey identifies a cold answer: the (source, graph generation) pair the
@@ -534,9 +493,18 @@ type odFlight struct {
 // except for the lazily memoized ranking, so cached and coalesced readers
 // share it freely.
 type odEntry struct {
-	res   *odResult
-	eps   float64
-	walks int
+	// ids (ascending) and vals are the sparse estimate vector: every vertex
+	// with a nonzero estimate — every touched vertex when walks refined the
+	// answer — and exactly 0 for all others.
+	ids  []VertexID
+	vals []float64
+	// isolated marks a source outside the snapshot: no walk from another
+	// vertex can step into it, and its own walk contributes the α of its
+	// first step, so π_v(s) = α·1{v=s} exactly and the answer is that one
+	// entry.
+	isolated bool
+	eps      float64
+	walks    int
 	// truncated records that the push stopped early (MaxPushes or budget);
 	// eps covers the unfinished work either way.
 	truncated bool
@@ -555,25 +523,21 @@ type odEntry struct {
 }
 
 // topK returns the entry's top-k ranking, memoized so cache hits are O(k)
-// after the first read instead of an O(n log k) scan per query.
+// after the first read instead of a selection over the answer per query.
 func (e *odEntry) topK(k int) []VertexScore {
-	r := e.res
-	if r.estimates == nil || k <= 0 {
-		return r.topK(k)
+	if k <= 0 {
+		return nil
 	}
-	if k > len(r.estimates) {
-		k = len(r.estimates)
+	if e.isolated {
+		return []VertexScore{{Vertex: e.ids[0], Score: e.vals[0]}}
+	}
+	if k > e.vertices {
+		k = e.vertices
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.top) < k {
-		want := 2 * k
-		if want < 64 {
-			want = 64
-		}
-		e.top = push.AppendTopKFunc(nil, len(r.estimates), func(i int) float64 {
-			return r.estimates[i]
-		}, want)
+		e.top = push.AppendTopKSparse(nil, e.vertices, e.ids, e.vals, max(2*k, 64))
 	}
 	out := make([]VertexScore, k)
 	copy(out, e.top[:k])
@@ -626,9 +590,11 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID, ref odRefi
 	n := snap.view.NumVertices()
 	if int(source) >= n {
 		// The source is outside the snapshot: an isolated vertex, answered
-		// exactly (see odResult.estimates) — no push, no cache.
+		// exactly (see odEntry.isolated) — no push, no cache.
 		e := &odEntry{
-			res:      &odResult{source: source, alpha: s.opts.Options.Alpha},
+			ids:      []VertexID{source},
+			vals:     []float64{s.opts.Options.Alpha},
+			isolated: true,
 			vertices: n,
 		}
 		qi := e.queryInfo(source)
@@ -738,18 +704,10 @@ func (od *onDemand) runCold(key odKey, snap *odSnapshot, ref odRefine, qo QueryO
 		Budget:    qo.Budget,
 		// The adaptive ladder never refines past the tracked ε — promotion
 		// must stay the strictly better tier.
-		MinEpsilon: s.opts.Options.Epsilon,
+		MinEpsilon:    s.opts.Options.Epsilon,
+		KeepResiduals: od.opts.RefineWalks > 0,
 	}
-	var pr *push.ColdPushResult
-	var err error
-	// A compacted snapshot runs on the dispatch-free CSR body; a snapshot
-	// with live delta segments runs the identical push over the layered
-	// view (bit-identical on equal graphs, touched-proportional to set up).
-	if snap.base != nil {
-		pr, err = push.ColdPushCSRBounded(snap.base, key.source, cfg, bounds)
-	} else {
-		pr, err = push.ColdPushBounded(snap.view, key.source, cfg, bounds)
-	}
+	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -759,7 +717,8 @@ func (od *onDemand) runCold(key odKey, snap *odSnapshot, ref odRefine, qo QueryO
 	}
 	walks := od.refine(snap, key.source, pr, ref)
 	e := &odEntry{
-		res:       &odResult{estimates: pr.Estimates, source: key.source, alpha: cfg.Alpha},
+		ids:       pr.Vertices,
+		vals:      pr.Estimates,
 		eps:       pr.MaxResidual,
 		walks:     walks,
 		truncated: pr.Capped || pr.BudgetExhausted,
@@ -791,15 +750,20 @@ func (od *onDemand) cachePut(key odKey, e *odEntry) {
 	}
 }
 
-// odCache is the bounded LRU of cold answers. Entries for stale generations
-// are never requested again (the generation only advances) and age out of
-// the tail naturally.
+// odCache is the bounded LRU of cold answers.
 type odCache struct {
 	mu  sync.Mutex
 	cap int
+	// gen is the newest generation put has seen. Keys carry the generation
+	// and it only advances, so every entry of an older one is unreachable:
+	// put drops them all when a newer generation arrives, and ignores a late
+	// answer for an older one (a query pinned before the write).
+	gen uint64
 	m   map[odKey]*odCacheNode
 	// Intrusive doubly-linked LRU list; head is most recent.
 	head, tail *odCacheNode
+	// answerEntries and bytes total the resident answers' sparse vectors.
+	answerEntries, bytes int64
 }
 
 type odCacheNode struct {
@@ -836,25 +800,47 @@ func (c *odCache) get(key odKey, budgeted bool) *odEntry {
 func (c *odCache) put(key odKey, e *odEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if key.gen < c.gen {
+		return
+	}
+	if key.gen > c.gen {
+		c.gen = key.gen
+		clear(c.m)
+		c.head, c.tail = nil, nil
+		c.answerEntries, c.bytes = 0, 0
+	}
 	if n := c.m[key]; n != nil {
+		c.account(n.e, -1)
 		n.e = e
+		c.account(e, 1)
 		c.moveToFront(n)
 		return
 	}
 	n := &odCacheNode{key: key, e: e}
 	c.m[key] = n
 	c.pushFront(n)
+	c.account(e, 1)
 	for len(c.m) > c.cap {
 		last := c.tail
 		c.unlink(last)
 		delete(c.m, last.key)
+		c.account(last.e, -1)
 	}
 }
 
-func (c *odCache) size() int {
+// account adds (sign 1) or removes (sign -1) an answer's sparse vectors
+// from the resident totals.
+func (c *odCache) account(e *odEntry, sign int64) {
+	c.answerEntries += sign * int64(len(e.ids))
+	c.bytes += sign * int64(len(e.ids)*4+len(e.vals)*8)
+}
+
+// resident reports the cached answers, their summed sparse length and the
+// bytes those vectors hold.
+func (c *odCache) resident() (entries int, answerEntries, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return len(c.m), c.answerEntries, c.bytes
 }
 
 func (c *odCache) pushFront(n *odCacheNode) {
@@ -907,7 +893,7 @@ func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
 		// pipeline, where it cannot advance under us.
 		if gen := s.graphGen.Load(); cur == nil || cur.gen != gen {
 			view := s.g.View()
-			cur = &odSnapshot{gen: gen, view: view, base: view.Base()}
+			cur = &odSnapshot{gen: gen, view: view}
 			od.snap.Store(cur)
 			od.snapshotBuilds.Add(1)
 			od.lastSnapshotDelta.Store(int64(view.DeltaEdges()))
@@ -934,14 +920,13 @@ func (od *onDemand) refine(snap *odSnapshot, source VertexID, pr *push.ColdPushR
 	if w <= 0 || pr.MaxResidual <= 0 {
 		return 0
 	}
+	n := snap.view.NumVertices()
 	var targets []VertexID
 	if ref.topK > 0 {
-		for _, vs := range push.AppendTopKFunc(nil, len(pr.Estimates), func(i int) float64 {
-			return pr.Estimates[i]
-		}, ref.topK+odRefinePad) {
+		for _, vs := range push.AppendTopKSparse(nil, n, pr.Vertices, pr.Estimates, ref.topK+odRefinePad) {
 			targets = append(targets, vs.Vertex)
 		}
-	} else if ref.v >= 0 && int(ref.v) < len(pr.Estimates) {
+	} else if ref.v >= 0 && int(ref.v) < n {
 		targets = []VertexID{ref.v}
 	}
 	if len(targets) == 0 {
@@ -949,7 +934,6 @@ func (od *onDemand) refine(snap *odSnapshot, source VertexID, pr *push.ColdPushR
 	}
 	rng := rand.New(rand.NewSource(int64(odSeed(od.opts.Seed, source, snap.gen))))
 	alpha := od.svc.opts.Options.Alpha
-	adj := snap.adj()
 	per, extra := w/len(targets), w%len(targets)
 	used := 0
 	for i, v := range targets {
@@ -962,11 +946,22 @@ func (od *onDemand) refine(snap *odSnapshot, source VertexID, pr *push.ColdPushR
 		}
 		var sum float64
 		for j := 0; j < wt; j++ {
-			end := montecarlo.WalkEndpoint(adj, graph.VertexID(v), alpha, od.opts.MaxWalkLength, rng)
-			sum += pr.Residuals[end]
+			end := montecarlo.WalkEndpoint(snap.view, graph.VertexID(v), alpha, od.opts.MaxWalkLength, rng)
+			sum += push.SparseValue(pr.Vertices, pr.Residuals, end)
 		}
-		pr.Estimates[v] += sum / float64(wt)
 		used += wt
+		if sum == 0 {
+			continue
+		}
+		// A target the push never touched (its walks can still end on
+		// leftover residual) joins the sparse answer here.
+		at, ok := slices.BinarySearch(pr.Vertices, v)
+		if !ok {
+			pr.Vertices = slices.Insert(pr.Vertices, at, v)
+			pr.Estimates = slices.Insert(pr.Estimates, at, 0)
+			pr.Residuals = slices.Insert(pr.Residuals, at, 0)
+		}
+		pr.Estimates[at] += sum / float64(wt)
 	}
 	od.walks.Add(int64(used))
 	return used

@@ -164,10 +164,23 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 		t.Fatalf("NewService: %v", err)
 	}
 	defer svc.Close()
+	// resident[i] is the summed sparse length of the cached answers after
+	// the i-th query; it must follow every insert and eviction exactly.
+	var resident []int64
 	for _, src := range []dynppr.VertexID{10, 20, 30} {
 		if _, _, err := svc.QueryTopK(src, 5); err != nil {
 			t.Fatalf("QueryTopK(%d): %v", src, err)
 		}
+		st := svc.Stats().OnDemand
+		if st.CacheBytes != 12*st.CacheAnswerEntries {
+			t.Fatalf("cache holds %d B for %d sparse entries, want 12 B each", st.CacheBytes, st.CacheAnswerEntries)
+		}
+		resident = append(resident, st.CacheAnswerEntries)
+	}
+	len10, len20 := resident[0], resident[1]-resident[0]
+	len30 := resident[2] - len20 // 10 was evicted
+	if len10 <= 0 || len20 <= 0 || len30 <= 0 {
+		t.Fatalf("resident sparse entries %v do not decompose into three answers", resident)
 	}
 	st := svc.Stats().OnDemand
 	if st.CacheEntries != 2 || st.CacheCapacity != 2 {
@@ -179,6 +192,25 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 	}
 	if _, qi, err := svc.QueryTopK(10, 5); err != nil || qi.Cached {
 		t.Fatalf("evicted source 10: err=%v cached=%v (want recompute)", err, qi.Cached)
+	}
+	if st := svc.Stats().OnDemand; st.CacheAnswerEntries != len10+len20 || st.CacheBytes != 12*(len10+len20) {
+		t.Fatalf("after 10 displaced 30: %d sparse entries / %d B resident, want %d / %d",
+			st.CacheAnswerEntries, st.CacheBytes, len10+len20, 12*(len10+len20))
+	}
+
+	// An effective write strands every cached answer (keys carry the
+	// generation); the next answer must displace them all at once instead of
+	// leaving them resident until capacity does.
+	if _, err := svc.ApplyBatch(dynppr.Batch{{U: 1, V: 150, Op: dynppr.Insert}}); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	if _, qi, err := svc.QueryTopK(30, 5); err != nil || qi.Cached {
+		t.Fatalf("post-write query: err=%v cached=%v (want recompute)", err, qi.Cached)
+	}
+	if st := svc.Stats().OnDemand; st.CacheEntries != 1 || st.CacheBytes != 12*st.CacheAnswerEntries ||
+		st.CacheAnswerEntries <= 0 || st.CacheAnswerEntries >= len10+len20+len30 {
+		t.Fatalf("after a write: entries=%d sparse=%d bytes=%d, want exactly the one new answer",
+			st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes)
 	}
 
 	// Negative disables: repeats recompute every time.
