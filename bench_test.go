@@ -1,13 +1,13 @@
-// Benchmarks regenerating the paper's evaluation figures (Section 5) and the
-// ablations called out in DESIGN.md. Each BenchmarkFigN_* runs the harness
-// for that figure on a reduced dataset and reports the headline quantity of
-// the figure as a custom metric, so `go test -bench=. -benchmem` reproduces
-// the whole evaluation at laptop scale. For the full-size tables use
-// `go run ./cmd/dppr-bench`.
+// Benchmarks regenerating the paper's evaluation figures (Section 5) and its
+// ablations. Each BenchmarkFigN_* runs the harness for that figure on a
+// reduced dataset and reports the headline quantity of the figure as a custom
+// metric, so `go test -bench=. -benchmem` reproduces the whole evaluation at
+// laptop scale. For the full-size tables use `go run ./cmd/dppr-bench`; the
+// serving path (HTTP, Service, on-demand, WAL, recovery) is measured by
+// benchmark/, not here.
 package dynppr_test
 
 import (
-	"sync"
 	"testing"
 
 	"dynppr"
@@ -170,35 +170,26 @@ func BenchmarkFig10_Scalability(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablation and micro benchmarks on the public API.
 
-func buildBenchWorkload(b *testing.B, vertices, edges int) ([]dynppr.Edge, *dynppr.Graph, dynppr.VertexID) {
-	return buildBenchWorkloadSplit(b, vertices, edges, edges*9/10)
-}
-
-// buildBenchWorkloadSplit generates the R-MAT universe and seeds the graph
-// with the first split edges; the remainder becomes the mutation batch.
-func buildBenchWorkloadSplit(b *testing.B, vertices, edges, split int) ([]dynppr.Edge, *dynppr.Graph, dynppr.VertexID) {
+// buildBenchWorkload generates a 3000-vertex / 60000-edge R-MAT universe and
+// seeds the graph with the first 90% of its edges; the remainder becomes the
+// mutation batch.
+func buildBenchWorkload(b *testing.B) ([]dynppr.Edge, *dynppr.Graph, dynppr.VertexID) {
 	b.Helper()
+	const edges = 60000
 	all, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
-		Name: "micro", Model: dynppr.ModelRMAT, Vertices: vertices, Edges: edges, Seed: 5,
+		Name: "micro", Model: dynppr.ModelRMAT, Vertices: 3000, Edges: edges, Seed: 5,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	const split = edges * 9 / 10
 	g := dynppr.GraphFromEdges(all[:split])
 	source := g.TopDegreeVertices(1)[0]
 	return all[split:], g, source
 }
 
 func benchmarkTrackerBatch(b *testing.B, opts dynppr.Options) {
-	benchmarkTrackerBatchSized(b, opts, 3000, 60000)
-}
-
-func benchmarkTrackerBatchSized(b *testing.B, opts dynppr.Options, vertices, edges int) {
-	benchmarkTrackerBatchSplit(b, opts, vertices, edges, edges*9/10)
-}
-
-func benchmarkTrackerBatchSplit(b *testing.B, opts dynppr.Options, vertices, edges, split int) {
-	inserts, g, source := buildBenchWorkloadSplit(b, vertices, edges, split)
+	inserts, g, source := buildBenchWorkload(b)
 	tracker, err := dynppr.NewTracker(g, source, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -290,7 +281,7 @@ func BenchmarkAblation_ParallelLoss(b *testing.B) {
 // rejects in Section 3.1 (footnote 2) — measured here at the engine level on
 // cold-start convergence, where frontiers are largest.
 func BenchmarkAblation_SortAggregate(b *testing.B) {
-	_, g, source := buildBenchWorkload(b, 3000, 60000)
+	_, g, source := buildBenchWorkload(b)
 	cfg := push.Config{Alpha: 0.15, Epsilon: 1e-6}
 	run := func(b *testing.B, engine push.Engine) {
 		b.Helper()
@@ -336,146 +327,10 @@ func BenchmarkEngine_VertexCentric(b *testing.B) {
 	benchmarkTrackerBatch(b, opts)
 }
 
-// BenchmarkBatchApplyEngines is the PR 3 performance-trajectory benchmark
-// (BENCH_PR3.json): batch apply on a large synthetic workload, sequential
-// versus the deterministic parallel engine versus the atomic parallel
-// engine. Run it with `-cpu 1,4` so GOMAXPROCS 1 and 4 both appear in the
-// stream; the CI gate asserts that deterministic-at-4 beats sequential-at-4
-// by at least 1.5x and diffs the whole stream against the committed
-// baseline with dppr-benchdiff.
-func BenchmarkBatchApplyEngines(b *testing.B) {
-	for _, e := range []struct {
-		name   string
-		engine dynppr.EngineKind
-	}{
-		{"sequential", dynppr.EngineSequential},
-		{"deterministic", dynppr.EngineDeterministic},
-		{"parallel-opt", dynppr.EngineParallel},
-	} {
-		b.Run("engine="+e.name, func(b *testing.B) {
-			opts := dynppr.DefaultOptions()
-			opts.Engine = e.engine
-			opts.Epsilon = 1e-6
-			// Workers/Parallelism 0 = GOMAXPROCS, so -cpu drives the
-			// degree of parallelism.
-			benchmarkTrackerBatchSized(b, opts, 10000, 200000)
-		})
-	}
-}
-
-// BenchmarkBatchApplyEngines10M is the storage-engine scale point: the same
-// batch-apply measurement as BenchmarkBatchApplyEngines but on a 1M-vertex /
-// 10M-edge R-MAT graph with ~20k-update batches — large enough that the
-// graph's CSR base no longer fits in cache and the LSM delta/compaction
-// machinery, not the push arithmetic, decides the steady-state throughput.
-// ε is relaxed to 1e-4 to keep the cold start affordable; the per-batch push
-// work is still millions of edge traversals. Run with -benchtime 1x (each
-// iteration applies a full 20k-update batch).
-func BenchmarkBatchApplyEngines10M(b *testing.B) {
-	const (
-		vertices = 1_000_000
-		edges    = 10_000_000
-		batch    = 20_000
-	)
-	b.Run("engine=deterministic", func(b *testing.B) {
-		opts := dynppr.DefaultOptions()
-		opts.Engine = dynppr.EngineDeterministic
-		opts.Epsilon = 1e-4
-		benchmarkTrackerBatchSplit(b, opts, vertices, edges, edges-batch)
-	})
-}
-
-// topKBench holds the lazily built 200k-vertex serving pair shared by the
-// BenchmarkTopK subbenchmarks: one service with the incremental Top-K index,
-// one with the index disabled (the dense-scan baseline), both converged over
-// the same R-MAT graph with a small batch applied so the read path sees a
-// post-batch snapshot.
-var topKBench struct {
-	once    sync.Once
-	indexed *dynppr.Service
-	dense   *dynppr.Service
-	source  dynppr.VertexID
-	err     error
-}
-
-func topKBenchSetup() {
-	const vertices, edges = 200_000, 1_000_000
-	all, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
-		Name: "topk-bench", Model: dynppr.ModelRMAT, Vertices: vertices, Edges: edges, Seed: 11,
-	})
-	if err != nil {
-		topKBench.err = err
-		return
-	}
-	split := edges - 200
-	opts := dynppr.DefaultOptions()
-	opts.Engine = dynppr.EngineDeterministic
-	opts.Epsilon = 1e-4
-	batch := make(dynppr.Batch, 0, edges-split)
-	for _, e := range all[split:] {
-		batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: dynppr.Insert})
-	}
-	build := func(topKCap int) (*dynppr.Service, dynppr.VertexID, error) {
-		g := dynppr.GraphFromEdges(all[:split])
-		source := g.TopDegreeVertices(1)[0]
-		svc, err := dynppr.NewService(g, []dynppr.VertexID{source}, dynppr.ServiceOptions{
-			Options: opts, PoolWorkers: 1, TopKCap: topKCap,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := svc.ApplyBatch(batch); err != nil {
-			svc.Close()
-			return nil, 0, err
-		}
-		return svc, source, nil
-	}
-	if topKBench.indexed, topKBench.source, topKBench.err = build(0); topKBench.err != nil {
-		return
-	}
-	topKBench.dense, _, topKBench.err = build(-1)
-}
-
-// BenchmarkTopK contrasts the two TopK read paths on a 200k-vertex R-MAT
-// workload: path=indexed serves from the incrementally maintained Top-K
-// index embedded in the snapshot (O(k)), path=dense is the heap scan over
-// the full estimate vector (O(n log k)) that every query paid before. The
-// CI gate (dppr-benchdiff -slow dense -fast indexed) asserts the speedup;
-// both paths recycle the result buffer, so the steady state is 0 allocs/op.
-func BenchmarkTopK(b *testing.B) {
-	topKBench.once.Do(topKBenchSetup)
-	if topKBench.err != nil {
-		b.Fatal(topKBench.err)
-	}
-	for _, path := range []struct {
-		name string
-		svc  *dynppr.Service
-	}{
-		{"indexed", topKBench.indexed},
-		{"dense", topKBench.dense},
-	} {
-		b.Run("path="+path.name, func(b *testing.B) {
-			var buf []dynppr.VertexScore
-			var err error
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf, _, err = path.svc.AppendTopK(buf[:0], topKBench.source, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if len(buf) != 10 {
-				b.Fatalf("got %d results", len(buf))
-			}
-		})
-	}
-}
-
 // BenchmarkTrackerColdStart measures from-scratch convergence on a static
 // graph (the d/ε term of the complexity bound).
 func BenchmarkTrackerColdStart(b *testing.B) {
-	_, g, source := buildBenchWorkload(b, 3000, 60000)
+	_, g, source := buildBenchWorkload(b)
 	opts := dynppr.DefaultOptions()
 	opts.Epsilon = 1e-6
 	b.ResetTimer()

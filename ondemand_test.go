@@ -351,3 +351,82 @@ func TestUnknownSourceErrorIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestOnDemandSnapshotTouchedProportional pins the cost model of the cold
+// query's setup step structurally: after a small batch dirties a handful of
+// vertices, the next cold query's epoch-pinned view must layer only those
+// vertices' delta segments over the shared CSR base — not rebuild a full
+// CSR. LastSnapshotDeltaEdges is exactly the entries the view copied, so it
+// must scale with the batch, not with the graph.
+func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
+	const vertices = 20_000
+	edges, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
+		Model: dynppr.ModelRMAT, Vertices: vertices, Edges: 5 * vertices, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := dynppr.DefaultOptions()
+	opts.Engine = dynppr.EngineDeterministic
+	opts.Epsilon = 1e-4
+	g := dynppr.GraphFromEdges(edges)
+	tracked := g.TopDegreeVertices(1)[0]
+	// Disable automatic compaction so the measured delta cost is the
+	// batch's own footprint, not whatever survived a background merge.
+	svc, err := dynppr.NewService(g, []dynppr.VertexID{tracked}, dynppr.ServiceOptions{
+		Options: opts, PoolWorkers: 1, CompactAfterDeltaEdges: -1,
+		OnDemand: dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-4, Seed: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	cold := dynppr.GraphFromEdges(edges).TopDegreeVertices(16)[15]
+
+	// Cold query against the untouched graph: FromEdges built a pure CSR
+	// base, so the pinned view must report zero delta entries.
+	if _, _, err := svc.QueryTopK(cold, 10); err != nil {
+		t.Fatal(err)
+	}
+	stats := svc.Stats()
+	if stats.OnDemand == nil {
+		t.Fatal("on-demand stats missing")
+	}
+	if got := stats.OnDemand.LastSnapshotDeltaEdges; got != 0 {
+		t.Fatalf("compacted-base snapshot reports %d delta entries, want 0", got)
+	}
+	builds := stats.OnDemand.SnapshotBuilds
+
+	// A 50-update batch touches at most 100 vertices. Each effective update
+	// adds 2 delta entries and each first touch of a vertex materializes
+	// its adjacency, so the view's delta cost is bounded by the touched
+	// vertices' degrees — here tail vertices of the R-MAT skew, so orders
+	// of magnitude below the 2(n+m) a full CSR rebuild would copy.
+	const batchSize = 50
+	batch := make(dynppr.Batch, 0, batchSize)
+	for i := 0; i < batchSize; i++ {
+		batch = append(batch, dynppr.Update{
+			U:  dynppr.VertexID(vertices - 1 - i*13),
+			V:  dynppr.VertexID(vertices - 2 - i*17),
+			Op: dynppr.Insert,
+		})
+	}
+	if _, err := svc.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.QueryTopK(cold, 10); err != nil {
+		t.Fatal(err)
+	}
+	stats = svc.Stats()
+	if stats.OnDemand.SnapshotBuilds <= builds {
+		t.Fatal("mutation did not force a fresh on-demand snapshot")
+	}
+	delta := stats.OnDemand.LastSnapshotDeltaEdges
+	if delta == 0 {
+		t.Fatal("post-batch snapshot reports no delta entries: view is not layering over the base")
+	}
+	full := int64(2 * (vertices + len(edges)))
+	if delta >= full/100 {
+		t.Fatalf("snapshot copied %d delta entries — not touched-proportional against a full rebuild's %d", delta, full)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -310,5 +311,65 @@ func TestBootSweepsTmpLeftovers(t *testing.T) {
 		if filepath.Ext(e.Name()) == ".tmp" {
 			t.Fatalf("boot left stranded temp file %s", e.Name())
 		}
+	}
+}
+
+// TestCloseLeaksNoGoroutines: Close must take every goroutine the service
+// started with it — the pipeline, the shard pool, the on-demand workers and
+// whatever the recovery probe has in flight. A persistent write fault keeps
+// the probe failing and re-arming its timer, so Close lands on an armed
+// timer with tracked and cold reads just served.
+func TestCloseLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+
+	initial, stream := recoveryWorkload(t, 150, 1200, 2, 15)
+	opts := DefaultOptions()
+	opts.Engine = EngineDeterministic
+	opts.Epsilon = 1e-4
+	g := GraphFromEdges(initial)
+	top := g.TopDegreeVertices(6)
+	sources, cold := top[:2], top[2:]
+	in := faultfs.NewInjector(faultfs.OS)
+	svc, err := NewPersistentService(g, sources,
+		ServiceOptions{Options: opts, OnDemand: OnDemandOptions{Enabled: true, Epsilon: 1e-3}},
+		PersistOptions{Dir: filepath.Join(t.TempDir(), "data"), Sync: SyncAlways, FS: in, ProbeBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close() // no-op after the checked Close below
+	if _, err := svc.ApplyBatch(stream[0]); err != nil {
+		t.Fatal(err)
+	}
+	in.Add(faultfs.Rule{Op: faultfs.OpWrite, Times: -1})
+	if _, err := svc.ApplyBatch(stream[1]); !errors.Is(err, ErrPersistenceDegraded) {
+		t.Fatalf("mutation under fault: got %v, want ErrPersistenceDegraded", err)
+	}
+	for _, s := range sources {
+		if _, err := svc.TopK(s, 5); err != nil {
+			t.Errorf("tracked read of %d: %v", s, err)
+		}
+	}
+	for _, s := range cold {
+		if _, _, err := svc.QueryTopK(s, 5); err != nil {
+			t.Errorf("cold read of %d: %v", s, err)
+		}
+	}
+	// Degraded means a probe is scheduled or running: every failed probe
+	// re-arms the timer, and the fault never clears.
+	if h, _ := svc.PersistenceHealth(); h.State != PersistDegraded {
+		t.Errorf("state %v at Close, want degraded", h.State)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before construction, %d after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
