@@ -14,7 +14,7 @@
 //
 //	dppr-httpd -addr :8080 -dataset youtube -sources 8
 //	dppr-httpd -addr 127.0.0.1:9090 -vertices 5000 -edges 100000 -epsilon 1e-5
-//	dppr-httpd -input edges.txt -sources 4 -engine sequential
+//	dppr-httpd -input edges.txt -sources 4 -parallelism 1
 //	dppr-httpd -data-dir /var/lib/dppr -fsync always -checkpoint-every 5m
 //	dppr-httpd -ondemand -ondemand-eps 1e-4 -promote-after 16 -max-auto-sources 32
 package main
@@ -54,9 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		input    = fs.String("input", "", "override: load the initial graph from this edge-list file")
 		sources  = fs.Int("sources", 4, "number of top-degree sources to serve")
 		epsilon  = fs.Float64("epsilon", 1e-6, "error threshold")
-		engine   = fs.String("engine", "parallel", "engine: parallel, sequential, vertex-centric, deterministic")
-		workers  = fs.Int("workers", 0, "per-source push workers (0 = GOMAXPROCS)")
-		par      = fs.Int("parallelism", 0, "deterministic-engine workers (0 = GOMAXPROCS; never affects results)")
+		par      = fs.Int("parallelism", 0, "workers inside one source's push (0 = GOMAXPROCS; never affects results)")
 		pool     = fs.Int("pool", 0, "shard pool size (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 1, "random seed for generated graphs")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
@@ -89,7 +87,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = *epsilon
-	so.Options.Workers = *workers
 	so.Options.Parallelism = *par
 	so.PoolWorkers = *pool
 	so.QueueDepth = *queue
@@ -103,11 +100,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Workers:        *odWorkers,
 		ResultCache:    *odCache,
 	}
-	var err error
-	if so.Options.Engine, err = dynppr.ParseEngineKind(*engine); err != nil {
-		return err
-	}
 	po := dynppr.PersistOptions{Dir: *dataDir, ProbeBackoff: *probeBO, ProbeMax: *probeMax}
+	var err error
 	if po.Sync, err = dynppr.ParseSyncPolicy(*fsync); err != nil {
 		return err
 	}
@@ -142,8 +136,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			*sources = 1
 		}
 		tracked := g.TopDegreeVertices(*sources)
-		fmt.Fprintf(out, "graph=%s vertices=%d edges=%d sources=%v engine=%s epsilon=%.0e\n",
-			name, g.NumVertices(), g.NumEdges(), tracked, so.Options.Engine, so.Options.Epsilon)
+		fmt.Fprintf(out, "graph=%s vertices=%d edges=%d sources=%v epsilon=%.0e\n",
+			name, g.NumVertices(), g.NumEdges(), tracked, so.Options.Epsilon)
 		if *dataDir != "" {
 			svc, err = dynppr.NewPersistentService(g, tracked, so, po)
 		} else {

@@ -126,7 +126,7 @@ func TestHTTPDInputFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out syncBuffer
-	base, cancel, errCh := startHTTPD(t, &out, "-input", path, "-engine", "sequential")
+	base, cancel, errCh := startHTTPD(t, &out, "-input", path)
 	defer cancel()
 	if err := httpapi.NewClient(base, nil).Health(); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestHTTPDErrors(t *testing.T) {
 	ctx := context.Background()
 	var buf bytes.Buffer
 	if err := run(ctx, []string{"-engine", "warp-drive", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
-		t.Fatal("unknown engine must fail")
+		t.Fatal("unknown flag must fail")
 	}
 	if err := run(ctx, []string{"-dataset", "no-such"}, &buf); err == nil {
 		t.Fatal("unknown dataset must fail")
@@ -157,23 +157,6 @@ func TestHTTPDErrors(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	for name, want := range map[string]dynppr.EngineKind{
-		"parallel":       dynppr.EngineParallel,
-		"sequential":     dynppr.EngineSequential,
-		"vertex-centric": dynppr.EngineVertexCentric,
-		"deterministic":  dynppr.EngineDeterministic,
-	} {
-		got, err := dynppr.ParseEngineKind(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngineKind(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := dynppr.ParseEngineKind("gpu"); err == nil {
-		t.Fatal("unknown engine must fail")
-	}
-}
-
 // TestHTTPDDurableRestart boots the daemon on a data directory, mutates it
 // over HTTP, shuts it down, and boots a second daemon on the same directory:
 // the second boot must recover (not re-seed), serve the same sources with
@@ -183,7 +166,7 @@ func TestHTTPDDurableRestart(t *testing.T) {
 
 	var out1 syncBuffer
 	base1, cancel1, errCh1 := startHTTPD(t, &out1,
-		"-data-dir", dir, "-fsync", "always", "-engine", "deterministic")
+		"-data-dir", dir, "-fsync", "always")
 	defer cancel1()
 	client1 := httpapi.NewClient(base1, nil)
 	sources, err := client1.Sources()
@@ -222,7 +205,7 @@ func TestHTTPDDurableRestart(t *testing.T) {
 
 	var out2 syncBuffer
 	base2, cancel2, errCh2 := startHTTPD(t, &out2,
-		"-data-dir", dir, "-fsync", "always", "-engine", "deterministic")
+		"-data-dir", dir, "-fsync", "always")
 	defer cancel2()
 	if !strings.Contains(out2.String(), "recovered "+dir) {
 		t.Fatalf("second boot did not recover:\n%s", out2.String())

@@ -41,7 +41,9 @@
 // Tracker and TrackerSet are single-goroutine types. To serve queries from
 // many goroutines while an update stream is applied, use Service: it shards
 // multiple sources across a worker pool, serializes writes through one
-// pipeline, and answers reads lock-free from converged snapshots.
+// pipeline, and answers reads lock-free from converged snapshots. A Service
+// takes no engine choice — every push it runs is the deterministic one, so
+// its snapshots are bit-identical across parallelism, replay and recovery.
 //
 // To serve a Service over the network, see internal/httpapi (HTTP/JSON
 // handler, server and client; every read response carries the SnapshotInfo
@@ -114,7 +116,8 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // GraphFromEdges builds a graph from an edge list, ignoring duplicates.
 func GraphFromEdges(edges []Edge) *Graph { return graph.FromEdges(edges) }
 
-// EngineKind selects the push engine a Tracker uses.
+// EngineKind selects the push engine a Tracker or TrackerSet uses. A Service
+// takes no engine choice: it always runs EngineDeterministic.
 type EngineKind int
 
 const (
@@ -129,9 +132,9 @@ const (
 	// internal/parallel: per-stripe delta buffers merged by an ordered
 	// reduction make the estimate and residual vectors bit-identical for
 	// every Options.Parallelism, with an adaptive cutover that runs small
-	// frontiers inline. Use it when reproducibility matters (replayable
-	// serving snapshots, differential testing) or when the atomic-add
-	// engines' scheduling noise is unwanted.
+	// frontiers inline. It is the engine every Service runs (replayable
+	// serving snapshots); on a Tracker, use it for differential testing or
+	// when the atomic-add engines' scheduling noise is unwanted.
 	EngineDeterministic
 )
 
@@ -148,23 +151,6 @@ func (k EngineKind) String() string {
 		return "deterministic"
 	default:
 		return fmt.Sprintf("engine(%d)", int(k))
-	}
-}
-
-// ParseEngineKind parses the -engine flag values shared by the daemons:
-// "parallel", "sequential", "vertex-centric", "deterministic".
-func ParseEngineKind(name string) (EngineKind, error) {
-	switch name {
-	case "parallel":
-		return EngineParallel, nil
-	case "sequential":
-		return EngineSequential, nil
-	case "vertex-centric":
-		return EngineVertexCentric, nil
-	case "deterministic":
-		return EngineDeterministic, nil
-	default:
-		return 0, fmt.Errorf("dynppr: unknown engine %q (want parallel, sequential, vertex-centric or deterministic)", name)
 	}
 }
 
@@ -189,27 +175,32 @@ func (m UpdateMode) String() string {
 	return "batch"
 }
 
-// Options configure a Tracker.
+// Options configure a Tracker or TrackerSet. A Service reads only Alpha,
+// Epsilon and Parallelism: Engine, Variant, Workers and Mode do not reach
+// the serving path.
 type Options struct {
 	// Alpha is the teleport/termination probability. Default 0.15.
 	Alpha float64
 	// Epsilon is the approximation threshold: estimates stay within Epsilon
 	// of the exact value. Default 1e-6.
 	Epsilon float64
-	// Engine selects the push implementation. Default EngineParallel.
+	// Engine selects the push implementation (Tracker and TrackerSet only).
+	// Default EngineParallel.
 	Engine EngineKind
-	// Variant selects the parallel-push optimizations (ignored by the other
+	// Variant selects EngineParallel's optimizations (ignored by the other
 	// engines). Default VariantOpt.
 	Variant Variant
 	// Workers is the degree of parallelism for the parallel and
 	// vertex-centric engines; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Parallelism is the degree of parallelism for EngineDeterministic;
-	// <= 0 (the default, "auto") selects GOMAXPROCS. Unlike Workers it never
-	// influences results: the deterministic engine produces bit-identical
-	// vectors at every Parallelism.
+	// Parallelism is the degree of parallelism for EngineDeterministic, and
+	// so for every push a Service runs; <= 0 (the default, "auto") selects
+	// GOMAXPROCS. Unlike Workers it never influences results: the
+	// deterministic engine produces bit-identical vectors at every
+	// Parallelism.
 	Parallelism int
-	// Mode selects batch versus per-update processing. Default BatchMode.
+	// Mode selects batch versus per-update processing (Tracker only).
+	// Default BatchMode.
 	Mode UpdateMode
 }
 

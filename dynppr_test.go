@@ -341,6 +341,32 @@ func TestTrackerSet(t *testing.T) {
 	if _, err := ts.Estimate(9999, 0); err == nil {
 		t.Fatal("estimating an untracked source must fail")
 	}
+
+	// BatchResult.Pushes is the work of this batch, as Tracker reports it —
+	// not the sources' lifetime counters. Under the deterministic engine the
+	// set schedules each source exactly like a Tracker of its own, so the
+	// counts agree to the push.
+	opts.Engine = dynppr.EngineDeterministic
+	initial := dynppr.GraphFromEdges(edges[:500])
+	var batchPushes, lifetimePushes int64
+	for _, s := range sources {
+		single, err := dynppr.NewTracker(initial.Clone(), s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchPushes += single.ApplyBatch(batch).Pushes
+		lifetimePushes += single.Counters().Pushes
+	}
+	det, err := dynppr.NewTrackerSet(initial, sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := det.ApplyBatch(nil); res.Pushes != 0 {
+		t.Fatalf("empty batch reported %d pushes", res.Pushes)
+	}
+	if res := det.ApplyBatch(batch); res.Pushes <= 0 || res.Pushes != batchPushes || res.Pushes >= lifetimePushes {
+		t.Fatalf("batch reported %d pushes, want %d (lifetime %d)", res.Pushes, batchPushes, lifetimePushes)
+	}
 }
 
 // Property: whatever insert-only batch is applied, the tracker stays within

@@ -14,16 +14,8 @@ import (
 // comment for the schedule.
 type PushEngine struct {
 	m *Machine
-
-	// Cached per-state hot-path pieces: the propagate closure and the dirty
-	// hook are bound to one state's graph and counters, so rebinding (and
-	// re-allocating the closures) only happens when Run is handed a
-	// different state — never on the steady-state batch path, where one
-	// engine instance serves one source. candBuf is the reusable sorted
-	// candidate buffer.
-	boundTo   *push.State
-	propagate PropagateFunc
-	candBuf   []int32
+	// candBuf is the reusable sorted candidate buffer.
+	candBuf []int32
 }
 
 // NewPushEngine returns a deterministic engine with the given degree of
@@ -46,29 +38,14 @@ func (e *PushEngine) Name() string {
 // Workers returns the configured degree of parallelism.
 func (e *PushEngine) Workers() int { return e.m.Workers() }
 
-// Run implements push.Engine.
+// Run implements push.Engine. The engine keeps nothing of st once Run
+// returns, so one engine can serve any number of states in turn (a Service
+// shard runs all its sources through one) without pinning the last one.
 func (e *PushEngine) Run(st *push.State, candidates []graph.VertexID) {
-	if e.boundTo != st {
-		e.bind(st)
-	}
-	p, r := st.Vectors()
-	var cands []int32 // nil requests a full scan
-	if candidates != nil {
-		e.candBuf = SortedCandidatesInto(e.candBuf, candidates, r.Len())
-		cands = e.candBuf
-	}
-	e.m.Converge(p, r, st.Alpha(), st.Epsilon(), cands, st.Counters, e.propagate)
-}
-
-// bind points the cached closures at st: propagation reads st's graph and
-// counters, and the machine's frontier hook feeds st's estimate-dirty set
-// (each round's frontier is exactly the set of estimates the round updates),
-// which is what lets SnapshotSlot.Publish copy only what changed.
-func (e *PushEngine) bind(st *push.State) {
 	g := st.Graph()
 	counters := st.Counters
 	w := 1 - st.Alpha()
-	e.propagate = func(d *Delta, u int32, ru float64) {
+	propagate := func(d *Delta, u int32, ru float64) {
 		in := g.InNeighbors(u)
 		counters.AddPropagations(int64(len(in)))
 		counters.AddRandomAccesses(int64(len(in)))
@@ -77,6 +54,16 @@ func (e *PushEngine) bind(st *push.State) {
 			d.Add(v, share/float64(g.OutDegree(v)))
 		}
 	}
+	// Each round's frontier is exactly the set of estimates the round
+	// updates; feeding it to st's estimate-dirty set is what lets
+	// SnapshotSlot.Publish copy only what changed.
 	e.m.SetFrontierHook(st.MarkEstimatesDirty)
-	e.boundTo = st
+	defer e.m.SetFrontierHook(nil)
+	p, r := st.Vectors()
+	var cands []int32 // nil requests a full scan
+	if candidates != nil {
+		e.candBuf = SortedCandidatesInto(e.candBuf, candidates, r.Len())
+		cands = e.candBuf
+	}
+	e.m.Converge(p, r, st.Alpha(), st.Epsilon(), cands, counters, propagate)
 }

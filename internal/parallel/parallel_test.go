@@ -54,55 +54,129 @@ func TestMachineAccessors(t *testing.T) {
 	}
 }
 
-// replayStates runs the same mixed insert/delete stream through one
-// push.State per engine, pushing after every batch, and returns the final
-// states. All engines see identical graphs and batches.
-func replayStates(t *testing.T, engines []push.Engine, seed int64) []*push.State {
+// replay is one push.State fed a seeded mixed insert/delete stream, one
+// batch per step; the engine is handed in per call, so a test decides whether
+// a state keeps one engine to itself or shares it.
+type replay struct {
+	st   *push.State
+	base []graph.Edge
+	rng  *rand.Rand
+	next int
+}
+
+// newReplay builds the state over the first two thirds of a seeded R-MAT edge
+// list and cold-starts it with e.
+func newReplay(t *testing.T, e push.Engine, vertices, edges int, seed int64) *replay {
 	t.Helper()
-	base, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: 150, Edges: 1200, Seed: seed})
+	base, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: vertices, Edges: edges, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := push.Config{Alpha: 0.15, Epsilon: 1e-5}
+	next := len(base) * 2 / 3
+	g := graph.FromEdges(base[:next])
+	source := g.TopDegreeVertices(1)[0]
+	st, err := push.NewState(g, source, push.Config{Alpha: 0.15, Epsilon: 1e-5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(st, []graph.VertexID{source})
+	return &replay{st: st, base: base, rng: rand.New(rand.NewSource(seed + 7)), next: next}
+}
+
+// step applies the stream's next batch of 50 updates and pushes with e.
+func (rp *replay) step(t *testing.T, e push.Engine) {
+	t.Helper()
+	st := rp.st
+	var touched []graph.VertexID
+	for k := 0; k < 50; k++ {
+		if rp.rng.Intn(3) == 0 {
+			edges := st.Graph().Edges()
+			if len(edges) == 0 {
+				continue
+			}
+			del := edges[rp.rng.Intn(len(edges))]
+			if changed, _ := st.ApplyDelete(del.U, del.V); changed {
+				touched = append(touched, del.U)
+			}
+		} else {
+			ins := rp.base[rp.next%len(rp.base)]
+			rp.next++
+			if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
+				touched = append(touched, ins.U)
+			}
+		}
+	}
+	e.Run(st, touched)
+	if !st.Converged() {
+		t.Fatalf("%s: batch not converged", e.Name())
+	}
+}
+
+// replayStates runs the same five-batch stream through one push.State per
+// engine and returns the final states. All engines see identical graphs and
+// batches.
+func replayStates(t *testing.T, engines []push.Engine, seed int64) []*push.State {
+	t.Helper()
 	states := make([]*push.State, len(engines))
 	for i, e := range engines {
-		g := graph.FromEdges(base[:800])
-		source := g.TopDegreeVertices(1)[0]
-		st, err := push.NewState(g, source, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Run(st, []graph.VertexID{source})
-		rng := rand.New(rand.NewSource(seed + 7))
-		next := 800
+		rp := newReplay(t, e, 150, 1200, seed)
 		for b := 0; b < 5; b++ {
-			var touched []graph.VertexID
-			for k := 0; k < 50; k++ {
-				if rng.Intn(3) == 0 {
-					edges := st.Graph().Edges()
-					if len(edges) == 0 {
-						continue
-					}
-					del := edges[rng.Intn(len(edges))]
-					if changed, _ := st.ApplyDelete(del.U, del.V); changed {
-						touched = append(touched, del.U)
-					}
-				} else {
-					ins := base[next%len(base)]
-					next++
-					if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
-						touched = append(touched, ins.U)
-					}
-				}
-			}
-			e.Run(st, touched)
-			if !st.Converged() {
-				t.Fatalf("%s: batch %d not converged", e.Name(), b)
-			}
+			rp.step(t, e)
 		}
-		states[i] = st
+		states[i] = rp.st
 	}
 	return states
+}
+
+// requireSameBits fails unless got's estimates and residuals carry exactly
+// want's float64 bits.
+func requireSameBits(t *testing.T, name string, got, want *push.State) {
+	t.Helper()
+	p, r := got.Estimates(), got.Residuals()
+	wantP, wantR := want.Estimates(), want.Residuals()
+	if len(p) != len(wantP) {
+		t.Fatalf("%s: vector length %d vs %d", name, len(p), len(wantP))
+	}
+	for v := range p {
+		if math.Float64bits(p[v]) != math.Float64bits(wantP[v]) {
+			t.Fatalf("%s: estimate bits differ at vertex %d: %x vs %x",
+				name, v, math.Float64bits(p[v]), math.Float64bits(wantP[v]))
+		}
+		if math.Float64bits(r[v]) != math.Float64bits(wantR[v]) {
+			t.Fatalf("%s: residual bits differ at vertex %d", name, v)
+		}
+	}
+}
+
+// TestSharedEngineBitIdenticalToDedicated is what lets a Service shard run
+// all its sources through one engine: an engine driven alternately over two
+// states — on different graphs, the second larger so the machine's buffers
+// grow mid-stream — leaves both with exactly the bits two dedicated engines
+// produce. Nothing of one state's run (stripe deltas, marks, the frontier
+// hook) may leak into the next.
+func TestSharedEngineBitIdenticalToDedicated(t *testing.T) {
+	for _, tc := range []struct{ workers, cutover int }{
+		{1, 0}, {4, 0}, {1, 1}, {4, 1}, // cutover 0 = default, 1 = always fan out
+	} {
+		shared := NewPushEngineCutover(tc.workers, tc.cutover)
+		small := newReplay(t, shared, 150, 1200, 31)
+		large := newReplay(t, shared, 400, 3600, 37)
+		dedSmall, dedLarge := NewPushEngineCutover(tc.workers, tc.cutover), NewPushEngineCutover(tc.workers, tc.cutover)
+		wantSmall := newReplay(t, dedSmall, 150, 1200, 31)
+		wantLarge := newReplay(t, dedLarge, 400, 3600, 37)
+		for b := 0; b < 5; b++ {
+			small.step(t, shared)
+			large.step(t, shared)
+			wantSmall.step(t, dedSmall)
+			wantLarge.step(t, dedLarge)
+		}
+		name := shared.Name()
+		requireSameBits(t, name+" small", small.st, wantSmall.st)
+		requireSameBits(t, name+" large", large.st, wantLarge.st)
+		if shared.m.onFrontier != nil {
+			t.Fatalf("%s: engine still holds a state's frontier hook after Run", name)
+		}
+	}
 }
 
 // TestDeterministicBitIdenticalAcrossWorkers is the core determinism claim:
@@ -118,22 +192,8 @@ func TestDeterministicBitIdenticalAcrossWorkers(t *testing.T) {
 		NewPushEngine(16),
 	}
 	states := replayStates(t, engines, 11)
-	ref := states[0]
-	refP, refR := ref.Estimates(), ref.Residuals()
 	for i, st := range states[1:] {
-		p, r := st.Estimates(), st.Residuals()
-		if len(p) != len(refP) {
-			t.Fatalf("%s: vector length %d vs %d", engines[i+1].Name(), len(p), len(refP))
-		}
-		for v := range p {
-			if math.Float64bits(p[v]) != math.Float64bits(refP[v]) {
-				t.Fatalf("%s: estimate bits differ at vertex %d: %x vs %x",
-					engines[i+1].Name(), v, math.Float64bits(p[v]), math.Float64bits(refP[v]))
-			}
-			if math.Float64bits(r[v]) != math.Float64bits(refR[v]) {
-				t.Fatalf("%s: residual bits differ at vertex %d", engines[i+1].Name(), v)
-			}
-		}
+		requireSameBits(t, engines[i+1].Name(), st, states[0])
 	}
 }
 

@@ -33,10 +33,11 @@ import (
 // Recovery loads the checkpoint, replays the WAL suffix past the
 // checkpoint's sequence number through the ordinary write pipeline (so each
 // replayed batch converges exactly as it originally did), and re-checkpoints.
-// Under EngineDeterministic the recovered estimates, residuals and snapshot
-// epochs are bit-identical to a process that never crashed, because the
-// checkpoint preserves adjacency-list order — the floating-point summation
-// order of subsequent pushes — and the snapshot epochs it had published.
+// The recovered estimates, residuals and snapshot epochs are bit-identical to
+// a process that never crashed, because every push runs the deterministic
+// engine and the checkpoint preserves adjacency-list order — the
+// floating-point summation order of subsequent pushes — and the snapshot
+// epochs it had published.
 
 // SyncPolicy selects when WAL appends reach stable storage; see the wal
 // package for the exact guarantees.
@@ -643,8 +644,8 @@ func NewPersistentService(g *Graph, sources []VertexID, so ServiceOptions, po Pe
 // sequence number is replayed through the ordinary write pipeline (torn
 // final records — mutations never acknowledged as durable — are discarded),
 // and a fresh checkpoint is written before the service is returned. The
-// scheme parameters (α, ε) are restored from the checkpoint; engine and
-// pool options come from so. Snapshot epochs resume exactly where the
+// scheme parameters (α, ε) are restored from the checkpoint; the pool
+// options come from so. Snapshot epochs resume exactly where the
 // recovered state left them, so they never regress across a restart.
 // Restored states carry a poisoned estimate-dirty set (see
 // push.RestoreState), so the reseed's first publications are full copies

@@ -11,6 +11,7 @@ import (
 
 	"dynppr/internal/fp"
 	"dynppr/internal/graph"
+	"dynppr/internal/parallel"
 	"dynppr/internal/push"
 )
 
@@ -30,9 +31,10 @@ import (
 //     effect is complete and published.
 //
 //   - Per-source push work is sharded across a fixed pool of workers: every
-//     source is pinned to one shard worker, which restores the source state
-//     after each batch, runs the push engine to convergence, and then
-//     publishes a fresh snapshot with one atomic pointer swap.
+//     source is pinned to one shard worker, which after each batch runs its
+//     sources one after another through the shard's push engine to
+//     convergence and publishes each fresh snapshot with one atomic pointer
+//     swap.
 //
 //   - Reads — Estimate, Estimates, TopK, Info — are lock-free: they load the
 //     source's current snapshot through an atomic pointer and read immutable
@@ -45,12 +47,12 @@ import (
 // Consequently every read reflects the graph as of some completed batch
 // (monotonically advancing per source), never a partially applied one.
 //
-// With Options.Engine set to EngineDeterministic the service is additionally
-// reproducible: ApplyBatch routes every source's push through the
-// deterministic parallel engine, whose output is bit-identical at any
-// Options.Parallelism, so replaying the same batch sequence over the same
-// initial graph publishes snapshots with exactly the same float64 bits —
-// regardless of PoolWorkers, scheduling, or the machine's core count.
+// The service is reproducible: every push it runs goes through the
+// deterministic parallel engine (internal/parallel), whose output is
+// bit-identical at any Options.Parallelism, so replaying the same batch
+// sequence over the same initial graph publishes snapshots with exactly the
+// same float64 bits — regardless of PoolWorkers, scheduling, or the
+// machine's core count.
 type Service struct {
 	opts ServiceOptions
 
@@ -66,8 +68,12 @@ type Service struct {
 
 	// Pipeline-owned state (touched only on the pipeline goroutine after
 	// construction).
-	g        *Graph
-	shards   [][]*serviceSource
+	g      *Graph
+	shards [][]*serviceSource
+	// engines[i] is shard i's push engine. A source is a pair of vectors;
+	// the frontier and delta buffers a push works in belong to whoever runs
+	// it, and a shard runs its sources strictly one after another.
+	engines  []push.Engine
 	shardCh  []chan shardJob
 	workerWG sync.WaitGroup
 	// statesBuf and touchedBuf are per-batch scratch recycled across
@@ -117,15 +123,14 @@ type Service struct {
 
 type sourceTable map[VertexID]*serviceSource
 
-// serviceSource is one tracked source: its push state, engine, and snapshot
-// publication slot. The state and engine are owned by the source's shard
-// worker (and by the pipeline goroutine during AddSource cold start); the
-// slot is the read/write boundary.
+// serviceSource is one tracked source: its push state and snapshot
+// publication slot. The state is owned by the source's shard worker (and by
+// the pipeline goroutine during AddSource cold start); the slot is the
+// read/write boundary.
 type serviceSource struct {
 	source VertexID
 	shard  int
 	st     *push.State
-	engine push.Engine
 	slot   *push.SnapshotSlot
 }
 
@@ -137,8 +142,11 @@ type shardJob struct {
 
 // ServiceOptions configure a Service.
 type ServiceOptions struct {
-	// Options are the per-source tracking options (α, ε, engine, variant).
-	// Options.Workers bounds the parallelism inside one source's push.
+	// Options carry the tracking parameters. The service reads Alpha,
+	// Epsilon and Parallelism (the parallelism inside one source's push,
+	// which never influences results); Engine, Variant, Workers and Mode
+	// configure Tracker and TrackerSet only — the service always runs the
+	// deterministic engine, and Options() reports it.
 	Options Options
 	// PoolWorkers is the number of shard workers pushing sources
 	// concurrently; <= 0 selects GOMAXPROCS.
@@ -275,6 +283,9 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 	if so.QueueDepth <= 0 {
 		so.QueueDepth = 64
 	}
+	// Whatever engine the caller's Options named, this is the one that runs
+	// (see the engines loop below), and what Options() and Stats() report.
+	so.Options.Engine = EngineDeterministic
 
 	svc := &Service{
 		opts:    so,
@@ -282,21 +293,21 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 		work:    make(chan func(), so.QueueDepth),
 		done:    make(chan struct{}),
 		shards:  make([][]*serviceSource, so.PoolWorkers),
+		engines: make([]push.Engine, so.PoolWorkers),
 		shardCh: make([]chan shardJob, so.PoolWorkers),
+	}
+	for i := range svc.engines {
+		svc.engines[i] = parallel.NewPushEngine(so.Options.Parallelism)
 	}
 
 	table := make(sourceTable, len(sources))
 	cfg := push.Config{Alpha: so.Options.Alpha, Epsilon: so.Options.Epsilon}
-	all := make([]*serviceSource, 0, len(sources))
 	for i, s := range sources {
-		engine, err := so.Options.buildEngine()
-		if err != nil {
-			return nil, err
-		}
 		var st *push.State
 		if recovered != nil {
 			st = recovered[i].st
 		} else {
+			var err error
 			st, err = push.NewState(g, s, cfg)
 			if err != nil {
 				return nil, err
@@ -306,7 +317,6 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 			source: s,
 			shard:  i % so.PoolWorkers,
 			st:     st,
-			engine: engine,
 			slot:   push.NewSnapshotSlotTopK(so.topKCap()),
 		}
 		if recovered != nil {
@@ -317,17 +327,18 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 		}
 		svc.shards[src.shard] = append(svc.shards[src.shard], src)
 		table[s] = src
-		all = append(all, src)
 	}
-	// Bring every source to its first published snapshot in parallel: a cold
-	// source converges from scratch, a recovered one republishes its restored
-	// state as-is (it was converged when checkpointed) at its restored epoch.
-	fp.For(len(all), so.PoolWorkers, func(i int) {
-		src := all[i]
-		if recovered == nil {
-			src.engine.Run(src.st, []graph.VertexID{src.source})
+	// Bring every source to its first published snapshot, the shards in
+	// parallel: a cold source converges from scratch, a recovered one
+	// republishes its restored state as-is (it was converged when
+	// checkpointed) at its restored epoch.
+	fp.For(so.PoolWorkers, so.PoolWorkers, func(i int) {
+		for _, src := range svc.shards[i] {
+			if recovered == nil {
+				svc.engines[i].Run(src.st, []graph.VertexID{src.source})
+			}
+			src.slot.Publish(src.st)
 		}
-		src.slot.Publish(src.st)
 	})
 	svc.table.Store(&table)
 	svc.vertices.Store(int64(g.NumVertices()))
@@ -341,7 +352,7 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 	for i := range svc.shardCh {
 		svc.shardCh[i] = make(chan shardJob)
 		svc.workerWG.Add(1)
-		go svc.shardWorker(svc.shardCh[i])
+		go svc.shardWorker(svc.engines[i], svc.shardCh[i])
 	}
 	go svc.pipeline()
 	return svc, nil
@@ -361,11 +372,11 @@ func (s *Service) pipeline() {
 
 // shardWorker pushes its shard's sources to convergence after each batch and
 // publishes their snapshots.
-func (s *Service) shardWorker(ch chan shardJob) {
+func (s *Service) shardWorker(engine push.Engine, ch chan shardJob) {
 	defer s.workerWG.Done()
 	for job := range ch {
 		for _, src := range job.sources {
-			src.engine.Run(src.st, job.touched)
+			engine.Run(src.st, job.touched)
 			src.slot.Publish(src.st)
 		}
 		job.wg.Done()
@@ -725,10 +736,6 @@ func (s *Service) validateAddSource(source VertexID) error {
 // doAddSource applies a validated addition (see validateAddSource).
 func (s *Service) doAddSource(source VertexID) error {
 	old := *s.table.Load()
-	engine, err := s.opts.Options.buildEngine()
-	if err != nil {
-		return err
-	}
 	st, err := push.NewState(s.g, source, push.Config{
 		Alpha: s.opts.Options.Alpha, Epsilon: s.opts.Options.Epsilon,
 	})
@@ -742,8 +749,10 @@ func (s *Service) doAddSource(source VertexID) error {
 			shard = i
 		}
 	}
-	src := &serviceSource{source: source, shard: shard, st: st, engine: engine, slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
-	src.engine.Run(src.st, []graph.VertexID{source})
+	src := &serviceSource{source: source, shard: shard, st: st, slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
+	// The pipeline goroutine is the shard workers' only producer and is not
+	// inside a batch, so the shard's engine is idle.
+	s.engines[shard].Run(src.st, []graph.VertexID{source})
 	src.slot.Publish(src.st)
 	s.shards[shard] = append(s.shards[shard], src)
 	next := make(sourceTable, len(old)+1)
@@ -1050,7 +1059,8 @@ type ServiceStats struct {
 	Storage StorageStats
 	// PoolWorkers is the shard pool size.
 	PoolWorkers int
-	// Engine names the push engine kind every source runs.
+	// Engine names the push engine every source runs: always
+	// "deterministic".
 	Engine string
 	// Persistence reports the durability layer's state; nil for an
 	// in-memory service.

@@ -3,6 +3,7 @@ package dynppr_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -52,21 +53,18 @@ func TestNewServiceErrors(t *testing.T) {
 	if _, err := dynppr.NewService(g, []dynppr.VertexID{1}, bad); err == nil {
 		t.Fatal("invalid options must fail")
 	}
-	unknown := so
-	unknown.Options.Engine = dynppr.EngineKind(42)
-	if _, err := dynppr.NewService(g, []dynppr.VertexID{1}, unknown); err == nil {
-		t.Fatal("unknown engine must fail")
-	}
 }
 
-// The service must produce exactly the answers an offline Tracker computes
-// on the same graph and update sequence.
+// The service must publish exactly — to the float64 bit — what an offline
+// deterministic-engine Tracker per source computes over the same history,
+// however many sources share a shard's engine (PoolWorkers 1: all of them)
+// and whatever Options.Engine the caller passed: the service takes no engine
+// choice. A source is added and another removed between batches, so an
+// engine also outlives and predates the states it runs.
 func TestServiceMatchesTracker(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelRMAT, 150, 900, 7)
 	initial, extra := edges[:600], edges[600:]
-	svc, sources := newTestService(t, initial, 3, 1e-5)
-
-	batch := make(dynppr.Batch, 0, len(extra))
+	batches := make([]dynppr.Batch, 3)
 	for i, e := range extra {
 		op := dynppr.Insert
 		if i%5 == 4 {
@@ -74,56 +72,114 @@ func TestServiceMatchesTracker(t *testing.T) {
 			e = initial[i]
 			op = dynppr.Delete
 		}
-		batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: op})
+		b := i * len(batches) / len(extra)
+		batches[b] = append(batches[b], dynppr.Update{U: e.U, V: e.V, Op: op})
 	}
-	res, err := svc.ApplyBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied == 0 || res.Pushes == 0 {
-		t.Fatalf("batch did nothing: %+v", res)
-	}
+	top := dynppr.GraphFromEdges(initial).TopDegreeVertices(4)
+	sources, added, removed := top[:3], top[3], top[1]
 
-	// Replay the same history on a fresh Tracker per source.
-	opts := dynppr.DefaultOptions()
-	opts.Epsilon = 1e-5
-	for _, s := range sources {
-		g := dynppr.GraphFromEdges(initial)
-		tr, err := dynppr.NewTracker(g, s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.ApplyBatch(batch)
-		want := tr.Estimates()
-		got, info, err := svc.EstimatesInfo(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !info.Converged() || info.Epoch < 2 {
-			t.Fatalf("source %d: bad snapshot info %+v", s, info)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("source %d: vector length %d vs %d", s, len(got), len(want))
-		}
-		for v := range got {
-			if d := math.Abs(got[v] - want[v]); d > 2*opts.Epsilon {
-				t.Fatalf("source %d vertex %d: service %v vs tracker %v", s, v, got[v], want[v])
+	for _, tc := range []struct {
+		name   string
+		pool   int
+		engine dynppr.EngineKind
+	}{
+		{"pool=1", 1, dynppr.EngineParallel},
+		{"pool=3", 3, dynppr.EngineSequential},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			so := dynppr.DefaultServiceOptions()
+			so.Options.Epsilon = 1e-5
+			so.Options.Engine = tc.engine
+			so.PoolWorkers = tc.pool
+			svc, err := dynppr.NewService(dynppr.GraphFromEdges(initial), sources, so)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// TopK read path agrees with the tracker's ranking score-wise.
-		gotTop, err := svc.TopK(s, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTop := tr.TopK(5)
-		if len(gotTop) != len(wantTop) {
-			t.Fatalf("source %d: TopK lengths %d vs %d", s, len(gotTop), len(wantTop))
-		}
-		for i := range gotTop {
-			if d := math.Abs(gotTop[i].Score - wantTop[i].Score); d > 2*opts.Epsilon {
-				t.Fatalf("source %d: TopK[%d] %v vs %v", s, i, gotTop[i], wantTop[i])
+			t.Cleanup(func() { svc.Close() })
+			if got := svc.Stats().Engine; got != "deterministic" || svc.Options().Options.Engine != dynppr.EngineDeterministic {
+				t.Fatalf("service given %v reports engine %q", tc.engine, got)
 			}
-		}
+			// History: batch 0, add a source, batch 1, remove a source, batch 2.
+			for i, b := range batches {
+				res, err := svc.ApplyBatch(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Applied == 0 || res.Pushes == 0 {
+					t.Fatalf("batch %d did nothing: %+v", i, res)
+				}
+				switch i {
+				case 0:
+					err = svc.AddSource(added)
+				case 1:
+					err = svc.RemoveSource(removed)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := svc.Estimates(removed); !errors.Is(err, dynppr.ErrUnknownSource) {
+				t.Fatalf("removed source still served: %v", err)
+			}
+
+			// Replay the same history on a fresh Tracker per surviving source.
+			opts := dynppr.DefaultOptions()
+			opts.Epsilon = 1e-5
+			opts.Engine = dynppr.EngineDeterministic
+			opts.Parallelism = 1
+			for _, s := range []dynppr.VertexID{sources[0], sources[2], added} {
+				g := dynppr.GraphFromEdges(initial)
+				first := 0
+				if s == added {
+					// The graph had absorbed batch 0 when the source cold-started.
+					for _, u := range batches[0] {
+						if u.Op == dynppr.Insert {
+							g.AddEdge(u.U, u.V)
+						} else {
+							g.RemoveEdge(u.U, u.V)
+						}
+					}
+					first = 1
+				}
+				tr, err := dynppr.NewTracker(g, s, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range batches[first:] {
+					tr.ApplyBatch(b)
+				}
+				want := tr.Estimates()
+				got, info, err := svc.EstimatesInfo(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantEpoch := uint64(1 + len(batches) - first); !info.Converged() || info.Epoch != wantEpoch {
+					t.Fatalf("source %d: bad snapshot info %+v, want epoch %d", s, info, wantEpoch)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("source %d: vector length %d vs %d", s, len(got), len(want))
+				}
+				for v := range got {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("source %d vertex %d: service %v vs tracker %v", s, v, got[v], want[v])
+					}
+				}
+				// The TopK read path serves the tracker's ranking exactly.
+				gotTop, err := svc.TopK(s, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTop := tr.TopK(5)
+				if len(gotTop) != len(wantTop) {
+					t.Fatalf("source %d: TopK lengths %d vs %d", s, len(gotTop), len(wantTop))
+				}
+				for i := range gotTop {
+					if gotTop[i].Vertex != wantTop[i].Vertex || math.Float64bits(gotTop[i].Score) != math.Float64bits(wantTop[i].Score) {
+						t.Fatalf("source %d: TopK[%d] %v vs %v", s, i, gotTop[i], wantTop[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -361,5 +417,57 @@ func TestTopKMatchesFullSort(t *testing.T) {
 				t.Fatalf("k=%d entry %d: got %+v, want %+v", k, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// A tracked source is its pair of vectors plus what publishing them needs
+// (two snapshot buffers, Top-K and dirty lists: ≈ 37 bytes per vertex). The
+// frontier and stripe buffers a push works in belong to the shard's engine,
+// so a further source on the same shard must not bring its own copy of them
+// (8 stripes × 8 bytes per vertex): the live heap each one adds stays under
+// 64 bytes per vertex.
+func TestServiceHeapPerSource(t *testing.T) {
+	const n = 200_000
+	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, n, 3*n, 5)
+	g := dynppr.GraphFromEdges(edges)
+	sources := g.TopDegreeVertices(4)
+	so := dynppr.DefaultServiceOptions()
+	so.Options.Epsilon = 1e-3
+	so.Options.Engine = dynppr.EngineDeterministic
+	so.PoolWorkers = 1
+	svc, err := dynppr.NewService(g, sources[:1], so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+
+	// Every measurement follows an effective batch, so each source has
+	// published twice and owns both of its snapshot buffers.
+	next := 0
+	liveHeap := func() uint64 {
+		t.Helper()
+		e := edges[next]
+		next++
+		if res, err := svc.ApplyBatch(dynppr.Batch{{U: e.U, V: e.V, Op: dynppr.Delete}}); err != nil || res.Applied != 1 {
+			t.Fatalf("batch: %+v, %v", res, err)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	for _, s := range sources[1:] {
+		if err := svc.AddSource(s); err != nil {
+			t.Fatal(err)
+		}
+		after := liveHeap()
+		perVertex := (float64(after) - float64(before)) / n
+		t.Logf("source %d: +%.1f live heap bytes per vertex", s, perVertex)
+		if perVertex >= 64 {
+			t.Fatalf("source %d added %.1f live heap bytes per vertex, want < 64", s, perVertex)
+		}
+		before = after
 	}
 }

@@ -153,24 +153,30 @@ func (ts *TrackerSet) Estimate(source, v VertexID) (float64, error) {
 // invariant of every tracked source, and pushes each source to convergence.
 func (ts *TrackerSet) ApplyBatch(b Batch) BatchResult {
 	start := time.Now()
+	before := ts.pushes()
 	applied, touched := applyBatchNotify(ts.g, ts.states, b, ts.touchedBuf[:0])
 	ts.touchedBuf = touched
-	var pushes int64
 	fp.For(len(ts.states), ts.setWorkers, func(i int) {
 		ts.engines[i].Run(ts.states[i], touched)
 	})
 	// Between batches is a quiescent point (no engine is reading): fold
 	// grown delta segments back into the CSR base.
 	ts.g.MaybeCompact()
-	for _, st := range ts.states {
-		pushes += st.Counters.Snapshot().Pushes
-	}
 	return BatchResult{
 		Applied: applied,
 		Skipped: len(b) - applied,
 		Latency: time.Since(start),
-		Pushes:  pushes,
+		Pushes:  ts.pushes() - before,
 	}
+}
+
+// pushes sums the cumulative push counters of every source.
+func (ts *TrackerSet) pushes() int64 {
+	var n int64
+	for _, st := range ts.states {
+		n += st.Counters.Snapshot().Pushes
+	}
+	return n
 }
 
 // Converged reports whether every tracked source is within Epsilon.
