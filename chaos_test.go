@@ -82,25 +82,26 @@ func chaosWorkload(t *testing.T, svc *Service, stream []Batch) {
 	}
 }
 
+// The subtests sweep PoolWorkers (named "parallelism=" as in
+// TestCrashRecoveryDifferential); the final recovery runs at the other size.
 func TestChaosDifferential(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			testChaosDifferential(t, par)
+	for _, pool := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
+			testChaosDifferential(t, pool)
 		})
 	}
 }
 
-func testChaosDifferential(t *testing.T, parallelism int) {
+func testChaosDifferential(t *testing.T, pool int) {
 	const batches = 5
 	initial, stream := recoveryWorkload(t, 250, 2500, batches, 20)
 
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = parallelism
 	opts.Epsilon = 1e-5
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
 	oracle := oracleStates(t, initial, sources, stream, opts)
-	so := ServiceOptions{Options: opts, PoolWorkers: 2}
+	so := ServiceOptions{Options: opts, PoolWorkers: pool}
+	recSo := ServiceOptions{Options: opts, PoolWorkers: 5 - pool}
 
 	boot := func(t *testing.T) (*Service, *faultfs.Injector, string) {
 		t.Helper()
@@ -172,7 +173,7 @@ func testChaosDifferential(t *testing.T, parallelism int) {
 			}
 			// A real recovery from the healed directory (clean filesystem)
 			// reconstructs the same bit-identical state.
-			rec, err := NewServiceFromRecovery(so, PersistOptions{Dir: dir, Sync: SyncAlways})
+			rec, err := NewServiceFromRecovery(recSo, PersistOptions{Dir: dir, Sync: SyncAlways})
 			if err != nil {
 				t.Fatalf("recovery from healed directory: %v", err)
 			}

@@ -14,7 +14,7 @@
 //
 //	dppr-httpd -addr :8080 -dataset youtube -sources 8
 //	dppr-httpd -addr 127.0.0.1:9090 -vertices 5000 -edges 100000 -epsilon 1e-5
-//	dppr-httpd -input edges.txt -sources 4 -parallelism 1
+//	dppr-httpd -input edges.txt -sources 4
 //	dppr-httpd -data-dir /var/lib/dppr -fsync always -checkpoint-every 5m
 //	dppr-httpd -ondemand -ondemand-eps 1e-4 -promote-after 16 -max-auto-sources 32
 package main
@@ -54,7 +54,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		input    = fs.String("input", "", "override: load the initial graph from this edge-list file")
 		sources  = fs.Int("sources", 4, "number of top-degree sources to serve")
 		epsilon  = fs.Float64("epsilon", 1e-6, "error threshold")
-		par      = fs.Int("parallelism", 0, "workers inside one source's push (0 = GOMAXPROCS; never affects results)")
 		pool     = fs.Int("pool", 0, "shard pool size (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 1, "random seed for generated graphs")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = *epsilon
-	so.Options.Parallelism = *par
 	so.PoolWorkers = *pool
 	so.QueueDepth = *queue
 	so.OnDemand = dynppr.OnDemandOptions{

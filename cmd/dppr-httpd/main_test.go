@@ -146,6 +146,9 @@ func TestHTTPDErrors(t *testing.T) {
 	if err := run(ctx, []string{"-engine", "warp-drive", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
 		t.Fatal("unknown flag must fail")
 	}
+	if err := run(ctx, []string{"-parallelism", "1", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
+		t.Fatal("-parallelism is gone and must fail as an unknown flag")
+	}
 	if err := run(ctx, []string{"-dataset", "no-such"}, &buf); err == nil {
 		t.Fatal("unknown dataset must fail")
 	}

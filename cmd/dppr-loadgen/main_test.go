@@ -315,7 +315,6 @@ func startDegradedServer(t *testing.T) string {
 	g := dynppr.GraphFromEdges(edges)
 	sources := g.TopDegreeVertices(3)
 	so := dynppr.DefaultServiceOptions()
-	so.Options.Engine = dynppr.EngineDeterministic
 	so.Options.Epsilon = 1e-4
 	so.PoolWorkers = 2
 	in := faultfs.NewInjector(faultfs.OS)

@@ -63,14 +63,14 @@ func slidingWindowStream(universe, initial []dynppr.Edge, window, batches, batch
 }
 
 // TestCompactionDifferential is the storage engine's end-to-end bit-identity
-// gate: two deterministic services replay the same stream, one compacting
+// gate: two services replay the same stream, one compacting
 // aggressively (background merges racing the write pipeline, inline merges,
 // an explicit mid-stream CompactNow), the other never compacting. After
 // every batch their published estimates and Top-K rankings must agree to the
 // bit, and at the end their checkpoints — estimates, residuals, snapshot
-// epochs, and the compacted CSR image — must be byte-identical. Runs at
-// parallelism 1 and 4; the -race runs in CI double as the data-race check on
-// the background compactor.
+// epochs, and the compacted CSR image — must be byte-identical. The
+// compacting service runs at PoolWorkers 1 and 4, the other at 4 and 1; the
+// -race runs in CI double as the data-race check on the background compactor.
 func TestCompactionDifferential(t *testing.T) {
 	universe, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
 		Model: dynppr.ModelRMAT, Vertices: 300, Edges: 2400, Seed: 5,
@@ -98,14 +98,11 @@ func TestCompactionDifferential(t *testing.T) {
 			sc := sc
 			t.Run(sc.name+parSuffix(par), func(t *testing.T) {
 				opts := dynppr.DefaultOptions()
-				opts.Engine = dynppr.EngineDeterministic
 				opts.Epsilon = 1e-5
-				opts.Workers = par
-				opts.Parallelism = par
-				build := func(compactAfter int, dir string) *dynppr.Service {
+				build := func(compactAfter, pool int, dir string) *dynppr.Service {
 					so := dynppr.ServiceOptions{
 						Options:                opts,
-						PoolWorkers:            par,
+						PoolWorkers:            pool,
 						CompactAfterDeltaEdges: compactAfter,
 					}
 					svc, err := dynppr.NewPersistentService(
@@ -120,9 +117,9 @@ func TestCompactionDifferential(t *testing.T) {
 				// every batch and the 4× inline path whenever the merge
 				// falls behind; -1 never compacts outside checkpoints.
 				dirOn, dirOff := t.TempDir(), t.TempDir()
-				on := build(64, dirOn)
+				on := build(64, par, dirOn)
 				defer on.Close()
-				off := build(-1, dirOff)
+				off := build(-1, 5-par, dirOff)
 				defer off.Close()
 
 				for b, batch := range sc.stream {

@@ -42,8 +42,9 @@
 // many goroutines while an update stream is applied, use Service: it shards
 // multiple sources across a worker pool, serializes writes through one
 // pipeline, and answers reads lock-free from converged snapshots. A Service
-// takes no engine choice — every push it runs is the deterministic one, so
-// its snapshots are bit-identical across parallelism, replay and recovery.
+// takes no engine choice — every push it runs is the sequential one, one
+// source at a time per shard, so its snapshots are bit-identical across
+// pool sizes, replay and recovery.
 //
 // To serve a Service over the network, see internal/httpapi (HTTP/JSON
 // handler, server and client; every read response carries the SnapshotInfo
@@ -117,14 +118,15 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 func GraphFromEdges(edges []Edge) *Graph { return graph.FromEdges(edges) }
 
 // EngineKind selects the push engine a Tracker or TrackerSet uses. A Service
-// takes no engine choice: it always runs EngineDeterministic.
+// takes no engine choice: it always runs EngineSequential.
 type EngineKind int
 
 const (
 	// EngineParallel is the paper's parallel local push (default: the Opt
 	// variant running on all available cores).
 	EngineParallel EngineKind = iota
-	// EngineSequential is the sequential local push baseline.
+	// EngineSequential is the sequential local push baseline, and the engine
+	// every Service runs (one per shard).
 	EngineSequential
 	// EngineVertexCentric is the Ligra-style vertex-centric baseline.
 	EngineVertexCentric
@@ -132,9 +134,8 @@ const (
 	// internal/parallel: per-stripe delta buffers merged by an ordered
 	// reduction make the estimate and residual vectors bit-identical for
 	// every Options.Parallelism, with an adaptive cutover that runs small
-	// frontiers inline. It is the engine every Service runs (replayable
-	// serving snapshots); on a Tracker, use it for differential testing or
-	// when the atomic-add engines' scheduling noise is unwanted.
+	// frontiers inline. Use it for differential testing or when the
+	// atomic-add engines' scheduling noise is unwanted.
 	EngineDeterministic
 )
 
@@ -175,9 +176,9 @@ func (m UpdateMode) String() string {
 	return "batch"
 }
 
-// Options configure a Tracker or TrackerSet. A Service reads only Alpha,
-// Epsilon and Parallelism: Engine, Variant, Workers and Mode do not reach
-// the serving path.
+// Options configure a Tracker or TrackerSet. A Service reads only Alpha and
+// Epsilon: Engine, Variant, Workers, Parallelism and Mode do not reach the
+// serving path.
 type Options struct {
 	// Alpha is the teleport/termination probability. Default 0.15.
 	Alpha float64
@@ -193,8 +194,8 @@ type Options struct {
 	// Workers is the degree of parallelism for the parallel and
 	// vertex-centric engines; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Parallelism is the degree of parallelism for EngineDeterministic, and
-	// so for every push a Service runs; <= 0 (the default, "auto") selects
+	// Parallelism is the degree of parallelism for EngineDeterministic
+	// (Tracker and TrackerSet only); <= 0 (the default, "auto") selects
 	// GOMAXPROCS. Unlike Workers it never influences results: the
 	// deterministic engine produces bit-identical vectors at every
 	// Parallelism.

@@ -2,10 +2,9 @@
 // versioned binary snapshot of the dynamic graph, the tracked source set and
 // each source's converged push state (estimates, residuals, snapshot epoch),
 // together with the WAL sequence number the snapshot covers. A checkpoint
-// plus the WAL suffix past its LSN reconstructs a Service exactly; under the
-// deterministic engine the reconstruction is bit-identical, which is why the
-// graph is serialized as ordered adjacency lists (summation order of later
-// pushes) rather than as an edge set.
+// plus the WAL suffix past its LSN reconstructs a Service bit for bit, which
+// is why the graph is serialized as ordered adjacency lists (push and
+// summation order of later pushes) rather than as an edge set.
 //
 // # Format (version 2, CSR image)
 //

@@ -37,7 +37,6 @@ func newDegradedAPI(t *testing.T, probeBackoff time.Duration) (*httptest.Server,
 	sources := g.TopDegreeVertices(2)
 
 	so := dynppr.DefaultServiceOptions()
-	so.Options.Engine = dynppr.EngineDeterministic
 	so.Options.Epsilon = 1e-4
 
 	in := faultfs.NewInjector(faultfs.OS)

@@ -394,7 +394,6 @@ func TestHTTPOverloadRestartNoLostAcks(t *testing.T) {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-6
-	so.Options.Engine = dynppr.EngineDeterministic
 	so.QueueDepth = 1
 	po := dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncAlways}
 	svc, err := dynppr.NewPersistentService(g, sources, so, po)

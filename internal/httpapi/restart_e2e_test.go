@@ -42,7 +42,6 @@ func TestHTTPRestartRecovery(t *testing.T) {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = epsilon
-	so.Options.Engine = dynppr.EngineDeterministic
 	po := dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncAlways}
 
 	svc, err := dynppr.NewPersistentService(g, sources, so, po)

@@ -148,8 +148,8 @@ func requireSameBits(t *testing.T, name string, got, want *push.State) {
 	}
 }
 
-// TestSharedEngineBitIdenticalToDedicated is what lets a Service shard run
-// all its sources through one engine: an engine driven alternately over two
+// TestSharedEngineBitIdenticalToDedicated pins that an engine keeps nothing
+// of a state between runs: an engine driven alternately over two
 // states — on different graphs, the second larger so the machine's buffers
 // grow mid-stream — leaves both with exactly the bits two dedicated engines
 // produce. Nothing of one state's run (stripe deltas, marks, the frontier

@@ -11,11 +11,10 @@ import (
 // RestoreState rebuilds a State from checkpointed vectors instead of the
 // cold-start distribution, so a recovered source resumes from exactly the
 // converged (P, R) pair it had when the checkpoint was written — bit for
-// bit, which is what makes recovery reproducible under the deterministic
-// engine. The vector length is preserved as serialized: it may lag
-// g.NumVertices() when the graph grew without touching this source (sync
-// grows it on the next mutation, exactly as it would have in the original
-// process).
+// bit, which is what makes recovery reproducible. The vector length is
+// preserved as serialized: it may lag g.NumVertices() when the graph grew
+// without touching this source (sync grows it on the next mutation, exactly
+// as it would have in the original process).
 func RestoreState(g *graph.Graph, source graph.VertexID, cfg Config, estimates, residuals []float64) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -8,8 +8,8 @@ import "dynppr/internal/graph"
 // into the estimate and propagates the remaining (1−α) share to the
 // in-neighbors, scaled by their out-degrees.
 type Sequential struct {
-	// inQueue is reusable membership scratch for the FIFO queue, so the
-	// steady-state batch path allocates nothing.
+	// inQueue is reusable FIFO-membership scratch, all false between runs; the
+	// queue is the state's, so the steady-state batch path allocates nothing.
 	inQueue []bool
 }
 
@@ -41,9 +41,9 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 		inQueue[v] = true
 	}
 	counters := st.Counters
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); { // queue[head:] is the FIFO
+		u := queue[head]
+		head++
 		inQueue[u] = false
 		ru := st.r.Get(int(u))
 		if !ph.cond(ru, eps) {
@@ -66,9 +66,15 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 			st.r.Set(int(v), nr)
 			if ph.cond(nr, eps) && !inQueue[v] {
 				inQueue[v] = true
+				if len(queue) == cap(queue) && head > len(queue)/2 {
+					// More than half already dequeued: slide, don't grow.
+					queue = queue[:copy(queue, queue[head:])]
+					head = 0
+				}
 				queue = append(queue, int32(v))
 				counters.AddEnqueues(1)
 			}
 		}
 	}
+	st.activeBuf = queue[:0]
 }

@@ -367,7 +367,6 @@ func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := dynppr.DefaultOptions()
-	opts.Engine = dynppr.EngineDeterministic
 	opts.Epsilon = 1e-4
 	g := dynppr.GraphFromEdges(edges)
 	tracked := g.TopDegreeVertices(1)[0]

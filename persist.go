@@ -34,10 +34,10 @@ import (
 // checkpoint's sequence number through the ordinary write pipeline (so each
 // replayed batch converges exactly as it originally did), and re-checkpoints.
 // The recovered estimates, residuals and snapshot epochs are bit-identical to
-// a process that never crashed, because every push runs the deterministic
-// engine and the checkpoint preserves adjacency-list order — the
-// floating-point summation order of subsequent pushes — and the snapshot
-// epochs it had published.
+// a process of the same build that never crashed, because the checkpoint
+// preserves adjacency-list order — the push order and floating-point
+// summation order of subsequent pushes — and the snapshot epochs it had
+// published.
 
 // SyncPolicy selects when WAL appends reach stable storage; see the wal
 // package for the exact guarantees.

@@ -24,8 +24,6 @@ func faultTestService(t *testing.T, po func(*PersistOptions)) (*Service, *faultf
 	t.Helper()
 	initial, stream := recoveryWorkload(t, 150, 1200, 4, 15)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = 1
 	opts.Epsilon = 1e-4
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
 	in := faultfs.NewInjector(faultfs.OS)
@@ -324,7 +322,6 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 
 	initial, stream := recoveryWorkload(t, 150, 1200, 2, 15)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
 	opts.Epsilon = 1e-4
 	g := GraphFromEdges(initial)
 	top := g.TopDegreeVertices(6)

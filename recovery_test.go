@@ -2,9 +2,8 @@ package dynppr
 
 // Crash-recovery differential tests: the durability contract of the
 // persistent Service is that a recovery from checkpoint + WAL replay is
-// indistinguishable — bit for bit, under EngineDeterministic — from a
-// process that was simply fed the surviving prefix of the update stream and
-// never crashed. The tests simulate crashes by truncating the WAL at every
+// indistinguishable — bit for bit — from a process that was simply fed the
+// surviving prefix of the update stream and never crashed. The tests simulate crashes by truncating the WAL at every
 // record boundary and at torn positions inside records (mid-frame,
 // mid-payload, inside the checksum), recover, and compare estimates,
 // residuals and snapshot epochs against oracle Trackers.
@@ -62,11 +61,12 @@ type sourceState struct {
 	residuals []float64
 }
 
-// oracleStates replays batch prefixes through plain Trackers (one per
-// source, each over its own copy of the initial graph) and records the
+// oracleStates replays batch prefixes through plain sequential Trackers (one
+// per source, each over its own copy of the initial graph) and records the
 // exact state after every prefix length k = 0..len(batches).
 func oracleStates(t *testing.T, initial []Edge, sources []VertexID, batches []Batch, opts Options) [][]sourceState {
 	t.Helper()
+	opts.Engine = EngineSequential // the push every Service runs
 	states := make([][]sourceState, len(batches)+1)
 	trackers := make([]*Tracker, len(sources))
 	for i, s := range sources {
@@ -159,27 +159,28 @@ func assertRecoveredState(t *testing.T, svc *Service, sources []VertexID, oracle
 // subsystem: a random update stream is journaled, the journal is cut at
 // every record boundary and at torn positions inside records, and each cut
 // is recovered and compared against an oracle Tracker fed the surviving
-// prefix — at deterministic-engine parallelism 1 and 4.
+// prefix — written at PoolWorkers 1 and 4, recovered at the other. (The
+// subtests keep their "parallelism=" names: the pool is the only parallelism
+// a Service has.)
 func TestCrashRecoveryDifferential(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			testCrashRecoveryDifferential(t, par)
+	for _, pool := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
+			testCrashRecoveryDifferential(t, pool)
 		})
 	}
 }
 
-func testCrashRecoveryDifferential(t *testing.T, parallelism int) {
+func testCrashRecoveryDifferential(t *testing.T, pool int) {
 	const batches = 8
 	initial, stream := recoveryWorkload(t, 400, 4000, batches, 25)
 
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = parallelism
 	opts.Epsilon = 1e-5
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
 	oracle := oracleStates(t, initial, sources, stream, opts)
 
-	so := ServiceOptions{Options: opts, PoolWorkers: 2}
+	so := ServiceOptions{Options: opts, PoolWorkers: pool}
+	recSo := ServiceOptions{Options: opts, PoolWorkers: 5 - pool}
 	dir := filepath.Join(t.TempDir(), "data")
 	svc, err := NewPersistentService(GraphFromEdges(initial), sources, so, PersistOptions{Dir: dir, Sync: SyncNone})
 	if err != nil {
@@ -227,7 +228,7 @@ func testCrashRecoveryDifferential(t *testing.T, parallelism int) {
 
 	for _, c := range cuts {
 		cdir := copyDataDir(t, dir, c.bytes)
-		rec, err := NewServiceFromRecovery(so, PersistOptions{Dir: cdir, Sync: SyncNone})
+		rec, err := NewServiceFromRecovery(recSo, PersistOptions{Dir: cdir, Sync: SyncNone})
 		if err != nil {
 			t.Fatalf("cut at %d bytes: recovery failed: %v", c.bytes, err)
 		}
@@ -256,8 +257,6 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 	initial, stream := recoveryWorkload(t, 300, 3000, batches, 20)
 
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
-	opts.Parallelism = 2
 	opts.Epsilon = 1e-5
 	base := GraphFromEdges(initial).TopDegreeVertices(3)
 	sources := base[:2]
@@ -410,7 +409,6 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 func TestRecoveryOfZeroSourceService(t *testing.T) {
 	initial, stream := recoveryWorkload(t, 200, 1600, 2, 10)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
 	opts.Epsilon = 1e-4
 	so := ServiceOptions{Options: opts, PoolWorkers: 1}
 	sources := GraphFromEdges(initial).TopDegreeVertices(1)
@@ -461,7 +459,6 @@ func TestRecoveryOfZeroSourceService(t *testing.T) {
 func TestUnjournalableUpdatesDoNotPoisonRecovery(t *testing.T) {
 	initial, stream := recoveryWorkload(t, 200, 1600, 2, 10)
 	opts := DefaultOptions()
-	opts.Engine = EngineDeterministic
 	opts.Epsilon = 1e-4
 	so := ServiceOptions{Options: opts, PoolWorkers: 1}
 	sources := GraphFromEdges(initial).TopDegreeVertices(1)

@@ -11,7 +11,6 @@ import (
 
 	"dynppr/internal/fp"
 	"dynppr/internal/graph"
-	"dynppr/internal/parallel"
 	"dynppr/internal/push"
 )
 
@@ -47,12 +46,11 @@ import (
 // Consequently every read reflects the graph as of some completed batch
 // (monotonically advancing per source), never a partially applied one.
 //
-// The service is reproducible: every push it runs goes through the
-// deterministic parallel engine (internal/parallel), whose output is
-// bit-identical at any Options.Parallelism, so replaying the same batch
-// sequence over the same initial graph publishes snapshots with exactly the
-// same float64 bits — regardless of PoolWorkers, scheduling, or the
-// machine's core count.
+// The service is reproducible: one goroutine pushes one source through the
+// sequential push's FIFO, whose order is fixed by adjacency-list order and
+// the batch's touched order, so replaying the same batch sequence over the
+// same initial graph publishes snapshots with exactly the same float64 bits
+// — regardless of PoolWorkers, scheduling, or the machine's core count.
 type Service struct {
 	opts ServiceOptions
 
@@ -71,9 +69,9 @@ type Service struct {
 	g      *Graph
 	shards [][]*serviceSource
 	// engines[i] is shard i's push engine. A source is a pair of vectors;
-	// the frontier and delta buffers a push works in belong to whoever runs
+	// the queue-membership scratch a push works in belongs to whoever runs
 	// it, and a shard runs its sources strictly one after another.
-	engines  []push.Engine
+	engines  []*push.Sequential
 	shardCh  []chan shardJob
 	workerWG sync.WaitGroup
 	// statesBuf and touchedBuf are per-batch scratch recycled across
@@ -142,11 +140,10 @@ type shardJob struct {
 
 // ServiceOptions configure a Service.
 type ServiceOptions struct {
-	// Options carry the tracking parameters. The service reads Alpha,
-	// Epsilon and Parallelism (the parallelism inside one source's push,
-	// which never influences results); Engine, Variant, Workers and Mode
-	// configure Tracker and TrackerSet only — the service always runs the
-	// deterministic engine, and Options() reports it.
+	// Options carry the tracking parameters. The service reads Alpha and
+	// Epsilon; every other field configures Tracker and TrackerSet only —
+	// the service always runs the sequential push, one per shard, and
+	// Options() reports it.
 	Options Options
 	// PoolWorkers is the number of shard workers pushing sources
 	// concurrently; <= 0 selects GOMAXPROCS.
@@ -285,7 +282,7 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 	}
 	// Whatever engine the caller's Options named, this is the one that runs
 	// (see the engines loop below), and what Options() and Stats() report.
-	so.Options.Engine = EngineDeterministic
+	so.Options.Engine = EngineSequential
 
 	svc := &Service{
 		opts:    so,
@@ -293,11 +290,11 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 		work:    make(chan func(), so.QueueDepth),
 		done:    make(chan struct{}),
 		shards:  make([][]*serviceSource, so.PoolWorkers),
-		engines: make([]push.Engine, so.PoolWorkers),
+		engines: make([]*push.Sequential, so.PoolWorkers),
 		shardCh: make([]chan shardJob, so.PoolWorkers),
 	}
 	for i := range svc.engines {
-		svc.engines[i] = parallel.NewPushEngine(so.Options.Parallelism)
+		svc.engines[i] = push.NewSequential()
 	}
 
 	table := make(sourceTable, len(sources))
@@ -372,7 +369,7 @@ func (s *Service) pipeline() {
 
 // shardWorker pushes its shard's sources to convergence after each batch and
 // publishes their snapshots.
-func (s *Service) shardWorker(engine push.Engine, ch chan shardJob) {
+func (s *Service) shardWorker(engine *push.Sequential, ch chan shardJob) {
 	defer s.workerWG.Done()
 	for job := range ch {
 		for _, src := range job.sources {
@@ -1059,8 +1056,7 @@ type ServiceStats struct {
 	Storage StorageStats
 	// PoolWorkers is the shard pool size.
 	PoolWorkers int
-	// Engine names the push engine every source runs: always
-	// "deterministic".
+	// Engine names the push engine every source runs: always "sequential".
 	Engine string
 	// Persistence reports the durability layer's state; nil for an
 	// in-memory service.

@@ -56,11 +56,11 @@ func TestNewServiceErrors(t *testing.T) {
 }
 
 // The service must publish exactly — to the float64 bit — what an offline
-// deterministic-engine Tracker per source computes over the same history,
-// however many sources share a shard's engine (PoolWorkers 1: all of them)
-// and whatever Options.Engine the caller passed: the service takes no engine
-// choice. A source is added and another removed between batches, so an
-// engine also outlives and predates the states it runs.
+// sequential Tracker per source computes over the same history, however many
+// sources share a shard's engine (PoolWorkers 1: all of them) and whatever
+// Options.Engine and Parallelism the caller passed: the service takes no
+// engine choice. A source is added and another removed between batches, so
+// an engine also outlives and predates the states it runs.
 func TestServiceMatchesTracker(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelRMAT, 150, 900, 7)
 	initial, extra := edges[:600], edges[600:]
@@ -78,25 +78,30 @@ func TestServiceMatchesTracker(t *testing.T) {
 	top := dynppr.GraphFromEdges(initial).TopDegreeVertices(4)
 	sources, added, removed := top[:3], top[3], top[1]
 
+	// published holds the previous subtest's vectors: the next must serve
+	// the same bits.
+	var published map[dynppr.VertexID][]float64
 	for _, tc := range []struct {
-		name   string
-		pool   int
-		engine dynppr.EngineKind
+		name        string
+		pool        int
+		engine      dynppr.EngineKind
+		parallelism int
 	}{
-		{"pool=1", 1, dynppr.EngineParallel},
-		{"pool=3", 3, dynppr.EngineSequential},
+		{"pool=1", 1, dynppr.EngineParallel, 1},
+		{"pool=3", 3, dynppr.EngineDeterministic, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			so := dynppr.DefaultServiceOptions()
 			so.Options.Epsilon = 1e-5
 			so.Options.Engine = tc.engine
+			so.Options.Parallelism = tc.parallelism
 			so.PoolWorkers = tc.pool
 			svc, err := dynppr.NewService(dynppr.GraphFromEdges(initial), sources, so)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { svc.Close() })
-			if got := svc.Stats().Engine; got != "deterministic" || svc.Options().Options.Engine != dynppr.EngineDeterministic {
+			if got := svc.Stats().Engine; got != "sequential" || svc.Options().Options.Engine != dynppr.EngineSequential {
 				t.Fatalf("service given %v reports engine %q", tc.engine, got)
 			}
 			// History: batch 0, add a source, batch 1, remove a source, batch 2.
@@ -125,8 +130,8 @@ func TestServiceMatchesTracker(t *testing.T) {
 			// Replay the same history on a fresh Tracker per surviving source.
 			opts := dynppr.DefaultOptions()
 			opts.Epsilon = 1e-5
-			opts.Engine = dynppr.EngineDeterministic
-			opts.Parallelism = 1
+			opts.Engine = dynppr.EngineSequential
+			mine := make(map[dynppr.VertexID][]float64)
 			for _, s := range []dynppr.VertexID{sources[0], sources[2], added} {
 				g := dynppr.GraphFromEdges(initial)
 				first := 0
@@ -156,14 +161,13 @@ func TestServiceMatchesTracker(t *testing.T) {
 				if wantEpoch := uint64(1 + len(batches) - first); !info.Converged() || info.Epoch != wantEpoch {
 					t.Fatalf("source %d: bad snapshot info %+v, want epoch %d", s, info, wantEpoch)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("source %d: vector length %d vs %d", s, len(got), len(want))
+				if !sameBits(got, want) {
+					t.Fatalf("source %d: service and tracker estimates differ in bits", s)
 				}
-				for v := range got {
-					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("source %d vertex %d: service %v vs tracker %v", s, v, got[v], want[v])
-					}
+				if published != nil && !sameBits(got, published[s]) {
+					t.Fatalf("source %d: the two services publish different bits", s)
 				}
+				mine[s] = got
 				// The TopK read path serves the tracker's ranking exactly.
 				gotTop, err := svc.TopK(s, 5)
 				if err != nil {
@@ -179,6 +183,7 @@ func TestServiceMatchesTracker(t *testing.T) {
 					}
 				}
 			}
+			published = mine
 		})
 	}
 }
@@ -422,10 +427,9 @@ func TestTopKMatchesFullSort(t *testing.T) {
 
 // A tracked source is its pair of vectors plus what publishing them needs
 // (two snapshot buffers, Top-K and dirty lists: ≈ 37 bytes per vertex). The
-// frontier and stripe buffers a push works in belong to the shard's engine,
-// so a further source on the same shard must not bring its own copy of them
-// (8 stripes × 8 bytes per vertex): the live heap each one adds stays under
-// 64 bytes per vertex.
+// scratch a push works in belongs to the shard's engine, so a further source
+// on the same shard brings none of its own: the live heap each one adds
+// stays under 64 bytes per vertex.
 func TestServiceHeapPerSource(t *testing.T) {
 	const n = 200_000
 	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, n, 3*n, 5)
@@ -433,7 +437,6 @@ func TestServiceHeapPerSource(t *testing.T) {
 	sources := g.TopDegreeVertices(4)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-3
-	so.Options.Engine = dynppr.EngineDeterministic
 	so.PoolWorkers = 1
 	svc, err := dynppr.NewService(g, sources[:1], so)
 	if err != nil {

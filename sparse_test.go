@@ -1,8 +1,9 @@
 // Differential tests of the sparse hot paths: delta snapshot publication
 // and the incrementally maintained Top-K index must be bit-identical to a
 // full-recompute oracle — across delete-heavy and sliding-window workloads,
-// deterministic-engine parallelism 1 and 4, and a checkpoint/recovery
-// restart.
+// PoolWorkers 1 and 4 (the subtests' "parallelism=": the pool is the only
+// parallelism a Service has), and a checkpoint/recovery restart at the other
+// pool size.
 package dynppr_test
 
 import (
@@ -88,17 +89,16 @@ func sparseSlidingWindowScenario(t *testing.T) (initial []dynppr.Edge, sources [
 }
 
 // sparseOracles builds one full-recompute oracle Tracker per source: an
-// independent deterministic-engine tracker over its own copy of the graph,
-// fed the same batches. Its live estimate vector is what every published
+// independent sequential tracker over its own copy of the graph, fed the
+// same batches. Its live estimate vector is what every published
 // snapshot must match bit for bit.
 func sparseOracles(t *testing.T, initial []dynppr.Edge, sources []dynppr.VertexID, epsilon float64) []*dynppr.Tracker {
 	t.Helper()
 	oracles := make([]*dynppr.Tracker, len(sources))
 	for i, s := range sources {
 		opts := dynppr.DefaultOptions()
-		opts.Engine = dynppr.EngineDeterministic
+		opts.Engine = dynppr.EngineSequential
 		opts.Epsilon = epsilon
-		opts.Parallelism = 1
 		tr, err := dynppr.NewTracker(dynppr.GraphFromEdges(initial), s, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -156,9 +156,9 @@ func requireDeltaPublishes(t *testing.T, svc *dynppr.Service) {
 }
 
 // TestSparseServingDifferential replays the delete-heavy and sliding-window
-// workloads through Services at deterministic-engine parallelism 1 and 4
-// and asserts, after every batch, that the delta-published snapshots and the
-// incremental Top-K index are bit-identical to full-recompute oracles.
+// workloads through Services at PoolWorkers 1 and 4 and asserts, after every
+// batch, that the delta-published snapshots and the incremental Top-K index
+// are bit-identical to full-recompute oracles.
 func TestSparseServingDifferential(t *testing.T) {
 	const epsilon = 1e-4
 	const topKCap = 12
@@ -173,15 +173,13 @@ func TestSparseServingDifferential(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			initial, sources, stream := sc.build(t)
-			for _, par := range []int{1, 4} {
-				par := par
-				t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			for _, pool := range []int{1, 4} {
+				pool := pool
+				t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
 					opts := dynppr.DefaultOptions()
-					opts.Engine = dynppr.EngineDeterministic
 					opts.Epsilon = epsilon
-					opts.Parallelism = par
 					svc, err := dynppr.NewService(dynppr.GraphFromEdges(initial), sources, dynppr.ServiceOptions{
-						Options: opts, PoolWorkers: 2, TopKCap: topKCap,
+						Options: opts, PoolWorkers: pool, TopKCap: topKCap,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -214,15 +212,14 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 	const epsilon = 1e-4
 	const topKCap = 12
 	initial, sources, stream := sparseDeleteHeavyScenario(t)
-	for _, par := range []int{1, 4} {
-		par := par
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+	for _, pool := range []int{1, 4} {
+		pool := pool
+		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "data")
 			opts := dynppr.DefaultOptions()
-			opts.Engine = dynppr.EngineDeterministic
 			opts.Epsilon = epsilon
-			opts.Parallelism = par
-			so := dynppr.ServiceOptions{Options: opts, PoolWorkers: 2, TopKCap: topKCap}
+			so := dynppr.ServiceOptions{Options: opts, PoolWorkers: pool, TopKCap: topKCap}
+			recSo := dynppr.ServiceOptions{Options: opts, PoolWorkers: 5 - pool, TopKCap: topKCap}
 			po := dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncNone}
 
 			svc, err := dynppr.NewPersistentService(dynppr.GraphFromEdges(initial), sources, so, po)
@@ -257,7 +254,7 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rec, err := dynppr.NewServiceFromRecovery(so, po)
+			rec, err := dynppr.NewServiceFromRecovery(recSo, po)
 			if err != nil {
 				t.Fatal(err)
 			}
