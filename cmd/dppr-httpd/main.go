@@ -73,12 +73,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 		onDemand   = fs.Bool("ondemand", false, "answer reads for untracked sources with bounded approximate PPR instead of 404")
 		odEps      = fs.Float64("ondemand-eps", 1e-4, "push residual threshold for on-demand queries (coarser than -epsilon)")
-		odWalks    = fs.Int("ondemand-walks", 0, "Monte-Carlo refinement walks per on-demand query (0 = push only)")
 		promoteAft = fs.Int("promote-after", 0, "promote an untracked source to live tracking after this many queries (0 = never)")
 		maxAuto    = fs.Int("max-auto-sources", 64, "cap on auto-promoted sources; the coldest is evicted at capacity")
 		odWorkers  = fs.Int("ondemand-workers", 0, "cold-push worker pool size for on-demand queries (0 = GOMAXPROCS-derived)")
 		odCache    = fs.Int("ondemand-cache", 0, "on-demand result cache entries (0 = default 256, negative = disabled)")
-		odBudget   = fs.Duration("ondemand-budget", 0, "default per-query latency budget for on-demand reads; budget_ms overrides per request (0 = unbudgeted)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,8 +89,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	so.OnDemand = dynppr.OnDemandOptions{
 		Enabled:        *onDemand,
 		Epsilon:        *odEps,
-		RefineWalks:    *odWalks,
-		Seed:           *seed,
 		PromoteAfter:   *promoteAft,
 		MaxAutoSources: *maxAuto,
 		Workers:        *odWorkers,
@@ -161,7 +157,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			DisableCoalesce:  *noCoalesce,
 			DisableMetrics:   *noMetrics,
 			EnablePprof:      *pprofOn,
-			DefaultBudget:    *odBudget,
 		},
 	})
 	if err := srv.Start(); err != nil {
@@ -172,8 +167,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		q.Cap, *rateLimit, *rateBurst, !*noCoalesce, !*noMetrics, *pprofOn)
 	if *onDemand {
 		odst := svc.Stats().OnDemand
-		fmt.Fprintf(out, "ondemand: eps=%.0e walks=%d promote-after=%d max-auto-sources=%d workers=%d cache=%d budget=%v\n",
-			*odEps, *odWalks, *promoteAft, *maxAuto, odst.PoolWorkers, odst.CacheCapacity, *odBudget)
+		fmt.Fprintf(out, "ondemand: eps=%.0e promote-after=%d max-auto-sources=%d workers=%d cache=%d\n",
+			*odEps, *promoteAft, *maxAuto, odst.PoolWorkers, odst.CacheCapacity)
 	}
 	fmt.Fprintf(out, "listening on %s\n", srv.URL())
 

@@ -146,8 +146,10 @@ func TestHTTPDErrors(t *testing.T) {
 	if err := run(ctx, []string{"-engine", "warp-drive", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
 		t.Fatal("unknown flag must fail")
 	}
-	if err := run(ctx, []string{"-parallelism", "1", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
-		t.Fatal("-parallelism is gone and must fail as an unknown flag")
+	for _, gone := range [][2]string{{"-parallelism", "1"}, {"-ondemand-walks", "1"}, {"-ondemand-budget", "1ms"}} {
+		if err := run(ctx, []string{gone[0], gone[1], "-vertices", "10", "-edges", "20"}, &buf); err == nil {
+			t.Fatalf("%s is gone and must fail as an unknown flag", gone[0])
+		}
 	}
 	if err := run(ctx, []string{"-dataset", "no-such"}, &buf); err == nil {
 		t.Fatal("unknown dataset must fail")
@@ -338,18 +340,18 @@ func TestHTTPDNoMetricsFlag(t *testing.T) {
 	<-errCh
 }
 
-// TestHTTPDOnDemandFlags boots the daemon with the on-demand pool/cache/budget
+// TestHTTPDOnDemandFlags boots the daemon with the on-demand pool/cache
 // flags and asserts the startup log reports the resolved values and that a
 // repeated cold query is answered from the result cache.
 func TestHTTPDOnDemandFlags(t *testing.T) {
 	var out syncBuffer
 	base, cancel, errCh := startHTTPD(t, &out,
 		"-ondemand", "-ondemand-eps", "1e-3",
-		"-ondemand-workers", "2", "-ondemand-cache", "32", "-ondemand-budget", "50ms")
+		"-ondemand-workers", "2", "-ondemand-cache", "32")
 	defer cancel()
 
-	if !strings.Contains(out.String(), "workers=2 cache=32 budget=50ms") {
-		t.Fatalf("ondemand startup line missing resolved pool/cache/budget:\n%s", out.String())
+	if !strings.Contains(out.String(), "workers=2 cache=32\n") {
+		t.Fatalf("ondemand startup line missing resolved pool/cache:\n%s", out.String())
 	}
 
 	client := httpapi.NewClient(base, nil)
@@ -381,15 +383,6 @@ func TestHTTPDOnDemandFlags(t *testing.T) {
 	}
 	if !again.Cached {
 		t.Fatalf("repeated cold query not served from the cache: %+v", again)
-	}
-	// An explicit budget larger than the daemon default must still be
-	// accepted on the wire and refine at least as far as the default run.
-	budgeted, err := client.TopKBudget(cold, 5, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !budgeted.Approx || budgeted.Epsilon > first.Epsilon {
-		t.Fatalf("budgeted query did not refine: eps=%g vs first eps=%g", budgeted.Epsilon, first.Epsilon)
 	}
 
 	cancel()

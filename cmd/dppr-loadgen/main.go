@@ -283,8 +283,8 @@ func printServerOnDemand(out io.Writer, probe *httpapi.Client) {
 	if lookups := od.CacheHits + od.CacheMisses; lookups > 0 {
 		hitRate = 100 * float64(od.CacheHits) / float64(lookups)
 	}
-	fmt.Fprintf(out, "server ondemand: cold_pushes=%d coalesced=%d cache_hits=%d cache_misses=%d (%.1f%% hit rate) budget_truncated=%d\n",
-		od.ColdPushes, od.Coalesced, od.CacheHits, od.CacheMisses, hitRate, od.BudgetTruncated)
+	fmt.Fprintf(out, "server ondemand: cold_pushes=%d coalesced=%d cache_hits=%d cache_misses=%d (%.1f%% hit rate)\n",
+		od.ColdPushes, od.Coalesced, od.CacheHits, od.CacheMisses, hitRate)
 }
 
 // op is one pre-generated request: all randomness is drawn on the

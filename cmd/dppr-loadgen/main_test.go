@@ -176,7 +176,7 @@ func startOnDemandServer(t *testing.T) string {
 	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.OnDemand = dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-3, Seed: 4,
+		Enabled: true, Epsilon: 1e-3,
 		PromoteAfter: 5, MaxAutoSources: 8,
 	}
 	svc, err := dynppr.NewService(g, sources, so)

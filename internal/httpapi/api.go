@@ -62,9 +62,9 @@ type VertexScore struct {
 // instead, and Snapshot.Epoch 0 marks a synthesized on-demand snapshot).
 // Cached marks an on-demand answer served from the result cache (always
 // bit-identical to the answer a fresh computation would produce for the
-// same graph generation); Truncated marks an answer whose per-query latency
-// budget expired before the push reached the configured ε — the answer is
-// still sound within the reported Epsilon.
+// same graph generation); Truncated marks an answer whose push stopped at
+// MaxPushes before reaching the configured ε — the answer is still sound
+// within the reported Epsilon.
 type TopKResult struct {
 	Snapshot  SnapshotMeta  `json:"snapshot"`
 	K         int           `json:"k"`
@@ -96,12 +96,6 @@ type Query struct {
 	Vertex dynppr.VertexID `json:"vertex,omitempty"`
 	// K is the ranking length for topk queries.
 	K int `json:"k,omitempty"`
-	// BudgetMS is the per-query latency budget in milliseconds for
-	// on-demand (untracked-source) reads; 0 falls back to the handler's
-	// DefaultBudget. The budget bounds compute only, never soundness: a
-	// truncated answer reports the error bound it actually achieved.
-	// Tracked sources ignore it.
-	BudgetMS int64 `json:"budget_ms,omitempty"`
 }
 
 // QueryRequest is the body of POST /query.
@@ -240,24 +234,22 @@ type PersistenceStats struct {
 
 // OnDemandStats is the wire form of dynppr.OnDemandStats.
 type OnDemandStats struct {
-	Queries         int64 `json:"queries"`
-	ColdPushes      int64 `json:"cold_pushes"`
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	Coalesced       int64 `json:"coalesced"`
-	BudgetTruncated int64 `json:"budget_truncated"`
-	CacheEntries    int   `json:"cache_entries"`
-	CacheCapacity   int   `json:"cache_capacity"`
-	PoolWorkers     int   `json:"pool_workers"`
-	PoolDepth       int64 `json:"pool_depth"`
-	Walks           int64 `json:"walks"`
-	SnapshotBuilds  int64 `json:"snapshot_builds"`
-	Promotions      int64 `json:"promotions"`
-	Evictions       int64 `json:"evictions"`
-	Candidates      int   `json:"candidates"`
-	AutoSources     int   `json:"auto_sources"`
-	LastMicros      int64 `json:"last_micros"`
-	TotalMicros     int64 `json:"total_micros"`
+	Queries        int64 `json:"queries"`
+	ColdPushes     int64 `json:"cold_pushes"`
+	CacheHits      int64 `json:"cache_hits"`
+	CacheMisses    int64 `json:"cache_misses"`
+	Coalesced      int64 `json:"coalesced"`
+	CacheEntries   int   `json:"cache_entries"`
+	CacheCapacity  int   `json:"cache_capacity"`
+	PoolWorkers    int   `json:"pool_workers"`
+	PoolDepth      int64 `json:"pool_depth"`
+	SnapshotBuilds int64 `json:"snapshot_builds"`
+	Promotions     int64 `json:"promotions"`
+	Evictions      int64 `json:"evictions"`
+	Candidates     int   `json:"candidates"`
+	AutoSources    int   `json:"auto_sources"`
+	LastMicros     int64 `json:"last_micros"`
+	TotalMicros    int64 `json:"total_micros"`
 
 	// CacheAnswerEntries is the summed length of the cached answers' sparse
 	// estimate vectors, CacheBytes the memory those vectors hold.
@@ -333,24 +325,22 @@ func serviceStats(st dynppr.ServiceStats) ServiceStats {
 	}
 	if od := st.OnDemand; od != nil {
 		out.OnDemand = &OnDemandStats{
-			Queries:         od.Queries,
-			ColdPushes:      od.ColdPushes,
-			CacheHits:       od.CacheHits,
-			CacheMisses:     od.CacheMisses,
-			Coalesced:       od.Coalesced,
-			BudgetTruncated: od.BudgetTruncated,
-			CacheEntries:    od.CacheEntries,
-			CacheCapacity:   od.CacheCapacity,
-			PoolWorkers:     od.PoolWorkers,
-			PoolDepth:       od.PoolDepth,
-			Walks:           od.Walks,
-			SnapshotBuilds:  od.SnapshotBuilds,
-			Promotions:      od.Promotions,
-			Evictions:       od.Evictions,
-			Candidates:      od.Candidates,
-			AutoSources:     od.AutoSources,
-			LastMicros:      od.LastLatency.Microseconds(),
-			TotalMicros:     od.TotalLatency.Microseconds(),
+			Queries:        od.Queries,
+			ColdPushes:     od.ColdPushes,
+			CacheHits:      od.CacheHits,
+			CacheMisses:    od.CacheMisses,
+			Coalesced:      od.Coalesced,
+			CacheEntries:   od.CacheEntries,
+			CacheCapacity:  od.CacheCapacity,
+			PoolWorkers:    od.PoolWorkers,
+			PoolDepth:      od.PoolDepth,
+			SnapshotBuilds: od.SnapshotBuilds,
+			Promotions:     od.Promotions,
+			Evictions:      od.Evictions,
+			Candidates:     od.Candidates,
+			AutoSources:    od.AutoSources,
+			LastMicros:     od.LastLatency.Microseconds(),
+			TotalMicros:    od.TotalLatency.Microseconds(),
 
 			CacheAnswerEntries: od.CacheAnswerEntries,
 			CacheBytes:         od.CacheBytes,

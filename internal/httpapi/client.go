@@ -147,20 +147,9 @@ func (c *Client) UpdateSources(add, remove []dynppr.VertexID) ([]dynppr.VertexID
 
 // TopK fetches the top-k ranking towards source.
 func (c *Client) TopK(source dynppr.VertexID, k int) (TopKResult, error) {
-	return c.TopKBudget(source, k, 0)
-}
-
-// TopKBudget is TopK with a per-query latency budget for on-demand
-// (untracked-source) reads; the server truncates the refinement when the
-// budget expires and reports the error bound it actually achieved. A zero
-// budget defers to the server's configured default.
-func (c *Client) TopKBudget(source dynppr.VertexID, k int, budget time.Duration) (TopKResult, error) {
 	q := url.Values{}
 	q.Set("source", strconv.Itoa(int(source)))
 	q.Set("k", strconv.Itoa(k))
-	if budget > 0 {
-		q.Set("budget_ms", strconv.FormatInt(budget.Milliseconds(), 10))
-	}
 	var out TopKResult
 	err := c.do(http.MethodGet, "/topk?"+q.Encode(), nil, &out)
 	return out, err
@@ -168,18 +157,9 @@ func (c *Client) TopKBudget(source dynppr.VertexID, k int, budget time.Duration)
 
 // Estimate fetches one PPR estimate.
 func (c *Client) Estimate(source, v dynppr.VertexID) (EstimateResult, error) {
-	return c.EstimateBudget(source, v, 0)
-}
-
-// EstimateBudget is Estimate with a per-query latency budget, following the
-// TopKBudget contract.
-func (c *Client) EstimateBudget(source, v dynppr.VertexID, budget time.Duration) (EstimateResult, error) {
 	q := url.Values{}
 	q.Set("source", strconv.Itoa(int(source)))
 	q.Set("v", strconv.Itoa(int(v)))
-	if budget > 0 {
-		q.Set("budget_ms", strconv.FormatInt(budget.Milliseconds(), 10))
-	}
 	var out EstimateResult
 	err := c.do(http.MethodGet, "/estimate?"+q.Encode(), nil, &out)
 	return out, err

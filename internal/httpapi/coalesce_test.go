@@ -93,7 +93,7 @@ func TestHandlerCoalescesInFlightTopK(t *testing.T) {
 	defer ts.Close()
 
 	source := sources[0]
-	key := strconv.Itoa(int(source)) + "/25/0"
+	key := strconv.Itoa(int(source)) + "/25"
 	release := make(chan struct{})
 	started := make(chan struct{})
 	leaderDone := make(chan struct{})
@@ -103,7 +103,7 @@ func TestHandlerCoalescesInFlightTopK(t *testing.T) {
 		leaderVal, _, _ = h.flights.do(key, func() (any, error) {
 			close(started)
 			<-release
-			return h.topK(context.Background(), source, 25, 0)
+			return h.topK(context.Background(), source, 25)
 		})
 	}()
 	<-started

@@ -48,12 +48,6 @@ type HandlerOptions struct {
 	// DisableCoalesce turns off deduplication of identical concurrent
 	// /topk reads.
 	DisableCoalesce bool
-	// DefaultBudget is the per-query latency budget applied to on-demand
-	// (untracked-source) reads that do not carry their own budget_ms
-	// parameter. Zero leaves them unbudgeted (they run to the configured
-	// on-demand ε). The budget bounds compute only — a truncated answer is
-	// still sound within the error bound it reports.
-	DefaultBudget time.Duration
 	// DisableMetrics removes the GET /metrics Prometheus endpoint.
 	DisableMetrics bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
@@ -337,21 +331,6 @@ func parseK(r *http.Request) (int, error) {
 	return k, nil
 }
 
-// parseBudget reads the budget_ms query parameter: absent selects the
-// handler's DefaultBudget, an explicit 0 disables budgeting for this
-// request, and negative or non-numeric values are a 400.
-func (h *Handler) parseBudget(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("budget_ms")
-	if raw == "" {
-		return h.opts.DefaultBudget, nil
-	}
-	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || ms < 0 {
-		return 0, badRequest("bad budget_ms %q: want a non-negative integer", raw)
-	}
-	return time.Duration(ms) * time.Millisecond, nil
-}
-
 // handleHealthz is the load-balancer drain signal: 503 once the service is
 // closed or persistence has failed permanently. A *degraded* service stays
 // 200 — reads are still served correctly and the state heals itself — but
@@ -451,14 +430,14 @@ func (h *Handler) handleSources(r *http.Request) (any, error) {
 // response then carries approx: true and the achieved error bound) and to a
 // 404 otherwise. ctx bounds only the pipeline admission an on-demand answer
 // may need (snapshot refresh, promotion); tracked reads never block on it.
-func (h *Handler) topK(ctx context.Context, source dynppr.VertexID, k int, budget time.Duration) (*TopKResult, error) {
+func (h *Handler) topK(ctx context.Context, source dynppr.VertexID, k int) (*TopKResult, error) {
 	if k <= 0 {
 		return nil, badRequest("k must be positive, got %d", k)
 	}
 	if k > maxTopK {
 		return nil, badRequest("k %d exceeds the maximum %d", k, maxTopK)
 	}
-	top, qi, err := h.svc.QueryTopKOpts(ctx, source, k, dynppr.QueryOptions{Budget: budget})
+	top, qi, err := h.svc.QueryTopKCtx(ctx, source, k)
 	if err != nil {
 		return nil, err
 	}
@@ -476,8 +455,8 @@ func (h *Handler) topK(ctx context.Context, source dynppr.VertexID, k int, budge
 }
 
 // estimate follows the same unified path as topK.
-func (h *Handler) estimate(ctx context.Context, source, v dynppr.VertexID, budget time.Duration) (*EstimateResult, error) {
-	est, qi, err := h.svc.QueryEstimateOpts(ctx, source, v, dynppr.QueryOptions{Budget: budget})
+func (h *Handler) estimate(ctx context.Context, source, v dynppr.VertexID) (*EstimateResult, error) {
+	est, qi, err := h.svc.QueryEstimateCtx(ctx, source, v)
 	if err != nil {
 		return nil, err
 	}
@@ -504,20 +483,14 @@ func (h *Handler) handleTopK(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget, err := h.parseBudget(r)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := h.admissionCtx(r)
 	defer cancel()
 	if h.opts.DisableCoalesce {
-		return h.topK(ctx, source, k, budget)
+		return h.topK(ctx, source, k)
 	}
-	// The budget is part of the coalescing key: budgeted and unbudgeted
-	// requests may legitimately receive different (both sound) answers.
-	key := strconv.Itoa(int(source)) + "/" + strconv.Itoa(k) + "/" + strconv.FormatInt(int64(budget), 10)
+	key := strconv.Itoa(int(source)) + "/" + strconv.Itoa(k)
 	val, shared, err := h.flights.do(key, func() (any, error) {
-		return h.topK(ctx, source, k, budget)
+		return h.topK(ctx, source, k)
 	})
 	if shared {
 		h.metrics.coalesced.Add(1)
@@ -534,13 +507,9 @@ func (h *Handler) handleEstimate(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget, err := h.parseBudget(r)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := h.admissionCtx(r)
 	defer cancel()
-	return h.estimate(ctx, source, v, budget)
+	return h.estimate(ctx, source, v)
 }
 
 // handleQuery answers a batch of reads in one round trip. The batch is not a
@@ -559,42 +528,29 @@ func (h *Handler) handleQuery(r *http.Request) (any, error) {
 	defer cancel()
 	resp := QueryResponse{Results: make([]QueryResult, len(req.Queries))}
 	for i, q := range req.Queries {
-		var res QueryResult
-		// A positive BudgetMS overrides the handler default; the JSON zero
-		// value cannot express "explicitly unbudgeted" for batched queries.
-		budget := h.opts.DefaultBudget
-		if q.BudgetMS > 0 {
-			budget = time.Duration(q.BudgetMS) * time.Millisecond
-		}
+		res := &resp.Results[i]
+		var err error
+		// Vertex ids obey the rule parseVertex applies on the GET endpoints.
 		switch {
-		case q.BudgetMS < 0:
-			res.Error = fmt.Sprintf("negative budget_ms %d", q.BudgetMS)
-			res.Status = http.StatusBadRequest
+		case q.Source < 0:
+			err = badRequest("bad vertex id %d for %q", q.Source, "source")
 		case q.Kind == KindTopK:
 			k := q.K
 			if k == 0 {
 				k = defaultTopK
 			}
-			top, err := h.topK(ctx, q.Source, k, budget)
-			if err != nil {
-				res.Error = err.Error()
-				res.Status = errorStatus(err)
-			} else {
-				res.TopK = top
-			}
+			res.TopK, err = h.topK(ctx, q.Source, k)
+		case q.Kind == KindEstimate && q.Vertex < 0:
+			err = badRequest("bad vertex id %d for %q", q.Vertex, "vertex")
 		case q.Kind == KindEstimate:
-			est, err := h.estimate(ctx, q.Source, q.Vertex, budget)
-			if err != nil {
-				res.Error = err.Error()
-				res.Status = errorStatus(err)
-			} else {
-				res.Estimate = est
-			}
+			res.Estimate, err = h.estimate(ctx, q.Source, q.Vertex)
 		default:
-			res.Error = fmt.Sprintf("unknown query kind %q (want %q or %q)", q.Kind, KindTopK, KindEstimate)
-			res.Status = http.StatusBadRequest
+			err = badRequest("unknown query kind %q (want %q or %q)", q.Kind, KindTopK, KindEstimate)
 		}
-		resp.Results[i] = res
+		if err != nil {
+			res.Error = err.Error()
+			res.Status = errorStatus(err)
+		}
 	}
 	return resp, nil
 }

@@ -1,12 +1,14 @@
 package httpapi_test
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"dynppr"
 	"dynppr/internal/httpapi"
@@ -66,8 +68,25 @@ func untrackedVertex(sources []dynppr.VertexID) dynppr.VertexID {
 // TestUnknownSourceStatusTable is the 404-consistency table: with on-demand
 // off, every read path answers an untracked source with a clean 404 (never a
 // 500), inline batch results included; with on-demand on, the same requests
-// succeed with approx answers carrying an error bound.
+// succeed with approx answers carrying an error bound. Either way a batched
+// read with a negative vertex id is the inline 400 the GET endpoints give it.
 func TestUnknownSourceStatusTable(t *testing.T) {
+	malformedIDs := func(t *testing.T, client *httpapi.Client, source dynppr.VertexID) {
+		t.Helper()
+		results, err := client.Query([]httpapi.Query{
+			{Kind: httpapi.KindTopK, Source: -1, K: 3},
+			{Kind: httpapi.KindEstimate, Source: -1, Vertex: 1},
+			{Kind: httpapi.KindEstimate, Source: source, Vertex: -1},
+		})
+		if err != nil {
+			t.Fatalf("batched query must not fail as a whole: %v", err)
+		}
+		for i, r := range results {
+			if r.Error == "" || r.Status != http.StatusBadRequest || r.TopK != nil || r.Estimate != nil {
+				t.Fatalf("malformed-id batch result %d: want inline status 400, got %+v", i, r)
+			}
+		}
+	}
 	t.Run("ondemand-off", func(t *testing.T) {
 		_, sources, client := newTestAPI(t, 2)
 		missing := dynppr.VertexID(9999)
@@ -99,10 +118,11 @@ func TestUnknownSourceStatusTable(t *testing.T) {
 		if results[2].TopK == nil || results[2].Status != 0 || results[2].TopK.Approx {
 			t.Fatalf("batch result 2 (tracked): %+v", results[2])
 		}
+		malformedIDs(t, client, sources[0])
 	})
 
 	t.Run("ondemand-on", func(t *testing.T) {
-		_, sources, client := newOnDemandAPI(t, dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-4, Seed: 5})
+		_, sources, client := newOnDemandAPI(t, dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-4})
 		cold := untrackedVertex(sources)
 
 		top, err := client.TopK(cold, 5)
@@ -149,6 +169,7 @@ func TestUnknownSourceStatusTable(t *testing.T) {
 		if !far.Approx || len(far.Results) != 1 || far.Results[0].Score != 0.15 {
 			t.Fatalf("out-of-graph topk: %+v", far)
 		}
+		malformedIDs(t, client, cold)
 	})
 }
 
@@ -158,7 +179,7 @@ func TestUnknownSourceStatusTable(t *testing.T) {
 // tracked /topk serves.
 func TestHTTPOnDemandOracle(t *testing.T) {
 	svc, sources, client := newOnDemandAPI(t, dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-5, RefineWalks: 2000, Seed: 11,
+		Enabled: true, Epsilon: 1e-5,
 	})
 	_ = svc
 	g := dynppr.GraphFromEdges(ringEdges(t, 120, 700, 7))
@@ -190,7 +211,7 @@ func TestHTTPOnDemandOracle(t *testing.T) {
 // counters.
 func TestHTTPOnDemandPromotionMetrics(t *testing.T) {
 	_, sources, client := newOnDemandAPI(t, dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-3, PromoteAfter: 3, MaxAutoSources: 4, Seed: 2,
+		Enabled: true, Epsilon: 1e-3, PromoteAfter: 3, MaxAutoSources: 4,
 	})
 	cold := untrackedVertex(sources)
 	for i := 0; i < 3; i++ {
@@ -252,7 +273,7 @@ func TestHTTPOnDemandPromotionMetrics(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"dppr_ondemand_walks_total", "dppr_ondemand_snapshot_builds_total",
+		"dppr_ondemand_snapshot_builds_total",
 		"dppr_ondemand_seconds_total", "dppr_ondemand_last_seconds", "dppr_ondemand_candidates",
 	} {
 		if _, ok := byName[name]; !ok {
@@ -262,12 +283,13 @@ func TestHTTPOnDemandPromotionMetrics(t *testing.T) {
 }
 
 // TestHTTPOnDemandBudgetAndCache exercises the concurrency-tier wire
-// surface: the cached flag on repeat reads, the budget_ms knob on /topk,
-// /estimate and batched /query, parameter validation, and the new stats
-// fields and metric families.
+// surface: the cached flag on repeat reads, batched /query on the shared
+// entry, the stats fields and metric families — and that the wire has no
+// per-request accuracy knob: budget_ms is an unknown parameter on the GET
+// endpoints and an unknown field in a /query body.
 func TestHTTPOnDemandBudgetAndCache(t *testing.T) {
 	_, sources, client := newOnDemandAPI(t, dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-4, Seed: 9,
+		Enabled: true, Epsilon: 1e-4,
 	})
 	cold := untrackedVertex(sources)
 
@@ -291,51 +313,49 @@ func TestHTTPOnDemandBudgetAndCache(t *testing.T) {
 		}
 	}
 
-	// A generous budget refines past the configured coarse ε (the unbudgeted
-	// cached entry is not reused for a budgeted read).
-	deep, err := client.TopKBudget(cold, 8, time.Minute)
+	// budget_ms is not a knob: like any unknown query parameter it is ignored
+	// and the answer is the one coarse answer, bit for bit...
+	resp, err := http.Get(client.BaseURL() + "/topk?source=" + strconv.Itoa(int(cold)) + "&k=8&budget_ms=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !deep.Approx || deep.Truncated || deep.Epsilon >= first.Epsilon {
-		t.Fatalf("budgeted read did not refine: eps %g (coarse %g), %+v", deep.Epsilon, first.Epsilon, deep)
+	var budgeted httpapi.TopKResult
+	err = json.NewDecoder(resp.Body).Decode(&budgeted)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/topk with budget_ms: status %d, decode error %v", resp.StatusCode, err)
 	}
-	if _, err := client.EstimateBudget(cold, 0, time.Minute); err != nil {
-		t.Fatalf("budgeted estimate: %v", err)
+	if !budgeted.Cached || math.Float64bits(budgeted.Epsilon) != math.Float64bits(first.Epsilon) ||
+		!slices.Equal(budgeted.Results, first.Results) {
+		t.Fatalf("/topk with budget_ms: %+v, want the cached coarse answer %+v", budgeted, first)
+	}
+	// ...and like any unknown body field it fails the whole /query request.
+	resp, err = http.Post(client.BaseURL()+"/query", "application/json", strings.NewReader(
+		`{"queries":[{"kind":"topk","source":`+strconv.Itoa(int(cold))+`,"k":4,"budget_ms":5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/query with budget_ms: status %d, want 400", resp.StatusCode)
 	}
 
-	// Parameter validation: non-numeric and negative budgets are 400s.
-	for _, bad := range []string{"abc", "-5"} {
-		resp, err := http.Get(client.BaseURL() + "/topk?source=1&budget_ms=" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("budget_ms=%s: status %d, want 400", bad, resp.StatusCode)
-		}
-	}
-
-	// Batched queries carry per-query budgets; a negative one fails inline.
+	// Batched queries read the same cached entry.
 	results, err := client.Query([]httpapi.Query{
-		{Kind: httpapi.KindTopK, Source: cold, K: 4, BudgetMS: 60_000},
+		{Kind: httpapi.KindTopK, Source: cold, K: 4},
 		{Kind: httpapi.KindEstimate, Source: cold, Vertex: 1},
-		{Kind: httpapi.KindTopK, Source: cold, K: 4, BudgetMS: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].TopK == nil || !results[0].TopK.Approx || results[0].TopK.Epsilon >= first.Epsilon {
-		t.Fatalf("batched budgeted topk: %+v", results[0])
+	if results[0].TopK == nil || !results[0].TopK.Cached || !slices.Equal(results[0].TopK.Results, first.Results[:4]) {
+		t.Fatalf("batched topk: %+v", results[0])
 	}
-	if results[1].Estimate == nil || !results[1].Estimate.Approx {
+	if results[1].Estimate == nil || !results[1].Estimate.Approx || !results[1].Estimate.Cached {
 		t.Fatalf("batched estimate: %+v", results[1])
 	}
-	if results[2].Error == "" || results[2].Status != http.StatusBadRequest {
-		t.Fatalf("negative batched budget: %+v", results[2])
-	}
 
-	// The new stats fields and metric families are populated.
+	// The stats fields and metric families are populated.
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +381,7 @@ func TestHTTPOnDemandBudgetAndCache(t *testing.T) {
 	for _, name := range []string{
 		"dppr_ondemand_cold_pushes_total", "dppr_ondemand_cache_hits_total",
 		"dppr_ondemand_cache_misses_total", "dppr_ondemand_coalesced_total",
-		"dppr_ondemand_budget_truncated_total", "dppr_ondemand_cache_entries",
+		"dppr_ondemand_cache_entries",
 		"dppr_ondemand_pool_workers", "dppr_ondemand_pool_depth",
 		"dppr_ondemand_cache_answer_entries", "dppr_ondemand_cache_bytes",
 	} {

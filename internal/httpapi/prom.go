@@ -118,8 +118,6 @@ func (h *Handler) gather() []promexp.Family {
 				"On-demand queries that missed the result cache.", float64(od.CacheMisses)),
 			counter("dppr_ondemand_coalesced_total",
 				"On-demand queries answered by an identical in-flight cold push.", float64(od.Coalesced)),
-			counter("dppr_ondemand_budget_truncated_total",
-				"Budgeted on-demand queries stopped by their latency budget.", float64(od.BudgetTruncated)),
 			gauge("dppr_ondemand_cache_entries",
 				"Entries resident in the on-demand result cache.", float64(od.CacheEntries)),
 			gauge("dppr_ondemand_cache_answer_entries",
@@ -130,8 +128,6 @@ func (h *Handler) gather() []promexp.Family {
 				"Workers in the on-demand cold-push pool.", float64(od.PoolWorkers)),
 			gauge("dppr_ondemand_pool_depth",
 				"Cold pushes executing right now.", float64(od.PoolDepth)),
-			counter("dppr_ondemand_walks_total",
-				"Monte-Carlo refinement walks run by on-demand queries.", float64(od.Walks)),
 			counter("dppr_ondemand_snapshot_builds_total",
 				"CSR graph snapshots built for on-demand queries.", float64(od.SnapshotBuilds)),
 			counter("dppr_ondemand_seconds_total",

@@ -36,10 +36,10 @@ type Config struct {
 	Seed int64
 	// Workers is the number of goroutines used to (re)generate walks.
 	Workers int
-	// MaxWalkLength caps walk length as a safety net against degenerate
-	// graphs; 0 selects a default of 1000 steps.
-	MaxWalkLength int
 }
+
+// maxWalkSteps caps walk length as a safety net against degenerate graphs.
+const maxWalkSteps = 1000
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -80,9 +80,6 @@ func New(g *graph.Graph, source graph.VertexID, cfg Config) (*Estimator, error) 
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = fp.DefaultWorkers()
-	}
-	if cfg.MaxWalkLength <= 0 {
-		cfg.MaxWalkLength = 1000
 	}
 	g.EnsureVertex(source)
 	e := &Estimator{
@@ -127,7 +124,7 @@ func (e *Estimator) ensureSize(n int) {
 func (e *Estimator) walkFrom(v graph.VertexID, rng *rand.Rand, prefix []graph.VertexID) []graph.VertexID {
 	trace := append(append([]graph.VertexID(nil), prefix...), v)
 	cur := v
-	for step := 0; step < e.cfg.MaxWalkLength; step++ {
+	for step := 0; step < maxWalkSteps; step++ {
 		if rng.Float64() < e.cfg.Alpha {
 			break
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
@@ -102,44 +101,33 @@ func TestColdPushCSRCapped(t *testing.T) {
 
 // densePush is the oracle the sparse kernel is pinned to: the textbook FIFO
 // push over dense length-n arrays with a membership bitmap, draining the
-// frontier at each threshold of levels in turn (a level after the first
-// starts from every vertex whose residual exceeds it, ascending). It stops
-// with capped=true the moment maxPushes (> 0) is reached.
-func densePush(a graph.Adjacency, source graph.VertexID, alpha float64, levels []float64, maxPushes int64) (p, r []float64, pushes int64, capped bool) {
+// frontier at threshold eps. It stops with capped=true the moment maxPushes
+// (> 0) is reached.
+func densePush(a graph.Adjacency, source graph.VertexID, alpha, eps float64, maxPushes int64) (p, r []float64, pushes int64, capped bool) {
 	n := a.NumVertices()
 	p, r = make([]float64, n), make([]float64, n)
 	inQueue := make([]bool, n)
 	r[source], inQueue[source] = 1, true
 	queue := []graph.VertexID{source}
-	for i, eps := range levels {
-		if i > 0 {
-			queue = queue[:0]
-			for v := range r {
-				if inQueue[v] = r[v] > eps; inQueue[v] {
-					queue = append(queue, graph.VertexID(v))
-				}
-			}
+	for len(queue) > 0 {
+		if maxPushes > 0 && pushes >= maxPushes {
+			return p, r, pushes, true
 		}
-		for len(queue) > 0 {
-			if maxPushes > 0 && pushes >= maxPushes {
-				return p, r, pushes, true
-			}
-			u := queue[0]
-			queue = queue[1:]
-			inQueue[u] = false
-			ru := r[u]
-			if ru <= eps {
-				continue
-			}
-			pushes++
-			p[u] += alpha * ru
-			r[u] = 0
-			for _, v := range a.InNeighbors(u) {
-				r[v] += (1 - alpha) * ru / float64(a.OutDegree(v))
-				if r[v] > eps && !inQueue[v] {
-					inQueue[v] = true
-					queue = append(queue, v)
-				}
+		u := queue[0]
+		queue = queue[1:]
+		inQueue[u] = false
+		ru := r[u]
+		if ru <= eps {
+			continue
+		}
+		pushes++
+		p[u] += alpha * ru
+		r[u] = 0
+		for _, v := range a.InNeighbors(u) {
+			r[v] += (1 - alpha) * ru / float64(a.OutDegree(v))
+			if r[v] > eps && !inQueue[v] {
+				inQueue[v] = true
+				queue = append(queue, v)
 			}
 		}
 	}
@@ -147,8 +135,8 @@ func densePush(a graph.Adjacency, source graph.VertexID, alpha float64, levels [
 }
 
 // requireMatchesDense holds a sparse result against the dense oracle's
-// arrays, bit for bit: every estimate (listed or not), the residuals when
-// carried, MaxResidual, Pushes and Capped — and the sparse shape itself.
+// arrays, bit for bit: every estimate (listed or not), MaxResidual, Pushes
+// and Capped — and the sparse shape itself.
 func requireMatchesDense(t *testing.T, what string, got *ColdPushResult, p, r []float64, pushes int64, capped bool) {
 	t.Helper()
 	if got.Pushes != pushes || got.Capped != capped {
@@ -166,29 +154,19 @@ func requireMatchesDense(t *testing.T, what string, got *ColdPushResult, p, r []
 			t.Fatalf("%s: vertex %d estimate %g, dense oracle %g (bit mismatch)", what, v, e, p[v])
 		}
 	}
-	if got.Residuals == nil {
-		for i, e := range got.Estimates {
-			if e == 0 {
-				t.Fatalf("%s: zero estimate listed for vertex %d", what, got.Vertices[i])
-			}
-		}
-		return
-	}
-	for v := range r {
-		if x := SparseValue(got.Vertices, got.Residuals, graph.VertexID(v)); math.Float64bits(x) != math.Float64bits(r[v]) {
-			t.Fatalf("%s: vertex %d residual %g, dense oracle %g (bit mismatch)", what, v, x, r[v])
+	for i, e := range got.Estimates {
+		if e == 0 {
+			t.Fatalf("%s: zero estimate listed for vertex %d", what, got.Vertices[i])
 		}
 	}
 }
 
 // TestColdPushMatchesDenseReference pins the one kernel to the dense oracle
 // on both shapes a pinned view takes — a bare compacted base, and base plus
-// overlays after a delete-heavy batch — at every ladder level, under a
-// level-0 push cap, and across a MaxPushes cut mid-level (which must roll
-// back to the last completed level). Iteration
-// order is the whole contract: the LSM store preserves adjacency order across
-// overlays, so the FIFO visits neighbors identically and every float64 sum
-// associates identically.
+// overlays after a delete-heavy batch — run to ε and under a push cap.
+// Iteration order is the whole contract: the LSM store preserves adjacency
+// order across overlays, so the FIFO visits neighbors identically and every
+// float64 sum associates identically.
 func TestColdPushMatchesDenseReference(t *testing.T) {
 	list, err := gen.EdgeList(gen.Config{Model: gen.ErdosRenyi, Vertices: 300, Edges: 1800, Seed: 11})
 	if err != nil {
@@ -224,57 +202,35 @@ func TestColdPushMatchesDenseReference(t *testing.T) {
 		t.Fatal("the batch must leave overlays")
 	}
 
-	cfg := Config{Alpha: 0.15, Epsilon: 1e-3}
-	const depth = 6
+	cfg := Config{Alpha: 0.15, Epsilon: 1e-4}
 	for name, view := range map[string]*graph.View{"compacted": compacted, "overlaid": overlaid} {
 		for _, src := range []graph.VertexID{0, 5, 77} {
-			levels := []float64{cfg.Epsilon}
-			var levelPushes []int64
-			for d := 0; d <= depth; d++ {
-				if d > 0 {
-					levels = append(levels, levels[d-1]/2)
-				}
-				bounds := ColdPushBounds{Budget: time.Hour, MinEpsilon: levels[d], KeepResiduals: d%2 == 0}
-				if d == 0 {
-					bounds.Budget = 0
-				}
-				got, err := ColdPushBounded(view, src, cfg, bounds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, r, pushes, _ := densePush(view, src, cfg.Alpha, levels, 0)
-				requireMatchesDense(t, name+" level", got, p, r, pushes, false)
-				levelPushes = append(levelPushes, pushes)
-			}
-			if levelPushes[depth] <= levelPushes[1]+3 || levelPushes[0] < 4 {
-				t.Fatalf("%s source %d: degenerate ladder %v", name, src, levelPushes)
-			}
-			// Capped inside level 0: the partial drain is the answer.
-			got, err := ColdPushBounded(view, src, cfg, ColdPushBounds{MaxPushes: 3})
+			got, err := ColdPushBounded(view, src, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, r, pushes, capped := densePush(view, src, cfg.Alpha, levels[:1], 3)
+			p, r, pushes, _ := densePush(view, src, cfg.Alpha, cfg.Epsilon, 0)
+			requireMatchesDense(t, name+" to ε", got, p, r, pushes, false)
+			if pushes < 4 {
+				t.Fatalf("%s source %d: degenerate push (%d pushes)", name, src, pushes)
+			}
+			// Capped: the partial drain is the answer.
+			got, err = ColdPushBounded(view, src, cfg, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, r, pushes, capped := densePush(view, src, cfg.Alpha, cfg.Epsilon, 3)
 			requireMatchesDense(t, name+" capped", got, p, r, pushes, capped)
 			if !got.Capped {
 				t.Fatalf("%s source %d: 3-push cap did not cap", name, src)
 			}
-			// Cut three pushes into level 2: rolled back to completed level 1.
-			got, err = ColdPushBounded(view, src, cfg, ColdPushBounds{
-				Budget: time.Hour, MinEpsilon: levels[depth], MaxPushes: levelPushes[1] + 3, KeepResiduals: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, r, pushes, _ = densePush(view, src, cfg.Alpha, levels[:2], 0)
-			requireMatchesDense(t, name+" rollback", got, p, r, pushes, false)
 		}
 	}
 }
 
 // TestColdScratchHygiene: a scratch carries nothing from one query into the
-// next — not across sources, not after a capped or rolled-back push, not
-// across graph growth — and is all-zero whenever it is idle.
+// next — not across sources, not after a capped push, not across graph
+// growth — and is all-zero whenever it is idle.
 func TestColdScratchHygiene(t *testing.T) {
 	small := coldPushSnapshot(t, 250, 1500, 7).View()
 	big := coldPushSnapshot(t, 600, 4000, 9).View()
@@ -291,34 +247,31 @@ func TestColdScratchHygiene(t *testing.T) {
 			}
 		}
 	}
-	fresh := func(view *graph.View, src graph.VertexID, b ColdPushBounds) *ColdPushResult {
-		return new(coldScratch).push(view, src, cfg, b)
+	fresh := func(view *graph.View, src graph.VertexID) *ColdPushResult {
+		return new(coldScratch).push(view, src, cfg, 0)
 	}
-	ladder := ColdPushBounds{Budget: time.Hour, MinEpsilon: 1e-6, KeepResiduals: true}
-	a1 := sc.push(small, 13, cfg, ColdPushBounds{})
+	a1 := sc.push(small, 13, cfg, 0)
 	requireIdle("after A")
-	requireSamePush(t, "B after A", sc.push(small, 101, cfg, ladder), fresh(small, 101, ladder))
+	requireSamePush(t, "B after A", sc.push(small, 101, cfg, 0), fresh(small, 101))
 	requireIdle("after B")
-	requireSamePush(t, "A again", sc.push(small, 13, cfg, ColdPushBounds{}), a1)
+	requireSamePush(t, "A again", sc.push(small, 13, cfg, 0), a1)
 
-	if capped := sc.push(small, 13, Config{Alpha: 0.15, Epsilon: 1e-7}, ColdPushBounds{MaxPushes: 5}); !capped.Capped {
+	if capped := sc.push(small, 13, Config{Alpha: 0.15, Epsilon: 1e-7}, 5); !capped.Capped {
 		t.Fatal("5-push cap did not cap")
 	}
 	requireIdle("after a capped push")
-	cut := ColdPushBounds{Budget: time.Hour, MinEpsilon: 1e-7, MaxPushes: a1.Pushes + 3}
-	requireSamePush(t, "rolled back", sc.push(small, 13, cfg, cut), a1)
-	requireIdle("after a rolled-back push")
+	requireSamePush(t, "A after a capped push", sc.push(small, 13, cfg, 0), a1)
 
 	// Growth: the bigger graph resizes the scratch; going back is unaffected.
 	if len(sc.cells) >= big.NumVertices() {
 		t.Fatalf("scratch already holds %d cells", len(sc.cells))
 	}
-	requireSamePush(t, "after growth", sc.push(big, 599, cfg, ColdPushBounds{}), fresh(big, 599, ColdPushBounds{}))
+	requireSamePush(t, "after growth", sc.push(big, 599, cfg, 0), fresh(big, 599))
 	if len(sc.cells) < big.NumVertices() {
 		t.Fatalf("scratch did not grow: %d cells for %d vertices", len(sc.cells), big.NumVertices())
 	}
 	requireIdle("after growth")
-	requireSamePush(t, "A after growth", sc.push(small, 13, cfg, ColdPushBounds{}), a1)
+	requireSamePush(t, "A after growth", sc.push(small, 13, cfg, 0), a1)
 }
 
 // TestColdPushConcurrent runs many workers over one pinned view at once
@@ -330,7 +283,7 @@ func TestColdPushConcurrent(t *testing.T) {
 	want := make([]*ColdPushResult, 32)
 	for i := range want {
 		var err error
-		if want[i], err = ColdPushBounded(view, graph.VertexID(i*12), cfg, ColdPushBounds{}); err != nil {
+		if want[i], err = ColdPushBounded(view, graph.VertexID(i*12), cfg, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +294,7 @@ func TestColdPushConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
 				for i := range want {
-					got, err := ColdPushBounded(view, graph.VertexID(i*12), cfg, ColdPushBounds{})
+					got, err := ColdPushBounded(view, graph.VertexID(i*12), cfg, 0)
 					if err != nil {
 						t.Error(err)
 						return
@@ -383,14 +336,14 @@ func TestColdPushAllocatesWhatItTouches(t *testing.T) {
 		var sc coldScratch
 		var carried, pushes int64
 		for _, s := range sources { // warm the scratch's lists
-			res := sc.push(view, s, cfg, ColdPushBounds{})
+			res := sc.push(view, s, cfg, 0)
 			carried += int64(len(res.Vertices))
 			pushes += res.Pushes
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, s := range sources {
-			sc.push(view, s, cfg, ColdPushBounds{})
+			sc.push(view, s, cfg, 0)
 		}
 		runtime.ReadMemStats(&after)
 		got := int64(after.TotalAlloc - before.TotalAlloc)
@@ -405,88 +358,9 @@ func TestColdPushAllocatesWhatItTouches(t *testing.T) {
 	}
 }
 
-// TestColdPushBoundedLadder covers the adaptive-ε budget: a generous budget
-// descends the ladder deterministically to the floor, a spent budget stops at
-// the coarse level with the exact unbudgeted floats, and a MaxPushes hit
-// mid-level rolls back to the last completed level rather than emitting a
-// partial drain.
-func TestColdPushBoundedLadder(t *testing.T) {
-	c := coldPushSnapshot(t, 250, 1500, 7)
-	cfg := Config{Alpha: 0.15, Epsilon: 1e-4}
-	src := graph.VertexID(13)
-	base, err := ColdPushCSR(c, src, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Zero budget: ColdPushBounded is ColdPushCSR.
-	zero, err := ColdPushBounded(c.View(), src, cfg, ColdPushBounds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePush(t, "zero budget", zero, base)
-
-	// A budget that is already spent after level 0 must emit exactly the
-	// unbudgeted coarse answer — the first level is never time-truncated.
-	spent, err := ColdPushBounded(c.View(), src, cfg, ColdPushBounds{Budget: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spent.BudgetExhausted {
-		t.Fatal("1ns budget must report BudgetExhausted")
-	}
-	spent.BudgetExhausted = false
-	requireSamePush(t, "spent budget", spent, base)
-
-	// A generous budget descends to the floor deterministically; the achieved
-	// bound beats the configured ε and the answer still differential-checks.
-	bounds := ColdPushBounds{Budget: time.Minute, MinEpsilon: 1e-7}
-	deep, err := ColdPushBounded(c.View(), src, cfg, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deep.BudgetExhausted || deep.Capped {
-		t.Fatalf("generous budget must reach the floor uninterrupted: %+v", deep)
-	}
-	// The deepest level is the last halving ≥ the floor, so the achieved
-	// bound lands within 2× of it.
-	if deep.MaxResidual > 2e-7 {
-		t.Fatalf("ladder floor not approached: MaxResidual %g", deep.MaxResidual)
-	}
-	deep2, err := ColdPushBounded(c.View(), src, cfg, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePush(t, "ladder determinism", deep2, deep)
-	oracle, err := power.Reverse(c, src, power.Options{Alpha: 0.15, Tolerance: 1e-13, MaxIterations: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range oracle {
-		est := SparseValue(deep.Vertices, deep.Estimates, graph.VertexID(v))
-		if d := math.Abs(est - oracle[v]); d > deep.MaxResidual+1e-12 {
-			t.Fatalf("vertex %d: |%g - %g| exceeds ladder MaxResidual %g", v, est, oracle[v], deep.MaxResidual)
-		}
-	}
-
-	// MaxPushes hit a few pushes into level 1: the partial level is rolled
-	// back, so the answer is bit-identical to the completed coarse level.
-	roll, err := ColdPushBounded(c.View(), src, cfg, ColdPushBounds{
-		Budget: time.Minute, MinEpsilon: 1e-7, MaxPushes: base.Pushes + 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if roll.Capped {
-		t.Fatal("rolled-back ladder answer must not report Capped")
-	}
-	requireSamePush(t, "mid-level rollback", roll, base)
-}
-
 func requireSamePush(t *testing.T, what string, got, want *ColdPushResult) {
 	t.Helper()
 	if got.Pushes != want.Pushes || got.Capped != want.Capped ||
-		got.BudgetExhausted != want.BudgetExhausted ||
 		math.Float64bits(got.MaxResidual) != math.Float64bits(want.MaxResidual) {
 		t.Fatalf("%s: metadata diverged: %+v vs %+v", what, got, want)
 	}

@@ -62,7 +62,7 @@ func (rp *replay) step(t *testing.T, e Engine) {
 func TestSequentialQueue(t *testing.T) {
 	e := NewSequential()
 	st := newReplay(t, e, 400, 3600, 37).st
-	p, r, pushes, _ := densePush(st.g, st.source, st.cfg.Alpha, []float64{st.cfg.Epsilon}, 0)
+	p, r, pushes, _ := densePush(st.g, st.source, st.cfg.Alpha, st.cfg.Epsilon, 0)
 	if !bitsEq(st.Estimates(), p) || !bitsEq(st.Residuals(), r) || st.Counters.Pushes != pushes {
 		t.Fatalf("cold start diverges from the plain FIFO (%d vs %d pushes)", st.Counters.Pushes, pushes)
 	}

@@ -5,17 +5,23 @@
 // costs a full estimate/residual pair kept converged on every batch. The
 // on-demand path answers the long tail instead: a one-shot run of the
 // paper's local push (push.ColdPushBounded) over an immutable view of the
-// current graph down to a coarse ε, optionally refined by deterministic
-// Monte-Carlo walks (internal/montecarlo) from the answer's candidate
-// vertices. The view is epoch-pinned and touched-proportional: it layers the
-// delta segments recent batches produced over the shared immutable CSR base,
-// so refreshing it after a mutation costs O(what the batch touched), not
-// O(graph). The push is local the same way: it costs, allocates and caches
-// what it touched — a sparse estimate vector — never a length-n array. Both
-// tiers estimate the same quantity — the contribution vector π_·(s) the live
-// trackers maintain — so promoting a source tightens its error bound without
-// ever changing the meaning of its answers. The result carries the achieved
-// per-vertex bound so callers know what they got.
+// current graph down to a coarse ε, bounded only by MaxPushes. The view is
+// epoch-pinned and touched-proportional: it layers the delta segments recent
+// batches produced over the shared immutable CSR base, so refreshing it after
+// a mutation costs O(what the batch touched), not O(graph). The push is local
+// the same way: it costs, allocates and caches what it touched — a sparse
+// estimate vector — never a length-n array. Both tiers estimate the same
+// quantity — the contribution vector π_·(s) the live trackers maintain — so
+// promoting a source tightens its error bound without ever changing the
+// meaning of its answers.
+//
+// Accuracy has one dial. Every cold answer — computed, coalesced or cached,
+// whichever of QueryTopK or QueryEstimate asked first — is a bit-deterministic
+// function of (graph generation, source, α, on-demand ε, MaxPushes) and
+// carries the per-vertex bound it achieved. A caller who needs better than
+// the coarse ε has two levers, both deterministic: a smaller
+// OnDemandOptions.Epsilon, or tracking the source at the tracked ε (promotion
+// or AddSource, journaled on a persistent service).
 //
 // Cold answers are computed concurrently but never redundantly: identical
 // in-flight queries are singleflight-coalesced by (source, graph
@@ -24,10 +30,7 @@
 // partial effects), and completed answers land in a bounded LRU result
 // cache under the same (source, generation) key — a repeat query between
 // graph mutations is an O(k) read, and a mutation invalidates the cache for
-// free because the generation moves (compaction does not bump it). A
-// per-query latency budget (QueryOptions.Budget) buys adaptive ε: the push
-// starts at the configured coarse ε and keeps refining while budget
-// remains, always reporting the achieved bound.
+// free because the generation moves (compaction does not bump it).
 //
 // A frequency-based admission cache watches on-demand traffic: a source
 // queried at least PromoteAfter times is promoted into tracked state through
@@ -42,15 +45,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dynppr/internal/fp"
 	"dynppr/internal/graph"
-	"dynppr/internal/montecarlo"
 	"dynppr/internal/push"
 )
 
@@ -65,15 +65,6 @@ type OnDemandOptions struct {
 	// deliberately coarser than the tracked ε — the push cost grows like
 	// 1/ε. <= 0 selects 1e-4.
 	Epsilon float64
-	// RefineWalks is the per-query Monte-Carlo walk budget spent after the
-	// push on the answer's candidate vertices (the top-k entries, or the
-	// single requested vertex of an estimate). 0 disables refinement; the
-	// advertised bound is unaffected either way (walks reduce expected
-	// error, not the worst case).
-	RefineWalks int
-	// Seed drives the refinement walks. Results for a given (seed, source,
-	// graph snapshot) are reproducible.
-	Seed int64
 	// PromoteAfter is the query-count threshold T at which an untracked
 	// source is promoted into tracked state. 0 disables promotion.
 	PromoteAfter int
@@ -89,8 +80,6 @@ type OnDemandOptions struct {
 	// hit the answer is still sound — the advertised epsilon grows to cover
 	// the unpushed residual. <= 0 selects 4,000,000.
 	MaxPushes int64
-	// MaxWalkLength caps each refinement walk; <= 0 selects 1000.
-	MaxWalkLength int
 	// Workers bounds how many cold pushes execute concurrently. Queries
 	// beyond that wait for a worker under ctx-bounded admission — if none
 	// frees up before the context is done the query sheds with
@@ -120,9 +109,6 @@ func (o OnDemandOptions) withDefaults() OnDemandOptions {
 	if o.MaxPushes <= 0 {
 		o.MaxPushes = 4_000_000
 	}
-	if o.MaxWalkLength <= 0 {
-		o.MaxWalkLength = 1000
-	}
 	if o.Workers <= 0 {
 		o.Workers = fp.DefaultWorkers()
 	}
@@ -132,29 +118,10 @@ func (o OnDemandOptions) withDefaults() OnDemandOptions {
 	return o
 }
 
-// QueryOptions tune a single Query* call. The zero value is the default
-// behavior: push exactly to the configured on-demand ε, no latency budget.
-type QueryOptions struct {
-	// Budget is a per-query latency target for the cold-push work. When set,
-	// the push spends it adaptively: it first runs to the configured coarse
-	// ε (that level is never time-truncated), then keeps halving ε while
-	// budget remains — never past the service's tracked ε — and reports the
-	// achieved bound in QueryInfo.Epsilon. Every emitted answer is a
-	// deterministic function of (graph, source, configuration, achieved
-	// refinement level); only which level the budget buys depends on timing,
-	// so budgeted answers are cached and coalesced separately from
-	// unbudgeted ones, which stay bit-deterministic.
-	//
-	// The budget bounds compute, not admission: waiting for a pool worker is
-	// governed by the call's context.
-	Budget time.Duration
-}
-
 // QueryInfo describes how a QueryTopK/QueryEstimate answer was produced.
 type QueryInfo struct {
 	// Approx is true when the answer came from the on-demand path (one-shot
-	// push + optional Monte-Carlo refinement) rather than a tracked
-	// source's converged snapshot.
+	// push) rather than a tracked source's converged snapshot.
 	Approx bool
 	// Epsilon bounds the absolute error of every estimate in the answer:
 	// the snapshot's configured ε on the tracked path, the push's achieved
@@ -165,23 +132,18 @@ type QueryInfo struct {
 	// path it is synthesized: Epoch 0 marks "not a tracked snapshot", and
 	// MaxResidual/Epsilon carry the push's achieved values.
 	Snapshot SnapshotInfo
-	// Walks is the number of Monte-Carlo refinement walks run (on-demand
-	// only).
-	Walks int
 	// Promoted reports that this query crossed the promotion threshold and
 	// the source is now tracked; subsequent reads take the exact path.
 	Promoted bool
 	// Cached reports that the answer was served from the on-demand result
-	// cache rather than recomputed. A cached answer carries the QueryInfo
-	// of the query that computed it (same graph generation, so same
-	// bound); its Monte-Carlo refinement targeted that query's answer
-	// shape, which never affects the advertised bound.
+	// cache rather than recomputed. A cached answer is the computed one,
+	// bit for bit (same graph generation, so same bound).
 	Cached bool
 	// Coalesced reports that this query shared the computation of an
 	// identical in-flight query instead of pushing redundantly.
 	Coalesced bool
-	// Truncated reports that the push stopped early (MaxPushes or the
-	// latency budget); Epsilon still soundly bounds the error.
+	// Truncated reports that the push stopped at MaxPushes; Epsilon still
+	// soundly bounds the error.
 	Truncated bool
 }
 
@@ -208,7 +170,7 @@ type onDemand struct {
 
 	// fmu guards the singleflight table of in-flight cold computations.
 	fmu     sync.Mutex
-	flights map[odFlightKey]*odFlight
+	flights map[odKey]*odFlight
 
 	// cache is the bounded LRU of computed answers; nil when disabled.
 	cache *odCache
@@ -226,7 +188,6 @@ type onDemand struct {
 	tick atomic.Int64 // recency clock for auto sources
 
 	queries           atomic.Int64
-	walks             atomic.Int64
 	snapshotBuilds    atomic.Int64
 	lastSnapshotDelta atomic.Int64
 	promotions        atomic.Int64
@@ -235,7 +196,6 @@ type onDemand struct {
 	coalesced         atomic.Int64
 	cacheHits         atomic.Int64
 	cacheMisses       atomic.Int64
-	budgetTruncated   atomic.Int64
 	poolDepth         atomic.Int64
 	lastLatency       atomic.Int64 // nanoseconds
 	totalLatency      atomic.Int64 // nanoseconds
@@ -262,7 +222,7 @@ func newOnDemand(svc *Service, opts OnDemandOptions) *onDemand {
 		cand:    make(map[VertexID]*odCandidate),
 		tasks:   make(chan func()),
 		quit:    make(chan struct{}),
-		flights: make(map[odFlightKey]*odFlight),
+		flights: make(map[odKey]*odFlight),
 	}
 	if od.opts.ResultCache > 0 {
 		od.cache = newODCache(od.opts.ResultCache)
@@ -326,9 +286,6 @@ type OnDemandStats struct {
 	CacheHits   int64
 	CacheMisses int64
 	Coalesced   int64
-	// BudgetTruncated counts budgeted queries whose push was stopped by the
-	// latency budget before reaching the configured ε.
-	BudgetTruncated int64
 	// CacheEntries and CacheCapacity describe the result cache;
 	// PoolWorkers and PoolDepth the cold-push worker pool (depth = pushes
 	// executing right now).
@@ -341,8 +298,6 @@ type OnDemandStats struct {
 	// the memory those vectors hold — what the result cache keeps resident.
 	CacheAnswerEntries int64
 	CacheBytes         int64
-	// Walks counts Monte-Carlo refinement walks across all queries.
-	Walks int64
 	// SnapshotBuilds counts graph-view rebuilds (one per graph mutation
 	// generation actually queried, not per query). Each build copies only
 	// the delta-segment headers present at that moment, not the graph.
@@ -361,8 +316,8 @@ type OnDemandStats struct {
 	// number of currently tracked auto-promoted sources.
 	Candidates  int
 	AutoSources int
-	// LastLatency and TotalLatency time on-demand answers (push +
-	// refinement, excluding promotion work).
+	// LastLatency and TotalLatency time on-demand answers (excluding
+	// promotion work).
 	LastLatency  time.Duration
 	TotalLatency time.Duration
 }
@@ -378,10 +333,8 @@ func (od *onDemand) stats() *OnDemandStats {
 		CacheHits:              od.cacheHits.Load(),
 		CacheMisses:            od.cacheMisses.Load(),
 		Coalesced:              od.coalesced.Load(),
-		BudgetTruncated:        od.budgetTruncated.Load(),
 		PoolWorkers:            od.opts.Workers,
 		PoolDepth:              od.poolDepth.Load(),
-		Walks:                  od.walks.Load(),
 		SnapshotBuilds:         od.snapshotBuilds.Load(),
 		LastSnapshotDeltaEdges: od.lastSnapshotDelta.Load(),
 		Promotions:             od.promotions.Load(),
@@ -413,17 +366,12 @@ func (s *Service) QueryTopK(source VertexID, k int) ([]VertexScore, QueryInfo, e
 // until ctx is done the query gives up with ErrOverloaded, having had no
 // effect. Tracked-source reads never touch the pipeline and ignore ctx.
 func (s *Service) QueryTopKCtx(ctx context.Context, source VertexID, k int) ([]VertexScore, QueryInfo, error) {
-	return s.QueryTopKOpts(ctx, source, k, QueryOptions{})
-}
-
-// QueryTopKOpts is QueryTopKCtx with per-query options (see QueryOptions).
-func (s *Service) QueryTopKOpts(ctx context.Context, source VertexID, k int, opts QueryOptions) ([]VertexScore, QueryInfo, error) {
 	if top, info, err := s.TopKInfo(source, k); err == nil {
 		return top, QueryInfo{Epsilon: info.Epsilon, Snapshot: info}, nil
 	} else if !errorIsUnknownSource(err) || s.od == nil {
 		return nil, QueryInfo{}, err
 	}
-	e, qi, err := s.onDemandQuery(ctx, source, odRefine{topK: k}, opts)
+	e, qi, err := s.onDemandQuery(ctx, source)
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
@@ -440,18 +388,12 @@ func (s *Service) QueryEstimate(source, v VertexID) (float64, QueryInfo, error) 
 // QueryEstimateCtx is QueryEstimate with bounded admission (see
 // QueryTopKCtx).
 func (s *Service) QueryEstimateCtx(ctx context.Context, source, v VertexID) (float64, QueryInfo, error) {
-	return s.QueryEstimateOpts(ctx, source, v, QueryOptions{})
-}
-
-// QueryEstimateOpts is QueryEstimateCtx with per-query options (see
-// QueryOptions).
-func (s *Service) QueryEstimateOpts(ctx context.Context, source, v VertexID, opts QueryOptions) (float64, QueryInfo, error) {
 	if est, info, err := s.EstimateInfo(source, v); err == nil {
 		return est, QueryInfo{Epsilon: info.Epsilon, Snapshot: info}, nil
 	} else if !errorIsUnknownSource(err) || s.od == nil {
 		return 0, QueryInfo{}, err
 	}
-	e, qi, err := s.onDemandQuery(ctx, source, odRefine{v: v}, opts)
+	e, qi, err := s.onDemandQuery(ctx, source)
 	if err != nil {
 		return 0, QueryInfo{}, err
 	}
@@ -472,15 +414,6 @@ type odKey struct {
 	gen    uint64
 }
 
-// odFlightKey is the singleflight key. Budgeted and unbudgeted computations
-// never coalesce with each other: an unbudgeted answer must stay a
-// bit-deterministic function of (source, generation), which a
-// timing-dependent budgeted push cannot promise.
-type odFlightKey struct {
-	key      odKey
-	budgeted bool
-}
-
 // odFlight is one in-flight cold computation; concurrent identical queries
 // wait on done and share entry/err.
 type odFlight struct {
@@ -494,8 +427,7 @@ type odFlight struct {
 // share it freely.
 type odEntry struct {
 	// ids (ascending) and vals are the sparse estimate vector: every vertex
-	// with a nonzero estimate — every touched vertex when walks refined the
-	// answer — and exactly 0 for all others.
+	// with a nonzero estimate, and exactly 0 for all others.
 	ids  []VertexID
 	vals []float64
 	// isolated marks a source outside the snapshot: no walk from another
@@ -504,15 +436,10 @@ type odEntry struct {
 	// entry.
 	isolated bool
 	eps      float64
-	walks    int
-	// truncated records that the push stopped early (MaxPushes or budget);
-	// eps covers the unfinished work either way.
+	// truncated records that the push stopped at MaxPushes; eps covers the
+	// unfinished work.
 	truncated bool
-	// budgeted entries were computed under a latency budget. The cache
-	// serves them only to budgeted queries — an unbudgeted query recomputes
-	// (and overwrites the entry with) the deterministic full-ε answer.
-	budgeted bool
-	vertices int
+	vertices  int
 
 	// mu guards top, the memoized exact top-len ranking, built on the first
 	// topK read and extended if a larger k arrives. scoreBetter is a strict
@@ -549,7 +476,6 @@ func (e *odEntry) queryInfo(source VertexID) QueryInfo {
 	return QueryInfo{
 		Approx:    true,
 		Epsilon:   e.eps,
-		Walks:     e.walks,
 		Truncated: e.truncated,
 		Snapshot: SnapshotInfo{
 			Source:      source,
@@ -560,24 +486,11 @@ func (e *odEntry) queryInfo(source VertexID) QueryInfo {
 	}
 }
 
-// odRefine selects where a query's Monte-Carlo budget goes: a top-k answer
-// refines its candidate set, a point estimate refines just the requested
-// vertex.
-type odRefine struct {
-	topK int      // when > 0: refine the top (topK + odRefinePad) estimates
-	v    VertexID // when topK <= 0: refine this single vertex
-}
-
-// odRefinePad is how far past the requested k the refinement reaches, so a
-// vertex just below the push's k-th place can still be promoted into the
-// answer by its correction.
-const odRefinePad = 16
-
 // onDemandQuery answers an untracked source — from the result cache, by
 // joining an identical in-flight computation, or by running the push on the
 // worker pool — and feeds the admission cache (possibly promoting the
 // source).
-func (s *Service) onDemandQuery(ctx context.Context, source VertexID, ref odRefine, qo QueryOptions) (*odEntry, QueryInfo, error) {
+func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry, QueryInfo, error) {
 	od := s.od
 	if source < 0 {
 		return nil, QueryInfo{}, fmt.Errorf("dynppr: source must be non-negative, got %d", source)
@@ -590,7 +503,10 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID, ref odRefi
 	n := snap.view.NumVertices()
 	if int(source) >= n {
 		// The source is outside the snapshot: an isolated vertex, answered
-		// exactly (see odEntry.isolated) — no push, no cache.
+		// exactly (see odEntry.isolated) — no push, no cache. It counts as a
+		// served query but stays out of the admission cache: promotion cannot
+		// improve an exact answer, and tracking the id would grow the graph
+		// (and the journal) to it on nothing but read traffic.
 		e := &odEntry{
 			ids:      []VertexID{source},
 			vals:     []float64{s.opts.Options.Alpha},
@@ -599,18 +515,17 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID, ref odRefi
 		}
 		qi := e.queryInfo(source)
 		qi.Snapshot.MaxResidual, qi.Snapshot.Epsilon = 0, 0
-		od.finish(ctx, source, start, &qi)
+		od.served(start)
 		return e, qi, nil
 	}
 	key := odKey{source: source, gen: snap.gen}
-	budgeted := qo.Budget > 0
-	if e := od.cacheGet(key, budgeted); e != nil {
+	if e := od.cacheGet(key); e != nil {
 		qi := e.queryInfo(source)
 		qi.Cached = true
 		od.finish(ctx, source, start, &qi)
 		return e, qi, nil
 	}
-	e, shared, err := od.compute(ctx, key, snap, ref, qo)
+	e, shared, err := od.compute(ctx, key, snap)
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
@@ -624,22 +539,26 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID, ref odRefi
 // admission-cache note, and the possible promotion. Every served query
 // counts — cached and coalesced answers are demand too.
 func (od *onDemand) finish(ctx context.Context, source VertexID, start time.Time, qi *QueryInfo) {
+	od.served(start)
+	od.note(source)
+	qi.Promoted = od.maybePromote(ctx, source)
+}
+
+// served counts one answered on-demand query and its latency.
+func (od *onDemand) served(start time.Time) {
 	elapsed := time.Since(start)
 	od.queries.Add(1)
 	od.lastLatency.Store(int64(elapsed))
 	od.totalLatency.Add(int64(elapsed))
-	od.note(source)
-	qi.Promoted = od.maybePromote(ctx, source)
 }
 
 // compute coalesces onto an identical in-flight computation or runs the cold
 // push on the worker pool. The bool result reports sharing (for stats and
 // QueryInfo.Coalesced).
-func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot, ref odRefine, qo QueryOptions) (*odEntry, bool, error) {
-	fkey := odFlightKey{key: key, budgeted: qo.Budget > 0}
+func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot) (*odEntry, bool, error) {
 	for {
 		od.fmu.Lock()
-		if f, ok := od.flights[fkey]; ok {
+		if f, ok := od.flights[key]; ok {
 			od.fmu.Unlock()
 			select {
 			case <-f.done:
@@ -660,12 +579,12 @@ func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot, re
 			}
 		}
 		f := &odFlight{done: make(chan struct{})}
-		od.flights[fkey] = f
+		od.flights[key] = f
 		od.fmu.Unlock()
 
 		settle := func() {
 			od.fmu.Lock()
-			delete(od.flights, fkey)
+			delete(od.flights, key)
 			od.fmu.Unlock()
 			close(f.done)
 		}
@@ -673,7 +592,7 @@ func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot, re
 			defer settle()
 			od.poolDepth.Add(1)
 			defer od.poolDepth.Add(-1)
-			f.entry, f.err = od.runCold(key, snap, ref, qo)
+			f.entry, f.err = od.runCold(key, snap)
 		}
 		// Pool admission. The task channel is unbuffered: a successful send
 		// means a worker has the job and will finish it, so waiting on
@@ -694,48 +613,32 @@ func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot, re
 	}
 }
 
-// runCold executes one cold push + refinement on a pool worker and publishes
-// the entry to the result cache.
-func (od *onDemand) runCold(key odKey, snap *odSnapshot, ref odRefine, qo QueryOptions) (*odEntry, error) {
-	s := od.svc
-	cfg := push.Config{Alpha: s.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
-	bounds := push.ColdPushBounds{
-		MaxPushes: od.opts.MaxPushes,
-		Budget:    qo.Budget,
-		// The adaptive ladder never refines past the tracked ε — promotion
-		// must stay the strictly better tier.
-		MinEpsilon:    s.opts.Options.Epsilon,
-		KeepResiduals: od.opts.RefineWalks > 0,
-	}
-	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, bounds)
+// runCold executes one cold push on a pool worker and publishes the entry to
+// the result cache.
+func (od *onDemand) runCold(key odKey, snap *odSnapshot) (*odEntry, error) {
+	cfg := push.Config{Alpha: od.svc.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
+	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, od.opts.MaxPushes)
 	if err != nil {
 		return nil, err
 	}
 	od.coldPushes.Add(1)
-	if pr.BudgetExhausted {
-		od.budgetTruncated.Add(1)
-	}
-	walks := od.refine(snap, key.source, pr, ref)
 	e := &odEntry{
 		ids:       pr.Vertices,
 		vals:      pr.Estimates,
 		eps:       pr.MaxResidual,
-		walks:     walks,
-		truncated: pr.Capped || pr.BudgetExhausted,
-		budgeted:  qo.Budget > 0,
+		truncated: pr.Capped,
 		vertices:  snap.view.NumVertices(),
 	}
 	od.cachePut(key, e)
 	return e, nil
 }
 
-// cacheGet looks the (source, generation) key up, honoring the budgeted-gate
-// policy documented on odEntry.budgeted.
-func (od *onDemand) cacheGet(key odKey, budgeted bool) *odEntry {
+// cacheGet looks the (source, generation) key up and counts the hit or miss.
+func (od *onDemand) cacheGet(key odKey) *odEntry {
 	if od.cache == nil {
 		return nil
 	}
-	e := od.cache.get(key, budgeted)
+	e := od.cache.get(key)
 	if e != nil {
 		od.cacheHits.Add(1)
 	} else {
@@ -776,21 +679,11 @@ func newODCache(capacity int) *odCache {
 	return &odCache{cap: capacity, m: make(map[odKey]*odCacheNode, capacity)}
 }
 
-func (c *odCache) get(key odKey, budgeted bool) *odEntry {
+func (c *odCache) get(key odKey) *odEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.m[key]
 	if n == nil {
-		return nil
-	}
-	if n.e.budgeted != budgeted {
-		// Budgeted and unbudgeted answers never serve each other: an
-		// unbudgeted query must get the deterministic full-ε answer, and a
-		// budgeted query must get the chance to refine past it rather than
-		// being pinned to a coarse cached entry. The recompute's put() will
-		// overwrite this entry (one slot per (source, generation); mixed
-		// traffic on one source alternates the slot, which is sound — every
-		// answer carries its own achieved bound).
 		return nil
 	}
 	c.moveToFront(n)
@@ -903,86 +796,6 @@ func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
 		return nil, err
 	}
 	return <-res, nil
-}
-
-// refine spends the query's Monte-Carlo budget on the vertices the answer
-// will actually surface. The exact push invariant is, for every v,
-// π_v(s) = P(v) + Σ_u R(u)·π_v(u), and the endpoint of an α-terminating walk
-// from v has distribution π_v(·) — so the mean leftover residual at the
-// endpoints of walks started from v is an unbiased estimate of v's
-// correction term. Each target receives an equal share of the RefineWalks
-// budget. The advertised bound (MaxResidual) is unaffected: the true
-// correction and its estimate both lie in [0, MaxResidual]. The rng is
-// seeded from (Seed, source, snapshot generation) and targets are visited in
-// rank order, so identical queries return identical answers.
-func (od *onDemand) refine(snap *odSnapshot, source VertexID, pr *push.ColdPushResult, ref odRefine) int {
-	w := od.opts.RefineWalks
-	if w <= 0 || pr.MaxResidual <= 0 {
-		return 0
-	}
-	n := snap.view.NumVertices()
-	var targets []VertexID
-	if ref.topK > 0 {
-		for _, vs := range push.AppendTopKSparse(nil, n, pr.Vertices, pr.Estimates, ref.topK+odRefinePad) {
-			targets = append(targets, vs.Vertex)
-		}
-	} else if ref.v >= 0 && int(ref.v) < n {
-		targets = []VertexID{ref.v}
-	}
-	if len(targets) == 0 {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(int64(odSeed(od.opts.Seed, source, snap.gen))))
-	alpha := od.svc.opts.Options.Alpha
-	per, extra := w/len(targets), w%len(targets)
-	used := 0
-	for i, v := range targets {
-		wt := per
-		if i < extra {
-			wt++
-		}
-		if wt == 0 {
-			break
-		}
-		var sum float64
-		for j := 0; j < wt; j++ {
-			end := montecarlo.WalkEndpoint(snap.view, graph.VertexID(v), alpha, od.opts.MaxWalkLength, rng)
-			sum += push.SparseValue(pr.Vertices, pr.Residuals, end)
-		}
-		used += wt
-		if sum == 0 {
-			continue
-		}
-		// A target the push never touched (its walks can still end on
-		// leftover residual) joins the sparse answer here.
-		at, ok := slices.BinarySearch(pr.Vertices, v)
-		if !ok {
-			pr.Vertices = slices.Insert(pr.Vertices, at, v)
-			pr.Estimates = slices.Insert(pr.Estimates, at, 0)
-			pr.Residuals = slices.Insert(pr.Residuals, at, 0)
-		}
-		pr.Estimates[at] += sum / float64(wt)
-	}
-	od.walks.Add(int64(used))
-	return used
-}
-
-// odSeed derives the refinement rng stream for (seed, source, generation).
-// Each input is passed through splitmix64 before it is folded in, so
-// distinct (source, gen) pairs get distinct streams — a plain xor of
-// products lets pairs collide (e.g. any two pairs whose terms cancel).
-func odSeed(seed int64, source VertexID, gen uint64) uint64 {
-	x := splitmix64(uint64(seed) ^ splitmix64(uint64(source)))
-	return splitmix64(x ^ gen)
-}
-
-// splitmix64 is the finalizer of the splitmix64 generator — a cheap
-// bijective mixer whose outputs are equidistributed over 64 bits.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // touch refreshes the last-use tick of an auto-promoted source so exact-path

@@ -1,155 +1,14 @@
 package dynppr_test
 
 import (
-	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"dynppr"
-	"dynppr/internal/power"
 )
-
-// TestOnDemandColdQueryCoalescingAndCache is the tentpole's acceptance test:
-// N identical concurrent cold queries execute exactly one push (the
-// coalesce counter accounts for every waiter), repeat queries with no
-// interleaved mutation are served from the result cache, and an effective
-// mutation invalidates the cache through the generation key alone.
-func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
-	edges := odTestEdges(t, 20_000, 120_000, 13)
-	g := dynppr.GraphFromEdges(edges)
-	so := dynppr.DefaultServiceOptions()
-	// A deep tracked ε gives the budgeted wedge query below a long ladder to
-	// descend, so it occupies the worker for its whole budget.
-	so.Options.Epsilon = 1e-9
-	so.OnDemand = dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-3, Seed: 5,
-		// A single worker serializes the pushes, so the wedge query below
-		// pins every later query in admission until it completes.
-		Workers: 1,
-	}
-	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
-	if err != nil {
-		t.Fatalf("NewService: %v", err)
-	}
-	defer svc.Close()
-
-	const wedge, probe = dynppr.VertexID(100), dynppr.VertexID(200)
-
-	// Occupy the single worker with a slow cold push — the generous budget
-	// keeps the ε ladder refining — so the concurrent probe queries all pile
-	// onto one flight before any of them can run.
-	wedgeDone := make(chan error, 1)
-	go func() {
-		_, _, err := svc.QueryTopKOpts(context.Background(), wedge, 5,
-			dynppr.QueryOptions{Budget: 1500 * time.Millisecond})
-		wedgeDone <- err
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Stats().OnDemand.PoolDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("wedge query never reached the worker pool")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	const waiters = 8
-	type ans struct {
-		top []dynppr.VertexScore
-		qi  dynppr.QueryInfo
-		err error
-	}
-	answers := make([]ans, waiters)
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(waiters)
-	for i := 0; i < waiters; i++ {
-		go func(i int) {
-			defer done.Done()
-			start.Wait()
-			top, qi, err := svc.QueryTopK(probe, 10)
-			answers[i] = ans{top, qi, err}
-		}(i)
-	}
-	start.Done()
-	done.Wait()
-	if err := <-wedgeDone; err != nil {
-		t.Fatalf("wedge query: %v", err)
-	}
-
-	for i, a := range answers {
-		if a.err != nil {
-			t.Fatalf("waiter %d: %v", i, a.err)
-		}
-		if !a.qi.Approx || a.qi.Epsilon <= 0 {
-			t.Fatalf("waiter %d: approx=%v epsilon=%g", i, a.qi.Approx, a.qi.Epsilon)
-		}
-		if len(a.top) != len(answers[0].top) {
-			t.Fatalf("waiter %d: answer shape diverged", i)
-		}
-		for j := range a.top {
-			if a.top[j] != answers[0].top[j] {
-				t.Fatalf("waiter %d entry %d: %v vs %v", i, j, a.top[j], answers[0].top[j])
-			}
-		}
-	}
-
-	st := svc.Stats().OnDemand
-	// Exactly one push per distinct (source, generation): the wedge and the
-	// probe. Every probe query either shared the flight or read the entry it
-	// published — none pushed again.
-	if st.ColdPushes != 2 {
-		t.Fatalf("cold pushes = %d, want exactly 2 (wedge + one coalesced probe)", st.ColdPushes)
-	}
-	if st.Coalesced+st.CacheHits != waiters-1 {
-		t.Fatalf("coalesced=%d cacheHits=%d, want them to cover the %d waiters",
-			st.Coalesced, st.CacheHits, waiters-1)
-	}
-	if st.Coalesced == 0 {
-		t.Fatal("coalesce counter did not advance: no waiter shared the in-flight push")
-	}
-	if st.Queries != waiters+1 {
-		t.Fatalf("queries = %d, want %d", st.Queries, waiters+1)
-	}
-
-	// A repeat query with no interleaved mutation is a cache hit and returns
-	// the identical answer; an estimate for the same source reads the same
-	// entry.
-	hitsBefore := st.CacheHits
-	again, qi, err := svc.QueryTopK(probe, 10)
-	if err != nil {
-		t.Fatalf("repeat QueryTopK: %v", err)
-	}
-	if !qi.Cached {
-		t.Fatal("repeat cold query was not served from the result cache")
-	}
-	for j := range again {
-		if again[j] != answers[0].top[j] {
-			t.Fatalf("cached entry %d: %v vs %v", j, again[j], answers[0].top[j])
-		}
-	}
-	if _, eqi, err := svc.QueryEstimate(probe, 0); err != nil || !eqi.Cached {
-		t.Fatalf("estimate after topk: err=%v cached=%v (want cache hit on the shared entry)", err, eqi.Cached)
-	}
-	if st := svc.Stats().OnDemand; st.CacheHits != hitsBefore+2 {
-		t.Fatalf("cache hits %d -> %d, want +2", hitsBefore, st.CacheHits)
-	}
-
-	// An effective mutation moves the generation: the cached entry is dead
-	// and the next query pushes again.
-	if _, err := svc.ApplyBatch(dynppr.Batch{{U: 1, V: 20_000, Op: dynppr.Insert}}); err != nil {
-		t.Fatalf("ApplyBatch: %v", err)
-	}
-	if _, qi, err := svc.QueryTopK(probe, 10); err != nil || qi.Cached {
-		t.Fatalf("post-mutation query: err=%v cached=%v (want recompute)", err, qi.Cached)
-	}
-	if st := svc.Stats().OnDemand; st.ColdPushes != 3 {
-		t.Fatalf("cold pushes after mutation = %d, want 3", st.ColdPushes)
-	}
-}
 
 // TestOnDemandResultCacheBounds pins the LRU bound and the disable knob.
 func TestOnDemandResultCacheBounds(t *testing.T) {
@@ -232,124 +91,6 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 	}
 }
 
-// TestOnDemandBudgetedQueries covers adaptive ε end to end: a spent budget
-// degrades to exactly the deterministic coarse answer, a generous budget
-// refines past the configured ε (still differential-checking against the
-// power oracle within the advertised bound), and budgeted answers cache.
-func TestOnDemandBudgetedQueries(t *testing.T) {
-	const (
-		odEps      = 1e-4
-		trackedEps = 1e-6
-	)
-	edges := odTestEdges(t, 400, 3000, 21)
-	newSvc := func() *dynppr.Service {
-		g := dynppr.GraphFromEdges(edges)
-		so := dynppr.DefaultServiceOptions()
-		so.Options.Epsilon = trackedEps
-		so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: odEps, Seed: 42}
-		svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
-		if err != nil {
-			t.Fatalf("NewService: %v", err)
-		}
-		return svc
-	}
-	oracleFor := func(src dynppr.VertexID) []float64 {
-		oracle, err := power.Reverse(dynppr.GraphFromEdges(edges).Snapshot(), src, power.Options{
-			Alpha: dynppr.DefaultServiceOptions().Options.Alpha, Tolerance: 1e-12, MaxIterations: 10_000,
-		})
-		if err != nil {
-			t.Fatalf("power.Reverse(%d): %v", src, err)
-		}
-		return oracle
-	}
-
-	svcA := newSvc()
-	defer svcA.Close()
-	svcB := newSvc()
-	defer svcB.Close()
-	ctx := context.Background()
-	const src = dynppr.VertexID(57)
-
-	// An already-spent budget emits exactly the unbudgeted coarse answer —
-	// the first push level is never time-truncated — and reports Truncated.
-	topUn, qiUn, err := svcA.QueryTopK(src, 10)
-	if err != nil {
-		t.Fatalf("unbudgeted QueryTopK: %v", err)
-	}
-	topSpent, qiSpent, err := svcB.QueryTopKOpts(ctx, src, 10, dynppr.QueryOptions{Budget: time.Nanosecond})
-	if err != nil {
-		t.Fatalf("spent-budget QueryTopK: %v", err)
-	}
-	if !qiSpent.Truncated {
-		t.Fatal("1ns budget must report Truncated")
-	}
-	if math.Float64bits(qiSpent.Epsilon) != math.Float64bits(qiUn.Epsilon) {
-		t.Fatalf("spent-budget epsilon %g != unbudgeted %g", qiSpent.Epsilon, qiUn.Epsilon)
-	}
-	for i := range topUn {
-		if topUn[i] != topSpent[i] {
-			t.Fatalf("spent-budget entry %d: %v vs unbudgeted %v", i, topSpent[i], topUn[i])
-		}
-	}
-
-	// A generous budget descends the ε ladder toward the tracked ε and the
-	// refined answer still sits within its (much tighter) advertised bound.
-	const deep = dynppr.VertexID(191)
-	topDeep, qiDeep, err := svcB.QueryTopKOpts(ctx, deep, 10, dynppr.QueryOptions{Budget: time.Minute})
-	if err != nil {
-		t.Fatalf("generous-budget QueryTopK: %v", err)
-	}
-	if qiDeep.Truncated {
-		t.Fatal("generous budget must not be truncated")
-	}
-	if qiDeep.Epsilon >= odEps/10 {
-		t.Fatalf("generous budget did not refine: epsilon %g", qiDeep.Epsilon)
-	}
-	oracle := oracleFor(deep)
-	for _, vs := range topDeep {
-		if d := math.Abs(vs.Score - oracle[vs.Vertex]); d > qiDeep.Epsilon+1e-12 {
-			t.Fatalf("deep vertex %d: |%g - %g| = %g > advertised %g", vs.Vertex, vs.Score, oracle[vs.Vertex], d, qiDeep.Epsilon)
-		}
-	}
-	// Budgeted repeats hit the cache with the identical answer.
-	topDeep2, qiDeep2, err := svcB.QueryTopKOpts(ctx, deep, 10, dynppr.QueryOptions{Budget: time.Minute})
-	if err != nil || !qiDeep2.Cached {
-		t.Fatalf("budgeted repeat: err=%v cached=%v", err, qiDeep2.Cached)
-	}
-	for i := range topDeep {
-		if topDeep[i] != topDeep2[i] {
-			t.Fatalf("budgeted repeat entry %d differs", i)
-		}
-	}
-	// An unbudgeted query must NOT consume the budgeted entry: it recomputes
-	// the deterministic full-ε answer (and republishes it), after which both
-	// budgeted and unbudgeted repeats are cache hits.
-	if _, qi, err := svcB.QueryTopK(deep, 10); err != nil || qi.Cached {
-		t.Fatalf("unbudgeted after budgeted: err=%v cached=%v (want recompute)", err, qi.Cached)
-	}
-	if _, qi, err := svcB.QueryTopK(deep, 10); err != nil || !qi.Cached {
-		t.Fatalf("unbudgeted repeat: err=%v cached=%v", err, qi.Cached)
-	}
-
-	// A mid-sized budget lands on some ladder level nondeterministically —
-	// whatever it achieved must differential-check within the advertised ε.
-	const mid = dynppr.VertexID(333)
-	est, qiMid, err := svcB.QueryEstimateOpts(ctx, mid, 0, dynppr.QueryOptions{Budget: 200 * time.Microsecond})
-	if err != nil {
-		t.Fatalf("mid-budget QueryEstimate: %v", err)
-	}
-	if qiMid.Epsilon <= 0 || qiMid.Epsilon > odEps {
-		t.Fatalf("mid-budget epsilon %g outside (0, %g]", qiMid.Epsilon, odEps)
-	}
-	if d := math.Abs(est - oracleFor(mid)[0]); d > qiMid.Epsilon+1e-12 {
-		t.Fatalf("mid-budget estimate off by %g > advertised %g", d, qiMid.Epsilon)
-	}
-
-	if st := svcB.Stats().OnDemand; st.BudgetTruncated == 0 {
-		t.Fatal("BudgetTruncated counter did not advance")
-	}
-}
-
 // TestTrackedReadsKeepAutoSourceWarm pins the recency bugfix: reads through
 // the plain TopK/Estimate APIs (not just Query*) must refresh an
 // auto-promoted source's last-use tick, or a source served heavily through
@@ -359,7 +100,7 @@ func TestTrackedReadsKeepAutoSourceWarm(t *testing.T) {
 	g := dynppr.GraphFromEdges(edges)
 	so := dynppr.DefaultServiceOptions()
 	so.OnDemand = dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-3, PromoteAfter: 2, MaxAutoSources: 2, Seed: 1,
+		Enabled: true, Epsilon: 1e-3, PromoteAfter: 2, MaxAutoSources: 2,
 	}
 	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
 	if err != nil {
@@ -425,7 +166,7 @@ func TestOnDemandCloseRace(t *testing.T) {
 	edges := odTestEdges(t, 2000, 12_000, 9)
 	g := dynppr.GraphFromEdges(edges)
 	so := dynppr.DefaultServiceOptions()
-	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-5, Seed: 3, Workers: 2}
+	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-5, Workers: 2}
 	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)

@@ -10,23 +10,30 @@ import (
 	"testing"
 )
 
-func promoteTestService(t *testing.T) *Service {
-	t.Helper()
-	rng := rand.New(rand.NewSource(17))
-	edges := make([]Edge, 0, 400)
-	for i := 0; i < 80; i++ { // ring keeps every vertex reachable
-		edges = append(edges, Edge{U: VertexID(i), V: VertexID((i + 1) % 80)})
+// odRingEdges is a ring — every vertex reachable, so every cold push does
+// real work — plus random chords up to the requested edge count.
+func odRingEdges(vertices, edges int, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	list := make([]Edge, 0, edges)
+	for i := 0; i < vertices; i++ {
+		list = append(list, Edge{U: VertexID(i), V: VertexID((i + 1) % vertices)})
 	}
-	for len(edges) < 400 {
-		u, v := VertexID(rng.Intn(80)), VertexID(rng.Intn(80))
+	for len(list) < edges {
+		u, v := VertexID(rng.Intn(vertices)), VertexID(rng.Intn(vertices))
 		if u != v {
-			edges = append(edges, Edge{U: u, V: v})
+			list = append(list, Edge{U: u, V: v})
 		}
 	}
+	return list
+}
+
+func promoteTestService(t *testing.T) *Service {
+	t.Helper()
+	edges := odRingEdges(80, 400, 17)
 	so := DefaultServiceOptions()
 	so.QueueDepth = 1
 	so.OnDemand = OnDemandOptions{
-		Enabled: true, Epsilon: 1e-3, PromoteAfter: 1, MaxAutoSources: 1, Seed: 2,
+		Enabled: true, Epsilon: 1e-3, PromoteAfter: 1, MaxAutoSources: 1,
 	}
 	svc, err := NewService(GraphFromEdges(edges), []VertexID{79}, so)
 	if err != nil {

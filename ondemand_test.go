@@ -3,6 +3,7 @@ package dynppr_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"dynppr"
@@ -48,9 +49,8 @@ func applyEdges(t *testing.T, g *dynppr.Graph, b dynppr.Batch) {
 // TestOnDemandDifferentialVsOracle checks the acceptance contract of the
 // on-demand path: every estimate returned for an untracked source is within
 // the advertised error bound of the power-iteration reverse (contribution)
-// oracle — the same quantity tracked sources serve — both with the pure push
-// and with Monte-Carlo refinement, before and after a live edge batch (which
-// forces a CSR snapshot rebuild).
+// oracle — the same quantity tracked sources serve — before and after a live
+// edge batch (which forces a snapshot rebuild).
 func TestOnDemandDifferentialVsOracle(t *testing.T) {
 	const (
 		vertices = 400
@@ -63,112 +63,104 @@ func TestOnDemandDifferentialVsOracle(t *testing.T) {
 		{U: 0, V: 1, Op: dynppr.Delete},
 		{U: 55, V: 120, Op: dynppr.Insert},
 	}
-	for _, walks := range []int{0, 4000} {
-		g := dynppr.GraphFromEdges(edges)
-		tracked := g.TopDegreeVertices(2)
-		so := dynppr.DefaultServiceOptions()
-		so.Options.Epsilon = 1e-6
-		so.OnDemand = dynppr.OnDemandOptions{
-			Enabled: true, Epsilon: odEps, RefineWalks: walks, Seed: 42,
-		}
-		svc, err := dynppr.NewService(g, tracked, so)
-		if err != nil {
-			t.Fatalf("NewService: %v", err)
-		}
-		defer svc.Close()
+	g := dynppr.GraphFromEdges(edges)
+	tracked := g.TopDegreeVertices(2)
+	so := dynppr.DefaultServiceOptions()
+	so.Options.Epsilon = 1e-6
+	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: odEps}
+	svc, err := dynppr.NewService(g, tracked, so)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	defer svc.Close()
 
-		oracleGraph := dynppr.GraphFromEdges(edges)
-		check := func(stage string) {
-			isTracked := make(map[dynppr.VertexID]bool, len(tracked))
-			for _, s := range tracked {
-				isTracked[s] = true
-			}
-			csr := oracleGraph.Snapshot()
-			var probes []dynppr.VertexID
-			for _, v := range []dynppr.VertexID{3, 57, 191, 202, 333} {
-				if !isTracked[v] {
-					probes = append(probes, v)
-				}
-			}
-			for _, src := range probes {
-				oracle, err := power.Reverse(csr, src, power.Options{
-					Alpha: so.Options.Alpha, Tolerance: 1e-12, MaxIterations: 10_000,
-				})
-				if err != nil {
-					t.Fatalf("%s: power.Reverse(%d): %v", stage, src, err)
-				}
-				top, qi, err := svc.QueryTopK(src, 10)
-				if err != nil {
-					t.Fatalf("%s: QueryTopK(%d): %v", stage, src, err)
-				}
-				if !qi.Approx {
-					t.Fatalf("%s: QueryTopK(%d): expected approx answer for untracked source", stage, src)
-				}
-				if qi.Epsilon <= 0 || qi.Epsilon >= 1 {
-					t.Fatalf("%s: QueryTopK(%d): implausible advertised epsilon %g", stage, src, qi.Epsilon)
-				}
-				const slack = 1e-12
-				for _, vs := range top {
-					if diff := math.Abs(vs.Score - oracle[vs.Vertex]); diff > qi.Epsilon+slack {
-						t.Fatalf("%s: walks=%d source=%d vertex=%d: |%g - %g| = %g > advertised epsilon %g",
-							stage, walks, src, vs.Vertex, vs.Score, oracle[vs.Vertex], diff, qi.Epsilon)
-					}
-				}
-				for _, v := range []dynppr.VertexID{0, 1, src, 99, 250, vertices - 1} {
-					est, eqi, err := svc.QueryEstimate(src, v)
-					if err != nil {
-						t.Fatalf("%s: QueryEstimate(%d,%d): %v", stage, src, v, err)
-					}
-					if !eqi.Approx {
-						t.Fatalf("%s: QueryEstimate(%d,%d): expected approx answer", stage, src, v)
-					}
-					if diff := math.Abs(est - oracle[v]); diff > eqi.Epsilon+slack {
-						t.Fatalf("%s: walks=%d source=%d estimate(%d): |%g - %g| = %g > epsilon %g",
-							stage, walks, src, v, est, oracle[v], diff, eqi.Epsilon)
-					}
-				}
-				// Determinism: the same query against the same snapshot
-				// returns bit-identical scores.
-				again, qi2, err := svc.QueryTopK(src, 10)
-				if err != nil {
-					t.Fatalf("%s: repeat QueryTopK(%d): %v", stage, src, err)
-				}
-				if qi2.Epsilon != qi.Epsilon || len(again) != len(top) {
-					t.Fatalf("%s: repeat QueryTopK(%d): shape/epsilon changed", stage, src)
-				}
-				for i := range top {
-					if top[i] != again[i] {
-						t.Fatalf("%s: repeat QueryTopK(%d): entry %d differs: %v vs %v", stage, src, i, top[i], again[i])
-					}
-				}
-			}
-			// A tracked source stays on the exact path.
-			if _, qi, err := svc.QueryTopK(tracked[0], 5); err != nil || qi.Approx {
-				t.Fatalf("%s: tracked QueryTopK: err=%v approx=%v", stage, err, qi.Approx)
+	oracleGraph := dynppr.GraphFromEdges(edges)
+	check := func(stage string) {
+		isTracked := make(map[dynppr.VertexID]bool, len(tracked))
+		for _, s := range tracked {
+			isTracked[s] = true
+		}
+		csr := oracleGraph.Snapshot()
+		var probes []dynppr.VertexID
+		for _, v := range []dynppr.VertexID{3, 57, 191, 202, 333} {
+			if !isTracked[v] {
+				probes = append(probes, v)
 			}
 		}
+		for _, src := range probes {
+			oracle, err := power.Reverse(csr, src, power.Options{
+				Alpha: so.Options.Alpha, Tolerance: 1e-12, MaxIterations: 10_000,
+			})
+			if err != nil {
+				t.Fatalf("%s: power.Reverse(%d): %v", stage, src, err)
+			}
+			top, qi, err := svc.QueryTopK(src, 10)
+			if err != nil {
+				t.Fatalf("%s: QueryTopK(%d): %v", stage, src, err)
+			}
+			if !qi.Approx {
+				t.Fatalf("%s: QueryTopK(%d): expected approx answer for untracked source", stage, src)
+			}
+			if qi.Epsilon <= 0 || qi.Epsilon >= 1 {
+				t.Fatalf("%s: QueryTopK(%d): implausible advertised epsilon %g", stage, src, qi.Epsilon)
+			}
+			const slack = 1e-12
+			for _, vs := range top {
+				if diff := math.Abs(vs.Score - oracle[vs.Vertex]); diff > qi.Epsilon+slack {
+					t.Fatalf("%s: source=%d vertex=%d: |%g - %g| = %g > advertised epsilon %g",
+						stage, src, vs.Vertex, vs.Score, oracle[vs.Vertex], diff, qi.Epsilon)
+				}
+			}
+			for _, v := range []dynppr.VertexID{0, 1, src, 99, 250, vertices - 1} {
+				est, eqi, err := svc.QueryEstimate(src, v)
+				if err != nil {
+					t.Fatalf("%s: QueryEstimate(%d,%d): %v", stage, src, v, err)
+				}
+				if !eqi.Approx {
+					t.Fatalf("%s: QueryEstimate(%d,%d): expected approx answer", stage, src, v)
+				}
+				if diff := math.Abs(est - oracle[v]); diff > eqi.Epsilon+slack {
+					t.Fatalf("%s: source=%d estimate(%d): |%g - %g| = %g > epsilon %g",
+						stage, src, v, est, oracle[v], diff, eqi.Epsilon)
+				}
+			}
+			// Determinism: the same query against the same snapshot
+			// returns bit-identical scores.
+			again, qi2, err := svc.QueryTopK(src, 10)
+			if err != nil {
+				t.Fatalf("%s: repeat QueryTopK(%d): %v", stage, src, err)
+			}
+			if qi2.Epsilon != qi.Epsilon || len(again) != len(top) {
+				t.Fatalf("%s: repeat QueryTopK(%d): shape/epsilon changed", stage, src)
+			}
+			for i := range top {
+				if top[i] != again[i] {
+					t.Fatalf("%s: repeat QueryTopK(%d): entry %d differs: %v vs %v", stage, src, i, top[i], again[i])
+				}
+			}
+		}
+		// A tracked source stays on the exact path.
+		if _, qi, err := svc.QueryTopK(tracked[0], 5); err != nil || qi.Approx {
+			t.Fatalf("%s: tracked QueryTopK: err=%v approx=%v", stage, err, qi.Approx)
+		}
+	}
 
-		check("initial")
-		if _, err := svc.ApplyBatch(batch); err != nil {
-			t.Fatalf("ApplyBatch: %v", err)
-		}
-		applyEdges(t, oracleGraph, batch)
-		check("after-batch")
+	check("initial")
+	if _, err := svc.ApplyBatch(batch); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	applyEdges(t, oracleGraph, batch)
+	check("after-batch")
 
-		st := svc.Stats()
-		if st.OnDemand == nil {
-			t.Fatal("Stats().OnDemand is nil with the path enabled")
-		}
-		if st.OnDemand.Queries == 0 {
-			t.Fatal("Stats().OnDemand.Queries did not advance")
-		}
-		if st.OnDemand.SnapshotBuilds < 2 {
-			t.Fatalf("expected >= 2 snapshot builds (initial + post-batch), got %d", st.OnDemand.SnapshotBuilds)
-		}
-		if walks > 0 && st.OnDemand.Walks == 0 {
-			t.Fatal("refinement walks not counted")
-		}
-		svc.Close()
+	st := svc.Stats()
+	if st.OnDemand == nil {
+		t.Fatal("Stats().OnDemand is nil with the path enabled")
+	}
+	if st.OnDemand.Queries == 0 {
+		t.Fatal("Stats().OnDemand.Queries did not advance")
+	}
+	if st.OnDemand.SnapshotBuilds < 2 {
+		t.Fatalf("expected >= 2 snapshot builds (initial + post-batch), got %d", st.OnDemand.SnapshotBuilds)
 	}
 }
 
@@ -182,7 +174,7 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 	manual := g.TopDegreeVertices(1)
 	so := dynppr.DefaultServiceOptions()
 	so.OnDemand = dynppr.OnDemandOptions{
-		Enabled: true, Epsilon: 1e-3, PromoteAfter: 3, MaxAutoSources: 2, Seed: 1,
+		Enabled: true, Epsilon: 1e-3, PromoteAfter: 3, MaxAutoSources: 2,
 	}
 	svc, err := dynppr.NewService(g, manual, so)
 	if err != nil {
@@ -297,11 +289,33 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 
 	// A source outside the graph is still answerable, exactly: no walk can
 	// reach an isolated vertex, and its own walk contributes exactly α.
+	// Promotion cannot improve an exact answer, and tracking the id would
+	// grow the graph to it: however often it is read, it is counted as a
+	// query and nothing else. (Regression test — PromoteAfter reads of an
+	// out-of-graph id used to add it as a source, and with it every vertex
+	// up to it.)
 	far := dynppr.VertexID(10_000)
-	est, qi, err := svc.QueryEstimate(far, far)
-	if err != nil || !qi.Approx || est != so.Options.Alpha {
-		t.Fatalf("out-of-graph source: est=%g (want alpha %g) approx=%v err=%v",
-			est, so.Options.Alpha, qi.Approx, err)
+	was, sources := svc.Stats(), svc.Sources()
+	for i := 0; i < 2*so.OnDemand.PromoteAfter; i++ {
+		est, qi, err := svc.QueryEstimate(far, far)
+		if err != nil || !qi.Approx || qi.Promoted || qi.Epsilon != 0 || est != so.Options.Alpha {
+			t.Fatalf("out-of-graph source read #%d: est=%g (want alpha %g) approx=%v promoted=%v epsilon=%g err=%v",
+				i, est, so.Options.Alpha, qi.Approx, qi.Promoted, qi.Epsilon, err)
+		}
+		top, _, err := svc.QueryTopK(far, 5)
+		if err != nil || len(top) != 1 || top[0] != (dynppr.VertexScore{Vertex: far, Score: so.Options.Alpha}) {
+			t.Fatalf("out-of-graph source top-k #%d: %v err=%v", i, top, err)
+		}
+	}
+	now := svc.Stats()
+	if now.Vertices != was.Vertices || !slices.Equal(svc.Sources(), sources) {
+		t.Fatalf("out-of-graph reads grew the service: vertices %d -> %d, sources %v -> %v",
+			was.Vertices, now.Vertices, sources, svc.Sources())
+	}
+	if od, was := now.OnDemand, was.OnDemand; od.Promotions != was.Promotions || od.Candidates != was.Candidates ||
+		od.Queries != was.Queries+int64(4*so.OnDemand.PromoteAfter) {
+		t.Fatalf("out-of-graph reads: promotions %d -> %d, candidates %d -> %d, queries %d -> %d (want +%d)",
+			was.Promotions, od.Promotions, was.Candidates, od.Candidates, was.Queries, od.Queries, 4*so.OnDemand.PromoteAfter)
 	}
 }
 
@@ -374,7 +388,7 @@ func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
 	// batch's own footprint, not whatever survived a background merge.
 	svc, err := dynppr.NewService(g, []dynppr.VertexID{tracked}, dynppr.ServiceOptions{
 		Options: opts, PoolWorkers: 1, CompactAfterDeltaEdges: -1,
-		OnDemand: dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-4, Seed: 3},
+		OnDemand: dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-4},
 	})
 	if err != nil {
 		t.Fatal(err)
