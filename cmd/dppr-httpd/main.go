@@ -63,20 +63,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		probeBO  = fs.Duration("probe-backoff", 0, "delay before the first recovery probe after persistence degrades; doubles per failure up to 30s (0 = 250ms)")
 		probeMax = fs.Int("probe-max", 0, "failed recovery probes before persistence fails permanently (0 = 64, negative = probe forever)")
 
-		queue      = fs.Int("queue", 0, "write pipeline queue depth; writes shed with 429 when it stays full (0 = default 64)")
-		admitTO    = fs.Duration("admission-timeout", 0, "max wait for a pipeline slot before a write sheds with 429 (0 = half the write timeout)")
-		rateLimit  = fs.Float64("rate-limit", 0, "per-client request rate limit in req/s across data-plane endpoints (0 = unlimited)")
-		rateBurst  = fs.Int("rate-burst", 16, "per-client token-bucket burst size")
-		noCoalesce = fs.Bool("no-coalesce", false, "disable coalescing of identical concurrent /topk reads")
-		noMetrics  = fs.Bool("no-metrics", false, "disable the GET /metrics Prometheus endpoint")
-		pprofOn    = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (expose only on trusted networks)")
+		queue     = fs.Int("queue", 0, "write pipeline queue depth; writes shed with 429 when it stays full (0 = default 64)")
+		admitTO   = fs.Duration("admission-timeout", 0, "max wait for a pipeline slot before a write sheds with 429 (0 = half the write timeout)")
+		rateLimit = fs.Float64("rate-limit", 0, "per-client request rate limit in req/s across data-plane endpoints (0 = unlimited)")
+		rateBurst = fs.Int("rate-burst", 16, "per-client token-bucket burst size")
+		noMetrics = fs.Bool("no-metrics", false, "disable the GET /metrics Prometheus endpoint")
+		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (expose only on trusted networks)")
 
 		onDemand   = fs.Bool("ondemand", false, "answer reads for untracked sources with bounded approximate PPR instead of 404")
 		odEps      = fs.Float64("ondemand-eps", 1e-4, "push residual threshold for on-demand queries (coarser than -epsilon)")
 		promoteAft = fs.Int("promote-after", 0, "promote an untracked source to live tracking after this many queries (0 = never)")
 		maxAuto    = fs.Int("max-auto-sources", 64, "cap on auto-promoted sources; the coldest is evicted at capacity")
-		odWorkers  = fs.Int("ondemand-workers", 0, "cold-push worker pool size for on-demand queries (0 = GOMAXPROCS-derived)")
-		odCache    = fs.Int("ondemand-cache", 0, "on-demand result cache entries (0 = default 256, negative = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,8 +88,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Epsilon:        *odEps,
 		PromoteAfter:   *promoteAft,
 		MaxAutoSources: *maxAuto,
-		Workers:        *odWorkers,
-		ResultCache:    *odCache,
 	}
 	po := dynppr.PersistOptions{Dir: *dataDir, ProbeBackoff: *probeBO, ProbeMax: *probeMax}
 	var err error
@@ -154,7 +149,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			RateLimit:        *rateLimit,
 			RateBurst:        *rateBurst,
 			AdmissionTimeout: *admitTO,
-			DisableCoalesce:  *noCoalesce,
 			DisableMetrics:   *noMetrics,
 			EnablePprof:      *pprofOn,
 		},
@@ -163,8 +157,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	q := svc.Queue()
-	fmt.Fprintf(out, "admission: queue=%d rate-limit=%g rate-burst=%d coalesce=%t metrics=%t pprof=%t\n",
-		q.Cap, *rateLimit, *rateBurst, !*noCoalesce, !*noMetrics, *pprofOn)
+	fmt.Fprintf(out, "admission: queue=%d rate-limit=%g rate-burst=%d metrics=%t pprof=%t\n",
+		q.Cap, *rateLimit, *rateBurst, !*noMetrics, *pprofOn)
 	if *onDemand {
 		odst := svc.Stats().OnDemand
 		fmt.Fprintf(out, "ondemand: eps=%.0e promote-after=%d max-auto-sources=%d workers=%d cache=%d\n",

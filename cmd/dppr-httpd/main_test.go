@@ -3,7 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -146,8 +153,11 @@ func TestHTTPDErrors(t *testing.T) {
 	if err := run(ctx, []string{"-engine", "warp-drive", "-vertices", "10", "-edges", "20"}, &buf); err == nil {
 		t.Fatal("unknown flag must fail")
 	}
-	for _, gone := range [][2]string{{"-parallelism", "1"}, {"-ondemand-walks", "1"}, {"-ondemand-budget", "1ms"}} {
-		if err := run(ctx, []string{gone[0], gone[1], "-vertices", "10", "-edges", "20"}, &buf); err == nil {
+	for _, gone := range [][]string{
+		{"-parallelism", "1"}, {"-ondemand-walks", "1"}, {"-ondemand-budget", "1ms"},
+		{"-no-coalesce"}, {"-ondemand-workers", "1"}, {"-ondemand-cache", "1"},
+	} {
+		if err := run(ctx, append(gone, "-vertices", "10", "-edges", "20"), &buf); err == nil {
 			t.Fatalf("%s is gone and must fail as an unknown flag", gone[0])
 		}
 	}
@@ -159,6 +169,37 @@ func TestHTTPDErrors(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-vertices", "50", "-edges", "200", "-addr", "256.0.0.1:bad"}, &buf); err == nil {
 		t.Fatal("unlistenable address must fail")
+	}
+}
+
+// TestHTTPDFlagSurface compares the flags -h prints with a golden list, so
+// the next flag is a visible diff here.
+func TestHTTPDFlagSurface(t *testing.T) {
+	// The flag package prints usage to os.Stderr, resolved at call time.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run(context.Background(), []string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	usage, _ := io.ReadAll(r)
+	var got []string
+	for _, line := range strings.Split(string(usage), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	want := strings.Fields(`addr admission-timeout checkpoint-every data-dir dataset drain edges
+		epsilon fsync input max-auto-sources no-metrics ondemand ondemand-eps pool pprof probe-backoff
+		probe-max promote-after queue rate-burst rate-limit seed sources vertices`)
+	if !slices.Equal(got, want) { // -h prints in sorted order
+		t.Fatalf("dppr-httpd has %d flags %v, the golden list has %d: %v", len(got), got, len(want), want)
 	}
 }
 
@@ -340,18 +381,16 @@ func TestHTTPDNoMetricsFlag(t *testing.T) {
 	<-errCh
 }
 
-// TestHTTPDOnDemandFlags boots the daemon with the on-demand pool/cache
-// flags and asserts the startup log reports the resolved values and that a
-// repeated cold query is answered from the result cache.
+// TestHTTPDOnDemandFlags boots the daemon with the on-demand flags and
+// asserts the startup log reports the derived bound and cache size and that
+// a repeated cold query is answered from the result cache.
 func TestHTTPDOnDemandFlags(t *testing.T) {
 	var out syncBuffer
-	base, cancel, errCh := startHTTPD(t, &out,
-		"-ondemand", "-ondemand-eps", "1e-3",
-		"-ondemand-workers", "2", "-ondemand-cache", "32")
+	base, cancel, errCh := startHTTPD(t, &out, "-ondemand", "-ondemand-eps", "1e-3")
 	defer cancel()
 
-	if !strings.Contains(out.String(), "workers=2 cache=32\n") {
-		t.Fatalf("ondemand startup line missing resolved pool/cache:\n%s", out.String())
+	if want := fmt.Sprintf("workers=%d cache=256\n", runtime.GOMAXPROCS(0)); !strings.Contains(out.String(), want) {
+		t.Fatalf("ondemand startup line missing the derived %q:\n%s", want, out.String())
 	}
 
 	client := httpapi.NewClient(base, nil)

@@ -648,12 +648,13 @@ func report(out io.Writer, cfg config, results []*clientResult, drops int64, ela
 		if l.Count() == 0 && shed[c] == 0 {
 			continue
 		}
+		pct := l.Percentiles(50, 95, 99)
 		fmt.Fprintf(out, "%-10s %10d %10d %12v %12v %12v %12v %12v\n",
 			c, l.Count(), shed[c],
 			l.Mean().Round(time.Microsecond),
-			l.Percentile(50).Round(time.Microsecond),
-			l.Percentile(95).Round(time.Microsecond),
-			l.Percentile(99).Round(time.Microsecond),
+			pct[0].Round(time.Microsecond),
+			pct[1].Round(time.Microsecond),
+			pct[2].Round(time.Microsecond),
 			l.Max().Round(time.Microsecond))
 	}
 	issued := total + totalShed + drops

@@ -26,7 +26,6 @@ func startServer(t *testing.T) string {
 	sources := g.TopDegreeVertices(3)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-4
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	svc, err := dynppr.NewService(g, sources, so)
 	if err != nil {
@@ -110,7 +109,6 @@ func startOverloadServer(t *testing.T) string {
 	sources := g.TopDegreeVertices(2)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-6
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.QueueDepth = 1
 	svc, err := dynppr.NewService(g, sources, so)
@@ -173,7 +171,6 @@ func startOnDemandServer(t *testing.T) string {
 	sources := g.TopDegreeVertices(3)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-4
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.OnDemand = dynppr.OnDemandOptions{
 		Enabled: true, Epsilon: 1e-3,

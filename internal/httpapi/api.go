@@ -377,7 +377,8 @@ type EndpointStats struct {
 // many requests were answered 429 because the write pipeline was saturated
 // (Shed) or because the per-client token bucket rejected them
 // (RateLimited), and how many reads were answered from another identical
-// in-flight request (Coalesced).
+// in-flight request (Coalesced) — the on-demand tier's count, the one place
+// identical reads are shared; 0 with on-demand off.
 type OverloadStats struct {
 	Shed        int64 `json:"shed"`
 	RateLimited int64 `json:"rate_limited"`

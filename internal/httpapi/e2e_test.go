@@ -46,7 +46,6 @@ func TestHTTPAPIEndToEnd(t *testing.T) {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = epsilon
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	svc, err := dynppr.NewService(g, stable, so)
 	if err != nil {

@@ -29,8 +29,7 @@ const defaultTopK = 10
 
 // HandlerOptions configure the traffic-management behavior of a Handler.
 // The zero value is a production-safe default: admission bounded at one
-// second, read coalescing on, /metrics exported, rate limiting and pprof
-// off.
+// second, /metrics exported, rate limiting and pprof off.
 type HandlerOptions struct {
 	// RateLimit is the sustained per-client request rate (requests/second)
 	// across the data-plane endpoints; 0 disables rate limiting. Clients
@@ -45,9 +44,6 @@ type HandlerOptions struct {
 	// it always runs to completion, so a 429 guarantees the batch had no
 	// effect. <= 0 selects one second.
 	AdmissionTimeout time.Duration
-	// DisableCoalesce turns off deduplication of identical concurrent
-	// /topk reads.
-	DisableCoalesce bool
 	// DisableMetrics removes the GET /metrics Prometheus endpoint.
 	DisableMetrics bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
@@ -91,7 +87,6 @@ type Handler struct {
 	metrics *Metrics
 	opts    HandlerOptions
 	limiter *rateLimiter
-	flights flightGroup
 }
 
 // NewHandler builds the API handler over svc with default options. The
@@ -354,11 +349,12 @@ func (h *Handler) handleHealthz(*http.Request) (any, error) {
 }
 
 func (h *Handler) handleStats(*http.Request) (any, error) {
-	return StatsResponse{
-		Service:  serviceStats(h.svc.Stats()),
-		HTTP:     h.metrics.Snapshot(),
-		Overload: h.metrics.Overload(),
-	}, nil
+	st := h.svc.Stats()
+	ov := OverloadStats{Shed: h.metrics.shed.Load(), RateLimited: h.metrics.rateLimited.Load()}
+	if od := st.OnDemand; od != nil {
+		ov.Coalesced = od.Coalesced
+	}
+	return StatsResponse{Service: serviceStats(st), HTTP: h.metrics.Snapshot(), Overload: ov}, nil
 }
 
 func (h *Handler) handleSources(r *http.Request) (any, error) {
@@ -470,10 +466,6 @@ func (h *Handler) estimate(ctx context.Context, source, v dynppr.VertexID) (*Est
 	return res, nil
 }
 
-// handleTopK answers one ranking read. Identical concurrent requests (same
-// source and k) are coalesced into one snapshot read: reads are served from
-// immutable converged snapshots, so every coalesced caller receives a
-// response it could have produced itself, snapshot metadata included.
 func (h *Handler) handleTopK(r *http.Request) (any, error) {
 	source, err := parseVertex(r, "source")
 	if err != nil {
@@ -485,17 +477,7 @@ func (h *Handler) handleTopK(r *http.Request) (any, error) {
 	}
 	ctx, cancel := h.admissionCtx(r)
 	defer cancel()
-	if h.opts.DisableCoalesce {
-		return h.topK(ctx, source, k)
-	}
-	key := strconv.Itoa(int(source)) + "/" + strconv.Itoa(k)
-	val, shared, err := h.flights.do(key, func() (any, error) {
-		return h.topK(ctx, source, k)
-	})
-	if shared {
-		h.metrics.coalesced.Add(1)
-	}
-	return val, err
+	return h.topK(ctx, source, k)
 }
 
 func (h *Handler) handleEstimate(r *http.Request) (any, error) {

@@ -31,7 +31,6 @@ func newTestAPI(t *testing.T, nSources int) (*dynppr.Service, []dynppr.VertexID,
 	sources := g.TopDegreeVertices(nSources)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-4
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	svc, err := dynppr.NewService(g, sources, so)
 	if err != nil {
@@ -317,6 +316,10 @@ func TestStatsEndpoint(t *testing.T) {
 	edges := stats.HTTP["/edges"]
 	if edges.Requests != 1 || edges.QPS <= 0 {
 		t.Fatalf("/edges endpoint stats: %+v", edges)
+	}
+	// With on-demand off nothing coalesces reads; the field stays on the wire.
+	if stats.Overload.Coalesced != 0 || stats.Service.OnDemand != nil {
+		t.Fatalf("overload without on-demand: %+v", stats.Overload)
 	}
 	// Error accounting: a 404 counts as an error on its endpoint.
 	if _, err := client.TopK(9999, 1); err == nil {

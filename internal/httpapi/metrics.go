@@ -54,13 +54,14 @@ func (e *endpointMetrics) observe(d time.Duration, isErr bool) {
 
 func (e *endpointMetrics) stats(elapsed time.Duration) EndpointStats {
 	e.mu.Lock()
+	pct := e.lat.Percentiles(50, 95, 99)
 	out := EndpointStats{
 		Requests:   e.requests.Load(),
 		Errors:     e.errors.Load(),
 		MeanMicros: e.lat.Mean().Microseconds(),
-		P50Micros:  e.lat.Percentile(50).Microseconds(),
-		P95Micros:  e.lat.Percentile(95).Microseconds(),
-		P99Micros:  e.lat.Percentile(99).Microseconds(),
+		P50Micros:  pct[0].Microseconds(),
+		P95Micros:  pct[1].Microseconds(),
+		P99Micros:  pct[2].Microseconds(),
 		MaxMicros:  e.lat.Max().Microseconds(),
 	}
 	e.mu.Unlock()
@@ -90,11 +91,9 @@ type Metrics struct {
 	endpoints map[string]*endpointMetrics
 
 	// shed counts 429s from write-pipeline overload, rateLimited 429s from
-	// the per-client token bucket, and coalesced /topk requests answered
-	// from another request's in-flight read.
+	// the per-client token bucket.
 	shed        atomic.Int64
 	rateLimited atomic.Int64
-	coalesced   atomic.Int64
 }
 
 // newMetrics registers the given endpoint names.
@@ -123,13 +122,4 @@ func (m *Metrics) Snapshot() map[string]EndpointStats {
 		out[name] = e.stats(elapsed)
 	}
 	return out
-}
-
-// Overload returns the handler-wide traffic-management counters.
-func (m *Metrics) Overload() OverloadStats {
-	return OverloadStats{
-		Shed:        m.shed.Load(),
-		RateLimited: m.rateLimited.Load(),
-		Coalesced:   m.coalesced.Load(),
-	}
 }

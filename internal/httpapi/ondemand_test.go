@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -36,7 +37,6 @@ func newOnDemandAPI(t *testing.T, od dynppr.OnDemandOptions) (*dynppr.Service, [
 	sources := g.TopDegreeVertices(2)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-5
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.OnDemand = od
 	svc, err := dynppr.NewService(g, sources, so)
@@ -361,10 +361,14 @@ func TestHTTPOnDemandBudgetAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	od := st.Service.OnDemand
-	if od == nil || od.ColdPushes == 0 || od.CacheHits == 0 || od.CacheCapacity == 0 ||
-		od.CacheEntries == 0 || od.PoolWorkers <= 0 ||
+	if od == nil || od.ColdPushes == 0 || od.CacheHits == 0 || od.CacheCapacity != 256 ||
+		od.CacheEntries == 0 || od.PoolWorkers != runtime.GOMAXPROCS(0) || od.PoolDepth != 0 ||
 		od.CacheAnswerEntries < int64(od.CacheEntries) || od.CacheBytes < 12*od.CacheAnswerEntries {
 		t.Fatalf("on-demand concurrency stats not populated: %+v", od)
+	}
+	// The one coalescer left is the on-demand tier's; overload reports it.
+	if st.Overload.Coalesced != od.Coalesced {
+		t.Fatalf("overload.coalesced = %d, service.ondemand.coalesced = %d", st.Overload.Coalesced, od.Coalesced)
 	}
 	text, err := client.Metrics()
 	if err != nil {

@@ -33,7 +33,6 @@ func overloadServer(t *testing.T, handler httpapi.HandlerOptions) (*dynppr.Servi
 	sources := g.TopDegreeVertices(2)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-6
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.QueueDepth = 1
 	svc, err := dynppr.NewService(g, sources, so)
@@ -333,7 +332,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"dppr_http_requests_total", "dppr_http_request_errors_total",
 		"dppr_http_request_duration_seconds",
-		"dppr_http_shed_total", "dppr_http_rate_limited_total", "dppr_http_coalesced_total",
+		"dppr_http_shed_total", "dppr_http_rate_limited_total",
 		"dppr_queue_depth", "dppr_queue_capacity", "dppr_pipeline_shed_total",
 		"dppr_batches_total", "dppr_updates_applied_total",
 		"dppr_graph_vertices", "dppr_graph_edges", "dppr_pushes_total",

@@ -15,7 +15,6 @@ import (
 func (h *Handler) gather() []promexp.Family {
 	st := h.svc.Stats()
 	q := h.svc.Queue()
-	ov := h.metrics.Overload()
 
 	names := make([]string, 0, len(h.metrics.endpoints))
 	for name := range h.metrics.endpoints {
@@ -61,11 +60,9 @@ func (h *Handler) gather() []promexp.Family {
 	fams := []promexp.Family{
 		requests, errors, duration,
 		counter("dppr_http_shed_total",
-			"Requests answered 429 because the write pipeline was saturated.", float64(ov.Shed)),
+			"Requests answered 429 because the write pipeline was saturated.", float64(h.metrics.shed.Load())),
 		counter("dppr_http_rate_limited_total",
-			"Requests answered 429 by the per-client rate limiter.", float64(ov.RateLimited)),
-		counter("dppr_http_coalesced_total",
-			"Read requests answered from another identical in-flight request.", float64(ov.Coalesced)),
+			"Requests answered 429 by the per-client rate limiter.", float64(h.metrics.rateLimited.Load())),
 		gauge("dppr_queue_depth",
 			"Mutations waiting in the write pipeline.", float64(q.Depth)),
 		gauge("dppr_queue_capacity",
@@ -111,7 +108,7 @@ func (h *Handler) gather() []promexp.Family {
 			counter("dppr_ondemand_queries_total",
 				"Answers served by the on-demand (approximate) query path.", float64(od.Queries)),
 			counter("dppr_ondemand_cold_pushes_total",
-				"Cold local pushes executed by the on-demand worker pool.", float64(od.ColdPushes)),
+				"Cold local pushes executed by the on-demand tier.", float64(od.ColdPushes)),
 			counter("dppr_ondemand_cache_hits_total",
 				"On-demand queries answered from the result cache.", float64(od.CacheHits)),
 			counter("dppr_ondemand_cache_misses_total",
@@ -125,9 +122,9 @@ func (h *Handler) gather() []promexp.Family {
 			gauge("dppr_ondemand_cache_bytes",
 				"Bytes held by the cached answers' sparse estimate vectors.", float64(od.CacheBytes)),
 			gauge("dppr_ondemand_pool_workers",
-				"Workers in the on-demand cold-push pool.", float64(od.PoolWorkers)),
+				"Tokens bounding concurrent cold pushes (GOMAXPROCS).", float64(od.PoolWorkers)),
 			gauge("dppr_ondemand_pool_depth",
-				"Cold pushes executing right now.", float64(od.PoolDepth)),
+				"Cold-push tokens held right now.", float64(od.PoolDepth)),
 			counter("dppr_ondemand_snapshot_builds_total",
 				"CSR graph snapshots built for on-demand queries.", float64(od.SnapshotBuilds)),
 			counter("dppr_ondemand_seconds_total",

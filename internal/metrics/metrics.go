@@ -9,7 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -240,22 +240,23 @@ func (l *LatencyStats) Mean() time.Duration {
 // Percentile returns the p-th percentile latency, p in [0,100], over the
 // most recent window of samples.
 func (l *LatencyStats) Percentile(p float64) time.Duration {
+	return l.Percentiles(p)[0]
+}
+
+// Percentiles returns the percentile latency for each p in ps, sorting the
+// window once however many are asked for.
+func (l *LatencyStats) Percentiles(ps ...float64) []time.Duration {
+	out := make([]time.Duration, len(ps))
 	if len(l.samples) == 0 {
-		return 0
+		return out
 	}
-	sorted := append([]time.Duration(nil), l.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
+	sorted := slices.Clone(l.samples)
+	slices.Sort(sorted)
+	for i, p := range ps {
+		idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+		out[i] = sorted[min(max(idx, 0), len(sorted)-1)]
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
+	return out
 }
 
 // Max returns the largest sample ever observed.

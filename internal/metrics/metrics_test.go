@@ -138,6 +138,19 @@ func TestLatencyStatsBounded(t *testing.T) {
 	if p100 := l.Percentile(100); p100 != total*time.Microsecond {
 		t.Fatalf("windowed max = %v", p100)
 	}
+	// One sort answers what the per-call sorts answer: the window holds
+	// total-63 .. total µs, so rank ⌈p/100·64⌉ is known for every p.
+	ps := []float64{-1, 0, 1, 50, 95, 99, 100, 101}
+	ranks := []int{1, 1, 1, 32, 61, 64, 64, 64}
+	for i, got := range l.Percentiles(ps...) {
+		want := time.Duration(total-64+ranks[i]) * time.Microsecond
+		if got != want || l.Percentile(ps[i]) != want {
+			t.Fatalf("p%g: Percentiles %v, Percentile %v, want %v", ps[i], got, l.Percentile(ps[i]), want)
+		}
+	}
+	if got := new(LatencyStats).Percentiles(50, 99); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("empty window: %v, want two zeros", got)
+	}
 }
 
 func TestLatencyStatsAddAllExactAggregates(t *testing.T) {

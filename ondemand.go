@@ -25,12 +25,14 @@
 //
 // Cold answers are computed concurrently but never redundantly: identical
 // in-flight queries are singleflight-coalesced by (source, graph
-// generation), the pushes themselves run on a small bounded worker pool
-// with ctx-bounded admission (overload still surfaces ErrOverloaded, never
-// partial effects), and completed answers land in a bounded LRU result
-// cache under the same (source, generation) key — a repeat query between
-// graph mutations is an O(k) read, and a mutation invalidates the cache for
-// free because the generation moves (compaction does not bump it).
+// generation) — the only place on the serving path identical reads are
+// shared — the leader runs the push on its own goroutine holding one of
+// GOMAXPROCS tokens acquired under its context (overload still surfaces
+// ErrOverloaded, never partial effects), and completed answers land in an
+// LRU result cache of odCacheEntries answers under the same (source,
+// generation) key — a repeat query between graph mutations is an O(k) read,
+// and a mutation invalidates the cache for free because the generation moves
+// (compaction does not bump it).
 //
 // A frequency-based admission cache watches on-demand traffic: a source
 // queried at least PromoteAfter times is promoted into tracked state through
@@ -72,28 +74,19 @@ type OnDemandOptions struct {
 	// once; at capacity the coldest auto-promoted source is evicted to make
 	// room. Manually added sources are never evicted. <= 0 selects 64.
 	MaxAutoSources int
-	// MaxCandidates bounds the admission cache (the per-source query
-	// counters); at capacity the least recently queried candidate is
-	// dropped. <= 0 selects 4096.
-	MaxCandidates int
 	// MaxPushes bounds the work of a single on-demand push. When the cap is
 	// hit the answer is still sound — the advertised epsilon grows to cover
 	// the unpushed residual. <= 0 selects 4,000,000.
 	MaxPushes int64
-	// Workers bounds how many cold pushes execute concurrently. Queries
-	// beyond that wait for a worker under ctx-bounded admission — if none
-	// frees up before the context is done the query sheds with
-	// ErrOverloaded, having had no effect. <= 0 selects a GOMAXPROCS-derived
-	// default.
-	Workers int
-	// ResultCache caps the bounded LRU cache of computed cold answers,
-	// keyed by (source, graph generation). Repeat queries for a source
-	// between graph mutations are O(k) reads of the cached answer; any
-	// effective mutation moves the generation and so invalidates the cache
-	// for free (compaction does not). 0 selects 256; negative disables
-	// caching.
-	ResultCache int
 }
+
+const (
+	// odCacheEntries is the capacity of the LRU cache of cold answers.
+	odCacheEntries = 256
+	// odMaxCandidates bounds the admission cache (the per-source query
+	// counters); at capacity the least recently queried candidate is dropped.
+	odMaxCandidates = 4096
+)
 
 // withDefaults resolves the zero values documented on each field.
 func (o OnDemandOptions) withDefaults() OnDemandOptions {
@@ -103,17 +96,8 @@ func (o OnDemandOptions) withDefaults() OnDemandOptions {
 	if o.MaxAutoSources <= 0 {
 		o.MaxAutoSources = 64
 	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 4096
-	}
 	if o.MaxPushes <= 0 {
 		o.MaxPushes = 4_000_000
-	}
-	if o.Workers <= 0 {
-		o.Workers = fp.DefaultWorkers()
-	}
-	if o.ResultCache == 0 {
-		o.ResultCache = 256
 	}
 	return o
 }
@@ -160,19 +144,16 @@ type onDemand struct {
 	// at a cost proportional to the delta segments present, not graph size.
 	snap atomic.Pointer[odSnapshot]
 
-	// tasks hands cold-push jobs to the worker pool. It is unbuffered on
-	// purpose: a job is either picked up by a live worker or not submitted
-	// at all, so ctx-bounded admission can never strand accepted work.
-	tasks     chan func()
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// tokens is the one bound on cold pushes: a GOMAXPROCS-slot semaphore.
+	// A flight's leader sends to acquire a slot, under its context, and
+	// receives to give it back.
+	tokens chan struct{}
 
 	// fmu guards the singleflight table of in-flight cold computations.
 	fmu     sync.Mutex
 	flights map[odKey]*odFlight
 
-	// cache is the bounded LRU of computed answers; nil when disabled.
+	// cache is the bounded LRU of computed answers.
 	cache *odCache
 
 	// mu guards the admission cache and serializes auto-registry mutations.
@@ -196,7 +177,6 @@ type onDemand struct {
 	coalesced         atomic.Int64
 	cacheHits         atomic.Int64
 	cacheMisses       atomic.Int64
-	poolDepth         atomic.Int64
 	lastLatency       atomic.Int64 // nanoseconds
 	totalLatency      atomic.Int64 // nanoseconds
 }
@@ -220,43 +200,23 @@ func newOnDemand(svc *Service, opts OnDemandOptions) *onDemand {
 		opts:    opts.withDefaults(),
 		svc:     svc,
 		cand:    make(map[VertexID]*odCandidate),
-		tasks:   make(chan func()),
-		quit:    make(chan struct{}),
+		tokens:  make(chan struct{}, fp.DefaultWorkers()),
 		flights: make(map[odKey]*odFlight),
-	}
-	if od.opts.ResultCache > 0 {
-		od.cache = newODCache(od.opts.ResultCache)
+		cache:   newODCache(odCacheEntries),
 	}
 	empty := make(map[VertexID]*atomic.Int64)
 	od.auto.Store(&empty)
-	od.wg.Add(od.opts.Workers)
-	for i := 0; i < od.opts.Workers; i++ {
-		go od.worker()
-	}
 	return od
 }
 
-// worker executes cold-push jobs until the pool shuts down. A job accepted
-// from tasks always runs to completion — it touches only pinned immutable
-// snapshots, so it is safe even while the service closes around it.
-func (od *onDemand) worker() {
-	defer od.wg.Done()
-	for {
-		select {
-		case <-od.quit:
-			return
-		case job := <-od.tasks:
-			job()
-		}
-	}
-}
-
-// close shuts the worker pool down and waits it out. Queries blocked in pool
-// admission fail with ErrServiceClosed; in-flight pushes complete and their
-// waiters get the answer.
+// close waits the in-flight cold pushes out by taking every token, and keeps
+// them. The service calls it once, after the pipeline has exited: svc.done is
+// closed by then, so queries blocked on the bound fail with ErrServiceClosed
+// while pushes that hold a token complete and answer their waiters.
 func (od *onDemand) close() {
-	od.closeOnce.Do(func() { close(od.quit) })
-	od.wg.Wait()
+	for range cap(od.tokens) {
+		od.tokens <- struct{}{}
+	}
 }
 
 // mutateAuto publishes a modified copy of the auto-source registry. Callers
@@ -280,15 +240,15 @@ type OnDemandStats struct {
 	// ColdPushes counts cold pushes actually executed; Queries minus
 	// ColdPushes is the work the coalescer and result cache saved.
 	ColdPushes int64
-	// CacheHits and CacheMisses count result-cache lookups (0 when the
-	// cache is disabled). Coalesced counts queries that shared an identical
-	// in-flight computation instead of pushing redundantly.
+	// CacheHits and CacheMisses count result-cache lookups. Coalesced counts
+	// queries that shared an identical in-flight computation instead of
+	// pushing redundantly.
 	CacheHits   int64
 	CacheMisses int64
 	Coalesced   int64
-	// CacheEntries and CacheCapacity describe the result cache;
-	// PoolWorkers and PoolDepth the cold-push worker pool (depth = pushes
-	// executing right now).
+	// CacheEntries and CacheCapacity describe the result cache; PoolWorkers
+	// and PoolDepth the cold-push bound (its tokens, and how many are held
+	// right now).
 	CacheEntries  int
 	CacheCapacity int
 	PoolWorkers   int
@@ -333,8 +293,8 @@ func (od *onDemand) stats() *OnDemandStats {
 		CacheHits:              od.cacheHits.Load(),
 		CacheMisses:            od.cacheMisses.Load(),
 		Coalesced:              od.coalesced.Load(),
-		PoolWorkers:            od.opts.Workers,
-		PoolDepth:              od.poolDepth.Load(),
+		PoolWorkers:            cap(od.tokens),
+		PoolDepth:              int64(len(od.tokens)),
 		SnapshotBuilds:         od.snapshotBuilds.Load(),
 		LastSnapshotDeltaEdges: od.lastSnapshotDelta.Load(),
 		Promotions:             od.promotions.Load(),
@@ -344,10 +304,8 @@ func (od *onDemand) stats() *OnDemandStats {
 		LastLatency:            time.Duration(od.lastLatency.Load()),
 		TotalLatency:           time.Duration(od.totalLatency.Load()),
 	}
-	if od.cache != nil {
-		st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes = od.cache.resident()
-		st.CacheCapacity = od.cache.cap
-	}
+	st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes = od.cache.resident()
+	st.CacheCapacity = od.cache.cap
 	return st
 }
 
@@ -360,9 +318,9 @@ func (s *Service) QueryTopK(source VertexID, k int) ([]VertexScore, QueryInfo, e
 	return s.QueryTopKCtx(context.Background(), source, k)
 }
 
-// QueryTopKCtx is QueryTopK with bounded admission for the pipeline and
-// pool work an on-demand answer may need (snapshot refresh after a graph
-// mutation, a cold-push worker slot, promotion): if those stay contended
+// QueryTopKCtx is QueryTopK with bounded admission for the pipeline work and
+// the cold-push token an on-demand answer may need (view refresh after a
+// graph mutation, the push itself, promotion): if those stay contended
 // until ctx is done the query gives up with ErrOverloaded, having had no
 // effect. Tracked-source reads never touch the pipeline and ignore ctx.
 func (s *Service) QueryTopKCtx(ctx context.Context, source VertexID, k int) ([]VertexScore, QueryInfo, error) {
@@ -487,9 +445,8 @@ func (e *odEntry) queryInfo(source VertexID) QueryInfo {
 }
 
 // onDemandQuery answers an untracked source — from the result cache, by
-// joining an identical in-flight computation, or by running the push on the
-// worker pool — and feeds the admission cache (possibly promoting the
-// source).
+// joining an identical in-flight computation, or by running the push — and
+// feeds the admission cache (possibly promoting the source).
 func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry, QueryInfo, error) {
 	od := s.od
 	if source < 0 {
@@ -519,12 +476,14 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry,
 		return e, qi, nil
 	}
 	key := odKey{source: source, gen: snap.gen}
-	if e := od.cacheGet(key); e != nil {
+	if e := od.cache.get(key); e != nil {
+		od.cacheHits.Add(1)
 		qi := e.queryInfo(source)
 		qi.Cached = true
 		od.finish(ctx, source, start, &qi)
 		return e, qi, nil
 	}
+	od.cacheMisses.Add(1)
 	e, shared, err := od.compute(ctx, key, snap)
 	if err != nil {
 		return nil, QueryInfo{}, err
@@ -552,8 +511,9 @@ func (od *onDemand) served(start time.Time) {
 	od.totalLatency.Add(int64(elapsed))
 }
 
-// compute coalesces onto an identical in-flight computation or runs the cold
-// push on the worker pool. The bool result reports sharing (for stats and
+// compute coalesces onto an identical in-flight computation or leads one:
+// the leader acquires a cold-push token under its context and runs the push
+// on its own goroutine. The bool result reports sharing (for stats and
 // QueryInfo.Coalesced).
 func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot) (*odEntry, bool, error) {
 	for {
@@ -563,7 +523,7 @@ func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot) (*
 			select {
 			case <-f.done:
 				if f.err != nil {
-					// The leader failed pool admission on its own context.
+					// The leader failed to get a token on its own context.
 					// Ours may still be live — retry; the dead flight is
 					// gone, so the next lap either leads or joins a fresh
 					// one.
@@ -582,39 +542,25 @@ func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot) (*
 		od.flights[key] = f
 		od.fmu.Unlock()
 
-		settle := func() {
-			od.fmu.Lock()
-			delete(od.flights, key)
-			od.fmu.Unlock()
-			close(f.done)
-		}
-		job := func() {
-			defer settle()
-			od.poolDepth.Add(1)
-			defer od.poolDepth.Add(-1)
-			f.entry, f.err = od.runCold(key, snap)
-		}
-		// Pool admission. The task channel is unbuffered: a successful send
-		// means a worker has the job and will finish it, so waiting on
-		// f.done below cannot hang — not even across Close.
 		select {
-		case od.tasks <- job:
-			<-f.done
-			return f.entry, false, f.err
-		case <-od.quit:
+		case od.tokens <- struct{}{}:
+			f.entry, f.err = od.runCold(key, snap)
+			<-od.tokens
+		case <-od.svc.done:
 			f.err = ErrServiceClosed
-			settle()
-			return nil, false, f.err
 		case <-ctx.Done():
 			f.err = fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
-			settle()
-			return nil, false, f.err
 		}
+		od.fmu.Lock()
+		delete(od.flights, key)
+		od.fmu.Unlock()
+		close(f.done)
+		return f.entry, false, f.err
 	}
 }
 
-// runCold executes one cold push on a pool worker and publishes the entry to
-// the result cache.
+// runCold executes one cold push and publishes the entry to the result
+// cache.
 func (od *onDemand) runCold(key odKey, snap *odSnapshot) (*odEntry, error) {
 	cfg := push.Config{Alpha: od.svc.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
 	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, od.opts.MaxPushes)
@@ -629,28 +575,8 @@ func (od *onDemand) runCold(key odKey, snap *odSnapshot) (*odEntry, error) {
 		truncated: pr.Capped,
 		vertices:  snap.view.NumVertices(),
 	}
-	od.cachePut(key, e)
+	od.cache.put(key, e)
 	return e, nil
-}
-
-// cacheGet looks the (source, generation) key up and counts the hit or miss.
-func (od *onDemand) cacheGet(key odKey) *odEntry {
-	if od.cache == nil {
-		return nil
-	}
-	e := od.cache.get(key)
-	if e != nil {
-		od.cacheHits.Add(1)
-	} else {
-		od.cacheMisses.Add(1)
-	}
-	return e
-}
-
-func (od *onDemand) cachePut(key odKey, e *odEntry) {
-	if od.cache != nil {
-		od.cache.put(key, e)
-	}
 }
 
 // odCache is the bounded LRU of cold answers.
@@ -779,8 +705,7 @@ func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
 	if cur := od.snap.Load(); cur != nil && cur.gen == s.graphGen.Load() {
 		return cur, nil
 	}
-	res := make(chan *odSnapshot, 1)
-	if err := s.submitRead(ctx, func() {
+	return onPipeline(ctx, s, false, func() (*odSnapshot, error) {
 		cur := od.snap.Load()
 		// Concurrent refreshers coalesce: the generation is re-read on the
 		// pipeline, where it cannot advance under us.
@@ -791,11 +716,8 @@ func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
 			od.snapshotBuilds.Add(1)
 			od.lastSnapshotDelta.Store(int64(view.DeltaEdges()))
 		}
-		res <- cur
-	}); err != nil {
-		return nil, err
-	}
-	return <-res, nil
+		return cur, nil
+	})
 }
 
 // touch refreshes the last-use tick of an auto-promoted source so exact-path
@@ -825,7 +747,7 @@ func (od *onDemand) note(source VertexID) {
 	od.clock++
 	c := od.cand[source]
 	if c == nil {
-		if len(od.cand) >= od.opts.MaxCandidates {
+		if len(od.cand) >= odMaxCandidates {
 			var coldest VertexID
 			cold := int64(-1)
 			for v, cc := range od.cand {

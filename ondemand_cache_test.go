@@ -1,6 +1,8 @@
 package dynppr
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -59,20 +61,17 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	edges := odRingEdges(20_000, 140_000, 13)
 	g := GraphFromEdges(edges)
 	so := DefaultServiceOptions()
-	// A single worker serializes the pushes, so wedging it below pins every
-	// query in admission until the test lets go.
-	so.OnDemand = OnDemandOptions{Enabled: true, Epsilon: 1e-3, Workers: 1}
+	so.OnDemand = OnDemandOptions{Enabled: true, Epsilon: 1e-3}
 	svc, err := NewService(g, g.TopDegreeVertices(1), so)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
 	defer svc.Close()
 
-	// Occupy the single worker (the send returns once it has taken the job),
-	// so the concurrent probe queries all pile onto one flight before any of
-	// them can run.
-	release := make(chan struct{})
-	svc.od.tasks <- func() { <-release }
+	// Hold every cold-push token, so the concurrent probe queries all pile
+	// onto one flight before any of them can run.
+	release := holdColdPushTokens(svc.od)
+	defer release()
 
 	const probe = VertexID(200)
 	const waiters = 8
@@ -92,14 +91,14 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 		}(i)
 	}
 	// Every waiter has missed the cache, so it is on the flight — leading it
-	// into pool admission or waiting on the leader.
+	// to the token bound or waiting on the leader.
 	for deadline := time.Now().Add(10 * time.Second); svc.od.cacheMisses.Load() < waiters; {
 		if time.Now().After(deadline) {
 			t.Fatal("waiters never reached the coalescer")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	close(release)
+	release()
 	done.Wait()
 
 	for i, a := range answers {
@@ -160,12 +159,10 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	}
 
 	// (source, generation) → bits, with no exceptions: a second service over
-	// the same edges with a different pool, no cache, and the endpoints asked
-	// in the other order answers every cold source — coalesced, cached or
-	// computed — with exactly the floats of the one cold push.
-	so2 := so
-	so2.OnDemand.Workers, so2.OnDemand.ResultCache = 4, -1
-	svc2, err := NewService(GraphFromEdges(edges), g.TopDegreeVertices(1), so2)
+	// the same edges with the endpoints asked in the other order answers
+	// every cold source — coalesced, cached or computed — with exactly the
+	// floats of the one cold push.
+	svc2, err := NewService(GraphFromEdges(edges), g.TopDegreeVertices(1), so)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
@@ -204,7 +201,7 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("QueryEstimate(%d,%d): %v", src, v, err)
 		}
-		check("workers=1 cached top-k first", top, est, tqi, eqi)
+		check("top-k first", top, est, tqi, eqi)
 		est, eqi, err = svc2.QueryEstimate(src, v)
 		if err != nil {
 			t.Fatalf("QueryEstimate(%d,%d): %v", src, v, err)
@@ -213,7 +210,7 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("QueryTopK(%d): %v", src, err)
 		}
-		check("workers=4 uncached estimate first", top, est, tqi, eqi)
+		check("estimate first", top, est, tqi, eqi)
 	}
 	pushes := svc.Stats().OnDemand.ColdPushes
 
@@ -227,5 +224,129 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	}
 	if st := svc.Stats().OnDemand; st.ColdPushes != pushes+1 {
 		t.Fatalf("cold pushes after mutation = %d, want %d", st.ColdPushes, pushes+1)
+	}
+}
+
+// holdColdPushTokens takes every cold-push token, wedging each flight's
+// leader at the bound until the returned release hands them back (once:
+// callers also defer it, so a failing test does not wedge Close).
+func holdColdPushTokens(od *onDemand) (release func()) {
+	for range cap(od.tokens) {
+		od.tokens <- struct{}{}
+	}
+	return sync.OnceFunc(func() {
+		for range cap(od.tokens) {
+			<-od.tokens
+		}
+	})
+}
+
+// waitCtx reports every time something starts to wait on it: select
+// evaluates ctx.Done() on entry, so a receive from waits proves the caller
+// has reached a select in compute — and, for a follower, that it has found
+// its flight. waits is buffered past the ≤ 3 selects a test's queries enter.
+type waitCtx struct {
+	context.Context
+	waits chan struct{}
+}
+
+func (c waitCtx) Done() <-chan struct{} {
+	c.waits <- struct{}{}
+	return c.Context.Done()
+}
+
+// TestOnDemandLeaderCancelFollowerRetries reaches compute's retry lap: a
+// follower with a live context waits on a leader that gives up at the token
+// bound on its own context. The follower must not inherit that error — it
+// leads a fresh flight and returns the one cold push's bits. The tail pins
+// Close at the bound: ErrServiceClosed for the blocked, and it returns only
+// once every token is back (a held token is a push in flight).
+func TestOnDemandLeaderCancelFollowerRetries(t *testing.T) {
+	edges := odRingEdges(2_000, 14_000, 13)
+	g := GraphFromEdges(edges)
+	so := DefaultServiceOptions()
+	so.OnDemand = OnDemandOptions{Enabled: true, Epsilon: 1e-3}
+	svc, err := NewService(g, g.TopDegreeVertices(1), so)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	defer svc.Close()
+	release := holdColdPushTokens(svc.od)
+	defer release()
+
+	const src = VertexID(200)
+	leadCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lead := waitCtx{leadCtx, make(chan struct{}, 8)}
+	follow := waitCtx{context.Background(), make(chan struct{}, 8)}
+	leadErr := make(chan error, 1)
+	go func() {
+		_, _, err := svc.QueryTopKCtx(lead, src, 10)
+		leadErr <- err
+	}()
+	<-lead.waits // the leader's flight is registered and it waits for a token
+	type ans struct {
+		top []VertexScore
+		eps float64
+		err error
+	}
+	followed := make(chan ans, 1)
+	go func() {
+		top, qi, err := svc.QueryTopKCtx(follow, src, 10)
+		followed <- ans{top, qi.Epsilon, err}
+	}()
+	<-follow.waits // the follower found the leader's flight and waits on it
+	cancel()
+	if err := <-leadErr; !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("cancelled leader: %v, want ErrOverloaded", err)
+	}
+	select {
+	case <-follow.waits: // the retry lap: the follower leads a fresh flight, at the bound
+	case a := <-followed:
+		t.Fatalf("follower with a live context inherited the leader's fate: %v", a.err)
+	}
+	release()
+	a := <-followed
+	csr := GraphFromEdges(edges).Snapshot()
+	want, err := push.ColdPushCSR(csr, src,
+		push.Config{Alpha: so.Options.Alpha, Epsilon: so.OnDemand.Epsilon}, svc.od.opts.MaxPushes)
+	if err != nil {
+		t.Fatalf("ColdPushCSR: %v", err)
+	}
+	wantTop := push.AppendTopKSparse(nil, csr.NumVertices(), want.Vertices, want.Estimates, 10)
+	if a.err != nil || len(a.top) != len(wantTop) || math.Float64bits(a.eps) != math.Float64bits(want.MaxResidual) {
+		t.Fatalf("follower: err=%v, %d entries at epsilon %g; the cold push has %d at %g",
+			a.err, len(a.top), a.eps, len(wantTop), want.MaxResidual)
+	}
+	for i := range wantTop {
+		if a.top[i].Vertex != wantTop[i].Vertex || math.Float64bits(a.top[i].Score) != math.Float64bits(wantTop[i].Score) {
+			t.Fatalf("follower entry %d: %v, the cold push has %v", i, a.top[i], wantTop[i])
+		}
+	}
+	if st := svc.Stats().OnDemand; st.ColdPushes != 1 || st.Coalesced != 0 || st.Queries != 1 {
+		t.Fatalf("pushes=%d coalesced=%d queries=%d, want 1/0/1", st.ColdPushes, st.Coalesced, st.Queries)
+	}
+
+	// Close fails a query blocked at the bound and waits held tokens out.
+	release = holdColdPushTokens(svc.od)
+	defer release()
+	go func() {
+		_, _, err := svc.QueryTopKCtx(follow, src+1, 10)
+		leadErr <- err
+	}()
+	<-follow.waits
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	if err := <-leadErr; !errors.Is(err, ErrServiceClosed) {
+		t.Fatalf("query blocked at the bound across Close: %v, want ErrServiceClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while cold-push tokens were still held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }

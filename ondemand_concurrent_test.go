@@ -10,23 +10,31 @@ import (
 	"dynppr"
 )
 
-// TestOnDemandResultCacheBounds pins the LRU bound and the disable knob.
+// TestOnDemandResultCacheBounds pins the LRU at its constant capacity: the
+// resident accounting follows every insert and eviction exactly.
 func TestOnDemandResultCacheBounds(t *testing.T) {
-	edges := odTestEdges(t, 200, 1200, 3)
-
-	// Capacity 2: the third distinct source evicts the first.
+	const capacity = 256
+	edges := odTestEdges(t, 400, 2400, 3)
 	g := dynppr.GraphFromEdges(edges)
+	tracked := g.TopDegreeVertices(1)
 	so := dynppr.DefaultServiceOptions()
-	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-3, ResultCache: 2}
-	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
+	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-3}
+	svc, err := dynppr.NewService(g, tracked, so)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
 	}
 	defer svc.Close()
-	// resident[i] is the summed sparse length of the cached answers after
-	// the i-th query; it must follow every insert and eviction exactly.
-	var resident []int64
-	for _, src := range []dynppr.VertexID{10, 20, 30} {
+	// Fill the cache to capacity and one past it; lens[i] is the sparse
+	// length of the i-th answer, read off the resident total's growth.
+	var cold []dynppr.VertexID
+	for v := dynppr.VertexID(0); len(cold) < capacity+1; v++ {
+		if v != tracked[0] {
+			cold = append(cold, v)
+		}
+	}
+	var lens []int64
+	var resident int64
+	for i, src := range cold {
 		if _, _, err := svc.QueryTopK(src, 5); err != nil {
 			t.Fatalf("QueryTopK(%d): %v", src, err)
 		}
@@ -34,27 +42,28 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 		if st.CacheBytes != 12*st.CacheAnswerEntries {
 			t.Fatalf("cache holds %d B for %d sparse entries, want 12 B each", st.CacheBytes, st.CacheAnswerEntries)
 		}
-		resident = append(resident, st.CacheAnswerEntries)
+		grown := st.CacheAnswerEntries - resident
+		if i == capacity {
+			grown += lens[0] // the first answer was evicted to make room
+		}
+		if grown <= 0 || st.CacheEntries != min(i+1, capacity) || st.CacheCapacity != capacity {
+			t.Fatalf("after %d answers: entries=%d capacity=%d, last answer %d sparse entries",
+				i+1, st.CacheEntries, st.CacheCapacity, grown)
+		}
+		lens = append(lens, grown)
+		resident = st.CacheAnswerEntries
 	}
-	len10, len20 := resident[0], resident[1]-resident[0]
-	len30 := resident[2] - len20 // 10 was evicted
-	if len10 <= 0 || len20 <= 0 || len30 <= 0 {
-		t.Fatalf("resident sparse entries %v do not decompose into three answers", resident)
+	// The newest answer is resident; the first was evicted and must push
+	// again, displacing the second.
+	if _, qi, err := svc.QueryTopK(cold[capacity], 5); err != nil || !qi.Cached {
+		t.Fatalf("resident source %d: err=%v cached=%v", cold[capacity], err, qi.Cached)
 	}
-	st := svc.Stats().OnDemand
-	if st.CacheEntries != 2 || st.CacheCapacity != 2 {
-		t.Fatalf("cache entries=%d capacity=%d, want 2/2", st.CacheEntries, st.CacheCapacity)
+	if _, qi, err := svc.QueryTopK(cold[0], 5); err != nil || qi.Cached {
+		t.Fatalf("evicted source %d: err=%v cached=%v (want recompute)", cold[0], err, qi.Cached)
 	}
-	// 20 and 30 are resident; 10 was evicted and must push again.
-	if _, qi, err := svc.QueryTopK(20, 5); err != nil || !qi.Cached {
-		t.Fatalf("resident source 20: err=%v cached=%v", err, qi.Cached)
-	}
-	if _, qi, err := svc.QueryTopK(10, 5); err != nil || qi.Cached {
-		t.Fatalf("evicted source 10: err=%v cached=%v (want recompute)", err, qi.Cached)
-	}
-	if st := svc.Stats().OnDemand; st.CacheAnswerEntries != len10+len20 || st.CacheBytes != 12*(len10+len20) {
-		t.Fatalf("after 10 displaced 30: %d sparse entries / %d B resident, want %d / %d",
-			st.CacheAnswerEntries, st.CacheBytes, len10+len20, 12*(len10+len20))
+	if st := svc.Stats().OnDemand; st.CacheAnswerEntries != resident+lens[0]-lens[1] || st.CacheEntries != capacity {
+		t.Fatalf("after %d displaced %d: %d sparse entries in %d answers, want %d in %d",
+			cold[0], cold[1], st.CacheAnswerEntries, st.CacheEntries, resident+lens[0]-lens[1], capacity)
 	}
 
 	// An effective write strands every cached answer (keys carry the
@@ -63,31 +72,13 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 	if _, err := svc.ApplyBatch(dynppr.Batch{{U: 1, V: 150, Op: dynppr.Insert}}); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
-	if _, qi, err := svc.QueryTopK(30, 5); err != nil || qi.Cached {
+	if _, qi, err := svc.QueryTopK(cold[2], 5); err != nil || qi.Cached {
 		t.Fatalf("post-write query: err=%v cached=%v (want recompute)", err, qi.Cached)
 	}
 	if st := svc.Stats().OnDemand; st.CacheEntries != 1 || st.CacheBytes != 12*st.CacheAnswerEntries ||
-		st.CacheAnswerEntries <= 0 || st.CacheAnswerEntries >= len10+len20+len30 {
+		st.CacheAnswerEntries <= 0 || st.CacheAnswerEntries >= resident {
 		t.Fatalf("after a write: entries=%d sparse=%d bytes=%d, want exactly the one new answer",
 			st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes)
-	}
-
-	// Negative disables: repeats recompute every time.
-	so.OnDemand.ResultCache = -1
-	svc2, err := dynppr.NewService(dynppr.GraphFromEdges(edges), g.TopDegreeVertices(1), so)
-	if err != nil {
-		t.Fatalf("NewService: %v", err)
-	}
-	defer svc2.Close()
-	for i := 0; i < 3; i++ {
-		if _, qi, err := svc2.QueryTopK(10, 5); err != nil || qi.Cached {
-			t.Fatalf("uncached service iteration %d: err=%v cached=%v", i, err, qi.Cached)
-		}
-	}
-	st2 := svc2.Stats().OnDemand
-	if st2.ColdPushes != 3 || st2.CacheCapacity != 0 || st2.CacheHits != 0 {
-		t.Fatalf("disabled cache: pushes=%d capacity=%d hits=%d, want 3/0/0",
-			st2.ColdPushes, st2.CacheCapacity, st2.CacheHits)
 	}
 }
 
@@ -166,7 +157,7 @@ func TestOnDemandCloseRace(t *testing.T) {
 	edges := odTestEdges(t, 2000, 12_000, 9)
 	g := dynppr.GraphFromEdges(edges)
 	so := dynppr.DefaultServiceOptions()
-	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-5, Workers: 2}
+	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-5}
 	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
 	if err != nil {
 		t.Fatalf("NewService: %v", err)

@@ -70,11 +70,11 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	// ...but the pipeline is wedged: one fn parked inside the pipeline
 	// goroutine, one more filling the QueueDepth=1 buffer.
 	gate := make(chan struct{})
-	if err := svc.submit(func() { <-gate }); err != nil {
-		t.Fatalf("submit gate: %v", err)
+	if err := svc.admit(context.Background(), func() { <-gate }, true); err != nil {
+		t.Fatalf("admit gate: %v", err)
 	}
-	if err := svc.submit(func() {}); err != nil {
-		t.Fatalf("submit filler: %v", err)
+	if err := svc.admit(context.Background(), func() {}, true); err != nil {
+		t.Fatalf("admit filler: %v", err)
 	}
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -102,8 +102,8 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	// coldest auto source evicted.
 	close(gate)
 	drained := make(chan struct{})
-	if err := svc.submit(func() { close(drained) }); err != nil {
-		t.Fatalf("submit drain: %v", err)
+	if err := svc.admit(context.Background(), func() { close(drained) }, true); err != nil {
+		t.Fatalf("admit drain: %v", err)
 	}
 	<-drained
 

@@ -36,7 +36,6 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	sources := g.TopDegreeVertices(2)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = 1e-6
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	so.QueueDepth = 1
 	svc, err := dynppr.NewService(g, sources, so)

@@ -1,6 +1,7 @@
 package dynppr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -195,7 +196,7 @@ func sweepTmpFiles(fs faultfs.FS, dir string) {
 // the degraded-mode machinery (lastErr, attempts, probeTimer) are
 // pipeline-owned; the atomic mirrors feed Stats and the cheap
 // PersistenceHealth accessor. The probe timer's callback only calls
-// Service.submit, so the pipeline-owned fields are never touched off the
+// Service.admit, so the pipeline-owned fields are never touched off the
 // pipeline goroutine.
 type persistence struct {
 	dir string
@@ -300,8 +301,8 @@ func (s *Service) degradePersistence(p *persistence, err error) error {
 }
 
 // schedulePersistProbe (re)arms the recovery-probe timer. The timer callback
-// runs off-pipeline and only submits the probe onto the pipeline; if the
-// service closes first, the submit fails and the callback exits.
+// runs off-pipeline and only admits the probe onto the pipeline; if the
+// service closes first, admission fails and the callback exits.
 func (s *Service) schedulePersistProbe(p *persistence) {
 	d := p.backoff()
 	p.nextProbeAt.Store(time.Now().Add(d).UnixNano())
@@ -309,7 +310,7 @@ func (s *Service) schedulePersistProbe(p *persistence) {
 		p.probeTimer.Stop()
 	}
 	p.probeTimer = time.AfterFunc(d, func() {
-		_ = s.submit(func() { s.persistProbe(p) })
+		_ = s.admit(context.Background(), func() { s.persistProbe(p) }, true)
 	})
 }
 
@@ -529,19 +530,7 @@ func (s *Service) journalRemoveSource(source VertexID) error {
 // it observes a quiescent state between batches; readers are never blocked.
 // It returns the WAL sequence number the checkpoint covers.
 func (s *Service) Checkpoint() (uint64, error) {
-	type outcome struct {
-		lsn uint64
-		err error
-	}
-	ch := make(chan outcome, 1)
-	if err := s.submit(func() {
-		lsn, err := s.doCheckpoint()
-		ch <- outcome{lsn: lsn, err: err}
-	}); err != nil {
-		return 0, err
-	}
-	o := <-ch
-	return o.lsn, o.err
+	return onPipeline(context.Background(), s, true, s.doCheckpoint)
 }
 
 func (s *Service) doCheckpoint() (uint64, error) {

@@ -312,13 +312,23 @@ func TestBootSweepsTmpLeftovers(t *testing.T) {
 	}
 }
 
-// TestCloseLeaksNoGoroutines: Close must take every goroutine the service
-// started with it — the pipeline, the shard pool, the on-demand workers and
-// whatever the recovery probe has in flight. A persistent write fault keeps
-// the probe failing and re-arming its timer, so Close lands on an armed
-// timer with tracked and cold reads just served.
+// TestCloseLeaksNoGoroutines: a service owns exactly its pipeline and shard
+// pool — the on-demand tier starts no goroutine — and Close must take every
+// one of them plus whatever the recovery probe has in flight. A persistent
+// write fault keeps the probe failing and re-arming its timer, so Close lands
+// on an armed timer with tracked and cold reads just served.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	settle := func(what string, ok func(n int) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(runtime.NumGoroutine()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines before construction, %d %s:\n%s",
+					before, runtime.NumGoroutine(), what, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
 
 	initial, stream := recoveryWorkload(t, 150, 1200, 2, 15)
 	opts := DefaultOptions()
@@ -334,6 +344,8 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close() // no-op after the checked Close below
+	owned := svc.Stats().PoolWorkers + 1
+	settle("after construction", func(n int) bool { return n == before+owned })
 	if _, err := svc.ApplyBatch(stream[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +372,5 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines before construction, %d after Close:\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settle("after Close", func(n int) bool { return n <= before })
 }

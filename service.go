@@ -380,41 +380,16 @@ func (s *Service) shardWorker(engine *push.Sequential, ch chan shardJob) {
 	}
 }
 
-// submit enqueues a mutation on the pipeline, blocking when the queue is
-// full.
-func (s *Service) submit(fn func()) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrServiceClosed
-	}
-	s.work <- fn
-	return nil
-}
-
-// trySubmit enqueues a mutation only if a queue slot is free right now;
-// a full queue sheds the mutation with ErrOverloaded instead of blocking.
-func (s *Service) trySubmit(fn func()) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrServiceClosed
-	}
-	select {
-	case s.work <- fn:
-		return nil
-	default:
-		s.shed.Add(1)
-		return ErrOverloaded
-	}
-}
-
-// submitCtx enqueues a mutation, waiting for a queue slot at most until ctx
-// is done. The context bounds ADMISSION only: once the mutation is enqueued
-// it will run to completion regardless of ctx, so a journaled mutation is
-// never abandoned half-acknowledged. A context that is already done still
-// admits immediately when a slot is free.
-func (s *Service) submitCtx(ctx context.Context, fn func()) error {
+// admit is the one way onto the pipeline: it enqueues fn, waiting for a queue
+// slot at most until ctx is done. Blocking callers pass the background
+// context, non-blocking ones an already cancelled one — a context that is
+// done still admits immediately when a slot is free. The context bounds
+// ADMISSION only: once fn is enqueued it runs to completion regardless of
+// ctx, so a journaled mutation is never abandoned half-acknowledged. A
+// timeout surfaces ErrOverloaded and counts against the shed statistic only
+// for a mutation — a read that gave up refreshing its graph view must not
+// look like write load shedding on the dashboards.
+func (s *Service) admit(ctx context.Context, fn func(), mutation bool) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
@@ -429,34 +404,38 @@ func (s *Service) submitCtx(ctx context.Context, fn func()) error {
 	case s.work <- fn:
 		return nil
 	case <-ctx.Done():
-		s.shed.Add(1)
+		if mutation {
+			s.shed.Add(1)
+		}
 		return fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
 	}
 }
 
-// submitRead enqueues read-side pipeline work (an on-demand CSR snapshot
-// refresh) with the same bounded admission as submitCtx, but without
-// counting a timeout against the shed statistic — shed tracks rejected
-// MUTATIONS, and a read that gave up refreshing its snapshot must not look
-// like write load shedding on the dashboards.
-func (s *Service) submitRead(ctx context.Context, fn func()) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrServiceClosed
+// onPipeline admits fn, waits for the pipeline goroutine to run it and
+// returns what it returned; an admission failure returns the zero T.
+func onPipeline[T any](ctx context.Context, s *Service, mutation bool, fn func() (T, error)) (T, error) {
+	var (
+		v   T
+		err error
+	)
+	done := make(chan struct{})
+	if aerr := s.admit(ctx, func() {
+		v, err = fn()
+		close(done)
+	}, mutation); aerr != nil {
+		return v, aerr
 	}
-	select {
-	case s.work <- fn:
-		return nil
-	default:
-	}
-	select {
-	case s.work <- fn:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
-	}
+	<-done
+	return v, err
 }
+
+// canceled is the context of the non-blocking entry points: admission under
+// it succeeds only if a queue slot is free right now.
+var canceled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // Close shuts the service down: queued mutations finish, the pipeline and
 // shard workers exit, the write-ahead log (if any) is flushed and closed,
@@ -473,12 +452,12 @@ func (s *Service) Close() error {
 	close(s.work)
 	s.closeMu.Unlock()
 	<-s.done
-	// A background compaction may still be merging; its install submit fails
-	// against the closed pipeline and the goroutine exits.
+	// A background compaction may still be merging; its install is refused
+	// by the closed pipeline and the goroutine exits.
 	s.compactWG.Wait()
-	// Shut the on-demand worker pool down: queries blocked in pool admission
-	// fail with ErrServiceClosed, in-flight cold pushes (pure reads of
-	// pinned snapshots) run to completion for their waiters.
+	// Wait the on-demand tier out: queries blocked on the cold-push bound
+	// fail with ErrServiceClosed (s.done is closed), in-flight cold pushes
+	// (pure reads of pinned views) run to completion for their waiters.
 	if s.od != nil {
 		s.od.close()
 	}
@@ -500,7 +479,7 @@ func (s *Service) Close() error {
 // later mutation) so the in-memory state never runs ahead of what recovery
 // can reconstruct.
 func (s *Service) ApplyBatch(b Batch) (BatchResult, error) {
-	return s.applyBatch(s.submit, b)
+	return s.applyBatch(context.Background(), b)
 }
 
 // ApplyBatchCtx is ApplyBatch with bounded admission: if the write queue is
@@ -511,32 +490,22 @@ func (s *Service) ApplyBatch(b Batch) (BatchResult, error) {
 // published, even past the deadline, so the acknowledgement a caller
 // eventually reads always matches the durable state.
 func (s *Service) ApplyBatchCtx(ctx context.Context, b Batch) (BatchResult, error) {
-	return s.applyBatch(func(fn func()) error { return s.submitCtx(ctx, fn) }, b)
+	return s.applyBatch(ctx, b)
 }
 
 // TryApplyBatch is ApplyBatch with non-blocking admission: a full write
 // queue sheds the batch immediately with ErrOverloaded.
 func (s *Service) TryApplyBatch(b Batch) (BatchResult, error) {
-	return s.applyBatch(s.trySubmit, b)
+	return s.applyBatch(canceled, b)
 }
 
-func (s *Service) applyBatch(admit func(func()) error, b Batch) (BatchResult, error) {
-	type outcome struct {
-		res BatchResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	if err := admit(func() {
+func (s *Service) applyBatch(ctx context.Context, b Batch) (BatchResult, error) {
+	return onPipeline(ctx, s, true, func() (BatchResult, error) {
 		if err := s.journalBatch(b); err != nil {
-			ch <- outcome{err: err}
-			return
+			return BatchResult{}, err
 		}
-		ch <- outcome{res: s.doBatch(b)}
-	}); err != nil {
-		return BatchResult{}, err
-	}
-	o := <-ch
-	return o.res, o.err
+		return s.doBatch(b), nil
+	})
 }
 
 func (s *Service) doBatch(b Batch) BatchResult {
@@ -602,7 +571,7 @@ func (s *Service) noteStorage() {
 // whether the delta segments have earned a compaction. The normal trigger
 // starts a background merge: the current state is pinned as a view (cost
 // proportional to the deltas), the merged CSR is built on a spare goroutine
-// while the pipeline keeps applying batches, and the swap is submitted back
+// while the pipeline keeps applying batches, and the swap is admitted back
 // to the pipeline — a quiescent point by construction, since every engine
 // read also runs inside pipeline tasks. If the deltas ever reach 4× the
 // trigger (the merge is slower than the write rate), the pipeline compacts
@@ -637,7 +606,7 @@ func (s *Service) maybeCompact() {
 		defer s.compactWG.Done()
 		start := time.Now()
 		base := c.Build()
-		if err := s.submit(func() {
+		if err := s.admit(context.Background(), func() {
 			// Install no-ops (false) when an inline compaction or checkpoint
 			// swapped the base first; the stale merge is simply discarded.
 			if s.g.Install(c, base) {
@@ -646,7 +615,7 @@ func (s *Service) maybeCompact() {
 				s.noteStorage()
 			}
 			s.compacting.Store(false)
-		}); err != nil {
+		}, true); err != nil {
 			s.compacting.Store(false) // service closed; deltas stay mergeable
 		}
 	}()
@@ -659,20 +628,16 @@ func (s *Service) maybeCompact() {
 // tests) — the service normally compacts itself per
 // ServiceOptions.CompactAfterDeltaEdges.
 func (s *Service) CompactNow() error {
-	done := make(chan struct{})
-	if err := s.submit(func() {
+	_, err := onPipeline(context.Background(), s, true, func() (struct{}, error) {
 		before := s.g.Epoch()
 		s.g.Compact()
 		if s.g.Epoch() != before {
 			s.compactions.Add(1)
 		}
 		s.noteStorage()
-		close(done)
-	}); err != nil {
-		return err
-	}
-	<-done
-	return nil
+		return struct{}{}, nil
+	})
+	return err
 }
 
 func (s *Service) allSources() []*serviceSource {
@@ -691,31 +656,26 @@ func (s *Service) allSources() []*serviceSource {
 // (after validation, so the log never records an operation that would fail
 // on replay).
 func (s *Service) AddSource(source VertexID) error {
-	return s.addSource(s.submit, source)
+	return s.addSource(context.Background(), source)
 }
 
 // AddSourceCtx is AddSource with bounded admission (see ApplyBatchCtx for
 // the contract: ctx bounds the wait for a pipeline slot only).
 func (s *Service) AddSourceCtx(ctx context.Context, source VertexID) error {
-	return s.addSource(func(fn func()) error { return s.submitCtx(ctx, fn) }, source)
+	return s.addSource(ctx, source)
 }
 
-func (s *Service) addSource(admit func(func()) error, source VertexID) error {
-	res := make(chan error, 1)
-	if err := admit(func() {
+func (s *Service) addSource(ctx context.Context, source VertexID) error {
+	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
 		if err := s.validateAddSource(source); err != nil {
-			res <- err
-			return
+			return struct{}{}, err
 		}
 		if err := s.journalAddSource(source); err != nil {
-			res <- err
-			return
+			return struct{}{}, err
 		}
-		res <- s.doAddSource(source)
-	}); err != nil {
-		return err
-	}
-	return <-res
+		return struct{}{}, s.doAddSource(source)
+	})
+	return err
 }
 
 // validateAddSource runs on the pipeline before the addition is journaled,
@@ -770,34 +730,29 @@ func (s *Service) doAddSource(source VertexID) error {
 // reads return ErrUnknownSource. Removing an untracked source is an error.
 // On a persistent service the removal is journaled after validation.
 func (s *Service) RemoveSource(source VertexID) error {
-	return s.removeSource(s.submit, source)
+	return s.removeSource(context.Background(), source)
 }
 
 // RemoveSourceCtx is RemoveSource with bounded admission (see ApplyBatchCtx
 // for the contract: ctx bounds the wait for a pipeline slot only).
 func (s *Service) RemoveSourceCtx(ctx context.Context, source VertexID) error {
-	return s.removeSource(func(fn func()) error { return s.submitCtx(ctx, fn) }, source)
+	return s.removeSource(ctx, source)
 }
 
-func (s *Service) removeSource(admit func(func()) error, source VertexID) error {
-	res := make(chan error, 1)
-	if err := admit(func() {
+func (s *Service) removeSource(ctx context.Context, source VertexID) error {
+	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
 		// The lookup doubles as pre-journal validation: an untracked source
 		// is rejected before anything reaches the WAL.
 		src, ok := (*s.table.Load())[source]
 		if !ok {
-			res <- fmt.Errorf("%w: %d", ErrUnknownSource, source)
-			return
+			return struct{}{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 		}
 		if err := s.journalRemoveSource(source); err != nil {
-			res <- err
-			return
+			return struct{}{}, err
 		}
-		res <- s.doRemoveSource(src)
-	}); err != nil {
-		return err
-	}
-	return <-res
+		return struct{}{}, s.doRemoveSource(src)
+	})
+	return err
 }
 
 // doRemoveSource applies a removal whose source was already resolved on the

@@ -64,7 +64,6 @@ func TestServiceConcurrentStress(t *testing.T) {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = epsilon
-	so.Options.Workers = 2
 	so.PoolWorkers = 3
 	svc, err := dynppr.NewService(g, stable, so)
 	if err != nil {

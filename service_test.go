@@ -27,7 +27,6 @@ func newTestService(t *testing.T, edges []dynppr.Edge, nSources int, eps float64
 	sources := g.TopDegreeVertices(nSources)
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = eps
-	so.Options.Workers = 2
 	so.PoolWorkers = 2
 	svc, err := dynppr.NewService(g, sources, so)
 	if err != nil {
