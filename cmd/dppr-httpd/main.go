@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		input    = fs.String("input", "", "override: load the initial graph from this edge-list file")
 		sources  = fs.Int("sources", 4, "number of top-degree sources to serve")
 		epsilon  = fs.Float64("epsilon", 1e-6, "error threshold")
-		pool     = fs.Int("pool", 0, "shard pool size (0 = GOMAXPROCS)")
+		pool     = fs.Int("pool", 0, "sources pushed at once (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 1, "random seed for generated graphs")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		dataDir  = fs.String("data-dir", "", "data directory for the WAL and checkpoints (empty = in-memory only)")

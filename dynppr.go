@@ -39,12 +39,12 @@
 //	fmt.Println(tr.Estimate(4))
 //
 // Tracker and TrackerSet are single-goroutine types. To serve queries from
-// many goroutines while an update stream is applied, use Service: it shards
-// multiple sources across a worker pool, serializes writes through one
-// pipeline, and answers reads lock-free from converged snapshots. A Service
-// takes no engine choice — every push it runs is the sequential one, one
-// source at a time per shard, so its snapshots are bit-identical across
-// pool sizes, replay and recovery.
+// many goroutines while an update stream is applied, use Service: it drives a
+// TrackerSet through one serialized write pipeline, pushing up to PoolWorkers
+// sources at once, and answers reads lock-free from converged snapshots. A
+// Service takes no engine choice — every push it runs is the sequential one,
+// one goroutine per source, so its snapshots are bit-identical across pool
+// sizes, replay and recovery.
 //
 // To serve a Service over the network, see internal/httpapi (HTTP/JSON
 // handler, server and client; every read response carries the SnapshotInfo
@@ -126,7 +126,7 @@ const (
 	// variant running on all available cores).
 	EngineParallel EngineKind = iota
 	// EngineSequential is the sequential local push baseline, and the engine
-	// every Service runs (one per shard).
+	// every Service runs (one per pool worker).
 	EngineSequential
 	// EngineVertexCentric is the Ligra-style vertex-centric baseline.
 	EngineVertexCentric

@@ -2,6 +2,7 @@ package dynppr_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +367,50 @@ func TestTrackerSet(t *testing.T) {
 	}
 	if res := det.ApplyBatch(batch); res.Pushes <= 0 || res.Pushes != batchPushes || res.Pushes >= lifetimePushes {
 		t.Fatalf("batch reported %d pushes, want %d (lifetime %d)", res.Pushes, batchPushes, lifetimePushes)
+	}
+}
+
+// A TrackerSet keeps one engine per worker, not per source: a source is its
+// pair of vectors, and the scratch a push works in (the deterministic
+// engine's per-stripe delta buffers and frontier marks) belongs to whoever
+// runs it. 64 sources on two workers therefore stay under a per-source heap
+// that 64 engines exceed.
+func TestTrackerSetEnginePerWorker(t *testing.T) {
+	const n, nSources = 20_000, 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	edges, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
+		Model: dynppr.ModelErdosRenyi, Vertices: n, Edges: 3 * n, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dynppr.GraphFromEdges(edges)
+	opts := dynppr.DefaultOptions()
+	opts.Epsilon = 1e-3
+	opts.Engine = dynppr.EngineDeterministic
+	opts.Parallelism = 2
+
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	ts, err := dynppr.NewTrackerSet(g, g.TopDegreeVertices(nSources), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One effective batch, so every engine that will ever run has run.
+	if res := ts.ApplyBatch(dynppr.Batch{{U: edges[0].U, V: edges[0].V, Op: dynppr.Delete}}); res.Applied != 1 {
+		t.Fatalf("batch: %+v", res)
+	}
+	perVertex := (float64(liveHeap()) - float64(before)) / (n * nSources)
+	runtime.KeepAlive(ts)
+	t.Logf("%d sources: %.1f live heap bytes per vertex per source", nSources, perVertex)
+	if perVertex >= 32 {
+		t.Fatalf("a source costs %.1f live heap bytes per vertex, want < 32", perVertex)
 	}
 }
 

@@ -63,8 +63,8 @@ type VertexScore struct {
 // Cached marks an on-demand answer served from the result cache (always
 // bit-identical to the answer a fresh computation would produce for the
 // same graph generation); Truncated marks an answer whose push stopped at
-// MaxPushes before reaching the configured ε — the answer is still sound
-// within the reported Epsilon.
+// the fixed per-push work cap before reaching the configured ε — the answer
+// is still sound within the reported Epsilon.
 type TopKResult struct {
 	Snapshot  SnapshotMeta  `json:"snapshot"`
 	K         int           `json:"k"`
@@ -260,7 +260,6 @@ type OnDemandStats struct {
 // SourceStats is the wire form of dynppr.SourceStats.
 type SourceStats struct {
 	Source      dynppr.VertexID `json:"source"`
-	Shard       int             `json:"shard"`
 	Epoch       uint64          `json:"epoch"`
 	Pushes      int64           `json:"pushes"`
 	MaxResidual float64         `json:"max_residual"`
@@ -349,7 +348,6 @@ func serviceStats(st dynppr.ServiceStats) ServiceStats {
 	for _, ss := range st.Sources {
 		out.Sources = append(out.Sources, SourceStats{
 			Source:         ss.Source,
-			Shard:          ss.Shard,
 			Epoch:          ss.Epoch,
 			Pushes:         ss.Pushes,
 			MaxResidual:    ss.MaxResidual,

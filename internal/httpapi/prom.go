@@ -82,7 +82,7 @@ func (h *Handler) gather() []promexp.Family {
 		gauge("dppr_graph_vertices", "Vertices in the served graph.", float64(st.Vertices)),
 		gauge("dppr_graph_edges", "Edges in the served graph.", float64(st.Edges)),
 		gauge("dppr_sources", "Tracked PPR sources.", float64(len(st.Sources))),
-		gauge("dppr_pool_workers", "Shard pool worker count.", float64(st.PoolWorkers)),
+		gauge("dppr_pool_workers", "Bound on sources pushed at once.", float64(st.PoolWorkers)),
 	}
 
 	var fullPubs, deltaPubs, rebuilds, pushes float64

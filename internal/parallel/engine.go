@@ -39,8 +39,9 @@ func (e *PushEngine) Name() string {
 func (e *PushEngine) Workers() int { return e.m.Workers() }
 
 // Run implements push.Engine. The engine keeps nothing of st once Run
-// returns, so one engine can serve any number of states in turn (a Service
-// shard runs all its sources through one) without pinning the last one.
+// returns, so one engine can serve any number of states in turn (a
+// TrackerSet worker runs every source it claims through one) without pinning
+// the last one.
 func (e *PushEngine) Run(st *push.State, candidates []graph.VertexID) {
 	g := st.Graph()
 	counters := st.Counters

@@ -90,11 +90,11 @@ func TestSequentialQueue(t *testing.T) {
 	}
 }
 
-// TestSharedSequentialBitIdenticalToDedicated is what lets a Service shard
-// run all its sources through one Sequential: an engine driven alternately
-// over two states — on different graphs, the second larger so inQueue grows
-// mid-stream — leaves both with exactly the bits two dedicated engines
-// produce, and no queue membership survives a Run.
+// TestSharedSequentialBitIdenticalToDedicated is what lets a TrackerSet
+// worker run every source it claims through one Sequential: an engine driven
+// alternately over two states — on different graphs, the second larger so
+// inQueue grows mid-stream — leaves both with exactly the bits two dedicated
+// engines produce, and no queue membership survives a Run.
 func TestSharedSequentialBitIdenticalToDedicated(t *testing.T) {
 	shared, dedSmall, dedLarge := NewSequential(), NewSequential(), NewSequential()
 	small, wantSmall := newReplay(t, shared, 150, 1200, 31), newReplay(t, dedSmall, 150, 1200, 31)

@@ -108,21 +108,25 @@ func (s *Snapshot) TopK(k int) []VertexScore { return s.AppendTopK(nil, k) }
 // paired with exactly one Release; the snapshot must not be read afterwards.
 func (s *Snapshot) Release() { s.readers.Add(-1) }
 
-// SnapshotSlot is the double-buffered publication point between one push
-// worker and any number of concurrent readers. The worker alternates between
-// two Snapshot buffers: while one is published (visible to readers through an
-// atomic pointer), the other is rewritten with the freshly converged state
-// and then published with a single atomic store. Readers therefore always
-// observe a complete, converged vector — never a mid-push intermediate.
+// SnapshotSlot is the double-buffered publication point between one
+// publisher at a time and any number of concurrent readers. The publisher
+// alternates between two Snapshot buffers: while one is published (visible
+// to readers through an atomic pointer), the other is rewritten with the
+// freshly converged state and then published with a single atomic store.
+// Readers therefore always observe a complete, converged vector — never a
+// mid-push intermediate.
 //
-// Publish is single-producer: only one goroutine may publish to a slot at a
-// time (the Service pins each source to one shard worker). Acquire/Release
-// may be called from any number of goroutines concurrently with Publish.
+// Publish is single-producer in the sense of one publisher at a time, not of
+// one pinned goroutine: successive Publish calls may come from different
+// goroutines as long as each happens-before the next (the Service publishes
+// a source from whichever worker pushed it, and the batch's WaitGroup orders
+// that before the next batch). Acquire/Release may be called from any number
+// of goroutines concurrently with Publish.
 type SnapshotSlot struct {
 	cur  atomic.Pointer[Snapshot]
 	bufs [2]*Snapshot
 	// next indexes the buffer the next Publish will write (the one that is
-	// not currently published). Only the publishing goroutine touches it.
+	// not currently published). Only the current publisher touches it.
 	next  int
 	epoch uint64
 

@@ -5,7 +5,7 @@
 // costs a full estimate/residual pair kept converged on every batch. The
 // on-demand path answers the long tail instead: a one-shot run of the
 // paper's local push (push.ColdPushBounded) over an immutable view of the
-// current graph down to a coarse ε, bounded only by MaxPushes. The view is
+// current graph down to a coarse ε, bounded only by odMaxPushes. The view is
 // epoch-pinned and touched-proportional: it layers the delta segments recent
 // batches produced over the shared immutable CSR base, so refreshing it after
 // a mutation costs O(what the batch touched), not O(graph). The push is local
@@ -17,7 +17,7 @@
 //
 // Accuracy has one dial. Every cold answer — computed, coalesced or cached,
 // whichever of QueryTopK or QueryEstimate asked first — is a bit-deterministic
-// function of (graph generation, source, α, on-demand ε, MaxPushes) and
+// function of (graph generation, source, α, on-demand ε, odMaxPushes) and
 // carries the per-vertex bound it achieved. A caller who needs better than
 // the coarse ε has two levers, both deterministic: a smaller
 // OnDemandOptions.Epsilon, or tracking the source at the tracked ε (promotion
@@ -74,10 +74,6 @@ type OnDemandOptions struct {
 	// once; at capacity the coldest auto-promoted source is evicted to make
 	// room. Manually added sources are never evicted. <= 0 selects 64.
 	MaxAutoSources int
-	// MaxPushes bounds the work of a single on-demand push. When the cap is
-	// hit the answer is still sound — the advertised epsilon grows to cover
-	// the unpushed residual. <= 0 selects 4,000,000.
-	MaxPushes int64
 }
 
 const (
@@ -86,6 +82,10 @@ const (
 	// odMaxCandidates bounds the admission cache (the per-source query
 	// counters); at capacity the least recently queried candidate is dropped.
 	odMaxCandidates = 4096
+	// odMaxPushes bounds the work of a single on-demand push. When the cap is
+	// hit the answer is still sound — the advertised epsilon grows to cover
+	// the unpushed residual.
+	odMaxPushes int64 = 4_000_000
 )
 
 // withDefaults resolves the zero values documented on each field.
@@ -95,9 +95,6 @@ func (o OnDemandOptions) withDefaults() OnDemandOptions {
 	}
 	if o.MaxAutoSources <= 0 {
 		o.MaxAutoSources = 64
-	}
-	if o.MaxPushes <= 0 {
-		o.MaxPushes = 4_000_000
 	}
 	return o
 }
@@ -126,8 +123,8 @@ type QueryInfo struct {
 	// Coalesced reports that this query shared the computation of an
 	// identical in-flight query instead of pushing redundantly.
 	Coalesced bool
-	// Truncated reports that the push stopped at MaxPushes; Epsilon still
-	// soundly bounds the error.
+	// Truncated reports that the push stopped at the fixed safety cap on one
+	// push's work (4,000,000 pushes); Epsilon still soundly bounds the error.
 	Truncated bool
 }
 
@@ -394,7 +391,7 @@ type odEntry struct {
 	// entry.
 	isolated bool
 	eps      float64
-	// truncated records that the push stopped at MaxPushes; eps covers the
+	// truncated records that the push stopped at odMaxPushes; eps covers the
 	// unfinished work.
 	truncated bool
 	vertices  int
@@ -563,7 +560,7 @@ func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot) (*
 // cache.
 func (od *onDemand) runCold(key odKey, snap *odSnapshot) (*odEntry, error) {
 	cfg := push.Config{Alpha: od.svc.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
-	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, od.opts.MaxPushes)
+	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, odMaxPushes)
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,7 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	csr := GraphFromEdges(edges).Snapshot()
 	cfg := push.Config{Alpha: so.Options.Alpha, Epsilon: so.OnDemand.Epsilon}
 	for _, src := range []VertexID{probe, 4_321, 19_999} {
-		want, err := push.ColdPushCSR(csr, src, cfg, svc.od.opts.MaxPushes)
+		want, err := push.ColdPushCSR(csr, src, cfg, odMaxPushes)
 		if err != nil {
 			t.Fatalf("ColdPushCSR(%d): %v", src, err)
 		}
@@ -309,7 +309,7 @@ func TestOnDemandLeaderCancelFollowerRetries(t *testing.T) {
 	a := <-followed
 	csr := GraphFromEdges(edges).Snapshot()
 	want, err := push.ColdPushCSR(csr, src,
-		push.Config{Alpha: so.Options.Alpha, Epsilon: so.OnDemand.Epsilon}, svc.od.opts.MaxPushes)
+		push.Config{Alpha: so.Options.Alpha, Epsilon: so.OnDemand.Epsilon}, odMaxPushes)
 	if err != nil {
 		t.Fatalf("ColdPushCSR: %v", err)
 	}

@@ -70,10 +70,10 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	// ...but the pipeline is wedged: one fn parked inside the pipeline
 	// goroutine, one more filling the QueueDepth=1 buffer.
 	gate := make(chan struct{})
-	if err := svc.admit(context.Background(), func() { <-gate }, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() { <-gate }}, true); err != nil {
 		t.Fatalf("admit gate: %v", err)
 	}
-	if err := svc.admit(context.Background(), func() {}, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() {}}, true); err != nil {
 		t.Fatalf("admit filler: %v", err)
 	}
 	expired, cancel := context.WithCancel(context.Background())
@@ -102,7 +102,7 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	// coldest auto source evicted.
 	close(gate)
 	drained := make(chan struct{})
-	if err := svc.admit(context.Background(), func() { close(drained) }, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() {}, done: drained}, true); err != nil {
 		t.Fatalf("admit drain: %v", err)
 	}
 	<-drained

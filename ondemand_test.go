@@ -319,6 +319,68 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 	}
 }
 
+// Tracking a vertex the graph already has leaves the graph — and so every
+// pinned view and cached cold answer — as it was: a promotion must not cost
+// the other cold sources their cache. (Regression test — every AddSource used
+// to advance the graph generation "in case" the cold start had grown the
+// graph, so with PromoteAfter set each promotion dropped all cached answers
+// and sent the next cold read through the pipeline for a new view of an
+// unchanged graph.) An id beyond the graph does grow it, and does invalidate.
+func TestPromotionKeepsColdCache(t *testing.T) {
+	edges := odTestEdges(t, 80, 400, 7)
+	g := dynppr.GraphFromEdges(edges)
+	so := dynppr.DefaultServiceOptions()
+	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-3, PromoteAfter: 3}
+	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	defer svc.Close()
+	var a, b dynppr.VertexID = 11, 22
+
+	first, fqi, err := svc.QueryTopK(b, 5)
+	if err != nil || !fqi.Approx || fqi.Cached {
+		t.Fatalf("first read of %d: err=%v approx=%v cached=%v", b, err, fqi.Approx, fqi.Cached)
+	}
+	for i := 0; i < so.OnDemand.PromoteAfter; i++ {
+		if _, _, err := svc.QueryTopK(a, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.Info(a); err != nil {
+		t.Fatalf("source %d not promoted: %v", a, err)
+	}
+	was := svc.Stats().OnDemand
+	again, qi, err := svc.QueryTopK(b, 5)
+	if err != nil || !qi.Cached {
+		t.Fatalf("read of %d after promoting %d: err=%v cached=%v", b, a, err, qi.Cached)
+	}
+	if now := svc.Stats().OnDemand; now.SnapshotBuilds != 1 || now.ColdPushes != was.ColdPushes {
+		t.Fatalf("promotion of an existing vertex cost a view or a push: builds %d (want 1), cold pushes %d -> %d",
+			now.SnapshotBuilds, was.ColdPushes, now.ColdPushes)
+	}
+	if math.Float64bits(qi.Epsilon) != math.Float64bits(fqi.Epsilon) || len(again) != len(first) {
+		t.Fatalf("cached answer differs: epsilon %g vs %g, %d vs %d entries", qi.Epsilon, fqi.Epsilon, len(again), len(first))
+	}
+	for i := range first {
+		if again[i].Vertex != first[i].Vertex || math.Float64bits(again[i].Score) != math.Float64bits(first[i].Score) {
+			t.Fatalf("cached answer differs at %d: %v vs %v", i, again[i], first[i])
+		}
+	}
+
+	vertices := svc.Stats().Vertices
+	if err := svc.AddSource(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, qi, err := svc.QueryTopK(b, 5); err != nil || qi.Cached {
+		t.Fatalf("read of %d after the graph grew: err=%v cached=%v", b, err, qi.Cached)
+	}
+	if now := svc.Stats(); now.Vertices <= vertices || now.OnDemand.SnapshotBuilds != 2 {
+		t.Fatalf("AddSource beyond the graph: vertices %d -> %d, view builds %d (want 2)",
+			vertices, now.Vertices, now.OnDemand.SnapshotBuilds)
+	}
+}
+
 // TestUnknownSourceErrorIdentity pins the cross-layer error contract:
 // every read path reports an untracked source with an error satisfying
 // errors.Is(err, ErrUnknownSource) — TrackerSet included, which used to

@@ -99,7 +99,15 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	}
 
 	// A done context still admits instantly when a slot is free: the
-	// deadline bounds the wait, not the work.
+	// deadline bounds the wait, not the work. The heavy batches started a
+	// background compaction, which admits its install on its own clock —
+	// let it land first, so the slot is known to be free.
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Storage.CompactionInFlight || svc.Queue().Depth > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("background compaction never finished")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := svc.ApplyBatchCtx(cancelled, overloadBatch(4, 8000, 97)); err != nil {

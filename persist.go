@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -310,7 +309,7 @@ func (s *Service) schedulePersistProbe(p *persistence) {
 		p.probeTimer.Stop()
 	}
 	p.probeTimer = time.AfterFunc(d, func() {
-		_ = s.admit(context.Background(), func() { s.persistProbe(p) }, true)
+		_ = s.admit(context.Background(), task{fn: func() { s.persistProbe(p) }}, true)
 	})
 }
 
@@ -577,16 +576,15 @@ func (s *Service) checkpointData(lsn uint64) *ckpt.Data {
 	if s.g.Epoch() != epochBefore {
 		s.compactions.Add(1)
 	}
-	s.noteStorage()
-	sources := s.allSources()
-	sort.Slice(sources, func(i, j int) bool { return sources[i].source < sources[j].source })
 	data := &ckpt.Data{
 		LSN:     lsn,
 		Alpha:   s.opts.Options.Alpha,
 		Epsilon: s.opts.Options.Epsilon,
 		CSR:     csr,
 	}
-	for _, src := range sources {
+	table := *s.table.Load()
+	for _, source := range s.Sources() { // ascending, as the format requires
+		src := table[source]
 		data.Sources = append(data.Sources, ckpt.Source{
 			Source:    src.source,
 			Epoch:     src.slot.Epoch(),
@@ -662,13 +660,15 @@ func NewServiceFromRecovery(so ServiceOptions, po PersistOptions) (*Service, err
 	so.Options.Alpha = data.Alpha
 	so.Options.Epsilon = data.Epsilon
 	cfg := push.Config{Alpha: data.Alpha, Epsilon: data.Epsilon}
-	recovered := make([]seedSource, 0, len(data.Sources))
-	for _, cs := range data.Sources {
+	sources := make([]VertexID, len(data.Sources))
+	states := make([]*push.State, len(data.Sources))
+	epochs := make([]uint64, len(data.Sources))
+	for i, cs := range data.Sources {
 		st, err := push.RestoreState(g, cs.Source, cfg, cs.Estimates, cs.Residuals)
 		if err != nil {
 			return nil, fmt.Errorf("dynppr: recovering source %d: %w", cs.Source, err)
 		}
-		recovered = append(recovered, seedSource{source: cs.Source, epoch: cs.Epoch, st: st})
+		sources[i], states[i], epochs[i] = cs.Source, st, cs.Epoch
 	}
 
 	// Open the WAL before attaching it: a torn tail is truncated here, and
@@ -684,7 +684,7 @@ func NewServiceFromRecovery(so ServiceOptions, po PersistOptions) (*Service, err
 			log.BaseLSN(), data.LSN)
 	}
 
-	svc, err := newService(g, so, nil, recovered)
+	svc, err := newService(g, so, sources, states, epochs)
 	if err != nil {
 		log.Close()
 		return nil, err

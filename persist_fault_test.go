@@ -312,9 +312,10 @@ func TestBootSweepsTmpLeftovers(t *testing.T) {
 	}
 }
 
-// TestCloseLeaksNoGoroutines: a service owns exactly its pipeline and shard
-// pool — the on-demand tier starts no goroutine — and Close must take every
-// one of them plus whatever the recovery probe has in flight. A persistent
+// TestCloseLeaksNoGoroutines: a service owns exactly one goroutine, its
+// pipeline — the goroutines a cold start or a batch lends sources to end with
+// it, the on-demand tier starts none — and Close must take it plus whatever
+// the recovery probe has in flight. A persistent
 // write fault keeps the probe failing and re-arming its timer, so Close lands
 // on an armed timer with tracked and cold reads just served.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
@@ -344,8 +345,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close() // no-op after the checked Close below
-	owned := svc.Stats().PoolWorkers + 1
-	settle("after construction", func(n int) bool { return n == before+owned })
+	settle("after construction", func(n int) bool { return n == before+1 })
 	if _, err := svc.ApplyBatch(stream[0]); err != nil {
 		t.Fatal(err)
 	}

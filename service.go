@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dynppr/internal/fp"
-	"dynppr/internal/graph"
 	"dynppr/internal/push"
 )
 
@@ -29,11 +29,14 @@ import (
 //     goroutines; they are serialized in arrival order and block until their
 //     effect is complete and published.
 //
-//   - Per-source push work is sharded across a fixed pool of workers: every
-//     source is pinned to one shard worker, which after each batch runs its
-//     sources one after another through the shard's push engine to
-//     convergence and publishes each fresh snapshot with one atomic pointer
-//     swap.
+//   - The pipeline drives one TrackerSet: a batch is journaled, applied to
+//     the graph with every source's invariant restored, and then up to
+//     PoolWorkers goroutines (the pipeline's own among them) claim the
+//     sources one by one, push each to convergence on their own engine and
+//     publish its fresh snapshot with one atomic pointer swap. No source is
+//     pinned to a worker; the batch returns when every source has published,
+//     so a source has one publisher at a time and its publications are
+//     ordered batch after batch.
 //
 //   - Reads — Estimate, Estimates, TopK, Info — are lock-free: they load the
 //     source's current snapshot through an atomic pointer and read immutable
@@ -46,11 +49,13 @@ import (
 // Consequently every read reflects the graph as of some completed batch
 // (monotonically advancing per source), never a partially applied one.
 //
-// The service is reproducible: one goroutine pushes one source through the
-// sequential push's FIFO, whose order is fixed by adjacency-list order and
-// the batch's touched order, so replaying the same batch sequence over the
-// same initial graph publishes snapshots with exactly the same float64 bits
-// — regardless of PoolWorkers, scheduling, or the machine's core count.
+// The service is reproducible: whoever claims a source pushes it alone
+// through the sequential push's FIFO, whose order is fixed by adjacency-list
+// order and the batch's touched order, and reads nothing but that source's
+// state and the quiescent graph. So replaying the same batch sequence over
+// the same initial graph publishes snapshots with exactly the same float64
+// bits — regardless of PoolWorkers, of which worker pushed which source, of
+// scheduling, or of the machine's core count.
 type Service struct {
 	opts ServiceOptions
 
@@ -59,25 +64,16 @@ type Service struct {
 	// pointer.
 	table atomic.Pointer[sourceTable]
 
-	work    chan func()
+	work    chan task
 	closeMu sync.RWMutex
 	closed  bool
 	done    chan struct{}
 
 	// Pipeline-owned state (touched only on the pipeline goroutine after
-	// construction).
-	g      *Graph
-	shards [][]*serviceSource
-	// engines[i] is shard i's push engine. A source is a pair of vectors;
-	// the queue-membership scratch a push works in belongs to whoever runs
-	// it, and a shard runs its sources strictly one after another.
-	engines  []*push.Sequential
-	shardCh  []chan shardJob
-	workerWG sync.WaitGroup
-	// statesBuf and touchedBuf are per-batch scratch recycled across
-	// batches, so the steady-state write path does not allocate them anew.
-	statesBuf  []*push.State
-	touchedBuf []graph.VertexID
+	// construction, and by the goroutines a batch lends its sources to). set
+	// maintains the tracked sources over g.
+	g   *Graph
+	set *TrackerSet
 
 	// persist is the optional durability layer (WAL + checkpoints); nil for
 	// an in-memory service. The pointer is swapped in once during
@@ -121,32 +117,31 @@ type Service struct {
 
 type sourceTable map[VertexID]*serviceSource
 
-// serviceSource is one tracked source: its push state and snapshot
-// publication slot. The state is owned by the source's shard worker (and by
-// the pipeline goroutine during AddSource cold start); the slot is the
-// read/write boundary.
+// serviceSource is one tracked source: its push state (owned by the
+// service's TrackerSet) and snapshot publication slot, the read/write
+// boundary.
 type serviceSource struct {
 	source VertexID
-	shard  int
 	st     *push.State
 	slot   *push.SnapshotSlot
 }
 
-type shardJob struct {
-	sources []*serviceSource
-	touched []graph.VertexID
-	wg      *sync.WaitGroup
+// task is one unit of pipeline work. done, if non-nil, is closed once fn has
+// run and the Stats gauges reflect it.
+type task struct {
+	fn   func()
+	done chan struct{}
 }
 
 // ServiceOptions configure a Service.
 type ServiceOptions struct {
 	// Options carry the tracking parameters. The service reads Alpha and
 	// Epsilon; every other field configures Tracker and TrackerSet only —
-	// the service always runs the sequential push, one per shard, and
-	// Options() reports it.
+	// the service always runs the sequential push, one engine per pool
+	// worker, and Options() reports it.
 	Options Options
-	// PoolWorkers is the number of shard workers pushing sources
-	// concurrently; <= 0 selects GOMAXPROCS.
+	// PoolWorkers bounds how many sources are pushed at once; <= 0 selects
+	// GOMAXPROCS.
 	PoolWorkers int
 	// QueueDepth is the capacity of the write pipeline. When it is full,
 	// ApplyBatch/AddSource/RemoveSource block (backpressure), the Ctx
@@ -211,8 +206,8 @@ func (so ServiceOptions) topKCap() int {
 // values rather than whatever the caller passed in.
 func (s *Service) Options() ServiceOptions { return s.opts }
 
-// DefaultServiceOptions returns the default tracking options with a
-// GOMAXPROCS-sized shard pool.
+// DefaultServiceOptions returns the default tracking options with
+// GOMAXPROCS pool workers.
 func DefaultServiceOptions() ServiceOptions {
 	return ServiceOptions{Options: DefaultOptions()}
 }
@@ -234,45 +229,33 @@ var (
 
 // NewService builds a serving layer over g tracking the given sources,
 // cold-starts every source to convergence, publishes their first snapshots,
-// and starts the write pipeline and shard workers. The service takes
-// ownership of g: the caller must not read or mutate it afterwards.
-// Close must be called to release the worker goroutines.
+// and starts the write pipeline. The service takes ownership of g: the
+// caller must not read or mutate it afterwards. Close must be called to
+// release the pipeline goroutine.
 //
 // A Service built this way is in-memory only; use NewPersistentService or
 // NewServiceFromRecovery for one whose state survives restarts.
 func NewService(g *Graph, sources []VertexID, so ServiceOptions) (*Service, error) {
-	return newService(g, so, sources, nil)
+	return newService(g, so, sources, nil, nil)
 }
 
-// seedSource is one source restored from a checkpoint: its converged state
-// and the snapshot epoch it had published, so recovery republishes at the
-// same epoch instead of restarting from 1.
-type seedSource struct {
-	source VertexID
-	epoch  uint64
-	st     *push.State
-}
-
-// newService is the shared constructor: cold lists the sources to cold-start
-// from scratch (the NewService path), recovered carries checkpointed states
-// to republish without re-running any push (the recovery path). Exactly one
-// of the two is non-nil.
-func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSource) (*Service, error) {
+// newService is the shared constructor. With nil states the sources are
+// cold-started from scratch (the NewService path); otherwise states and
+// epochs, parallel to sources, carry each checkpointed source's converged
+// state and the snapshot epoch it had published, to republish at that epoch
+// without re-running any push (the recovery path).
+func newService(g *Graph, so ServiceOptions, sources []VertexID, states []*push.State, epochs []uint64) (*Service, error) {
 	if err := so.Options.Validate(); err != nil {
 		return nil, err
 	}
-	sources := cold
-	if recovered != nil {
-		// Checkpointed source sets are unique by format (strictly ascending)
-		// and may legitimately be empty: a live service can drop its last
-		// source through RemoveSource, and recovery must be able to rebuild
-		// that state rather than refuse its own checkpoint.
-		sources = make([]VertexID, len(recovered))
-		for i, rs := range recovered {
-			sources[i] = rs.source
+	// Checkpointed source sets are unique by format (strictly ascending) and
+	// may legitimately be empty: a live service can drop its last source
+	// through RemoveSource, and recovery must be able to rebuild that state
+	// rather than refuse its own checkpoint.
+	if states == nil {
+		if err := validateSources(sources); err != nil {
+			return nil, err
 		}
-	} else if err := validateSources(sources); err != nil {
-		return nil, err
 	}
 	if so.PoolWorkers <= 0 {
 		so.PoolWorkers = fp.DefaultWorkers()
@@ -280,128 +263,92 @@ func newService(g *Graph, so ServiceOptions, cold []VertexID, recovered []seedSo
 	if so.QueueDepth <= 0 {
 		so.QueueDepth = 64
 	}
-	// Whatever engine the caller's Options named, this is the one that runs
-	// (see the engines loop below), and what Options() and Stats() report.
+	// Whatever engine the caller's Options named, this is the one the set
+	// builds per worker, and what Options() and Stats() report.
 	so.Options.Engine = EngineSequential
 
 	svc := &Service{
-		opts:    so,
-		g:       g,
-		work:    make(chan func(), so.QueueDepth),
-		done:    make(chan struct{}),
-		shards:  make([][]*serviceSource, so.PoolWorkers),
-		engines: make([]*push.Sequential, so.PoolWorkers),
-		shardCh: make([]chan shardJob, so.PoolWorkers),
+		opts: so,
+		g:    g,
+		work: make(chan task, so.QueueDepth),
+		done: make(chan struct{}),
 	}
-	for i := range svc.engines {
-		svc.engines[i] = push.NewSequential()
-	}
-
 	table := make(sourceTable, len(sources))
-	cfg := push.Config{Alpha: so.Options.Alpha, Epsilon: so.Options.Epsilon}
 	for i, s := range sources {
-		var st *push.State
-		if recovered != nil {
-			st = recovered[i].st
-		} else {
-			var err error
-			st, err = push.NewState(g, s, cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		src := &serviceSource{
-			source: s,
-			shard:  i % so.PoolWorkers,
-			st:     st,
-			slot:   push.NewSnapshotSlotTopK(so.topKCap()),
-		}
-		if recovered != nil {
-			if recovered[i].epoch == 0 {
+		src := &serviceSource{source: s, slot: push.NewSnapshotSlotTopK(so.topKCap())}
+		if states != nil {
+			if epochs[i] == 0 {
 				return nil, fmt.Errorf("dynppr: recovered source %d has epoch 0", s)
 			}
-			src.slot.SeedEpoch(recovered[i].epoch - 1)
+			src.slot.SeedEpoch(epochs[i] - 1)
 		}
-		svc.shards[src.shard] = append(svc.shards[src.shard], src)
 		table[s] = src
 	}
-	// Bring every source to its first published snapshot, the shards in
-	// parallel: a cold source converges from scratch, a recovered one
+	// Bring every source to its first published snapshot, PoolWorkers at a
+	// time: a cold source converges from scratch, a recovered one
 	// republishes its restored state as-is (it was converged when
 	// checkpointed) at its restored epoch.
-	fp.For(so.PoolWorkers, so.PoolWorkers, func(i int) {
-		for _, src := range svc.shards[i] {
-			if recovered == nil {
-				svc.engines[i].Run(src.st, []graph.VertexID{src.source})
-			}
-			src.slot.Publish(src.st)
-		}
+	set, err := newTrackerSet(g, so.Options, so.PoolWorkers, sources, states, func(st *push.State) {
+		src := table[st.Source()]
+		src.st = st
+		src.slot.Publish(st)
 	})
+	if err != nil {
+		return nil, err
+	}
+	svc.set = set
 	svc.table.Store(&table)
-	svc.vertices.Store(int64(g.NumVertices()))
-	svc.edges.Store(int64(g.NumEdges()))
-	svc.noteStorage()
+	svc.noteGraph()
 	svc.graphGen.Store(1)
 	if so.OnDemand.Enabled {
 		svc.od = newOnDemand(svc, so.OnDemand)
-	}
-
-	for i := range svc.shardCh {
-		svc.shardCh[i] = make(chan shardJob)
-		svc.workerWG.Add(1)
-		go svc.shardWorker(svc.engines[i], svc.shardCh[i])
 	}
 	go svc.pipeline()
 	return svc, nil
 }
 
-// pipeline is the single goroutine every mutation flows through.
+// pipeline is the single goroutine every mutation flows through. It is also
+// the one site that refreshes the Stats gauges: after every task, before the
+// task's waiter is released.
 func (s *Service) pipeline() {
 	defer close(s.done)
-	for fn := range s.work {
-		fn()
-	}
-	for _, ch := range s.shardCh {
-		close(ch)
-	}
-	s.workerWG.Wait()
-}
-
-// shardWorker pushes its shard's sources to convergence after each batch and
-// publishes their snapshots.
-func (s *Service) shardWorker(engine *push.Sequential, ch chan shardJob) {
-	defer s.workerWG.Done()
-	for job := range ch {
-		for _, src := range job.sources {
-			engine.Run(src.st, job.touched)
-			src.slot.Publish(src.st)
+	for t := range s.work {
+		t.fn()
+		s.noteGraph()
+		if t.done != nil {
+			close(t.done)
 		}
-		job.wg.Done()
 	}
 }
 
-// admit is the one way onto the pipeline: it enqueues fn, waiting for a queue
+// publish is the set's per-source hook: it runs on whichever goroutine just
+// pushed st to convergence.
+func (s *Service) publish(st *push.State) {
+	(*s.table.Load())[st.Source()].slot.Publish(st)
+}
+
+// admit is the one way onto the pipeline: it enqueues t, waiting for a queue
 // slot at most until ctx is done. Blocking callers pass the background
 // context, non-blocking ones an already cancelled one — a context that is
 // done still admits immediately when a slot is free. The context bounds
-// ADMISSION only: once fn is enqueued it runs to completion regardless of
+// ADMISSION only: once t is enqueued it runs to completion regardless of
 // ctx, so a journaled mutation is never abandoned half-acknowledged. A
 // timeout surfaces ErrOverloaded and counts against the shed statistic only
 // for a mutation — a read that gave up refreshing its graph view must not
 // look like write load shedding on the dashboards.
-func (s *Service) admit(ctx context.Context, fn func(), mutation bool) error {
+func (s *Service) admit(ctx context.Context, t task, mutation bool) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
 		return ErrServiceClosed
 	}
 	select {
-	case s.work <- fn:
+	case s.work <- t:
 		return nil
 	default:
 	}
 	select {
-	case s.work <- fn:
+	case s.work <- t:
 		return nil
 	case <-ctx.Done():
 		if mutation {
@@ -419,10 +366,7 @@ func onPipeline[T any](ctx context.Context, s *Service, mutation bool, fn func()
 		err error
 	)
 	done := make(chan struct{})
-	if aerr := s.admit(ctx, func() {
-		v, err = fn()
-		close(done)
-	}, mutation); aerr != nil {
+	if aerr := s.admit(ctx, task{fn: func() { v, err = fn() }, done: done}, mutation); aerr != nil {
 		return v, aerr
 	}
 	<-done
@@ -437,8 +381,8 @@ var canceled = func() context.Context {
 	return ctx
 }()
 
-// Close shuts the service down: queued mutations finish, the pipeline and
-// shard workers exit, the write-ahead log (if any) is flushed and closed,
+// Close shuts the service down: queued mutations finish, the pipeline
+// exits, the write-ahead log (if any) is flushed and closed,
 // and every subsequent operation returns ErrServiceClosed. Reads racing
 // with Close may still succeed against the last published snapshots. Close
 // is idempotent.
@@ -469,8 +413,8 @@ func (s *Service) Close() error {
 }
 
 // ApplyBatch applies a batch of edge updates to the shared graph, restores
-// every tracked source, pushes each to convergence on the shard pool, and
-// publishes fresh snapshots — all before returning. Concurrent callers are
+// every tracked source, pushes each to convergence, PoolWorkers at a time,
+// and publishes fresh snapshots — all before returning. Concurrent callers are
 // serialized by the pipeline; concurrent readers keep being served from the
 // previous snapshots until the new ones are published.
 //
@@ -510,34 +454,7 @@ func (s *Service) applyBatch(ctx context.Context, b Batch) (BatchResult, error) 
 
 func (s *Service) doBatch(b Batch) BatchResult {
 	start := time.Now()
-	var before int64
-	states := s.statesBuf[:0]
-	for _, shard := range s.shards {
-		for _, src := range shard {
-			before += src.st.Counters.Snapshot().Pushes
-			states = append(states, src.st)
-		}
-	}
-	s.statesBuf = states
-	applied, touched := applyBatchNotify(s.g, states, b, s.touchedBuf[:0])
-	s.touchedBuf = touched
-	if applied > 0 {
-		var wg sync.WaitGroup
-		for i, shard := range s.shards {
-			if len(shard) == 0 {
-				continue
-			}
-			wg.Add(1)
-			s.shardCh[i] <- shardJob{sources: shard, touched: touched, wg: &wg}
-		}
-		wg.Wait()
-	}
-	var after int64
-	for _, shard := range s.shards {
-		for _, src := range shard {
-			after += src.st.Counters.Snapshot().Pushes
-		}
-	}
+	applied, pushes := s.set.apply(b, s.publish)
 	if applied > 0 {
 		s.graphGen.Add(1)
 		s.maybeCompact()
@@ -548,19 +465,19 @@ func (s *Service) doBatch(b Batch) BatchResult {
 	s.skipped.Add(int64(len(b) - applied))
 	s.lastLatency.Store(int64(latency))
 	s.totalLatency.Add(int64(latency))
-	s.vertices.Store(int64(s.g.NumVertices()))
-	s.edges.Store(int64(s.g.NumEdges()))
 	return BatchResult{
 		Applied: applied,
 		Skipped: len(b) - applied,
 		Latency: latency,
-		Pushes:  after - before,
+		Pushes:  pushes,
 	}
 }
 
-// noteStorage mirrors the pipeline-owned LSM-store gauges into atomics for
-// Stats readers. Pipeline goroutine only.
-func (s *Service) noteStorage() {
+// noteGraph mirrors the pipeline-owned graph and LSM-store gauges into
+// atomics for Stats readers. Its one call site is the pipeline loop.
+func (s *Service) noteGraph() {
+	s.vertices.Store(int64(s.g.NumVertices()))
+	s.edges.Store(int64(s.g.NumEdges()))
 	s.deltaEdges.Store(int64(s.g.DeltaEdges()))
 	s.baseEdges.Store(int64(s.g.BaseEdges()))
 	s.overlaidVerts.Store(int64(s.g.OverlaidVertices()))
@@ -578,44 +495,35 @@ func (s *Service) noteStorage() {
 // inline, trading one batch's latency for bounded memory.
 func (s *Service) maybeCompact() {
 	th := s.compactThreshold()
-	if th <= 0 {
-		s.noteStorage()
-		return
-	}
 	d := s.g.DeltaEdges()
 	switch {
-	case d < th:
-		s.noteStorage()
+	case th <= 0 || d < th:
 		return
 	case d >= 4*th:
 		start := time.Now()
 		s.g.Compact()
 		s.compactions.Add(1)
 		s.lastCompactNs.Store(int64(time.Since(start)))
-		s.noteStorage()
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
-		s.noteStorage()
 		return // one merge in flight is enough
 	}
 	c := s.g.BeginCompaction()
-	s.noteStorage()
 	s.compactWG.Add(1)
 	go func() {
 		defer s.compactWG.Done()
 		start := time.Now()
 		base := c.Build()
-		if err := s.admit(context.Background(), func() {
+		if err := s.admit(context.Background(), task{fn: func() {
 			// Install no-ops (false) when an inline compaction or checkpoint
 			// swapped the base first; the stale merge is simply discarded.
 			if s.g.Install(c, base) {
 				s.compactions.Add(1)
 				s.lastCompactNs.Store(int64(time.Since(start)))
-				s.noteStorage()
 			}
 			s.compacting.Store(false)
-		}, true); err != nil {
+		}}, true); err != nil {
 			s.compacting.Store(false) // service closed; deltas stay mergeable
 		}
 	}()
@@ -634,18 +542,9 @@ func (s *Service) CompactNow() error {
 		if s.g.Epoch() != before {
 			s.compactions.Add(1)
 		}
-		s.noteStorage()
 		return struct{}{}, nil
 	})
 	return err
-}
-
-func (s *Service) allSources() []*serviceSource {
-	var out []*serviceSource
-	for _, shard := range s.shards {
-		out = append(out, shard...)
-	}
-	return out
 }
 
 // AddSource starts tracking a new source: its state is cold-started on the
@@ -690,38 +589,26 @@ func (s *Service) validateAddSource(source VertexID) error {
 	return nil
 }
 
-// doAddSource applies a validated addition (see validateAddSource).
+// doAddSource applies a validated addition (see validateAddSource). The
+// pipeline goroutine is not inside a batch, so the set's engines are idle and
+// the cold start runs right here.
 func (s *Service) doAddSource(source VertexID) error {
-	old := *s.table.Load()
-	st, err := push.NewState(s.g, source, push.Config{
-		Alpha: s.opts.Options.Alpha, Epsilon: s.opts.Options.Epsilon,
-	})
+	vertices := s.g.NumVertices()
+	st, err := s.set.add(source)
 	if err != nil {
 		return err
 	}
-	// Pin the new source to the least loaded shard.
-	shard := 0
-	for i := 1; i < len(s.shards); i++ {
-		if len(s.shards[i]) < len(s.shards[shard]) {
-			shard = i
-		}
-	}
-	src := &serviceSource{source: source, shard: shard, st: st, slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
-	// The pipeline goroutine is the shard workers' only producer and is not
-	// inside a batch, so the shard's engine is idle.
-	s.engines[shard].Run(src.st, []graph.VertexID{source})
-	src.slot.Publish(src.st)
-	s.shards[shard] = append(s.shards[shard], src)
-	next := make(sourceTable, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
+	src := &serviceSource{source: source, st: st, slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
+	src.slot.Publish(st)
+	next := maps.Clone(*s.table.Load())
 	next[source] = src
 	s.table.Store(&next)
-	s.vertices.Store(int64(s.g.NumVertices()))
-	// The cold start may have grown the graph (EnsureVertex), so the
-	// on-demand CSR cache must be invalidated.
-	s.graphGen.Add(1)
+	// Tracking a vertex of the graph leaves the graph as it was, and with it
+	// every pinned view and cached cold answer; only an id beyond the graph
+	// grows it (EnsureVertex) and invalidates them.
+	if s.g.NumVertices() != vertices {
+		s.graphGen.Add(1)
+	}
 	return nil
 }
 
@@ -743,38 +630,19 @@ func (s *Service) removeSource(ctx context.Context, source VertexID) error {
 	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
 		// The lookup doubles as pre-journal validation: an untracked source
 		// is rejected before anything reaches the WAL.
-		src, ok := (*s.table.Load())[source]
-		if !ok {
+		if _, ok := (*s.table.Load())[source]; !ok {
 			return struct{}{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 		}
 		if err := s.journalRemoveSource(source); err != nil {
 			return struct{}{}, err
 		}
-		return struct{}{}, s.doRemoveSource(src)
+		next := maps.Clone(*s.table.Load())
+		delete(next, source)
+		s.table.Store(&next)
+		s.set.remove(source)
+		return struct{}{}, nil
 	})
 	return err
-}
-
-// doRemoveSource applies a removal whose source was already resolved on the
-// pipeline.
-func (s *Service) doRemoveSource(src *serviceSource) error {
-	source := src.source
-	old := *s.table.Load()
-	next := make(sourceTable, len(old))
-	for k, v := range old {
-		if k != source {
-			next[k] = v
-		}
-	}
-	s.table.Store(&next)
-	shard := s.shards[src.shard]
-	for i, candidate := range shard {
-		if candidate == src {
-			s.shards[src.shard] = append(shard[:i], shard[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // lookup resolves a source through the copy-on-write table (lock-free).
@@ -940,8 +808,6 @@ func (s *Service) Closed() bool {
 type SourceStats struct {
 	// Source is the tracked source vertex.
 	Source VertexID
-	// Shard is the worker the source is pinned to.
-	Shard int
 	// Epoch is the source's current snapshot epoch.
 	Epoch uint64
 	// Pushes is the cumulative number of push operations performed for this
@@ -1009,7 +875,7 @@ type ServiceStats struct {
 	// Storage describes the LSM graph store's segments and compaction
 	// activity.
 	Storage StorageStats
-	// PoolWorkers is the shard pool size.
+	// PoolWorkers is the bound on sources pushed at once.
 	PoolWorkers int
 	// Engine names the push engine every source runs: always "sequential".
 	Engine string
@@ -1095,8 +961,7 @@ func (s *Service) Stats() ServiceStats {
 		ps := src.slot.Stats()
 		ss := SourceStats{
 			Source:         src.source,
-			Shard:          src.shard,
-			Pushes:         src.st.Counters.Snapshot().Pushes,
+			Pushes:         atomic.LoadInt64(&src.st.Counters.Pushes),
 			FullPublishes:  ps.Full,
 			DeltaPublishes: ps.Delta,
 			TopKRebuilds:   ps.TopKRebuilds,

@@ -2,6 +2,7 @@ package dynppr_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -41,7 +42,17 @@ func dedupeEdges(edges []dynppr.Edge) []dynppr.Edge {
 // matter how the pipeline interleaves the writers — which lets the test end
 // by checking the served snapshots against an offline Tracker on the exact
 // final graph.
+//
+// It runs at PoolWorkers 1 (the pipeline goroutine pushes and publishes every
+// source itself) and 4 (as many claimers as stable sources, so publishers
+// change from batch to batch while the readers hold snapshots).
 func TestServiceConcurrentStress(t *testing.T) {
+	for _, pool := range []int{1, 4} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) { serviceConcurrentStress(t, pool) })
+	}
+}
+
+func serviceConcurrentStress(t *testing.T, pool int) {
 	const (
 		epsilon    = 1e-4
 		numReaders = 6
@@ -64,7 +75,7 @@ func TestServiceConcurrentStress(t *testing.T) {
 
 	so := dynppr.DefaultServiceOptions()
 	so.Options.Epsilon = epsilon
-	so.PoolWorkers = 3
+	so.PoolWorkers = pool
 	svc, err := dynppr.NewService(g, stable, so)
 	if err != nil {
 		t.Fatal(err)

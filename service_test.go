@@ -55,11 +55,12 @@ func TestNewServiceErrors(t *testing.T) {
 }
 
 // The service must publish exactly — to the float64 bit — what an offline
-// sequential Tracker per source computes over the same history, however many
-// sources share a shard's engine (PoolWorkers 1: all of them) and whatever
-// Options.Engine and Parallelism the caller passed: the service takes no
-// engine choice. A source is added and another removed between batches, so
-// an engine also outlives and predates the states it runs.
+// sequential Tracker per source computes over the same history, whoever
+// pushes which source (PoolWorkers 1: the pipeline pushes all of them; 2: a
+// count that does not divide the sources; 7: more workers than sources) and
+// whatever Options.Engine and Parallelism the caller passed: the service
+// takes no engine choice. A source is added and another removed between
+// batches, so an engine also outlives and predates the states it runs.
 func TestServiceMatchesTracker(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelRMAT, 150, 900, 7)
 	initial, extra := edges[:600], edges[600:]
@@ -74,8 +75,8 @@ func TestServiceMatchesTracker(t *testing.T) {
 		b := i * len(batches) / len(extra)
 		batches[b] = append(batches[b], dynppr.Update{U: e.U, V: e.V, Op: op})
 	}
-	top := dynppr.GraphFromEdges(initial).TopDegreeVertices(4)
-	sources, added, removed := top[:3], top[3], top[1]
+	top := dynppr.GraphFromEdges(initial).TopDegreeVertices(6)
+	sources, added, removed := top[:5], top[5], top[1]
 
 	// published holds the previous subtest's vectors: the next must serve
 	// the same bits.
@@ -88,6 +89,8 @@ func TestServiceMatchesTracker(t *testing.T) {
 	}{
 		{"pool=1", 1, dynppr.EngineParallel, 1},
 		{"pool=3", 3, dynppr.EngineDeterministic, 4},
+		{"pool=2", 2, dynppr.EngineSequential, 0},
+		{"pool=7", 7, dynppr.EngineVertexCentric, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			so := dynppr.DefaultServiceOptions()
@@ -131,7 +134,7 @@ func TestServiceMatchesTracker(t *testing.T) {
 			opts.Epsilon = 1e-5
 			opts.Engine = dynppr.EngineSequential
 			mine := make(map[dynppr.VertexID][]float64)
-			for _, s := range []dynppr.VertexID{sources[0], sources[2], added} {
+			for _, s := range []dynppr.VertexID{sources[0], sources[2], sources[3], sources[4], added} {
 				g := dynppr.GraphFromEdges(initial)
 				first := 0
 				if s == added {
@@ -320,9 +323,6 @@ func TestServiceStats(t *testing.T) {
 		if ss.MaxResidual > 1e-4 {
 			t.Fatalf("source %d residual %v", ss.Source, ss.MaxResidual)
 		}
-		if ss.Shard < 0 || ss.Shard >= stats.PoolWorkers {
-			t.Fatalf("source %d on shard %d", ss.Source, ss.Shard)
-		}
 	}
 	if stats.AvgBatchLatency() != stats.TotalBatchLatency/1 {
 		t.Fatal("avg latency mismatch for one batch")
@@ -426,8 +426,8 @@ func TestTopKMatchesFullSort(t *testing.T) {
 
 // A tracked source is its pair of vectors plus what publishing them needs
 // (two snapshot buffers, Top-K and dirty lists: ≈ 37 bytes per vertex). The
-// scratch a push works in belongs to the shard's engine, so a further source
-// on the same shard brings none of its own: the live heap each one adds
+// scratch a push works in belongs to a worker's engine, so a further source
+// brings none of its own: the live heap each one adds
 // stays under 64 bytes per vertex.
 func TestServiceHeapPerSource(t *testing.T) {
 	const n = 200_000

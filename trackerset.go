@@ -2,6 +2,9 @@ package dynppr
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynppr/internal/fp"
@@ -13,13 +16,20 @@ import (
 // shared dynamic graph. This is the "general case" the paper defers to prior
 // work: a non-unit personalization vector is served by maintaining multiple
 // unit-vector PPR states. The graph is mutated once per update; every state
-// is notified and then pushed, with the per-source pushes themselves running
-// concurrently when the set is large.
+// is notified and then pushed, independent sources concurrently.
 //
-// With Options.Engine set to EngineDeterministic the whole set is
-// reproducible: each source's push is bit-identical at any
-// Options.Parallelism, and since the per-source states are independent, the
-// concurrency of the cross-source fan-out cannot perturb results either.
+// It is the one multi-source maintainer: a Service holds a TrackerSet and
+// adds journaling, snapshot publication and admission around it. A source is
+// a pair of vectors; the scratch a push works in belongs to an engine, and
+// the set keeps one engine per worker — an engine holds nothing of a state
+// between runs — so scratch memory is workers ×, not sources ×. Which worker
+// pushes which source is decided per batch by whoever is free; a source's
+// bits cannot depend on it, because its push reads and writes only its own
+// state and the (quiescent) graph.
+//
+// With Options.Engine set to EngineSequential or EngineDeterministic the
+// whole set is therefore reproducible: each source's push is bit-identical
+// to a Tracker's over the same history, at any worker count.
 //
 // Like Tracker, a TrackerSet is not safe for concurrent use: ApplyBatch and
 // Estimate must not overlap. When queries need to run concurrently with the
@@ -31,11 +41,12 @@ type TrackerSet struct {
 	opts    Options
 	sources []VertexID
 	states  []*push.State
+	// engines holds one push engine per worker; len(engines) bounds how many
+	// sources are pushed at once.
 	engines []push.Engine
-	// setWorkers bounds how many sources are pushed concurrently.
-	setWorkers int
-	// touchedBuf is per-batch scratch recycled across ApplyBatch calls.
-	touchedBuf []graph.VertexID
+	// touched is per-batch scratch recycled across batches, so the
+	// steady-state write path does not allocate it anew.
+	touched []graph.VertexID
 }
 
 // validateSources rejects empty and duplicate source lists. Shared by
@@ -54,47 +65,6 @@ func validateSources(sources []VertexID) error {
 	return nil
 }
 
-// applyBatchNotify applies b to g one update at a time and notifies every
-// state after each effective mutation, so the invariant restore reads the
-// out-degree of the intermediate graph exactly as Algorithm 1 requires. It
-// returns the number of effective updates and their source endpoints,
-// appended to dst (callers on the steady-state write path pass a recycled
-// buffer so the per-batch touched list allocates nothing). Shared by
-// TrackerSet.ApplyBatch and the Service write pipeline.
-func applyBatchNotify(g *Graph, states []*push.State, b Batch, dst []graph.VertexID) (applied int, touched []graph.VertexID) {
-	touched = dst
-	if touched == nil {
-		// Keep "no effective updates" distinct from the engines' nil
-		// "full scan" request.
-		touched = make([]graph.VertexID, 0, len(b))
-	}
-	for _, u := range b {
-		switch u.Op {
-		case Insert:
-			added, err := g.AddEdge(u.U, u.V)
-			if err != nil || !added {
-				continue
-			}
-		case Delete:
-			if err := g.RemoveEdge(u.U, u.V); err != nil {
-				continue
-			}
-		default:
-			continue
-		}
-		applied++
-		touched = append(touched, u.U)
-		for _, st := range states {
-			if u.Op == Insert {
-				st.NoteInserted(u.U, u.V)
-			} else {
-				st.NoteDeleted(u.U, u.V)
-			}
-		}
-	}
-	return applied, touched
-}
-
 // NewTrackerSet builds one tracker per source over the shared graph g and
 // brings each to convergence. Duplicate sources are rejected.
 func NewTrackerSet(g *Graph, sources []VertexID, opts Options) (*TrackerSet, error) {
@@ -104,34 +74,147 @@ func NewTrackerSet(g *Graph, sources []VertexID, opts Options) (*TrackerSet, err
 	if err := validateSources(sources); err != nil {
 		return nil, err
 	}
-	ts := &TrackerSet{
-		g:          g,
-		opts:       opts,
-		sources:    append([]VertexID(nil), sources...),
-		setWorkers: fp.DefaultWorkers(),
-	}
-	for _, s := range sources {
+	return newTrackerSet(g, opts, 0, sources, nil, nil)
+}
+
+// newTrackerSet is the shared constructor. workers bounds how many sources
+// are pushed at once (<= 0 selects GOMAXPROCS). A nil states builds one state
+// per source and cold-starts it; a non-nil states (parallel to sources) are
+// converged states recovery restored, adopted without running any push.
+// Either way after, if non-nil, is called once per source on the goroutine
+// that holds it (see each).
+func newTrackerSet(g *Graph, opts Options, workers int, sources []VertexID, states []*push.State, after func(*push.State)) (*TrackerSet, error) {
+	ts := &TrackerSet{g: g, opts: opts, sources: slices.Clone(sources), states: states}
+	for range fp.ClampWorkers(workers) {
 		engine, err := opts.buildEngine()
 		if err != nil {
 			return nil, err
 		}
-		st, err := push.NewState(g, s, push.Config{Alpha: opts.Alpha, Epsilon: opts.Epsilon})
-		if err != nil {
-			return nil, err
-		}
-		ts.states = append(ts.states, st)
 		ts.engines = append(ts.engines, engine)
 	}
-	// Cold-start every source.
-	fp.For(len(ts.states), ts.setWorkers, func(i int) {
-		ts.engines[i].Run(ts.states[i], []graph.VertexID{ts.sources[i]})
+	cold := states == nil
+	if cold {
+		ts.states = make([]*push.State, 0, len(sources))
+		for _, s := range sources {
+			st, err := push.NewState(g, s, ts.config())
+			if err != nil {
+				return nil, err
+			}
+			ts.states = append(ts.states, st)
+		}
+	}
+	ts.each(func(e push.Engine, st *push.State) {
+		if cold {
+			e.Run(st, []graph.VertexID{st.Source()})
+		}
+		if after != nil {
+			after(st)
+		}
 	})
 	return ts, nil
 }
 
+func (ts *TrackerSet) config() push.Config {
+	return push.Config{Alpha: ts.opts.Alpha, Epsilon: ts.opts.Epsilon}
+}
+
+// each calls fn once per source — the one loop cold starts and batches run
+// over the sources. The caller and up to len(engines)-1 further goroutines
+// claim the next source from an atomic counter and hand fn their own engine,
+// so no engine runs two sources at once and no source waits behind a
+// particular worker. A set of one source, or of one worker, runs inline with
+// no goroutine. each returns when every fn has, which orders everything a fn
+// wrote (the state, a published snapshot) before the caller's next step.
+func (ts *TrackerSet) each(fn func(e push.Engine, st *push.State)) {
+	var next atomic.Int64
+	claim := func(e push.Engine) {
+		for i := next.Add(1) - 1; int(i) < len(ts.states); i = next.Add(1) - 1 {
+			fn(e, ts.states[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(len(ts.engines), len(ts.states)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim(ts.engines[w])
+		}()
+	}
+	claim(ts.engines[0])
+	wg.Wait()
+}
+
+// apply is the paper's batch procedure for many sources. It applies b to the
+// graph one update at a time and notifies every state after each effective
+// mutation, so the invariant restore reads the out-degree of the intermediate
+// graph exactly as Algorithm 1 requires; then it pushes every source to
+// convergence from the effective updates' source endpoints, calling after
+// (if non-nil) on each converged state. A batch with no effective update
+// pushes nothing and calls after for no one. It returns the number of
+// effective updates and the pushes performed.
+func (ts *TrackerSet) apply(b Batch, after func(*push.State)) (applied int, pushes int64) {
+	touched := ts.touched[:0]
+	for _, u := range b {
+		switch u.Op {
+		case Insert:
+			added, err := ts.g.AddEdge(u.U, u.V)
+			if err != nil || !added {
+				continue
+			}
+		case Delete:
+			if err := ts.g.RemoveEdge(u.U, u.V); err != nil {
+				continue
+			}
+		default:
+			continue
+		}
+		touched = append(touched, u.U)
+		for _, st := range ts.states {
+			if u.Op == Insert {
+				st.NoteInserted(u.U, u.V)
+			} else {
+				st.NoteDeleted(u.U, u.V)
+			}
+		}
+	}
+	ts.touched = touched
+	if len(touched) == 0 {
+		return 0, 0
+	}
+	before := ts.pushes()
+	ts.each(func(e push.Engine, st *push.State) {
+		e.Run(st, touched)
+		if after != nil {
+			after(st)
+		}
+	})
+	return len(touched), ts.pushes() - before
+}
+
+// add starts tracking source: its state is built on the current graph and
+// cold-started on the caller's goroutine.
+func (ts *TrackerSet) add(source VertexID) (*push.State, error) {
+	st, err := push.NewState(ts.g, source, ts.config())
+	if err != nil {
+		return nil, err
+	}
+	ts.engines[0].Run(st, []graph.VertexID{source})
+	ts.sources = append(ts.sources, source)
+	ts.states = append(ts.states, st)
+	return st, nil
+}
+
+// remove stops tracking source, keeping the others in order.
+func (ts *TrackerSet) remove(source VertexID) {
+	if i := slices.Index(ts.sources, source); i >= 0 {
+		ts.sources = slices.Delete(ts.sources, i, i+1)
+		ts.states = slices.Delete(ts.states, i, i+1)
+	}
+}
+
 // Sources returns the tracked source vertices in construction order.
 func (ts *TrackerSet) Sources() []VertexID {
-	return append([]VertexID(nil), ts.sources...)
+	return slices.Clone(ts.sources)
 }
 
 // Graph returns the shared graph.
@@ -141,10 +224,8 @@ func (ts *TrackerSet) Graph() *Graph { return ts.g }
 // It returns an error wrapping ErrUnknownSource when the source is not
 // tracked, so errors.Is works identically across TrackerSet and Service.
 func (ts *TrackerSet) Estimate(source, v VertexID) (float64, error) {
-	for i, s := range ts.sources {
-		if s == source {
-			return ts.states[i].Estimate(v), nil
-		}
+	if i := slices.Index(ts.sources, source); i >= 0 {
+		return ts.states[i].Estimate(v), nil
 	}
 	return 0, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 }
@@ -153,12 +234,7 @@ func (ts *TrackerSet) Estimate(source, v VertexID) (float64, error) {
 // invariant of every tracked source, and pushes each source to convergence.
 func (ts *TrackerSet) ApplyBatch(b Batch) BatchResult {
 	start := time.Now()
-	before := ts.pushes()
-	applied, touched := applyBatchNotify(ts.g, ts.states, b, ts.touchedBuf[:0])
-	ts.touchedBuf = touched
-	fp.For(len(ts.states), ts.setWorkers, func(i int) {
-		ts.engines[i].Run(ts.states[i], touched)
-	})
+	applied, pushes := ts.apply(b, nil)
 	// Between batches is a quiescent point (no engine is reading): fold
 	// grown delta segments back into the CSR base.
 	ts.g.MaybeCompact()
@@ -166,7 +242,7 @@ func (ts *TrackerSet) ApplyBatch(b Batch) BatchResult {
 		Applied: applied,
 		Skipped: len(b) - applied,
 		Latency: time.Since(start),
-		Pushes:  ts.pushes() - before,
+		Pushes:  pushes,
 	}
 }
 
@@ -174,7 +250,7 @@ func (ts *TrackerSet) ApplyBatch(b Batch) BatchResult {
 func (ts *TrackerSet) pushes() int64 {
 	var n int64
 	for _, st := range ts.states {
-		n += st.Counters.Snapshot().Pushes
+		n += atomic.LoadInt64(&st.Counters.Pushes)
 	}
 	return n
 }
