@@ -280,6 +280,39 @@ func TestLoadgenP99Gate(t *testing.T) {
 	}
 }
 
+// TestLoadgenReportCoversWholeRun pins that the read p99 (and so the
+// -max-p99 gate) covers every read of every client: 30 200 reads of which
+// 200 take 50 ms have a true p99 of 2 ms, however many samples each client
+// holds and whichever class is merged last.
+func TestLoadgenReportCoversWholeRun(t *testing.T) {
+	a, b := &clientResult{}, &clientResult{}
+	for i := 0; i < 20_000; i++ {
+		a.lat[opTopK].Observe(time.Millisecond)
+	}
+	for i := 0; i < 10_000; i++ {
+		b.lat[opEstimate].Observe(2 * time.Millisecond)
+	}
+	for i := 0; i < 200; i++ {
+		b.lat[opBatchRead].Observe(50 * time.Millisecond)
+	}
+	var out bytes.Buffer
+	if err := report(&out, config{maxP99: 3 * time.Millisecond}, []*clientResult{a, b}, 0, time.Second); err != nil {
+		t.Fatalf("report: %v\n%s", err, out.String())
+	}
+	_, line, ok := strings.Cut(out.String(), "read p99: ")
+	if !ok {
+		t.Fatalf("no read p99 line:\n%s", out.String())
+	}
+	p99, err := time.ParseDuration(strings.Fields(line)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 ms lies in the histogram bucket (1.5·2^20 ns, 2^21 ns].
+	if p99 <= 1_572_864*time.Nanosecond || p99 > 2_097_152*time.Nanosecond {
+		t.Fatalf("read p99 %v outside the 2 ms bucket:\n%s", p99, out.String())
+	}
+}
+
 func TestLoadgenFlagErrors(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{

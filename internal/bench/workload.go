@@ -104,7 +104,7 @@ func AllApproaches() []Approach {
 
 // runResult aggregates one measured configuration.
 type runResult struct {
-	Latency  metrics.LatencyStats
+	Latency  metrics.Histogram
 	Counters metrics.Counters
 	// UpdatesApplied counts effective edge updates (inserts + deletes) fed to
 	// the approach across all measured slides.
@@ -114,8 +114,13 @@ type runResult struct {
 // MeanLatency returns the mean per-slide latency.
 func (r *runResult) MeanLatency() time.Duration { return r.Latency.Mean() }
 
-// Throughput returns effective updates per second.
-func (r *runResult) Throughput() float64 { return r.Latency.Throughput(r.UpdatesApplied) }
+// Throughput returns effective updates per second of measured slide time.
+func (r *runResult) Throughput() float64 {
+	if r.Latency.Sum() <= 0 {
+		return 0
+	}
+	return float64(r.UpdatesApplied) / r.Latency.Sum().Seconds()
+}
 
 // pushEngineFor builds the push engine of a push-based approach.
 func pushEngineFor(a Approach, variant push.Variant, workers int) (push.Engine, error) {

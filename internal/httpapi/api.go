@@ -359,7 +359,10 @@ func serviceStats(st dynppr.ServiceStats) ServiceStats {
 	return out
 }
 
-// EndpointStats reports one endpoint's serving counters.
+// EndpointStats reports one endpoint's serving counters over the handler's
+// lifetime. The percentiles are estimates from the latency histogram
+// /metrics exports (each inside the bucket of the true value); the other
+// fields are exact.
 type EndpointStats struct {
 	Requests   int64   `json:"requests"`
 	Errors     int64   `json:"errors"`

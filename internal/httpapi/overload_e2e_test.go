@@ -15,6 +15,7 @@ import (
 
 	"dynppr"
 	"dynppr/internal/httpapi"
+	"dynppr/internal/metrics"
 	"dynppr/internal/promexp"
 )
 
@@ -354,16 +355,18 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	if topkRequests < topkReads {
 		t.Fatalf("dppr_http_requests_total{/topk} = %v, want >= %d", topkRequests, topkReads)
 	}
+	dur := byName["dppr_http_request_duration_seconds"]
 	var durOK bool
-	for _, s := range byName["dppr_http_request_duration_seconds"].Summaries {
+	for _, s := range dur.Histograms {
 		for _, l := range s.Labels {
 			if l.Name == "endpoint" && l.Value == "/topk" {
-				durOK = s.Count >= topkReads && s.Sum > 0 && len(s.Quantiles) == 3
+				durOK = s.Count >= topkReads && s.Sum > 0 && float64(s.Count) == topkRequests &&
+					len(s.Buckets) == metrics.NumBuckets
 			}
 		}
 	}
-	if !durOK {
-		t.Fatalf("latency summary for /topk missing or inconsistent:\n%s", text)
+	if dur.Type != promexp.Histogram || !durOK {
+		t.Fatalf("latency histogram for /topk missing or inconsistent:\n%s", text)
 	}
 	if v, want := byName["dppr_graph_vertices"].Samples[0].Value, float64(svc.Stats().Vertices); v != want {
 		t.Fatalf("dppr_graph_vertices = %v, want %v", v, want)

@@ -1,13 +1,15 @@
 package httpapi
 
 import (
+	"math"
 	"sort"
 
+	"dynppr/internal/metrics"
 	"dynppr/internal/promexp"
 )
 
 // gather assembles the Prometheus metric families for GET /metrics: the
-// HTTP layer's per-endpoint counters and latency summaries, the handler's
+// HTTP layer's per-endpoint counters and latency histograms, the handler's
 // traffic-management counters, and the Service's pipeline, graph and
 // durability statistics. Families and series are emitted in sorted order so
 // the output is byte-stable for a fixed metric state (scrape-diff friendly,
@@ -34,27 +36,18 @@ func (h *Handler) gather() []promexp.Family {
 	}
 	duration := promexp.Family{
 		Name: "dppr_http_request_duration_seconds",
-		Help: "HTTP request latency: streaming quantile estimates over the handler's lifetime.",
-		Type: promexp.Summary,
+		Help: "HTTP request latency over the handler's lifetime, by endpoint.",
+		Type: promexp.Histogram,
 	}
 	for _, name := range names {
 		e := h.metrics.endpoints[name]
 		labels := []promexp.Label{{Name: "endpoint", Value: name}}
+		lat := latencyHistogram(labels, &e.lat)
+		duration.Histograms = append(duration.Histograms, lat)
 		requests.Samples = append(requests.Samples,
-			promexp.Sample{Labels: labels, Value: float64(e.requests.Load())})
+			promexp.Sample{Labels: labels, Value: float64(lat.Count)})
 		errors.Samples = append(errors.Samples,
 			promexp.Sample{Labels: labels, Value: float64(e.errors.Load())})
-		q50, q95, q99, sum, count := e.summary()
-		duration.Summaries = append(duration.Summaries, promexp.SummarySample{
-			Labels: labels,
-			Quantiles: []promexp.Quantile{
-				{Q: 0.5, Value: q50},
-				{Q: 0.95, Value: q95},
-				{Q: 0.99, Value: q99},
-			},
-			Sum:   sum,
-			Count: uint64(count),
-		})
 	}
 
 	fams := []promexp.Family{
@@ -126,7 +119,7 @@ func (h *Handler) gather() []promexp.Family {
 			gauge("dppr_ondemand_pool_depth",
 				"Cold-push tokens held right now.", float64(od.PoolDepth)),
 			counter("dppr_ondemand_snapshot_builds_total",
-				"CSR graph snapshots built for on-demand queries.", float64(od.SnapshotBuilds)),
+				"Layered graph views pinned for on-demand queries (one per queried mutation generation).", float64(od.SnapshotBuilds)),
 			counter("dppr_ondemand_seconds_total",
 				"Total time spent computing on-demand answers.", od.TotalLatency.Seconds()),
 			gauge("dppr_ondemand_last_seconds",
@@ -176,6 +169,26 @@ func (h *Handler) gather() []promexp.Family {
 
 	promexp.SortFamilies(fams)
 	return fams
+}
+
+// latencyHistogram renders one endpoint's latency buckets in seconds. The
+// bucket counts are read once, so the +Inf bucket, _count and the
+// endpoint's request count agree within a scrape.
+func latencyHistogram(labels []promexp.Label, h *metrics.Histogram) promexp.HistogramSample {
+	s := promexp.HistogramSample{
+		Labels:  labels,
+		Buckets: make([]promexp.Bucket, 0, metrics.NumBuckets),
+		Sum:     h.Sum().Seconds(),
+	}
+	for i, c := range h.Counts() {
+		s.Count += uint64(c)
+		le := math.Inf(1)
+		if i < metrics.NumBuckets-1 {
+			le = metrics.UpperBound(i).Seconds()
+		}
+		s.Buckets = append(s.Buckets, promexp.Bucket{UpperBound: le, Count: s.Count})
+	}
+	return s
 }
 
 func counter(name, help string, v float64) promexp.Family {

@@ -13,10 +13,11 @@ import (
 // strictly: families must declare a TYPE before their samples, all samples
 // of a family must be contiguous, names and labels must be syntactically
 // valid, every value must parse as a float, counters must be non-negative,
-// summary samples must carry a quantile label in [0,1], and no time series
-// may appear twice. It is the validation half of this package: a test that
-// round-trips an exporter's output through ParseText proves a real scraper
-// can ingest it.
+// histogram series must pass the same checks Render applies (an le label on
+// every bucket, increasing bounds ending at +Inf, non-decreasing cumulative
+// counts, +Inf equal to _count), and no time series may appear twice. It is
+// the validation half of this package: a test that round-trips an
+// exporter's output through ParseText proves a real scraper can ingest it.
 func ParseText(r io.Reader) ([]Family, error) {
 	p := &parser{
 		scanner: bufio.NewScanner(r),
@@ -29,8 +30,12 @@ func ParseText(r io.Reader) ([]Family, error) {
 	out := make([]Family, len(p.order))
 	for i, name := range p.order {
 		f := p.byName[name]
-		for _, sig := range f.summaryOrder {
-			f.Summaries = append(f.Summaries, *f.summaries[sig])
+		for _, sig := range f.histogramOrder {
+			h := *f.histograms[sig]
+			if err := validateHistogram(f.Name, h); err != nil {
+				return nil, err
+			}
+			f.Histograms = append(f.Histograms, h)
 		}
 		out[i] = f.Family
 	}
@@ -39,11 +44,11 @@ func ParseText(r io.Reader) ([]Family, error) {
 
 type parsedFamily struct {
 	Family
-	closed       bool // a later family started; more samples are an error
-	sawSample    bool
-	summaries    map[string]*SummarySample
-	summaryOrder []string
-	seenSeries   map[string]bool
+	closed         bool // a later family started; more samples are an error
+	sawSample      bool
+	histograms     map[string]*HistogramSample
+	histogramOrder []string
+	seenSeries     map[string]bool
 }
 
 type parser struct {
@@ -104,7 +109,7 @@ func (p *parser) family(name string) (*parsedFamily, error) {
 		p.current.closed = true
 	}
 	f := &parsedFamily{
-		summaries:  make(map[string]*SummarySample),
+		histograms: make(map[string]*HistogramSample),
 		seenSeries: make(map[string]bool),
 	}
 	f.Name = name
@@ -149,7 +154,7 @@ func (p *parser) parseType(rest string) error {
 		return p.errf("TYPE for %q must precede its samples", name)
 	}
 	switch Type(typ) {
-	case Counter, Gauge, Summary:
+	case Counter, Gauge, Histogram:
 		f.Type = Type(typ)
 	default:
 		return p.errf("unknown type %q for %q", typ, name)
@@ -164,8 +169,8 @@ func (p *parser) parseSample(line string) error {
 	}
 	famName := name
 	suffix := ""
-	if p.current != nil && p.current.Type == Summary {
-		for _, s := range []string{"_sum", "_count"} {
+	if p.current != nil && p.current.Type == Histogram {
+		for _, s := range []string{"_bucket", "_sum", "_count"} {
 			if name == p.current.Name+s {
 				famName, suffix = p.current.Name, s
 				break
@@ -190,8 +195,8 @@ func (p *parser) parseSample(line string) error {
 	}
 	f.seenSeries[series] = true
 
-	if f.Type == Summary {
-		return p.addSummarySample(f, suffix, labels, value)
+	if f.Type == Histogram {
+		return p.addHistogramSample(f, suffix, labels, value)
 	}
 	if f.Type == Counter && (value < 0 || math.IsNaN(value)) {
 		return p.errf("counter %q has non-counter value %v", name, value)
@@ -200,41 +205,45 @@ func (p *parser) parseSample(line string) error {
 	return nil
 }
 
-func (p *parser) addSummarySample(f *parsedFamily, suffix string, labels []Label, value float64) error {
-	var quantile *float64
+func (p *parser) addHistogramSample(f *parsedFamily, suffix string, labels []Label, value float64) error {
+	if suffix == "" {
+		return p.errf("histogram %q sample needs a _bucket, _sum or _count suffix", f.Name)
+	}
+	le := ""
 	base := make([]Label, 0, len(labels))
 	for _, l := range labels {
-		if l.Name == "quantile" && suffix == "" {
-			q, err := strconv.ParseFloat(l.Value, 64)
-			if err != nil || q < 0 || q > 1 {
-				return p.errf("summary %q has bad quantile %q", f.Name, l.Value)
+		if l.Name == "le" {
+			if suffix != "_bucket" {
+				return p.errf("histogram %q: label le is reserved for buckets", f.Name)
 			}
-			quantile = &q
+			le = l.Value
 			continue
 		}
 		base = append(base, l)
 	}
 	sig := labelKey(base)
-	s, ok := f.summaries[sig]
+	h, ok := f.histograms[sig]
 	if !ok {
-		s = &SummarySample{Labels: base}
-		f.summaries[sig] = s
-		f.summaryOrder = append(f.summaryOrder, sig)
+		h = &HistogramSample{Labels: base}
+		f.histograms[sig] = h
+		f.histogramOrder = append(f.histogramOrder, sig)
 	}
-	switch suffix {
-	case "_sum":
-		s.Sum = value
-	case "_count":
-		if value < 0 || value != math.Trunc(value) {
-			return p.errf("summary %q has non-integral count %v", f.Name, value)
-		}
-		s.Count = uint64(value)
-	default:
-		if quantile == nil {
-			return p.errf("summary %q sample is missing the quantile label", f.Name)
-		}
-		s.Quantiles = append(s.Quantiles, Quantile{Q: *quantile, Value: value})
+	if suffix == "_sum" {
+		h.Sum = value
+		return nil
 	}
+	if value < 0 || value != math.Trunc(value) || math.IsInf(value, 1) {
+		return p.errf("histogram %q has non-integral count %v", f.Name, value)
+	}
+	if suffix == "_count" {
+		h.Count = uint64(value)
+		return nil
+	}
+	bound, err := parseValue(le)
+	if err != nil || math.IsNaN(bound) {
+		return p.errf("histogram %q bucket has bad le %q", f.Name, le)
+	}
+	h.Buckets = append(h.Buckets, Bucket{UpperBound: bound, Count: uint64(value)})
 	return nil
 }
 

@@ -26,12 +26,12 @@ import (
 // Type is a metric family's type as declared by the # TYPE comment.
 type Type string
 
-// The family types the exporter emits. (The format also defines histogram
+// The family types the exporter emits. (The format also defines summary
 // and untyped; add them when a producer needs them.)
 const (
-	Counter Type = "counter"
-	Gauge   Type = "gauge"
-	Summary Type = "summary"
+	Counter   Type = "counter"
+	Gauge     Type = "gauge"
+	Histogram Type = "histogram"
 )
 
 // Label is one name="value" pair.
@@ -45,30 +45,32 @@ type Sample struct {
 	Value  float64
 }
 
-// Quantile is one φ-quantile of a summary.
-type Quantile struct {
-	Q     float64 // e.g. 0.99
-	Value float64
+// Bucket is one cumulative histogram bucket: Count observations were at
+// most UpperBound, the `le` label.
+type Bucket struct {
+	UpperBound float64
+	Count      uint64
 }
 
-// SummarySample is one time series of a summary family: its quantile
-// estimates plus the _sum and _count aggregates.
-type SummarySample struct {
-	Labels    []Label
-	Quantiles []Quantile
-	Sum       float64
-	Count     uint64
+// HistogramSample is one time series of a histogram family: its cumulative
+// buckets in increasing UpperBound order, the last one +Inf, plus the _sum
+// and _count aggregates.
+type HistogramSample struct {
+	Labels  []Label
+	Buckets []Bucket
+	Sum     float64
+	Count   uint64
 }
 
 // Family is one exported metric: a name, its HELP text, its TYPE, and the
 // samples that share the name. Counter and gauge families fill Samples;
-// summary families fill Summaries.
+// histogram families fill Histograms.
 type Family struct {
-	Name      string
-	Help      string
-	Type      Type
-	Samples   []Sample
-	Summaries []SummarySample
+	Name       string
+	Help       string
+	Type       Type
+	Samples    []Sample
+	Histograms []HistogramSample
 }
 
 // ContentType is the Content-Type of a text-format /metrics response.
@@ -116,12 +118,12 @@ func Render(w io.Writer, families []Family) error {
 			return err
 		}
 		switch f.Type {
-		case Summary:
-			for _, s := range f.Summaries {
-				for _, q := range s.Quantiles {
+		case Histogram:
+			for _, s := range f.Histograms {
+				for _, b := range s.Buckets {
 					labels := append(append([]Label(nil), s.Labels...),
-						Label{Name: "quantile", Value: formatValue(q.Q)})
-					if err := writeSample(w, f.Name, labels, q.Value); err != nil {
+						Label{Name: "le", Value: formatValue(b.UpperBound)})
+					if err := writeSample(w, f.Name+"_bucket", labels, float64(b.Count)); err != nil {
 						return err
 					}
 				}
@@ -152,8 +154,8 @@ func SortFamilies(families []Family) {
 		sort.Slice(f.Samples, func(a, b int) bool {
 			return labelKey(f.Samples[a].Labels) < labelKey(f.Samples[b].Labels)
 		})
-		sort.Slice(f.Summaries, func(a, b int) bool {
-			return labelKey(f.Summaries[a].Labels) < labelKey(f.Summaries[b].Labels)
+		sort.Slice(f.Histograms, func(a, b int) bool {
+			return labelKey(f.Histograms[a].Labels) < labelKey(f.Histograms[b].Labels)
 		})
 	}
 }
@@ -226,20 +228,15 @@ func validateFamily(f Family) error {
 	}
 	switch f.Type {
 	case Counter, Gauge:
-		if len(f.Summaries) > 0 {
-			return fmt.Errorf("promexp: family %q: %s with summary samples", f.Name, f.Type)
+		if len(f.Histograms) > 0 {
+			return fmt.Errorf("promexp: family %q: %s with histogram samples", f.Name, f.Type)
 		}
-	case Summary:
+	case Histogram:
 		if len(f.Samples) > 0 {
-			return fmt.Errorf("promexp: family %q: summary with scalar samples", f.Name)
+			return fmt.Errorf("promexp: family %q: histogram with scalar samples", f.Name)
 		}
-		for _, s := range f.Summaries {
-			for _, q := range s.Quantiles {
-				if q.Q < 0 || q.Q > 1 || math.IsNaN(q.Q) {
-					return fmt.Errorf("promexp: family %q: quantile %v outside [0,1]", f.Name, q.Q)
-				}
-			}
-			if err := validateLabels(f.Name, s.Labels, true); err != nil {
+		for _, s := range f.Histograms {
+			if err := validateHistogram(f.Name, s); err != nil {
 				return err
 			}
 		}
@@ -262,14 +259,42 @@ func validateFamily(f Family) error {
 	return nil
 }
 
-func validateLabels(family string, labels []Label, summary bool) error {
+// validateHistogram checks one histogram series the way a scraper reads it:
+// strictly increasing bounds ending at +Inf, cumulative counts that never
+// decrease, a +Inf bucket equal to _count, and no user label named le.
+// Render and ParseText both hold every histogram to it.
+func validateHistogram(family string, s HistogramSample) error {
+	if err := validateLabels(family, s.Labels, true); err != nil {
+		return err
+	}
+	series := fmt.Sprintf("promexp: family %q{%s}", family, labelKey(s.Labels))
+	n := len(s.Buckets)
+	if n == 0 || !math.IsInf(s.Buckets[n-1].UpperBound, 1) {
+		return fmt.Errorf("%s: no +Inf bucket", series)
+	}
+	for i := 1; i < n; i++ {
+		prev, b := s.Buckets[i-1], s.Buckets[i]
+		if !(b.UpperBound > prev.UpperBound) {
+			return fmt.Errorf("%s: bucket bounds %v, %v do not increase", series, prev.UpperBound, b.UpperBound)
+		}
+		if b.Count < prev.Count {
+			return fmt.Errorf("%s: cumulative count falls from %d to %d at le=%v", series, prev.Count, b.Count, b.UpperBound)
+		}
+	}
+	if s.Buckets[n-1].Count != s.Count {
+		return fmt.Errorf("%s: +Inf bucket %d != _count %d", series, s.Buckets[n-1].Count, s.Count)
+	}
+	return nil
+}
+
+func validateLabels(family string, labels []Label, histogram bool) error {
 	seen := make(map[string]bool, len(labels))
 	for _, l := range labels {
 		if !validLabelName(l.Name) {
 			return fmt.Errorf("promexp: family %q: invalid label name %q", family, l.Name)
 		}
-		if summary && l.Name == "quantile" {
-			return fmt.Errorf("promexp: family %q: label %q is reserved on summaries", family, l.Name)
+		if histogram && l.Name == "le" {
+			return fmt.Errorf("promexp: family %q: label %q is reserved on histograms", family, l.Name)
 		}
 		if seen[l.Name] {
 			return fmt.Errorf("promexp: family %q: duplicate label %q", family, l.Name)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,13 +29,14 @@ func testFamilies() []Family {
 		{
 			Name: "dppr_request_duration_seconds",
 			Help: "Request latency.",
-			Type: Summary,
-			Summaries: []SummarySample{
+			Type: Histogram,
+			Histograms: []HistogramSample{
 				{
 					Labels: []Label{{Name: "endpoint", Value: "/topk"}},
-					Quantiles: []Quantile{
-						{Q: 0.5, Value: 0.0001},
-						{Q: 0.99, Value: 0.003},
+					Buckets: []Bucket{
+						{UpperBound: 8.192e-06, Count: 0},
+						{UpperBound: 0.001, Count: 990},
+						{UpperBound: math.Inf(1), Count: 1000},
 					},
 					Sum:   1.5,
 					Count: 1000,
@@ -73,16 +75,8 @@ func TestRenderParseRoundTrip(t *testing.T) {
 	if req.Samples[1].Labels[0].Value != `weird"value\with` {
 		t.Fatalf("label escaping round trip: %q", req.Samples[1].Labels[0].Value)
 	}
-	sum := got[2]
-	if sum.Type != Summary || len(sum.Summaries) != 1 {
-		t.Fatalf("summary family: %+v", sum)
-	}
-	s := sum.Summaries[0]
-	if s.Count != 1000 || s.Sum != 1.5 || len(s.Quantiles) != 2 || s.Quantiles[1].Q != 0.99 {
-		t.Fatalf("summary sample: %+v", s)
-	}
-	if s.Labels[0] != (Label{Name: "endpoint", Value: "/topk"}) {
-		t.Fatalf("summary labels: %+v", s.Labels)
+	if want := testFamilies()[2]; !reflect.DeepEqual(got[2], want) {
+		t.Fatalf("histogram family round trip:\n got %+v\nwant %+v\n%s", got[2], want, text)
 	}
 	if !math.IsInf(got[3].Samples[0].Value, 1) {
 		t.Fatalf("Inf round trip: %v", got[3].Samples[0].Value)
@@ -90,6 +84,7 @@ func TestRenderParseRoundTrip(t *testing.T) {
 }
 
 func TestRenderValidation(t *testing.T) {
+	inf := math.Inf(1)
 	cases := []struct {
 		name string
 		fams []Family
@@ -102,14 +97,20 @@ func TestRenderValidation(t *testing.T) {
 		{"duplicate family", []Family{{Name: "ok", Type: Gauge}, {Name: "ok", Type: Gauge}}},
 		{"unknown type", []Family{{Name: "ok", Type: Type("histogramish")}}},
 		{"negative counter", []Family{{Name: "ok", Type: Counter, Samples: []Sample{{Value: -1}}}}},
-		{"counter with summaries", []Family{{Name: "ok", Type: Counter,
-			Summaries: []SummarySample{{}}}}},
-		{"summary with scalar samples", []Family{{Name: "ok", Type: Summary,
+		{"counter with histograms", []Family{{Name: "ok", Type: Counter,
+			Histograms: []HistogramSample{{}}}}},
+		{"histogram with scalar samples", []Family{{Name: "ok", Type: Histogram,
 			Samples: []Sample{{Value: 1}}}}},
-		{"summary quantile out of range", []Family{{Name: "ok", Type: Summary,
-			Summaries: []SummarySample{{Quantiles: []Quantile{{Q: 1.5, Value: 0}}}}}}},
-		{"summary reserved quantile label", []Family{{Name: "ok", Type: Summary,
-			Summaries: []SummarySample{{Labels: []Label{{Name: "quantile", Value: "x"}}}}}}},
+		{"histogram missing +Inf", []Family{{Name: "ok", Type: Histogram,
+			Histograms: []HistogramSample{{Buckets: []Bucket{{UpperBound: 1, Count: 2}}, Count: 2}}}}},
+		{"histogram decreasing counts", []Family{{Name: "ok", Type: Histogram,
+			Histograms: []HistogramSample{{Buckets: []Bucket{{UpperBound: 1, Count: 3}, {UpperBound: inf, Count: 2}}, Count: 2}}}}},
+		{"histogram non-increasing le", []Family{{Name: "ok", Type: Histogram,
+			Histograms: []HistogramSample{{Buckets: []Bucket{{UpperBound: 1, Count: 1}, {UpperBound: 1, Count: 2}, {UpperBound: inf, Count: 2}}, Count: 2}}}}},
+		{"histogram +Inf != count", []Family{{Name: "ok", Type: Histogram,
+			Histograms: []HistogramSample{{Buckets: []Bucket{{UpperBound: inf, Count: 2}}, Count: 3}}}}},
+		{"histogram reserved le label", []Family{{Name: "ok", Type: Histogram,
+			Histograms: []HistogramSample{{Labels: []Label{{Name: "le", Value: "x"}}, Buckets: []Bucket{{UpperBound: inf}}}}}}},
 		{"duplicate label", []Family{{Name: "ok", Type: Gauge,
 			Samples: []Sample{{Labels: []Label{{Name: "a", Value: "1"}, {Name: "a", Value: "2"}}}}}}},
 	}
@@ -133,8 +134,14 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"negative counter", "# TYPE foo counter\nfoo -1\n"},
 		{"duplicate series", "# TYPE foo gauge\nfoo{a=\"1\"} 1\nfoo{a=\"1\"} 2\n"},
 		{"interleaved families", "# TYPE foo gauge\nfoo 1\n# TYPE bar gauge\nbar 1\nfoo 2\n"},
-		{"summary missing quantile", "# TYPE foo summary\nfoo 0.5\n"},
-		{"summary bad quantile", "# TYPE foo summary\nfoo{quantile=\"2\"} 0.5\n"},
+		{"summary type", "# TYPE foo summary\nfoo{quantile=\"0.5\"} 0.5\nfoo_sum 1\nfoo_count 2\n"},
+		{"histogram bare sample", "# TYPE foo histogram\nfoo 0.5\n"},
+		{"histogram bucket without le", "# TYPE foo histogram\nfoo_bucket 1\nfoo_sum 1\nfoo_count 1\n"},
+		{"histogram missing +Inf", "# TYPE foo histogram\nfoo_bucket{le=\"1\"} 1\nfoo_sum 1\nfoo_count 1\n"},
+		{"histogram decreasing counts", "# TYPE foo histogram\nfoo_bucket{le=\"1\"} 3\nfoo_bucket{le=\"+Inf\"} 2\nfoo_sum 1\nfoo_count 2\n"},
+		{"histogram non-increasing le", "# TYPE foo histogram\nfoo_bucket{le=\"2\"} 1\nfoo_bucket{le=\"1\"} 1\nfoo_bucket{le=\"+Inf\"} 1\nfoo_sum 1\nfoo_count 1\n"},
+		{"histogram +Inf != count", "# TYPE foo histogram\nfoo_bucket{le=\"+Inf\"} 2\nfoo_sum 1\nfoo_count 3\n"},
+		{"histogram user le label", "# TYPE foo histogram\nfoo_bucket{le=\"+Inf\"} 1\nfoo_sum{le=\"x\"} 1\nfoo_count{le=\"x\"} 1\n"},
 		{"HELP after samples", "# TYPE foo gauge\nfoo 1\n# HELP foo late\n"},
 		{"bad timestamp", "# TYPE foo gauge\nfoo 1 notatime\n"},
 		{"invalid metric name", "# TYPE fo-o gauge\nfo-o 1\n"},
@@ -156,8 +163,9 @@ func TestParseAcceptsFormatFlexibility(t *testing.T) {
 		`foo{a="x",} 1 1712345678901`,
 		`foo{a="y"} NaN`,
 		`foo +Inf`,
-		`# TYPE bar summary`,
-		`bar{quantile="0.5"} 0.1`,
+		`# TYPE bar histogram`,
+		`bar_bucket{le="0.5"} 40`,
+		`bar_bucket{le="Inf"} 100`,
 		`bar_sum 10`,
 		`bar_count 100`,
 		``,
@@ -175,8 +183,8 @@ func TestParseAcceptsFormatFlexibility(t *testing.T) {
 	if len(fams[0].Samples) != 3 || !math.IsNaN(fams[0].Samples[1].Value) {
 		t.Fatalf("samples: %+v", fams[0].Samples)
 	}
-	if fams[1].Summaries[0].Count != 100 || fams[1].Summaries[0].Quantiles[0].Q != 0.5 {
-		t.Fatalf("summary: %+v", fams[1].Summaries[0])
+	if h := fams[1].Histograms[0]; h.Count != 100 || len(h.Buckets) != 2 || h.Buckets[0] != (Bucket{UpperBound: 0.5, Count: 40}) {
+		t.Fatalf("histogram: %+v", h)
 	}
 }
 
