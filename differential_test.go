@@ -94,7 +94,6 @@ func TestDifferentialEngines(t *testing.T) {
 				opts.Engine = c.engine
 				opts.Variant = c.variant
 				opts.Epsilon = epsilon
-				opts.Workers = 2
 				opts.Parallelism = 2
 				tr, err := dynppr.NewTracker(dynppr.GraphFromEdges(initial), source, opts)
 				if err != nil {
@@ -172,7 +171,6 @@ func buildDifferentialTrackers(t *testing.T, initial []dynppr.Edge, source dynpp
 		opts.Engine = c.engine
 		opts.Variant = c.variant
 		opts.Epsilon = epsilon
-		opts.Workers = 2
 		opts.Parallelism = 2
 		tr, err := dynppr.NewTracker(dynppr.GraphFromEdges(initial), source, opts)
 		if err != nil {
@@ -420,7 +418,6 @@ func TestDifferentialInvariant(t *testing.T) {
 		opts.Engine = c.engine
 		opts.Variant = c.variant
 		opts.Epsilon = 1e-4
-		opts.Workers = 2
 		opts.Parallelism = 2
 		tr, err := dynppr.NewTracker(g, 0, opts)
 		if err != nil {

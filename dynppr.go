@@ -2,11 +2,14 @@
 // over dynamic graphs, in parallel, following "Parallel Personalized PageRank
 // on Dynamic Graphs" (Guo, Li, Sha, Tan — PVLDB 11(1), 2017).
 //
-// The central type is the Tracker: it owns a per-source estimate/residual
-// state over a dynamic directed graph and keeps the estimate within ε of the
-// exact value while edges are inserted and deleted in batches. Internally it
-// runs the paper's local update scheme — invariant restoration per update
-// followed by a local push — with a choice of engines:
+// The library maintains one quantity, the contribution vector of Equation 2,
+// with one invariant-restore loop and one local push. The central type is the
+// Tracker: it owns a per-source estimate/residual state over a dynamic
+// directed graph and keeps the estimate within ε of the exact value while
+// edges are inserted and deleted in batches. A Tracker is a TrackerSet of one
+// source, so both run the same loop — the paper's local update scheme,
+// invariant restoration per update followed by a local push — with a choice
+// of engines:
 //
 //   - the sequential push of the prior state of the art (Algorithm 2),
 //   - the parallel push (Algorithm 3),
@@ -18,6 +21,9 @@
 //     an ordered reduction, so the resulting vectors are bit-identical at
 //     every Options.Parallelism — replaying a batch log reproduces snapshots
 //     exactly (see internal/parallel).
+//
+// Options.Parallelism is the degree of parallelism of every parallel engine;
+// only EngineDeterministic is bit-identical across it.
 //
 // The value tracked for source s is the contribution PPR: Estimate(v)
 // approximates the probability that a random walk started at v, terminating
@@ -177,8 +183,8 @@ func (m UpdateMode) String() string {
 }
 
 // Options configure a Tracker or TrackerSet. A Service reads only Alpha and
-// Epsilon: Engine, Variant, Workers, Parallelism and Mode do not reach the
-// serving path.
+// Epsilon: Engine, Variant, Parallelism and Mode do not reach the serving
+// path.
 type Options struct {
 	// Alpha is the teleport/termination probability. Default 0.15.
 	Alpha float64
@@ -191,14 +197,11 @@ type Options struct {
 	// Variant selects EngineParallel's optimizations (ignored by the other
 	// engines). Default VariantOpt.
 	Variant Variant
-	// Workers is the degree of parallelism for the parallel and
-	// vertex-centric engines; <= 0 selects GOMAXPROCS.
-	Workers int
-	// Parallelism is the degree of parallelism for EngineDeterministic
-	// (Tracker and TrackerSet only); <= 0 (the default, "auto") selects
-	// GOMAXPROCS. Unlike Workers it never influences results: the
-	// deterministic engine produces bit-identical vectors at every
-	// Parallelism.
+	// Parallelism is the degree of parallelism of every parallel engine
+	// (Tracker and TrackerSet only); <= 0 (the default) selects GOMAXPROCS.
+	// It changes the last-ulp rounding of EngineParallel and
+	// EngineVertexCentric, whose atomic adds land in scheduling order;
+	// EngineDeterministic produces bit-identical vectors at every value.
 	Parallelism int
 	// Mode selects batch versus per-update processing (Tracker only).
 	// Default BatchMode.
@@ -213,7 +216,6 @@ func DefaultOptions() Options {
 		Epsilon: 1e-6,
 		Engine:  EngineParallel,
 		Variant: VariantOpt,
-		Workers: 0,
 		Mode:    BatchMode,
 	}
 }
@@ -226,15 +228,11 @@ func (o Options) Validate() error {
 func (o Options) buildEngine() (push.Engine, error) {
 	switch o.Engine {
 	case EngineParallel:
-		return push.NewParallel(o.Variant, o.Workers), nil
+		return push.NewParallel(o.Variant, o.Parallelism), nil
 	case EngineSequential:
 		return push.NewSequential(), nil
 	case EngineVertexCentric:
-		workers := o.Workers
-		if workers <= 0 {
-			workers = fp.DefaultWorkers()
-		}
-		return vc.NewPPREngine(workers), nil
+		return vc.NewPPREngine(fp.ClampWorkers(o.Parallelism)), nil
 	case EngineDeterministic:
 		return parallel.NewPushEngine(o.Parallelism), nil
 	default:
@@ -257,15 +255,17 @@ type BatchResult struct {
 }
 
 // Tracker maintains an ε-approximate PPR vector for one source vertex over a
-// dynamic graph. A Tracker by itself is not safe for concurrent use — apply
-// batches and issue queries from one goroutine (the engine parallelizes
-// internally). To serve queries concurrently with a live update stream, wrap
-// the same state in a Service, which decouples lock-free snapshot reads from
-// a serialized write pipeline.
+// dynamic graph. It is a one-source, one-worker TrackerSet: construction,
+// invariant restoration and push run the set's loop, so a Tracker's vectors
+// are bit-identical to those of its source in a TrackerSet fed the same
+// batches under EngineSequential or EngineDeterministic. A Tracker by itself
+// is not safe for concurrent use — apply batches and issue queries from one
+// goroutine (the engine parallelizes internally). To serve queries
+// concurrently with a live update stream, wrap the same state in a Service,
+// which decouples lock-free snapshot reads from a serialized write pipeline.
 type Tracker struct {
-	st     *push.State
-	engine push.Engine
-	opts   Options
+	ts *TrackerSet
+	st *push.State // ts's one state
 }
 
 // NewTracker builds a tracker for the given source over g and brings it to
@@ -276,29 +276,24 @@ func NewTracker(g *Graph, source VertexID, opts Options) (*Tracker, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := opts.buildEngine()
+	ts, err := newTrackerSet(g, opts, 1, []VertexID{source}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	st, err := push.NewState(g, source, push.Config{Alpha: opts.Alpha, Epsilon: opts.Epsilon})
-	if err != nil {
-		return nil, err
-	}
-	engine.Run(st, []graph.VertexID{source})
-	return &Tracker{st: st, engine: engine, opts: opts}, nil
+	return &Tracker{ts: ts, st: ts.states[0]}, nil
 }
 
 // Source returns the tracked source vertex.
 func (t *Tracker) Source() VertexID { return t.st.Source() }
 
 // Graph returns the tracked graph.
-func (t *Tracker) Graph() *Graph { return t.st.Graph() }
+func (t *Tracker) Graph() *Graph { return t.ts.g }
 
 // Options returns the options the tracker was built with.
-func (t *Tracker) Options() Options { return t.opts }
+func (t *Tracker) Options() Options { return t.ts.opts }
 
 // EngineName returns the name of the engine in use (for experiment output).
-func (t *Tracker) EngineName() string { return t.engine.Name() }
+func (t *Tracker) EngineName() string { return t.ts.engines[0].Name() }
 
 // Estimate returns the current PPR estimate of v; it is within Epsilon of the
 // exact value for the current graph.
@@ -324,51 +319,10 @@ func (t *Tracker) ApplyUpdate(u Update) BatchResult {
 }
 
 // ApplyBatch applies a batch of edge updates and restores the approximation
-// guarantee before returning.
+// guarantee before returning: the TrackerSet procedure runs once over the
+// whole batch in BatchMode, once per update in SingleUpdateMode.
 func (t *Tracker) ApplyBatch(b Batch) BatchResult {
-	start := time.Now()
-	pushesBefore := t.st.Counters.Snapshot().Pushes
-	applied := 0
-	switch t.opts.Mode {
-	case SingleUpdateMode:
-		for _, u := range b {
-			if t.applyOne(u) {
-				applied++
-				t.engine.Run(t.st, []graph.VertexID{u.U})
-			}
-		}
-	default:
-		touched := make([]graph.VertexID, 0, len(b))
-		for _, u := range b {
-			if t.applyOne(u) {
-				applied++
-				touched = append(touched, u.U)
-			}
-		}
-		t.engine.Run(t.st, touched)
-	}
-	// Between batches is a quiescent point: fold grown delta segments back
-	// into the CSR base so the next batch's pushes scan flat arrays.
-	t.st.Graph().MaybeCompact()
-	return BatchResult{
-		Applied: applied,
-		Skipped: len(b) - applied,
-		Latency: time.Since(start),
-		Pushes:  t.st.Counters.Snapshot().Pushes - pushesBefore,
-	}
-}
-
-func (t *Tracker) applyOne(u Update) bool {
-	switch u.Op {
-	case Insert:
-		changed, err := t.st.ApplyInsert(u.U, u.V)
-		return err == nil && changed
-	case Delete:
-		changed, err := t.st.ApplyDelete(u.U, u.V)
-		return err == nil && changed
-	default:
-		return false
-	}
+	return t.ts.applyBatch(b, t.ts.opts.Mode == SingleUpdateMode)
 }
 
 // VertexScore pairs a vertex with its PPR estimate.
@@ -387,7 +341,7 @@ func (t *Tracker) TopK(k int) []VertexScore {
 // validation and experiments, not for the hot path.
 func (t *Tracker) ExactError() (float64, error) {
 	oracle, err := power.ReverseGraph(t.st.Graph(), t.st.Source(), power.Options{
-		Alpha:         t.opts.Alpha,
+		Alpha:         t.ts.opts.Alpha,
 		Tolerance:     1e-13,
 		MaxIterations: 20_000,
 	})

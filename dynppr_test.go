@@ -172,7 +172,7 @@ func TestTrackerEnginesAgree(t *testing.T) {
 		opts.Variant = variant
 		opts.Epsilon = 1e-5
 		opts.Mode = mode
-		opts.Workers = 4
+		opts.Parallelism = 4
 		g := dynppr.GraphFromEdges(edges[:800])
 		tr, err := dynppr.NewTracker(g, 0, opts)
 		if err != nil {
@@ -291,7 +291,7 @@ func TestTrackerSet(t *testing.T) {
 	sources := g.TopDegreeVertices(3)
 	opts := dynppr.DefaultOptions()
 	opts.Epsilon = 1e-5
-	opts.Workers = 2
+	opts.Parallelism = 2
 
 	if _, err := dynppr.NewTrackerSet(g.Clone(), nil, opts); err == nil {
 		t.Fatal("empty source list must fail")
@@ -315,58 +315,105 @@ func TestTrackerSet(t *testing.T) {
 	if !ts.Converged() {
 		t.Fatal("tracker set must converge at construction")
 	}
-	batch := make(dynppr.Batch, 0, 200)
+	// A mixed batch: the held-out edges, deletions of every 25th initial
+	// edge, and two no-ops (a duplicate insert, a missing delete).
+	batch := make(dynppr.Batch, 0, 230)
 	for _, e := range edges[500:] {
 		batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: dynppr.Insert})
 	}
-	res := ts.ApplyBatch(batch)
-	if res.Applied == 0 || !ts.Converged() {
-		t.Fatalf("batch not applied or not converged: %+v", res)
+	for i := 0; i < 500; i += 25 {
+		batch = append(batch, dynppr.Update{U: edges[i].U, V: edges[i].V, Op: dynppr.Delete})
 	}
-	// Each tracked source must agree with an independent single-source tracker.
-	for _, s := range sources {
-		single, err := dynppr.NewTracker(g.Clone(), s, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := dynppr.VertexID(0); int(v) < g.NumVertices(); v += 7 {
-			got, err := ts.Estimate(s, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := math.Abs(got - single.Estimate(v)); d > 2*opts.Epsilon {
-				t.Fatalf("source %d vertex %d: set estimate %v vs single %v", s, v, got, single.Estimate(v))
-			}
-		}
+	batch = append(batch,
+		dynppr.Update{U: edges[1].U, V: edges[1].V, Op: dynppr.Insert},
+		dynppr.Update{U: 9998, V: 9999, Op: dynppr.Delete})
+	res := ts.ApplyBatch(batch)
+	if res.Applied == 0 || res.Skipped == 0 || !ts.Converged() {
+		t.Fatalf("batch not applied or not converged: %+v", res)
 	}
 	if _, err := ts.Estimate(9999, 0); err == nil {
 		t.Fatal("estimating an untracked source must fail")
 	}
 
-	// BatchResult.Pushes is the work of this batch, as Tracker reports it —
-	// not the sources' lifetime counters. Under the deterministic engine the
-	// set schedules each source exactly like a Tracker of its own, so the
-	// counts agree to the push.
-	opts.Engine = dynppr.EngineDeterministic
-	initial := dynppr.GraphFromEdges(edges[:500])
-	var batchPushes, lifetimePushes int64
-	for _, s := range sources {
-		single, err := dynppr.NewTracker(initial.Clone(), s, opts)
+	// A Tracker is a one-source set running the same loop, so under the
+	// reproducible engines each source's estimates carry exactly the bits of
+	// an independent Tracker fed the same batch, and the BatchResults agree
+	// field by field. BatchResult.Pushes is the work of this batch, as
+	// Tracker reports it — not the sources' lifetime counters.
+	base := dynppr.GraphFromEdges(edges[:500])
+	requireSameEstimates := func(name string, set *dynppr.TrackerSet, s dynppr.VertexID, single *dynppr.Tracker) {
+		t.Helper()
+		for v := dynppr.VertexID(0); int(v) < set.Graph().NumVertices(); v++ {
+			got, err := set.Estimate(s, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(single.Estimate(v)) {
+				t.Fatalf("%s: source %d vertex %d: set estimate %v vs tracker %v", name, s, v, got, single.Estimate(v))
+			}
+		}
+	}
+	sameCounts := func(name string, got, want dynppr.BatchResult) {
+		t.Helper()
+		if got.Applied != want.Applied || got.Skipped != want.Skipped || got.Pushes != want.Pushes {
+			t.Fatalf("%s: result %+v, want applied %d skipped %d pushes %d", name, got, want.Applied, want.Skipped, want.Pushes)
+		}
+	}
+	for _, engine := range []dynppr.EngineKind{dynppr.EngineSequential, dynppr.EngineDeterministic} {
+		opts.Engine = engine
+		var want dynppr.BatchResult
+		var lifetimePushes int64
+		singles := make([]*dynppr.Tracker, len(sources))
+		for i, s := range sources {
+			single, err := dynppr.NewTracker(base.Clone(), s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := single.ApplyBatch(batch)
+			want.Applied, want.Skipped = r.Applied, r.Skipped
+			want.Pushes += r.Pushes
+			lifetimePushes += single.Counters().Pushes
+			singles[i] = single
+		}
+		set, err := dynppr.NewTrackerSet(base.Clone(), sources, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchPushes += single.ApplyBatch(batch).Pushes
-		lifetimePushes += single.Counters().Pushes
-	}
-	det, err := dynppr.NewTrackerSet(initial, sources, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := det.ApplyBatch(nil); res.Pushes != 0 {
-		t.Fatalf("empty batch reported %d pushes", res.Pushes)
-	}
-	if res := det.ApplyBatch(batch); res.Pushes <= 0 || res.Pushes != batchPushes || res.Pushes >= lifetimePushes {
-		t.Fatalf("batch reported %d pushes, want %d (lifetime %d)", res.Pushes, batchPushes, lifetimePushes)
+		if res := set.ApplyBatch(nil); res.Pushes != 0 {
+			t.Fatalf("%v: empty batch reported %d pushes", engine, res.Pushes)
+		}
+		res := set.ApplyBatch(batch)
+		sameCounts(engine.String(), res, want)
+		if res.Pushes <= 0 || res.Pushes >= lifetimePushes {
+			t.Fatalf("%v: batch reported %d pushes (lifetime %d)", engine, res.Pushes, lifetimePushes)
+		}
+		for i, s := range sources {
+			requireSameEstimates(engine.String(), set, s, singles[i])
+		}
+
+		// SingleUpdateMode restores and pushes after every update: the
+		// Tracker matches a one-source set fed the stream one update per
+		// ApplyBatch.
+		perUpdate := opts
+		perUpdate.Mode = dynppr.SingleUpdateMode
+		single, err := dynppr.NewTracker(base.Clone(), sources[0], perUpdate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := dynppr.NewTrackerSet(base.Clone(), sources[:1], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = dynppr.BatchResult{}
+		for _, u := range batch {
+			r := one.ApplyBatch(dynppr.Batch{u})
+			want.Applied += r.Applied
+			want.Skipped += r.Skipped
+			want.Pushes += r.Pushes
+		}
+		name := engine.String() + " single-update"
+		sameCounts(name, single.ApplyBatch(batch), want)
+		requireSameEstimates(name, one, sources[0], single)
 	}
 }
 
@@ -427,7 +474,7 @@ func TestTrackerAccuracyProperty(t *testing.T) {
 		g := dynppr.GraphFromEdges(edges[:200])
 		opts := dynppr.DefaultOptions()
 		opts.Epsilon = 1e-4
-		opts.Workers = 2
+		opts.Parallelism = 2
 		tr, err := dynppr.NewTracker(g, 0, opts)
 		if err != nil {
 			return false

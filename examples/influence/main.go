@@ -1,10 +1,8 @@
-// Influence tracking with forward PPR: while the Tracker ranks "who reaches
-// the target", the ForwardTracker answers the opposite question — "where does
-// attention starting at this account end up". This example maintains both
-// directions for the same account over a shared dynamic graph (via
-// TrackerSet for the reverse side) and keeps them fresh as the graph churns:
-// the forward side is the account's influence footprint, the reverse side its
-// audience sources.
+// Influence tracking: "who reaches this account?" The Tracker maintains the
+// account's contribution PPR — Estimate(v) is the probability that a random
+// walk from v stops at the account — so its TopK ranks the accounts whose
+// attention flows to it most, directly or through intermediaries. This
+// example keeps that audience ranking fresh while the follow graph churns.
 //
 // Run with:
 //
@@ -27,87 +25,53 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Two graphs with identical content: the forward tracker and the reverse
-	// tracker set each own their copy (a ForwardTracker and a TrackerSet must
-	// not share one mutable graph, since both apply the updates themselves).
-	gForward := dynppr.GraphFromEdges(edges)
-	gReverse := gForward.Clone()
-
-	account := gForward.TopDegreeVertices(3)[2] // a well-connected, non-top account
+	g := dynppr.GraphFromEdges(edges)
+	account := g.TopDegreeVertices(3)[2] // a well-connected, non-top account
 
 	opts := dynppr.DefaultOptions()
 	opts.Epsilon = 1e-6
-
-	forward, err := dynppr.NewForwardTracker(gForward, account, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reverse, err := dynppr.NewTrackerSet(gReverse, []dynppr.VertexID{account}, opts)
+	tr, err := dynppr.NewTracker(g, account, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("account %d on a graph with %d vertices / %d edges\n\n",
-		account, gForward.NumVertices(), gForward.NumEdges())
-	printFootprint(forward, account)
+		account, g.NumVertices(), g.NumEdges())
+	printAudience(tr, account)
 
-	// Churn: new follows appear around the account, old ones disappear.
+	// Churn: new follows appear, old ones disappear.
 	rng := rand.New(rand.NewSource(5))
 	for round := 1; round <= 5; round++ {
 		batch := make(dynppr.Batch, 0, 120)
 		for i := 0; i < 100; i++ {
-			u := dynppr.VertexID(rng.Intn(gForward.NumVertices()))
-			v := dynppr.VertexID(rng.Intn(gForward.NumVertices()))
+			u := dynppr.VertexID(rng.Intn(g.NumVertices()))
+			v := dynppr.VertexID(rng.Intn(g.NumVertices()))
 			if u != v {
 				batch = append(batch, dynppr.Update{U: u, V: v, Op: dynppr.Insert})
 			}
 		}
-		existing := gForward.Edges()
+		existing := g.Edges()
 		for i := 0; i < 20; i++ {
 			e := existing[rng.Intn(len(existing))]
 			batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: dynppr.Delete})
 		}
-		fres := forward.ApplyBatch(batch)
-		rres := reverse.ApplyBatch(batch)
-		fmt.Printf("round %d: forward refresh %v, reverse refresh %v (%d effective updates)\n",
-			round, fres.Latency, rres.Latency, fres.Applied)
+		res := tr.ApplyBatch(batch)
+		fmt.Printf("round %d: refresh %v, %d effective updates, %d pushes\n",
+			round, res.Latency, res.Applied, res.Pushes)
 	}
 
 	fmt.Println()
-	printFootprint(forward, account)
-
-	// The audience side from the tracker set.
-	fmt.Println("\ntop audience sources (reverse PPR towards the account):")
-	type scored struct {
-		v dynppr.VertexID
-		s float64
-	}
-	var best scored
-	for v := 0; v < gReverse.NumVertices(); v++ {
-		id := dynppr.VertexID(v)
-		if id == account {
-			continue
-		}
-		score, err := reverse.Estimate(account, id)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if score > best.s {
-			best = scored{v: id, s: score}
-		}
-	}
-	fmt.Printf("  strongest source: account %d with score %.5f\n", best.v, best.s)
+	printAudience(tr, account)
 }
 
-func printFootprint(forward *dynppr.ForwardTracker, account dynppr.VertexID) {
-	fmt.Println("influence footprint (forward PPR — where walks from the account stop):")
+func printAudience(tr *dynppr.Tracker, account dynppr.VertexID) {
+	fmt.Println("audience (contribution PPR — who reaches the account):")
 	shown := 0
-	for _, vs := range forward.TopK(10) {
+	for _, vs := range tr.TopK(10) {
 		if vs.Vertex == account {
 			continue
 		}
-		fmt.Printf("  account %-6d weight %.5f\n", vs.Vertex, vs.Score)
+		fmt.Printf("  account %-6d score %.5f\n", vs.Vertex, vs.Score)
 		if shown++; shown == 5 {
 			break
 		}

@@ -62,7 +62,6 @@ func FuzzTrackerApplyBatch(f *testing.F) {
 		opts := dynppr.DefaultOptions()
 		opts.Engine = engines[int(pick)%len(engines)]
 		opts.Epsilon = 1e-5
-		opts.Workers = 2
 		opts.Parallelism = 2
 
 		tr, err := dynppr.NewTracker(dynppr.NewGraph(0), 3, opts)

@@ -1,10 +1,11 @@
-// Package parallel implements a deterministic parallel local push: the
-// active residual frontier is partitioned into a fixed number of stripes,
-// each stripe accumulates its residual transfers into a private delta
-// buffer, and the buffers are merged by an ordered reduction — every vertex
-// is merged by exactly one goroutine, summing the stripe deltas in fixed
-// stripe order. Because the stripe partition depends only on the frontier
-// (never on the worker count) and every floating-point addition happens in a
+// Package parallel implements PushEngine, a deterministic parallel local push
+// over the contribution-PPR state of internal/push: the active residual
+// frontier is partitioned into a fixed number of stripes, each stripe
+// accumulates its residual transfers into a private delta buffer, and the
+// buffers are merged by an ordered reduction — every vertex is merged by
+// exactly one goroutine, summing the stripe deltas in fixed stripe order.
+// Because the stripe partition depends only on the frontier (never on the
+// worker count) and every floating-point addition happens in a
 // schedule-independent order, the engine produces bit-identical estimate and
 // residual vectors at any degree of parallelism: running with 8 workers
 // yields exactly the float64 bits of the single-worker (sequential)
@@ -24,11 +25,12 @@
 // round. Within a round there are four barrier-separated sessions:
 //
 //  1. Stripe propagation: stripe k owns the contiguous frontier range
-//     [k·F/S, (k+1)·F/S) and streams each vertex's transfers into its
-//     private Delta buffer. No shared writes. A stripe reads its own
-//     accumulated delta on top of the round-start residual (intra-stripe
-//     absorption), recovering part of the sequential engine's Gauss–Seidel
-//     efficiency without giving up determinism.
+//     [k·F/S, (k+1)·F/S) and sends (1−α)·r(u)/dout(v) from each of its
+//     vertices u to every in-neighbor v, into its private delta buffer. No
+//     shared writes. A stripe reads its own accumulated delta on top of the
+//     round-start residual (intra-stripe absorption), recovering part of the
+//     sequential engine's Gauss–Seidel efficiency without giving up
+//     determinism.
 //  2. Ordered merge: the union of touched vertices is collected in stripe
 //     order, then each touched vertex v — owned by exactly one iteration —
 //     receives r(v) += Σ_k delta_k(v) with k ascending. Adding the zero
@@ -46,10 +48,12 @@
 package parallel
 
 import (
+	"fmt"
 	"slices"
 
 	"dynppr/internal/fp"
-	"dynppr/internal/metrics"
+	"dynppr/internal/graph"
+	"dynppr/internal/push"
 )
 
 // NumStripes is the number of frontier stripes (and private delta buffers).
@@ -71,140 +75,154 @@ const DefaultCutover = 128
 // self-update sessions.
 const mergeGrain = 64
 
-// Delta is one stripe's private residual-delta buffer: a dense float64
+// delta is one stripe's private residual-delta buffer: a dense float64
 // vector plus the list of touched vertices in first-touch order. Within one
 // push phase every increment has the same sign and is non-zero, so a zero
 // entry means "untouched" and no separate membership structure is needed.
-type Delta struct {
+type delta struct {
 	buf     []float64
 	touched []int32
 }
 
-// Add accumulates inc into the delta of v. inc must be non-zero and carry
-// the sign of the current phase (see the Delta invariant above).
-func (d *Delta) Add(v int32, inc float64) {
+// add accumulates inc into the delta of v. inc must be non-zero and carry
+// the sign of the current phase (see the delta invariant above).
+func (d *delta) add(v int32, inc float64) {
 	if d.buf[v] == 0 {
 		d.touched = append(d.touched, v)
 	}
 	d.buf[v] += inc
 }
 
-// PropagateFunc streams the residual transfers of frontier vertex u, whose
-// residual at round start is ru, into the stripe's delta buffer via d.Add.
-// Implementations must be pure: same (u, ru) in, same d.Add calls out,
-// reading only state that is constant for the duration of the round (the
-// graph topology).
-type PropagateFunc func(d *Delta, u int32, ru float64)
-
-// Machine holds the reusable buffers and scheduling parameters of the
-// deterministic push. A Machine is stateful scratch space, not shared state:
-// like the engines of internal/push it must be driven from one goroutine at
-// a time (the parallelism lives inside Converge).
-type Machine struct {
+// PushEngine runs the deterministic parallel push. It implements push.Engine
+// and produces bit-identical results at every worker count. Its fields are
+// reusable scratch, not shared state: like the engines of internal/push it
+// must be driven from one goroutine at a time (the parallelism lives inside
+// Run), and it keeps nothing of a state once Run returns, so one engine can
+// serve any number of states in turn (a TrackerSet worker runs every source
+// it claims through one) without pinning the last one.
+type PushEngine struct {
 	workers int
 	cutover int
 
-	// onFrontier, when set, is invoked once per round from the coordinating
-	// goroutine with the round's frontier — the exact set of vertices whose
-	// estimate the round updates. The serving layer points it at
-	// push.State.MarkEstimatesDirty so delta snapshot publication knows what
-	// changed; the hook must not retain the slice past the call.
-	onFrontier func([]int32)
-
-	stripes [NumStripes]Delta
+	stripes [NumStripes]delta
 	taken   []float64
 	marked  []bool
 	merged  []int32
-	// free holds the frontier buffers not currently in use; Converge
+	// free holds the frontier buffers not currently in use; a phase
 	// double-buffers the frontier through them, so the steady state runs
 	// with two recycled arrays and no allocation.
 	free [][]int32
+	// cands is the reusable sorted candidate buffer.
+	cands []int32
 }
 
-// NewMachine returns a machine running up to workers goroutines per session
-// (workers <= 0 selects GOMAXPROCS) with the given adaptive cutover
-// (cutover <= 0 selects DefaultCutover). The worker count never influences
-// results, only wall-clock time.
-func NewMachine(workers, cutover int) *Machine {
-	workers = fp.ClampWorkers(workers)
+// NewPushEngine returns a deterministic engine with the given degree of
+// parallelism (<= 0 selects GOMAXPROCS) and the default adaptive cutover.
+func NewPushEngine(workers int) *PushEngine {
+	return NewPushEngineCutover(workers, 0)
+}
+
+// NewPushEngineCutover is NewPushEngine with an explicit cutover (<= 0
+// selects DefaultCutover), exposed for tests that pin the inline and
+// fanned-out paths. Neither argument ever influences results, only
+// wall-clock time.
+func NewPushEngineCutover(workers, cutover int) *PushEngine {
 	if cutover <= 0 {
 		cutover = DefaultCutover
 	}
-	return &Machine{workers: workers, cutover: cutover}
+	return &PushEngine{workers: fp.ClampWorkers(workers), cutover: cutover}
+}
+
+// Name implements push.Engine.
+func (e *PushEngine) Name() string {
+	return fmt.Sprintf("deterministic-w%d", e.workers)
 }
 
 // Workers returns the configured degree of parallelism.
-func (m *Machine) Workers() int { return m.workers }
+func (e *PushEngine) Workers() int { return e.workers }
 
-// Cutover returns the frontier size below which rounds run inline.
-func (m *Machine) Cutover() int { return m.cutover }
-
-// SetFrontierHook installs the per-round frontier callback (nil disables
-// it). The hook never influences results — it only observes the schedule.
-func (m *Machine) SetFrontierHook(fn func([]int32)) { m.onFrontier = fn }
+// Run implements push.Engine: it drains every residual whose absolute value
+// exceeds ε, first the positive then the negative phase, exactly like the
+// engines of internal/push. Candidates outside the graph are ignored and
+// duplicates collapse; nil requests a full scan, and an empty non-nil list
+// pushes nothing.
+func (e *PushEngine) Run(st *push.State, candidates []graph.VertexID) {
+	_, r := st.Vectors()
+	var cands []int32 // nil requests a full scan
+	if candidates != nil {
+		// Sorted and deduplicated, so the first frontier — and with it the
+		// stripe partition — does not depend on how the caller listed them.
+		cands = e.cands[:0]
+		for _, v := range candidates {
+			if v >= 0 && int(v) < r.Len() {
+				cands = append(cands, v)
+			}
+		}
+		slices.Sort(cands)
+		cands = slices.Compact(cands)
+		e.cands = cands
+		if len(cands) == 0 {
+			return
+		}
+	}
+	e.ensure(r.Len())
+	e.convergePhase(st, cands, true)
+	e.convergePhase(st, cands, false)
+}
 
 // getBuf pops a recycled frontier buffer (empty, possibly nil on first use).
-func (m *Machine) getBuf() []int32 {
-	if n := len(m.free); n > 0 {
-		b := m.free[n-1]
-		m.free = m.free[:n-1]
+func (e *PushEngine) getBuf() []int32 {
+	if n := len(e.free); n > 0 {
+		b := e.free[n-1]
+		e.free = e.free[:n-1]
 		return b[:0]
 	}
 	return nil
 }
 
 // putBuf returns a frontier buffer to the recycle pool.
-func (m *Machine) putBuf(b []int32) {
+func (e *PushEngine) putBuf(b []int32) {
 	if cap(b) > 0 {
-		m.free = append(m.free, b[:0])
+		e.free = append(e.free, b[:0])
 	}
 }
 
 // ensure grows the per-vertex buffers to cover n vertices.
-func (m *Machine) ensure(n int) {
-	if len(m.marked) >= n {
+func (e *PushEngine) ensure(n int) {
+	if len(e.marked) >= n {
 		return
 	}
-	m.marked = append(m.marked, make([]bool, n-len(m.marked))...)
-	for k := range m.stripes {
-		d := &m.stripes[k]
+	e.marked = append(e.marked, make([]bool, n-len(e.marked))...)
+	for k := range e.stripes {
+		d := &e.stripes[k]
 		d.buf = append(d.buf, make([]float64, n-len(d.buf))...)
 	}
 }
 
-// Converge drains every residual whose absolute value exceeds eps, first the
-// positive then the negative phase, exactly like the engines of
-// internal/push. candidates lists the vertices whose residual may violate
-// the threshold, sorted ascending and deduplicated (nil requests a full
-// scan); p and r are the estimate/residual vectors, already sized to the
-// graph. The result is bit-identical for every workers value.
-func (m *Machine) Converge(p, r *fp.Float64Vector, alpha, eps float64, candidates []int32, counters *metrics.Counters, propagate PropagateFunc) {
-	m.ensure(r.Len())
-	m.convergePhase(p, r, alpha, eps, candidates, true, counters, propagate)
-	m.convergePhase(p, r, alpha, eps, candidates, false, counters, propagate)
-}
-
-func (m *Machine) convergePhase(p, r *fp.Float64Vector, alpha, eps float64, candidates []int32, positive bool, counters *metrics.Counters, propagate PropagateFunc) {
+func (e *PushEngine) convergePhase(st *push.State, candidates []int32, positive bool) {
+	eps := st.Epsilon()
 	cond := func(x float64) bool { return x > eps }
 	if !positive {
 		cond = func(x float64) bool { return x < -eps }
 	}
-	frontier := m.initialFrontier(r, candidates, cond)
+	frontier := e.initialFrontier(st, candidates, cond)
 	for len(frontier) > 0 {
-		counters.ObserveIteration(len(frontier))
-		if m.onFrontier != nil {
-			m.onFrontier(frontier)
-		}
-		frontier = m.round(p, r, alpha, frontier, cond, counters, propagate)
+		st.Counters.ObserveIteration(len(frontier))
+		// Each round's frontier is exactly the set of estimates the round
+		// updates; feeding it to st's estimate-dirty set is what lets
+		// SnapshotSlot.Publish copy only what changed.
+		st.MarkEstimatesDirty(frontier)
+		frontier = e.round(st, frontier, cond)
 	}
-	m.putBuf(frontier)
+	e.putBuf(frontier)
 }
 
 // initialFrontier filters the candidates (or all vertices) by the phase
 // condition into a recycled frontier buffer. candidates are sorted, so the
 // result is sorted.
-func (m *Machine) initialFrontier(r *fp.Float64Vector, candidates []int32, cond func(float64) bool) []int32 {
-	frontier := m.getBuf()
+func (e *PushEngine) initialFrontier(st *push.State, candidates []int32, cond func(float64) bool) []int32 {
+	_, r := st.Vectors()
+	frontier := e.getBuf()
 	if candidates == nil {
 		n := r.Len()
 		for v := 0; v < n; v++ {
@@ -223,20 +241,25 @@ func (m *Machine) initialFrontier(r *fp.Float64Vector, candidates []int32, cond 
 }
 
 // round executes one barrier-synchronous push round over the frontier and
-// returns the next frontier. The returned slice reuses m's buffers; the
+// returns the next frontier. The returned slice reuses e's buffers; the
 // frontier passed in is recycled as the next spare buffer.
-func (m *Machine) round(p, r *fp.Float64Vector, alpha float64, frontier []int32, cond func(float64) bool, counters *metrics.Counters, propagate PropagateFunc) []int32 {
-	workers := m.workers
-	if len(frontier) <= m.cutover {
+func (e *PushEngine) round(st *push.State, frontier []int32, cond func(float64) bool) []int32 {
+	workers := e.workers
+	if len(frontier) <= e.cutover {
 		// Adaptive cutover: same schedule, same arithmetic, inline — the
 		// fp helpers run the loop on the calling goroutine for workers 1.
 		workers = 1
 	}
+	g := st.Graph()
+	p, r := st.Vectors()
+	alpha := st.Alpha()
+	w := 1 - alpha
+	counters := st.Counters
 	F := len(frontier)
-	if cap(m.taken) < F {
-		m.taken = make([]float64, F)
+	if cap(e.taken) < F {
+		e.taken = make([]float64, F)
 	}
-	taken := m.taken[:F]
+	taken := e.taken[:F]
 
 	// Session 1: stripe propagation. Stripe k owns the contiguous frontier
 	// range [k·F/S, (k+1)·F/S); the partition depends only on F. The
@@ -246,13 +269,19 @@ func (m *Machine) round(p, r *fp.Float64Vector, alpha float64, frontier []int32,
 	// reading them is as deterministic as reading r, and the mass they carry
 	// is propagated this round instead of costing an extra round.
 	fp.ForDynamic(NumStripes, workers, 1, func(k int) {
-		d := &m.stripes[k]
+		d := &e.stripes[k]
 		lo, hi := k*F/NumStripes, (k+1)*F/NumStripes
 		for i := lo; i < hi; i++ {
 			u := frontier[i]
 			ru := r.Get(int(u)) + d.buf[u]
 			taken[i] = ru
-			propagate(d, u, ru)
+			in := g.InNeighbors(u)
+			counters.AddPropagations(int64(len(in)))
+			counters.AddRandomAccesses(int64(len(in)))
+			share := w * ru
+			for _, v := range in {
+				d.add(v, share/float64(g.OutDegree(v)))
+			}
 		}
 	})
 	counters.AddPushes(int64(F))
@@ -262,11 +291,11 @@ func (m *Machine) round(p, r *fp.Float64Vector, alpha float64, frontier []int32,
 	// summing stripe deltas in ascending stripe order. Zero entries of
 	// stripes that did not touch v contribute exactly nothing, so the sum
 	// does not depend on which stripes touched v.
-	merged := m.merged[:0]
-	for k := range m.stripes {
-		for _, v := range m.stripes[k].touched {
-			if !m.marked[v] {
-				m.marked[v] = true
+	merged := e.merged[:0]
+	for k := range e.stripes {
+		for _, v := range e.stripes[k].touched {
+			if !e.marked[v] {
+				e.marked[v] = true
 				merged = append(merged, v)
 			}
 		}
@@ -274,9 +303,9 @@ func (m *Machine) round(p, r *fp.Float64Vector, alpha float64, frontier []int32,
 	fp.ForDynamic(len(merged), workers, mergeGrain, func(i int) {
 		v := int(merged[i])
 		s := r.Get(v)
-		for k := range m.stripes {
-			s += m.stripes[k].buf[v]
-			m.stripes[k].buf[v] = 0
+		for k := range e.stripes {
+			s += e.stripes[k].buf[v]
+			e.stripes[k].buf[v] = 0
 		}
 		r.Set(v, s)
 	})
@@ -295,54 +324,19 @@ func (m *Machine) round(p, r *fp.Float64Vector, alpha float64, frontier []int32,
 	// was collected in stripe-then-first-touch order, which depends only on
 	// the round's inputs, so the next frontier needs no sorting to be
 	// deterministic.
-	next := m.getBuf()
+	next := e.getBuf()
 	for _, v := range merged {
-		m.marked[v] = false
+		e.marked[v] = false
 		if cond(r.Get(int(v))) {
 			next = append(next, v)
 		}
 	}
-	for k := range m.stripes {
-		m.stripes[k].touched = m.stripes[k].touched[:0]
+	for k := range e.stripes {
+		e.stripes[k].touched = e.stripes[k].touched[:0]
 	}
 	counters.AddEnqueues(int64(len(next)))
 
-	m.merged = merged[:0]
-	m.putBuf(frontier)
+	e.merged = merged[:0]
+	e.putBuf(frontier)
 	return next
-}
-
-// SortedCandidates prepares a candidate list for Converge: out-of-range and
-// negative ids are dropped, the rest sorted ascending and deduplicated. nil
-// stays nil (full scan).
-func SortedCandidates(candidates []int32, n int) []int32 {
-	if candidates == nil {
-		return nil
-	}
-	return SortedCandidatesInto(nil, candidates, n)
-}
-
-// emptyCandidates keeps an empty (but non-nil) candidate list distinct from
-// the nil "full scan" request when the reusable buffer has no storage yet.
-var emptyCandidates = make([]int32, 0)
-
-// SortedCandidatesInto is SortedCandidates into a reusable buffer, for
-// callers on the steady-state batch path that must not allocate. A nil
-// candidate list returns nil (full scan) regardless of dst.
-func SortedCandidatesInto(dst, candidates []int32, n int) []int32 {
-	if candidates == nil {
-		return nil
-	}
-	out := dst[:0]
-	for _, v := range candidates {
-		if v >= 0 && int(v) < n {
-			out = append(out, v)
-		}
-	}
-	slices.Sort(out)
-	out = slices.Compact(out)
-	if out == nil {
-		out = emptyCandidates
-	}
-	return out
 }

@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynppr/internal/gen"
@@ -10,49 +12,6 @@ import (
 	"dynppr/internal/power"
 	"dynppr/internal/push"
 )
-
-func TestDeltaAddTracksFirstTouch(t *testing.T) {
-	d := Delta{buf: make([]float64, 8)}
-	d.Add(3, 0.5)
-	d.Add(5, 0.25)
-	d.Add(3, 0.5)
-	if len(d.touched) != 2 || d.touched[0] != 3 || d.touched[1] != 5 {
-		t.Fatalf("touched = %v", d.touched)
-	}
-	if d.buf[3] != 1.0 || d.buf[5] != 0.25 {
-		t.Fatalf("buf = %v", d.buf)
-	}
-}
-
-func TestSortedCandidates(t *testing.T) {
-	if SortedCandidates(nil, 10) != nil {
-		t.Fatal("nil candidates must stay nil (full scan)")
-	}
-	got := SortedCandidates([]int32{7, 3, -1, 7, 12, 0, 3}, 10)
-	want := []int32{0, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMachineAccessors(t *testing.T) {
-	m := NewMachine(0, 0)
-	if m.Workers() < 1 {
-		t.Fatal("workers must default to >= 1")
-	}
-	if m.Cutover() != DefaultCutover {
-		t.Fatalf("cutover = %d", m.Cutover())
-	}
-	e := NewPushEngine(4)
-	if e.Name() != "deterministic-w4" || e.Workers() != 4 {
-		t.Fatalf("engine accessors: %s", e.Name())
-	}
-}
 
 // replay is one push.State fed a seeded mixed insert/delete stream, one
 // batch per step; the engine is handed in per call, so a test decides whether
@@ -86,6 +45,16 @@ func newReplay(t *testing.T, e push.Engine, vertices, edges int, seed int64) *re
 // step applies the stream's next batch of 50 updates and pushes with e.
 func (rp *replay) step(t *testing.T, e push.Engine) {
 	t.Helper()
+	e.Run(rp.st, rp.mutate())
+	if !rp.st.Converged() {
+		t.Fatalf("%s: batch not converged", e.Name())
+	}
+}
+
+// mutate applies the stream's next batch of 50 updates to the graph and the
+// state's invariant, without pushing, and returns the source endpoints of
+// the effective updates in stream order (duplicates included).
+func (rp *replay) mutate() []graph.VertexID {
 	st := rp.st
 	var touched []graph.VertexID
 	for k := 0; k < 50; k++ {
@@ -106,10 +75,7 @@ func (rp *replay) step(t *testing.T, e push.Engine) {
 			}
 		}
 	}
-	e.Run(st, touched)
-	if !st.Converged() {
-		t.Fatalf("%s: batch not converged", e.Name())
-	}
+	return touched
 }
 
 // replayStates runs the same five-batch stream through one push.State per
@@ -150,10 +116,10 @@ func requireSameBits(t *testing.T, name string, got, want *push.State) {
 
 // TestSharedEngineBitIdenticalToDedicated pins that an engine keeps nothing
 // of a state between runs: an engine driven alternately over two
-// states — on different graphs, the second larger so the machine's buffers
+// states — on different graphs, the second larger so the engine's buffers
 // grow mid-stream — leaves both with exactly the bits two dedicated engines
-// produce. Nothing of one state's run (stripe deltas, marks, the frontier
-// hook) may leak into the next.
+// produce. Nothing of one state's run (stripe deltas, marks, recycled
+// frontiers) may leak into the next.
 func TestSharedEngineBitIdenticalToDedicated(t *testing.T) {
 	for _, tc := range []struct{ workers, cutover int }{
 		{1, 0}, {4, 0}, {1, 1}, {4, 1}, // cutover 0 = default, 1 = always fan out
@@ -173,8 +139,63 @@ func TestSharedEngineBitIdenticalToDedicated(t *testing.T) {
 		name := shared.Name()
 		requireSameBits(t, name+" small", small.st, wantSmall.st)
 		requireSameBits(t, name+" large", large.st, wantLarge.st)
-		if shared.m.onFrontier != nil {
-			t.Fatalf("%s: engine still holds a state's frontier hook after Run", name)
+	}
+}
+
+// TestRunCandidateHandling pins how Run reads its candidate list: ids
+// outside the graph are dropped and the rest sorted and deduplicated before
+// the first frontier is built, so a messy list leaves exactly the bits of
+// the clean one; nil scans every vertex (the same bits again, since only the
+// candidates can violate the threshold after a restore), and an empty
+// non-nil list pushes nothing. It also pins the constructor defaults.
+func TestRunCandidateHandling(t *testing.T) {
+	e := NewPushEngine(0)
+	if e.Workers() < 1 || e.cutover != DefaultCutover || e.Name() != fmt.Sprintf("deterministic-w%d", e.Workers()) {
+		t.Fatalf("defaults: %s, cutover %d", e.Name(), e.cutover)
+	}
+	if e4 := NewPushEngine(4); e4.Name() != "deterministic-w4" || e4.Workers() != 4 {
+		t.Fatalf("engine accessors: %s", e4.Name())
+	}
+	for _, workers := range []int{1, 4} {
+		// Cutover 1 fans every round out, so the messy list meets the
+		// stripe partition and the concurrent merge, not just the inline path.
+		eng := NewPushEngineCutover(workers, 1)
+		clean := newReplay(t, eng, 150, 1200, 41)
+		messy := newReplay(t, eng, 150, 1200, 41)
+		full := newReplay(t, eng, 150, 1200, 41)
+		for b := 0; b < 4; b++ {
+			touched := clean.mutate()
+			messy.mutate()
+			full.mutate()
+			sorted := slices.Compact(slices.Sorted(slices.Values(touched)))
+			n := graph.VertexID(clean.st.Graph().NumVertices())
+			dirty := append([]graph.VertexID{n, -1, n + 5, 1 << 30, -7}, touched...)
+			slices.Reverse(dirty)
+			dirty = append(dirty, touched...)
+
+			// An empty list pushes nothing, whether or not the engine's
+			// candidate buffer has storage yet.
+			pushes := full.st.Counters.Snapshot().Pushes
+			p, r := full.st.Estimates(), full.st.Residuals()
+			eng.Run(full.st, []graph.VertexID{})
+			NewPushEngine(workers).Run(full.st, []graph.VertexID{})
+			if got := full.st.Counters.Snapshot().Pushes; got != pushes {
+				t.Fatalf("%s: empty candidate list pushed %d times", eng.Name(), got-pushes)
+			}
+			for v, x := range full.st.Estimates() {
+				if math.Float64bits(x) != math.Float64bits(p[v]) || math.Float64bits(full.st.Residual(graph.VertexID(v))) != math.Float64bits(r[v]) {
+					t.Fatalf("%s: empty candidate list changed vertex %d", eng.Name(), v)
+				}
+			}
+
+			eng.Run(clean.st, sorted)
+			eng.Run(messy.st, dirty)
+			eng.Run(full.st, nil)
+			if !clean.st.Converged() || !full.st.Converged() {
+				t.Fatalf("%s: batch %d not converged", eng.Name(), b)
+			}
+			requireSameBits(t, eng.Name()+" messy candidates", messy.st, clean.st)
+			requireSameBits(t, eng.Name()+" full scan", full.st, clean.st)
 		}
 	}
 }

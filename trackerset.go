@@ -28,8 +28,9 @@ import (
 // state and the (quiescent) graph.
 //
 // With Options.Engine set to EngineSequential or EngineDeterministic the
-// whole set is therefore reproducible: each source's push is bit-identical
-// to a Tracker's over the same history, at any worker count.
+// whole set is therefore reproducible: each source's vectors are
+// bit-identical to a Tracker's over the same history — a Tracker is a set of
+// one source running this same loop — at any worker count.
 //
 // Like Tracker, a TrackerSet is not safe for concurrent use: ApplyBatch and
 // Estimate must not overlap. When queries need to run concurrently with the
@@ -233,8 +234,24 @@ func (ts *TrackerSet) Estimate(source, v VertexID) (float64, error) {
 // ApplyBatch applies the batch to the shared graph once, restores the
 // invariant of every tracked source, and pushes each source to convergence.
 func (ts *TrackerSet) ApplyBatch(b Batch) BatchResult {
+	return ts.applyBatch(b, false)
+}
+
+// applyBatch runs apply over b — once, or once per update when perUpdate is
+// set (a Tracker in SingleUpdateMode) — and then compacts the graph.
+func (ts *TrackerSet) applyBatch(b Batch, perUpdate bool) BatchResult {
 	start := time.Now()
-	applied, pushes := ts.apply(b, nil)
+	var applied int
+	var pushes int64
+	if perUpdate {
+		for i := range b {
+			a, p := ts.apply(b[i:i+1], nil)
+			applied += a
+			pushes += p
+		}
+	} else {
+		applied, pushes = ts.apply(b, nil)
+	}
 	// Between batches is a quiescent point (no engine is reading): fold
 	// grown delta segments back into the CSR base.
 	ts.g.MaybeCompact()
