@@ -75,8 +75,7 @@ func FuzzFaultScriptRoundTrip(f *testing.F) {
 		const oldLSN = 0
 		last := &ckpt.Data{
 			LSN: oldLSN, Alpha: 0.2, Epsilon: 1e-3,
-			Out: [][]graph.VertexID{{1}, {2}, {0}},
-			In:  [][]graph.VertexID{{2}, {0}, {1}},
+			CSR: graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}).CompactedSnapshot(),
 		}
 		if err := ckpt.WriteFileFS(faultfs.OS, ckptPath, last); err != nil {
 			t.Fatal(err)

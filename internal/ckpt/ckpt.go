@@ -6,7 +6,7 @@
 // is why the graph is serialized as ordered adjacency lists (push and
 // summation order of later pushes) rather than as an edge set.
 //
-// # Format (version 2, CSR image)
+// # Format (CSR image)
 //
 //	magic       [8]byte  "DPPRCKP2"
 //	version     uint32   little-endian (2)
@@ -26,25 +26,10 @@
 // is written from a compacted graph with no per-edge work, and recovery
 // wraps the decoded arrays as the new base with no re-insertion — the
 // near-instant "CSR image" load the storage engine was reworked for.
-// Adjacency order is exact for the same reason it is in v1.
+// Adjacency order is exact. This is the one format written and read: any
+// other magic or version is rejected as ErrInvalid.
 //
-// # Format (version 1, legacy)
-//
-//	magic    [8]byte  "DPPRCKP1"
-//	version  uint32   little-endian (1)
-//	lsn      uint64   WAL LSN covered by this checkpoint
-//	alpha    float64  IEEE-754 bits, little-endian
-//	epsilon  float64
-//	n        uvarint  number of vertices
-//	out      n × (uvarint degree, degree × uvarint neighbor)   — exact order
-//	in       n × (uvarint degree, degree × uvarint neighbor)   — exact order
-//	sources  uvarint count, count × source block
-//	crc      uint32   CRC-32C (Castagnoli) of every preceding byte
-//
-// Version 1 checkpoints are still read (recovery upgrades them by writing a
-// fresh v2 image after replay); only v2 is written.
-//
-// In both versions a source block is
+// A source block is
 //
 //	source    uvarint
 //	epoch     uint64
@@ -70,11 +55,8 @@ import (
 )
 
 const (
-	magic   = "DPPRCKP1"
-	version = 1
-
-	magic2   = "DPPRCKP2"
-	version2 = 2
+	magic   = "DPPRCKP2"
+	version = 2
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -106,56 +88,27 @@ type Data struct {
 	// with; recovery must resume with the same values.
 	Alpha   float64
 	Epsilon float64
-	// CSR is the graph's compacted base segment. When non-nil, Encode
-	// writes the v2 CSR-image format (Out/In are ignored) and recovery can
-	// adopt the arrays as a graph base without re-inserting edges. Decoding
-	// a v2 checkpoint sets CSR and leaves Out/In nil; decoding a legacy v1
-	// checkpoint does the reverse.
+	// CSR is the graph's compacted base segment, required by Encode.
+	// Recovery adopts the decoded arrays as a graph base without
+	// re-inserting edges.
 	CSR *graph.CSR
-	// Out and In are the graph's adjacency lists in exact stored order
-	// (legacy v1 representation).
-	Out, In [][]graph.VertexID
 	// Sources lists the tracked sources in ascending source order.
 	Sources []Source
 }
 
-// Encode serializes d to its binary form: the v2 CSR image when d.CSR is
-// set, the legacy v1 adjacency format otherwise.
+// Encode serializes d as a CSR image: the graph base's four CSR arrays
+// verbatim, fixed-width, so encoding cost is a flat memory copy rather than
+// per-edge varint work. A Data without a CSR is rejected.
 func Encode(d *Data) ([]byte, error) {
-	if d.CSR != nil {
-		return encodeCSR(d)
-	}
-	if len(d.Out) != len(d.In) {
-		return nil, fmt.Errorf("ckpt: adjacency mismatch: %d out slots, %d in slots", len(d.Out), len(d.In))
-	}
-	n := len(d.Out)
-	buf := make([]byte, 0, 64+16*n)
-	buf = appendHeader(buf, magic, version, d)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	var err error
-	if buf, err = appendAdjacency(buf, d.Out, n); err != nil {
-		return nil, err
-	}
-	if buf, err = appendAdjacency(buf, d.In, n); err != nil {
-		return nil, err
-	}
-	if buf, err = appendSources(buf, d.Sources, n); err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
-}
-
-// encodeCSR writes the v2 image: the graph base's four CSR arrays verbatim,
-// fixed-width, so encoding cost is a flat memory copy rather than per-edge
-// varint work.
-func encodeCSR(d *Data) ([]byte, error) {
 	c := d.CSR
+	if c == nil {
+		return nil, errors.New("ckpt: data has no CSR image")
+	}
 	n, m := c.NumVertices(), c.NumEdges()
 	outOff, outTgt := c.RawOut()
 	inOff, inTgt := c.RawIn()
 	buf := make([]byte, 0, 64+4*(2*(n+1)+2*m))
-	buf = appendHeader(buf, magic2, version2, d)
+	buf = appendHeader(buf, d)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(m))
 	buf = appendOffsets(buf, outOff)
@@ -170,9 +123,9 @@ func encodeCSR(d *Data) ([]byte, error) {
 	return buf, nil
 }
 
-func appendHeader(buf []byte, mg string, ver uint32, d *Data) []byte {
-	buf = append(buf, mg...)
-	buf = binary.LittleEndian.AppendUint32(buf, ver)
+func appendHeader(buf []byte, d *Data) []byte {
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, d.LSN)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.Alpha))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.Epsilon))
@@ -220,29 +173,15 @@ func appendSources(buf []byte, sources []Source, n int) ([]byte, error) {
 	return buf, nil
 }
 
-func appendAdjacency(buf []byte, lists [][]graph.VertexID, n int) ([]byte, error) {
-	for u, nbrs := range lists {
-		buf = binary.AppendUvarint(buf, uint64(len(nbrs)))
-		for _, v := range nbrs {
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("ckpt: adjacency of %d names vertex %d outside [0,%d)", u, v, n)
-			}
-			buf = binary.AppendUvarint(buf, uint64(v))
-		}
-	}
-	return buf, nil
-}
-
-// Decode parses a checkpoint image. Junk bytes, truncation, bad checksums
-// and malformed bodies return ErrInvalid — never a panic and never an
-// allocation proportional to a forged count rather than the actual input
-// size.
+// Decode parses a checkpoint image. Junk bytes, other magics or versions,
+// truncation, bad checksums and malformed bodies return ErrInvalid — never a
+// panic and never an allocation proportional to a forged count rather than
+// the actual input size.
 func Decode(data []byte) (*Data, error) {
 	if len(data) < len(magic)+4+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrInvalid, len(data))
 	}
-	mg := string(data[:len(magic)])
-	if mg != magic && mg != magic2 {
+	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrInvalid, data[:len(magic)])
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
@@ -250,31 +189,16 @@ func Decode(data []byte) (*Data, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalid)
 	}
 	r := &reader{b: body, off: len(magic)}
-	v := r.u32()
+	if v := r.u32(); v != version {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrInvalid, v)
+	}
 	d := &Data{}
 	d.LSN = r.u64()
 	d.Alpha = math.Float64frombits(r.u64())
 	d.Epsilon = math.Float64frombits(r.u64())
-	var n int
-	var err error
-	switch {
-	case mg == magic && v == version:
-		n, err = r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		if d.Out, err = r.adjacency(n); err != nil {
-			return nil, err
-		}
-		if d.In, err = r.adjacency(n); err != nil {
-			return nil, err
-		}
-	case mg == magic2 && v == version2:
-		if n, err = r.csr(d); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d for magic %q", ErrInvalid, v, mg)
+	n, err := r.csr(d)
+	if err != nil {
+		return nil, err
 	}
 	if d.Sources, err = r.sources(n); err != nil {
 		return nil, err
@@ -401,28 +325,7 @@ func (r *reader) vertex(n int) (graph.VertexID, error) {
 	return graph.VertexID(x), nil
 }
 
-func (r *reader) adjacency(n int) ([][]graph.VertexID, error) {
-	lists := make([][]graph.VertexID, n)
-	for u := 0; u < n; u++ {
-		deg, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		if deg == 0 {
-			continue
-		}
-		nbrs := make([]graph.VertexID, deg)
-		for i := range nbrs {
-			if nbrs[i], err = r.vertex(n); err != nil {
-				return nil, err
-			}
-		}
-		lists[u] = nbrs
-	}
-	return lists, nil
-}
-
-// csr reads the v2 body's four fixed-width CSR arrays into d.CSR, validating
+// csr reads the body's four fixed-width CSR arrays into d.CSR, validating
 // the structural invariants via graph.NewCSR, and returns the vertex count.
 func (r *reader) csr(d *Data) (int, error) {
 	// Every vertex occupies at least 8 bytes (one uint32 offset in each
@@ -454,7 +357,7 @@ func (r *reader) csr(d *Data) (int, error) {
 	return n, nil
 }
 
-// sources reads the trailing source blocks shared by both format versions.
+// sources reads the trailing source blocks.
 func (r *reader) sources(n int) ([]Source, error) {
 	numSources, err := r.count(1 + 8 + 1)
 	if err != nil {

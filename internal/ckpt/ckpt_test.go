@@ -3,7 +3,6 @@ package ckpt
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,17 +12,20 @@ import (
 	"dynppr/internal/graph"
 )
 
+// csrOf builds the compacted CSR base of a graph holding edges, in order.
+func csrOf(edges ...graph.Edge) *graph.CSR {
+	return graph.FromEdges(edges).CompactedSnapshot()
+}
+
+// sampleData builds a checkpoint value whose graph has out lists
+// {1,2},{2},{},{0,1} and in lists {3},{0,3},{0,1},{}.
 func sampleData() *Data {
 	return &Data{
 		LSN:     17,
 		Alpha:   0.15,
 		Epsilon: 1e-6,
-		Out: [][]graph.VertexID{
-			{1, 2}, {2}, nil, {0, 1},
-		},
-		In: [][]graph.VertexID{
-			{3}, {0, 3}, {0, 1}, nil,
-		},
+		CSR: csrOf(graph.Edge{U: 0, V: 1}, graph.Edge{U: 0, V: 2}, graph.Edge{U: 1, V: 2},
+			graph.Edge{U: 3, V: 0}, graph.Edge{U: 3, V: 1}),
 		Sources: []Source{
 			{Source: 1, Epoch: 4, Estimates: []float64{0.1, 0.9, 0}, Residuals: []float64{0, -1e-7, 1e-8}},
 			{Source: 3, Epoch: 2, Estimates: []float64{0, 0.25, 0.5, 0.25}, Residuals: []float64{1e-9, 0, 0, 0}},
@@ -41,7 +43,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !dataEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	// Signed-zero and NaN-free float bits must survive exactly.
@@ -57,16 +59,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if math.Float64bits(got.Sources[0].Estimates[2]) != math.Float64bits(want.Sources[0].Estimates[2]) {
 		t.Fatal("float bits not preserved")
 	}
-	// The decoded adjacency reconstructs a consistent graph.
-	g, err := graph.FromAdjacency(got.Out, got.In)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The decoded image wraps into a consistent graph with the same lists.
+	g := graph.FromCSR(got.CSR)
 	if err := g.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 5 {
-		t.Fatalf("edges %d, want 5", g.NumEdges())
+	if g.NumEdges() != 5 || !reflect.DeepEqual(g.OutNeighbors(3), []graph.VertexID{0, 1}) ||
+		!reflect.DeepEqual(g.InNeighbors(1), []graph.VertexID{0, 3}) {
+		t.Fatalf("decoded graph: %d edges, out(3) %v, in(1) %v", g.NumEdges(), g.OutNeighbors(3), g.InNeighbors(1))
 	}
 }
 
@@ -90,9 +90,24 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	// catch it.
 	future := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(future[8:], version+1)
-	body := future[:len(future)-4]
-	binary.LittleEndian.PutUint32(future[len(future)-4:], crc32.Checksum(body, castagnoli))
-	cases["future-version"] = future
+	cases["future-version"] = resealCRC(future)
+	// A well-formed image of the retired adjacency-list format (an empty
+	// graph, checksum intact): only the CSR image is read.
+	cases["v1-image"] = []byte("DPPRCKP1\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00N\x03u\xbe")
+	// A duplicate edge behind a valid checksum: row 0 names vertex 1 twice,
+	// with degrees that agree in both directions. Same n and m as the
+	// two-cycle image, so the arrays overwrite it in place.
+	dup, err := Encode(&Data{Alpha: 0.15, Epsilon: 1e-6, CSR: csrOf(graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 0})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrays := appendOffsets(nil, []int32{0, 2, 2})
+	arrays = appendTargets(arrays, []graph.VertexID{1, 1})
+	arrays = appendOffsets(arrays, []int32{0, 0, 2})
+	arrays = appendTargets(arrays, []graph.VertexID{0, 0})
+	copy(dup[38:], arrays) // after the 36-byte header and one-byte n and m
+	cases["duplicate-edge"] = resealCRC(dup)
 
 	for name, data := range cases {
 		if _, err := Decode(data); !errors.Is(err, ErrInvalid) {
@@ -103,11 +118,10 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 func TestEncodeRejectsMalformedData(t *testing.T) {
 	mutations := map[string]func(*Data){
-		"adjacency-mismatch": func(d *Data) { d.In = d.In[:2] },
-		"vertex-range":       func(d *Data) { d.Out[0] = []graph.VertexID{99} },
-		"vector-mismatch":    func(d *Data) { d.Sources[0].Residuals = d.Sources[0].Residuals[:1] },
-		"vector-short":       func(d *Data) { s := &d.Sources[1]; s.Estimates = s.Estimates[:2]; s.Residuals = s.Residuals[:2] },
-		"source-range":       func(d *Data) { d.Sources[0].Source = 9 },
+		"no-csr":          func(d *Data) { d.CSR = nil },
+		"vector-mismatch": func(d *Data) { d.Sources[0].Residuals = d.Sources[0].Residuals[:1] },
+		"vector-short":    func(d *Data) { s := &d.Sources[1]; s.Estimates = s.Estimates[:2]; s.Residuals = s.Residuals[:2] },
+		"source-range":    func(d *Data) { d.Sources[0].Source = 9 },
 	}
 	for name, mutate := range mutations {
 		d := sampleData()

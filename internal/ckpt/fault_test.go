@@ -16,9 +16,9 @@ import (
 // to recover from.
 func TestWriteFaultKeepsOldCheckpoint(t *testing.T) {
 	old := &Data{LSN: 10, Alpha: 0.15, Epsilon: 1e-6,
-		Out: [][]graph.VertexID{{1}, {}}, In: [][]graph.VertexID{{}, {0}}}
+		CSR: csrOf(graph.Edge{U: 0, V: 1})}
 	next := &Data{LSN: 20, Alpha: 0.15, Epsilon: 1e-6,
-		Out: [][]graph.VertexID{{1}, {0}}, In: [][]graph.VertexID{{1}, {0}}}
+		CSR: csrOf(graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 0})}
 
 	rules := []faultfs.Rule{
 		{Op: faultfs.OpOpen, Path: ".tmp"},
@@ -75,14 +75,14 @@ func TestWriteFaultKeepsOldCheckpoint(t *testing.T) {
 func TestSilentShortCheckpointCaught(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt")
-	old := &Data{LSN: 5, Alpha: 0.2, Epsilon: 1e-4}
+	old := &Data{LSN: 5, Alpha: 0.2, Epsilon: 1e-4, CSR: csrOf()}
 	if err := WriteFile(path, old); err != nil {
 		t.Fatal(err)
 	}
 
 	in := faultfs.NewInjector(faultfs.OS)
 	in.Add(faultfs.Rule{Op: faultfs.OpWrite, Path: ".tmp", Mode: faultfs.ModeSilentShort, Partial: 8})
-	err := WriteFileFS(in, path, &Data{LSN: 6, Alpha: 0.2, Epsilon: 1e-4})
+	err := WriteFileFS(in, path, &Data{LSN: 6, Alpha: 0.2, Epsilon: 1e-4, CSR: csrOf(graph.Edge{U: 0, V: 1})})
 	if err == nil {
 		t.Fatal("lying short checkpoint write reported success")
 	}

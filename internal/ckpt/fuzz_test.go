@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"reflect"
 	"testing"
 
 	"dynppr/internal/graph"
@@ -16,7 +15,6 @@ func dataEqual(a, b *Data) bool {
 	if a.LSN != b.LSN ||
 		math.Float64bits(a.Alpha) != math.Float64bits(b.Alpha) ||
 		math.Float64bits(a.Epsilon) != math.Float64bits(b.Epsilon) ||
-		!reflect.DeepEqual(a.Out, b.Out) || !reflect.DeepEqual(a.In, b.In) ||
 		!csrEqual(a.CSR, b.CSR) ||
 		len(a.Sources) != len(b.Sources) {
 		return false
@@ -78,103 +76,15 @@ func vertexIDsEqual(a, b []graph.VertexID) bool {
 	return true
 }
 
-// FuzzCheckpointRead drives Decode with arbitrary bytes. The contract under
-// fuzz: Decode returns either ErrInvalid or a Data whose re-encoding decodes
-// to the same value, whose adjacency either builds a consistent graph or is
-// cleanly rejected by graph.FromAdjacency, and which never panics or
-// allocates beyond the input size — junk bytes, truncated tails and bad
-// checksums must all error.
-func FuzzCheckpointRead(f *testing.F) {
-	valid, err := Encode(&Data{
-		LSN:     9,
-		Alpha:   0.15,
-		Epsilon: 1e-6,
-		Out:     [][]graph.VertexID{{1, 2}, {2}, nil},
-		In:      [][]graph.VertexID{nil, {0}, {0, 1}},
-		Sources: []Source{
-			{Source: 0, Epoch: 3, Estimates: []float64{0.5, 0.2, 0.1}, Residuals: []float64{0, 1e-7, -1e-7}},
-			{Source: 2, Epoch: 1, Estimates: []float64{0, 0, 1}, Residuals: []float64{0, 0, 0}},
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5]) // truncated tail
-	f.Add(valid[:12])           // envelope only
-	f.Add([]byte{})
-	f.Add([]byte("DPPRCKP1"))
-	f.Add([]byte("DPPRCKP1\x01\x00\x00\x00junk"))
-	flip := append([]byte(nil), valid...)
-	flip[len(flip)/2] ^= 0x20
-	f.Add(flip)
-	f.Add([]byte("definitely not a checkpoint: just prose bytes padding out"))
-
-	empty, err := Encode(&Data{Alpha: 0.5, Epsilon: 1, Out: nil, In: nil})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Decode(data)
-		if err != nil {
-			return
-		}
-		// Accepted input: the value must survive an encode/decode round
-		// trip bit for bit.
-		buf, err := Encode(d)
-		if err != nil {
-			t.Fatalf("re-encode of accepted checkpoint: %v", err)
-		}
-		d2, err := Decode(buf)
-		if err != nil {
-			t.Fatalf("re-decode of accepted checkpoint: %v", err)
-		}
-		if !dataEqual(d, d2) {
-			t.Fatalf("round trip changed the checkpoint:\n%+v\n%+v", d, d2)
-		}
-		// The adjacency must be usable or cleanly rejected — never a panic.
-		if g, err := graph.FromAdjacency(d.Out, d.In); err == nil {
-			if cerr := g.CheckConsistency(); cerr != nil {
-				t.Fatalf("FromAdjacency accepted an inconsistent graph: %v", cerr)
-			}
-		}
-		for _, s := range d.Sources {
-			if len(s.Estimates) != len(s.Residuals) {
-				t.Fatalf("decoded source %d with mismatched vectors", s.Source)
-			}
-			if int(s.Source) >= len(s.Estimates) {
-				t.Fatalf("decoded source %d not covered by its vectors", s.Source)
-			}
-		}
-	})
-}
-
-// sampleCSRData builds a v2 checkpoint value around a compacted CSR base.
-func sampleCSRData() *Data {
-	g := graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 3, V: 0}, {U: 3, V: 1}})
-	return &Data{
-		LSN:     21,
-		Alpha:   0.15,
-		Epsilon: 1e-6,
-		CSR:     g.CompactedSnapshot(),
-		Sources: []Source{
-			{Source: 0, Epoch: 5, Estimates: []float64{0.4, 0.3, 0.3}, Residuals: []float64{0, 1e-7, 0}},
-			{Source: 3, Epoch: 2, Estimates: []float64{0.1, 0.2, 0.2, 0.5}, Residuals: []float64{0, 0, -1e-8, 0}},
-		},
-	}
-}
-
-// FuzzCSRImageRead drives Decode with arbitrary bytes aimed at the v2 CSR
-// image path. The strict-reader contract: truncation, checksum damage,
-// version skew, forged counts and malformed CSR structure must all return
-// ErrInvalid — never a panic and never an allocation proportional to a
-// forged count rather than the actual input size — and any accepted image
-// must re-encode/decode bit-identically and wrap into a consistent graph
-// with no re-insertion.
+// FuzzCSRImageRead drives Decode, the one checkpoint reader, with arbitrary
+// bytes. The strict-reader contract: truncation, checksum damage, version
+// skew, the retired DPPRCKP1 format, forged counts and malformed CSR
+// structure must all return ErrInvalid — never a panic and never an
+// allocation proportional to a forged count rather than the actual input
+// size — and any accepted image must carry the one magic, re-encode/decode
+// bit-identically and wrap into a consistent graph with no re-insertion.
 func FuzzCSRImageRead(f *testing.F) {
-	valid, err := Encode(sampleCSRData())
+	valid, err := Encode(sampleData())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -189,15 +99,15 @@ func FuzzCSRImageRead(f *testing.F) {
 	flip[len(flip)/2] ^= 0x10
 	f.Add(flip)
 
-	// Version skew: v2 magic with a future version and a recomputed
+	// Version skew: the magic with a future version and a recomputed
 	// checksum — the version gate must reject it, not the CRC.
 	future := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(future[8:], version2+1)
+	binary.LittleEndian.PutUint32(future[8:], version+1)
 	f.Add(resealCRC(future))
 
-	// Cross-version skew: v1 magic carrying the v2 version number.
+	// The retired v1 magic in front of a valid body and checksum.
 	skew := append([]byte(nil), valid...)
-	copy(skew, magic)
+	copy(skew, "DPPRCKP1")
 	f.Add(resealCRC(skew))
 
 	// Forged vertex count far past the input size: the count guard must
@@ -207,7 +117,7 @@ func FuzzCSRImageRead(f *testing.F) {
 	f.Add(resealCRC(forged))
 
 	// Empty graph: n=0, m=0 is a legal image.
-	empty, err := Encode(&Data{Alpha: 0.5, Epsilon: 1, CSR: graph.New(0).CompactedSnapshot()})
+	empty, err := Encode(&Data{Alpha: 0.5, Epsilon: 1, CSR: csrOf()})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -217,6 +127,9 @@ func FuzzCSRImageRead(f *testing.F) {
 		d, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if string(data[:len(magic)]) != magic {
+			t.Fatalf("accepted an image with magic %q", data[:len(magic)])
 		}
 		buf, err := Encode(d)
 		if err != nil {
@@ -228,9 +141,6 @@ func FuzzCSRImageRead(f *testing.F) {
 		}
 		if !dataEqual(d, d2) {
 			t.Fatalf("round trip changed the checkpoint:\n%+v\n%+v", d, d2)
-		}
-		if d.CSR == nil {
-			return // v1 input wandered in; FuzzCheckpointRead owns that path
 		}
 		// An accepted image must already satisfy every CSR invariant: the
 		// zero-copy recovery graph it backs is consistent as-is.

@@ -88,23 +88,15 @@ func csrFromEdges(n int, edges []Edge) *CSR {
 	return c
 }
 
-// csrFromAdjacency copies explicit adjacency lists (already validated by the
-// caller) into CSR form, preserving element order.
-func csrFromAdjacency(out, in [][]VertexID) *CSR {
-	n := len(out)
-	return buildCSR(n,
-		func(u VertexID) []VertexID { return out[u] },
-		func(v VertexID) []VertexID { return in[v] })
-}
-
 // NewCSR assembles a CSR from raw offset/target arrays, taking ownership of
 // the slices. It is the strict entry point for deserialized checkpoint
 // images: the structure is validated — offset arrays of equal length n+1,
 // monotone, starting at 0 and ending at the target count; targets in range;
-// and per-vertex in-degrees consistent with the out lists — before anything
-// is wrapped, so a corrupted image yields an error, never a CSR that can
-// panic a reader later. (Byte-level integrity is the checkpoint CRC's job;
-// this guards structure.)
+// per-vertex in-degrees consistent with the out lists; and no row naming a
+// target twice, the at-most-one-edge-per-pair rule — before anything is
+// wrapped, so a corrupted image yields an error, never a CSR that can panic
+// a reader later or break the graph's edge-set invariant. (Byte-level
+// integrity is the checkpoint CRC's job; this guards structure.)
 func NewCSR(outOffsets, inOffsets []int32, outTargets, inTargets []VertexID) (*CSR, error) {
 	if len(outOffsets) == 0 || len(outOffsets) != len(inOffsets) {
 		return nil, fmt.Errorf("graph: csr offset arrays have %d/%d entries", len(outOffsets), len(inOffsets))
@@ -151,6 +143,12 @@ func NewCSR(outOffsets, inOffsets []int32, outTargets, inTargets []VertexID) (*C
 			return nil, fmt.Errorf("graph: csr vertex %d has %d out entries but %d in entries name it", i, got, deg[i])
 		}
 	}
+	if err := checkRows("out", outOffsets, outTargets, deg); err != nil {
+		return nil, err
+	}
+	if err := checkRows("in", inOffsets, inTargets, deg); err != nil {
+		return nil, err
+	}
 	return &CSR{
 		n:          n,
 		outOffsets: outOffsets,
@@ -158,6 +156,21 @@ func NewCSR(outOffsets, inOffsets []int32, outTargets, inTargets []VertexID) (*C
 		inOffsets:  inOffsets,
 		inTargets:  inTargets,
 	}, nil
+}
+
+// checkRows rejects a row that names the same target twice, stamping each
+// target with its row in the n-long scratch mark (left dirty).
+func checkRows(dir string, offsets []int32, targets []VertexID, mark []int32) error {
+	clear(mark)
+	for u := 1; u < len(offsets); u++ {
+		for _, v := range targets[offsets[u-1]:offsets[u]] {
+			if mark[v] == int32(u) {
+				return fmt.Errorf("graph: csr %s row %d names %d twice", dir, u-1, v)
+			}
+			mark[v] = int32(u)
+		}
+	}
+	return nil
 }
 
 func checkOffsets(dir string, offsets []int32, m int) error {

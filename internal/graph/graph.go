@@ -15,6 +15,11 @@
 // on it. Compaction (see compact.go) merges the overlays into a fresh base by
 // materializing exactly the logical adjacency, so it never perturbs order.
 //
+// The adjacency lists are the graph's only record of its edges: there is no
+// separate membership index. HasEdge scans the shorter of the two lists that
+// could hold an edge, which is also how AddEdge refuses a duplicate and
+// RemoveEdge a missing edge before either touches any state.
+//
 // View (see view.go) captures an O(#overlaid vertices) frozen snapshot of the
 // layered state for concurrent readers; Snapshot still materializes a full
 // CSR when a flat copy is wanted. Both pin their graph view by the epoch that
@@ -29,6 +34,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -73,12 +79,6 @@ type Graph struct {
 
 	epoch   uint64 // bumped on every base swap; Views pin it
 	viewGen uint64 // bumped by View(); drives overlay sealing
-
-	// edgeSet tracks membership for duplicate/removal checks. It is built
-	// lazily on the first mutation or HasEdge call, so read-only graphs
-	// loaded from a CSR image (checkpoint recovery) never pay the O(m) map
-	// construction.
-	edgeSet map[Edge]struct{}
 }
 
 // New returns an empty graph pre-sized for n vertices.
@@ -91,8 +91,8 @@ func New(n int) *Graph {
 
 // FromCSR wraps an immutable CSR as the base segment of a new graph with no
 // deltas. The CSR is retained as-is (zero copy): this is the checkpoint-image
-// recovery constructor, and together with the lazy edge-membership index it
-// makes recovery cost O(1) beyond decoding the image itself.
+// recovery constructor, and since the adjacency lists are the graph's only
+// record of its edges, recovery costs O(1) beyond decoding the image itself.
 func FromCSR(c *CSR) *Graph {
 	return fromBase(c, c.n)
 }
@@ -137,59 +137,7 @@ func FromEdges(edges []Edge) *Graph {
 			n = int(e.V) + 1
 		}
 	}
-	g := fromBase(csrFromEdges(n, uniq), n)
-	g.edgeSet = set
-	return g
-}
-
-// FromAdjacency rebuilds a graph from explicit out- and in-adjacency lists,
-// preserving their exact element order. It is the (v1) checkpoint-recovery
-// constructor: adjacency order is observable state (it fixes the
-// floating-point summation order of subsequent pushes), so a recovered graph
-// must reproduce it bit-for-bit rather than merely the same edge set. The
-// two list families must describe the same edge set with no duplicates,
-// otherwise an error is returned.
-func FromAdjacency(out, in [][]VertexID) (*Graph, error) {
-	if len(out) != len(in) {
-		return nil, fmt.Errorf("graph: adjacency mismatch: %d out slots, %d in slots", len(out), len(in))
-	}
-	n := len(out)
-	set := make(map[Edge]struct{})
-	for u, nbrs := range out {
-		for _, v := range nbrs {
-			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("graph: out[%d] names vertex %d outside [0,%d)", u, v, n)
-			}
-			e := Edge{VertexID(u), v}
-			if _, dup := set[e]; dup {
-				return nil, fmt.Errorf("graph: duplicate edge (%d,%d) in out lists", u, v)
-			}
-			set[e] = struct{}{}
-		}
-	}
-	m := len(set)
-	inSeen := make(map[Edge]struct{}, m)
-	for v, nbrs := range in {
-		for _, u := range nbrs {
-			if u < 0 || int(u) >= n {
-				return nil, fmt.Errorf("graph: in[%d] names vertex %d outside [0,%d)", v, u, n)
-			}
-			e := Edge{u, VertexID(v)}
-			if _, ok := set[e]; !ok {
-				return nil, fmt.Errorf("graph: in lists have (%d,%d) missing from out lists", u, v)
-			}
-			if _, dup := inSeen[e]; dup {
-				return nil, fmt.Errorf("graph: duplicate edge (%d,%d) in in lists", u, v)
-			}
-			inSeen[e] = struct{}{}
-		}
-	}
-	if len(inSeen) != m {
-		return nil, fmt.Errorf("graph: in lists cover %d edges, out lists %d", len(inSeen), m)
-	}
-	g := fromBase(csrFromAdjacency(out, in), n)
-	g.edgeSet = set
-	return g, nil
+	return fromBase(csrFromEdges(n, uniq), n)
 }
 
 // NumVertices returns the number of vertex slots (max id seen + 1, or the
@@ -251,25 +199,15 @@ func grow[T any](s []T, n int) []T {
 	return ns
 }
 
-// ensureEdgeSet builds the lazy membership index from the logical adjacency.
-func (g *Graph) ensureEdgeSet() {
-	if g.edgeSet != nil {
-		return
-	}
-	set := make(map[Edge]struct{}, g.m)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.OutNeighbors(VertexID(u)) {
-			set[Edge{VertexID(u), v}] = struct{}{}
-		}
-	}
-	g.edgeSet = set
-}
-
-// HasEdge reports whether edge u->v exists.
+// HasEdge reports whether edge u->v exists. The adjacency lists are the
+// edge set: it scans the shorter of u's out list and v's in list, so it costs
+// O(min(dout(u), din(v))) and never grows the graph.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	g.ensureEdgeSet()
-	_, ok := g.edgeSet[Edge{u, v}]
-	return ok
+	out, in := g.OutNeighbors(u), g.InNeighbors(v)
+	if len(out) <= len(in) {
+		return slices.Contains(out, v)
+	}
+	return slices.Contains(in, u)
 }
 
 // baseOut returns u's base-segment out list (nil when u postdates the base).
@@ -351,9 +289,7 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	if u < 0 || v < 0 {
 		return false, fmt.Errorf("%w: (%d,%d)", ErrNegativeVertex, u, v)
 	}
-	g.ensureEdgeSet()
-	e := Edge{u, v}
-	if _, ok := g.edgeSet[e]; ok {
+	if g.HasEdge(u, v) {
 		return false, nil
 	}
 	g.EnsureVertex(u)
@@ -367,7 +303,6 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	g.outOv[u] = append(g.writableOut(u), v)
 	g.inOv[v] = append(g.writableIn(v), u)
 	g.deltaEdges += 2
-	g.edgeSet[e] = struct{}{}
 	g.m++
 	return true, nil
 }
@@ -376,12 +311,9 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 // the surviving neighbors (adjacency order is observable: it fixes float
 // summation order). Deleting a missing edge returns ErrEdgeNotFound.
 func (g *Graph) RemoveEdge(u, v VertexID) error {
-	g.ensureEdgeSet()
-	e := Edge{u, v}
-	if _, ok := g.edgeSet[e]; !ok {
+	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeNotFound, u, v)
 	}
-	delete(g.edgeSet, e)
 	g.outOv[u] = removeInOrder(g.writableOut(u), v)
 	g.inOv[v] = removeInOrder(g.writableIn(v), u)
 	g.deltaEdges -= 2
@@ -488,12 +420,6 @@ func (g *Graph) Clone() *Graph {
 			c.inOv[u] = append(make([]VertexID, 0, len(s)), s...)
 		}
 	}
-	if g.edgeSet != nil {
-		c.edgeSet = make(map[Edge]struct{}, len(g.edgeSet))
-		for e := range g.edgeSet {
-			c.edgeSet[e] = struct{}{}
-		}
-	}
 	return c
 }
 
@@ -551,24 +477,24 @@ func (g *Graph) DegreeHistogram() map[int]int {
 	return h
 }
 
-// CheckConsistency validates the internal invariants of the graph: the edge
-// set, the logical out lists and in lists must describe the same edge
-// multiset, m must equal their cardinality, and the delta-segment accounting
-// (deltaEdges, overlaid registry) must match the segments actually present.
-// It is used by tests and by failure injection tooling.
+// CheckConsistency validates the internal invariants of the graph: the
+// logical out lists and in lists must describe the same edge set, with no
+// ordered pair listed twice, m must equal its cardinality, and the
+// delta-segment accounting (deltaEdges, overlaid registry) must match the
+// segments actually present. The edge set is built locally, O(m), for the
+// call. It is used by tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
 	if len(g.outOv) != g.n || len(g.inOv) != g.n {
 		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots", g.n, len(g.outOv), len(g.inOv))
 	}
-	g.ensureEdgeSet()
+	// matched[e] records whether an in-list entry has claimed out edge e.
+	matched := make(map[Edge]bool, g.m)
 	countOut := 0
 	for u := 0; u < g.n; u++ {
 		nbrs := g.OutNeighbors(VertexID(u))
 		countOut += len(nbrs)
 		for _, v := range nbrs {
-			if _, ok := g.edgeSet[Edge{VertexID(u), v}]; !ok {
-				return fmt.Errorf("graph: out list has (%d,%d) missing from edge set", u, v)
-			}
+			matched[Edge{VertexID(u), v}] = false
 		}
 	}
 	countIn := 0
@@ -576,14 +502,16 @@ func (g *Graph) CheckConsistency() error {
 		nbrs := g.InNeighbors(VertexID(v))
 		countIn += len(nbrs)
 		for _, u := range nbrs {
-			if _, ok := g.edgeSet[Edge{u, VertexID(v)}]; !ok {
-				return fmt.Errorf("graph: in list has (%d,%d) missing from edge set", u, v)
+			e := Edge{u, VertexID(v)}
+			if done, ok := matched[e]; !ok || done {
+				return fmt.Errorf("graph: in list has (%d,%d) missing from the out lists or listed twice", u, v)
 			}
+			matched[e] = true
 		}
 	}
-	if countOut != g.m || countIn != g.m || len(g.edgeSet) != g.m {
+	if countOut != g.m || countIn != g.m || len(matched) != g.m {
 		return fmt.Errorf("graph: edge count mismatch m=%d out=%d in=%d set=%d",
-			g.m, countOut, countIn, len(g.edgeSet))
+			g.m, countOut, countIn, len(matched))
 	}
 	delta := 0
 	reg := make(map[VertexID]bool, len(g.overlaid))

@@ -36,6 +36,41 @@ func TestAddRemoveEdgeBasics(t *testing.T) {
 	if err := g.RemoveEdge(0, 1); !errors.Is(err, ErrEdgeNotFound) {
 		t.Fatalf("RemoveEdge missing = %v, want ErrEdgeNotFound", err)
 	}
+
+	// A refused mutation changes nothing — not n, not the delta accounting —
+	// whether the duplicate sits in the base segment or in an overlay, and a
+	// membership probe never grows the graph.
+	shape := func(g *Graph) [4]int {
+		return [4]int{g.NumVertices(), g.NumEdges(), g.DeltaEdges(), g.OverlaidVertices()}
+	}
+	overlay := New(0)
+	mustAdd(t, overlay, 0, 1)
+	mustAdd(t, overlay, 1, 2)
+	for name, g := range map[string]*Graph{
+		"base":    FromEdges([]Edge{{0, 1}, {1, 2}, {2, 0}}),
+		"overlay": overlay,
+	} {
+		before := shape(g)
+		if added, err := g.AddEdge(0, 1); err != nil || added {
+			t.Fatalf("%s: duplicate AddEdge = %v, %v", name, added, err)
+		}
+		for _, e := range []Edge{{1, 0}, {7, 9}, {-1, 0}} {
+			if err := g.RemoveEdge(e.U, e.V); !errors.Is(err, ErrEdgeNotFound) {
+				t.Fatalf("%s: RemoveEdge%v = %v, want ErrEdgeNotFound", name, e, err)
+			}
+		}
+		for _, e := range []Edge{{-1, 0}, {0, -1}, {-3, -3}, {7, 9}, {0, 9}, {9, 0}} {
+			if g.HasEdge(e.U, e.V) {
+				t.Fatalf("%s: HasEdge%v = true", name, e)
+			}
+		}
+		if after := shape(g); after != before {
+			t.Fatalf("%s: refused mutations moved (n, m, delta, overlaid) %v -> %v", name, before, after)
+		}
+		if err := g.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
 }
 
 func TestAddEdgeNegativeVertex(t *testing.T) {
@@ -181,26 +216,66 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 	}
 }
 
-// Property: a random interleaving of inserts and deletes always leaves the
-// graph internally consistent, and in/out degree sums both equal the edge
-// count.
+// Property: a random interleaving of inserts, deletes, Views and
+// compactions agrees with a reference edge set on every AddEdge result,
+// RemoveEdge error and HasEdge answer — including on hub vertices, whose
+// lists are long enough that membership scans the other endpoint's list —
+// and always leaves the graph internally consistent, with in/out degree
+// sums both equal to the edge count.
 func TestRandomMutationConsistency(t *testing.T) {
-	f := func(seed int64, ops uint8) bool {
+	const n, ops, hubDegree = 400, 6000, 200
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := New(10)
-		n := int(ops)%200 + 1
-		for i := 0; i < n; i++ {
-			u := VertexID(rng.Intn(20))
-			v := VertexID(rng.Intn(20))
-			if rng.Intn(3) == 0 && g.HasEdge(u, v) {
-				if err := g.RemoveEdge(u, v); err != nil {
-					return false
-				}
-			} else {
-				if _, err := g.AddEdge(u, v); err != nil {
+		ref := make(map[Edge]bool)
+		// Vertices 0 and 1 are hubs: a quarter of the updates leave one, a
+		// quarter enter one.
+		pick := func() (VertexID, VertexID) {
+			hub, other := VertexID(rng.Intn(2)), VertexID(rng.Intn(n))
+			switch rng.Intn(4) {
+			case 0:
+				return hub, other
+			case 1:
+				return other, hub
+			}
+			return VertexID(rng.Intn(n)), other
+		}
+		for i := 0; i < ops; i++ {
+			switch rng.Intn(50) {
+			case 0:
+				g.View()
+			case 1:
+				g.Compact()
+				if err := g.CheckConsistency(); err != nil {
+					t.Logf("after compaction: %v", err)
 					return false
 				}
 			}
+			u, v := pick()
+			e := Edge{u, v}
+			if got := g.HasEdge(u, v); got != ref[e] {
+				t.Logf("HasEdge%v = %v, reference %v", e, got, ref[e])
+				return false
+			}
+			if rng.Intn(4) == 0 {
+				err := g.RemoveEdge(u, v)
+				if ref[e] && err != nil || !ref[e] && !errors.Is(err, ErrEdgeNotFound) {
+					t.Logf("RemoveEdge%v = %v, reference present %v", e, err, ref[e])
+					return false
+				}
+				delete(ref, e)
+			} else {
+				added, err := g.AddEdge(u, v)
+				if err != nil || added == ref[e] {
+					t.Logf("AddEdge%v = %v, %v, reference present %v", e, added, err, ref[e])
+					return false
+				}
+				ref[e] = true
+			}
+		}
+		if g.OutDegree(0) < hubDegree || g.InDegree(1) < hubDegree {
+			t.Logf("hubs too small: out(0)=%d in(1)=%d", g.OutDegree(0), g.InDegree(1))
+			return false
 		}
 		if err := g.CheckConsistency(); err != nil {
 			t.Logf("consistency: %v", err)
@@ -211,9 +286,9 @@ func TestRandomMutationConsistency(t *testing.T) {
 			sumOut += g.OutDegree(u)
 			sumIn += g.InDegree(u)
 		}
-		return sumOut == g.NumEdges() && sumIn == g.NumEdges()
+		return g.NumEdges() == len(ref) && sumOut == g.NumEdges() && sumIn == g.NumEdges()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

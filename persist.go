@@ -565,7 +565,7 @@ func (s *Service) doCheckpoint() (uint64, error) {
 
 // checkpointData captures the pipeline-quiescent state. Checkpointing is a
 // quiescent point, so it first folds any delta segments into the immutable
-// CSR base and then serializes that base verbatim as a v2 CSR image — no
+// CSR base and then serializes that base verbatim as a CSR image — no
 // per-vertex adjacency walk. The CSR arrays alias the live base
 // (Estimates/Residuals already copy), which is safe because the base never
 // mutates in place and ckpt.WriteFile serializes it before this pipeline
@@ -644,19 +644,9 @@ func NewServiceFromRecovery(so ServiceOptions, po PersistOptions) (*Service, err
 	if err != nil {
 		return nil, err
 	}
-	var g *Graph
-	if data.CSR != nil {
-		// v2 CSR image: adopt the decoded arrays as the graph's immutable
-		// base segment directly — recovery does no per-edge work.
-		g = graph.FromCSR(data.CSR)
-	} else {
-		// Legacy v1 adjacency checkpoint: re-insert edges, then upgrade the
-		// on-disk format below.
-		g, err = graph.FromAdjacency(data.Out, data.In)
-		if err != nil {
-			return nil, fmt.Errorf("dynppr: recovering %s: %w", po.Dir, err)
-		}
-	}
+	// Adopt the decoded CSR image as the graph's immutable base segment
+	// directly: recovery does no per-edge work.
+	g := graph.FromCSR(data.CSR)
 	so.Options.Alpha = data.Alpha
 	so.Options.Epsilon = data.Epsilon
 	cfg := push.Config{Alpha: data.Alpha, Epsilon: data.Epsilon}
@@ -718,10 +708,8 @@ func NewServiceFromRecovery(so ServiceOptions, po PersistOptions) (*Service, err
 	// A clean restart — nothing replayed, WAL already rotated to the
 	// checkpoint's LSN — would re-serialize a byte-identical checkpoint;
 	// skip that write. Any other shape re-checkpoints so the on-disk pair
-	// reflects exactly the state being served. A legacy v1 checkpoint
-	// always re-checkpoints, upgrading the directory to the v2 CSR image
-	// on first boot.
-	checkpoint := replayed > 0 || log.BaseLSN() != data.LSN || log.NextLSN() != data.LSN || data.CSR == nil
+	// reflects exactly the state being served.
+	checkpoint := replayed > 0 || log.BaseLSN() != data.LSN || log.NextLSN() != data.LSN
 	return finishPersistentBoot(svc, po, log, checkpoint)
 }
 
