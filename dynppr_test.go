@@ -2,6 +2,7 @@ package dynppr_test
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -414,6 +415,28 @@ func TestTrackerSet(t *testing.T) {
 		name := engine.String() + " single-update"
 		sameCounts(name, single.ApplyBatch(batch), want)
 		requireSameEstimates(name, one, sources[0], single)
+	}
+
+	// Adjacency lists are sorted, so the arrival order of the initial edges
+	// never reaches the bits: trackers built from two shuffles of the same
+	// edges and fed the same batch agree exactly.
+	opts.Engine = dynppr.EngineSequential
+	var shuffled [2]*dynppr.Tracker
+	for i := range shuffled {
+		initial := append([]dynppr.Edge(nil), edges[:500]...)
+		rand.New(rand.NewSource(int64(i))).Shuffle(len(initial), func(a, b int) { initial[a], initial[b] = initial[b], initial[a] })
+		tr, err := dynppr.NewTracker(dynppr.GraphFromEdges(initial), sources[0], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.ApplyBatch(batch)
+		shuffled[i] = tr
+	}
+	est0, est1 := shuffled[0].Estimates(), shuffled[1].Estimates()
+	for v := range est0 {
+		if math.Float64bits(est0[v]) != math.Float64bits(est1[v]) {
+			t.Fatalf("arrival order reached the bits: vertex %d estimates %v vs %v", v, est0[v], est1[v])
+		}
 	}
 }
 

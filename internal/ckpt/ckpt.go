@@ -2,32 +2,33 @@
 // versioned binary snapshot of the dynamic graph, the tracked source set and
 // each source's converged push state (estimates, residuals, snapshot epoch),
 // together with the WAL sequence number the snapshot covers. A checkpoint
-// plus the WAL suffix past its LSN reconstructs a Service bit for bit, which
-// is why the graph is serialized as ordered adjacency lists (push and
-// summation order of later pushes) rather than as an edge set.
+// plus the WAL suffix past its LSN reconstructs a Service bit for bit.
 //
 // # Format (CSR image)
 //
-//	magic       [8]byte  "DPPRCKP2"
-//	version     uint32   little-endian (2)
+//	magic       [8]byte  "DPPRCKP3"
+//	version     uint32   little-endian (3)
 //	lsn         uint64   WAL LSN covered by this checkpoint
 //	alpha       float64  IEEE-754 bits, little-endian
 //	epsilon     float64
 //	n           uvarint  number of vertices
 //	m           uvarint  number of edges
-//	outOffsets  (n+1) × uint32 little-endian   — CSR row starts, exact order
-//	outTargets  m × uint32
-//	inOffsets   (n+1) × uint32
-//	inTargets   m × uint32
+//	outOffsets  (n+1) × uint32 little-endian   — CSR row starts
+//	outTargets  m × uint32                     — each row strictly increasing
 //	sources     uvarint count, count × source block
 //	crc         uint32   CRC-32C (Castagnoli) of every preceding byte
 //
-// The four arrays are the graph's CSR base segment verbatim, so a checkpoint
-// is written from a compacted graph with no per-edge work, and recovery
-// wraps the decoded arrays as the new base with no re-insertion — the
-// near-instant "CSR image" load the storage engine was reworked for.
-// Adjacency order is exact. This is the one format written and read: any
-// other magic or version is rejected as ErrInvalid.
+// The two arrays are the out half of the graph's CSR base segment verbatim,
+// so a checkpoint is written from a compacted graph with no per-edge work.
+// One direction suffices because every adjacency list is sorted by neighbor
+// id: the out rows are the edge set in its one canonical order, and the in
+// rows — their counting-sort transpose — follow in O(n+m) on decode. The
+// reader requires every row to strictly increase, so a decoded image cannot
+// hold a duplicate edge or disagree between directions. Recovery wraps the
+// result as the new base with no re-insertion. This is the one format
+// written and read: any other magic or version, the retired DPPRCKP1
+// adjacency-list and two-direction v2 images included, is rejected as
+// ErrInvalid.
 //
 // A source block is
 //
@@ -55,8 +56,8 @@ import (
 )
 
 const (
-	magic   = "DPPRCKP2"
-	version = 2
+	magic   = "DPPRCKP3"
+	version = 3
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -96,25 +97,22 @@ type Data struct {
 	Sources []Source
 }
 
-// Encode serializes d as a CSR image: the graph base's four CSR arrays
-// verbatim, fixed-width, so encoding cost is a flat memory copy rather than
-// per-edge varint work. A Data without a CSR is rejected.
+// Encode serializes d as a CSR image: the graph base's two out-direction CSR
+// arrays verbatim, fixed-width, so encoding cost is a flat memory copy rather
+// than per-edge varint work. A Data without a CSR is rejected.
 func Encode(d *Data) ([]byte, error) {
 	c := d.CSR
 	if c == nil {
 		return nil, errors.New("ckpt: data has no CSR image")
 	}
 	n, m := c.NumVertices(), c.NumEdges()
-	outOff, outTgt := c.RawOut()
-	inOff, inTgt := c.RawIn()
-	buf := make([]byte, 0, 64+4*(2*(n+1)+2*m))
+	offsets, targets := c.RawOut()
+	buf := make([]byte, 0, 64+4*(n+1+m))
 	buf = appendHeader(buf, d)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(m))
-	buf = appendOffsets(buf, outOff)
-	buf = appendTargets(buf, outTgt)
-	buf = appendOffsets(buf, inOff)
-	buf = appendTargets(buf, inTgt)
+	buf = appendOffsets(buf, offsets)
+	buf = appendTargets(buf, targets)
 	buf, err := appendSources(buf, d.Sources, n)
 	if err != nil {
 		return nil, err
@@ -176,7 +174,8 @@ func appendSources(buf []byte, sources []Source, n int) ([]byte, error) {
 // Decode parses a checkpoint image. Junk bytes, other magics or versions,
 // truncation, bad checksums and malformed bodies return ErrInvalid — never a
 // panic and never an allocation proportional to a forged count rather than
-// the actual input size.
+// the actual input size. The reader is exact: Encode of an accepted image
+// reproduces its bytes.
 func Decode(data []byte) (*Data, error) {
 	if len(data) < len(magic)+4+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrInvalid, len(data))
@@ -295,6 +294,12 @@ func (r *reader) uvarint() (uint64, error) {
 		r.setTruncated()
 		return 0, r.err
 	}
+	// A zero final byte pads a shorter encoding: reject it, so an accepted
+	// image re-encodes to exactly its own bytes.
+	if n > 1 && r.b[r.off+n-1] == 0 {
+		r.err = fmt.Errorf("%w: overlong uvarint at offset %d", ErrInvalid, r.off)
+		return 0, r.err
+	}
 	r.off += n
 	return x, nil
 }
@@ -325,31 +330,29 @@ func (r *reader) vertex(n int) (graph.VertexID, error) {
 	return graph.VertexID(x), nil
 }
 
-// csr reads the body's four fixed-width CSR arrays into d.CSR, validating
+// csr reads the body's two fixed-width CSR arrays into d.CSR, validating
 // the structural invariants via graph.NewCSR, and returns the vertex count.
 func (r *reader) csr(d *Data) (int, error) {
-	// Every vertex occupies at least 8 bytes (one uint32 offset in each
-	// direction) and every edge at least 8 (one uint32 target in each
-	// direction), so forged counts cannot force allocations past the input.
-	n, err := r.count(8)
+	// Every vertex occupies at least 4 bytes (one uint32 offset) and every
+	// edge 4 (one uint32 target), so forged counts cannot force allocations
+	// past the input.
+	n, err := r.count(4)
 	if err != nil {
 		return 0, err
 	}
 	if n > math.MaxInt32 {
 		return 0, fmt.Errorf("%w: vertex count %d exceeds id range", ErrInvalid, n)
 	}
-	m, err := r.count(8)
+	m, err := r.count(4)
 	if err != nil {
 		return 0, err
 	}
-	outOffsets := r.int32s(n + 1)
-	outTargets := r.vertexIDs(m)
-	inOffsets := r.int32s(n + 1)
-	inTargets := r.vertexIDs(m)
+	offsets := r.int32s(n + 1)
+	targets := r.vertexIDs(m)
 	if r.err != nil {
 		return 0, r.err
 	}
-	c, err := graph.NewCSR(outOffsets, inOffsets, outTargets, inTargets)
+	c, err := graph.NewCSR(offsets, targets)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynppr/internal/graph"
@@ -91,23 +92,33 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	future := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(future[8:], version+1)
 	cases["future-version"] = resealCRC(future)
-	// A well-formed image of the retired adjacency-list format (an empty
-	// graph, checksum intact): only the CSR image is read.
+	// Well-formed images of the retired formats (an empty graph, checksum
+	// intact): the adjacency-list v1 and the two-direction CSR v2.
 	cases["v1-image"] = []byte("DPPRCKP1\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
 		"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00N\x03u\xbe")
-	// A duplicate edge behind a valid checksum: row 0 names vertex 1 twice,
-	// with degrees that agree in both directions. Same n and m as the
-	// two-cycle image, so the arrays overwrite it in place.
-	dup, err := Encode(&Data{Alpha: 0.15, Epsilon: 1e-6, CSR: csrOf(graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 0})})
+	cases["v2-image"] = []byte("DPPRCKP2\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00:\xff;~")
+	// An overlong uvarint behind a valid checksum — n = 0 spelled 0x80 0x00 —
+	// would re-encode shorter, so the exact reader refuses it.
+	empty, err := Encode(&Data{Alpha: 0.5, Epsilon: 1, CSR: csrOf()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrays := appendOffsets(nil, []int32{0, 2, 2})
-	arrays = appendTargets(arrays, []graph.VertexID{1, 1})
-	arrays = appendOffsets(arrays, []int32{0, 0, 2})
-	arrays = appendTargets(arrays, []graph.VertexID{0, 0})
-	copy(dup[38:], arrays) // after the 36-byte header and one-byte n and m
-	cases["duplicate-edge"] = resealCRC(dup)
+	cases["overlong-count"] = resealCRC(slices.Concat(empty[:36], []byte{0x80}, empty[36:]))
+	// Malformed rows behind a valid checksum, written over the out arrays of
+	// a two-vertex, two-edge image: one row naming vertex 1 twice, and one
+	// listing its targets out of order.
+	rows := map[string][]graph.VertexID{"duplicate-edge": {1, 1}, "unsorted-row": {1, 0}}
+	for name, targets := range rows {
+		img, err := Encode(&Data{Alpha: 0.15, Epsilon: 1e-6, CSR: csrOf(graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 0})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays := appendTargets(appendOffsets(nil, []int32{0, 2, 2}), targets)
+		copy(img[38:], arrays) // after the 36-byte header and one-byte n and m
+		cases[name] = resealCRC(img)
+	}
 
 	for name, data := range cases {
 		if _, err := Decode(data); !errors.Is(err, ErrInvalid) {

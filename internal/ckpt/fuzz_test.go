@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"dynppr/internal/graph"
@@ -35,54 +37,26 @@ func dataEqual(a, b *Data) bool {
 	return true
 }
 
-// csrEqual compares two CSR images element by element, treating nil and
-// empty target arrays as equal (decode always allocates, snapshots may not).
+// csrEqual compares two CSR images by their out arrays, which determine the
+// in arrays; slices.Equal treats nil and empty target arrays as equal
+// (decode always allocates, snapshots may not).
 func csrEqual(a, b *graph.CSR) bool {
-	if (a == nil) != (b == nil) {
-		return false
+	if a == nil || b == nil {
+		return a == b
 	}
-	if a == nil {
-		return true
-	}
-	aOutOff, aOutTgt := a.RawOut()
-	bOutOff, bOutTgt := b.RawOut()
-	aInOff, aInTgt := a.RawIn()
-	bInOff, bInTgt := b.RawIn()
-	return int32sEqual(aOutOff, bOutOff) && int32sEqual(aInOff, bInOff) &&
-		vertexIDsEqual(aOutTgt, bOutTgt) && vertexIDsEqual(aInTgt, bInTgt)
-}
-
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func vertexIDsEqual(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	aOff, aTgt := a.RawOut()
+	bOff, bTgt := b.RawOut()
+	return slices.Equal(aOff, bOff) && slices.Equal(aTgt, bTgt)
 }
 
 // FuzzCSRImageRead drives Decode, the one checkpoint reader, with arbitrary
 // bytes. The strict-reader contract: truncation, checksum damage, version
-// skew, the retired DPPRCKP1 format, forged counts and malformed CSR
-// structure must all return ErrInvalid — never a panic and never an
-// allocation proportional to a forged count rather than the actual input
-// size — and any accepted image must carry the one magic, re-encode/decode
-// bit-identically and wrap into a consistent graph with no re-insertion.
+// skew, the retired DPPRCKP1 and DPPRCKP2 formats, forged counts and
+// malformed CSR structure (unsorted or duplicate rows) must all return
+// ErrInvalid — never a panic and never an allocation proportional to a
+// forged count rather than the actual input size — and any accepted image
+// must carry the one magic, re-encode to exactly its own bytes, and wrap
+// into a consistent graph with no re-insertion.
 func FuzzCSRImageRead(f *testing.F) {
 	valid, err := Encode(sampleData())
 	if err != nil {
@@ -91,8 +65,8 @@ func FuzzCSRImageRead(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5]) // truncated: checksum and arrays cut off
 	f.Add(valid[:30])           // truncated inside the CSR arrays
-	f.Add([]byte("DPPRCKP2"))
-	f.Add([]byte("DPPRCKP2\x02\x00\x00\x00junk"))
+	f.Add([]byte("DPPRCKP3"))
+	f.Add([]byte("DPPRCKP3\x03\x00\x00\x00junk"))
 
 	// Checksum damage: flip one bit mid-array.
 	flip := append([]byte(nil), valid...)
@@ -134,6 +108,9 @@ func FuzzCSRImageRead(f *testing.F) {
 		buf, err := Encode(d)
 		if err != nil {
 			t.Fatalf("re-encode of accepted checkpoint: %v", err)
+		}
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("re-encode of an accepted checkpoint changed its bytes:\n%x\n%x", data, buf)
 		}
 		d2, err := Decode(buf)
 		if err != nil {

@@ -13,9 +13,9 @@ package graph
 // captured (their data is now in the new base) and keeps segments written
 // after the freeze — each is a complete adjacency list, so it shadows the
 // new base just as correctly as it shadowed the old one. Logical graph
-// content is therefore unchanged, element order included, which is what
-// keeps float summation — and every differential bit-identity guarantee —
-// stable across compaction.
+// content is therefore unchanged, and since every list is sorted, so is its
+// element order: float summation — and every differential bit-identity
+// guarantee — is stable across compaction.
 type Compaction struct {
 	view *View
 	gen  uint64 // delta segments with generation < gen are covered by view

@@ -9,16 +9,19 @@
 // A delta segment is a fully materialized adjacency list for one vertex and
 // direction: the first mutation of a vertex copies its base list into the
 // overlay (copy-on-first-touch), and subsequent mutations edit the overlay in
-// place. Element order is preserved on both insert (append) and delete
-// (shift), because adjacency order fixes the floating-point summation order
-// of every push — the bit-identity guarantees of the differential suite rest
-// on it. Compaction (see compact.go) merges the overlays into a fresh base by
+// place. Every list — base or overlay, out or in — is sorted by neighbor id:
+// an insert or delete binary-searches its position and shifts the tail. The
+// order is therefore canonical, a function of the edge set alone, and so is
+// the floating-point summation order of every push it fixes: bits depend on
+// which edges a graph holds, never on the order in which they arrived.
+// Compaction (see compact.go) merges the overlays into a fresh base by
 // materializing exactly the logical adjacency, so it never perturbs order.
 //
-// The adjacency lists are the graph's only record of its edges: there is no
-// separate membership index. HasEdge scans the shorter of the two lists that
-// could hold an edge, which is also how AddEdge refuses a duplicate and
-// RemoveEdge a missing edge before either touches any state.
+// The out lists are the graph's only record of its edges: there is no
+// membership index, and every in list is the transpose of the out lists (a
+// CSR derives its in rows from its out rows). HasEdge is one binary search of
+// the out list, which is also how AddEdge refuses a duplicate and RemoveEdge
+// a missing edge before either touches any state.
 //
 // View (see view.go) captures an O(#overlaid vertices) frozen snapshot of the
 // layered state for concurrent readers; Snapshot still materializes a full
@@ -61,9 +64,8 @@ var ErrNegativeVertex = errors.New("graph: negative vertex id")
 // empty) overlay is the complete current adjacency of that vertex/direction
 // and shadows the base entirely. Overlay generations implement copy-on-write
 // against Views: an overlay last written before the most recent View() call
-// is sealed, and the next order-preserving deletion clones it instead of
-// shifting in place (appends are always safe — a View's slice header bounds
-// its reads below any appended element).
+// is sealed, and the next insert or delete clones it instead of shifting in
+// place (either may shift elements a View still reads).
 type Graph struct {
 	base *CSR // immutable base segment; never nil
 	n    int  // vertex slots (>= base.n: vertices can be added after a compaction)
@@ -86,7 +88,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return fromBase(emptyCSR(), n)
+	return fromBase(newCSR([]int32{0}, nil), n)
 }
 
 // FromCSR wraps an immutable CSR as the base segment of a new graph with no
@@ -114,30 +116,50 @@ func fromBase(c *CSR, n int) *Graph {
 
 // FromEdges builds a graph from a list of edges, ignoring duplicates (and,
 // like AddEdge, edges naming negative vertices). The result is fully
-// compacted: the edges land directly in the CSR base, in first-occurrence
-// order per vertex — exactly the adjacency order an AddEdge loop would have
-// produced.
+// compacted: the edges land directly in the CSR base with every row sorted,
+// so any order of the same edges — or an AddEdge loop over them — yields
+// identical lists.
 func FromEdges(edges []Edge) *Graph {
-	set := make(map[Edge]struct{}, len(edges))
-	uniq := make([]Edge, 0, len(edges))
+	valid := func(e Edge) bool { return e.U >= 0 && e.V >= 0 }
 	n := 0
 	for _, e := range edges {
-		if e.U < 0 || e.V < 0 {
-			continue
-		}
-		if _, dup := set[e]; dup {
-			continue
-		}
-		set[e] = struct{}{}
-		uniq = append(uniq, e)
-		if int(e.U) >= n {
-			n = int(e.U) + 1
-		}
-		if int(e.V) >= n {
-			n = int(e.V) + 1
+		if valid(e) {
+			n = max(n, int(e.U)+1, int(e.V)+1)
 		}
 	}
-	return fromBase(csrFromEdges(n, uniq), n)
+	// Bucket the targets by source with a counting sort (offsets[u] is row
+	// u's fill cursor, as in newCSR), then sort each row and squeeze out its
+	// duplicates, compacting the rows leftwards.
+	offsets := make([]int32, n+1)
+	for _, e := range edges {
+		if valid(e) {
+			offsets[e.U+1]++
+		}
+	}
+	for u := 1; u <= n; u++ {
+		offsets[u] += offsets[u-1]
+	}
+	targets := make([]VertexID, offsets[n])
+	for _, e := range edges {
+		if valid(e) {
+			targets[offsets[e.U]] = e.V
+			offsets[e.U]++
+		}
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	m, start := int32(0), int32(0)
+	for u := 1; u <= n; u++ {
+		row := targets[start:offsets[u]]
+		start = offsets[u]
+		slices.Sort(row)
+		m += int32(copy(targets[m:], slices.Compact(row)))
+		offsets[u] = m
+	}
+	if int(m) < len(targets) {
+		targets = slices.Clone(targets[:m])
+	}
+	return fromBase(newCSR(offsets, targets), n)
 }
 
 // NumVertices returns the number of vertex slots (max id seen + 1, or the
@@ -199,15 +221,12 @@ func grow[T any](s []T, n int) []T {
 	return ns
 }
 
-// HasEdge reports whether edge u->v exists. The adjacency lists are the
-// edge set: it scans the shorter of u's out list and v's in list, so it costs
-// O(min(dout(u), din(v))) and never grows the graph.
+// HasEdge reports whether edge u->v exists. The out lists are the edge set:
+// it binary-searches u's sorted out list, so it costs O(log dout(u)) and
+// never grows the graph.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	out, in := g.OutNeighbors(u), g.InNeighbors(v)
-	if len(out) <= len(in) {
-		return slices.Contains(out, v)
-	}
-	return slices.Contains(in, u)
+	_, found := slices.BinarySearch(g.OutNeighbors(u), v)
+	return found
 }
 
 // baseOut returns u's base-segment out list (nil when u postdates the base).
@@ -294,43 +313,39 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	}
 	g.EnsureVertex(u)
 	g.EnsureVertex(v)
-	// The append itself never writes inside a sealed View's slice length,
-	// but it advances the segment's generation (so compaction keeps it), and
-	// a later in-place delete trusts that generation to skip the COW clone.
-	// Appends therefore go through the writable path too: the segment is
-	// cloned at most once per sealed view, and a View can never observe a
-	// shift-delete through a shared prefix.
-	g.outOv[u] = append(g.writableOut(u), v)
-	g.inOv[v] = append(g.writableIn(v), u)
+	// A sorted insert shifts elements inside a sealed View's slice length,
+	// so it must go through the copy-on-write path.
+	g.outOv[u] = insertSorted(g.writableOut(u), v)
+	g.inOv[v] = insertSorted(g.writableIn(v), u)
 	g.deltaEdges += 2
 	g.m++
 	return true, nil
 }
 
-// RemoveEdge deletes the directed edge u->v, preserving the relative order of
-// the surviving neighbors (adjacency order is observable: it fixes float
-// summation order). Deleting a missing edge returns ErrEdgeNotFound.
+// RemoveEdge deletes the directed edge u->v, keeping both lists sorted.
+// Deleting a missing edge returns ErrEdgeNotFound.
 func (g *Graph) RemoveEdge(u, v VertexID) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeNotFound, u, v)
 	}
-	g.outOv[u] = removeInOrder(g.writableOut(u), v)
-	g.inOv[v] = removeInOrder(g.writableIn(v), u)
+	g.outOv[u] = deleteSorted(g.writableOut(u), v)
+	g.inOv[v] = deleteSorted(g.writableIn(v), u)
 	g.deltaEdges -= 2
 	g.m--
 	return nil
 }
 
-// removeInOrder removes the first occurrence of x from s, shifting the tail
-// left so the surviving element order is unchanged.
-func removeInOrder(s []VertexID, x VertexID) []VertexID {
-	for i, y := range s {
-		if y == x {
-			copy(s[i:], s[i+1:])
-			return s[:len(s)-1]
-		}
-	}
-	return s
+// insertSorted inserts x at its position in the sorted, writable list s.
+func insertSorted(s []VertexID, x VertexID) []VertexID {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Insert(s, i, x)
+}
+
+// deleteSorted removes x, which must be present, from the sorted, writable
+// list s.
+func deleteSorted(s []VertexID, x VertexID) []VertexID {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Delete(s, i, i+1)
 }
 
 // OutDegree returns the out-degree of u (0 for out-of-range ids).
@@ -386,7 +401,7 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.baseIn(v)
 }
 
-// Edges returns all edges in an unspecified order.
+// Edges returns all edges, sorted by source and then by target.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {
@@ -477,41 +492,31 @@ func (g *Graph) DegreeHistogram() map[int]int {
 	return h
 }
 
-// CheckConsistency validates the internal invariants of the graph: the
-// logical out lists and in lists must describe the same edge set, with no
-// ordered pair listed twice, m must equal its cardinality, and the
-// delta-segment accounting (deltaEdges, overlaid registry) must match the
-// segments actually present. The edge set is built locally, O(m), for the
-// call. It is used by tests and by failure injection tooling.
+// CheckConsistency validates the internal invariants of the graph: every out
+// list and every in list strictly increases within [0, n), every in list is
+// the transpose of the out lists (compared against Snapshot, O(n+m)), m
+// counts the out entries, and the delta-segment accounting (deltaEdges,
+// overlaid registry) matches the segments actually present. It is used by
+// tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
 	if len(g.outOv) != g.n || len(g.inOv) != g.n {
 		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots", g.n, len(g.outOv), len(g.inOv))
 	}
-	// matched[e] records whether an in-list entry has claimed out edge e.
-	matched := make(map[Edge]bool, g.m)
-	countOut := 0
-	for u := 0; u < g.n; u++ {
-		nbrs := g.OutNeighbors(VertexID(u))
-		countOut += len(nbrs)
-		for _, v := range nbrs {
-			matched[Edge{VertexID(u), v}] = false
+	count := 0
+	for u := VertexID(0); int(u) < g.n; u++ {
+		if !sortedRow(g.OutNeighbors(u), g.n) || !sortedRow(g.InNeighbors(u), g.n) {
+			return fmt.Errorf("graph: a list of vertex %d does not strictly increase within [0,%d)", u, g.n)
 		}
+		count += g.OutDegree(u)
 	}
-	countIn := 0
-	for v := 0; v < g.n; v++ {
-		nbrs := g.InNeighbors(VertexID(v))
-		countIn += len(nbrs)
-		for _, u := range nbrs {
-			e := Edge{u, VertexID(v)}
-			if done, ok := matched[e]; !ok || done {
-				return fmt.Errorf("graph: in list has (%d,%d) missing from the out lists or listed twice", u, v)
-			}
-			matched[e] = true
+	if count != g.m {
+		return fmt.Errorf("graph: edge count mismatch: m=%d, out lists hold %d", g.m, count)
+	}
+	snap := g.Snapshot()
+	for v := VertexID(0); int(v) < g.n; v++ {
+		if !slices.Equal(g.InNeighbors(v), snap.InNeighbors(v)) {
+			return fmt.Errorf("graph: in list of %d is not the transpose of the out lists", v)
 		}
-	}
-	if countOut != g.m || countIn != g.m || len(matched) != g.m {
-		return fmt.Errorf("graph: edge count mismatch m=%d out=%d in=%d set=%d",
-			g.m, countOut, countIn, len(matched))
 	}
 	delta := 0
 	reg := make(map[VertexID]bool, len(g.overlaid))

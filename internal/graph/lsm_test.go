@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -83,9 +84,24 @@ func TestCompactPreservesOrder(t *testing.T) {
 
 // TestViewStableUnderMutation pins the copy-on-write seal: a View taken at
 // any point keeps returning exactly the adjacency it froze, no matter how
-// the graph mutates afterwards — including in-place deletes on the very
-// vertices the view overlays, and a full compaction.
+// the graph mutates afterwards — including inserts and deletes that shift
+// elements of the very overlays the view holds, and a full compaction.
 func TestViewStableUnderMutation(t *testing.T) {
+	// Inserts whose sorted positions fall inside sealed overlays: out list
+	// {1,3} of 0 gains 2, in list {1,3} of 5 gains 2. Both overlays have
+	// spare capacity, so only the copy-on-write clone keeps the view intact.
+	small := New(0)
+	for _, e := range []Edge{{0, 1}, {0, 3}, {1, 5}, {3, 5}} {
+		mustAdd(t, small, e.U, e.V)
+	}
+	sealed := small.View()
+	mustAdd(t, small, 0, 2)
+	mustAdd(t, small, 2, 5)
+	if out, in := sealed.OutNeighbors(0), sealed.InNeighbors(5); !slices.Equal(out, []VertexID{1, 3}) ||
+		!slices.Equal(in, []VertexID{1, 3}) {
+		t.Fatalf("mid-list inserts leaked into a sealed view: out(0) %v, in(5) %v", out, in)
+	}
+
 	g := New(6)
 	churn(t, g, 7, 300)
 	view := g.View()

@@ -33,9 +33,9 @@ type viewOverlay struct {
 // batches touched, not to graph size — which is what lets the on-demand
 // query path stop materializing a full CSR per graph generation. A View is
 // safe for concurrent readers and stays valid (and logically unchanged)
-// across later graph mutations and compactions: mutations clone or extend
-// past the frozen segment bounds, and compaction only swaps segments the
-// view does not reference.
+// across later graph mutations and compactions: mutations clone a frozen
+// segment before editing it, and compaction only swaps segments the view
+// does not reference.
 type View struct {
 	base *CSR
 	ov   map[VertexID]viewOverlay // nil when the graph was fully compacted
@@ -46,8 +46,9 @@ type View struct {
 }
 
 // View captures the current graph state. It seals every live delta segment:
-// a later RemoveEdge on one of them copies the segment instead of editing it
-// in place (appends need no copy — the view's slice bounds its reads).
+// a later insert or delete on one of them copies the segment instead of
+// editing it in place, since either shifts elements inside the view's
+// slice length.
 func (g *Graph) View() *View {
 	g.viewGen++
 	v := &View{
@@ -136,8 +137,8 @@ func (v *View) InNeighbors(u VertexID) []VertexID {
 	return nil
 }
 
-// CSR materializes the view into a flat CSR, preserving logical adjacency
-// order. This is the off-pipeline half of a background compaction.
+// CSR materializes the view into a flat CSR. This is the off-pipeline half
+// of a background compaction.
 func (v *View) CSR() *CSR {
-	return buildCSR(v.n, v.OutNeighbors, v.InNeighbors)
+	return buildCSR(v.n, v.OutNeighbors)
 }

@@ -69,9 +69,9 @@ func ColdPushCSR(c *graph.CSR, source graph.VertexID, cfg Config, maxPushes int6
 // ColdPushBounded is ColdPushCSR over a pinned view — the bare base segment
 // of a compacted graph, or base plus delta overlays right after a batch.
 // Results on logically equal graphs are bit-identical however the edges are
-// split between base and overlays: adjacency order is preserved across
-// segments, so the FIFO visits neighbors identically and every float64 sum
-// associates identically.
+// split between base and overlays, and whatever order they arrived in: every
+// adjacency list is sorted by neighbor id, so the FIFO visits neighbors
+// identically and every float64 sum associates identically.
 //
 // The push is local in cost as well as in effect: it runs over pooled scratch
 // that is dense in the vertex count but reset in O(touched) afterwards, so a

@@ -35,9 +35,9 @@ import (
 // replayed batch converges exactly as it originally did), and re-checkpoints.
 // The recovered estimates, residuals and snapshot epochs are bit-identical to
 // a process of the same build that never crashed, because the checkpoint
-// preserves adjacency-list order — the push order and floating-point
-// summation order of subsequent pushes — and the snapshot epochs it had
-// published.
+// holds the edge set, whose sorted adjacency lists fix the push order and
+// floating-point summation order of subsequent pushes, and the snapshot
+// epochs it had published.
 
 // SyncPolicy selects when WAL appends reach stable storage; see the wal
 // package for the exact guarantees.
@@ -565,8 +565,8 @@ func (s *Service) doCheckpoint() (uint64, error) {
 
 // checkpointData captures the pipeline-quiescent state. Checkpointing is a
 // quiescent point, so it first folds any delta segments into the immutable
-// CSR base and then serializes that base verbatim as a CSR image — no
-// per-vertex adjacency walk. The CSR arrays alias the live base
+// CSR base and then serializes that base's out arrays verbatim as a CSR
+// image — no per-vertex adjacency walk. The CSR arrays alias the live base
 // (Estimates/Residuals already copy), which is safe because the base never
 // mutates in place and ckpt.WriteFile serializes it before this pipeline
 // step completes — no mutation can run until then.

@@ -516,8 +516,9 @@ func TestUnjournalableUpdatesDoNotPoisonRecovery(t *testing.T) {
 
 // TestPersistentServiceBootGuards covers the constructor error paths: a
 // fresh boot refuses a directory that already holds a checkpoint, recovery
-// refuses a directory without one or with one in the retired DPPRCKP1
-// format, and Checkpoint on an in-memory service reports ErrNoPersistence.
+// refuses a directory without one or with one in a retired format (DPPRCKP1
+// or DPPRCKP2), and Checkpoint on an in-memory service reports
+// ErrNoPersistence.
 func TestPersistentServiceBootGuards(t *testing.T) {
 	initial, _ := recoveryWorkload(t, 100, 800, 1, 5)
 	opts := DefaultOptions()
@@ -544,15 +545,22 @@ func TestPersistentServiceBootGuards(t *testing.T) {
 	if _, err := NewServiceFromRecovery(so, PersistOptions{Dir: t.TempDir()}); err == nil {
 		t.Fatal("recovery without a checkpoint must fail")
 	}
-	// A well-formed adjacency-list (v1) checkpoint of an empty graph.
-	v1Dir := t.TempDir()
-	v1 := []byte("DPPRCKP1\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
-		"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00N\x03u\xbe")
-	if err := os.WriteFile(checkpointPath(v1Dir), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServiceFromRecovery(so, PersistOptions{Dir: v1Dir}); !errors.Is(err, ckpt.ErrInvalid) {
-		t.Fatalf("recovery from a DPPRCKP1 checkpoint: got %v, want ckpt.ErrInvalid", err)
+	// Well-formed checkpoints of an empty graph in the retired formats: the
+	// adjacency-list v1 and the two-direction CSR v2.
+	for name, img := range map[string]string{
+		"DPPRCKP1": "DPPRCKP1\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00N\x03u\xbe",
+		"DPPRCKP2": "DPPRCKP2\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?" +
+			"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00:\xff;~",
+	} {
+		oldDir := t.TempDir()
+		if err := os.WriteFile(checkpointPath(oldDir), []byte(img), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewServiceFromRecovery(so, PersistOptions{Dir: oldDir}); !errors.Is(err, ckpt.ErrInvalid) {
+			t.Fatalf("recovery from a %s checkpoint: got %v, want ckpt.ErrInvalid", name, err)
+		}
 	}
 
 	mem, err := NewService(GraphFromEdges(initial), sources, so)
