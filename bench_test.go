@@ -214,44 +214,6 @@ func benchmarkTrackerBatch(b *testing.B, opts dynppr.Options) {
 	b.ReportMetric(float64(len(insertBatch)), "updates/batch")
 }
 
-// BenchmarkAblation_EagerPropagation quantifies the benefit of eager
-// propagation: Opt versus DupDetect-only (Table 3 column difference).
-func BenchmarkAblation_EagerPropagation(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		variant dynppr.Variant
-	}{
-		{"eager-on", dynppr.VariantOpt},
-		{"eager-off", dynppr.VariantDupDetect},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := dynppr.DefaultOptions()
-			opts.Epsilon = 1e-6
-			opts.Variant = v.variant
-			benchmarkTrackerBatch(b, opts)
-		})
-	}
-}
-
-// BenchmarkAblation_LocalDuplicateDetection quantifies the benefit of local
-// duplicate detection: Opt versus Eager-only.
-func BenchmarkAblation_LocalDuplicateDetection(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		variant dynppr.Variant
-	}{
-		{"localdup-on", dynppr.VariantOpt},
-		{"localdup-off", dynppr.VariantEager},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := dynppr.DefaultOptions()
-			opts.Epsilon = 1e-6
-			opts.Variant = v.variant
-			benchmarkTrackerBatch(b, opts)
-		})
-	}
-}
-
 // BenchmarkAblation_ParallelLoss compares the vanilla parallel push against
 // the sequential push on identical batches — the runtime counterpart of
 // Lemma 4.
@@ -264,7 +226,7 @@ func BenchmarkAblation_ParallelLoss(b *testing.B) {
 	})
 	b.Run("parallel-vanilla", func(b *testing.B) {
 		opts := dynppr.DefaultOptions()
-		opts.Variant = dynppr.VariantVanilla
+		opts.Variant = push.VariantVanilla
 		opts.Epsilon = 1e-6
 		benchmarkTrackerBatch(b, opts)
 	})
@@ -296,35 +258,6 @@ func BenchmarkAblation_SortAggregate(b *testing.B) {
 	}
 	b.Run("atomic", func(b *testing.B) { run(b, push.NewParallel(push.VariantVanilla, 0)) })
 	b.Run("sort-aggregate", func(b *testing.B) { run(b, push.NewSortAggregate(0)) })
-}
-
-// BenchmarkEngine_BatchVsSingleUpdate compares batch processing against
-// per-update processing (CPU-Seq vs CPU-Base), the paper's first claim.
-func BenchmarkEngine_BatchVsSingleUpdate(b *testing.B) {
-	for _, m := range []struct {
-		name string
-		mode dynppr.UpdateMode
-	}{
-		{"batch", dynppr.BatchMode},
-		{"single-update", dynppr.SingleUpdateMode},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			opts := dynppr.DefaultOptions()
-			opts.Engine = dynppr.EngineSequential
-			opts.Mode = m.mode
-			opts.Epsilon = 1e-6
-			benchmarkTrackerBatch(b, opts)
-		})
-	}
-}
-
-// BenchmarkEngine_VertexCentric measures the Ligra-style baseline on the same
-// workload as the specialized engines.
-func BenchmarkEngine_VertexCentric(b *testing.B) {
-	opts := dynppr.DefaultOptions()
-	opts.Engine = dynppr.EngineVertexCentric
-	opts.Epsilon = 1e-6
-	benchmarkTrackerBatch(b, opts)
 }
 
 // BenchmarkTrackerColdStart measures from-scratch convergence on a static

@@ -44,60 +44,77 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+// config is the daemon's command line.
+type config struct {
+	addr, dataset, input, dataDir, fsync string
+	vertices, edges, sources, pool       int
+	epsilon                              float64
+	seed                                 int64
+	drain, ckptEvery                     time.Duration
+
+	queue     int
+	rateLimit float64
+	pprof     bool
+
+	onDemand     bool
+	odEps        float64
+	promoteAfter int
+	maxAuto      int
+}
+
+// newFlagSet binds every dppr-httpd flag to a field of c.
+func newFlagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("dppr-httpd", flag.ContinueOnError)
-	var (
-		addr     = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free one)")
-		dataset  = fs.String("dataset", "youtube", "named dataset from the catalog")
-		vertices = fs.Int("vertices", 0, "override: generate an RMAT graph with this many vertices")
-		edges    = fs.Int("edges", 0, "override: number of edges for the generated graph")
-		input    = fs.String("input", "", "override: load the initial graph from this edge-list file")
-		sources  = fs.Int("sources", 4, "number of top-degree sources to serve")
-		epsilon  = fs.Float64("epsilon", 1e-6, "error threshold")
-		pool     = fs.Int("pool", 0, "sources pushed at once (0 = GOMAXPROCS)")
-		seed     = fs.Int64("seed", 1, "random seed for generated graphs")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-		dataDir  = fs.String("data-dir", "", "data directory for the WAL and checkpoints (empty = in-memory only)")
-		fsync    = fs.String("fsync", "always", "WAL fsync policy: always (durable) or none (OS-buffered)")
-		ckptEvr  = fs.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = only on demand and at shutdown)")
-		probeBO  = fs.Duration("probe-backoff", 0, "delay before the first recovery probe after persistence degrades; doubles per failure up to 30s (0 = 250ms)")
-		probeMax = fs.Int("probe-max", 0, "failed recovery probes before persistence fails permanently (0 = 64, negative = probe forever)")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free one)")
+	fs.StringVar(&c.dataset, "dataset", "youtube", "named dataset from the catalog")
+	fs.IntVar(&c.vertices, "vertices", 0, "override: generate an RMAT graph with this many vertices")
+	fs.IntVar(&c.edges, "edges", 0, "override: number of edges for the generated graph")
+	fs.StringVar(&c.input, "input", "", "override: load the initial graph from this edge-list file")
+	fs.IntVar(&c.sources, "sources", 4, "number of top-degree sources to serve")
+	fs.Float64Var(&c.epsilon, "epsilon", 1e-6, "error threshold")
+	fs.IntVar(&c.pool, "pool", 0, "sources pushed at once (0 = GOMAXPROCS)")
+	fs.Int64Var(&c.seed, "seed", 1, "random seed for generated graphs")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
+	fs.StringVar(&c.dataDir, "data-dir", "", "data directory for the WAL and checkpoints (empty = in-memory only)")
+	fs.StringVar(&c.fsync, "fsync", "always", "WAL fsync policy: always (durable) or none (OS-buffered)")
+	fs.DurationVar(&c.ckptEvery, "checkpoint-every", 0, "periodic checkpoint interval (0 = only on demand and at shutdown)")
 
-		queue     = fs.Int("queue", 0, "write pipeline queue depth; writes shed with 429 when it stays full (0 = default 64)")
-		admitTO   = fs.Duration("admission-timeout", 0, "max wait for a pipeline slot before a write sheds with 429 (0 = half the write timeout)")
-		rateLimit = fs.Float64("rate-limit", 0, "per-client request rate limit in req/s across data-plane endpoints (0 = unlimited)")
-		rateBurst = fs.Int("rate-burst", 16, "per-client token-bucket burst size")
-		noMetrics = fs.Bool("no-metrics", false, "disable the GET /metrics Prometheus endpoint")
-		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (expose only on trusted networks)")
+	fs.IntVar(&c.queue, "queue", 0, "write pipeline queue depth; a write waits up to 5s for a slot, then sheds with 429 (0 = default 64)")
+	fs.Float64Var(&c.rateLimit, "rate-limit", 0, "per-client request rate limit in req/s across data-plane endpoints, bursts of 16 (0 = unlimited)")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (expose only on trusted networks)")
 
-		onDemand   = fs.Bool("ondemand", false, "answer reads for untracked sources with bounded approximate PPR instead of 404")
-		odEps      = fs.Float64("ondemand-eps", 1e-4, "push residual threshold for on-demand queries (coarser than -epsilon)")
-		promoteAft = fs.Int("promote-after", 0, "promote an untracked source to live tracking after this many queries (0 = never)")
-		maxAuto    = fs.Int("max-auto-sources", 64, "cap on auto-promoted sources; the coldest is evicted at capacity")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.BoolVar(&c.onDemand, "ondemand", false, "answer reads for untracked sources with bounded approximate PPR instead of 404")
+	fs.Float64Var(&c.odEps, "ondemand-eps", 1e-4, "push residual threshold for on-demand queries (coarser than -epsilon)")
+	fs.IntVar(&c.promoteAfter, "promote-after", 0, "promote an untracked source to live tracking after this many queries (0 = never)")
+	fs.IntVar(&c.maxAuto, "max-auto-sources", 64, "cap on auto-promoted sources; the coldest is evicted at capacity")
+	return fs
+}
+
+func run(ctx context.Context, args []string, out io.Writer) error {
+	var c config
+	if err := newFlagSet(&c).Parse(args); err != nil {
 		return err
 	}
 
 	so := dynppr.DefaultServiceOptions()
-	so.Options.Epsilon = *epsilon
-	so.PoolWorkers = *pool
-	so.QueueDepth = *queue
+	so.Options.Epsilon = c.epsilon
+	so.PoolWorkers = c.pool
+	so.QueueDepth = c.queue
 	so.OnDemand = dynppr.OnDemandOptions{
-		Enabled:        *onDemand,
-		Epsilon:        *odEps,
-		PromoteAfter:   *promoteAft,
-		MaxAutoSources: *maxAuto,
+		Enabled:        c.onDemand,
+		Epsilon:        c.odEps,
+		PromoteAfter:   c.promoteAfter,
+		MaxAutoSources: c.maxAuto,
 	}
-	po := dynppr.PersistOptions{Dir: *dataDir, ProbeBackoff: *probeBO, ProbeMax: *probeMax}
+	po := dynppr.PersistOptions{Dir: c.dataDir}
 	var err error
-	if po.Sync, err = dynppr.ParseSyncPolicy(*fsync); err != nil {
+	if po.Sync, err = dynppr.ParseSyncPolicy(c.fsync); err != nil {
 		return err
 	}
 
 	start := time.Now()
 	var svc *dynppr.Service
-	if *dataDir != "" && dynppr.CheckpointExists(*dataDir) {
+	if c.dataDir != "" && dynppr.CheckpointExists(c.dataDir) {
 		// A previous process left durable state behind: resume it. The
 		// dataset/input flags only describe the first boot and are ignored.
 		svc, err = dynppr.NewServiceFromRecovery(so, po)
@@ -106,14 +123,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		stats := svc.Stats()
 		fmt.Fprintf(out, "recovered %s: %d vertices, %d edges, %d sources (lsn %d) in %v\n",
-			*dataDir, stats.Vertices, stats.Edges, len(stats.Sources),
+			c.dataDir, stats.Vertices, stats.Edges, len(stats.Sources),
 			stats.Persistence.LastCheckpointLSN, time.Since(start).Round(time.Microsecond))
-		if restored := svc.Options().Options.Epsilon; restored != *epsilon {
+		if restored := svc.Options().Options.Epsilon; restored != c.epsilon {
 			fmt.Fprintf(out, "note: alpha/epsilon restored from checkpoint (epsilon=%.0e; -epsilon %.0e ignored)\n",
-				restored, *epsilon)
+				restored, c.epsilon)
 		}
 	} else {
-		edgeList, name, err := loadEdges(*input, *dataset, *vertices, *edges, *seed)
+		edgeList, name, err := loadEdges(c.input, c.dataset, c.vertices, c.edges, c.seed)
 		if err != nil {
 			return err
 		}
@@ -121,13 +138,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("initial graph %q has no edges", name)
 		}
 		g := dynppr.GraphFromEdges(edgeList)
-		if *sources < 1 {
-			*sources = 1
-		}
-		tracked := g.TopDegreeVertices(*sources)
+		tracked := g.TopDegreeVertices(max(c.sources, 1))
 		fmt.Fprintf(out, "graph=%s vertices=%d edges=%d sources=%v epsilon=%.0e\n",
 			name, g.NumVertices(), g.NumEdges(), tracked, so.Options.Epsilon)
-		if *dataDir != "" {
+		if c.dataDir != "" {
 			svc, err = dynppr.NewPersistentService(g, tracked, so, po)
 		} else {
 			svc, err = dynppr.NewService(g, tracked, so)
@@ -139,30 +153,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			len(tracked), time.Since(start).Round(time.Microsecond))
 	}
 	defer svc.Close()
-	if *dataDir != "" {
-		fmt.Fprintf(out, "durable: data-dir=%s fsync=%s checkpoint-every=%v\n", *dataDir, po.Sync, *ckptEvr)
+	if c.dataDir != "" {
+		fmt.Fprintf(out, "durable: data-dir=%s fsync=%s checkpoint-every=%v\n", c.dataDir, po.Sync, c.ckptEvery)
 	}
 
 	srv := httpapi.NewServer(svc, httpapi.ServerOptions{
-		Addr: *addr,
-		Handler: httpapi.HandlerOptions{
-			RateLimit:        *rateLimit,
-			RateBurst:        *rateBurst,
-			AdmissionTimeout: *admitTO,
-			DisableMetrics:   *noMetrics,
-			EnablePprof:      *pprofOn,
-		},
+		Addr:    c.addr,
+		Handler: httpapi.HandlerOptions{RateLimit: c.rateLimit, EnablePprof: c.pprof},
 	})
 	if err := srv.Start(); err != nil {
 		return err
 	}
 	q := svc.Queue()
-	fmt.Fprintf(out, "admission: queue=%d rate-limit=%g rate-burst=%d metrics=%t pprof=%t\n",
-		q.Cap, *rateLimit, *rateBurst, !*noMetrics, *pprofOn)
-	if *onDemand {
+	fmt.Fprintf(out, "admission: queue=%d rate-limit=%g pprof=%t\n", q.Cap, c.rateLimit, c.pprof)
+	if c.onDemand {
 		odst := svc.Stats().OnDemand
 		fmt.Fprintf(out, "ondemand: eps=%.0e promote-after=%d max-auto-sources=%d workers=%d cache=%d\n",
-			*odEps, *promoteAft, *maxAuto, odst.PoolWorkers, odst.CacheCapacity)
+			c.odEps, c.promoteAfter, c.maxAuto, odst.PoolWorkers, odst.CacheCapacity)
 	}
 	fmt.Fprintf(out, "listening on %s\n", srv.URL())
 
@@ -171,8 +178,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// the ticker goroutine against a closed service.
 	stopCkpt := make(chan struct{})
 	var ckptWG sync.WaitGroup
-	if *dataDir != "" && *ckptEvr > 0 {
-		ticker := time.NewTicker(*ckptEvr)
+	if c.dataDir != "" && c.ckptEvery > 0 {
+		ticker := time.NewTicker(c.ckptEvery)
 		ckptWG.Add(1)
 		go func() {
 			defer ckptWG.Done()
@@ -196,7 +203,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintln(out, "shutting down: draining in-flight requests")
 	close(stopCkpt)
 	ckptWG.Wait()
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), c.drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
@@ -205,7 +212,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	// A final checkpoint makes the next boot replay-free.
-	if *dataDir != "" {
+	if c.dataDir != "" {
 		if lsn, err := svc.Checkpoint(); err != nil {
 			fmt.Fprintf(out, "final checkpoint failed: %v\n", err)
 		} else {

@@ -376,16 +376,20 @@ func genOp(rng *rand.Rand, z *rand.Zipf, cfg config, sources []dynppr.VertexID, 
 	return o
 }
 
-// readOutcome is everything one request contributes to the contract checks:
-// the snapshot metadata of each read it served, how many answers came from
-// the exact versus the on-demand approximate path, and inline violations
-// (batched per-query errors, approximate answers without an error bound).
+// readOutcome is everything one request contributes to the report: the
+// snapshot metadata of each read it served, how many answers came from the
+// exact versus the on-demand approximate path, inline violations (batched
+// per-query errors, approximate answers without an error bound), the latency
+// of its final attempt and the degraded-retry backoff before it.
 type readOutcome struct {
-	metas  []httpapi.SnapshotMeta
-	approx int64
-	exact  int64
-	cached int64
-	inline []string
+	metas   []httpapi.SnapshotMeta
+	approx  int64
+	exact   int64
+	cached  int64
+	inline  []string
+	lat     time.Duration
+	retries int64
+	waited  time.Duration
 }
 
 // observe validates one read answer's approx/epsilon contract and files its
@@ -454,17 +458,19 @@ const (
 	maxDegradedRetries = 120
 )
 
-// execOpRetry is execOp plus the -retry-degraded loop. The returned latency
+// execOpRetry is execOp plus the -retry-degraded loop. The outcome's latency
 // covers only the final attempt — retry backoff is accounted separately
 // (retries, waited) so a server fault window shows up as degraded-window
 // accounting in the report instead of polluting the -max-p99 gate.
-func execOpRetry(client *httpapi.Client, cfg config, o op) (ro readOutcome, lat time.Duration, retries int64, waited time.Duration, err error) {
+func execOpRetry(client *httpapi.Client, cfg config, o op) (readOutcome, error) {
+	var retries int64
+	var waited time.Duration
 	for {
 		start := time.Now()
-		ro, err = execOp(client, cfg, o)
-		lat = time.Since(start)
+		ro, err := execOp(client, cfg, o)
+		ro.lat, ro.retries, ro.waited = time.Since(start), retries, waited
 		if err == nil || !cfg.retryDegraded || !httpapi.IsDegraded(err) || retries >= maxDegradedRetries {
-			return
+			return ro, err
 		}
 		wait := time.Second
 		var ae *httpapi.APIError
@@ -480,13 +486,35 @@ func execOpRetry(client *httpapi.Client, cfg config, o op) (ro readOutcome, lat 
 	}
 }
 
-// checkConverged validates the stateless half of the serving contract.
-func checkConverged(m httpapi.SnapshotMeta) (string, bool) {
-	if !m.Converged {
-		return fmt.Sprintf("source %d epoch %d: snapshot not converged (residual %g > ε %g)",
-			m.Source, m.Epoch, m.MaxResidual, m.Epsilon), false
+// record files one request's outcome, in either loop. A 429 the run
+// tolerates counts as shed and any other error fails the run; a served
+// request contributes its latency, its answer kinds and the stateless half
+// of the serving contract — every snapshot it read converged. who prefixes
+// the error. record reports whether the request was served.
+func (res *clientResult) record(cfg config, who string, o op, ro readOutcome, err error) bool {
+	res.degradedRetries += ro.retries
+	res.degradedWait += ro.waited
+	if err != nil {
+		if cfg.tolerateShed() && httpapi.IsOverloaded(err) {
+			res.shed[o.class]++
+		} else {
+			res.errors = append(res.errors, fmt.Errorf("%s%s: %w", who, o.class, err))
+		}
+		return false
 	}
-	return "", true
+	res.lat[o.class].Observe(ro.lat)
+	res.approx += ro.approx
+	res.exact += ro.exact
+	res.cached += ro.cached
+	res.violations = append(res.violations, ro.inline...)
+	for _, m := range ro.metas {
+		if !m.Converged {
+			res.violations = append(res.violations,
+				fmt.Sprintf("source %d epoch %d: snapshot not converged (residual %g > ε %g)",
+					m.Source, m.Epoch, m.MaxResidual, m.Epsilon))
+		}
+	}
+	return true
 }
 
 // runClient is one closed-loop client: it issues requests back-to-back until
@@ -497,6 +525,7 @@ func runClient(id int, cfg config, addr string, hc *http.Client,
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)))
 	z := newZipf(rng, cfg, vertices)
 	epochs := make(map[dynppr.VertexID]uint64, len(sources))
+	who := fmt.Sprintf("client %d ", id)
 
 	for i := 0; cfg.requests <= 0 || i < cfg.requests; i++ {
 		if cfg.requests <= 0 && !time.Now().Before(deadline) {
@@ -511,37 +540,23 @@ func runClient(id int, cfg config, addr string, hc *http.Client,
 			tries += cfg.repeat
 		}
 		for try := 0; try < tries; try++ {
-			ro, lat, dRetries, dWait, err := execOpRetry(client, cfg, o)
-			res.degradedRetries += dRetries
-			res.degradedWait += dWait
-			if err != nil {
-				if cfg.tolerateShed() && httpapi.IsOverloaded(err) {
-					res.shed[o.class]++
-					break
-				}
-				res.errors = append(res.errors, fmt.Errorf("client %d %s: %w", id, o.class, err))
+			ro, err := execOpRetry(client, cfg, o)
+			if !res.record(cfg, who, o, ro, err) {
 				break
 			}
-			res.lat[o.class].Observe(lat)
-			res.approx += ro.approx
-			res.exact += ro.exact
-			res.cached += ro.cached
-			res.violations = append(res.violations, ro.inline...)
+			// One client's requests are sequential, so the epoch it observes
+			// per source must be monotone. Not in long-tail mode: promotion
+			// and eviction legitimately move a source between live epochs and
+			// the on-demand path's synthesized epoch 0.
+			if cfg.zipf != 0 {
+				continue
+			}
 			for _, m := range ro.metas {
-				if msg, ok := checkConverged(m); !ok {
-					res.violations = append(res.violations, msg)
+				if last, ok := epochs[m.Source]; ok && m.Epoch < last {
+					res.violations = append(res.violations,
+						fmt.Sprintf("source %d: epoch went backwards %d -> %d", m.Source, last, m.Epoch))
 				}
-				// One client's requests are sequential, so the epoch it observes
-				// per source must be monotone. Not in long-tail mode: promotion
-				// and eviction legitimately move a source between live epochs and
-				// the on-demand path's synthesized epoch 0.
-				if cfg.zipf == 0 {
-					if last, ok := epochs[m.Source]; ok && m.Epoch < last {
-						res.violations = append(res.violations,
-							fmt.Sprintf("source %d: epoch went backwards %d -> %d", m.Source, last, m.Epoch))
-					}
-					epochs[m.Source] = m.Epoch
-				}
+				epochs[m.Source] = m.Epoch
 			}
 		}
 	}
@@ -590,29 +605,10 @@ func runOpenLoop(cfg config, addr string, hc *http.Client,
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			ro, lat, dRetries, dWait, err := execOpRetry(client, cfg, o)
+			ro, err := execOpRetry(client, cfg, o)
 			mu.Lock()
 			defer mu.Unlock()
-			res.degradedRetries += dRetries
-			res.degradedWait += dWait
-			if err != nil {
-				if httpapi.IsOverloaded(err) {
-					res.shed[o.class]++
-				} else {
-					res.errors = append(res.errors, fmt.Errorf("%s: %w", o.class, err))
-				}
-				return
-			}
-			res.lat[o.class].Observe(lat)
-			res.approx += ro.approx
-			res.exact += ro.exact
-			res.cached += ro.cached
-			res.violations = append(res.violations, ro.inline...)
-			for _, m := range ro.metas {
-				if msg, ok := checkConverged(m); !ok {
-					res.violations = append(res.violations, msg)
-				}
-			}
+			res.record(cfg, "", o, ro, err)
 		}()
 	}
 	wg.Wait()

@@ -63,27 +63,32 @@ func slidingWindowStream(universe, initial []dynppr.Edge, window, batches, batch
 }
 
 // TestCompactionDifferential is the storage engine's end-to-end bit-identity
-// gate: two services replay the same stream, one compacting
-// aggressively (background merges racing the write pipeline, inline merges,
-// an explicit mid-stream CompactNow), the other never compacting. After
+// gate: two services replay the same stream and compact at different points.
+// The compacting side is left to the graph's own threshold
+// (Graph.CompactThreshold), which the stream crosses by itself several times,
+// so background merges race the write pipeline. The reference side compacts
+// with CompactNow after every batch, so it never reaches the threshold. After
 // every batch their published estimates and Top-K rankings must agree to the
 // bit, and at the end their checkpoints — estimates, residuals, snapshot
 // epochs, and the compacted CSR image — must be byte-identical. The
 // compacting service runs at PoolWorkers 1 and 4, the other at 4 and 1; the
 // -race runs in CI double as the data-race check on the background compactor.
 func TestCompactionDifferential(t *testing.T) {
+	// Few vertices with long adjacency lists: each touched vertex copies its
+	// whole list into a delta segment, so the deltas reach the 32768-entry
+	// threshold within a few batches, and again after every merge.
 	universe, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
-		Model: dynppr.ModelRMAT, Vertices: 300, Edges: 2400, Seed: 5,
+		Model: dynppr.ModelErdosRenyi, Vertices: 1000, Edges: 60000, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := universe[:1200]
+	initial := universe[:30000]
 	sources := dynppr.GraphFromEdges(initial).TopDegreeVertices(3)
 
 	const (
-		batches   = 12
-		batchSize = 60
+		batches   = 20
+		batchSize = 300
 	)
 	scenarios := []struct {
 		name   string
@@ -99,12 +104,8 @@ func TestCompactionDifferential(t *testing.T) {
 			t.Run(sc.name+parSuffix(par), func(t *testing.T) {
 				opts := dynppr.DefaultOptions()
 				opts.Epsilon = 1e-5
-				build := func(compactAfter, pool int, dir string) *dynppr.Service {
-					so := dynppr.ServiceOptions{
-						Options:                opts,
-						PoolWorkers:            pool,
-						CompactAfterDeltaEdges: compactAfter,
-					}
+				build := func(pool int, dir string) *dynppr.Service {
+					so := dynppr.ServiceOptions{Options: opts, PoolWorkers: pool}
 					svc, err := dynppr.NewPersistentService(
 						dynppr.GraphFromEdges(initial), sources, so,
 						dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncNone})
@@ -113,13 +114,10 @@ func TestCompactionDifferential(t *testing.T) {
 					}
 					return svc
 				}
-				// A 64-entry trigger fires the background merge on nearly
-				// every batch and the 4× inline path whenever the merge
-				// falls behind; -1 never compacts outside checkpoints.
 				dirOn, dirOff := t.TempDir(), t.TempDir()
-				on := build(64, par, dirOn)
+				on := build(par, dirOn)
 				defer on.Close()
-				off := build(-1, 5-par, dirOff)
+				off := build(5-par, dirOff)
 				defer off.Close()
 
 				for b, batch := range sc.stream {
@@ -134,16 +132,21 @@ func TestCompactionDifferential(t *testing.T) {
 					if rOn.Applied != rOff.Applied {
 						t.Fatalf("batch %d: applied %d vs %d", b, rOn.Applied, rOff.Applied)
 					}
-					compareServiceState(t, on, off, sources, b)
-					if b == len(sc.stream)/2 {
-						if err := on.CompactNow(); err != nil {
-							t.Fatal(err)
-						}
-						compareServiceState(t, on, off, sources, b)
+					if err := off.CompactNow(); err != nil {
+						t.Fatal(err)
 					}
+					compareServiceState(t, on, off, sources, b)
 				}
-				if comps := on.Stats().Storage.Compactions; comps == 0 {
-					t.Fatal("compacting service never compacted — the differential proved nothing")
+				// Every threshold crossing starts a merge: the installed ones
+				// count as compactions, and at most one is still in flight.
+				st := on.Stats().Storage
+				crossings := st.Compactions
+				if st.CompactionInFlight {
+					crossings++
+				}
+				if crossings < 2 || crossings >= int64(len(sc.stream)) {
+					t.Fatalf("compacting service crossed its threshold %d times over %d batches, want at least 2 and fewer than the reference's one per batch",
+						crossings, len(sc.stream))
 				}
 
 				// Checkpointing compacts both graphs; with identical logical

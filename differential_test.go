@@ -10,22 +10,20 @@ import (
 	"dynppr/internal/power"
 )
 
-// engineConfig names one engine/variant combination under differential test.
+// engineConfig names one engine under differential test.
 type engineConfig struct {
-	name    string
-	engine  dynppr.EngineKind
-	variant dynppr.Variant
+	name   string
+	engine dynppr.EngineKind
 }
 
+// allEngineConfigs lists every engine a Tracker offers, the sequential
+// reference first. The paper's ablation variants and the vertex-centric
+// baseline are checked against the oracle in internal/push and internal/vc.
 func allEngineConfigs() []engineConfig {
 	return []engineConfig{
-		{"sequential", dynppr.EngineSequential, dynppr.VariantOpt},
-		{"parallel-opt", dynppr.EngineParallel, dynppr.VariantOpt},
-		{"parallel-eager", dynppr.EngineParallel, dynppr.VariantEager},
-		{"parallel-dupdetect", dynppr.EngineParallel, dynppr.VariantDupDetect},
-		{"parallel-vanilla", dynppr.EngineParallel, dynppr.VariantVanilla},
-		{"vertex-centric", dynppr.EngineVertexCentric, dynppr.VariantOpt},
-		{"deterministic", dynppr.EngineDeterministic, dynppr.VariantOpt},
+		{"sequential", dynppr.EngineSequential},
+		{"parallel-opt", dynppr.EngineParallel},
+		{"deterministic", dynppr.EngineDeterministic},
 	}
 }
 
@@ -55,7 +53,7 @@ func randomUpdateStream(universe []dynppr.Edge, seed int64, batches, batchSize i
 }
 
 // TestDifferentialEngines replays identical random insert/delete streams on
-// every engine/variant combination over ER, BA and RMAT graphs (fixed seeds)
+// every engine over ER, BA and RMAT graphs (fixed seeds)
 // and asserts that (a) all engines agree with the sequential reference
 // within 2ε after every batch, and (b) every engine agrees with the exact
 // power-iteration oracle within ε at the end.
@@ -92,7 +90,6 @@ func TestDifferentialEngines(t *testing.T) {
 			for i, c := range configs {
 				opts := dynppr.DefaultOptions()
 				opts.Engine = c.engine
-				opts.Variant = c.variant
 				opts.Epsilon = epsilon
 				opts.Parallelism = 2
 				tr, err := dynppr.NewTracker(dynppr.GraphFromEdges(initial), source, opts)
@@ -160,8 +157,8 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// buildDifferentialTrackers builds one tracker per engine/variant over the
-// same initial edge list.
+// buildDifferentialTrackers builds one tracker per engine over the same
+// initial edge list.
 func buildDifferentialTrackers(t *testing.T, initial []dynppr.Edge, source dynppr.VertexID, epsilon float64) ([]engineConfig, []*dynppr.Tracker) {
 	t.Helper()
 	configs := allEngineConfigs()
@@ -169,7 +166,6 @@ func buildDifferentialTrackers(t *testing.T, initial []dynppr.Edge, source dynpp
 	for i, c := range configs {
 		opts := dynppr.DefaultOptions()
 		opts.Engine = c.engine
-		opts.Variant = c.variant
 		opts.Epsilon = epsilon
 		opts.Parallelism = 2
 		tr, err := dynppr.NewTracker(dynppr.GraphFromEdges(initial), source, opts)
@@ -416,7 +412,6 @@ func TestDifferentialInvariant(t *testing.T) {
 		g := graph.FromEdges(nil)
 		opts := dynppr.DefaultOptions()
 		opts.Engine = c.engine
-		opts.Variant = c.variant
 		opts.Epsilon = 1e-4
 		opts.Parallelism = 2
 		tr, err := dynppr.NewTracker(g, 0, opts)

@@ -8,14 +8,12 @@
 // directed graph and keeps the estimate within ε of the exact value while
 // edges are inserted and deleted in batches. A Tracker is a TrackerSet of one
 // source, so both run the same loop — the paper's local update scheme,
-// invariant restoration per update followed by a local push — with a choice
-// of engines:
+// invariant restoration per update of a batch followed by one local push —
+// with a choice of engines:
 //
 //   - the sequential push of the prior state of the art (Algorithm 2),
-//   - the parallel push (Algorithm 3),
 //   - the optimized parallel push with eager propagation and local duplicate
 //     detection (Algorithm 4, the paper's contribution),
-//   - a vertex-centric (Ligra-style) formulation, provided as a baseline,
 //   - a deterministic parallel push (EngineDeterministic): the frontier is
 //     partitioned into fixed stripes with per-stripe delta buffers merged by
 //     an ordered reduction, so the resulting vectors are bit-identical at
@@ -23,7 +21,10 @@
 //     exactly (see internal/parallel).
 //
 // Options.Parallelism is the degree of parallelism of every parallel engine;
-// only EngineDeterministic is bit-identical across it.
+// only EngineDeterministic is bit-identical across it. The paper's other
+// baselines — the ablation variants of Algorithm 4, the vertex-centric
+// formulation, per-update processing — are reproduced by cmd/dppr-bench
+// through internal/bench, not offered here.
 //
 // The value tracked for source s is the contribution PPR: Estimate(v)
 // approximates the probability that a random walk started at v, terminating
@@ -64,14 +65,12 @@ import (
 	"fmt"
 	"time"
 
-	"dynppr/internal/fp"
 	"dynppr/internal/graph"
 	"dynppr/internal/metrics"
 	"dynppr/internal/parallel"
 	"dynppr/internal/power"
 	"dynppr/internal/push"
 	"dynppr/internal/stream"
-	"dynppr/internal/vc"
 )
 
 // Re-exported graph and stream types, so users of the library construct
@@ -89,7 +88,7 @@ type (
 	Batch = stream.Batch
 	// Op is the update type (Insert or Delete).
 	Op = stream.Op
-	// Variant selects the parallel-push optimizations (see VariantOpt etc.).
+	// Variant selects the parallel-push optimizations (see VariantOpt).
 	Variant = push.Variant
 	// Counters reports the work performed by the engine (pushes, atomic
 	// operations, frontier sizes, ...).
@@ -104,18 +103,9 @@ const (
 	Delete = stream.Delete
 )
 
-// Parallel-push optimization variants (Table 3 of the paper).
-var (
-	// VariantOpt enables eager propagation and local duplicate detection
-	// (Algorithm 4); this is the default and the paper's contribution.
-	VariantOpt = push.VariantOpt
-	// VariantEager enables only eager propagation.
-	VariantEager = push.VariantEager
-	// VariantDupDetect enables only local duplicate detection.
-	VariantDupDetect = push.VariantDupDetect
-	// VariantVanilla disables both optimizations (Algorithm 3).
-	VariantVanilla = push.VariantVanilla
-)
+// VariantOpt enables eager propagation and local duplicate detection
+// (Algorithm 4); this is the default and the paper's contribution.
+var VariantOpt = push.VariantOpt
 
 // NewGraph returns an empty dynamic graph pre-sized for n vertices.
 func NewGraph(n int) *Graph { return graph.New(n) }
@@ -134,8 +124,6 @@ const (
 	// EngineSequential is the sequential local push baseline, and the engine
 	// every Service runs (one per pool worker).
 	EngineSequential
-	// EngineVertexCentric is the Ligra-style vertex-centric baseline.
-	EngineVertexCentric
 	// EngineDeterministic is the deterministic parallel push of
 	// internal/parallel: per-stripe delta buffers merged by an ordered
 	// reduction make the estimate and residual vectors bit-identical for
@@ -152,8 +140,6 @@ func (k EngineKind) String() string {
 		return "parallel"
 	case EngineSequential:
 		return "sequential"
-	case EngineVertexCentric:
-		return "vertex-centric"
 	case EngineDeterministic:
 		return "deterministic"
 	default:
@@ -161,30 +147,8 @@ func (k EngineKind) String() string {
 	}
 }
 
-// UpdateMode controls how a Tracker processes a batch of updates.
-type UpdateMode int
-
-const (
-	// BatchMode restores the invariant for every update of the batch and then
-	// runs one push to convergence — the paper's batch processing method.
-	BatchMode UpdateMode = iota
-	// SingleUpdateMode restores and pushes after every individual update —
-	// the behaviour of the prior state of the art (CPU-Base), kept for
-	// comparison.
-	SingleUpdateMode
-)
-
-// String names the update mode.
-func (m UpdateMode) String() string {
-	if m == SingleUpdateMode {
-		return "single"
-	}
-	return "batch"
-}
-
 // Options configure a Tracker or TrackerSet. A Service reads only Alpha and
-// Epsilon: Engine, Variant, Parallelism and Mode do not reach the serving
-// path.
+// Epsilon: Engine, Variant and Parallelism do not reach the serving path.
 type Options struct {
 	// Alpha is the teleport/termination probability. Default 0.15.
 	Alpha float64
@@ -199,24 +163,22 @@ type Options struct {
 	Variant Variant
 	// Parallelism is the degree of parallelism of every parallel engine
 	// (Tracker and TrackerSet only); <= 0 (the default) selects GOMAXPROCS.
-	// It changes the last-ulp rounding of EngineParallel and
-	// EngineVertexCentric, whose atomic adds land in scheduling order;
-	// EngineDeterministic produces bit-identical vectors at every value.
+	// It changes the last-ulp rounding of EngineParallel, whose atomic adds
+	// land in scheduling order; EngineDeterministic produces bit-identical
+	// vectors at every value.
 	Parallelism int
-	// Mode selects batch versus per-update processing (Tracker only).
-	// Default BatchMode.
-	Mode UpdateMode
 }
 
-// DefaultOptions returns the paper's defaults: α = 0.15, ε = 1e-6, the fully
-// optimized parallel engine in batch mode using every available core.
+// DefaultOptions returns the paper's defaults: α = 0.15, ε = 1e-6 and the
+// fully optimized parallel engine using every available core. Every batch is
+// processed the paper's way — all its updates restored, then one push; to
+// push after each update instead, feed updates one at a time (ApplyUpdate).
 func DefaultOptions() Options {
 	return Options{
 		Alpha:   0.15,
 		Epsilon: 1e-6,
 		Engine:  EngineParallel,
 		Variant: VariantOpt,
-		Mode:    BatchMode,
 	}
 }
 
@@ -231,8 +193,6 @@ func (o Options) buildEngine() (push.Engine, error) {
 		return push.NewParallel(o.Variant, o.Parallelism), nil
 	case EngineSequential:
 		return push.NewSequential(), nil
-	case EngineVertexCentric:
-		return vc.NewPPREngine(fp.ClampWorkers(o.Parallelism)), nil
 	case EngineDeterministic:
 		return parallel.NewPushEngine(o.Parallelism), nil
 	default:
@@ -320,9 +280,9 @@ func (t *Tracker) ApplyUpdate(u Update) BatchResult {
 
 // ApplyBatch applies a batch of edge updates and restores the approximation
 // guarantee before returning: the TrackerSet procedure runs once over the
-// whole batch in BatchMode, once per update in SingleUpdateMode.
+// whole batch.
 func (t *Tracker) ApplyBatch(b Batch) BatchResult {
-	return t.ts.applyBatch(b, t.ts.opts.Mode == SingleUpdateMode)
+	return t.ts.ApplyBatch(b)
 }
 
 // VertexScore pairs a vertex with its PPR estimate.

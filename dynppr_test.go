@@ -26,7 +26,7 @@ func TestDefaultOptionsValid(t *testing.T) {
 	if err := opts.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if opts.Alpha != 0.15 || opts.Engine != dynppr.EngineParallel || opts.Mode != dynppr.BatchMode {
+	if opts.Alpha != 0.15 || opts.Engine != dynppr.EngineParallel || opts.Variant != dynppr.VariantOpt {
 		t.Fatalf("unexpected defaults: %+v", opts)
 	}
 }
@@ -34,12 +34,9 @@ func TestDefaultOptionsValid(t *testing.T) {
 func TestOptionStrings(t *testing.T) {
 	if dynppr.EngineParallel.String() != "parallel" ||
 		dynppr.EngineSequential.String() != "sequential" ||
-		dynppr.EngineVertexCentric.String() != "vertex-centric" ||
+		dynppr.EngineDeterministic.String() != "deterministic" ||
 		dynppr.EngineKind(9).String() == "" {
 		t.Fatal("EngineKind.String wrong")
-	}
-	if dynppr.BatchMode.String() != "batch" || dynppr.SingleUpdateMode.String() != "single" {
-		t.Fatal("UpdateMode.String wrong")
 	}
 }
 
@@ -167,12 +164,12 @@ func TestTrackerEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(engine dynppr.EngineKind, variant dynppr.Variant, mode dynppr.UpdateMode) *dynppr.Tracker {
+	// perUpdate feeds the inserts one ApplyUpdate at a time — restore and
+	// push per update, the prior state of the art — instead of as one batch.
+	build := func(engine dynppr.EngineKind, perUpdate bool) *dynppr.Tracker {
 		opts := dynppr.DefaultOptions()
 		opts.Engine = engine
-		opts.Variant = variant
 		opts.Epsilon = 1e-5
-		opts.Mode = mode
 		opts.Parallelism = 4
 		g := dynppr.GraphFromEdges(edges[:800])
 		tr, err := dynppr.NewTracker(g, 0, opts)
@@ -183,26 +180,27 @@ func TestTrackerEnginesAgree(t *testing.T) {
 		for _, e := range edges[800:] {
 			batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: dynppr.Insert})
 		}
-		tr.ApplyBatch(batch)
+		if perUpdate {
+			for _, u := range batch {
+				tr.ApplyUpdate(u)
+			}
+		} else {
+			tr.ApplyBatch(batch)
+		}
 		return tr
 	}
-	reference := build(dynppr.EngineSequential, dynppr.VariantOpt, dynppr.BatchMode)
+	reference := build(dynppr.EngineSequential, false)
 	configs := []struct {
-		name    string
-		engine  dynppr.EngineKind
-		variant dynppr.Variant
-		mode    dynppr.UpdateMode
+		name      string
+		engine    dynppr.EngineKind
+		perUpdate bool
 	}{
-		{"parallel-opt", dynppr.EngineParallel, dynppr.VariantOpt, dynppr.BatchMode},
-		{"parallel-vanilla", dynppr.EngineParallel, dynppr.VariantVanilla, dynppr.BatchMode},
-		{"parallel-eager", dynppr.EngineParallel, dynppr.VariantEager, dynppr.BatchMode},
-		{"parallel-dupdetect", dynppr.EngineParallel, dynppr.VariantDupDetect, dynppr.BatchMode},
-		{"vertex-centric", dynppr.EngineVertexCentric, dynppr.VariantOpt, dynppr.BatchMode},
-		{"sequential-single", dynppr.EngineSequential, dynppr.VariantOpt, dynppr.SingleUpdateMode},
+		{"parallel-opt", dynppr.EngineParallel, false},
+		{"sequential-per-update", dynppr.EngineSequential, true},
 	}
 	refEst := reference.Estimates()
 	for _, c := range configs {
-		tr := build(c.engine, c.variant, c.mode)
+		tr := build(c.engine, c.perUpdate)
 		est := tr.Estimates()
 		if len(est) != len(refEst) {
 			t.Fatalf("%s: estimate length mismatch", c.name)
@@ -391,30 +389,6 @@ func TestTrackerSet(t *testing.T) {
 		for i, s := range sources {
 			requireSameEstimates(engine.String(), set, s, singles[i])
 		}
-
-		// SingleUpdateMode restores and pushes after every update: the
-		// Tracker matches a one-source set fed the stream one update per
-		// ApplyBatch.
-		perUpdate := opts
-		perUpdate.Mode = dynppr.SingleUpdateMode
-		single, err := dynppr.NewTracker(base.Clone(), sources[0], perUpdate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, err := dynppr.NewTrackerSet(base.Clone(), sources[:1], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = dynppr.BatchResult{}
-		for _, u := range batch {
-			r := one.ApplyBatch(dynppr.Batch{u})
-			want.Applied += r.Applied
-			want.Skipped += r.Skipped
-			want.Pushes += r.Pushes
-		}
-		name := engine.String() + " single-update"
-		sameCounts(name, single.ApplyBatch(batch), want)
-		requireSameEstimates(name, one, sources[0], single)
 	}
 
 	// Adjacency lists are sorted, so the arrival order of the initial edges

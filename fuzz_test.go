@@ -52,8 +52,7 @@ func FuzzTrackerApplyBatch(f *testing.F) {
 		// them; the mutation space covers each engine with every sequence
 		// shape over time.
 		engines := []dynppr.EngineKind{
-			dynppr.EngineSequential, dynppr.EngineParallel,
-			dynppr.EngineVertexCentric, dynppr.EngineDeterministic,
+			dynppr.EngineSequential, dynppr.EngineParallel, dynppr.EngineDeterministic,
 		}
 		var pick byte
 		if len(data) > 0 {

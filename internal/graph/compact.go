@@ -85,17 +85,23 @@ func (g *Graph) Compact() {
 	g.epoch++
 }
 
-// autoCompactMinDelta is the floor below which MaybeCompact never bothers:
-// compacting a tiny delta trades an O(n+m) rebuild for nothing.
-const autoCompactMinDelta = 4096
+// compactMinDelta is the floor below which no compaction fires: compacting
+// a small delta trades an O(n+m) rebuild for little.
+const compactMinDelta = 32768
 
-// MaybeCompact compacts when the delta segments have grown to the order of
-// the live edge count (delta entries count both directions, so the trigger
-// fires when roughly half the adjacency lives in overlays). Trackers call it
-// after each batch; the amortized cost is O(1) per delta entry. It reports
-// whether a compaction ran.
+// CompactThreshold is the delta size (adjacency entries, counting both
+// directions) at which the delta segments have earned a compaction: a
+// quarter of the live edge count, and never less than compactMinDelta, so
+// the amortized cost is O(1) per delta entry. It is the one compaction
+// policy: MaybeCompact applies it inline, and a Service starts a background
+// merge at it.
+func (g *Graph) CompactThreshold() int { return max(compactMinDelta, g.m/4) }
+
+// MaybeCompact compacts when the delta segments have reached
+// CompactThreshold. Trackers call it after each batch. It reports whether a
+// compaction ran.
 func (g *Graph) MaybeCompact() bool {
-	if g.deltaEdges < autoCompactMinDelta || g.deltaEdges < g.m {
+	if g.deltaEdges < g.CompactThreshold() {
 		return false
 	}
 	g.Compact()

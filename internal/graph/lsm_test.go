@@ -188,9 +188,21 @@ func TestInstallRejectsStaleCompaction(t *testing.T) {
 	}
 }
 
-// TestMaybeCompactPolicy checks both halves of the trigger: small deltas are
-// left alone (the floor), and deltas on the order of the edge count compact.
+// TestMaybeCompactPolicy checks both halves of the trigger: deltas below the
+// threshold are left alone, and deltas at it compact. The threshold is the
+// floor on a small graph and a quarter of the edges on a large one.
 func TestMaybeCompactPolicy(t *testing.T) {
+	if th := New(4).CompactThreshold(); th != compactMinDelta {
+		t.Fatalf("empty graph threshold %d, want the floor %d", th, compactMinDelta)
+	}
+	big := make([]Edge, 0, 8*compactMinDelta)
+	for i := range 8 * compactMinDelta {
+		big = append(big, Edge{U: VertexID(i % 1000), V: VertexID(i / 1000)})
+	}
+	if th := FromEdges(big).CompactThreshold(); th != 2*compactMinDelta {
+		t.Fatalf("threshold over %d edges is %d, want a quarter of them", len(big), th)
+	}
+
 	g := New(4)
 	if _, err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
@@ -198,9 +210,8 @@ func TestMaybeCompactPolicy(t *testing.T) {
 	if g.MaybeCompact() {
 		t.Fatal("a two-entry delta must not trigger compaction")
 	}
-	// Push past both the floor and the edge-count ratio.
-	for g.DeltaEdges() < autoCompactMinDelta {
-		churn(t, g, int64(g.DeltaEdges()), 200)
+	for g.DeltaEdges() < g.CompactThreshold() {
+		churn(t, g, int64(g.DeltaEdges()), 2000)
 	}
 	if !g.MaybeCompact() {
 		t.Fatalf("delta %d over %d edges must trigger compaction", g.DeltaEdges(), g.NumEdges())

@@ -49,7 +49,7 @@ func newDegradedAPI(t *testing.T, probeBackoff time.Duration) (*httptest.Server,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(httpapi.NewHandler(svc))
+	ts := httptest.NewServer(httpapi.NewHandler(svc, httpapi.HandlerOptions{}))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()

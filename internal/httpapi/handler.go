@@ -27,25 +27,31 @@ const maxTopK = 1024
 // defaultTopK is the ranking length when the k parameter is omitted.
 const defaultTopK = 10
 
+// rateBurst is the per-client token-bucket burst size of the rate limiter.
+const rateBurst = 16
+
+// defaultAdmissionTimeout bounds a write's wait for a pipeline slot. It is
+// half the server's write timeout, so a write always sheds with 429 before
+// the connection's write deadline can kill it mid-response.
+const defaultAdmissionTimeout = writeTimeout / 2
+
 // HandlerOptions configure the traffic-management behavior of a Handler.
-// The zero value is a production-safe default: admission bounded at one
-// second, /metrics exported, rate limiting and pprof off.
+// The zero value is a production-safe default: admission bounded at
+// defaultAdmissionTimeout, rate limiting and pprof off.
 type HandlerOptions struct {
 	// RateLimit is the sustained per-client request rate (requests/second)
-	// across the data-plane endpoints; 0 disables rate limiting. Clients
-	// are keyed by the X-Client-ID header when present, else by remote
-	// host. /healthz, /stats, /metrics and /debug/pprof are never limited.
+	// across the data-plane endpoints, with bursts of rateBurst; 0 disables
+	// rate limiting. Clients are keyed by the X-Client-ID header when
+	// present, else by remote host. /healthz, /stats, /metrics and
+	// /debug/pprof are never limited.
 	RateLimit float64
-	// RateBurst is the token-bucket burst size; <= 0 selects 16.
-	RateBurst int
 	// AdmissionTimeout bounds how long a write request waits for a slot in
 	// the pipeline's bounded queue before being shed with 429. The timeout
 	// covers admission only — once a mutation is accepted (and journaled)
 	// it always runs to completion, so a 429 guarantees the batch had no
-	// effect. <= 0 selects one second.
+	// effect. <= 0 selects defaultAdmissionTimeout; tests shorten it to
+	// force sheds.
 	AdmissionTimeout time.Duration
-	// DisableMetrics removes the GET /metrics Prometheus endpoint.
-	DisableMetrics bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiles expose internals and burn CPU, so operators opt in
 	// (and should firewall the path).
@@ -54,10 +60,7 @@ type HandlerOptions struct {
 
 func (o *HandlerOptions) fill() {
 	if o.AdmissionTimeout <= 0 {
-		o.AdmissionTimeout = time.Second
-	}
-	if o.RateBurst <= 0 {
-		o.RateBurst = 16
+		o.AdmissionTimeout = defaultAdmissionTimeout
 	}
 }
 
@@ -89,15 +92,10 @@ type Handler struct {
 	limiter *rateLimiter
 }
 
-// NewHandler builds the API handler over svc with default options. The
-// caller keeps ownership of svc and is responsible for closing it.
-func NewHandler(svc *dynppr.Service) *Handler {
-	return NewHandlerOpts(svc, HandlerOptions{})
-}
-
-// NewHandlerOpts builds the API handler over svc with explicit
-// traffic-management options.
-func NewHandlerOpts(svc *dynppr.Service, opts HandlerOptions) *Handler {
+// NewHandler builds the API handler over svc with the given
+// traffic-management options (the zero value is the default). The caller
+// keeps ownership of svc and is responsible for closing it.
+func NewHandler(svc *dynppr.Service, opts HandlerOptions) *Handler {
 	opts.fill()
 	h := &Handler{
 		svc:  svc,
@@ -106,7 +104,7 @@ func NewHandlerOpts(svc *dynppr.Service, opts HandlerOptions) *Handler {
 		metrics: newMetrics(
 			"/healthz", "/stats", "/sources", "/topk", "/estimate", "/query", "/edges", "/checkpoint",
 		),
-		limiter: newRateLimiter(opts.RateLimit, opts.RateBurst),
+		limiter: newRateLimiter(opts.RateLimit, rateBurst),
 	}
 	h.route("/healthz", http.MethodGet, false, h.handleHealthz)
 	h.route("/stats", http.MethodGet, false, h.handleStats)
@@ -116,9 +114,7 @@ func NewHandlerOpts(svc *dynppr.Service, opts HandlerOptions) *Handler {
 	h.route("/query", http.MethodPost, true, h.handleQuery)
 	h.route("/edges", http.MethodPost, true, h.handleEdges)
 	h.route("/checkpoint", http.MethodPost, true, h.handleCheckpoint)
-	if !opts.DisableMetrics {
-		h.mux.Handle("/metrics", promexp.Handler(h.gather))
-	}
+	h.mux.Handle("/metrics", promexp.Handler(h.gather))
 	if opts.EnablePprof {
 		h.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		h.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -37,7 +37,7 @@ func newTestAPI(t *testing.T, nSources int) (*dynppr.Service, []dynppr.VertexID,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	ts := httptest.NewServer(httpapi.NewHandler(svc))
+	ts := httptest.NewServer(httpapi.NewHandler(svc, httpapi.HandlerOptions{}))
 	t.Cleanup(ts.Close)
 	return svc, sources, httpapi.NewClient(ts.URL, ts.Client())
 }
@@ -436,7 +436,7 @@ func TestScoresMatchOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	ts := httptest.NewServer(httpapi.NewHandler(svc))
+	ts := httptest.NewServer(httpapi.NewHandler(svc, httpapi.HandlerOptions{}))
 	defer ts.Close()
 	client := httpapi.NewClient(ts.URL, ts.Client())
 

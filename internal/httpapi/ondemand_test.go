@@ -44,7 +44,7 @@ func newOnDemandAPI(t *testing.T, od dynppr.OnDemandOptions) (*dynppr.Service, [
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	ts := httptest.NewServer(httpapi.NewHandler(svc))
+	ts := httptest.NewServer(httpapi.NewHandler(svc, httpapi.HandlerOptions{}))
 	t.Cleanup(ts.Close)
 	return svc, sources, httpapi.NewClient(ts.URL, ts.Client())
 }

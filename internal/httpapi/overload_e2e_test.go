@@ -207,7 +207,7 @@ func (ht headerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // the 429 carries a Retry-After while a different client and the control
 // plane stay admitted.
 func TestHTTPRateLimitPerClient(t *testing.T) {
-	_, srv := overloadServer(t, httpapi.HandlerOptions{RateLimit: 0.5, RateBurst: 3})
+	_, srv := overloadServer(t, httpapi.HandlerOptions{RateLimit: 0.5})
 	greedy := httpapi.NewClient(srv.URL(), &http.Client{Transport: headerTransport{"greedy"}})
 	polite := httpapi.NewClient(srv.URL(), &http.Client{Transport: headerTransport{"polite"}})
 
@@ -216,8 +216,9 @@ func TestHTTPRateLimitPerClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The burst is 16 requests; at 0.5 req/s nothing refills meanwhile.
 	var limited *httpapi.APIError
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 20; i++ {
 		if _, err := greedy.TopK(sources[0], 5); err != nil {
 			if !httpapi.IsOverloaded(err) {
 				t.Fatalf("request %d: %v", i, err)

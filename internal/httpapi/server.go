@@ -10,41 +10,23 @@ import (
 	"dynppr"
 )
 
+// Per-connection phase timeouts. Edge batches are applied synchronously
+// inside the request, so writeTimeout is the effective cap on batch pipeline
+// latency.
+const (
+	readTimeout  = 5 * time.Second
+	writeTimeout = 10 * time.Second
+	idleTimeout  = 60 * time.Second
+)
+
 // ServerOptions configure the HTTP server.
 type ServerOptions struct {
 	// Addr is the listen address; an empty string selects ":8080" and a
 	// ":0" port asks the kernel for a free one (see Server.Addr).
 	Addr string
-	// ReadTimeout, WriteTimeout and IdleTimeout bound each connection's
-	// phases; zero values select production-safe defaults (5s/10s/60s). Edge
-	// batches are applied synchronously inside the request, so WriteTimeout
-	// is the effective cap on batch pipeline latency.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-	// Handler configures the handler's traffic management (rate limits,
-	// admission timeout, /metrics, pprof). A zero AdmissionTimeout is
-	// derived from WriteTimeout so a write always sheds with 429 before
-	// the connection's write deadline can kill it mid-response.
+	// Handler configures the handler's traffic management (rate limit,
+	// admission timeout, pprof).
 	Handler HandlerOptions
-}
-
-func (o *ServerOptions) fill() {
-	if o.Addr == "" {
-		o.Addr = ":8080"
-	}
-	if o.ReadTimeout <= 0 {
-		o.ReadTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 60 * time.Second
-	}
-	if o.Handler.AdmissionTimeout <= 0 {
-		o.Handler.AdmissionTimeout = o.WriteTimeout / 2
-	}
 }
 
 // Server runs the API handler on a TCP listener with timeouts and graceful
@@ -61,17 +43,19 @@ type Server struct {
 // NewServer builds a server for svc with its own Handler. The service is not
 // owned: closing it is the caller's responsibility, after Shutdown.
 func NewServer(svc *dynppr.Service, opts ServerOptions) *Server {
-	opts.fill()
-	h := NewHandlerOpts(svc, opts.Handler)
+	if opts.Addr == "" {
+		opts.Addr = ":8080"
+	}
+	h := NewHandler(svc, opts.Handler)
 	return &Server{
 		handler: h,
 		http: &http.Server{
 			Addr:              opts.Addr,
 			Handler:           h,
-			ReadTimeout:       opts.ReadTimeout,
-			ReadHeaderTimeout: opts.ReadTimeout,
-			WriteTimeout:      opts.WriteTimeout,
-			IdleTimeout:       opts.IdleTimeout,
+			ReadTimeout:       readTimeout,
+			ReadHeaderTimeout: readTimeout,
+			WriteTimeout:      writeTimeout,
+			IdleTimeout:       idleTimeout,
 		},
 		serveCh: make(chan error, 1),
 	}

@@ -180,9 +180,6 @@ func NewSnapshotSlotTopK(cap int) *SnapshotSlot {
 	return sl
 }
 
-// TopKCap returns the slot's Top-K index capacity (0 when disabled).
-func (sl *SnapshotSlot) TopKCap() int { return sl.topCap }
-
 // PublishStats reports how the slot's publications were performed.
 type PublishStats struct {
 	// Full counts publications that recopied the whole estimate vector

@@ -148,7 +148,9 @@ func TestPPREngineName(t *testing.T) {
 }
 
 // The vertex-centric engine must produce the same ε-guarantee as the
-// specialized engines, both from a cold start and across dynamic updates.
+// specialized engines, both from a cold start and across dynamic updates:
+// an insert batch, then a delete-heavy batch that tears down most of the
+// initial edges (three deletes to one insert, some deletes missing).
 func TestPPREngineMatchesOracle(t *testing.T) {
 	edges, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: 200, Edges: 1500, Seed: 42})
 	if err != nil {
@@ -167,6 +169,23 @@ func TestPPREngineMatchesOracle(t *testing.T) {
 		t.Fatal("not converged after cold start")
 	}
 
+	check := func(stage string) {
+		t.Helper()
+		if !st.Converged() {
+			t.Fatalf("%s: not converged", stage)
+		}
+		if st.InvariantError() > 1e-8 {
+			t.Fatalf("%s: invariant error %v", stage, st.InvariantError())
+		}
+		oracle, err := power.ReverseGraph(g, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > cfg.Epsilon {
+			t.Fatalf("%s: max error %v exceeds epsilon", stage, worst)
+		}
+	}
+
 	var touched []graph.VertexID
 	for _, ins := range edges[1000:] {
 		if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
@@ -174,19 +193,28 @@ func TestPPREngineMatchesOracle(t *testing.T) {
 		}
 	}
 	engine.Run(st, touched)
-	if !st.Converged() {
-		t.Fatal("not converged after updates")
+	check("inserts")
+
+	rng := rand.New(rand.NewSource(43))
+	before := g.NumEdges()
+	touched = touched[:0]
+	for i := 0; i < 2400; i++ {
+		e := edges[rng.Intn(len(edges))]
+		var changed bool
+		if i%4 == 3 {
+			changed, _ = st.ApplyInsert(e.U, e.V)
+		} else {
+			changed, _ = st.ApplyDelete(e.U, e.V)
+		}
+		if changed {
+			touched = append(touched, e.U)
+		}
 	}
-	if st.InvariantError() > 1e-8 {
-		t.Fatalf("invariant error %v", st.InvariantError())
+	if g.NumEdges() >= before/2 {
+		t.Fatalf("delete batch was not delete-heavy: %d of %d edges remain", g.NumEdges(), before)
 	}
-	oracle, err := power.ReverseGraph(g, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > cfg.Epsilon {
-		t.Fatalf("max error %v exceeds epsilon", worst)
-	}
+	engine.Run(st, touched)
+	check("deletes")
 }
 
 // The dense/sparse switch must not change results: force each representation

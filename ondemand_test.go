@@ -446,10 +446,11 @@ func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
 	opts.Epsilon = 1e-4
 	g := dynppr.GraphFromEdges(edges)
 	tracked := g.TopDegreeVertices(1)[0]
-	// Disable automatic compaction so the measured delta cost is the
-	// batch's own footprint, not whatever survived a background merge.
+	// The batch below stays far under the compaction threshold, so the
+	// measured delta cost is the batch's own footprint, not whatever
+	// survived a background merge.
 	svc, err := dynppr.NewService(g, []dynppr.VertexID{tracked}, dynppr.ServiceOptions{
-		Options: opts, PoolWorkers: 1, CompactAfterDeltaEdges: -1,
+		Options: opts, PoolWorkers: 1,
 		OnDemand: dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-4},
 	})
 	if err != nil {

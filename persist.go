@@ -77,11 +77,13 @@ type PersistOptions struct {
 	FS faultfs.FS
 	// ProbeBackoff is the delay before the first recovery probe after
 	// persistence degrades; each failed probe doubles it (with ±25% jitter)
-	// up to a 30s ceiling. Zero selects 250ms.
+	// up to a 30s ceiling. Zero selects 250ms, what the daemon runs; the
+	// fault suites shorten it to milliseconds.
 	ProbeBackoff time.Duration
 	// ProbeMax caps consecutive failed recovery probes before the service
-	// gives up and fails persistence permanently. Zero selects 64; a
-	// negative value probes forever.
+	// gives up and fails persistence permanently. Zero selects 64, what the
+	// daemon runs; a negative value probes forever. The probe-cap suite
+	// lowers it.
 	ProbeMax int
 }
 

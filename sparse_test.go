@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dynppr"
+	"dynppr/internal/push"
 )
 
 // sameBits compares two float64 slices for exact bit-level equality.
@@ -109,9 +110,11 @@ func sparseOracles(t *testing.T, initial []dynppr.Edge, sources []dynppr.VertexI
 }
 
 // compareServiceToOracles asserts that every source's published snapshot —
-// estimates and Top-K at depths inside, at, and beyond the index capacity —
-// is bit-identical to its oracle tracker.
-func compareServiceToOracles(t *testing.T, svc *dynppr.Service, sources []dynppr.VertexID, oracles []*dynppr.Tracker, topKCap int, tag string) {
+// estimates and Top-K at depths inside, at, and beyond the index capacity
+// (the last two take the heap fallback) — is bit-identical to its oracle
+// tracker.
+func compareServiceToOracles(t *testing.T, svc *dynppr.Service, sources []dynppr.VertexID, oracles []*dynppr.Tracker, tag string) {
+	const topKCap = push.DefaultTopKCap
 	t.Helper()
 	for i, s := range sources {
 		want := oracles[i].Estimates()
@@ -155,13 +158,31 @@ func requireDeltaPublishes(t *testing.T, svc *dynppr.Service) {
 	}
 }
 
+// topKRebuilds sums the tracked sources' full-scan Top-K index rebuilds.
+func topKRebuilds(svc *dynppr.Service) uint64 {
+	var n uint64
+	for _, ss := range svc.Stats().Sources {
+		n += ss.TopKRebuilds
+	}
+	return n
+}
+
+// requireStreamRebuilds asserts the Top-K index's rebuild path ran during
+// the stream, not only at cold start (coldRebuilds), so the comparisons
+// covered rebuilt indexes as well as incrementally maintained ones.
+func requireStreamRebuilds(t *testing.T, svc *dynppr.Service, coldRebuilds uint64) {
+	t.Helper()
+	if n := topKRebuilds(svc); n <= coldRebuilds {
+		t.Fatalf("Top-K index rebuilt %d times, all at cold start: the stream never took the rebuild path", n)
+	}
+}
+
 // TestSparseServingDifferential replays the delete-heavy and sliding-window
 // workloads through Services at PoolWorkers 1 and 4 and asserts, after every
 // batch, that the delta-published snapshots and the incremental Top-K index
 // are bit-identical to full-recompute oracles.
 func TestSparseServingDifferential(t *testing.T) {
 	const epsilon = 1e-4
-	const topKCap = 12
 	scenarios := []struct {
 		name  string
 		build func(*testing.T) ([]dynppr.Edge, []dynppr.VertexID, []dynppr.Batch)
@@ -179,12 +200,13 @@ func TestSparseServingDifferential(t *testing.T) {
 					opts := dynppr.DefaultOptions()
 					opts.Epsilon = epsilon
 					svc, err := dynppr.NewService(dynppr.GraphFromEdges(initial), sources, dynppr.ServiceOptions{
-						Options: opts, PoolWorkers: pool, TopKCap: topKCap,
+						Options: opts, PoolWorkers: pool,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer svc.Close()
+					cold := topKRebuilds(svc)
 					oracles := sparseOracles(t, initial, sources, epsilon)
 					for b, batch := range stream {
 						if _, err := svc.ApplyBatch(batch); err != nil {
@@ -193,9 +215,10 @@ func TestSparseServingDifferential(t *testing.T) {
 						for _, tr := range oracles {
 							tr.ApplyBatch(batch)
 						}
-						compareServiceToOracles(t, svc, sources, oracles, topKCap, fmt.Sprintf("batch %d", b))
+						compareServiceToOracles(t, svc, sources, oracles, fmt.Sprintf("batch %d", b))
 					}
 					requireDeltaPublishes(t, svc)
+					requireStreamRebuilds(t, svc, cold)
 				})
 			}
 		})
@@ -210,7 +233,6 @@ func TestSparseServingDifferential(t *testing.T) {
 // has no delta history to trust).
 func TestSparseServingAcrossRecovery(t *testing.T) {
 	const epsilon = 1e-4
-	const topKCap = 12
 	initial, sources, stream := sparseDeleteHeavyScenario(t)
 	for _, pool := range []int{1, 4} {
 		pool := pool
@@ -218,14 +240,15 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "data")
 			opts := dynppr.DefaultOptions()
 			opts.Epsilon = epsilon
-			so := dynppr.ServiceOptions{Options: opts, PoolWorkers: pool, TopKCap: topKCap}
-			recSo := dynppr.ServiceOptions{Options: opts, PoolWorkers: 5 - pool, TopKCap: topKCap}
+			so := dynppr.ServiceOptions{Options: opts, PoolWorkers: pool}
+			recSo := dynppr.ServiceOptions{Options: opts, PoolWorkers: 5 - pool}
 			po := dynppr.PersistOptions{Dir: dir, Sync: dynppr.SyncNone}
 
 			svc, err := dynppr.NewPersistentService(dynppr.GraphFromEdges(initial), sources, so, po)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cold := topKRebuilds(svc)
 			oracles := sparseOracles(t, initial, sources, epsilon)
 
 			half := len(stream) / 2
@@ -248,8 +271,9 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 					tr.ApplyBatch(batch)
 				}
 			}
-			compareServiceToOracles(t, svc, sources, oracles, topKCap, "pre-restart")
+			compareServiceToOracles(t, svc, sources, oracles, "pre-restart")
 			requireDeltaPublishes(t, svc)
+			requireStreamRebuilds(t, svc, cold)
 			if err := svc.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +283,7 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rec.Close()
-			compareServiceToOracles(t, rec, sources, oracles, topKCap, "post-restart")
+			compareServiceToOracles(t, rec, sources, oracles, "post-restart")
 			for _, ss := range rec.Stats().Sources {
 				if ss.FullPublishes == 0 {
 					t.Fatalf("recovered source %d reseeded without a full publish", ss.Source)
@@ -274,7 +298,7 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 			for _, tr := range oracles {
 				tr.ApplyBatch(extra)
 			}
-			compareServiceToOracles(t, rec, sources, oracles, topKCap, "post-restart-write")
+			compareServiceToOracles(t, rec, sources, oracles, "post-restart-write")
 		})
 	}
 }

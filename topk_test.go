@@ -109,7 +109,7 @@ func TestTopKTableAcrossLayers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			ts := httptest.NewServer(httpapi.NewHandler(svc))
+			ts := httptest.NewServer(httpapi.NewHandler(svc, httpapi.HandlerOptions{}))
 			defer ts.Close()
 			client := httpapi.NewClient(ts.URL, ts.Client())
 

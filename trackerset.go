@@ -232,26 +232,11 @@ func (ts *TrackerSet) Estimate(source, v VertexID) (float64, error) {
 }
 
 // ApplyBatch applies the batch to the shared graph once, restores the
-// invariant of every tracked source, and pushes each source to convergence.
+// invariant of every tracked source, pushes each source to convergence, and
+// then compacts the graph if its delta segments have earned it.
 func (ts *TrackerSet) ApplyBatch(b Batch) BatchResult {
-	return ts.applyBatch(b, false)
-}
-
-// applyBatch runs apply over b — once, or once per update when perUpdate is
-// set (a Tracker in SingleUpdateMode) — and then compacts the graph.
-func (ts *TrackerSet) applyBatch(b Batch, perUpdate bool) BatchResult {
 	start := time.Now()
-	var applied int
-	var pushes int64
-	if perUpdate {
-		for i := range b {
-			a, p := ts.apply(b[i:i+1], nil)
-			applied += a
-			pushes += p
-		}
-	} else {
-		applied, pushes = ts.apply(b, nil)
-	}
+	applied, pushes := ts.apply(b, nil)
 	// Between batches is a quiescent point (no engine is reading): fold
 	// grown delta segments back into the CSR base.
 	ts.g.MaybeCompact()
