@@ -430,3 +430,43 @@ func TestDifferentialInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestSequentialCountersPinned pins every work counter of a sequential
+// Tracker over a fixed seeded stream: a cold start, then mixed
+// insert/delete batches and single updates. The values follow the per-push
+// counting semantics — every push is one iteration over a frontier of one —
+// which the kernel's once-per-phase flush must keep field for field.
+func TestSequentialCountersPinned(t *testing.T) {
+	universe, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
+		Model: dynppr.ModelRMAT, Vertices: 2000, Edges: 16000, Seed: 35,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dynppr.GraphFromEdges(universe[:12000])
+	opts := dynppr.DefaultOptions()
+	opts.Engine = dynppr.EngineSequential
+	tr, err := dynppr.NewTracker(g, g.TopDegreeVertices(1)[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := randomUpdateStream(universe, 36, 12, 200)
+	for i, b := range stream {
+		if i%4 == 3 {
+			for _, u := range b[:20] {
+				tr.ApplyUpdate(u)
+			}
+			continue
+		}
+		tr.ApplyBatch(b)
+	}
+	got := tr.Counters()
+	want := dynppr.Counters{
+		Pushes: 459088, Propagations: 3951899, Enqueues: 458635,
+		Iterations: 459088, FrontierPeak: 1, FrontierTotal: 459088,
+		RestoreOps: 654, RandomAccesses: 3951899,
+	}
+	if got != want {
+		t.Fatalf("counters = %+v\nwant       %+v", got, want)
+	}
+}

@@ -3,8 +3,15 @@
 // holds the bulk of the adjacency, and per-vertex mutable delta segments
 // (overlays) absorb edge insertions and deletions. Reads fall through to the
 // base for untouched vertices, so the hottest loops in the system — push
-// frontier scans, out-degree lookups, cold queries — run over dense
-// sequentially-scannable arrays instead of pointer-chasing per-vertex slices.
+// frontier scans, cold queries — run over dense sequentially-scannable arrays
+// instead of pointer-chasing per-vertex slices.
+//
+// Out-degrees do not go through the layers: they live in one dense array,
+// one int32 per vertex slot, that construction fills from the base offsets
+// and every mutation moves by ±1. The push divides by dout(v) once per edge
+// it relaxes, so a degree lookup is one load; the overlays hold only the
+// lists, and compaction, which never changes logical content, leaves the
+// array alone.
 //
 // A delta segment is a fully materialized adjacency list for one vertex and
 // direction: the first mutation of a vertex copies its base list into the
@@ -71,6 +78,8 @@ type Graph struct {
 	n    int  // vertex slots (>= base.n: vertices can be added after a compaction)
 	m    int  // number of live edges
 
+	outDeg []int32 // out-degree per vertex slot, kept by every mutation
+
 	outOv  [][]VertexID // delta segment per vertex: nil = fall through to base
 	inOv   [][]VertexID
 	outGen []uint64 // viewGen at last write of the overlay (copy-on-write seal)
@@ -103,10 +112,15 @@ func fromBase(c *CSR, n int) *Graph {
 	if n < c.n {
 		n = c.n
 	}
+	outDeg := make([]int32, n)
+	for u := 0; u < c.n; u++ {
+		outDeg[u] = c.outOffsets[u+1] - c.outOffsets[u]
+	}
 	return &Graph{
 		base:   c,
 		n:      n,
 		m:      c.NumEdges(),
+		outDeg: outDeg,
 		outOv:  make([][]VertexID, n),
 		inOv:   make([][]VertexID, n),
 		outGen: make([]uint64, n),
@@ -194,6 +208,7 @@ func (g *Graph) EnsureVertex(id VertexID) {
 	if need <= g.n {
 		return
 	}
+	g.outDeg = grow(g.outDeg, need)
 	g.outOv = grow(g.outOv, need)
 	g.inOv = grow(g.inOv, need)
 	g.outGen = grow(g.outGen, need)
@@ -317,6 +332,7 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	// so it must go through the copy-on-write path.
 	g.outOv[u] = insertSorted(g.writableOut(u), v)
 	g.inOv[v] = insertSorted(g.writableIn(v), u)
+	g.outDeg[u]++
 	g.deltaEdges += 2
 	g.m++
 	return true, nil
@@ -330,6 +346,7 @@ func (g *Graph) RemoveEdge(u, v VertexID) error {
 	}
 	g.outOv[u] = deleteSorted(g.writableOut(u), v)
 	g.inOv[v] = deleteSorted(g.writableIn(v), u)
+	g.outDeg[u]--
 	g.deltaEdges -= 2
 	g.m--
 	return nil
@@ -348,18 +365,15 @@ func deleteSorted(s []VertexID, x VertexID) []VertexID {
 	return slices.Delete(s, i, i+1)
 }
 
-// OutDegree returns the out-degree of u (0 for out-of-range ids).
+// OutDegree returns the out-degree of u (0 for out-of-range ids). It reads
+// the dense degree array every mutation maintains, never the layered lists:
+// one bounds check and one load, which is what the push's per-edge division
+// by dout(v) costs.
 func (g *Graph) OutDegree(u VertexID) int {
 	if u < 0 || int(u) >= g.n {
 		return 0
 	}
-	if ov := g.outOv[u]; ov != nil {
-		return len(ov)
-	}
-	if int(u) < g.base.n {
-		return g.base.OutDegree(u)
-	}
-	return 0
+	return int(g.outDeg[u])
 }
 
 // InDegree returns the in-degree of v (0 for out-of-range ids).
@@ -419,6 +433,7 @@ func (g *Graph) Clone() *Graph {
 		base:       g.base,
 		n:          g.n,
 		m:          g.m,
+		outDeg:     slices.Clone(g.outDeg),
 		outOv:      make([][]VertexID, g.n),
 		inOv:       make([][]VertexID, g.n),
 		outGen:     make([]uint64, g.n),
@@ -495,19 +510,24 @@ func (g *Graph) DegreeHistogram() map[int]int {
 // CheckConsistency validates the internal invariants of the graph: every out
 // list and every in list strictly increases within [0, n), every in list is
 // the transpose of the out lists (compared against Snapshot, O(n+m)), m
-// counts the out entries, and the delta-segment accounting (deltaEdges,
-// overlaid registry) matches the segments actually present. It is used by
-// tests and by failure injection tooling.
+// counts the out entries, the degree array holds every out list's length,
+// and the delta-segment accounting (deltaEdges, overlaid registry) matches
+// the segments actually present. It is used by tests and by failure
+// injection tooling.
 func (g *Graph) CheckConsistency() error {
-	if len(g.outOv) != g.n || len(g.inOv) != g.n {
-		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots", g.n, len(g.outOv), len(g.inOv))
+	if len(g.outOv) != g.n || len(g.inOv) != g.n || len(g.outDeg) != g.n {
+		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots and %d degrees", g.n, len(g.outOv), len(g.inOv), len(g.outDeg))
 	}
 	count := 0
 	for u := VertexID(0); int(u) < g.n; u++ {
-		if !sortedRow(g.OutNeighbors(u), g.n) || !sortedRow(g.InNeighbors(u), g.n) {
+		out := g.OutNeighbors(u)
+		if !sortedRow(out, g.n) || !sortedRow(g.InNeighbors(u), g.n) {
 			return fmt.Errorf("graph: a list of vertex %d does not strictly increase within [0,%d)", u, g.n)
 		}
-		count += g.OutDegree(u)
+		if int(g.outDeg[u]) != len(out) {
+			return fmt.Errorf("graph: degree array says dout(%d)=%d, its out list holds %d", u, g.outDeg[u], len(out))
+		}
+		count += len(out)
 	}
 	if count != g.m {
 		return fmt.Errorf("graph: edge count mismatch: m=%d, out lists hold %d", g.m, count)

@@ -123,15 +123,53 @@ func TestFromEdgesAndEdges(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence mutates both copies after the clone — the clone
+// gains an edge, the original loses a base edge — so neither the overlays
+// nor the degree array may be shared.
 func TestCloneIndependence(t *testing.T) {
 	g := FromEdges([]Edge{{0, 1}, {1, 2}})
 	c := g.Clone()
 	mustAdd(t, c, 2, 0)
-	if g.HasEdge(2, 0) {
+	if err := g.RemoveEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if g.HasEdge(2, 0) || !c.HasEdge(0, 1) {
 		t.Fatal("clone shares state with original")
+	}
+	if g.OutDegree(2) != 0 || g.OutDegree(0) != 0 || c.OutDegree(2) != 1 || c.OutDegree(0) != 1 {
+		t.Fatalf("degrees leak between copies: original dout(0)=%d dout(2)=%d, clone dout(0)=%d dout(2)=%d",
+			g.OutDegree(0), g.OutDegree(2), c.OutDegree(0), c.OutDegree(2))
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+	if err := g.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDegreeArrayFollowsGrowth grows a graph past its base segment, first
+// bare (EnsureVertex) and then by edges from and to the new vertices, and
+// checks the degree array covers and counts every slot at each step.
+func TestDegreeArrayFollowsGrowth(t *testing.T) {
+	g := FromEdges([]Edge{{0, 1}, {1, 2}, {2, 0}, {2, 1}})
+	g.EnsureVertex(9)
+	if g.NumVertices() != 10 || g.OutDegree(9) != 0 || g.OutDegree(2) != 2 {
+		t.Fatalf("after EnsureVertex: n=%d dout(9)=%d dout(2)=%d", g.NumVertices(), g.OutDegree(9), g.OutDegree(2))
+	}
+	if err := g.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, g, 9, 0)
+	mustAdd(t, g, 9, 2)
+	mustAdd(t, g, 2, 40) // grows again, through AddEdge
+	if err := g.RemoveEdge(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for u, want := range map[VertexID]int{0: 1, 1: 1, 2: 2, 9: 2, 40: 0, 39: 0} {
+		if got := g.OutDegree(u); got != want {
+			t.Fatalf("dout(%d) = %d, want %d", u, got, want)
+		}
 	}
 	if err := g.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -241,6 +279,12 @@ func TestRandomMutationConsistency(t *testing.T) {
 			return VertexID(rng.Intn(n)), other
 		}
 		for i := 0; i < ops; i++ {
+			if i%500 == 0 {
+				if err := g.CheckConsistency(); err != nil {
+					t.Logf("after %d updates: %v", i, err)
+					return false
+				}
+			}
 			switch rng.Intn(50) {
 			case 0:
 				g.View()

@@ -14,7 +14,8 @@ import (
 
 // Counters records the work performed by a push engine while processing one
 // or more batches. All fields are updated with atomic adds so the parallel
-// engines can share one Counters value across workers.
+// engines can share one Counters value across workers; a kernel that tallies
+// its work in locals publishes it with one Merge.
 type Counters struct {
 	// Pushes counts push operations (one per frontier vertex processed).
 	Pushes int64
@@ -68,12 +69,14 @@ func (c *Counters) AddRandomAccesses(n int64) { atomic.AddInt64(&c.RandomAccesse
 func (c *Counters) ObserveIteration(frontierSize int) {
 	atomic.AddInt64(&c.Iterations, 1)
 	atomic.AddInt64(&c.FrontierTotal, int64(frontierSize))
+	c.raisePeak(int64(frontierSize))
+}
+
+// raisePeak atomically lifts FrontierPeak to at least size.
+func (c *Counters) raisePeak(size int64) {
 	for {
 		cur := atomic.LoadInt64(&c.FrontierPeak)
-		if int64(frontierSize) <= cur {
-			return
-		}
-		if atomic.CompareAndSwapInt64(&c.FrontierPeak, cur, int64(frontierSize)) {
+		if size <= cur || atomic.CompareAndSwapInt64(&c.FrontierPeak, cur, size) {
 			return
 		}
 	}
@@ -97,20 +100,23 @@ func (c *Counters) MeanFrontier() float64 {
 // Reset zeroes every counter.
 func (c *Counters) Reset() { *c = Counters{} }
 
-// Merge adds other's counts into c (not atomic; use between runs).
+// Merge adds other's counts into c and lifts c's FrontierPeak to other's.
+// Each field of c is updated atomically (an add, or a compare-and-swap for
+// the peak), so any number of goroutines may merge into one Counters while
+// others add to or read it; other itself is read plainly and must not be
+// written concurrently. The fields move one at a time: a concurrent
+// Snapshot may see part of a merge.
 func (c *Counters) Merge(other *Counters) {
-	c.Pushes += other.Pushes
-	c.Propagations += other.Propagations
-	c.AtomicAdds += other.AtomicAdds
-	c.Enqueues += other.Enqueues
-	c.DuplicateAttempts += other.DuplicateAttempts
-	c.Iterations += other.Iterations
-	c.FrontierTotal += other.FrontierTotal
-	if other.FrontierPeak > c.FrontierPeak {
-		c.FrontierPeak = other.FrontierPeak
-	}
-	c.RestoreOps += other.RestoreOps
-	c.RandomAccesses += other.RandomAccesses
+	atomic.AddInt64(&c.Pushes, other.Pushes)
+	atomic.AddInt64(&c.Propagations, other.Propagations)
+	atomic.AddInt64(&c.AtomicAdds, other.AtomicAdds)
+	atomic.AddInt64(&c.Enqueues, other.Enqueues)
+	atomic.AddInt64(&c.DuplicateAttempts, other.DuplicateAttempts)
+	atomic.AddInt64(&c.Iterations, other.Iterations)
+	atomic.AddInt64(&c.FrontierTotal, other.FrontierTotal)
+	c.raisePeak(other.FrontierPeak)
+	atomic.AddInt64(&c.RestoreOps, other.RestoreOps)
+	atomic.AddInt64(&c.RandomAccesses, other.RandomAccesses)
 }
 
 // Snapshot returns a copy of the counters read atomically field by field.

@@ -78,3 +78,44 @@ func TestCountersConcurrent(t *testing.T) {
 		t.Fatalf("iterations=%d", c.Iterations)
 	}
 }
+
+// TestCountersConcurrentMerge merges from several goroutines into one
+// Counters while others add to it and read it; run under -race it proves
+// Merge is safe as a concurrent flush, and the totals prove no add is lost.
+func TestCountersConcurrentMerge(t *testing.T) {
+	var c Counters
+	const workers = 8
+	const per = 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.Merge(&Counters{
+					Pushes: 1, Propagations: 2, AtomicAdds: 3, Enqueues: 4,
+					DuplicateAttempts: 5, Iterations: 6, FrontierTotal: 7,
+					FrontierPeak: int64(w*per + i), RestoreOps: 8, RandomAccesses: 9,
+				})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.AddPushes(1)
+				c.ObserveIteration(1)
+				_ = c.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	const n = workers * per
+	want := Counters{
+		Pushes: 2 * n, Propagations: 2 * n, AtomicAdds: 3 * n, Enqueues: 4 * n,
+		DuplicateAttempts: 5 * n, Iterations: 7 * n, FrontierTotal: 8 * n,
+		FrontierPeak: n - 1, RestoreOps: 8 * n, RandomAccesses: 9 * n,
+	}
+	if got := c.Snapshot(); got != want {
+		t.Fatalf("counters = %+v\nwant       %+v", got, want)
+	}
+}

@@ -1,17 +1,25 @@
 package push
 
-import "dynppr/internal/graph"
+import (
+	"dynppr/internal/graph"
+	"dynppr/internal/metrics"
+)
 
 // Sequential is the state-of-the-art sequential local push (Algorithm 2 of
 // the paper, following Zhang et al.). Frontier vertices are processed one at
 // a time from a FIFO work queue; each push moves the α share of the residual
 // into the estimate and propagates the remaining (1−α) share to the
 // in-neighbors, scaled by their out-degrees.
-type Sequential struct {
-	// inQueue is reusable FIFO-membership scratch, all false between runs; the
-	// queue is the state's, so the steady-state batch path allocates nothing.
-	inQueue []bool
-}
+//
+// The engine is stateless, so one value may serve any number of states. A
+// phase only moves residuals in its own direction (the positive phase only
+// adds, the negative phase only subtracts), so a vertex is in the FIFO
+// exactly while its residual satisfies the phase's push condition: it enters
+// when a propagation carries it across the threshold and leaves when it is
+// pushed to zero. FIFO membership therefore follows the threshold crossing,
+// and no membership bitmap is kept. The queue is the state's scratch, so the
+// steady-state batch path allocates nothing.
+type Sequential struct{}
 
 // NewSequential returns the sequential push engine.
 func NewSequential() *Sequential { return &Sequential{} }
@@ -33,24 +41,17 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 	if len(queue) == 0 {
 		return
 	}
-	if n := st.r.Len(); len(e.inQueue) < n {
-		e.inQueue = append(e.inQueue, make([]bool, n-len(e.inQueue))...)
-	}
-	inQueue := e.inQueue
-	for _, v := range queue {
-		inQueue[v] = true
-	}
-	counters := st.Counters
+	// The work is tallied in locals and published with one Merge per phase;
+	// each push counts as one iteration over a frontier of one.
+	var pushes, props, enqueues int64
 	for head := 0; head < len(queue); { // queue[head:] is the FIFO
 		u := queue[head]
 		head++
-		inQueue[u] = false
 		ru := st.r.Get(int(u))
 		if !ph.cond(ru, eps) {
 			continue
 		}
-		counters.AddPushes(1)
-		counters.ObserveIteration(1)
+		pushes++
 		// Self-update: move the α share into the estimate, clear the residual.
 		st.p.Set(int(u), st.p.Get(int(u))+alpha*ru)
 		st.r.Set(int(u), 0)
@@ -58,23 +59,31 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 		// Neighbor propagation: each in-neighbor v of u receives
 		// (1−α)·ru/dout(v).
 		in := g.InNeighbors(graph.VertexID(u))
-		counters.AddPropagations(int64(len(in)))
-		counters.AddRandomAccesses(int64(len(in)))
+		props += int64(len(in))
+		spread := (1 - alpha) * ru
 		for _, v := range in {
-			dv := float64(g.OutDegree(v))
-			nr := st.r.Get(int(v)) + (1-alpha)*ru/dv
+			old := st.r.Get(int(v))
+			nr := old + spread/float64(g.OutDegree(v))
 			st.r.Set(int(v), nr)
-			if ph.cond(nr, eps) && !inQueue[v] {
-				inQueue[v] = true
+			if ph.cond(nr, eps) && !ph.cond(old, eps) {
 				if len(queue) == cap(queue) && head > len(queue)/2 {
 					// More than half already dequeued: slide, don't grow.
 					queue = queue[:copy(queue, queue[head:])]
 					head = 0
 				}
 				queue = append(queue, int32(v))
-				counters.AddEnqueues(1)
+				enqueues++
 			}
 		}
 	}
 	st.activeBuf = queue[:0]
+	st.Counters.Merge(&metrics.Counters{
+		Pushes:         pushes,
+		Propagations:   props,
+		RandomAccesses: props,
+		Enqueues:       enqueues,
+		Iterations:     pushes,
+		FrontierTotal:  pushes,
+		FrontierPeak:   min(pushes, 1),
+	})
 }

@@ -92,27 +92,17 @@ func TestSequentialQueue(t *testing.T) {
 
 // TestSharedSequentialBitIdenticalToDedicated is what lets a TrackerSet
 // worker run every source it claims through one Sequential: an engine driven
-// alternately over two states — on different graphs, the second larger so
-// inQueue grows mid-stream — leaves both with exactly the bits two dedicated
-// engines produce, and no queue membership survives a Run.
+// alternately over two states — on different graphs, the second larger —
+// leaves both with exactly the bits two dedicated engines produce.
 func TestSharedSequentialBitIdenticalToDedicated(t *testing.T) {
 	shared, dedSmall, dedLarge := NewSequential(), NewSequential(), NewSequential()
 	small, wantSmall := newReplay(t, shared, 150, 1200, 31), newReplay(t, dedSmall, 150, 1200, 31)
 	large, wantLarge := newReplay(t, shared, 400, 3600, 37), newReplay(t, dedLarge, 400, 3600, 37)
-	if len(shared.inQueue) <= len(dedSmall.inQueue) {
-		t.Fatalf("shared scratch never outgrew the small graph: %d vs %d", len(shared.inQueue), len(dedSmall.inQueue))
-	}
 	for b := 0; b < 5; b++ {
 		wantSmall.step(t, dedSmall)
 		wantLarge.step(t, dedLarge)
-		for _, rp := range []*replay{small, large} {
-			rp.step(t, shared)
-			for v, in := range shared.inQueue {
-				if in {
-					t.Fatalf("batch %d: vertex %d still marked queued after Run", b, v)
-				}
-			}
-		}
+		small.step(t, shared)
+		large.step(t, shared)
 	}
 	for _, pair := range [][2]*replay{{small, wantSmall}, {large, wantLarge}} {
 		got, want := pair[0].st, pair[1].st
@@ -120,4 +110,51 @@ func TestSharedSequentialBitIdenticalToDedicated(t *testing.T) {
 			t.Fatalf("shared engine diverges from a dedicated one on the %d-vertex graph", got.NumVertices())
 		}
 	}
+}
+
+// BenchmarkSequentialTrackedPush times the tracked push the serving path runs
+// after a bulk batch: one source converged on an R-MAT graph of 100 000
+// vertices, then one 10 000-update batch (5 000 inserts of unseen edges,
+// 5 000 deletes of present ones) applied and restored, so the push reads a
+// graph with live overlays. Every iteration resets P and R to the
+// post-restore vectors and pushes from the batch's endpoints; ns/prop is the
+// time per residual propagation, the kernel's inner-loop unit.
+func BenchmarkSequentialTrackedPush(b *testing.B) {
+	list, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: 100_000, Edges: 1_000_000, Seed: 35})
+	if err != nil {
+		b.Fatal(err)
+	}
+	initial := len(list) * 4 / 5
+	g := graph.FromEdges(list[:initial])
+	st, err := NewState(g, g.TopDegreeVertices(1000)[999], Config{Alpha: 0.15, Epsilon: 1e-6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewSequential()
+	e.Run(st, []graph.VertexID{st.source})
+	var touched []graph.VertexID
+	for i := 0; i < 5000; i++ {
+		ins, del := list[initial+i], list[i]
+		if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
+			touched = append(touched, ins.U)
+		}
+		if changed, _ := st.ApplyDelete(del.U, del.V); changed {
+			touched = append(touched, del.U)
+		}
+	}
+	st.MarkAllEstimatesDirty()
+	p0, r0 := st.p.Clone(), st.r.Clone()
+	var props int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st.p.CopyFrom(p0)
+		st.r.CopyFrom(r0)
+		before := st.Counters.Propagations
+		b.StartTimer()
+		e.Run(st, touched)
+		props += st.Counters.Propagations - before
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(props), "ns/prop")
+	b.ReportMetric(float64(props)/float64(b.N), "props/op")
 }
