@@ -164,12 +164,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
-	q := svc.Queue()
-	fmt.Fprintf(out, "admission: queue=%d rate-limit=%g pprof=%t\n", q.Cap, c.rateLimit, c.pprof)
-	if c.onDemand {
-		odst := svc.Stats().OnDemand
+	st := svc.Stats()
+	fmt.Fprintf(out, "admission: queue=%d rate-limit=%g pprof=%t\n", st.QueueCap, c.rateLimit, c.pprof)
+	if od := st.OnDemand; od != nil {
 		fmt.Fprintf(out, "ondemand: eps=%.0e promote-after=%d max-auto-sources=%d workers=%d cache=%d\n",
-			c.odEps, c.promoteAfter, c.maxAuto, odst.PoolWorkers, odst.CacheCapacity)
+			c.odEps, c.promoteAfter, c.maxAuto, od.PoolWorkers, od.CacheCapacity)
 	}
 	fmt.Fprintf(out, "listening on %s\n", srv.URL())
 

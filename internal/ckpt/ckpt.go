@@ -99,7 +99,8 @@ type Data struct {
 
 // Encode serializes d as a CSR image: the graph base's two out-direction CSR
 // arrays verbatim, fixed-width, so encoding cost is a flat memory copy rather
-// than per-edge varint work. A Data without a CSR is rejected.
+// than per-edge varint work. The image is sized exactly up front and
+// allocated once. A Data without a CSR is rejected.
 func Encode(d *Data) ([]byte, error) {
 	c := d.CSR
 	if c == nil {
@@ -107,7 +108,7 @@ func Encode(d *Data) ([]byte, error) {
 	}
 	n, m := c.NumVertices(), c.NumEdges()
 	offsets, targets := c.RawOut()
-	buf := make([]byte, 0, 64+4*(n+1+m))
+	buf := make([]byte, 0, encodedSize(n, m, d.Sources))
 	buf = appendHeader(buf, d)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(m))
@@ -119,6 +120,24 @@ func Encode(d *Data) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return buf, nil
+}
+
+// encodedSize is the exact length of the image Encode writes: the
+// fixed-width header (magic, version, lsn, alpha, epsilon), the counts, the
+// CSR arrays, the source blocks and the CRC.
+func encodedSize(n, m int, sources []Source) int {
+	size := len(magic) + 4 + 8 + 8 + 8 + uvarintLen(uint64(n)) + uvarintLen(uint64(m)) + 4*(n+1+m) +
+		uvarintLen(uint64(len(sources))) + 4
+	for _, s := range sources {
+		size += uvarintLen(uint64(s.Source)) + 8 + uvarintLen(uint64(len(s.Estimates))) +
+			8*(len(s.Estimates)+len(s.Residuals))
+	}
+	return size
+}
+
+func uvarintLen(x uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], x)
 }
 
 func appendHeader(buf []byte, d *Data) []byte {

@@ -71,6 +71,43 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocatesOnce pins the encoder's exact presizing on an image
+// whose counts, source ids and vector lengths take multi-byte uvarints:
+// one allocation, and no spare capacity.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	const n = 300
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		edges = append(edges, graph.Edge{U: graph.VertexID(u), V: graph.VertexID((u*7 + 1) % n)},
+			graph.Edge{U: graph.VertexID(u), V: graph.VertexID((u*13 + 5) % n)})
+	}
+	d := &Data{LSN: 1 << 40, Alpha: 0.15, Epsilon: 1e-6, CSR: csrOf(edges...)}
+	for i := 0; i < 16; i++ {
+		src := graph.VertexID(i * 9)
+		length := n - 7*i
+		d.Sources = append(d.Sources, Source{
+			Source: src, Epoch: uint64(i + 1),
+			Estimates: make([]float64, length), Residuals: make([]float64, length),
+		})
+	}
+	var buf []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if buf, err = Encode(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Encode made %v allocations, want 1", allocs)
+	}
+	if len(buf) != cap(buf) {
+		t.Fatalf("image is %d bytes in a %d-byte buffer", len(buf), cap(buf))
+	}
+	if _, err := Decode(buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDecodeRejectsDamage(t *testing.T) {
 	good, err := Encode(sampleData())
 	if err != nil {

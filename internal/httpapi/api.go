@@ -209,156 +209,6 @@ type CheckpointResponse struct {
 	LSN uint64 `json:"lsn"`
 }
 
-// PersistenceStats is the wire form of dynppr.PersistenceStats.
-type PersistenceStats struct {
-	Dir               string `json:"dir"`
-	Sync              string `json:"sync"`
-	State             string `json:"state"`
-	NextLSN           uint64 `json:"next_lsn"`
-	LastCheckpointLSN uint64 `json:"last_checkpoint_lsn"`
-	Checkpoints       int64  `json:"checkpoints"`
-	// Failed carries the classified persistence error while State is
-	// "degraded" (mutations shed 503 until a recovery probe heals the
-	// stack) or "failed" (mutations rejected until restart).
-	Failed string `json:"failed,omitempty"`
-	// ProbeAttempts/ProbeSuccesses count recovery heal attempts and the
-	// ones that returned the service to healthy.
-	ProbeAttempts  int64 `json:"probe_attempts,omitempty"`
-	ProbeSuccesses int64 `json:"probe_successes,omitempty"`
-	// DegradedSeconds is the cumulative time spent degraded, the open
-	// window included.
-	DegradedSeconds float64 `json:"degraded_seconds,omitempty"`
-	// NextProbeMillis is the time until the next scheduled recovery probe.
-	NextProbeMillis int64 `json:"next_probe_millis,omitempty"`
-}
-
-// OnDemandStats is the wire form of dynppr.OnDemandStats.
-type OnDemandStats struct {
-	Queries        int64 `json:"queries"`
-	ColdPushes     int64 `json:"cold_pushes"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	Coalesced      int64 `json:"coalesced"`
-	CacheEntries   int   `json:"cache_entries"`
-	CacheCapacity  int   `json:"cache_capacity"`
-	PoolWorkers    int   `json:"pool_workers"`
-	PoolDepth      int64 `json:"pool_depth"`
-	SnapshotBuilds int64 `json:"snapshot_builds"`
-	Promotions     int64 `json:"promotions"`
-	Evictions      int64 `json:"evictions"`
-	Candidates     int   `json:"candidates"`
-	AutoSources    int   `json:"auto_sources"`
-	LastMicros     int64 `json:"last_micros"`
-	TotalMicros    int64 `json:"total_micros"`
-
-	// CacheAnswerEntries is the summed length of the cached answers' sparse
-	// estimate vectors, CacheBytes the memory those vectors hold.
-	CacheAnswerEntries int64 `json:"cache_answer_entries"`
-	CacheBytes         int64 `json:"cache_bytes"`
-}
-
-// SourceStats is the wire form of dynppr.SourceStats.
-type SourceStats struct {
-	Source      dynppr.VertexID `json:"source"`
-	Epoch       uint64          `json:"epoch"`
-	Pushes      int64           `json:"pushes"`
-	MaxResidual float64         `json:"max_residual"`
-	// FullPublishes/DeltaPublishes report how the source's snapshots were
-	// published (full vector copies versus dirty-set deltas); TopKRebuilds
-	// counts full-scan rebuilds of its Top-K index.
-	FullPublishes  uint64 `json:"full_publishes"`
-	DeltaPublishes uint64 `json:"delta_publishes"`
-	TopKRebuilds   uint64 `json:"topk_rebuilds"`
-}
-
-// ServiceStats is the wire form of dynppr.ServiceStats.
-type ServiceStats struct {
-	Sources          []SourceStats `json:"sources"`
-	Batches          int64         `json:"batches"`
-	UpdatesApplied   int64         `json:"updates_applied"`
-	UpdatesSkipped   int64         `json:"updates_skipped"`
-	QueueDepth       int           `json:"queue_depth"`
-	QueueCap         int           `json:"queue_cap"`
-	Shed             int64         `json:"shed"`
-	LastBatchMicros  int64         `json:"last_batch_micros"`
-	AvgBatchMicros   int64         `json:"avg_batch_micros"`
-	TotalBatchMicros int64         `json:"total_batch_micros"`
-	Vertices         int           `json:"vertices"`
-	Edges            int           `json:"edges"`
-	PoolWorkers      int           `json:"pool_workers"`
-	// Persistence is nil when the service runs without a data directory.
-	Persistence *PersistenceStats `json:"persistence,omitempty"`
-	// OnDemand is nil when the on-demand query path is disabled.
-	OnDemand *OnDemandStats `json:"ondemand,omitempty"`
-}
-
-func serviceStats(st dynppr.ServiceStats) ServiceStats {
-	out := ServiceStats{
-		Batches:          st.Batches,
-		UpdatesApplied:   st.UpdatesApplied,
-		UpdatesSkipped:   st.UpdatesSkipped,
-		QueueDepth:       st.QueueDepth,
-		QueueCap:         st.QueueCap,
-		Shed:             st.Shed,
-		LastBatchMicros:  st.LastBatchLatency.Microseconds(),
-		AvgBatchMicros:   st.AvgBatchLatency().Microseconds(),
-		TotalBatchMicros: st.TotalBatchLatency.Microseconds(),
-		Vertices:         st.Vertices,
-		Edges:            st.Edges,
-		PoolWorkers:      st.PoolWorkers,
-	}
-	if p := st.Persistence; p != nil {
-		out.Persistence = &PersistenceStats{
-			Dir:               p.Dir,
-			Sync:              p.Sync,
-			State:             p.State,
-			NextLSN:           p.NextLSN,
-			LastCheckpointLSN: p.LastCheckpointLSN,
-			Checkpoints:       p.Checkpoints,
-			Failed:            p.Failed,
-			ProbeAttempts:     p.ProbeAttempts,
-			ProbeSuccesses:    p.ProbeSuccesses,
-			DegradedSeconds:   p.DegradedSeconds,
-			NextProbeMillis:   p.NextProbe.Milliseconds(),
-		}
-	}
-	if od := st.OnDemand; od != nil {
-		out.OnDemand = &OnDemandStats{
-			Queries:        od.Queries,
-			ColdPushes:     od.ColdPushes,
-			CacheHits:      od.CacheHits,
-			CacheMisses:    od.CacheMisses,
-			Coalesced:      od.Coalesced,
-			CacheEntries:   od.CacheEntries,
-			CacheCapacity:  od.CacheCapacity,
-			PoolWorkers:    od.PoolWorkers,
-			PoolDepth:      od.PoolDepth,
-			SnapshotBuilds: od.SnapshotBuilds,
-			Promotions:     od.Promotions,
-			Evictions:      od.Evictions,
-			Candidates:     od.Candidates,
-			AutoSources:    od.AutoSources,
-			LastMicros:     od.LastLatency.Microseconds(),
-			TotalMicros:    od.TotalLatency.Microseconds(),
-
-			CacheAnswerEntries: od.CacheAnswerEntries,
-			CacheBytes:         od.CacheBytes,
-		}
-	}
-	for _, ss := range st.Sources {
-		out.Sources = append(out.Sources, SourceStats{
-			Source:         ss.Source,
-			Epoch:          ss.Epoch,
-			Pushes:         ss.Pushes,
-			MaxResidual:    ss.MaxResidual,
-			FullPublishes:  ss.FullPublishes,
-			DeltaPublishes: ss.DeltaPublishes,
-			TopKRebuilds:   ss.TopKRebuilds,
-		})
-	}
-	return out
-}
-
 // EndpointStats reports one endpoint's serving counters over the handler's
 // lifetime. The percentiles are estimates from the latency histogram
 // /metrics exports (each inside the bucket of the true value); the other
@@ -389,7 +239,7 @@ type OverloadStats struct {
 // StatsResponse is the body of GET /stats: the service's serving statistics
 // plus the HTTP layer's per-endpoint and traffic-management counters.
 type StatsResponse struct {
-	Service  ServiceStats             `json:"service"`
+	Service  dynppr.ServiceStats      `json:"service"`
 	HTTP     map[string]EndpointStats `json:"http"`
 	Overload OverloadStats            `json:"overload"`
 }

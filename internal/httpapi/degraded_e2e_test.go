@@ -127,10 +127,10 @@ func TestDegradedWritePath503(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := st.Service.Persistence
-	if p == nil || p.State != "degraded" {
+	if p == nil || p.State != dynppr.PersistDegraded {
 		t.Fatalf("stats persistence %+v, want state degraded", p)
 	}
-	if p.NextProbeMillis <= 0 {
+	if p.NextProbe <= 0 {
 		t.Fatal("stats do not expose the pending probe time")
 	}
 	metrics, err := client.Metrics()
@@ -194,7 +194,7 @@ func TestDegradedSelfHealsThroughHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := st.Service.Persistence
-	if p.State != "healthy" || p.ProbeSuccesses < 1 {
+	if p.State != dynppr.PersistHealthy || p.ProbeSuccesses < 1 {
 		t.Fatalf("after self-heal: state %q, probe successes %d", p.State, p.ProbeSuccesses)
 	}
 	if p.DegradedSeconds <= 0 {

@@ -202,7 +202,7 @@ func (h *Handler) retryAfter(err error) time.Duration {
 	if lat <= 0 {
 		lat = 50 * time.Millisecond
 	}
-	d := lat * time.Duration(q.Depth+1)
+	d := lat * time.Duration(q.QueueDepth+1)
 	if d < time.Second {
 		d = time.Second
 	}
@@ -350,7 +350,7 @@ func (h *Handler) handleStats(*http.Request) (any, error) {
 	if od := st.OnDemand; od != nil {
 		ov.Coalesced = od.Coalesced
 	}
-	return StatsResponse{Service: serviceStats(st), HTTP: h.metrics.Snapshot(), Overload: ov}, nil
+	return StatsResponse{Service: st, HTTP: h.metrics.Snapshot(), Overload: ov}, nil
 }
 
 func (h *Handler) handleSources(r *http.Request) (any, error) {

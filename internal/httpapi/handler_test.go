@@ -306,7 +306,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Service.Batches != 1 || stats.Service.Vertices <= 0 || len(stats.Service.Sources) != 3 {
 		t.Fatalf("service stats: %+v", stats.Service)
 	}
-	if stats.Service.LastBatchMicros < 0 || stats.Service.AvgBatchMicros <= 0 {
+	if stats.Service.LastBatchLatency < 0 || stats.Service.AvgBatchLatency <= 0 {
 		t.Fatalf("latency stats: %+v", stats.Service)
 	}
 	topk := stats.HTTP["/topk"]

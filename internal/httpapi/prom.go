@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"dynppr"
 	"dynppr/internal/metrics"
 	"dynppr/internal/promexp"
 )
@@ -16,7 +17,6 @@ import (
 // and deterministic for the format round-trip test).
 func (h *Handler) gather() []promexp.Family {
 	st := h.svc.Stats()
-	q := h.svc.Queue()
 
 	names := make([]string, 0, len(h.metrics.endpoints))
 	for name := range h.metrics.endpoints {
@@ -57,11 +57,11 @@ func (h *Handler) gather() []promexp.Family {
 		counter("dppr_http_rate_limited_total",
 			"Requests answered 429 by the per-client rate limiter.", float64(h.metrics.rateLimited.Load())),
 		gauge("dppr_queue_depth",
-			"Mutations waiting in the write pipeline.", float64(q.Depth)),
+			"Mutations waiting in the write pipeline.", float64(st.QueueDepth)),
 		gauge("dppr_queue_capacity",
-			"Bounded capacity of the write pipeline's admission queue.", float64(q.Cap)),
+			"Bounded capacity of the write pipeline's admission queue.", float64(st.QueueCap)),
 		counter("dppr_pipeline_shed_total",
-			"Mutations rejected with ErrOverloaded at pipeline admission.", float64(q.Shed)),
+			"Mutations rejected with ErrOverloaded at pipeline admission.", float64(st.Shed)),
 		counter("dppr_batches_total",
 			"Edge-update batches applied by the write pipeline.", float64(st.Batches)),
 		counter("dppr_updates_applied_total",
@@ -71,7 +71,7 @@ func (h *Handler) gather() []promexp.Family {
 		counter("dppr_batch_seconds_total",
 			"Total restore+push+publish pipeline time across batches.", st.TotalBatchLatency.Seconds()),
 		gauge("dppr_last_batch_seconds",
-			"Pipeline latency of the most recent batch.", q.LastBatchLatency.Seconds()),
+			"Pipeline latency of the most recent batch.", st.LastBatchLatency.Seconds()),
 		gauge("dppr_graph_vertices", "Vertices in the served graph.", float64(st.Vertices)),
 		gauge("dppr_graph_edges", "Edges in the served graph.", float64(st.Edges)),
 		gauge("dppr_sources", "Tracked PPR sources.", float64(len(st.Sources))),
@@ -136,16 +136,12 @@ func (h *Handler) gather() []promexp.Family {
 	}
 
 	if p := st.Persistence; p != nil {
-		state := 0.0
+		state, failed := 0.0, 0.0
 		switch p.State {
-		case "degraded":
+		case dynppr.PersistDegraded:
 			state = 1
-		case "failed":
-			state = 2
-		}
-		failed := 0.0
-		if p.State == "failed" {
-			failed = 1
+		case dynppr.PersistFailed:
+			state, failed = 2, 1
 		}
 		fams = append(fams,
 			counter("dppr_wal_next_lsn",

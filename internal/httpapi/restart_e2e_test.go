@@ -134,7 +134,7 @@ func TestHTTPRestartRecovery(t *testing.T) {
 	allSources := append(append([]dynppr.VertexID(nil), sources...), extra)
 	type capture struct {
 		topk  httpapi.TopKResult
-		stats httpapi.SourceStats
+		stats dynppr.SourceStats
 	}
 	before := make(map[dynppr.VertexID]capture)
 	stats1, err := client.Stats()
@@ -149,7 +149,7 @@ func TestHTTPRestartRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ss httpapi.SourceStats
+		var ss dynppr.SourceStats
 		for _, cand := range stats1.Service.Sources {
 			if cand.Source == s {
 				ss = cand

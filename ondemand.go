@@ -233,50 +233,50 @@ type OnDemandStats struct {
 	// Queries counts answers served by the on-demand (approximate) path —
 	// computed, coalesced, or cached alike. Reads that hit a tracked source,
 	// including promoted ones, do not count here.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// ColdPushes counts cold pushes actually executed; Queries minus
 	// ColdPushes is the work the coalescer and result cache saved.
-	ColdPushes int64
+	ColdPushes int64 `json:"cold_pushes"`
 	// CacheHits and CacheMisses count result-cache lookups. Coalesced counts
 	// queries that shared an identical in-flight computation instead of
 	// pushing redundantly.
-	CacheHits   int64
-	CacheMisses int64
-	Coalesced   int64
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	Coalesced   int64 `json:"coalesced"`
 	// CacheEntries and CacheCapacity describe the result cache; PoolWorkers
 	// and PoolDepth the cold-push bound (its tokens, and how many are held
 	// right now).
-	CacheEntries  int
-	CacheCapacity int
-	PoolWorkers   int
-	PoolDepth     int64
+	CacheEntries  int   `json:"cache_entries"`
+	CacheCapacity int   `json:"cache_capacity"`
+	PoolWorkers   int   `json:"pool_workers"`
+	PoolDepth     int64 `json:"pool_depth"`
 	// CacheAnswerEntries is the summed length of the cached answers' sparse
 	// estimate vectors (÷ CacheEntries = entries per answer) and CacheBytes
 	// the memory those vectors hold — what the result cache keeps resident.
-	CacheAnswerEntries int64
-	CacheBytes         int64
+	CacheAnswerEntries int64 `json:"cache_answer_entries"`
+	CacheBytes         int64 `json:"cache_bytes"`
 	// SnapshotBuilds counts graph-view rebuilds (one per graph mutation
 	// generation actually queried, not per query). Each build copies only
 	// the delta-segment headers present at that moment, not the graph.
-	SnapshotBuilds int64
+	SnapshotBuilds int64 `json:"snapshot_builds"`
 	// LastSnapshotDeltaEdges is the number of delta-segment adjacency
 	// entries the most recent view build layered over the shared CSR base —
 	// the touched-proportional cost the ondemand bench asserts on. 0 means
 	// the last build handed out a fully compacted base.
-	LastSnapshotDeltaEdges int64
+	LastSnapshotDeltaEdges int64 `json:"last_snapshot_delta_edges"`
 	// Promotions and Evictions count admission-cache decisions: sources
 	// promoted into tracked state, and auto-promoted sources evicted to
 	// make room.
-	Promotions int64
-	Evictions  int64
+	Promotions int64 `json:"promotions"`
+	Evictions  int64 `json:"evictions"`
 	// Candidates is the current admission-cache size, AutoSources the
 	// number of currently tracked auto-promoted sources.
-	Candidates  int
-	AutoSources int
+	Candidates  int `json:"candidates"`
+	AutoSources int `json:"auto_sources"`
 	// LastLatency and TotalLatency time on-demand answers (excluding
 	// promotion work).
-	LastLatency  time.Duration
-	TotalLatency time.Duration
+	LastLatency  time.Duration `json:"last_ns"`
+	TotalLatency time.Duration `json:"total_ns"`
 }
 
 func (od *onDemand) stats() *OnDemandStats {

@@ -44,7 +44,7 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	}
 	defer svc.Close()
 
-	if qs := svc.Queue(); qs.Cap != 1 || qs.Depth != 0 || qs.Shed != 0 {
+	if qs := svc.Queue(); qs.QueueCap != 1 || qs.QueueDepth != 0 || qs.Shed != 0 {
 		t.Fatalf("initial queue stats: %+v", qs)
 	}
 
@@ -67,7 +67,7 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	shedSeen := false
 	deadline := time.Now().Add(10 * time.Second)
 	for !shedSeen && time.Now().Before(deadline) {
-		if svc.Queue().Depth < 1 {
+		if svc.Queue().QueueDepth < 1 {
 			time.Sleep(200 * time.Microsecond)
 			continue
 		}
@@ -102,7 +102,7 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	// deadline bounds the wait, not the work. The heavy batches started a
 	// background compaction, which admits its install on its own clock —
 	// let it land first, so the slot is known to be free.
-	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Storage.CompactionInFlight || svc.Queue().Depth > 0; {
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Storage.CompactionInFlight || svc.Queue().QueueDepth > 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("background compaction never finished")
 		}

@@ -135,18 +135,31 @@ const (
 	PersistFailed
 )
 
+// persistStateNames spells each state for String and the text encoding.
+var persistStateNames = [...]string{PersistHealthy: "healthy", PersistDegraded: "degraded", PersistFailed: "failed"}
+
 // String names the state ("healthy"/"degraded"/"failed").
 func (st PersistState) String() string {
-	switch st {
-	case PersistHealthy:
-		return "healthy"
-	case PersistDegraded:
-		return "degraded"
-	case PersistFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("PersistState(%d)", int32(st))
+	if st >= 0 && int(st) < len(persistStateNames) {
+		return persistStateNames[st]
 	}
+	return fmt.Sprintf("PersistState(%d)", int32(st))
+}
+
+// MarshalText encodes the state as its name.
+func (st PersistState) MarshalText() ([]byte, error) {
+	return []byte(st.String()), nil
+}
+
+// UnmarshalText decodes a state name written by MarshalText.
+func (st *PersistState) UnmarshalText(text []byte) error {
+	for s, name := range persistStateNames {
+		if name == string(text) {
+			*st = PersistState(s)
+			return nil
+		}
+	}
+	return fmt.Errorf("dynppr: unknown persistence state %q", text)
 }
 
 // Recovery-probe scheduling defaults.
@@ -377,21 +390,17 @@ func (p *persistence) healed(lsn uint64) {
 // mapping — unlike Stats, it never walks the source table.
 type PersistenceHealth struct {
 	// State is the current durability state.
-	State PersistState
+	State PersistState `json:"state"`
 	// NextProbe is the time until the next scheduled recovery probe; zero
 	// when none is pending. HTTP front ends derive Retry-After from it.
-	NextProbe time.Duration
-	// Err is the classified error behind a non-healthy state.
-	Err string
+	NextProbe time.Duration `json:"next_probe_ns,omitempty"`
+	// Err is the classified error behind a non-healthy state; empty while
+	// healthy.
+	Err string `json:"failed,omitempty"`
 }
 
-// PersistenceHealth reports the durability layer's state machine; ok is
-// false on a service without persistence configured.
-func (s *Service) PersistenceHealth() (PersistenceHealth, bool) {
-	p := s.persist.Load()
-	if p == nil {
-		return PersistenceHealth{}, false
-	}
+// health reads the state machine's atomic mirrors.
+func (p *persistence) health() PersistenceHealth {
 	h := PersistenceHealth{State: p.stateNow()}
 	if msg := p.lastErrMsg.Load(); msg != nil {
 		h.Err = *msg
@@ -401,44 +410,45 @@ func (s *Service) PersistenceHealth() (PersistenceHealth, bool) {
 			h.NextProbe = d
 		}
 	}
-	return h, true
+	return h
+}
+
+// PersistenceHealth reports the durability layer's state machine; ok is
+// false on a service without persistence configured.
+func (s *Service) PersistenceHealth() (PersistenceHealth, bool) {
+	p := s.persist.Load()
+	if p == nil {
+		return PersistenceHealth{}, false
+	}
+	return p.health(), true
 }
 
 // PersistenceStats reports the durability layer's state inside ServiceStats.
 type PersistenceStats struct {
 	// Dir is the data directory.
-	Dir string
+	Dir string `json:"dir"`
 	// Sync names the WAL fsync policy.
-	Sync string
-	// State is the durability state machine's current state:
-	// "healthy", "degraded" or "failed".
-	State string
+	Sync string `json:"sync"`
+	PersistenceHealth
 	// NextLSN is the sequence number the next journaled mutation will
 	// receive — the total number of mutations journaled over the service's
 	// lifetime, rotations included.
-	NextLSN uint64
+	NextLSN uint64 `json:"next_lsn"`
 	// LastCheckpointLSN is the sequence number covered by the most recent
 	// checkpoint; NextLSN − LastCheckpointLSN mutations would replay on a
 	// crash right now.
-	LastCheckpointLSN uint64
+	LastCheckpointLSN uint64 `json:"last_checkpoint_lsn"`
 	// Checkpoints counts completed Checkpoint calls (the construction-time
 	// one included) and successful recovery probes.
-	Checkpoints int64
-	// Failed carries the classified persistence error while the state is
-	// degraded or failed — the service is serving reads but rejecting
-	// mutations (temporarily or permanently). Empty while healthy.
-	Failed string
+	Checkpoints int64 `json:"checkpoints"`
 	// ProbeAttempts counts recovery heal attempts (background probes and
 	// manual Checkpoint calls while degraded).
-	ProbeAttempts int64
+	ProbeAttempts int64 `json:"probe_attempts,omitempty"`
 	// ProbeSuccesses counts heals that returned the service to healthy.
-	ProbeSuccesses int64
+	ProbeSuccesses int64 `json:"probe_successes,omitempty"`
 	// DegradedSeconds is the cumulative time spent degraded over the
 	// service's lifetime, the currently open window included.
-	DegradedSeconds float64
-	// NextProbe is the time until the next scheduled recovery probe; zero
-	// when none is pending.
-	NextProbe time.Duration
+	DegradedSeconds float64 `json:"degraded_seconds,omitempty"`
 }
 
 func (s *Service) persistenceStats() *PersistenceStats {
@@ -446,30 +456,21 @@ func (s *Service) persistenceStats() *PersistenceStats {
 	if p == nil {
 		return nil
 	}
-	st := &PersistenceStats{
+	deg := p.degradedNanos.Load()
+	if since := p.degradedSince.Load(); since > 0 {
+		deg += time.Now().UnixNano() - since
+	}
+	return &PersistenceStats{
 		Dir:               p.dir,
 		Sync:              p.log.Policy().String(),
-		State:             p.stateNow().String(),
+		PersistenceHealth: p.health(),
 		NextLSN:           p.nextLSN.Load(),
 		LastCheckpointLSN: p.ckptLSN.Load(),
 		Checkpoints:       p.checkpoints.Load(),
 		ProbeAttempts:     p.probeAttempts.Load(),
 		ProbeSuccesses:    p.probeSuccesses.Load(),
+		DegradedSeconds:   time.Duration(deg).Seconds(),
 	}
-	if msg := p.lastErrMsg.Load(); msg != nil {
-		st.Failed = *msg
-	}
-	deg := p.degradedNanos.Load()
-	if since := p.degradedSince.Load(); since > 0 {
-		deg += time.Now().UnixNano() - since
-	}
-	st.DegradedSeconds = time.Duration(deg).Seconds()
-	if at := p.nextProbeAt.Load(); at != 0 {
-		if d := time.Until(time.Unix(0, at)); d > 0 {
-			st.NextProbe = d
-		}
-	}
-	return st
 }
 
 // journal is the write-ahead hook of the pipeline: it runs the given append

@@ -6,6 +6,7 @@ package dynppr
 // exhausted probe budgets must fail persistence instead of probing forever.
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -114,8 +115,8 @@ func TestTransientFaultDegradesThenSelfHeals(t *testing.T) {
 	if st.DegradedSeconds <= 0 {
 		t.Fatal("degraded window not accounted in DegradedSeconds")
 	}
-	if st.Failed != "" {
-		t.Fatalf("healthy stats still carry failure %q", st.Failed)
+	if st.Err != "" {
+		t.Fatalf("healthy stats still carry failure %q", st.Err)
 	}
 }
 
@@ -373,4 +374,25 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	}
 
 	settle("after Close", func(n int) bool { return n <= before })
+}
+
+// TestPersistStateText pins the JSON spelling of every persistence state,
+// which /stats carries, and rejects a name it does not know.
+func TestPersistStateText(t *testing.T) {
+	for st, want := range map[PersistState]string{
+		PersistHealthy: `"healthy"`, PersistDegraded: `"degraded"`, PersistFailed: `"failed"`,
+	} {
+		b, err := json.Marshal(st)
+		if err != nil || string(b) != want {
+			t.Fatalf("marshal %v = %s, %v; want %s", st, b, err, want)
+		}
+		var got PersistState
+		if err := json.Unmarshal(b, &got); err != nil || got != st {
+			t.Fatalf("unmarshal %s = %v, %v", b, got, err)
+		}
+	}
+	var st PersistState
+	if err := json.Unmarshal([]byte(`"sideways"`), &st); err == nil {
+		t.Fatal("unknown state name decoded without error")
+	}
 }

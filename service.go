@@ -762,23 +762,23 @@ func (s *Service) Closed() bool {
 // SourceStats reports per-source serving statistics.
 type SourceStats struct {
 	// Source is the tracked source vertex.
-	Source VertexID
+	Source VertexID `json:"source"`
 	// Epoch is the source's current snapshot epoch.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Pushes is the cumulative number of push operations performed for this
 	// source (cold start included).
-	Pushes int64
+	Pushes int64 `json:"pushes"`
 	// MaxResidual is the convergence certificate of the current snapshot
 	// (exact on full publications, a running bound on delta publications;
 	// always ≤ ε).
-	MaxResidual float64
+	MaxResidual float64 `json:"max_residual"`
 	// FullPublishes and DeltaPublishes count how the source's snapshots
 	// were published: full vector copies versus dirty-set deltas.
-	FullPublishes  uint64
-	DeltaPublishes uint64
+	FullPublishes  uint64 `json:"full_publishes"`
+	DeltaPublishes uint64 `json:"delta_publishes"`
 	// TopKRebuilds counts full-scan rebuilds of the source's Top-K index
 	// (cold start, graph growth, threshold invalidation by decays).
-	TopKRebuilds uint64
+	TopKRebuilds uint64 `json:"topk_rebuilds"`
 }
 
 // StorageStats reports the state of the LSM-style graph store: one immutable
@@ -788,56 +788,48 @@ type StorageStats struct {
 	// Epoch identifies the current base segment; it advances on every
 	// compaction (base swap). Logical graph content never changes across an
 	// epoch bump.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// BaseEdges is the edge count of the immutable base. DeltaEdges counts
 	// adjacency entries (both directions) held in mutable delta segments
 	// awaiting compaction, and OverlaidVertices the vertices currently read
 	// from those segments rather than the base.
-	BaseEdges        int64
-	DeltaEdges       int64
-	OverlaidVertices int64
+	BaseEdges        int64 `json:"base_edges"`
+	DeltaEdges       int64 `json:"delta_edges"`
+	OverlaidVertices int64 `json:"overlaid_vertices"`
 	// Compactions counts base swaps (background installs, inline 4×-trigger
 	// compactions, CompactNow, and checkpoints, which always compact).
 	// LastCompaction is the build+install wall time of the most recent one,
 	// and CompactionInFlight reports a background merge currently running.
-	Compactions        int64
-	LastCompaction     time.Duration
-	CompactionInFlight bool
+	Compactions        int64         `json:"compactions"`
+	LastCompaction     time.Duration `json:"last_compaction_ns"`
+	CompactionInFlight bool          `json:"compaction_in_flight"`
 }
 
-// ServiceStats reports aggregate serving statistics.
+// ServiceStats reports aggregate serving statistics. Its JSON form is the
+// service block of GET /stats; durations encode as integer nanoseconds.
 type ServiceStats struct {
 	// Sources lists per-source statistics in ascending source order.
-	Sources []SourceStats
+	Sources []SourceStats `json:"sources"`
 	// Batches is the number of completed ApplyBatch calls.
-	Batches int64
+	Batches int64 `json:"batches"`
 	// UpdatesApplied and UpdatesSkipped count effective and no-op updates.
-	UpdatesApplied int64
-	UpdatesSkipped int64
-	// QueueDepth is the number of mutations waiting in the pipeline and
-	// QueueCap the pipeline's bounded capacity (ServiceOptions.QueueDepth).
-	QueueDepth int
-	QueueCap   int
-	// Shed counts mutations rejected with ErrOverloaded at admission.
-	Shed int64
-	// LastBatchLatency and TotalBatchLatency time the restore+push+publish
-	// pipeline (not the queueing delay).
-	LastBatchLatency  time.Duration
-	TotalBatchLatency time.Duration
+	UpdatesApplied int64 `json:"updates_applied"`
+	UpdatesSkipped int64 `json:"updates_skipped"`
+	QueueStats
 	// Vertices and Edges describe the graph after the last completed batch.
-	Vertices int
-	Edges    int
+	Vertices int `json:"vertices"`
+	Edges    int `json:"edges"`
 	// Storage describes the LSM graph store's segments and compaction
 	// activity.
-	Storage StorageStats
+	Storage StorageStats `json:"storage"`
 	// PoolWorkers is the bound on sources pushed at once.
-	PoolWorkers int
+	PoolWorkers int `json:"pool_workers"`
 	// Persistence reports the durability layer's state; nil for an
 	// in-memory service.
-	Persistence *PersistenceStats
+	Persistence *PersistenceStats `json:"persistence,omitempty"`
 	// OnDemand reports the on-demand query path's counters; nil when the
 	// path is disabled.
-	OnDemand *OnDemandStats
+	OnDemand *OnDemandStats `json:"ondemand,omitempty"`
 }
 
 // QueueStats is the cheap, allocation-free subset of ServiceStats the
@@ -845,38 +837,35 @@ type ServiceStats struct {
 // overload response to compute a Retry-After hint, so it must not walk the
 // source table the way Stats does.
 type QueueStats struct {
-	// Depth is the number of queued mutations; Cap the queue's capacity.
-	Depth, Cap int
+	// QueueDepth is the number of queued mutations and QueueCap the
+	// queue's capacity (ServiceOptions.QueueDepth).
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
 	// Shed counts mutations rejected with ErrOverloaded at admission.
-	Shed int64
-	// LastBatchLatency and AvgBatchLatency time the restore+push+publish
-	// pipeline of recent batches (not the queueing delay); together with
-	// Depth they estimate how long a full queue takes to drain.
-	LastBatchLatency time.Duration
-	AvgBatchLatency  time.Duration
+	Shed int64 `json:"shed"`
+	// LastBatchLatency, AvgBatchLatency and TotalBatchLatency time the
+	// restore+push+publish pipeline (not the queueing delay): of the most
+	// recent batch, per batch, and over all batches. With QueueDepth, the
+	// first two estimate how long a full queue takes to drain.
+	LastBatchLatency  time.Duration `json:"last_batch_ns"`
+	AvgBatchLatency   time.Duration `json:"avg_batch_ns"`
+	TotalBatchLatency time.Duration `json:"total_batch_ns"`
 }
 
 // Queue returns the pipeline's admission statistics. It is safe to call
 // concurrently with reads and writes and performs no allocation.
 func (s *Service) Queue() QueueStats {
 	qs := QueueStats{
-		Depth:            len(s.work),
-		Cap:              cap(s.work),
-		Shed:             s.shed.Load(),
-		LastBatchLatency: time.Duration(s.lastLatency.Load()),
+		QueueDepth:        len(s.work),
+		QueueCap:          cap(s.work),
+		Shed:              s.shed.Load(),
+		LastBatchLatency:  time.Duration(s.lastLatency.Load()),
+		TotalBatchLatency: time.Duration(s.totalLatency.Load()),
 	}
 	if n := s.batches.Load(); n > 0 {
-		qs.AvgBatchLatency = time.Duration(s.totalLatency.Load() / n)
+		qs.AvgBatchLatency = qs.TotalBatchLatency / time.Duration(n)
 	}
 	return qs
-}
-
-// AvgBatchLatency returns the mean per-batch pipeline latency.
-func (st ServiceStats) AvgBatchLatency() time.Duration {
-	if st.Batches == 0 {
-		return 0
-	}
-	return st.TotalBatchLatency / time.Duration(st.Batches)
 }
 
 // Stats returns a point-in-time view of the service's serving statistics.
@@ -884,16 +873,12 @@ func (st ServiceStats) AvgBatchLatency() time.Duration {
 func (s *Service) Stats() ServiceStats {
 	table := *s.table.Load()
 	stats := ServiceStats{
-		Batches:           s.batches.Load(),
-		UpdatesApplied:    s.applied.Load(),
-		UpdatesSkipped:    s.skipped.Load(),
-		QueueDepth:        len(s.work),
-		QueueCap:          cap(s.work),
-		Shed:              s.shed.Load(),
-		LastBatchLatency:  time.Duration(s.lastLatency.Load()),
-		TotalBatchLatency: time.Duration(s.totalLatency.Load()),
-		Vertices:          int(s.vertices.Load()),
-		Edges:             int(s.edges.Load()),
+		Batches:        s.batches.Load(),
+		UpdatesApplied: s.applied.Load(),
+		UpdatesSkipped: s.skipped.Load(),
+		QueueStats:     s.Queue(),
+		Vertices:       int(s.vertices.Load()),
+		Edges:          int(s.edges.Load()),
 		Storage: StorageStats{
 			Epoch:              s.storageEpoch.Load(),
 			BaseEdges:          s.baseEdges.Load(),

@@ -283,6 +283,9 @@ func TestServiceAddRemoveSource(t *testing.T) {
 func TestServiceStats(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, 80, 400, 21)
 	svc, sources := newTestService(t, edges, 3, 1e-4)
+	if avg := svc.Stats().AvgBatchLatency; avg != 0 {
+		t.Fatalf("zero-batch avg latency %v, want 0", avg)
+	}
 
 	res, err := svc.ApplyBatch(dynppr.Batch{
 		{U: 0, V: 1, Op: dynppr.Insert},
@@ -301,7 +304,7 @@ func TestServiceStats(t *testing.T) {
 	if stats.LastBatchLatency <= 0 || stats.TotalBatchLatency < stats.LastBatchLatency {
 		t.Fatalf("latencies wrong: %+v", stats)
 	}
-	if stats.AvgBatchLatency() <= 0 {
+	if stats.AvgBatchLatency <= 0 {
 		t.Fatal("average latency must be positive")
 	}
 	if stats.Vertices <= 0 || stats.Edges <= 0 || stats.PoolWorkers != 2 {
@@ -324,11 +327,8 @@ func TestServiceStats(t *testing.T) {
 			t.Fatalf("source %d residual %v", ss.Source, ss.MaxResidual)
 		}
 	}
-	if stats.AvgBatchLatency() != stats.TotalBatchLatency/1 {
+	if stats.AvgBatchLatency != stats.TotalBatchLatency/1 {
 		t.Fatal("avg latency mismatch for one batch")
-	}
-	if (dynppr.ServiceStats{}).AvgBatchLatency() != 0 {
-		t.Fatal("zero-batch avg latency must be 0")
 	}
 }
 
