@@ -2,6 +2,7 @@ package push
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -74,8 +75,8 @@ func ColdPushCSR(c *graph.CSR, source graph.VertexID, cfg Config, maxPushes int6
 // identically and every float64 sum associates identically.
 //
 // The push is local in cost as well as in effect: it runs over pooled scratch
-// that is dense in the vertex count but reset in O(touched) afterwards, so a
-// query allocates only its sparse answer.
+// that is dense in the vertex count but read out and reset in
+// O(touched + n/4096) afterwards, so a query allocates only its sparse answer.
 func ColdPushBounded(view *graph.View, source graph.VertexID, cfg Config, maxPushes int64) (*ColdPushResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -99,38 +100,48 @@ var coldScratchPool = sync.Pool{New: func() any { return new(coldScratch) }}
 type coldCell struct{ r, p, outDeg float64 }
 
 // coldScratch is the reusable working set of the cold-push kernel. Between
-// queries every cell is zero and the lists are empty; a query dirties only
-// the cells named in touched and push() zeroes exactly those before it
-// returns, so reuse costs O(touched), not O(n).
+// queries every cell and every bitmap word is zero and the queue is empty; a
+// query dirties only the cells its bitmaps mark and push() zeroes exactly
+// those before it returns, so reuse costs O(touched + n/4096), not O(n).
 type coldScratch struct {
 	cells []coldCell
-	// touched names, once each, every vertex whose cell may be nonzero, in
-	// first-touch order.
-	touched []graph.VertexID
+	// seen is the touched set, one bit per cell: bit v marks a cell that may
+	// be nonzero. sum is its index, one bit per seen word, so one sum word
+	// covers 4096 vertices and a sweep skips untouched stretches whole.
+	seen []uint64
+	sum  []uint64
 	// queue[head:] is the FIFO frontier. A vertex is queued exactly while its
 	// residual exceeds ε (it enters when an update carries it across ε and
 	// leaves when it is pushed to zero), so no membership bitmap is needed.
 	queue []graph.VertexID
 	head  int
-	ids   []graph.VertexID // sort buffer for the answer's vertex list
 }
 
 // push runs one bounded cold push on scratch sc: seed the source, drain the
 // frontier, extract the answer. The caller has validated cfg and source.
 func (sc *coldScratch) push(view *graph.View, source graph.VertexID, cfg Config, maxPushes int64) *ColdPushResult {
 	if n := view.NumVertices(); len(sc.cells) < n {
-		// The old cells are all zero, so growing is a fresh allocation; the
-		// slack keeps a graph that grows a vertex at a time from paying it
-		// per query.
-		sc.cells = make([]coldCell, n+n/8)
+		// The old cells and bitmaps are all zero, so growing is a fresh
+		// allocation; the slack keeps a graph that grows a vertex at a time
+		// from paying it per query.
+		slots := n + n/8
+		sc.cells = make([]coldCell, slots)
+		sc.seen = make([]uint64, (slots+63)/64)
+		sc.sum = make([]uint64, (len(sc.seen)+63)/64)
 	}
 	res := &ColdPushResult{}
 	sc.cells[source] = coldCell{r: 1, outDeg: float64(view.OutDegree(source))}
-	sc.touched = append(sc.touched, source)
+	sc.mark(source)
 	sc.queue = append(sc.queue, source)
 	sc.drain(view, res, cfg.Alpha, cfg.Epsilon, maxPushes)
 	sc.finish(res)
 	return res
+}
+
+// mark records v in the touched bitmaps.
+func (sc *coldScratch) mark(v graph.VertexID) {
+	sc.seen[v>>6] |= 1 << (v & 63)
+	sc.sum[v>>12] |= 1 << (v >> 6 & 63)
 }
 
 // drain is the frontier kernel: it pushes the queue dry at threshold eps,
@@ -158,7 +169,7 @@ func (sc *coldScratch) drain(view *graph.View, res *ColdPushResult, alpha, eps f
 			c := &cells[v]
 			if c.outDeg == 0 {
 				c.outDeg = float64(view.OutDegree(v))
-				sc.touched = append(sc.touched, v)
+				sc.mark(v)
 			}
 			old := c.r
 			c.r = old + spread/c.outDeg
@@ -170,28 +181,52 @@ func (sc *coldScratch) drain(view *graph.View, res *ColdPushResult, alpha, eps f
 	sc.queue, sc.head = sc.queue[:0], 0
 }
 
-// finish extracts the sparse answer and the residual bound from the touched
-// cells and returns the scratch to its all-zero state.
+// finish extracts the sparse answer and the residual bound by two sweeps of
+// the touched bitmaps, sum word → seen word → cell, in ascending id order, so
+// the answer comes out sorted with no sort. The first sweep takes the largest
+// residual, zeroes every cell whose estimate is zero and narrows each seen
+// word to the cells that remain, which it counts; the second fills the
+// exact-size answer from those cells and zeroes them and every bitmap word it
+// passes, returning the scratch to its all-zero state. Both cost
+// O(touched + n/4096).
 func (sc *coldScratch) finish(res *ColdPushResult) {
-	ids := sc.ids[:0]
-	for _, v := range sc.touched {
-		c := sc.cells[v]
-		if c.r > res.MaxResidual {
-			res.MaxResidual = c.r
+	cells, seen, sum := sc.cells, sc.seen, sc.sum
+	maxR, nonzero := 0.0, 0
+	for i, s := range sum {
+		for ; s != 0; s &= s - 1 {
+			wi := i<<6 | bits.TrailingZeros64(s)
+			var keep uint64
+			for w := seen[wi]; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				c := &cells[wi<<6|b]
+				if c.r > maxR {
+					maxR = c.r
+				}
+				if c.p != 0 {
+					keep |= 1 << b
+				} else {
+					*c = coldCell{}
+				}
+			}
+			seen[wi] = keep
+			nonzero += bits.OnesCount64(keep)
 		}
-		if c.p != 0 {
-			ids = append(ids, v)
+	}
+	res.MaxResidual = maxR
+	ids, ests := make([]graph.VertexID, nonzero), make([]float64, nonzero)
+	k := 0
+	for i, s := range sum {
+		for ; s != 0; s &= s - 1 {
+			wi := i<<6 | bits.TrailingZeros64(s)
+			for w := seen[wi]; w != 0; w &= w - 1 {
+				v := wi<<6 | bits.TrailingZeros64(w)
+				ids[k], ests[k] = graph.VertexID(v), cells[v].p
+				k++
+				cells[v] = coldCell{}
+			}
+			seen[wi] = 0
 		}
+		sum[i] = 0
 	}
-	slices.Sort(ids)
-	res.Vertices = make([]graph.VertexID, len(ids))
-	copy(res.Vertices, ids)
-	res.Estimates = make([]float64, len(ids))
-	for i, v := range ids {
-		res.Estimates[i] = sc.cells[v].p
-	}
-	for _, v := range sc.touched {
-		sc.cells[v] = coldCell{}
-	}
-	sc.touched, sc.ids = sc.touched[:0], ids
+	res.Vertices, res.Estimates = ids, ests
 }

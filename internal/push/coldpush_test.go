@@ -2,6 +2,7 @@ package push
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
 	"dynppr/internal/power"
+	"dynppr/internal/stream"
 )
 
 // coldPushSnapshot builds a deliberately dangling-heavy ER snapshot: unlike
@@ -238,12 +240,22 @@ func TestColdScratchHygiene(t *testing.T) {
 	var sc coldScratch
 	requireIdle := func(what string) {
 		t.Helper()
-		if len(sc.touched) != 0 || len(sc.queue) != 0 || sc.head != 0 {
-			t.Fatalf("%s: lists not reset: touched=%d queue=%d head=%d", what, len(sc.touched), len(sc.queue), sc.head)
+		if len(sc.queue) != 0 || sc.head != 0 {
+			t.Fatalf("%s: queue not reset: queue=%d head=%d", what, len(sc.queue), sc.head)
 		}
 		for v, c := range sc.cells {
 			if c != (coldCell{}) {
 				t.Fatalf("%s: cell %d left dirty: %+v", what, v, c)
+			}
+		}
+		for i, w := range sc.seen {
+			if w != 0 {
+				t.Fatalf("%s: seen word %d left dirty: %#x", what, i, w)
+			}
+		}
+		for i, w := range sc.sum {
+			if w != 0 {
+				t.Fatalf("%s: sum word %d left dirty: %#x", what, i, w)
 			}
 		}
 	}
@@ -269,6 +281,10 @@ func TestColdScratchHygiene(t *testing.T) {
 	requireSamePush(t, "after growth", sc.push(big, 599, cfg, 0), fresh(big, 599))
 	if len(sc.cells) < big.NumVertices() {
 		t.Fatalf("scratch did not grow: %d cells for %d vertices", len(sc.cells), big.NumVertices())
+	}
+	if len(sc.seen)*64 < len(sc.cells) || len(sc.sum)*64 < len(sc.seen) {
+		t.Fatalf("bitmaps did not grow with the cells: %d seen and %d sum words for %d cells",
+			len(sc.seen), len(sc.sum), len(sc.cells))
 	}
 	requireIdle("after growth")
 	requireSamePush(t, "A after growth", sc.push(small, 13, cfg, 0), a1)
@@ -358,13 +374,54 @@ func TestColdPushAllocatesWhatItTouches(t *testing.T) {
 	}
 }
 
+// BenchmarkColdPushLedgerShape times the cold kernel on the graph and the
+// sources of the ledger's cold-longtail workload: the R-MAT graph of 100 000
+// vertices and 1 000 000 edges with seed 2, the first 80 % of its seed-2
+// arrival order as a bare base, and the first 200 vertices with in-degree
+// >= 1 in the ledger's cold-pool order (which also skips the ledger's tracked
+// sources), each pushed from a cold start at the on-demand ε of 1e-4 through
+// the pooled scratch. One op is the 200 pushes; ns/push is the time per
+// vertex push.
+func BenchmarkColdPushLedgerShape(b *testing.B) {
+	const n, seed = 100_000, 2
+	list, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: n, Edges: 1_000_000, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, initial := stream.NewSlidingWindow(stream.NewStream(list, seed), 0.8)
+	view := graph.FromEdges(initial).View()
+	var sources []graph.VertexID
+	for _, c := range rand.New(rand.NewSource(seed ^ 0x636f6c64)).Perm(n) {
+		if v := graph.VertexID(c); c < view.NumVertices() && view.InDegree(v) >= 1 {
+			if sources = append(sources, v); len(sources) == 200 {
+				break
+			}
+		}
+	}
+	cfg := Config{Alpha: 0.15, Epsilon: 1e-4}
+	var pushes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, s := range sources {
+			res, err := ColdPushBounded(view, s, cfg, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pushes += res.Pushes
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pushes), "ns/push")
+	b.ReportMetric(float64(pushes)/float64(b.N), "pushes/op")
+}
+
 func requireSamePush(t *testing.T, what string, got, want *ColdPushResult) {
 	t.Helper()
 	if got.Pushes != want.Pushes || got.Capped != want.Capped ||
 		math.Float64bits(got.MaxResidual) != math.Float64bits(want.MaxResidual) {
 		t.Fatalf("%s: metadata diverged: %+v vs %+v", what, got, want)
 	}
-	if !slices.Equal(got.Vertices, want.Vertices) {
+	if !slices.Equal(got.Vertices, want.Vertices) || len(got.Estimates) != len(got.Vertices) {
 		t.Fatalf("%s: vertex lists differ: %d vs %d entries", what, len(got.Vertices), len(want.Vertices))
 	}
 	for i, v := range got.Vertices {
