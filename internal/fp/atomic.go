@@ -38,11 +38,6 @@ func LoadFloat64(addr *uint64) float64 {
 	return math.Float64frombits(atomic.LoadUint64(addr))
 }
 
-// StoreFloat64 atomically stores v at addr.
-func StoreFloat64(addr *uint64, v float64) {
-	atomic.StoreUint64(addr, math.Float64bits(v))
-}
-
 // SwapFloat64 atomically stores v at addr and returns the previous value.
 func SwapFloat64(addr *uint64, v float64) float64 {
 	return math.Float64frombits(atomic.SwapUint64(addr, math.Float64bits(v)))
@@ -96,9 +91,6 @@ func (v *Float64Vector) Add(i int, delta float64) (before float64) {
 // AtomicGet atomically loads element i.
 func (v *Float64Vector) AtomicGet(i int) float64 { return LoadFloat64(&v.bits[i]) }
 
-// AtomicSet atomically stores x at element i.
-func (v *Float64Vector) AtomicSet(i int, x float64) { StoreFloat64(&v.bits[i], x) }
-
 // AtomicAdd atomically adds delta to element i and returns the before-value.
 func (v *Float64Vector) AtomicAdd(i int, delta float64) (before float64) {
 	return AtomicAddFloat64(&v.bits[i], delta)
@@ -109,30 +101,10 @@ func (v *Float64Vector) AtomicSwap(i int, x float64) float64 {
 	return SwapFloat64(&v.bits[i], x)
 }
 
-// AtomicSub atomically subtracts delta from element i and returns the before-value.
-func (v *Float64Vector) AtomicSub(i int, delta float64) (before float64) {
-	return AtomicAddFloat64(&v.bits[i], -delta)
-}
-
-// Fill sets every element to x (not atomic).
-func (v *Float64Vector) Fill(x float64) {
-	b := math.Float64bits(x)
-	for i := range v.bits {
-		v.bits[i] = b
-	}
-}
-
 // CopyFrom copies the contents of src into v. The vectors must have the same
 // length.
 func (v *Float64Vector) CopyFrom(src *Float64Vector) {
 	copy(v.bits, src.bits)
-}
-
-// Clone returns a deep copy of the vector.
-func (v *Float64Vector) Clone() *Float64Vector {
-	out := &Float64Vector{bits: make([]uint64, len(v.bits))}
-	copy(out.bits, v.bits)
-	return out
 }
 
 // Snapshot returns the values as a plain []float64 copy.
@@ -142,16 +114,6 @@ func (v *Float64Vector) Snapshot() []float64 {
 		out[i] = math.Float64frombits(b)
 	}
 	return out
-}
-
-// SumAbs returns the L1 norm of the vector (not atomic; intended for use
-// between push iterations or in tests).
-func (v *Float64Vector) SumAbs() float64 {
-	var s float64
-	for _, b := range v.bits {
-		s += math.Abs(math.Float64frombits(b))
-	}
-	return s
 }
 
 // MaxAbs returns the L∞ norm of the vector.

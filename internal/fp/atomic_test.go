@@ -8,8 +8,7 @@ import (
 )
 
 func TestAtomicAddFloat64Sequential(t *testing.T) {
-	var cell uint64
-	StoreFloat64(&cell, 1.5)
+	cell := math.Float64bits(1.5)
 	before := AtomicAddFloat64(&cell, 2.25)
 	if before != 1.5 {
 		t.Fatalf("before = %v, want 1.5", before)
@@ -75,8 +74,7 @@ func TestAtomicAddBeforeValuesDistinct(t *testing.T) {
 }
 
 func TestSwapFloat64(t *testing.T) {
-	var cell uint64
-	StoreFloat64(&cell, 7)
+	cell := math.Float64bits(7)
 	if old := SwapFloat64(&cell, -2); old != 7 {
 		t.Fatalf("old = %v, want 7", old)
 	}
@@ -102,15 +100,9 @@ func TestFloat64VectorBasics(t *testing.T) {
 	if before != 5 || v.AtomicGet(2) != 0 {
 		t.Fatalf("AtomicAdd: before=%v value=%v", before, v.AtomicGet(2))
 	}
-	v.AtomicSet(0, 9)
-	if v.Get(0) != 9 {
-		t.Fatalf("AtomicSet failed: %v", v.Get(0))
-	}
+	v.Set(0, 9)
 	if old := v.AtomicSwap(0, 1); old != 9 || v.Get(0) != 1 {
 		t.Fatalf("AtomicSwap: old=%v value=%v", old, v.Get(0))
-	}
-	if old := v.AtomicSub(0, 1); old != 1 || v.Get(0) != 0 {
-		t.Fatalf("AtomicSub: old=%v value=%v", old, v.Get(0))
 	}
 }
 
@@ -131,36 +123,19 @@ func TestFloat64VectorResizePreserves(t *testing.T) {
 	}
 }
 
-func TestFloat64VectorCloneAndCopy(t *testing.T) {
+func TestFloat64VectorCopyFrom(t *testing.T) {
 	v := NewFloat64Vector(3)
 	v.Set(0, -1)
 	v.Set(1, 2)
 	v.Set(2, -3)
-	c := v.Clone()
-	c.Set(0, 100)
-	if v.Get(0) != -1 {
-		t.Fatal("Clone is not a deep copy")
-	}
 	w := NewFloat64Vector(3)
 	w.CopyFrom(v)
-	if w.Get(2) != -3 {
-		t.Fatal("CopyFrom failed")
-	}
-	if got, want := v.SumAbs(), 6.0; got != want {
-		t.Fatalf("SumAbs = %v, want %v", got, want)
+	w.Set(0, 100)
+	if v.Get(0) != -1 || w.Get(2) != -3 {
+		t.Fatal("CopyFrom is not a deep copy")
 	}
 	if got, want := v.MaxAbs(), 3.0; got != want {
 		t.Fatalf("MaxAbs = %v, want %v", got, want)
-	}
-}
-
-func TestFloat64VectorFill(t *testing.T) {
-	v := NewFloat64Vector(10)
-	v.Fill(2.5)
-	for i := 0; i < v.Len(); i++ {
-		if v.Get(i) != 2.5 {
-			t.Fatalf("element %d = %v", i, v.Get(i))
-		}
 	}
 }
 
@@ -176,7 +151,7 @@ func TestVectorPlainAtomicAgree(t *testing.T) {
 			if v.AtomicGet(i) != x {
 				return false
 			}
-			v.AtomicSet(i, x*2)
+			v.AtomicSwap(i, x*2)
 			if v.Get(i) != x*2 {
 				return false
 			}

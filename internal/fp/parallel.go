@@ -111,48 +111,3 @@ func ForDynamic(n, workers, grain int, body func(i int)) {
 	}
 	wg.Wait()
 }
-
-// ReduceFloat64 computes sum over i in [0, n) of body(i) in parallel.
-func ReduceFloat64(n, workers int, body func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if workers <= 1 || n == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += body(i)
-		}
-		return s
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	partial := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += body(i)
-			}
-			partial[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}

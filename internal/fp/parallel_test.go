@@ -3,7 +3,6 @@ package fp
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -47,54 +46,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	if called {
 		t.Fatal("body must not be called for n <= 0")
 	}
-}
-
-func TestReduceFloat64(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		got := ReduceFloat64(100, workers, func(i int) float64 { return float64(i) })
-		if got != 4950 {
-			t.Fatalf("workers=%d: sum = %v, want 4950", workers, got)
-		}
-	}
-	if got := ReduceFloat64(0, 4, func(int) float64 { return 1 }); got != 0 {
-		t.Fatalf("empty reduce = %v", got)
-	}
-}
-
-// Property: parallel reduce equals sequential sum for arbitrary inputs.
-func TestReduceMatchesSequential(t *testing.T) {
-	f := func(vals []float64) bool {
-		clean := make([]float64, len(vals))
-		for i, v := range vals {
-			// Avoid NaN/Inf which break float equality; magnitude-limit to
-			// keep association order differences negligible (we compare with
-			// tolerance below).
-			if v != v || v > 1e6 || v < -1e6 {
-				v = 1
-			}
-			clean[i] = v
-		}
-		var want float64
-		for _, v := range clean {
-			want += v
-		}
-		got := ReduceFloat64(len(clean), 4, func(i int) float64 { return clean[i] })
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff <= 1e-6*(1+absf(want))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func TestDefaultWorkersPositive(t *testing.T) {

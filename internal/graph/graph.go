@@ -453,25 +453,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// AverageDegree returns m/n, the average out-degree, or 0 for an empty graph.
-func (g *Graph) AverageDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return float64(g.m) / float64(g.n)
-}
-
-// MaxOutDegree returns the largest out-degree in the graph.
-func (g *Graph) MaxOutDegree() int {
-	max := 0
-	for u := 0; u < g.n; u++ {
-		if d := g.OutDegree(VertexID(u)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // TopDegreeVertices returns up to k vertex ids sorted by decreasing
 // out-degree (ties broken by ascending id). It backs the paper's "top-10 /
 // top-1K / top-1M out-degree" source selection (Figure 7).
@@ -495,16 +476,6 @@ func (g *Graph) TopDegreeVertices(k int) []VertexID {
 		return ids[a] < ids[b]
 	})
 	return ids[:k]
-}
-
-// DegreeHistogram returns a map from out-degree to the number of vertices
-// with that out-degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[g.OutDegree(VertexID(u))]++
-	}
-	return h
 }
 
 // CheckConsistency validates the internal invariants of the graph: every out

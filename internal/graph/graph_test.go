@@ -198,22 +198,6 @@ func TestTopDegreeVertices(t *testing.T) {
 	if got := g.TopDegreeVertices(0); got != nil {
 		t.Fatalf("k=0 should be nil: %v", got)
 	}
-	if g.MaxOutDegree() != 3 {
-		t.Fatalf("MaxOutDegree = %d", g.MaxOutDegree())
-	}
-	if g.AverageDegree() != 6.0/5.0 {
-		t.Fatalf("AverageDegree = %v", g.AverageDegree())
-	}
-	h := g.DegreeHistogram()
-	if h[0] != 2 || h[1] != 1 || h[2] != 1 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
-func TestAverageDegreeEmpty(t *testing.T) {
-	if New(0).AverageDegree() != 0 {
-		t.Fatal("empty graph average degree must be 0")
-	}
 }
 
 func TestSnapshotMatchesGraph(t *testing.T) {

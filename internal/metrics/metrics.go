@@ -82,12 +82,6 @@ func (c *Counters) raisePeak(size int64) {
 	}
 }
 
-// TotalOperations returns the operation count used by the complexity
-// analysis: pushes plus neighbor propagations plus invariant restorations.
-func (c *Counters) TotalOperations() int64 {
-	return atomic.LoadInt64(&c.Pushes) + atomic.LoadInt64(&c.Propagations) + atomic.LoadInt64(&c.RestoreOps)
-}
-
 // MeanFrontier returns the average frontier size per iteration.
 func (c *Counters) MeanFrontier() float64 {
 	it := atomic.LoadInt64(&c.Iterations)

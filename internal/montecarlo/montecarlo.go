@@ -107,9 +107,6 @@ func New(g *graph.Graph, source graph.VertexID, cfg Config) (*Estimator, error) 
 // Source returns the source vertex.
 func (e *Estimator) Source() graph.VertexID { return e.source }
 
-// NumWalks returns the number of maintained walks.
-func (e *Estimator) NumWalks() int { return len(e.traces) }
-
 // ensureSize grows the per-vertex structures to cover n vertices.
 func (e *Estimator) ensureSize(n int) {
 	for len(e.index) < n {
@@ -255,16 +252,6 @@ func (e *Estimator) Estimates() []float64 {
 		out[v] = float64(c) / total
 	}
 	return out
-}
-
-// IndexSize returns the total number of (vertex, walk) entries in the
-// inverted index — the auxiliary-memory metric reported in the experiments.
-func (e *Estimator) IndexSize() int {
-	total := 0
-	for _, set := range e.index {
-		total += len(set)
-	}
-	return total
 }
 
 // CheckConsistency verifies that the inverted index and visit counts exactly

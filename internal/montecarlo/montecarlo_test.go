@@ -42,7 +42,7 @@ func TestInitialEstimatesSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Source() != 0 || e.NumWalks() != 5000 {
+	if e.Source() != 0 || len(e.traces) != 5000 {
 		t.Fatal("accessors wrong")
 	}
 	var sum float64
@@ -57,9 +57,6 @@ func TestInitialEstimatesSumToOne(t *testing.T) {
 	}
 	if err := e.CheckConsistency(); err != nil {
 		t.Fatal(err)
-	}
-	if e.IndexSize() == 0 {
-		t.Fatal("inverted index should not be empty")
 	}
 	// Out-of-range estimate lookups return 0.
 	if e.Estimate(1000) != 0 || e.Estimate(-1) != 0 {
@@ -108,8 +105,8 @@ func TestApplyInsertReroutesOnlyAffectedWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != e.NumWalks() {
-		t.Fatalf("insert at source re-routed %d walks, want all %d", n, e.NumWalks())
+	if n != len(e.traces) {
+		t.Fatalf("insert at source re-routed %d walks, want all %d", n, len(e.traces))
 	}
 	if err := e.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -138,7 +135,7 @@ func TestApplyDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Walks must never traverse the deleted edge anymore.
-	for id := 0; id < e.NumWalks(); id++ {
+	for id := 0; id < len(e.traces); id++ {
 		trace := e.traces[id]
 		for i := 0; i+1 < len(trace); i++ {
 			if trace[i] == 1 && trace[i+1] == 2 {

@@ -3,6 +3,7 @@ package push
 import (
 	"testing"
 
+	"dynppr/internal/fp"
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
 )
@@ -143,7 +144,9 @@ func BenchmarkSequentialTrackedPush(b *testing.B) {
 		}
 	}
 	st.MarkAllEstimatesDirty()
-	p0, r0 := st.p.Clone(), st.r.Clone()
+	p0, r0 := fp.NewFloat64Vector(st.p.Len()), fp.NewFloat64Vector(st.r.Len())
+	p0.CopyFrom(st.p)
+	r0.CopyFrom(st.r)
 	var props int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

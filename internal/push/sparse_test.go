@@ -91,7 +91,7 @@ func TestDeltaPublishBitIdentical(t *testing.T) {
 				}
 				for _, k := range []int{1, 5, 16, 23, st.NumVertices()} {
 					got := snap.TopK(k)
-					want := TopKScores(snap.Estimates(), k)
+					want := AppendTopK(nil, snap.Estimates(), k)
 					if len(got) != len(want) {
 						t.Fatalf("batch %d k=%d: got %d entries, want %d", batch, k, len(got), len(want))
 					}
@@ -231,7 +231,7 @@ func TestSnapshotTopKDisabled(t *testing.T) {
 		t.Fatalf("disabled index has %d entries", snap.TopIndexLen())
 	}
 	got := snap.TopK(5)
-	want := TopKScores(st.Estimates(), 5)
+	want := AppendTopK(nil, st.Estimates(), 5)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])

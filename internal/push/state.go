@@ -163,9 +163,6 @@ func (st *State) FillEstimates(dst []float64) []float64 {
 // Residuals returns a copy of the residual vector.
 func (st *State) Residuals() []float64 { return st.r.Snapshot() }
 
-// ResidualL1 returns the L1 norm of the residual vector.
-func (st *State) ResidualL1() float64 { return st.r.SumAbs() }
-
 // MaxResidual returns the L∞ norm of the residual vector.
 func (st *State) MaxResidual() float64 { return st.r.MaxAbs() }
 
@@ -409,11 +406,6 @@ func (st *State) Vectors() (p, r *fp.Float64Vector) { return st.p, st.r }
 // v is owned by a single goroutine for the duration of the call.
 func (st *State) AddEstimate(v graph.VertexID, delta float64) {
 	st.p.Set(int(v), st.p.Get(int(v))+delta)
-}
-
-// AtomicResidual atomically reads R(v).
-func (st *State) AtomicResidual(v graph.VertexID) float64 {
-	return st.r.AtomicGet(int(v))
 }
 
 // AtomicAddResidual atomically adds delta to R(v) and returns the value held

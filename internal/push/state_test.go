@@ -60,8 +60,8 @@ func TestNewStateBasics(t *testing.T) {
 	if st.Residual(0) != 1 || st.Estimate(0) != 0 {
 		t.Fatalf("cold start wrong: R=%v P=%v", st.Residual(0), st.Estimate(0))
 	}
-	if st.ResidualL1() != 1 || st.MaxResidual() != 1 {
-		t.Fatal("residual norms wrong")
+	if st.MaxResidual() != 1 {
+		t.Fatal("residual norm wrong")
 	}
 	if st.Converged() {
 		t.Fatal("cold start with eps=0.1 must not be converged")

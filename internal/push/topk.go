@@ -121,11 +121,6 @@ func AppendTopKSparse(dst []VertexScore, n int, ids []graph.VertexID, vals []flo
 	return dst
 }
 
-// TopKScores is AppendTopK into a fresh slice.
-func TopKScores(est []float64, k int) []VertexScore {
-	return AppendTopK(nil, est, k)
-}
-
 // topIndex is the write-side master of the incrementally maintained Top-K
 // index: the exact top-cap ranking of one source's estimate vector, kept
 // sorted best-to-worst under scoreBetter. Its exactness invariant is that

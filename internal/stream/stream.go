@@ -55,9 +55,6 @@ func (b Batch) Inserts() int {
 	return n
 }
 
-// Deletes returns the number of delete updates in the batch.
-func (b Batch) Deletes() int { return len(b) - b.Inserts() }
-
 // Apply applies every update of the batch to g in order. Inserting an edge
 // that already exists or deleting one that does not is silently skipped, and
 // the number of updates that actually changed the graph is returned: the
@@ -112,34 +109,6 @@ func (s *Stream) Prefix(n int) []graph.Edge {
 		n = 0
 	}
 	return s.edges[:n]
-}
-
-// InsertOnlyBatches splits the edges in [start, end) of the stream into
-// insert-only batches of the given size, in arrival order. Used by the
-// random-edge-permutation arrival model experiments.
-func (s *Stream) InsertOnlyBatches(start, end, batchSize int) []Batch {
-	if batchSize <= 0 {
-		batchSize = 1
-	}
-	if start < 0 {
-		start = 0
-	}
-	if end > len(s.edges) {
-		end = len(s.edges)
-	}
-	var batches []Batch
-	for lo := start; lo < end; lo += batchSize {
-		hi := lo + batchSize
-		if hi > end {
-			hi = end
-		}
-		b := make(Batch, 0, hi-lo)
-		for _, e := range s.edges[lo:hi] {
-			b = append(b, Update{U: e.U, V: e.V, Op: Insert})
-		}
-		batches = append(batches, b)
-	}
-	return batches
 }
 
 // SlidingWindow replays a stream through a fixed-size window: each slide of
@@ -198,9 +167,4 @@ func (w *SlidingWindow) Slide(k int) Batch {
 	w.tail += k
 	w.head += k
 	return batch
-}
-
-// WindowEdges returns the edges currently inside the window.
-func (w *SlidingWindow) WindowEdges() []graph.Edge {
-	return w.stream.edges[w.head:w.tail]
 }

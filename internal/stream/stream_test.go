@@ -33,8 +33,8 @@ func TestBatchCountsAndApply(t *testing.T) {
 		{U: 0, V: 1, Op: Insert}, // duplicate, skipped
 		{U: 5, V: 6, Op: Delete}, // missing, skipped
 	}
-	if b.Inserts() != 3 || b.Deletes() != 1 {
-		t.Fatalf("Inserts=%d Deletes=%d", b.Inserts(), b.Deletes())
+	if b.Inserts() != 3 || len(b) != 4 {
+		t.Fatalf("Inserts=%d of %d updates", b.Inserts(), len(b))
 	}
 	applied := b.Apply(g)
 	if len(applied) != 2 {
@@ -99,28 +99,6 @@ func TestPrefixBounds(t *testing.T) {
 	}
 }
 
-func TestInsertOnlyBatches(t *testing.T) {
-	s := NewStream(testEdges(10), 3)
-	batches := s.InsertOnlyBatches(2, 9, 3)
-	if len(batches) != 3 {
-		t.Fatalf("batches = %d, want 3", len(batches))
-	}
-	total := 0
-	for _, b := range batches {
-		total += len(b)
-		if b.Deletes() != 0 {
-			t.Fatal("insert-only batch contains deletes")
-		}
-	}
-	if total != 7 {
-		t.Fatalf("total updates = %d, want 7", total)
-	}
-	// Degenerate batch size is clamped to 1.
-	if got := s.InsertOnlyBatches(0, 3, 0); len(got) != 3 {
-		t.Fatalf("batchSize 0 should clamp to 1, got %d batches", len(got))
-	}
-}
-
 func TestSlidingWindowSlide(t *testing.T) {
 	edges := testEdges(100)
 	s := NewStream(edges, 7)
@@ -129,8 +107,8 @@ func TestSlidingWindowSlide(t *testing.T) {
 		t.Fatalf("initial window = %d edges, size %d", len(initial), w.Size())
 	}
 	b := w.Slide(5)
-	if len(b) != 10 || b.Inserts() != 5 || b.Deletes() != 5 {
-		t.Fatalf("slide batch: len=%d ins=%d del=%d", len(b), b.Inserts(), b.Deletes())
+	if len(b) != 10 || b.Inserts() != 5 {
+		t.Fatalf("slide batch: len=%d ins=%d", len(b), b.Inserts())
 	}
 	if w.Size() != 10 {
 		t.Fatalf("window size must stay constant, got %d", w.Size())
@@ -160,8 +138,8 @@ func TestSlidingWindowExhaustion(t *testing.T) {
 		t.Fatalf("first slide inserts = %d", b.Inserts())
 	}
 	b = w.Slide(7) // only 3 remain
-	if b.Inserts() != 3 || b.Deletes() != 3 {
-		t.Fatalf("truncated slide: ins=%d del=%d", b.Inserts(), b.Deletes())
+	if len(b) != 6 || b.Inserts() != 3 {
+		t.Fatalf("truncated slide: len=%d ins=%d", len(b), b.Inserts())
 	}
 	if b = w.Slide(7); b != nil {
 		t.Fatalf("exhausted stream should return nil batch, got %d updates", len(b))
@@ -212,7 +190,7 @@ func TestSlidingWindowGraphMatchesWindow(t *testing.T) {
 		if err := g.CheckConsistency(); err != nil {
 			return false
 		}
-		want := w.WindowEdges()
+		want := w.stream.edges[w.head:w.tail]
 		if g.NumEdges() != len(want) {
 			return false
 		}

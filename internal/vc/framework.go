@@ -36,15 +36,6 @@ func NewSparseSubset(n int, ids []graph.VertexID) *VertexSubset {
 	return &VertexSubset{n: n, sparse: append([]graph.VertexID(nil), ids...)}
 }
 
-// NewDenseSubset builds a subset from a membership predicate over all ids.
-func NewDenseSubset(n int, member func(graph.VertexID) bool) *VertexSubset {
-	d := make([]bool, n)
-	for v := 0; v < n; v++ {
-		d[v] = member(graph.VertexID(v))
-	}
-	return &VertexSubset{n: n, dense: d, isDense: true}
-}
-
 // Empty reports whether the subset has no members.
 func (s *VertexSubset) Empty() bool { return s.Size() == 0 }
 

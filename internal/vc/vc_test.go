@@ -38,7 +38,7 @@ func TestVertexSubsetSparse(t *testing.T) {
 }
 
 func TestVertexSubsetDense(t *testing.T) {
-	s := NewDenseSubset(8, func(v graph.VertexID) bool { return v%2 == 0 })
+	s := &VertexSubset{n: 8, dense: []bool{true, false, true, false, true, false, true, false}, isDense: true}
 	if s.Size() != 4 {
 		t.Fatalf("Size = %d, want 4", s.Size())
 	}

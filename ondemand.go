@@ -23,27 +23,31 @@
 // OnDemandOptions.Epsilon, or tracking the source at the tracked ε (promotion
 // or AddSource, journaled on a persistent service).
 //
-// Cold answers are computed concurrently but never redundantly: identical
-// in-flight queries are singleflight-coalesced by (source, graph
-// generation) — the only place on the serving path identical reads are
-// shared — the leader runs the push on its own goroutine holding one of
-// GOMAXPROCS tokens acquired under its context (overload still surfaces
-// ErrOverloaded, never partial effects), and completed answers land in an
-// LRU result cache of odCacheEntries answers under the same (source,
-// generation) key — a repeat query between graph mutations is an O(k) read,
-// and a mutation invalidates the cache for free because the generation moves
-// (compaction does not bump it).
+// Cold answers are computed concurrently but never redundantly, and each is
+// kept in one place: odTable, a bounded LRU of answers keyed by source at the
+// newest graph generation it has seen. The query that claims an absent
+// source's slot computes the answer — taking one of GOMAXPROCS tokens under
+// its context, so overload surfaces ErrOverloaded and never partial effects —
+// while identical queries that arrive meanwhile join the in-flight entry, and
+// later ones read the finished entry as a cache hit: an O(k) read between
+// graph mutations. This is the only place on the serving path identical reads
+// are shared. A mutation invalidates the table for free because the
+// generation moves (compaction does not bump it), and a query pinned to an
+// older generation computes its answer without tabling it.
 //
-// A frequency-based admission cache watches on-demand traffic: a source
-// queried at least PromoteAfter times is promoted into tracked state through
-// the live AddSource path, and when the auto-promoted set is at capacity the
-// coldest auto-promoted source is evicted first (manually added sources are
-// never touched). Hot long-tail users therefore graduate to exact
-// incremental maintenance automatically, and fall back to approximate
-// answers — never errors — when they cool off.
+// A frequency-based admission cache (an LRU of per-source query counts)
+// watches on-demand traffic: a source queried at least PromoteAfter times is
+// promoted into tracked state through the live AddSource path, and when the
+// auto-promoted set is at capacity the coldest auto-promoted source is
+// evicted. The auto mark and its recency live on the tracked source itself,
+// so a source added by hand — even one re-added after its promotion was
+// removed — is never evicted. Hot long-tail users therefore graduate to exact
+// incremental maintenance automatically, and fall back to approximate answers
+// — never errors — when they cool off.
 package dynppr
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -77,7 +81,7 @@ type OnDemandOptions struct {
 }
 
 const (
-	// odCacheEntries is the capacity of the LRU cache of cold answers.
+	// odCacheEntries is the capacity of the answer table.
 	odCacheEntries = 256
 	// odMaxCandidates bounds the admission cache (the per-source query
 	// counters); at capacity the least recently queried candidate is dropped.
@@ -142,28 +146,22 @@ type onDemand struct {
 	snap atomic.Pointer[odSnapshot]
 
 	// tokens is the one bound on cold pushes: a GOMAXPROCS-slot semaphore.
-	// A flight's leader sends to acquire a slot, under its context, and
-	// receives to give it back.
+	// The query computing an entry sends to acquire a slot, under its
+	// context, and receives to give it back.
 	tokens chan struct{}
 
-	// fmu guards the singleflight table of in-flight cold computations.
-	fmu     sync.Mutex
-	flights map[odKey]*odFlight
+	// table holds every cold answer, in flight or done.
+	table *odTable
 
-	// cache is the bounded LRU of computed answers.
-	cache *odCache
+	// mu guards the admission cache: cand indexes lru, whose elements hold
+	// *odCandidate, most recently queried at the front.
+	mu   sync.Mutex
+	cand map[VertexID]*list.Element
+	lru  list.List
 
-	// mu guards the admission cache and serializes auto-registry mutations.
-	mu    sync.Mutex
-	clock int64
-	cand  map[VertexID]*odCandidate
-
-	// auto maps each auto-promoted source to its last-use tick. touch() runs
-	// on every tracked-path read, so the registry is copy-on-write: readers
-	// load the map lock-free and refresh recency through per-entry atomics;
-	// mutations (promotion, eviction — rare) publish a fresh copy under mu.
-	auto atomic.Pointer[map[VertexID]*atomic.Int64]
-	tick atomic.Int64 // recency clock for auto sources
+	// tick is the recency clock of auto-promoted sources
+	// (serviceSource.lastUse).
+	tick atomic.Int64
 
 	queries           atomic.Int64
 	snapshotBuilds    atomic.Int64
@@ -185,25 +183,21 @@ type odSnapshot struct {
 	view *graph.View
 }
 
-// odCandidate is one admission-cache entry: how often and how recently an
-// untracked source has been queried.
+// odCandidate is one admission-cache entry: how often an untracked source
+// has been queried.
 type odCandidate struct {
-	count int
-	last  int64
+	source VertexID
+	count  int
 }
 
 func newOnDemand(svc *Service, opts OnDemandOptions) *onDemand {
-	od := &onDemand{
-		opts:    opts.withDefaults(),
-		svc:     svc,
-		cand:    make(map[VertexID]*odCandidate),
-		tokens:  make(chan struct{}, fp.DefaultWorkers()),
-		flights: make(map[odKey]*odFlight),
-		cache:   newODCache(odCacheEntries),
+	return &onDemand{
+		opts:   opts.withDefaults(),
+		svc:    svc,
+		cand:   make(map[VertexID]*list.Element),
+		tokens: make(chan struct{}, fp.DefaultWorkers()),
+		table:  newODTable(odCacheEntries),
 	}
-	empty := make(map[VertexID]*atomic.Int64)
-	od.auto.Store(&empty)
-	return od
 }
 
 // close waits the in-flight cold pushes out by taking every token, and keeps
@@ -216,18 +210,6 @@ func (od *onDemand) close() {
 	}
 }
 
-// mutateAuto publishes a modified copy of the auto-source registry. Callers
-// hold od.mu (serializing mutations); touch() readers stay lock-free.
-func (od *onDemand) mutateAuto(f func(map[VertexID]*atomic.Int64)) {
-	old := *od.auto.Load()
-	m := make(map[VertexID]*atomic.Int64, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	f(m)
-	od.auto.Store(&m)
-}
-
 // OnDemandStats reports the on-demand query path's counters.
 type OnDemandStats struct {
 	// Queries counts answers served by the on-demand (approximate) path —
@@ -235,15 +217,17 @@ type OnDemandStats struct {
 	// including promoted ones, do not count here.
 	Queries int64 `json:"queries"`
 	// ColdPushes counts cold pushes actually executed; Queries minus
-	// ColdPushes is the work the coalescer and result cache saved.
+	// ColdPushes is the work the answer table saved.
 	ColdPushes int64 `json:"cold_pushes"`
-	// CacheHits and CacheMisses count result-cache lookups. Coalesced counts
-	// queries that shared an identical in-flight computation instead of
-	// pushing redundantly.
+	// CacheHits and CacheMisses count answer-table lookups that found a
+	// finished answer and those that did not. Coalesced counts queries that
+	// shared an identical in-flight computation instead of pushing
+	// redundantly.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	Coalesced   int64 `json:"coalesced"`
-	// CacheEntries and CacheCapacity describe the result cache; PoolWorkers
+	// CacheEntries and CacheCapacity describe the answer table (in-flight
+	// answers hold a slot too); PoolWorkers
 	// and PoolDepth the cold-push bound (its tokens, and how many are held
 	// right now).
 	CacheEntries  int   `json:"cache_entries"`
@@ -252,7 +236,7 @@ type OnDemandStats struct {
 	PoolDepth     int64 `json:"pool_depth"`
 	// CacheAnswerEntries is the summed length of the cached answers' sparse
 	// estimate vectors (÷ CacheEntries = entries per answer) and CacheBytes
-	// the memory those vectors hold — what the result cache keeps resident.
+	// the memory those vectors hold — what the answer table keeps resident.
 	CacheAnswerEntries int64 `json:"cache_answer_entries"`
 	CacheBytes         int64 `json:"cache_bytes"`
 	// SnapshotBuilds counts graph-view rebuilds (one per graph mutation
@@ -283,7 +267,12 @@ func (od *onDemand) stats() *OnDemandStats {
 	od.mu.Lock()
 	cands := len(od.cand)
 	od.mu.Unlock()
-	autos := len(*od.auto.Load())
+	autos := 0
+	for _, src := range *od.svc.table.Load() {
+		if src.auto.Load() {
+			autos++
+		}
+	}
 	st := &OnDemandStats{
 		Queries:                od.queries.Load(),
 		ColdPushes:             od.coldPushes.Load(),
@@ -301,8 +290,8 @@ func (od *onDemand) stats() *OnDemandStats {
 		LastLatency:            time.Duration(od.lastLatency.Load()),
 		TotalLatency:           time.Duration(od.totalLatency.Load()),
 	}
-	st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes = od.cache.resident()
-	st.CacheCapacity = od.cache.cap
+	st.CacheEntries, st.CacheAnswerEntries, st.CacheBytes = od.table.resident()
+	st.CacheCapacity = od.table.cap
 	return st
 }
 
@@ -323,7 +312,7 @@ func (s *Service) QueryTopK(source VertexID, k int) ([]VertexScore, QueryInfo, e
 func (s *Service) QueryTopKCtx(ctx context.Context, source VertexID, k int) ([]VertexScore, QueryInfo, error) {
 	if top, info, err := s.TopKInfo(source, k); err == nil {
 		return top, QueryInfo{Epsilon: info.Epsilon, Snapshot: info}, nil
-	} else if !errorIsUnknownSource(err) || s.od == nil {
+	} else if !errors.Is(err, ErrUnknownSource) || s.od == nil {
 		return nil, QueryInfo{}, err
 	}
 	e, qi, err := s.onDemandQuery(ctx, source)
@@ -345,7 +334,7 @@ func (s *Service) QueryEstimate(source, v VertexID) (float64, QueryInfo, error) 
 func (s *Service) QueryEstimateCtx(ctx context.Context, source, v VertexID) (float64, QueryInfo, error) {
 	if est, info, err := s.EstimateInfo(source, v); err == nil {
 		return est, QueryInfo{Epsilon: info.Epsilon, Snapshot: info}, nil
-	} else if !errorIsUnknownSource(err) || s.od == nil {
+	} else if !errors.Is(err, ErrUnknownSource) || s.od == nil {
 		return 0, QueryInfo{}, err
 	}
 	e, qi, err := s.onDemandQuery(ctx, source)
@@ -355,32 +344,18 @@ func (s *Service) QueryEstimateCtx(ctx context.Context, source, v VertexID) (flo
 	return push.SparseValue(e.ids, e.vals, v), qi, nil
 }
 
-// errorIsUnknownSource reports whether err is the untracked-source error —
-// the only error the on-demand path may absorb.
-func errorIsUnknownSource(err error) bool {
-	return err != nil && errors.Is(err, ErrUnknownSource)
-}
-
-// odKey identifies a cold answer: the (source, graph generation) pair the
-// coalescer and the result cache are keyed by. The generation moves on every
-// effective mutation (and not on compaction), so staleness needs no clocks.
-type odKey struct {
-	source VertexID
-	gen    uint64
-}
-
-// odFlight is one in-flight cold computation; concurrent identical queries
-// wait on done and share entry/err.
-type odFlight struct {
-	done  chan struct{}
-	entry *odEntry
-	err   error
-}
-
-// odEntry is one computed cold answer. It is immutable after publication
-// except for the lazily memoized ranking, so cached and coalesced readers
-// share it freely.
+// odEntry is one cold answer. The query that claimed it computes it and
+// closes done; from then on it is immutable except for the lazily memoized
+// ranking, so the queries that joined or hit it share it freely.
 type odEntry struct {
+	source VertexID
+	// done closes once the answer is computed or err is set.
+	done chan struct{}
+	err  error
+	// settled, guarded by the table's mutex, records that the table
+	// accounts the answer's bytes.
+	settled bool
+
 	// ids (ascending) and vals are the sparse estimate vector: every vertex
 	// with a nonzero estimate, and exactly 0 for all others.
 	ids  []VertexID
@@ -427,13 +402,13 @@ func (e *odEntry) topK(k int) []VertexScore {
 }
 
 // queryInfo synthesizes the QueryInfo a read of this entry reports.
-func (e *odEntry) queryInfo(source VertexID) QueryInfo {
+func (e *odEntry) queryInfo() QueryInfo {
 	return QueryInfo{
 		Approx:    true,
 		Epsilon:   e.eps,
 		Truncated: e.truncated,
 		Snapshot: SnapshotInfo{
-			Source:      source,
+			Source:      e.source,
 			MaxResidual: e.eps,
 			Epsilon:     e.eps,
 			Vertices:    e.vertices,
@@ -441,9 +416,10 @@ func (e *odEntry) queryInfo(source VertexID) QueryInfo {
 	}
 }
 
-// onDemandQuery answers an untracked source — from the result cache, by
+// onDemandQuery answers an untracked source — from the answer table, by
 // joining an identical in-flight computation, or by running the push — and
-// feeds the admission cache (possibly promoting the source).
+// feeds the admission cache (possibly promoting the source). Every served
+// query is demand: cached and coalesced answers count toward promotion too.
 func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry, QueryInfo, error) {
 	od := s.od
 	if source < 0 {
@@ -457,47 +433,30 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry,
 	n := snap.view.NumVertices()
 	if int(source) >= n {
 		// The source is outside the snapshot: an isolated vertex, answered
-		// exactly (see odEntry.isolated) — no push, no cache. It counts as a
+		// exactly (see odEntry.isolated) — no push, no table. It counts as a
 		// served query but stays out of the admission cache: promotion cannot
 		// improve an exact answer, and tracking the id would grow the graph
 		// (and the journal) to it on nothing but read traffic.
 		e := &odEntry{
+			source:   source,
 			ids:      []VertexID{source},
 			vals:     []float64{s.opts.Options.Alpha},
 			isolated: true,
 			vertices: n,
 		}
-		qi := e.queryInfo(source)
+		qi := e.queryInfo()
 		qi.Snapshot.MaxResidual, qi.Snapshot.Epsilon = 0, 0
 		od.served(start)
 		return e, qi, nil
 	}
-	key := odKey{source: source, gen: snap.gen}
-	if e := od.cache.get(key); e != nil {
-		od.cacheHits.Add(1)
-		qi := e.queryInfo(source)
-		qi.Cached = true
-		od.finish(ctx, source, start, &qi)
-		return e, qi, nil
-	}
-	od.cacheMisses.Add(1)
-	e, shared, err := od.compute(ctx, key, snap)
+	e, qi, err := od.answer(ctx, source, snap)
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
-	qi := e.queryInfo(source)
-	qi.Coalesced = shared
-	od.finish(ctx, source, start, &qi)
-	return e, qi, nil
-}
-
-// finish settles a served on-demand answer: latency accounting, the
-// admission-cache note, and the possible promotion. Every served query
-// counts — cached and coalesced answers are demand too.
-func (od *onDemand) finish(ctx context.Context, source VertexID, start time.Time, qi *QueryInfo) {
 	od.served(start)
 	od.note(source)
 	qi.Promoted = od.maybePromote(ctx, source)
+	return e, qi, nil
 }
 
 // served counts one answered on-demand query and its latency.
@@ -508,188 +467,165 @@ func (od *onDemand) served(start time.Time) {
 	od.totalLatency.Add(int64(elapsed))
 }
 
-// compute coalesces onto an identical in-flight computation or leads one:
-// the leader acquires a cold-push token under its context and runs the push
-// on its own goroutine. The bool result reports sharing (for stats and
-// QueryInfo.Coalesced).
-func (od *onDemand) compute(ctx context.Context, key odKey, snap *odSnapshot) (*odEntry, bool, error) {
+// answer returns source's cold answer at snap's generation through the
+// table: a finished entry is a cache hit, an in-flight one is joined
+// (coalesced), and a claimed one is computed here. A waiter whose computing
+// query gave up at the token bound on its own context does not inherit that
+// error while its own context is live: the failed entry has left the table,
+// so the next lap computes or joins a fresh one.
+func (od *onDemand) answer(ctx context.Context, source VertexID, snap *odSnapshot) (*odEntry, QueryInfo, error) {
+	missed := false
 	for {
-		od.fmu.Lock()
-		if f, ok := od.flights[key]; ok {
-			od.fmu.Unlock()
-			select {
-			case <-f.done:
-				if f.err != nil {
-					// The leader failed to get a token on its own context.
-					// Ours may still be live — retry; the dead flight is
-					// gone, so the next lap either leads or joins a fresh
-					// one.
-					if errors.Is(f.err, ErrOverloaded) && ctx.Err() == nil {
-						continue
-					}
-					return nil, true, f.err
+		e, tabled := od.table.claim(source, snap.gen)
+		select {
+		case <-e.done: // tabled and finished
+		default:
+			if !missed {
+				missed = true
+				od.cacheMisses.Add(1)
+			}
+			if !tabled {
+				od.compute(ctx, e, snap)
+			} else {
+				select {
+				case <-e.done:
+				case <-ctx.Done():
+					return nil, QueryInfo{}, fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
 				}
-				od.coalesced.Add(1)
-				return f.entry, true, nil
-			case <-ctx.Done():
-				return nil, true, fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
 			}
 		}
-		f := &odFlight{done: make(chan struct{})}
-		od.flights[key] = f
-		od.fmu.Unlock()
-
-		select {
-		case od.tokens <- struct{}{}:
-			f.entry, f.err = od.runCold(key, snap)
-			<-od.tokens
-		case <-od.svc.done:
-			f.err = ErrServiceClosed
-		case <-ctx.Done():
-			f.err = fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
+		if e.err != nil {
+			if errors.Is(e.err, ErrOverloaded) && ctx.Err() == nil {
+				continue
+			}
+			return nil, QueryInfo{}, e.err
 		}
-		od.fmu.Lock()
-		delete(od.flights, key)
-		od.fmu.Unlock()
-		close(f.done)
-		return f.entry, false, f.err
+		qi := e.queryInfo()
+		switch {
+		case !tabled:
+		case missed:
+			qi.Coalesced = true
+			od.coalesced.Add(1)
+		default:
+			qi.Cached = true
+			od.cacheHits.Add(1)
+		}
+		return e, qi, nil
 	}
 }
 
-// runCold executes one cold push and publishes the entry to the result
-// cache.
-func (od *onDemand) runCold(key odKey, snap *odSnapshot) (*odEntry, error) {
-	cfg := push.Config{Alpha: od.svc.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
-	pr, err := push.ColdPushBounded(snap.view, key.source, cfg, odMaxPushes)
-	if err != nil {
-		return nil, err
+// compute fills a claimed entry: it takes a cold-push token under ctx, runs
+// the push on the caller's goroutine, and settles the entry in the table
+// before it releases the entry's waiters.
+func (od *onDemand) compute(ctx context.Context, e *odEntry, snap *odSnapshot) {
+	select {
+	case od.tokens <- struct{}{}:
+		cfg := push.Config{Alpha: od.svc.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
+		pr, err := push.ColdPushBounded(snap.view, e.source, cfg, odMaxPushes)
+		<-od.tokens
+		if e.err = err; err == nil {
+			od.coldPushes.Add(1)
+			e.ids, e.vals, e.eps, e.truncated = pr.Vertices, pr.Estimates, pr.MaxResidual, pr.Capped
+			e.vertices = snap.view.NumVertices()
+		}
+	case <-od.svc.done:
+		e.err = ErrServiceClosed
+	case <-ctx.Done():
+		e.err = fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
 	}
-	od.coldPushes.Add(1)
-	e := &odEntry{
-		ids:       pr.Vertices,
-		vals:      pr.Estimates,
-		eps:       pr.MaxResidual,
-		truncated: pr.Capped,
-		vertices:  snap.view.NumVertices(),
-	}
-	od.cache.put(key, e)
-	return e, nil
+	od.table.settle(e)
+	close(e.done)
 }
 
-// odCache is the bounded LRU of cold answers.
-type odCache struct {
+// odTable is the one home of cold answers: a bounded LRU of entries keyed by
+// source that holds only the newest graph generation it has seen. A claim at
+// a newer generation drops every entry at once (none can be requested
+// again); a claim at an older one — a query pinned before a write — is
+// computed without being tabled. An entry holds its slot from its claim on,
+// in flight or done. One evicted while in flight still answers the queries
+// that joined it, and only a later identical query pushes again — which
+// takes more than cap distinct answers in flight at once.
+type odTable struct {
 	mu  sync.Mutex
 	cap int
-	// gen is the newest generation put has seen. Keys carry the generation
-	// and it only advances, so every entry of an older one is unreachable:
-	// put drops them all when a newer generation arrives, and ignores a late
-	// answer for an older one (a query pinned before the write).
 	gen uint64
-	m   map[odKey]*odCacheNode
-	// Intrusive doubly-linked LRU list; head is most recent.
-	head, tail *odCacheNode
-	// answerEntries and bytes total the resident answers' sparse vectors.
+	m   map[VertexID]*list.Element
+	lru list.List // of *odEntry, most recently claimed at the front
+	// answerEntries and bytes total the settled entries' sparse vectors.
 	answerEntries, bytes int64
 }
 
-type odCacheNode struct {
-	key        odKey
-	e          *odEntry
-	prev, next *odCacheNode
+func newODTable(capacity int) *odTable {
+	return &odTable{cap: capacity, m: make(map[VertexID]*list.Element, capacity)}
 }
 
-func newODCache(capacity int) *odCache {
-	return &odCache{cap: capacity, m: make(map[odKey]*odCacheNode, capacity)}
-}
-
-func (c *odCache) get(key odKey) *odEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.m[key]
-	if n == nil {
-		return nil
+// claim returns source's tabled entry at gen and true — done (a hit) or in
+// flight (to join) — or a fresh entry and false, which the caller must
+// compute and settle.
+func (t *odTable) claim(source VertexID, gen uint64) (*odEntry, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case gen < t.gen:
+		return &odEntry{source: source, done: make(chan struct{})}, false
+	case gen > t.gen:
+		t.gen = gen
+		clear(t.m)
+		t.lru.Init()
+		t.answerEntries, t.bytes = 0, 0
 	}
-	c.moveToFront(n)
-	return n.e
+	if el := t.m[source]; el != nil {
+		t.lru.MoveToFront(el)
+		return el.Value.(*odEntry), true
+	}
+	e := &odEntry{source: source, done: make(chan struct{})}
+	t.m[source] = t.lru.PushFront(e)
+	if t.lru.Len() > t.cap {
+		t.remove(t.lru.Back())
+	}
+	return e, false
 }
 
-func (c *odCache) put(key odKey, e *odEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if key.gen < c.gen {
+// settle runs once a claimed entry is computed or has failed, before its
+// done closes. A tabled answer is accounted; a tabled failure leaves the
+// table, so the next identical query computes afresh.
+func (t *odTable) settle(e *odEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el := t.m[e.source]
+	if el == nil || el.Value != e {
+		return // never tabled, evicted, or dropped by a newer generation
+	}
+	if e.err != nil {
+		t.remove(el)
 		return
 	}
-	if key.gen > c.gen {
-		c.gen = key.gen
-		clear(c.m)
-		c.head, c.tail = nil, nil
-		c.answerEntries, c.bytes = 0, 0
-	}
-	if n := c.m[key]; n != nil {
-		c.account(n.e, -1)
-		n.e = e
-		c.account(e, 1)
-		c.moveToFront(n)
-		return
-	}
-	n := &odCacheNode{key: key, e: e}
-	c.m[key] = n
-	c.pushFront(n)
-	c.account(e, 1)
-	for len(c.m) > c.cap {
-		last := c.tail
-		c.unlink(last)
-		delete(c.m, last.key)
-		c.account(last.e, -1)
+	e.settled = true
+	t.account(e, 1)
+}
+
+// remove drops an entry from the table, and its bytes if it had settled.
+func (t *odTable) remove(el *list.Element) {
+	e := t.lru.Remove(el).(*odEntry)
+	delete(t.m, e.source)
+	if e.settled {
+		t.account(e, -1)
 	}
 }
 
 // account adds (sign 1) or removes (sign -1) an answer's sparse vectors
 // from the resident totals.
-func (c *odCache) account(e *odEntry, sign int64) {
-	c.answerEntries += sign * int64(len(e.ids))
-	c.bytes += sign * int64(len(e.ids)*4+len(e.vals)*8)
+func (t *odTable) account(e *odEntry, sign int64) {
+	t.answerEntries += sign * int64(len(e.ids))
+	t.bytes += sign * int64(len(e.ids)*4+len(e.vals)*8)
 }
 
-// resident reports the cached answers, their summed sparse length and the
-// bytes those vectors hold.
-func (c *odCache) resident() (entries int, answerEntries, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m), c.answerEntries, c.bytes
-}
-
-func (c *odCache) pushFront(n *odCacheNode) {
-	n.prev, n.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *odCache) unlink(n *odCacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *odCache) moveToFront(n *odCacheNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
+// resident reports the tabled entries, in flight ones included, and the
+// summed sparse length and bytes of the settled answers among them.
+func (t *odTable) resident() (entries int, answerEntries, bytes int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.lru.Len(), t.answerEntries, t.bytes
 }
 
 // snapshot returns the pinned graph view for the current graph generation,
@@ -717,57 +653,43 @@ func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
 	})
 }
 
-// touch refreshes the last-use tick of an auto-promoted source so exact-path
-// reads keep it warm against eviction. Called from the shared tracked-read
-// lookup, so every read API — TopK, Estimate, their Info variants, and the
-// Query* entry points on tracked answers — counts as use. Lock-free — the
-// read path must not pay a mutex for promotion bookkeeping, or a promoted
-// source would serve slower than a hand-tracked one (the parity the CI
-// benchmark gate asserts).
-func (od *onDemand) touch(source VertexID) {
-	if od == nil || od.opts.PromoteAfter <= 0 {
-		return
-	}
-	if e, ok := (*od.auto.Load())[source]; ok {
-		e.Store(od.tick.Add(1))
-	}
-}
-
 // note records one on-demand query against the admission cache, dropping the
-// least recently used candidate when the cache is full.
+// least recently queried candidate when the cache is full.
 func (od *onDemand) note(source VertexID) {
 	if od.opts.PromoteAfter <= 0 {
 		return
 	}
 	od.mu.Lock()
 	defer od.mu.Unlock()
-	od.clock++
-	c := od.cand[source]
-	if c == nil {
+	el := od.cand[source]
+	if el == nil {
 		if len(od.cand) >= odMaxCandidates {
-			var coldest VertexID
-			cold := int64(-1)
-			for v, cc := range od.cand {
-				if cold < 0 || cc.last < cold {
-					cold, coldest = cc.last, v
-				}
-			}
-			delete(od.cand, coldest)
+			delete(od.cand, od.lru.Remove(od.lru.Back()).(*odCandidate).source)
 		}
-		c = &odCandidate{}
-		od.cand[source] = c
+		el = od.lru.PushFront(&odCandidate{source: source})
+		od.cand[source] = el
 	}
-	c.count++
-	c.last = od.clock
+	od.lru.MoveToFront(el)
+	el.Value.(*odCandidate).count++
+}
+
+// forget drops source's admission-cache entry once the source is tracked.
+func (od *onDemand) forget(source VertexID) {
+	od.mu.Lock()
+	defer od.mu.Unlock()
+	if el := od.cand[source]; el != nil {
+		od.lru.Remove(el)
+		delete(od.cand, source)
+	}
 }
 
 // maybePromote promotes source into tracked state once its query count
-// reaches the threshold, then evicts the coldest auto-promoted source when
-// the auto set ran over capacity. The order matters: the add happens FIRST,
-// so a failed promotion (overloaded pipeline) tears nothing down — the old
+// reaches the threshold, then evicts the coldest other auto-promoted source
+// when the auto set ran over capacity. The order matters: the add happens
+// FIRST, so a failed promotion (overloaded pipeline) tears nothing down — an
 // evict-then-add order could lose a healthy tracked source and gain nothing.
 // MaxAutoSources is policy, not a hard cap; the set transiently holds one
-// extra entry between the add and the eviction. Promotion failures are
+// extra source between the add and the eviction. Promotion failures are
 // swallowed — the query that triggered them already has its answer, and the
 // candidate's count is kept so a later query retries.
 func (od *onDemand) maybePromote(ctx context.Context, source VertexID) bool {
@@ -776,61 +698,45 @@ func (od *onDemand) maybePromote(ctx context.Context, source VertexID) bool {
 	}
 	s := od.svc
 	od.mu.Lock()
-	c := od.cand[source]
-	if c == nil || c.count < od.opts.PromoteAfter {
-		od.mu.Unlock()
+	el := od.cand[source]
+	ready := el != nil && el.Value.(*odCandidate).count >= od.opts.PromoteAfter
+	od.mu.Unlock()
+	if !ready {
 		return false
 	}
-	od.mu.Unlock()
 
 	// The addition and the eviction go through the ordinary live
 	// source-management path, outside od.mu (the pipeline never takes it, so
 	// there is no lock-order hazard — just no reason to hold it while a cold
-	// start runs).
-	if err := s.AddSourceCtx(ctx, source); err != nil {
+	// start runs). Both run as auto-promotion work: the addition marks the
+	// new source auto on the pipeline, and the eviction removes the victim
+	// only if it still carries that mark.
+	if err := s.addSource(ctx, source, true); err != nil {
 		// "already tracked" means someone else (a concurrent promotion or a
 		// manual AddSource) won the race; either way the source is tracked
-		// now and the candidate entry has served its purpose.
-		if _, tracked := (*s.table.Load())[source]; !tracked {
-			return false // overloaded or closed: retry on a later query
+		// now and the candidate entry has served its purpose. Otherwise the
+		// pipeline was overloaded or closed: retry on a later query.
+		if _, tracked := (*s.table.Load())[source]; tracked {
+			od.forget(source)
 		}
-		od.mu.Lock()
-		delete(od.cand, source)
-		od.mu.Unlock()
 		return false
 	}
-	victim := VertexID(-1)
-	od.mu.Lock()
-	delete(od.cand, source)
-	e := new(atomic.Int64)
-	e.Store(od.tick.Add(1))
-	od.mutateAuto(func(m map[VertexID]*atomic.Int64) { m[source] = e })
-	if auto := *od.auto.Load(); len(auto) > od.opts.MaxAutoSources {
-		cold := int64(-1)
-		for v, last := range auto {
-			if v == source {
-				continue
-			}
-			if t := last.Load(); cold < 0 || t < cold {
-				cold, victim = t, v
-			}
+	od.forget(source)
+	od.promotions.Add(1)
+	victim, autos, cold := VertexID(-1), 0, int64(0)
+	for v, src := range *s.table.Load() {
+		if !src.auto.Load() {
+			continue
+		}
+		autos++
+		if last := src.lastUse.Load(); v != source && (victim < 0 || last < cold) {
+			victim, cold = v, last
 		}
 	}
-	od.mu.Unlock()
-	od.promotions.Add(1)
-	if victim >= 0 {
-		err := s.RemoveSourceCtx(ctx, victim)
-		if err == nil || errors.Is(err, ErrUnknownSource) {
-			od.mu.Lock()
-			od.mutateAuto(func(m map[VertexID]*atomic.Int64) { delete(m, victim) })
-			od.mu.Unlock()
-		}
-		// A failed removal (overloaded pipeline) leaves the registry
-		// transiently over capacity; the next promotion picks a victim
-		// again.
-		if err == nil {
-			od.evictions.Add(1)
-		}
+	// A failed removal (overloaded pipeline) leaves the auto set transiently
+	// over capacity; the next promotion picks a victim again.
+	if autos > od.opts.MaxAutoSources && s.removeSource(ctx, victim, true) == nil {
+		od.evictions.Add(1)
 	}
 	return true
 }

@@ -3,7 +3,9 @@ package dynppr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -11,14 +13,31 @@ import (
 	"dynppr/internal/push"
 )
 
-// TestODCacheDropsDeadGenerations pins the cache's generation rule with
-// exact residency: a put for a newer generation drops every older entry (none
-// can be requested again), and a late put for an older generation — a query
-// pinned before the write — is ignored instead of parking a dead answer.
+// TestODCacheDropsDeadGenerations pins the answer table's generation and
+// accounting rules with exact residency: a claim at a newer generation drops
+// every older entry (none can be requested again), a late answer for an older
+// generation — a query pinned before the write — is computed but not tabled,
+// a source whose entry was evicted in flight is re-accounted for its
+// replacement alone, and a failed answer leaves the table so the next
+// identical query computes afresh.
 func TestODCacheDropsDeadGenerations(t *testing.T) {
-	c := newODCache(8)
-	answer := func(n int) *odEntry {
-		return &odEntry{ids: make([]VertexID, n), vals: make([]float64, n)}
+	c := newODTable(2)
+	// lead claims source at gen as the computing query; a join or a hit
+	// fails the test.
+	lead := func(source VertexID, gen uint64) *odEntry {
+		t.Helper()
+		e, tabled := c.claim(source, gen)
+		if tabled {
+			t.Fatalf("claim(%d, %d) found a tabled entry, want a fresh one", source, gen)
+		}
+		return e
+	}
+	// finish completes a claimed entry the way compute does: fill, settle,
+	// release the waiters.
+	finish := func(e *odEntry, n int, err error) {
+		e.ids, e.vals, e.err = make([]VertexID, n), make([]float64, n), err
+		c.settle(e)
+		close(e.done)
 	}
 	want := func(what string, entries int, answerEntries int64) {
 		t.Helper()
@@ -28,26 +47,144 @@ func TestODCacheDropsDeadGenerations(t *testing.T) {
 				what, e, a, b, entries, answerEntries, 12*answerEntries)
 		}
 	}
-	c.put(odKey{source: 1, gen: 5}, answer(3))
-	c.put(odKey{source: 2, gen: 5}, answer(4))
+	finish(lead(1, 5), 3, nil)
+	finish(lead(2, 5), 4, nil)
 	want("two answers at generation 5", 2, 7)
 
-	c.put(odKey{source: 3, gen: 6}, answer(2))
+	finish(lead(3, 6), 2, nil)
 	want("first answer at generation 6", 1, 2)
-	if c.get(odKey{source: 1, gen: 5}) != nil {
-		t.Fatal("generation-5 answer survived a generation-6 put")
+	late := lead(1, 5)
+	want("claim at generation 5", 1, 2)
+	finish(late, 3, nil)
+	want("late generation-5 answer", 1, 2)
+	lead(1, 5) // still not tabled: a generation-5 claim computes again
+
+	// Source 9's first entry is evicted in flight by capacity pressure; its
+	// replacement is the one accounted, and the evicted entry's late settle
+	// changes nothing.
+	evicted := lead(9, 6)
+	ten := lead(10, 6) // evicts 3
+	eleven := lead(11, 6)
+	want("two in flight after two evictions", 2, 0)
+	replacement := lead(9, 6) // evicts 10
+	finish(replacement, 5, nil)
+	finish(evicted, 3, nil)
+	finish(ten, 7, nil)
+	want("replaced answer", 2, 5)
+	if e, tabled := c.claim(9, 6); !tabled || e != replacement {
+		t.Fatal("the replacement answer is not the tabled one")
+	}
+	finish(eleven, 1, nil)
+	want("replaced answer and its neighbour", 2, 6)
+
+	failed := lead(12, 6) // evicts 11
+	want("failed answer in flight", 2, 5)
+	finish(failed, 0, ErrOverloaded)
+	want("failed answer settled", 1, 5)
+	lead(12, 6) // the failure left the table: the next identical query computes
+}
+
+// TestOnDemandTableAccountingUnderChurn drives the answer table past its
+// capacity with concurrent identical and distinct cold queries and an
+// effective write mid-run. Throughout, the table holds at most its capacity
+// and 12 B per resident sparse entry; at rest, every tabled entry has settled
+// and the resident totals are exactly what the tabled answers hold, and every
+// query was counted once — as a hit, a coalesced query or a cold push.
+func TestOnDemandTableAccountingUnderChurn(t *testing.T) {
+	const vertices = 1_000
+	g := GraphFromEdges(odRingEdges(vertices, 5_000, 5))
+	so := DefaultServiceOptions()
+	so.OnDemand = OnDemandOptions{Enabled: true, Epsilon: 1e-3}
+	svc, err := NewService(g, []VertexID{0}, so)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	defer svc.Close()
+
+	check := func(when string, st *OnDemandStats) error {
+		if st.CacheBytes != 12*st.CacheAnswerEntries || st.CacheEntries > st.CacheCapacity {
+			return fmt.Errorf("%s: %d B for %d sparse entries in %d of %d slots",
+				when, st.CacheBytes, st.CacheAnswerEntries, st.CacheEntries, st.CacheCapacity)
+		}
+		return nil
+	}
+	const workers, perWorker = 8, 200
+	errs := make(chan error, workers+1)
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := check("mid-run", svc.Stats().OnDemand); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := range perWorker {
+				// Even queries share a hot set of eight sources, so identical
+				// queries meet in flight and in the table; odd ones spread over
+				// the graph and overrun the table's capacity.
+				src := VertexID(1 + rng.Intn(vertices-1))
+				if i%2 == 0 {
+					src = VertexID(1 + rng.Intn(8))
+				}
+				if _, _, err := svc.QueryTopK(src, 5); err != nil {
+					errs <- fmt.Errorf("QueryTopK(%d): %v", src, err)
+					return
+				}
+				if w == 0 && i == perWorker/2 {
+					if res, err := svc.ApplyBatch(Batch{{U: 1, V: 2, Op: Delete}}); err != nil || res.Applied != 1 {
+						errs <- fmt.Errorf("mid-run write: applied %d, err %v", res.Applied, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-sampled
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 
-	c.put(odKey{source: 1, gen: 5}, answer(3))
-	want("late generation-5 put", 1, 2)
-	if c.get(odKey{source: 1, gen: 5}) != nil {
-		t.Fatal("late put for a dead generation was cached")
+	st := svc.Stats().OnDemand
+	if err := check("at rest", st); err != nil {
+		t.Fatal(err)
 	}
-
-	c.put(odKey{source: 3, gen: 6}, answer(5))
-	want("overwrite in place", 1, 5)
-	if e := c.get(odKey{source: 3, gen: 6}); e == nil || len(e.ids) != 5 {
-		t.Fatal("overwritten entry not served")
+	if st.Queries != workers*perWorker || st.CacheHits+st.Coalesced+st.ColdPushes != st.Queries {
+		t.Fatalf("%d queries: %d hits + %d coalesced + %d cold pushes, want each of %d counted once",
+			st.Queries, st.CacheHits, st.Coalesced, st.ColdPushes, workers*perWorker)
+	}
+	if st.ColdPushes <= int64(st.CacheCapacity) {
+		t.Fatalf("%d cold pushes never overran the %d-answer table", st.ColdPushes, st.CacheCapacity)
+	}
+	table := svc.od.table
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	var held int64
+	for el := table.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*odEntry)
+		if !e.settled {
+			t.Fatalf("tabled entry for %d never settled", e.source)
+		}
+		held += int64(len(e.ids))
+	}
+	if held != table.answerEntries {
+		t.Fatalf("tabled answers hold %d sparse entries, the table accounts %d", held, table.answerEntries)
 	}
 }
 

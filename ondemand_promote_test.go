@@ -43,6 +43,46 @@ func promoteTestService(t *testing.T) *Service {
 	return svc
 }
 
+func isTracked(svc *Service, v VertexID) bool {
+	_, ok := (*svc.table.Load())[v]
+	return ok
+}
+
+// TestManualReAddIsNeverEvicted pins that the auto mark belongs to the
+// tracked source, not to its id: a promoted source that is removed and then
+// added by hand is a manual source, so a later promotion past capacity must
+// neither evict it nor count it as auto-promoted.
+func TestManualReAddIsNeverEvicted(t *testing.T) {
+	svc := promoteTestService(t)
+	od := svc.od
+	ctx := context.Background()
+
+	const a, b = VertexID(11), VertexID(22)
+	od.note(a)
+	if !od.maybePromote(ctx, a) {
+		t.Fatal("promoting a failed on an idle service")
+	}
+	if err := svc.RemoveSource(a); err != nil {
+		t.Fatalf("RemoveSource(a): %v", err)
+	}
+	if err := svc.AddSource(a); err != nil {
+		t.Fatalf("AddSource(a): %v", err)
+	}
+	od.note(b)
+	if !od.maybePromote(ctx, b) {
+		t.Fatal("promoting b failed on an idle service")
+	}
+	if !isTracked(svc, a) {
+		t.Fatal("manually added source a was evicted by b's promotion")
+	}
+	if !isTracked(svc, b) {
+		t.Fatal("b not tracked after promotion")
+	}
+	if got := svc.Stats().OnDemand.AutoSources; got != 1 {
+		t.Fatalf("auto sources = %d, want 1 (b alone; a was added by hand)", got)
+	}
+}
+
 // TestMaybePromoteOverloadKeepsVictim pins the add-then-evict ordering bugfix:
 // a promotion that fails admission (overloaded pipeline) must tear nothing
 // down — previously the victim was evicted BEFORE the add, so a failed add
@@ -50,10 +90,7 @@ func promoteTestService(t *testing.T) *Service {
 func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	svc := promoteTestService(t)
 	od := svc.od
-	tracked := func(v VertexID) bool {
-		_, ok := (*svc.table.Load())[v]
-		return ok
-	}
+	tracked := func(v VertexID) bool { return isTracked(svc, v) }
 
 	const a, b = VertexID(11), VertexID(22)
 	od.note(a)
@@ -92,10 +129,13 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 		t.Fatalf("evictions = %d after failed promotion, want 0", got)
 	}
 	od.mu.Lock()
-	cand := od.cand[b]
+	count := 0
+	if el := od.cand[b]; el != nil {
+		count = el.Value.(*odCandidate).count
+	}
 	od.mu.Unlock()
-	if cand == nil || cand.count < od.opts.PromoteAfter {
-		t.Fatalf("candidate state for b lost (%+v); a later query could not retry the promotion", cand)
+	if count < od.opts.PromoteAfter {
+		t.Fatalf("candidate count for b lost (%d); a later query could not retry the promotion", count)
 	}
 
 	// Unwedge and drain, then the retry succeeds and only now is the

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -318,16 +319,34 @@ func TestBootSweepsTmpLeftovers(t *testing.T) {
 // it, the on-demand tier starts none — and Close must take it plus whatever
 // the recovery probe has in flight. A persistent
 // write fault keeps the probe failing and re-arming its timer, so Close lands
-// on an armed timer with tracked and cold reads just served.
+// on an armed timer with tracked and cold reads just served. Goroutines are
+// told apart by id, not counted: goroutines of earlier tests that exit
+// meanwhile must neither hide a leak nor fail the check.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	settle := func(what string, ok func(n int) bool) {
+	before := goroutineStacks()
+	// started returns the stacks of the goroutines alive now that were not
+	// alive before construction.
+	started := func() map[string]string {
+		now := goroutineStacks()
+		for id := range before {
+			delete(now, id)
+		}
+		return now
+	}
+	settle := func(what string, ok func(map[string]string) bool) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !ok(runtime.NumGoroutine()); time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			fresh := started()
+			if ok(fresh) {
+				return
+			}
 			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines before construction, %d %s:\n%s",
-					before, runtime.NumGoroutine(), what, buf[:runtime.Stack(buf, true)])
+				stacks := make([]string, 0, len(fresh))
+				for _, stack := range fresh {
+					stacks = append(stacks, stack)
+				}
+				t.Fatalf("%d goroutines started since construction %s:\n%s",
+					len(fresh), what, strings.Join(stacks, "\n\n"))
 			}
 		}
 	}
@@ -346,7 +365,12 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close() // no-op after the checked Close below
-	settle("after construction", func(n int) bool { return n == before+1 })
+	settle("after construction", func(fresh map[string]string) bool {
+		for _, stack := range fresh {
+			return len(fresh) == 1 && strings.Contains(stack, "(*Service).pipeline")
+		}
+		return false
+	})
 	if _, err := svc.ApplyBatch(stream[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +397,25 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	settle("after Close", func(n int) bool { return n <= before })
+	settle("after Close", func(fresh map[string]string) bool { return len(fresh) == 0 })
+}
+
+// goroutineStacks returns the stack of every live goroutine, keyed by its id.
+// Ids are never reused within a process.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	stacks := make(map[string]string)
+	for _, stack := range strings.Split(string(buf[:n]), "\n\n") {
+		// Each stack opens with "goroutine <id> [<state>]:".
+		id, _, _ := strings.Cut(strings.TrimPrefix(stack, "goroutine "), " ")
+		stacks[id] = stack
+	}
+	return stacks
 }
 
 // TestPersistStateText pins the JSON spelling of every persistence state,

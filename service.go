@@ -124,6 +124,12 @@ type serviceSource struct {
 	source VertexID
 	st     *push.State
 	slot   *push.SnapshotSlot
+	// auto marks a source the on-demand tier promoted, set when the source
+	// enters the table; lastUse is its recency for eviction, a tick of the
+	// tier's clock refreshed by every read. A source added by hand carries
+	// neither, so it is never evicted.
+	auto    atomic.Bool
+	lastUse atomic.Int64
 }
 
 // task is one unit of pipeline work. done, if non-nil, is closed once fn has
@@ -510,16 +516,18 @@ func (s *Service) CompactNow() error {
 // (after validation, so the log never records an operation that would fail
 // on replay).
 func (s *Service) AddSource(source VertexID) error {
-	return s.addSource(context.Background(), source)
+	return s.addSource(context.Background(), source, false)
 }
 
 // AddSourceCtx is AddSource with bounded admission (see ApplyBatchCtx for
 // the contract: ctx bounds the wait for a pipeline slot only).
 func (s *Service) AddSourceCtx(ctx context.Context, source VertexID) error {
-	return s.addSource(ctx, source)
+	return s.addSource(ctx, source, false)
 }
 
-func (s *Service) addSource(ctx context.Context, source VertexID) error {
+// addSource adds source on the pipeline; auto marks it as the on-demand
+// tier's promotion.
+func (s *Service) addSource(ctx context.Context, source VertexID, auto bool) error {
 	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
 		if err := s.validateAddSource(source); err != nil {
 			return struct{}{}, err
@@ -527,7 +535,7 @@ func (s *Service) addSource(ctx context.Context, source VertexID) error {
 		if err := s.journalAddSource(source); err != nil {
 			return struct{}{}, err
 		}
-		return struct{}{}, s.doAddSource(source)
+		return struct{}{}, s.doAddSource(source, auto)
 	})
 	return err
 }
@@ -547,13 +555,17 @@ func (s *Service) validateAddSource(source VertexID) error {
 // doAddSource applies a validated addition (see validateAddSource). The
 // pipeline goroutine is not inside a batch, so the set's engines are idle and
 // the cold start runs right here.
-func (s *Service) doAddSource(source VertexID) error {
+func (s *Service) doAddSource(source VertexID, auto bool) error {
 	vertices := s.g.NumVertices()
 	st, err := s.set.add(source)
 	if err != nil {
 		return err
 	}
 	src := &serviceSource{source: source, st: st, slot: push.NewSnapshotSlot()}
+	if auto {
+		src.auto.Store(true)
+		src.lastUse.Store(s.od.tick.Add(1))
+	}
 	src.slot.Publish(st)
 	next := maps.Clone(*s.table.Load())
 	next[source] = src
@@ -572,20 +584,23 @@ func (s *Service) doAddSource(source VertexID) error {
 // reads return ErrUnknownSource. Removing an untracked source is an error.
 // On a persistent service the removal is journaled after validation.
 func (s *Service) RemoveSource(source VertexID) error {
-	return s.removeSource(context.Background(), source)
+	return s.removeSource(context.Background(), source, false)
 }
 
 // RemoveSourceCtx is RemoveSource with bounded admission (see ApplyBatchCtx
 // for the contract: ctx bounds the wait for a pipeline slot only).
 func (s *Service) RemoveSourceCtx(ctx context.Context, source VertexID) error {
-	return s.removeSource(ctx, source)
+	return s.removeSource(ctx, source, false)
 }
 
-func (s *Service) removeSource(ctx context.Context, source VertexID) error {
+// removeSource removes source on the pipeline; onlyAuto refuses a source
+// that does not carry the on-demand tier's auto mark, so an eviction can
+// never remove a source added by hand.
+func (s *Service) removeSource(ctx context.Context, source VertexID, onlyAuto bool) error {
 	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
 		// The lookup doubles as pre-journal validation: an untracked source
 		// is rejected before anything reaches the WAL.
-		if _, ok := (*s.table.Load())[source]; !ok {
+		if src, ok := (*s.table.Load())[source]; !ok || onlyAuto && !src.auto.Load() {
 			return struct{}{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 		}
 		if err := s.journalRemoveSource(source); err != nil {
@@ -601,10 +616,11 @@ func (s *Service) removeSource(ctx context.Context, source VertexID) error {
 }
 
 // lookup resolves a source through the copy-on-write table (lock-free).
-// Every successful resolution refreshes the source's promotion recency —
-// lookup is the one path all read APIs share, so an auto-promoted source
-// read heavily through TopK/Estimate (not just Query*) stays warm against
-// eviction. touch is atomic-only, preserving the lock-free read path.
+// A successful resolution of an auto-promoted source refreshes its lastUse —
+// lookup is the one path all read APIs share, so a source read heavily
+// through TopK/Estimate (not just Query*) stays warm against eviction. The
+// refresh is two atomics on the source itself, so tracked reads stay
+// lock-free.
 func (s *Service) lookup(source VertexID) (*serviceSource, error) {
 	table := s.table.Load()
 	if table == nil {
@@ -614,7 +630,9 @@ func (s *Service) lookup(source VertexID) (*serviceSource, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 	}
-	s.od.touch(source)
+	if src.auto.Load() {
+		src.lastUse.Store(s.od.tick.Add(1))
+	}
 	return src, nil
 }
 
