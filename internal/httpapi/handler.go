@@ -158,6 +158,8 @@ func errorStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, dynppr.ErrUnknownSource):
 		return http.StatusNotFound
+	case errors.Is(err, dynppr.ErrVertexOutOfRange):
+		return http.StatusBadRequest
 	case errors.Is(err, dynppr.ErrServiceClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, dynppr.ErrPersistenceDegraded),
@@ -374,9 +376,16 @@ func (h *Handler) handleSources(r *http.Request) (any, error) {
 		for _, s := range h.svc.Sources() {
 			tracked[s] = true
 		}
+		// Vertex counts never shrink, so a bound against this count is
+		// conservative: an add that passes here cannot fail the service's
+		// own check.
+		limit := h.svc.Stats().Vertices + dynppr.MaxVertexGrowth
 		for _, s := range req.Add {
 			if s < 0 {
 				return nil, badRequest("negative source id %d", s)
+			}
+			if int(s) >= limit {
+				return nil, fmt.Errorf("%w: source %d, the bound is %d", dynppr.ErrVertexOutOfRange, s, limit)
 			}
 			if tracked[s] {
 				return nil, &apiError{
@@ -396,7 +405,8 @@ func (h *Handler) handleSources(r *http.Request) (any, error) {
 		defer cancel()
 		for _, s := range req.Add {
 			if err := h.svc.AddSourceCtx(ctx, s); err != nil {
-				if errors.Is(err, dynppr.ErrServiceClosed) || errors.Is(err, dynppr.ErrOverloaded) {
+				if errors.Is(err, dynppr.ErrServiceClosed) || errors.Is(err, dynppr.ErrOverloaded) ||
+					errors.Is(err, dynppr.ErrVertexOutOfRange) {
 					return nil, err
 				}
 				return nil, &apiError{status: http.StatusConflict, msg: err.Error()}

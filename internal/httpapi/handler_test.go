@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,6 +289,28 @@ func TestSourcesEndpoint(t *testing.T) {
 		t.Fatal("negative source id must fail")
 	} else {
 		wantStatus(t, err, http.StatusBadRequest)
+	}
+}
+
+// TestOutOfRangeVertexIs400 pins the vertex-growth bound at the wire: an
+// edge endpoint or a source id MaxVertexGrowth past the graph is a 400, and
+// the request has no effect — its valid updates and sources included.
+func TestOutOfRangeVertexIs400(t *testing.T) {
+	svc, sources, client := newTestAPI(t, 1)
+	before := svc.Stats()
+	far := dynppr.VertexID(before.Vertices + 70_000)
+	_, err := client.ApplyEdges([]httpapi.Update{{U: 1, V: 2, Op: "insert"}, {U: far, V: 3, Op: "insert"}})
+	wantStatus(t, err, http.StatusBadRequest)
+	add := dynppr.VertexID(0) // a valid addition riding along
+	for slices.Contains(sources, add) {
+		add++
+	}
+	_, err = client.UpdateSources([]dynppr.VertexID{add, far}, nil)
+	wantStatus(t, err, http.StatusBadRequest)
+	after := svc.Stats()
+	if after.Vertices != before.Vertices || after.Batches != 0 || len(after.Sources) != len(sources) {
+		t.Fatalf("a 400 took effect: %d -> %d vertices, %d batches, sources %v", before.Vertices, after.Vertices,
+			after.Batches, svc.Sources())
 	}
 }
 

@@ -1,6 +1,7 @@
 package push
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -432,31 +433,48 @@ func requireSamePush(t *testing.T, what string, got, want *ColdPushResult) {
 }
 
 // TestColdPushCSRAgreesWithLiveColdStart pins the cross-implementation
-// agreement directly: a live tracker state cold-started by the Sequential
-// engine and a one-shot ColdPushCSR at the same ε land within the sum of
-// their per-vertex bounds of each other.
+// agreement to the bit: the one-shot cold kernel and a live tracker state
+// cold-started by the Sequential engine run the same FIFO push, so on every
+// (graph, source) of the table they perform the same pushes, leave the same
+// max residual and publish the same estimate bits — every vertex the cold
+// answer omits holds exactly 0 in the live state.
 func TestColdPushCSRAgreesWithLiveColdStart(t *testing.T) {
-	list, err := gen.EdgeList(gen.Config{Model: gen.ErdosRenyi, Vertices: 200, Edges: 1200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.FromEdges(list)
-	src := g.TopDegreeVertices(1)[0]
-	cfg := Config{Alpha: 0.15, Epsilon: 1e-5}
-	st, err := NewState(g, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewSequential().Run(st, []graph.VertexID{src})
-	res, err := ColdPushCSR(g.Snapshot(), src, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		est := SparseValue(res.Vertices, res.Estimates, graph.VertexID(v))
-		if d := math.Abs(est - st.Estimate(graph.VertexID(v))); d > 2*cfg.Epsilon+1e-12 {
-			t.Fatalf("vertex %d: cold push %g vs live state %g differ by %g > 2ε",
-				v, est, st.Estimate(graph.VertexID(v)), d)
+	for _, tc := range []struct {
+		cfg gen.Config
+		eps float64
+	}{
+		{gen.Config{Model: gen.ErdosRenyi, Vertices: 200, Edges: 1200, Seed: 3}, 1e-6},
+		{gen.Config{Model: gen.RMAT, Vertices: 5000, Edges: 60000, Seed: 4}, 1e-5},
+		{gen.Config{Model: gen.RMAT, Vertices: 20000, Edges: 200000, Seed: 5}, 1e-4},
+		{gen.Config{Model: gen.BarabasiAlbert, Vertices: 3000, Edges: 30000, Seed: 6}, 1e-5},
+	} {
+		list, err := gen.EdgeList(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.FromEdges(list)
+		cfg := Config{Alpha: 0.15, Epsilon: tc.eps}
+		for _, src := range g.TopDegreeVertices(5) {
+			what := fmt.Sprintf("%v %d/%d source %d", tc.cfg.Model, tc.cfg.Vertices, tc.cfg.Edges, src)
+			st, err := NewState(g, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			NewSequential().Run(st, []graph.VertexID{src})
+			res, err := ColdPushCSR(g.Snapshot(), src, cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Pushes != st.Counters.Pushes || math.Float64bits(res.MaxResidual) != math.Float64bits(st.MaxResidual()) {
+				t.Fatalf("%s: cold kernel %d pushes, max residual %g; live state %d, %g",
+					what, res.Pushes, res.MaxResidual, st.Counters.Pushes, st.MaxResidual())
+			}
+			for v := 0; v < g.NumVertices(); v++ {
+				cold, live := SparseValue(res.Vertices, res.Estimates, graph.VertexID(v)), st.Estimate(graph.VertexID(v))
+				if math.Float64bits(cold) != math.Float64bits(live) {
+					t.Fatalf("%s: vertex %d: cold kernel %g, live state %g (bit mismatch)", what, v, cold, live)
+				}
+			}
 		}
 	}
 }

@@ -313,7 +313,9 @@ func (st *State) restore(u, v graph.VertexID, op float64) {
 
 // InvariantError returns the maximum absolute violation of Equation 2 over
 // all vertices. A correctly maintained state has an error within floating
-// point rounding of zero regardless of how large the residuals are.
+// point rounding of zero regardless of how large the residuals are. Vertices
+// the state's vectors do not cover yet (the graph grew since the state's
+// last update) read as zero, as Estimate and Residual read them.
 func (st *State) InvariantError() float64 {
 	alpha := st.cfg.Alpha
 	var worst float64
@@ -327,11 +329,11 @@ func (st *State) InvariantError() float64 {
 		if len(out) > 0 {
 			var sum float64
 			for _, x := range out {
-				sum += st.p.Get(int(x))
+				sum += st.Estimate(x)
 			}
 			rhs += (1 - alpha) * sum / float64(len(out))
 		}
-		lhs := st.p.Get(v) + alpha*st.r.Get(v)
+		lhs := st.Estimate(graph.VertexID(v)) + alpha*st.Residual(graph.VertexID(v))
 		diff := lhs - rhs
 		if diff < 0 {
 			diff = -diff

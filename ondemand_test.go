@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dynppr"
-	"dynppr/internal/power"
 )
 
 // odTestEdges generates an R-MAT edge list with a ring overlay. The overlay
@@ -26,142 +25,6 @@ func odTestEdges(t *testing.T, vertices, edges int, seed int64) []dynppr.Edge {
 		list = append(list, dynppr.Edge{U: dynppr.VertexID(v), V: dynppr.VertexID((v + 1) % vertices)})
 	}
 	return list
-}
-
-// applyEdges mirrors a batch onto a plain graph so an oracle can be computed
-// on exactly the edge set the service holds.
-func applyEdges(t *testing.T, g *dynppr.Graph, b dynppr.Batch) {
-	t.Helper()
-	for _, u := range b {
-		switch u.Op {
-		case dynppr.Insert:
-			if _, err := g.AddEdge(u.U, u.V); err != nil {
-				t.Fatalf("oracle AddEdge(%d,%d): %v", u.U, u.V, err)
-			}
-		case dynppr.Delete:
-			if err := g.RemoveEdge(u.U, u.V); err != nil {
-				t.Fatalf("oracle RemoveEdge(%d,%d): %v", u.U, u.V, err)
-			}
-		}
-	}
-}
-
-// TestOnDemandDifferentialVsOracle checks the acceptance contract of the
-// on-demand path: every estimate returned for an untracked source is within
-// the advertised error bound of the power-iteration reverse (contribution)
-// oracle — the same quantity tracked sources serve — before and after a live
-// edge batch (which forces a snapshot rebuild).
-func TestOnDemandDifferentialVsOracle(t *testing.T) {
-	const (
-		vertices = 400
-		odEps    = 1e-5
-	)
-	edges := odTestEdges(t, vertices, 3000, 21)
-	batch := dynppr.Batch{
-		{U: 7, V: 301, Op: dynppr.Insert},
-		{U: 301, V: 9, Op: dynppr.Insert},
-		{U: 0, V: 1, Op: dynppr.Delete},
-		{U: 55, V: 120, Op: dynppr.Insert},
-	}
-	g := dynppr.GraphFromEdges(edges)
-	tracked := g.TopDegreeVertices(2)
-	so := dynppr.DefaultServiceOptions()
-	so.Options.Epsilon = 1e-6
-	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: odEps}
-	svc, err := dynppr.NewService(g, tracked, so)
-	if err != nil {
-		t.Fatalf("NewService: %v", err)
-	}
-	defer svc.Close()
-
-	oracleGraph := dynppr.GraphFromEdges(edges)
-	check := func(stage string) {
-		isTracked := make(map[dynppr.VertexID]bool, len(tracked))
-		for _, s := range tracked {
-			isTracked[s] = true
-		}
-		csr := oracleGraph.Snapshot()
-		var probes []dynppr.VertexID
-		for _, v := range []dynppr.VertexID{3, 57, 191, 202, 333} {
-			if !isTracked[v] {
-				probes = append(probes, v)
-			}
-		}
-		for _, src := range probes {
-			oracle, err := power.Reverse(csr, src, power.Options{
-				Alpha: so.Options.Alpha, Tolerance: 1e-12, MaxIterations: 10_000,
-			})
-			if err != nil {
-				t.Fatalf("%s: power.Reverse(%d): %v", stage, src, err)
-			}
-			top, qi, err := svc.QueryTopK(src, 10)
-			if err != nil {
-				t.Fatalf("%s: QueryTopK(%d): %v", stage, src, err)
-			}
-			if !qi.Approx {
-				t.Fatalf("%s: QueryTopK(%d): expected approx answer for untracked source", stage, src)
-			}
-			if qi.Epsilon <= 0 || qi.Epsilon >= 1 {
-				t.Fatalf("%s: QueryTopK(%d): implausible advertised epsilon %g", stage, src, qi.Epsilon)
-			}
-			const slack = 1e-12
-			for _, vs := range top {
-				if diff := math.Abs(vs.Score - oracle[vs.Vertex]); diff > qi.Epsilon+slack {
-					t.Fatalf("%s: source=%d vertex=%d: |%g - %g| = %g > advertised epsilon %g",
-						stage, src, vs.Vertex, vs.Score, oracle[vs.Vertex], diff, qi.Epsilon)
-				}
-			}
-			for _, v := range []dynppr.VertexID{0, 1, src, 99, 250, vertices - 1} {
-				est, eqi, err := svc.QueryEstimate(src, v)
-				if err != nil {
-					t.Fatalf("%s: QueryEstimate(%d,%d): %v", stage, src, v, err)
-				}
-				if !eqi.Approx {
-					t.Fatalf("%s: QueryEstimate(%d,%d): expected approx answer", stage, src, v)
-				}
-				if diff := math.Abs(est - oracle[v]); diff > eqi.Epsilon+slack {
-					t.Fatalf("%s: source=%d estimate(%d): |%g - %g| = %g > epsilon %g",
-						stage, src, v, est, oracle[v], diff, eqi.Epsilon)
-				}
-			}
-			// Determinism: the same query against the same snapshot
-			// returns bit-identical scores.
-			again, qi2, err := svc.QueryTopK(src, 10)
-			if err != nil {
-				t.Fatalf("%s: repeat QueryTopK(%d): %v", stage, src, err)
-			}
-			if qi2.Epsilon != qi.Epsilon || len(again) != len(top) {
-				t.Fatalf("%s: repeat QueryTopK(%d): shape/epsilon changed", stage, src)
-			}
-			for i := range top {
-				if top[i] != again[i] {
-					t.Fatalf("%s: repeat QueryTopK(%d): entry %d differs: %v vs %v", stage, src, i, top[i], again[i])
-				}
-			}
-		}
-		// A tracked source stays on the exact path.
-		if _, qi, err := svc.QueryTopK(tracked[0], 5); err != nil || qi.Approx {
-			t.Fatalf("%s: tracked QueryTopK: err=%v approx=%v", stage, err, qi.Approx)
-		}
-	}
-
-	check("initial")
-	if _, err := svc.ApplyBatch(batch); err != nil {
-		t.Fatalf("ApplyBatch: %v", err)
-	}
-	applyEdges(t, oracleGraph, batch)
-	check("after-batch")
-
-	st := svc.Stats()
-	if st.OnDemand == nil {
-		t.Fatal("Stats().OnDemand is nil with the path enabled")
-	}
-	if st.OnDemand.Queries == 0 {
-		t.Fatal("Stats().OnDemand.Queries did not advance")
-	}
-	if st.OnDemand.SnapshotBuilds < 2 {
-		t.Fatalf("expected >= 2 snapshot builds (initial + post-batch), got %d", st.OnDemand.SnapshotBuilds)
-	}
 }
 
 // TestOnDemandPromotionLifecycle drives the full admission funnel: a cold

@@ -24,7 +24,7 @@ import (
 // and the workload batches that remain to be applied.
 func faultTestService(t *testing.T, po func(*PersistOptions)) (*Service, *faultfs.Injector, string, []VertexID, []Batch) {
 	t.Helper()
-	initial, stream := recoveryWorkload(t, 150, 1200, 4, 15)
+	initial, stream := windowWorkload(t, recoveryGraph(150, 1200), 4, 15)
 	opts := DefaultOptions()
 	opts.Epsilon = 1e-4
 	sources := GraphFromEdges(initial).TopDegreeVertices(2)
@@ -351,7 +351,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 
-	initial, stream := recoveryWorkload(t, 150, 1200, 2, 15)
+	initial, stream := windowWorkload(t, recoveryGraph(150, 1200), 2, 15)
 	opts := DefaultOptions()
 	opts.Epsilon = 1e-4
 	g := GraphFromEdges(initial)

@@ -185,7 +185,29 @@ var (
 	// frees up. The mutation was NOT journaled and NOT applied: the caller
 	// can safely retry later. Serving front ends map it to 429.
 	ErrOverloaded = errors.New("dynppr: write pipeline is overloaded")
+	// ErrVertexOutOfRange is returned by ApplyBatch and AddSource for a
+	// vertex id at or beyond NumVertices + MaxVertexGrowth. The mutation
+	// was NOT journaled and NOT applied. Serving front ends map it to 400.
+	ErrVertexOutOfRange = errors.New("dynppr: vertex id out of range")
 )
+
+// MaxVertexGrowth bounds how far past the current graph one mutation may
+// name a vertex. Ids are dense, so naming vertex v sizes every per-vertex
+// array — the graph's and every tracked source's — to v+1: without a bound
+// one small request could demand gigabytes, and since the WAL record is
+// written before the apply, a restarted process would replay it and fail
+// again. Vertex counts never shrink, so a check against an earlier count is
+// conservative.
+const MaxVertexGrowth = 1 << 16
+
+// checkVertex rejects a vertex id beyond the growth bound. It runs on the
+// pipeline, before anything is journaled.
+func (s *Service) checkVertex(v VertexID) error {
+	if n := s.g.NumVertices(); int(v) >= n+MaxVertexGrowth {
+		return fmt.Errorf("%w: %d, the graph has %d vertices", ErrVertexOutOfRange, v, n)
+	}
+	return nil
+}
 
 // NewService builds a serving layer over g tracking the given sources,
 // cold-starts every source to convergence, publishes their first snapshots,
@@ -405,6 +427,11 @@ func (s *Service) TryApplyBatch(b Batch) (BatchResult, error) {
 
 func (s *Service) applyBatch(ctx context.Context, b Batch) (BatchResult, error) {
 	return onPipeline(ctx, s, true, func() (BatchResult, error) {
+		for _, u := range b {
+			if err := s.checkVertex(max(u.U, u.V)); err != nil {
+				return BatchResult{}, err
+			}
+		}
 		if err := s.journalBatch(b); err != nil {
 			return BatchResult{}, err
 		}
@@ -545,6 +572,9 @@ func (s *Service) addSource(ctx context.Context, source VertexID, auto bool) err
 func (s *Service) validateAddSource(source VertexID) error {
 	if source < 0 {
 		return fmt.Errorf("dynppr: source must be non-negative, got %d", source)
+	}
+	if err := s.checkVertex(source); err != nil {
+		return err
 	}
 	if _, dup := (*s.table.Load())[source]; dup {
 		return fmt.Errorf("dynppr: source %d is already tracked", source)

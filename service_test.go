@@ -54,142 +54,6 @@ func TestNewServiceErrors(t *testing.T) {
 	}
 }
 
-// The service must publish exactly — to the float64 bit — what an offline
-// sequential Tracker per source computes over the same history, whoever
-// pushes which source (PoolWorkers 1: the pipeline pushes all of them; 2: a
-// count that does not divide the sources; 7: more workers than sources) and
-// whatever Options.Engine and Parallelism the caller passed: the service
-// takes no engine choice. A source is added and another removed between
-// batches, so an engine also outlives and predates the states it runs.
-func TestServiceMatchesTracker(t *testing.T) {
-	edges := serviceTestEdges(t, dynppr.ModelRMAT, 150, 900, 7)
-	initial, extra := edges[:600], edges[600:]
-	batches := make([]dynppr.Batch, 3)
-	for i, e := range extra {
-		op := dynppr.Insert
-		if i%5 == 4 {
-			// Delete an edge that was part of the initial graph.
-			e = initial[i]
-			op = dynppr.Delete
-		}
-		b := i * len(batches) / len(extra)
-		batches[b] = append(batches[b], dynppr.Update{U: e.U, V: e.V, Op: op})
-	}
-	top := dynppr.GraphFromEdges(initial).TopDegreeVertices(6)
-	sources, added, removed := top[:5], top[5], top[1]
-
-	// published holds the previous subtest's vectors: the next must serve
-	// the same bits.
-	var published map[dynppr.VertexID][]float64
-	for _, tc := range []struct {
-		name        string
-		pool        int
-		engine      dynppr.EngineKind
-		parallelism int
-	}{
-		{"pool=1", 1, dynppr.EngineParallel, 1},
-		{"pool=3", 3, dynppr.EngineDeterministic, 4},
-		{"pool=2", 2, dynppr.EngineSequential, 0},
-		{"pool=7", 7, dynppr.EngineParallel, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			so := dynppr.DefaultServiceOptions()
-			so.Options.Epsilon = 1e-5
-			so.Options.Engine = tc.engine
-			so.Options.Parallelism = tc.parallelism
-			so.PoolWorkers = tc.pool
-			svc, err := dynppr.NewService(dynppr.GraphFromEdges(initial), sources, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { svc.Close() })
-			if got := svc.Options().Options.Engine; got != dynppr.EngineSequential {
-				t.Fatalf("service given %v reports engine %v", tc.engine, got)
-			}
-			// History: batch 0, add a source, batch 1, remove a source, batch 2.
-			for i, b := range batches {
-				res, err := svc.ApplyBatch(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Applied == 0 || res.Pushes == 0 {
-					t.Fatalf("batch %d did nothing: %+v", i, res)
-				}
-				switch i {
-				case 0:
-					err = svc.AddSource(added)
-				case 1:
-					err = svc.RemoveSource(removed)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := svc.Estimates(removed); !errors.Is(err, dynppr.ErrUnknownSource) {
-				t.Fatalf("removed source still served: %v", err)
-			}
-
-			// Replay the same history on a fresh Tracker per surviving source.
-			opts := dynppr.DefaultOptions()
-			opts.Epsilon = 1e-5
-			opts.Engine = dynppr.EngineSequential
-			mine := make(map[dynppr.VertexID][]float64)
-			for _, s := range []dynppr.VertexID{sources[0], sources[2], sources[3], sources[4], added} {
-				g := dynppr.GraphFromEdges(initial)
-				first := 0
-				if s == added {
-					// The graph had absorbed batch 0 when the source cold-started.
-					for _, u := range batches[0] {
-						if u.Op == dynppr.Insert {
-							g.AddEdge(u.U, u.V)
-						} else {
-							g.RemoveEdge(u.U, u.V)
-						}
-					}
-					first = 1
-				}
-				tr, err := dynppr.NewTracker(g, s, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, b := range batches[first:] {
-					tr.ApplyBatch(b)
-				}
-				want := tr.Estimates()
-				got, info, err := svc.EstimatesInfo(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantEpoch := uint64(1 + len(batches) - first); !info.Converged() || info.Epoch != wantEpoch {
-					t.Fatalf("source %d: bad snapshot info %+v, want epoch %d", s, info, wantEpoch)
-				}
-				if !sameBits(got, want) {
-					t.Fatalf("source %d: service and tracker estimates differ in bits", s)
-				}
-				if published != nil && !sameBits(got, published[s]) {
-					t.Fatalf("source %d: the two services publish different bits", s)
-				}
-				mine[s] = got
-				// The TopK read path serves the tracker's ranking exactly.
-				gotTop, err := svc.TopK(s, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantTop := tr.TopK(5)
-				if len(gotTop) != len(wantTop) {
-					t.Fatalf("source %d: TopK lengths %d vs %d", s, len(gotTop), len(wantTop))
-				}
-				for i := range gotTop {
-					if gotTop[i].Vertex != wantTop[i].Vertex || math.Float64bits(gotTop[i].Score) != math.Float64bits(wantTop[i].Score) {
-						t.Fatalf("source %d: TopK[%d] %v vs %v", s, i, gotTop[i], wantTop[i])
-					}
-				}
-			}
-			published = mine
-		})
-	}
-}
-
 func TestServiceReadErrors(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, 60, 300, 5)
 	svc, _ := newTestService(t, edges, 2, 1e-4)

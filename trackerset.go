@@ -19,13 +19,15 @@ import (
 // is notified and then pushed, independent sources concurrently.
 //
 // It is the one multi-source maintainer: a Service holds a TrackerSet and
-// adds journaling, snapshot publication and admission around it. A source is
-// a pair of vectors; the scratch a push works in belongs to an engine, and
-// the set keeps one engine per worker — an engine holds nothing of a state
-// between runs — so scratch memory is workers ×, not sources ×. Which worker
-// pushes which source is decided per batch by whoever is free; a source's
-// bits cannot depend on it, because its push reads and writes only its own
-// state and the (quiescent) graph.
+// adds journaling, snapshot publication and admission around it. The set
+// keeps one engine per worker, and an engine holds nothing of a state
+// between runs; the scratch a push works in is the state's own. A source is
+// therefore its pair of vectors plus that scratch — the push FIFO, the
+// candidate de-dup map and the estimate-dirty set, kept at their
+// steady-state size across batches — so push scratch memory is sources ×,
+// not workers ×. Which worker pushes which source is decided per batch by
+// whoever is free; a source's bits cannot depend on it, because its push
+// reads and writes only its own state and the (quiescent) graph.
 //
 // With Options.Engine set to EngineSequential or EngineDeterministic the
 // whole set is therefore reproducible: each source's vectors are
