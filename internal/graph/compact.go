@@ -6,8 +6,14 @@ package graph
 // owns the graph. The protocol:
 //
 //	c := g.BeginCompaction()   // on the owner: O(#overlaid) freeze
-//	base := c.Build()          // anywhere: O(n+m) merge, owner keeps mutating
+//	base := c.Build()          // anywhere: run-copy merge, owner keeps mutating
 //	g.Install(c, base)         // on the owner: O(#overlaid) swap
+//
+// The merge copies rather than rebuilds. Base rows are contiguous and both
+// overlay directions are exact sorted lists, so each direction of the new
+// base is runs of old base rows copied between the overlaid ids plus the
+// overlay rows themselves: O(n) offsets and one sequential copy of m
+// targets per direction, with no transpose.
 //
 // Install drops exactly the delta segments whose content the frozen view
 // captured (their data is now in the new base) and keeps segments written
@@ -27,8 +33,9 @@ func (g *Graph) BeginCompaction() *Compaction {
 	return &Compaction{view: v, gen: g.viewGen}
 }
 
-// Build materializes the merged base segment. It reads only the frozen view,
-// so it may run concurrently with further mutations of the graph.
+// Build materializes the merged base segment (View.CSR). It reads only the
+// frozen view, so it may run concurrently with further mutations of the
+// graph.
 func (c *Compaction) Build() *CSR {
 	return c.view.CSR()
 }
@@ -69,8 +76,9 @@ func (g *Graph) Install(c *Compaction, base *CSR) bool {
 	return true
 }
 
-// Compact synchronously merges every delta segment into a fresh base. The
-// logical graph is unchanged; afterwards all reads hit the flat CSR arrays.
+// Compact synchronously merges every delta segment into a fresh base (the
+// Snapshot merge). The logical graph is unchanged; afterwards all reads hit
+// the flat CSR arrays.
 func (g *Graph) Compact() {
 	if len(g.overlaid) == 0 && g.base.n == g.n {
 		return
@@ -86,7 +94,7 @@ func (g *Graph) Compact() {
 }
 
 // compactMinDelta is the floor below which no compaction fires: compacting
-// a small delta trades an O(n+m) rebuild for little.
+// a small delta trades an O(n+m) merge for little.
 const compactMinDelta = 32768
 
 // CompactThreshold is the delta size (adjacency entries, counting both

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CSR is an immutable compressed-sparse-row segment of a graph, in both
 // directions. It is the base segment of the LSM-style store (every Graph
@@ -8,9 +11,12 @@ import "fmt"
 // power-iteration oracle operate on, and — its out arrays serialized
 // verbatim — the checkpoint image format that makes recovery a bulk load
 // instead of an edge replay. Every row is sorted by neighbor id, so the out
-// rows alone determine the segment: the in rows are their transpose, derived
-// by the one constructor, newCSR. Accessors assume ids in [0, NumVertices());
-// Graph and View perform the bounds checks before delegating.
+// rows alone determine the segment and the in rows are their transpose.
+// Two constructors keep it so: newCSR derives the in rows from out rows
+// (edge lists, checkpoint images), and mergeCSR copies both directions from
+// a base plus overlay rows that are already each other's transpose
+// (compaction). Accessors assume ids in [0, NumVertices()); Graph and View
+// perform the bounds checks before delegating.
 type CSR struct {
 	n int
 
@@ -21,8 +27,8 @@ type CSR struct {
 	inTargets []VertexID
 }
 
-// newCSR is the one CSR constructor. It takes ownership of out rows that
-// each strictly increase within [0, n) and derives the in rows by a
+// newCSR builds a CSR from out rows alone. It takes ownership of out rows
+// that each strictly increase within [0, n) and derives the in rows by a
 // counting-sort transpose: sources are scanned in ascending order, so every
 // in row comes out sorted too. O(n+m).
 func newCSR(outOffsets []int32, outTargets []VertexID) *CSR {
@@ -54,25 +60,77 @@ func newCSR(outOffsets []int32, outTargets []VertexID) *CSR {
 	}
 }
 
+// overlayRow is one vertex's delta segment in one direction: the complete
+// adjacency list that shadows the vertex's base row.
+type overlayRow struct {
+	id  VertexID
+	row []VertexID
+}
+
+// mergeCSR builds the CSR of a layered state: base rows for every vertex
+// without an overlay, the overlay row for every vertex with one, and empty
+// rows for vertices in [base.n, n) that have none. out and in must each be
+// sorted by id; m is the edge count (the target count of either direction).
+// Both overlay directions are the exact lists the graph serves, so the
+// in rows are copied like the out rows, never transposed.
+func mergeCSR(base *CSR, n, m int, out, in []overlayRow) *CSR {
+	c := &CSR{n: n}
+	c.outOffsets, c.outTargets = mergeRows(base.n, base.outOffsets, base.outTargets, n, m, out)
+	c.inOffsets, c.inTargets = mergeRows(base.n, base.inOffsets, base.inTargets, n, m, in)
+	return c
+}
+
+// mergeRows is one direction of mergeCSR. It walks the overlaid ids in
+// ascending order: each stretch of base rows between two of them is copied
+// with one append and its offsets shifted by how far the stretch moved, and
+// each overlaid id contributes its overlay row. O(n) offsets plus one
+// sequential copy of m targets.
+func mergeRows(baseN int, baseOff []int32, baseTgt []VertexID, n, m int, rows []overlayRow) ([]int32, []VertexID) {
+	offsets := make([]int32, n+1)
+	targets := make([]VertexID, 0, m)
+	next := 0 // first vertex whose row is not yet emitted
+	// runTo emits the rows of vertices [next, hi), none of them overlaid.
+	runTo := func(hi int) {
+		if b := min(hi, baseN); next < b {
+			lo := baseOff[next]
+			shift := int32(len(targets)) - lo
+			targets = append(targets, baseTgt[lo:baseOff[b]]...)
+			for u := next; u < b; u++ {
+				offsets[u+1] = baseOff[u+1] + shift
+			}
+			next = b
+		}
+		for end := int32(len(targets)); next < hi; next++ {
+			offsets[next+1] = end // past the base: no edges
+		}
+	}
+	for _, r := range rows {
+		runTo(int(r.id))
+		targets = append(targets, r.row...)
+		offsets[r.id+1] = int32(len(targets))
+		next = int(r.id) + 1
+	}
+	runTo(n)
+	return offsets, targets
+}
+
 // Snapshot builds a CSR copy of the current graph state, merging the base
 // segment with any delta segments. Every list is sorted, so a snapshot holds
 // exactly the live graph's lists and is bit-compatible with it for any float
 // summation.
 func (g *Graph) Snapshot() *CSR {
-	return buildCSR(g.n, g.OutNeighbors)
-}
-
-// buildCSR materializes a CSR from an out-adjacency accessor.
-func buildCSR(n int, out func(VertexID) []VertexID) *CSR {
-	offsets := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + int32(len(out(VertexID(u))))
+	ids := slices.Sorted(slices.Values(g.overlaid))
+	out := make([]overlayRow, 0, len(ids))
+	in := make([]overlayRow, 0, len(ids))
+	for _, u := range ids {
+		if s := g.outOv[u]; s != nil {
+			out = append(out, overlayRow{u, s})
+		}
+		if s := g.inOv[u]; s != nil {
+			in = append(in, overlayRow{u, s})
+		}
 	}
-	targets := make([]VertexID, 0, offsets[n])
-	for u := 0; u < n; u++ {
-		targets = append(targets, out(VertexID(u))...)
-	}
-	return newCSR(offsets, targets)
+	return mergeCSR(g.base, g.n, g.m, out, in)
 }
 
 // NewCSR assembles a CSR from raw out-direction offset/target arrays, taking

@@ -22,11 +22,13 @@
 // the floating-point summation order of every push it fixes: bits depend on
 // which edges a graph holds, never on the order in which they arrived.
 // Compaction (see compact.go) merges the overlays into a fresh base by
-// materializing exactly the logical adjacency, so it never perturbs order.
+// copying exactly the logical adjacency — runs of base rows between the
+// overlaid vertices, and each overlay row — so it never perturbs order.
 //
 // The out lists are the graph's only record of its edges: there is no
-// membership index, and every in list is the transpose of the out lists (a
-// CSR derives its in rows from its out rows). HasEdge is one binary search of
+// membership index, and every in list is the transpose of the out lists
+// (every mutation edits both, and CheckConsistency verifies it against a
+// transpose of the out lists). HasEdge is one binary search of
 // the out list, which is also how AddEdge refuses a duplicate and RemoveEdge
 // a missing edge before either touches any state.
 //
@@ -480,11 +482,11 @@ func (g *Graph) TopDegreeVertices(k int) []VertexID {
 
 // CheckConsistency validates the internal invariants of the graph: every out
 // list and every in list strictly increases within [0, n), every in list is
-// the transpose of the out lists (compared against Snapshot, O(n+m)), m
-// counts the out entries, the degree array holds every out list's length,
-// and the delta-segment accounting (deltaEdges, overlaid registry) matches
-// the segments actually present. It is used by tests and by failure
-// injection tooling.
+// the transpose of the out lists (compared against the counting-sort
+// transpose of Snapshot's out rows, O(n+m)), m counts the out entries, the
+// degree array holds every out list's length, and the delta-segment
+// accounting (deltaEdges, overlaid registry) matches the segments actually
+// present. It is used by tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
 	if len(g.outOv) != g.n || len(g.inOv) != g.n || len(g.outDeg) != g.n {
 		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots and %d degrees", g.n, len(g.outOv), len(g.inOv), len(g.outDeg))
@@ -503,9 +505,9 @@ func (g *Graph) CheckConsistency() error {
 	if count != g.m {
 		return fmt.Errorf("graph: edge count mismatch: m=%d, out lists hold %d", g.m, count)
 	}
-	snap := g.Snapshot()
+	tr := newCSR(g.Snapshot().RawOut())
 	for v := VertexID(0); int(v) < g.n; v++ {
-		if !slices.Equal(g.InNeighbors(v), snap.InNeighbors(v)) {
+		if !slices.Equal(g.InNeighbors(v), tr.InNeighbors(v)) {
 			return fmt.Errorf("graph: in list of %d is not the transpose of the out lists", v)
 		}
 	}

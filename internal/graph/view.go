@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Adjacency is the read-only neighbor-access surface shared by *CSR, *View
 // and *Graph. Code that only walks a frozen graph (cold pushes, random
 // walks, oracles) can accept any of the three. Accessor behavior for
@@ -137,8 +142,22 @@ func (v *View) InNeighbors(u VertexID) []VertexID {
 	return nil
 }
 
-// CSR materializes the view into a flat CSR. This is the off-pipeline half
-// of a background compaction.
+// CSR materializes the view into a flat CSR by the same run-copy merge as
+// Graph.Snapshot. This is the off-pipeline half of a background compaction:
+// it reads only the frozen base and overlay segments.
 func (v *View) CSR() *CSR {
-	return buildCSR(v.n, v.OutNeighbors)
+	out := make([]overlayRow, 0, len(v.ov))
+	in := make([]overlayRow, 0, len(v.ov))
+	for u, o := range v.ov {
+		if o.hasOut {
+			out = append(out, overlayRow{u, o.out})
+		}
+		if o.hasIn {
+			in = append(in, overlayRow{u, o.in})
+		}
+	}
+	byID := func(a, b overlayRow) int { return cmp.Compare(a.id, b.id) }
+	slices.SortFunc(out, byID)
+	slices.SortFunc(in, byID)
+	return mergeCSR(v.base, v.n, v.m, out, in)
 }

@@ -24,8 +24,8 @@ type Snapshot struct {
 	epsilon     float64
 
 	// top is the exact Top-K ranking of estimates (descending, ties by
-	// ascending vertex id), copied from the slot's incrementally maintained
-	// index at publication; nil when the slot's index is disabled. Its
+	// ascending vertex id), copied from the served prefix of the slot's
+	// incrementally maintained index at publication; nil when the slot's index is disabled. Its
 	// length is min(index capacity, NumVertices), so any TopK read with
 	// k ≤ len(top) is served in O(k) without scanning the vector.
 	top []VertexScore
@@ -160,7 +160,9 @@ type SnapshotSlot struct {
 
 // DefaultTopKCap is the Top-K index capacity NewSnapshotSlot selects: deep
 // enough for any realistic ranking request, shallow enough that the
-// per-publication index copy stays trivial next to the push itself.
+// per-publication index copy stays trivial next to the push itself. The
+// index keeps twice as many entries, so decays of served entries are
+// absorbed without a full rescan.
 const DefaultTopKCap = 128
 
 // NewSnapshotSlot returns an empty slot with a Top-K index of DefaultTopKCap
@@ -274,7 +276,7 @@ func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
 
 	if sl.topCap > 0 {
 		sl.index.apply(st, dirty, all)
-		spare.top = append(spare.top[:0], sl.index.entries...)
+		spare.top = append(spare.top[:0], sl.index.served()...)
 	}
 
 	// Rotate the dirty buffers: the set drained now is what the *other*

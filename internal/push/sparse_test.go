@@ -2,6 +2,7 @@ package push
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynppr/internal/gen"
@@ -115,8 +116,10 @@ func TestDeltaPublishBitIdentical(t *testing.T) {
 
 // TestTopIndexPropertyRandom hammers the incremental index with random
 // estimate rewrites (including exact ties, zeroing and negatives) and
-// asserts it equals the full-scan ranking after every apply — the apply
-// contract is "always exact afterwards", with staleness only deciding
+// asserts after every apply that the whole retained depth — not only the
+// served prefix — equals the full-scan ranking of that length, and that the
+// depth stays between the served min(cap, n) and 2×cap. The apply contract
+// is "always exact afterwards", with staleness and drains only deciding
 // whether a rebuild was needed.
 func TestTopIndexPropertyRandom(t *testing.T) {
 	const n, cap = 40, 8
@@ -142,18 +145,63 @@ func TestTopIndexPropertyRandom(t *testing.T) {
 			dirty = append(dirty, v)
 		}
 		ti.apply(st, dirty, false)
-		want := st.AppendTopK(nil, cap)
-		if len(ti.entries) != len(want) {
-			t.Fatalf("iter %d: index has %d entries, want %d", iter, len(ti.entries), len(want))
+		if d := len(ti.entries); d < cap || d > 2*cap {
+			t.Fatalf("iter %d: index holds %d entries, want between %d and %d", iter, d, cap, 2*cap)
 		}
+		want := st.AppendTopK(nil, len(ti.entries))
 		for i := range want {
 			if ti.entries[i] != want[i] {
 				t.Fatalf("iter %d: entry %d = %+v, want %+v (index %+v)", iter, i, ti.entries[i], want[i], want)
 			}
 		}
+		for v := range n {
+			if ti.member[v] != slices.Contains(want, VertexScore{Vertex: graph.VertexID(v), Score: st.Estimate(graph.VertexID(v))}) {
+				t.Fatalf("iter %d: member[%d] = %t disagrees with the entries", iter, v, ti.member[v])
+			}
+		}
 	}
-	if ti.rebuilds.Load() == 0 {
-		t.Fatal("random decays never invalidated the threshold — test is too tame")
+	if ti.rebuilds.Load() <= 1 {
+		t.Fatal("random decays never drained the index below its served depth — test is too tame")
+	}
+}
+
+// TestTopIndexAbsorbsDecays pins the slack: sinking the last served entry
+// of a full index drops it and promotes the next retained one, so cap such
+// sinks publish an exact prefix every time without a single rebuild beyond
+// the cold start; the sink that leaves fewer than cap entries rebuilds.
+func TestTopIndexAbsorbsDecays(t *testing.T) {
+	const n, cap = 200, 8
+	st, err := NewState(graph.New(n), 0, Config{Alpha: 0.15, Epsilon: 1e-5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range n {
+		st.p.Set(v, 1/float64(v+1))
+	}
+	slot := NewSnapshotSlotTopK(cap)
+	slot.Publish(st) // cold start
+	for sink := 1; sink <= cap+1; sink++ {
+		cur := slot.Acquire()
+		bottom := cur.TopK(cap)[cap-1].Vertex
+		cur.Release()
+		st.p.Set(int(bottom), 0)
+		st.MarkEstimatesDirty([]int32{bottom})
+		snap := slot.Publish(st)
+		if snap.TopIndexLen() != cap {
+			t.Fatalf("sink %d: published %d entries, want %d", sink, snap.TopIndexLen(), cap)
+		}
+		for k := 1; k <= cap; k++ {
+			if got, want := snap.TopK(k), st.AppendTopK(nil, k); !slices.Equal(got, want) {
+				t.Fatalf("sink %d k=%d: published %v, want %v", sink, k, got, want)
+			}
+		}
+		want := uint64(1) // the cold start
+		if sink > cap {
+			want = 2 // fewer than cap entries left: rebuilt
+		}
+		if got := slot.Stats().TopKRebuilds; got != want {
+			t.Fatalf("after %d sinks: %d rebuilds, want %d", sink, got, want)
+		}
 	}
 }
 

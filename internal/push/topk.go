@@ -1,6 +1,7 @@
 package push
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -122,23 +123,29 @@ func AppendTopKSparse(dst []VertexScore, n int, ids []graph.VertexID, vals []flo
 }
 
 // topIndex is the write-side master of the incrementally maintained Top-K
-// index: the exact top-cap ranking of one source's estimate vector, kept
-// sorted best-to-worst under scoreBetter. Its exactness invariant is that
-// every vertex outside the index ranks strictly below the last entry (the
-// admission threshold). Estimate changes arriving through the dirty set
-// preserve the invariant cheaply in almost all cases:
+// index: the exact top ranking of one source's estimate vector, kept sorted
+// best-to-worst under scoreBetter. It serves the first cap entries and keeps
+// up to 2×cap, the slack that absorbs decays. Its exactness invariant is
+// that every vertex outside the index ranks strictly below the last entry
+// (the admission threshold), so every prefix of the index is the exact
+// ranking of that length. Estimate changes arriving through the dirty set
+// preserve the invariant cheaply:
 //
 //   - an improvement of an indexed entry just repositions it;
 //   - a new or improved outside vertex is admitted iff it beats the
-//     threshold (evicting the worst entry, which by the invariant still
-//     ranks above every outside vertex);
-//   - a worsened indexed entry stays exact as long as it still beats the
-//     worst other entry — only when it sinks to the bottom does the index
-//     lose its handle on the outside (some unindexed vertex may now out-rank
-//     it), which marks the index stale.
+//     threshold (evicting the worst entry once the index is 2×cap deep,
+//     which by the invariant still ranks above every outside vertex);
+//   - a worsened indexed entry is repositioned; if it sinks to the bottom,
+//     some unindexed vertex may now out-rank it, so it is dropped — every
+//     remaining entry ranked at or above the old threshold, so it still
+//     outranks the whole outside set, the dropped vertex included.
 //
-// A stale index is rebuilt from a full scan of the estimate vector before
-// the next publication completes, so readers always see an exact ranking.
+// Drops make the index shallower. Only when fewer than min(cap, n) entries
+// remain — it can no longer serve the published prefix — is it rebuilt from
+// a full scan of the estimate vector, as it is when marked stale: on cold
+// start, on growth it cannot absorb and on a poisoned dirty set. Either way
+// the rebuild runs before the publication completes, so readers always see
+// an exact ranking.
 type topIndex struct {
 	cap     int
 	entries []VertexScore
@@ -151,10 +158,16 @@ type topIndex struct {
 	// common dirty-vertex case — not indexed, below threshold — O(1) instead
 	// of an O(cap) scan. Maintained by rebuild/update alongside entries.
 	member []bool
-	// rebuilds counts full-scan rebuilds (cold start, growth and threshold
-	// invalidation), for observability and tests. Atomic because Stats
-	// readers race the publishing goroutine.
+	// rebuilds counts full-scan rebuilds (cold start, growth, a poisoned
+	// dirty set and an index drained below its served depth), for
+	// observability and tests. Atomic because Stats readers race the
+	// publishing goroutine.
 	rebuilds atomic.Uint64
+}
+
+// served returns the published prefix: the first min(cap, len) entries.
+func (ti *topIndex) served() []VertexScore {
+	return ti.entries[:min(ti.cap, len(ti.entries))]
 }
 
 // rank returns the sorted position entry would occupy in the index.
@@ -165,7 +178,7 @@ func (ti *topIndex) rank(entry VertexScore) int {
 }
 
 // find returns the position of vertex v in the index, or -1. The index is
-// small (≤ cap entries), so a linear scan beats maintaining a side table.
+// small (≤ 2×cap entries), so a linear scan beats maintaining a side table.
 func (ti *topIndex) find(v graph.VertexID) int {
 	for i := range ti.entries {
 		if ti.entries[i].Vertex == v {
@@ -175,18 +188,14 @@ func (ti *topIndex) find(v graph.VertexID) int {
 	return -1
 }
 
-// rebuild recomputes the exact top-cap ranking from a full scan of the
+// rebuild recomputes the exact top-2×cap ranking from a full scan of the
 // state's estimate vector.
 func (ti *topIndex) rebuild(st *State) {
 	n := st.NumVertices()
-	k := ti.cap
-	if k > n {
-		k = n
-	}
 	for _, e := range ti.entries {
 		ti.member[e.Vertex] = false
 	}
-	ti.entries = st.AppendTopK(ti.entries[:0], k)
+	ti.entries = st.AppendTopK(ti.entries[:0], min(2*ti.cap, n))
 	for _, e := range ti.entries {
 		ti.member[e.Vertex] = true
 	}
@@ -196,22 +205,20 @@ func (ti *topIndex) rebuild(st *State) {
 }
 
 // noteGrowth absorbs an estimate-vector growth from ti.n to n vertices. New
-// vertices start with estimate 0; if the index is full and its threshold
-// beats a zero score they cannot displace anything, otherwise the index must
-// be rebuilt to admit them.
+// vertices start with estimate 0; if the threshold beats a zero score they
+// rank below it, otherwise the index must be rebuilt to admit them. (An
+// index too shallow for the grown vector is rebuilt by apply.)
 func (ti *topIndex) noteGrowth(n int) {
-	if len(ti.entries) < ti.cap || ti.entries[len(ti.entries)-1].Score <= 0 {
+	if len(ti.entries) == 0 || ti.entries[len(ti.entries)-1].Score <= 0 {
 		ti.stale = true
 	}
 	ti.n = n
 }
 
 // update applies one changed estimate (vertex v now scores s), preserving
-// the exactness invariant or marking the index stale.
+// the exactness invariant: by repositioning, admitting, evicting or
+// dropping an entry.
 func (ti *topIndex) update(v graph.VertexID, s float64) {
-	if ti.stale {
-		return
-	}
 	entry := VertexScore{Vertex: v, Score: s}
 	if ti.member[v] {
 		i := ti.find(v)
@@ -226,45 +233,44 @@ func (ti *topIndex) update(v graph.VertexID, s float64) {
 			ti.entries[r] = entry
 			return
 		}
-		// Worsening: reposition, then check the threshold. While the entry
-		// still beats the worst *other* entry the outside is still dominated
-		// (it ranked below the old threshold, which the new bottom entry
-		// equals or beats); once the worsened entry becomes the bottom, an
-		// unindexed vertex may out-rank it and the index is stale — unless
-		// the index holds every vertex, in which case there is no outside.
+		// Worsening: reposition among the others. While the entry still
+		// beats the worst *other* entry the outside is still dominated (it
+		// ranked below the old threshold, which the new bottom entry equals
+		// or beats). Once it becomes the bottom an unindexed vertex may
+		// out-rank it, so it leaves the index — unless the index holds every
+		// vertex, in which case there is no outside.
 		r := ti.rank(entry) - 1 // rank among the others (entry itself still counted at i)
 		copy(ti.entries[i:r], ti.entries[i+1:r+1])
 		ti.entries[r] = entry
-		if r == len(ti.entries)-1 && len(ti.entries) == ti.cap && ti.n > ti.cap {
-			ti.stale = true
+		if last := len(ti.entries) - 1; r == last && len(ti.entries) < ti.n {
+			ti.entries = ti.entries[:last]
+			ti.member[v] = false
 		}
 		return
 	}
-	// Outside vertex: admit iff it beats the threshold (or the index still
-	// has room, which only happens while it covers every vertex).
-	if len(ti.entries) < ti.cap {
-		r := ti.rank(entry)
-		ti.entries = append(ti.entries, VertexScore{})
-		copy(ti.entries[r+1:], ti.entries[r:])
-		ti.entries[r] = entry
-		ti.member[v] = true
+	// Outside vertex: admit iff it beats the threshold, evicting the bottom
+	// entry when the index is at its full depth.
+	last := len(ti.entries) - 1
+	if last < 0 || !scoreBetter(entry, ti.entries[last]) {
 		return
 	}
-	if last := len(ti.entries) - 1; scoreBetter(entry, ti.entries[last]) {
+	if len(ti.entries) == 2*ti.cap {
 		ti.member[ti.entries[last].Vertex] = false
-		r := ti.rank(entry)
-		copy(ti.entries[r+1:], ti.entries[r:last])
-		ti.entries[r] = entry
-		ti.member[v] = true
+		ti.entries = ti.entries[:last]
 	}
+	r := ti.rank(entry)
+	ti.entries = slices.Insert(ti.entries, r, entry)
+	ti.member[v] = true
 }
 
 // apply folds one publication's drained dirty set into the index: the
 // incremental path when the set is sparse and the index stayed exact, a full
-// rebuild otherwise. It must run after the engine has converged st (the
-// estimates read here are the ones the snapshot publishes).
+// rebuild when it is stale or drained below the served depth. It must run
+// after the engine has converged st (the estimates read here are the ones
+// the snapshot publishes).
 func (ti *topIndex) apply(st *State, dirty []int32, all bool) {
-	if n := st.NumVertices(); n != ti.n {
+	n := st.NumVertices()
+	if n != ti.n {
 		if ti.n == 0 {
 			ti.stale = true // cold start
 			ti.n = n
@@ -272,7 +278,7 @@ func (ti *topIndex) apply(st *State, dirty []int32, all bool) {
 			ti.noteGrowth(n)
 		}
 	}
-	if n := st.NumVertices(); len(ti.member) < n {
+	if len(ti.member) < n {
 		ti.member = append(ti.member, make([]bool, n-len(ti.member))...)
 	}
 	if all {
@@ -281,12 +287,9 @@ func (ti *topIndex) apply(st *State, dirty []int32, all bool) {
 	if !ti.stale {
 		for _, v := range dirty {
 			ti.update(v, st.Estimate(v))
-			if ti.stale {
-				break
-			}
 		}
 	}
-	if ti.stale {
+	if ti.stale || len(ti.entries) < min(ti.cap, n) {
 		ti.rebuild(st)
 	}
 }

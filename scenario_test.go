@@ -738,24 +738,55 @@ func TestCompactionDifferential(t *testing.T) {
 	}
 }
 
+// sparseWorkload is a stream shaped so that batches touch a small part of
+// the graph, with the sources it is run for.
+type sparseWorkload struct {
+	name    string
+	initial []Edge
+	sources []VertexID
+	stream  []Batch
+}
+
 // sparseWorkloads are shapes sized so that batches touch a small part of
 // the graph: publication takes the delta path and the incrementally
 // maintained Top-K index is exercised, which the small scenarios never do.
-func sparseWorkloads(t *testing.T) []struct {
-	name    string
-	initial []Edge
-	stream  []Batch
-} {
+// Each stream ends in a delete burst that cuts every in-edge of the
+// sources: their estimates elsewhere collapse, which sinks more indexed
+// entries than the index's slack absorbs, so it is rebuilt mid-stream.
+func sparseWorkloads(t *testing.T) []sparseWorkload {
 	universe := generate(t, SyntheticConfig{Model: ModelBarabasiAlbert, Vertices: 2000, Edges: 12000, Seed: 71})
 	windowInitial, window := windowWorkload(t, SyntheticConfig{Model: ModelRMAT, Vertices: 8000, Edges: 48000, Seed: 73}, 12, 30)
-	return []struct {
-		name    string
-		initial []Edge
-		stream  []Batch
-	}{
-		{"delete-heavy", universe, deleteHeavyStream(universe, universe, 72, 8, 60)},
-		{"sliding-window", windowInitial, window},
+	ws := []sparseWorkload{
+		{name: "delete-heavy", initial: universe, stream: deleteHeavyStream(universe, universe, 72, 8, 60)},
+		{name: "sliding-window", initial: windowInitial, stream: window},
 	}
+	for i := range ws {
+		ws[i].sources = GraphFromEdges(ws[i].initial).TopDegreeVertices(3)
+		ws[i].stream = append(ws[i].stream, deleteBurst(ws[i].initial, ws[i].stream, ws[i].sources))
+	}
+	return ws
+}
+
+// deleteBurst returns one batch deleting every in-edge of the sources that
+// initial and stream leave behind.
+func deleteBurst(initial []Edge, stream []Batch, sources []VertexID) Batch {
+	g := GraphFromEdges(initial)
+	for _, b := range stream {
+		for _, u := range b {
+			if u.Op == Insert {
+				g.AddEdge(u.U, u.V)
+			} else {
+				g.RemoveEdge(u.U, u.V)
+			}
+		}
+	}
+	var burst Batch
+	for _, s := range sources {
+		for _, u := range g.InNeighbors(s) {
+			burst = append(burst, Update{U: u, V: s, Op: Delete})
+		}
+	}
+	return burst
 }
 
 // requireSparsePaths asserts the delta publication path carried traffic and
@@ -788,7 +819,7 @@ func TestSparseServingDifferential(t *testing.T) {
 			for _, pool := range []int{1, 4} {
 				t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
 					requireSparsePaths(t, runScenario(t, scenario{
-						initial: w.initial, sources: GraphFromEdges(w.initial).TopDegreeVertices(3),
+						initial: w.initial, sources: w.sources,
 						epsilon: 1e-4, pool: pool, ops: batchOps(w.stream...),
 					}))
 				})
@@ -807,7 +838,7 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 	for _, pool := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
 			r := runScenario(t, scenario{
-				initial: w.initial, sources: GraphFromEdges(w.initial).TopDegreeVertices(3),
+				initial: w.initial, sources: w.sources,
 				epsilon: 1e-4, pool: pool, persist: true,
 				ops: slices.Concat(batchOps(w.stream[:half]...), []op{{kind: opCheckpoint}}, batchOps(w.stream[half:]...)),
 			})
