@@ -2,32 +2,12 @@ package push
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
 	"dynppr/internal/power"
 )
-
-// allEngines returns one instance of every engine under test, keyed by a
-// human-readable name. Parallel engines are instantiated both single- and
-// multi-worker so the concurrent code paths are exercised.
-func allEngines() map[string]Engine {
-	return map[string]Engine{
-		"sequential":    NewSequential(),
-		"opt-w1":        NewParallel(VariantOpt, 1),
-		"opt-w4":        NewParallel(VariantOpt, 4),
-		"eager-w4":      NewParallel(VariantEager, 4),
-		"dupdetect-w4":  NewParallel(VariantDupDetect, 4),
-		"vanilla-w1":    NewParallel(VariantVanilla, 1),
-		"vanilla-w4":    NewParallel(VariantVanilla, 4),
-		"opt-default-w": NewParallel(VariantOpt, 0),
-		"eager-w1":      NewParallel(VariantEager, 1),
-		"dupdetect-w1":  NewParallel(VariantDupDetect, 1),
-	}
-}
 
 func TestVariantString(t *testing.T) {
 	if VariantOpt.String() != "Opt" || VariantEager.String() != "Eager" ||
@@ -139,141 +119,6 @@ func TestEagerRemovesParallelLossOnFigure3(t *testing.T) {
 	}
 }
 
-// Theorem 2: every engine produces a valid ε-approximation of the exact
-// contribution PPR vector on a static graph, from a cold start.
-func TestAllEnginesApproximateOracle(t *testing.T) {
-	g, err := gen.Generate(gen.Config{Model: gen.RMAT, Vertices: 300, Edges: 2500, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	source := g.TopDegreeVertices(1)[0]
-	cfg := Config{Alpha: 0.15, Epsilon: 1e-4}
-	oracle, err := power.ReverseGraph(g, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, e := range allEngines() {
-		st, err := NewState(g, source, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Run(st, []graph.VertexID{source})
-		if !st.Converged() {
-			t.Errorf("%s: not converged", name)
-			continue
-		}
-		if err := requireInvariant(st); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		worst := power.MaxAbsDiff(st.Estimates(), oracle)
-		if worst > cfg.Epsilon {
-			t.Errorf("%s: max error %v exceeds epsilon %v", name, worst, cfg.Epsilon)
-		}
-	}
-}
-
-// Dynamic maintenance: after an arbitrary mix of insertions and deletions,
-// every engine keeps the estimate within ε of the exact vector of the
-// *current* graph.
-func TestDynamicMaintenanceTracksOracle(t *testing.T) {
-	base, err := gen.EdgeList(gen.Config{Model: gen.BarabasiAlbert, Vertices: 150, Edges: 900, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Alpha: 0.15, Epsilon: 1e-4}
-	for name, e := range allEngines() {
-		rng := rand.New(rand.NewSource(99))
-		g := graph.FromEdges(base[:600])
-		source := g.TopDegreeVertices(1)[0]
-		st, err := NewState(g, source, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Run(st, []graph.VertexID{source})
-		// Apply 5 batches of mixed updates, re-pushing after each.
-		next := 600
-		for b := 0; b < 5; b++ {
-			var touched []graph.VertexID
-			for i := 0; i < 40 && next < len(base); i++ {
-				if rng.Intn(4) == 0 {
-					// Delete a random existing edge.
-					edges := g.Edges()
-					if len(edges) == 0 {
-						continue
-					}
-					del := edges[rng.Intn(len(edges))]
-					if changed, _ := st.ApplyDelete(del.U, del.V); changed {
-						touched = append(touched, del.U)
-					}
-				} else {
-					ins := base[next]
-					next++
-					if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
-						touched = append(touched, ins.U)
-					}
-				}
-			}
-			e.Run(st, touched)
-			if !st.Converged() {
-				t.Fatalf("%s: batch %d not converged", name, b)
-			}
-		}
-		oracle, err := power.ReverseGraph(g, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		worst := power.MaxAbsDiff(st.Estimates(), oracle)
-		if worst > cfg.Epsilon {
-			t.Errorf("%s: max error %v exceeds epsilon %v after dynamic updates", name, worst, cfg.Epsilon)
-		}
-		if err := requireInvariant(st); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-// Deletions only: shrinking the graph must also stay within ε (negative
-// residual phase heavily exercised).
-func TestDeletionHeavyWorkload(t *testing.T) {
-	g, err := gen.Generate(gen.Config{Model: gen.ErdosRenyi, Vertices: 120, Edges: 900, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Alpha: 0.2, Epsilon: 1e-4}
-	source := g.TopDegreeVertices(1)[0]
-	for name, e := range map[string]Engine{
-		"sequential": NewSequential(),
-		"opt-w4":     NewParallel(VariantOpt, 4),
-		"vanilla-w4": NewParallel(VariantVanilla, 4),
-	} {
-		gg := g.Clone()
-		st, err := NewState(gg, source, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Run(st, []graph.VertexID{source})
-		rng := rand.New(rand.NewSource(3))
-		for b := 0; b < 4; b++ {
-			var touched []graph.VertexID
-			edges := gg.Edges()
-			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-			for _, del := range edges[:50] {
-				if changed, _ := st.ApplyDelete(del.U, del.V); changed {
-					touched = append(touched, del.U)
-				}
-			}
-			e.Run(st, touched)
-		}
-		oracle, err := power.ReverseGraph(gg, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > cfg.Epsilon {
-			t.Errorf("%s: max error %v exceeds epsilon", name, worst)
-		}
-	}
-}
-
 // Lemma 4 (parallel loss): on the paper's example the vanilla parallel push
 // performs at least as many pushes as the sequential push, and the eager
 // variants perform no more than the vanilla one.
@@ -332,60 +177,6 @@ func TestDuplicateDetectionCounters(t *testing.T) {
 	NewParallel(VariantOpt, 4).Run(stOpt, []graph.VertexID{200})
 	if stOpt.Counters.DuplicateAttempts != 0 {
 		t.Error("opt variant must not perform global duplicate detection")
-	}
-}
-
-// Property: for random small graphs and random batches, every engine
-// converges, preserves the invariant, and agrees with the oracle within ε.
-func TestEnginesQuickProperty(t *testing.T) {
-	engines := map[string]Engine{
-		"sequential": NewSequential(),
-		"opt-w4":     NewParallel(VariantOpt, 4),
-		"vanilla-w2": NewParallel(VariantVanilla, 2),
-		"eager-w2":   NewParallel(VariantEager, 2),
-		"dup-w2":     NewParallel(VariantDupDetect, 2),
-	}
-	f := func(seed int64) bool {
-		edges, err := gen.EdgeList(gen.Config{Model: gen.ErdosRenyi, Vertices: 40, Edges: 200, Seed: seed})
-		if err != nil {
-			return false
-		}
-		cfg := Config{Alpha: 0.15, Epsilon: 1e-3}
-		for name, e := range engines {
-			g := graph.FromEdges(edges[:150])
-			st, err := NewState(g, 0, cfg)
-			if err != nil {
-				return false
-			}
-			e.Run(st, []graph.VertexID{0})
-			var touched []graph.VertexID
-			for _, ins := range edges[150:] {
-				if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
-					touched = append(touched, ins.U)
-				}
-			}
-			e.Run(st, touched)
-			if !st.Converged() {
-				t.Logf("%s seed %d: not converged", name, seed)
-				return false
-			}
-			if st.InvariantError() > 1e-8 {
-				t.Logf("%s seed %d: invariant error %v", name, seed, st.InvariantError())
-				return false
-			}
-			oracle, err := power.ReverseGraph(g, 0, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-12, MaxIterations: 10000})
-			if err != nil {
-				return false
-			}
-			if power.MaxAbsDiff(st.Estimates(), oracle) > cfg.Epsilon {
-				t.Logf("%s seed %d: approximation too loose", name, seed)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,10 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"dynppr/internal/gen"
 	"dynppr/internal/graph"
-	"dynppr/internal/power"
-	"dynppr/internal/push"
 )
 
 func TestVertexSubsetSparse(t *testing.T) {
@@ -144,103 +141,5 @@ func TestEdgeMapFrontierGeneration(t *testing.T) {
 func TestPPREngineName(t *testing.T) {
 	if NewPPREngine(4).Name() != "ligra-w4" {
 		t.Fatal("engine name wrong")
-	}
-}
-
-// The vertex-centric engine must produce the same ε-guarantee as the
-// specialized engines, both from a cold start and across dynamic updates:
-// an insert batch, then a delete-heavy batch that tears down most of the
-// initial edges (three deletes to one insert, some deletes missing).
-func TestPPREngineMatchesOracle(t *testing.T) {
-	edges, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: 200, Edges: 1500, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.FromEdges(edges[:1000])
-	source := g.TopDegreeVertices(1)[0]
-	cfg := push.Config{Alpha: 0.15, Epsilon: 1e-4}
-	st, err := push.NewState(g, source, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := NewPPREngine(4)
-	engine.Run(st, []graph.VertexID{source})
-	if !st.Converged() {
-		t.Fatal("not converged after cold start")
-	}
-
-	check := func(stage string) {
-		t.Helper()
-		if !st.Converged() {
-			t.Fatalf("%s: not converged", stage)
-		}
-		if st.InvariantError() > 1e-8 {
-			t.Fatalf("%s: invariant error %v", stage, st.InvariantError())
-		}
-		oracle, err := power.ReverseGraph(g, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > cfg.Epsilon {
-			t.Fatalf("%s: max error %v exceeds epsilon", stage, worst)
-		}
-	}
-
-	var touched []graph.VertexID
-	for _, ins := range edges[1000:] {
-		if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
-			touched = append(touched, ins.U)
-		}
-	}
-	engine.Run(st, touched)
-	check("inserts")
-
-	rng := rand.New(rand.NewSource(43))
-	before := g.NumEdges()
-	touched = touched[:0]
-	for i := 0; i < 2400; i++ {
-		e := edges[rng.Intn(len(edges))]
-		var changed bool
-		if i%4 == 3 {
-			changed, _ = st.ApplyInsert(e.U, e.V)
-		} else {
-			changed, _ = st.ApplyDelete(e.U, e.V)
-		}
-		if changed {
-			touched = append(touched, e.U)
-		}
-	}
-	if g.NumEdges() >= before/2 {
-		t.Fatalf("delete batch was not delete-heavy: %d of %d edges remain", g.NumEdges(), before)
-	}
-	engine.Run(st, touched)
-	check("deletes")
-}
-
-// The dense/sparse switch must not change results: force each representation
-// and compare against the specialized sequential engine.
-func TestPPREngineDenseSparseAgree(t *testing.T) {
-	g, err := gen.Generate(gen.Config{Model: gen.BarabasiAlbert, Vertices: 150, Edges: 2000, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	source := g.TopDegreeVertices(1)[0]
-	cfg := push.Config{Alpha: 0.15, Epsilon: 1e-4}
-
-	reference, err := push.NewState(g.Clone(), source, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	push.NewSequential().Run(reference, []graph.VertexID{source})
-
-	st, err := push.NewState(g.Clone(), source, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewPPREngine(4).Run(st, []graph.VertexID{source})
-
-	// Both are ε-approximations of the same vector, so they differ by at most 2ε.
-	if d := power.MaxAbsDiff(reference.Estimates(), st.Estimates()); d > 2*cfg.Epsilon {
-		t.Fatalf("vertex-centric result differs from sequential by %v", d)
 	}
 }

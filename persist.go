@@ -574,16 +574,12 @@ func (s *Service) doCheckpoint() (uint64, error) {
 // mutates in place and ckpt.WriteFile serializes it before this pipeline
 // step completes — no mutation can run until then.
 func (s *Service) checkpointData(lsn uint64) *ckpt.Data {
-	epochBefore := s.g.Epoch()
-	csr := s.g.CompactedSnapshot()
-	if s.g.Epoch() != epochBefore {
-		s.compactions.Add(1)
-	}
+	s.compactInline()
 	data := &ckpt.Data{
 		LSN:     lsn,
 		Alpha:   s.opts.Options.Alpha,
 		Epsilon: s.opts.Options.Epsilon,
-		CSR:     csr,
+		CSR:     s.g.CompactedSnapshot(),
 	}
 	table := *s.table.Load()
 	for _, source := range s.Sources() { // ascending, as the format requires

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -108,6 +109,10 @@ type scenario struct {
 	persist, faults bool
 	onDemand        OnDemandOptions
 	ops             []op
+	// oracles, when set, is shared by the runs of one history: they copy
+	// the oracle from it instead of pushing it again. Runs sharing one
+	// share initial, sources and epsilon.
+	oracles *oracleLog
 }
 
 func (sc scenario) options() Options {
@@ -146,9 +151,12 @@ type scenarioRun struct {
 	// removals) in journal order: on a persistent service the i-th carries
 	// LSN i.
 	history []op
-	comp    *graph.Compaction
-	cold    []coldAnswer
-	steps   int
+	// logged counts the leading acknowledged mutations that equal those
+	// of sc.oracles: while all of them do, the oracle is copied from it.
+	logged int
+	comp   *graph.Compaction
+	cold   []coldAnswer
+	steps  int
 }
 
 // runScenario boots the scenario's Service, checks it, and runs its ops.
@@ -198,18 +206,27 @@ func (r *scenarioRun) run(ops ...op) {
 // resetOracle rebuilds the oracle from the initial graph and replays the
 // acknowledged history into it.
 func (r *scenarioRun) resetOracle() {
-	opts := r.sc.options()
-	opts.Engine = EngineSequential
-	ts, err := newTrackerSet(GraphFromEdges(r.sc.initial), opts, 1, r.sc.sources, nil, nil)
-	if err != nil {
-		r.t.Fatal(err)
+	history, log := r.history, r.sc.oracles
+	r.history, r.logged = nil, 0
+	if log != nil && len(log.states) > 0 {
+		r.restore(log.states[0])
+	} else {
+		opts := r.sc.options()
+		opts.Engine = EngineSequential
+		ts, err := newTrackerSet(GraphFromEdges(r.sc.initial), opts, 1, r.sc.sources, nil, nil)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		r.oracle, r.epochs = ts, make(map[VertexID]uint64, len(r.sc.sources))
+		for _, s := range r.sc.sources {
+			r.epochs[s] = 1
+		}
+		if log != nil {
+			r.record(log)
+		}
 	}
-	r.oracle, r.epochs = ts, make(map[VertexID]uint64, len(r.sc.sources))
-	for _, s := range r.sc.sources {
-		r.epochs[s] = 1
-	}
-	for _, m := range r.history {
-		r.mirror(m)
+	for _, m := range history {
+		r.ack(m)
 	}
 }
 
@@ -237,10 +254,76 @@ func (r *scenarioRun) mirror(m op) int {
 	return 0
 }
 
-// ack records an acknowledged mutation and mirrors it into the oracle.
+// ack records an acknowledged mutation and mirrors it into the oracle, or
+// copies the oracle from the log while the history follows the log's.
 func (r *scenarioRun) ack(m op) int {
 	r.history = append(r.history, m)
-	return r.mirror(m)
+	n, log := len(r.history), r.sc.oracles
+	if log == nil || r.logged != n-1 {
+		return r.mirror(m)
+	}
+	if n <= len(log.history) {
+		if !sameOp(log.history[n-1], m) {
+			return r.mirror(m)
+		}
+		r.logged = n
+		r.restore(log.states[n])
+		return log.applied[n-1]
+	}
+	applied := r.mirror(m)
+	log.history, log.applied = append(log.history, m), append(log.applied, applied)
+	r.record(log)
+	r.logged = n
+	return applied
+}
+
+// oracleLog is the oracle after each acknowledged mutation of one history,
+// recorded by the first run to get there.
+type oracleLog struct {
+	history []op
+	applied []int        // each mutation's effective updates
+	states  []oracleCopy // states[i]: after history[:i]
+}
+
+// oracleCopy is an oracle and its expected epochs at one point of a
+// history.
+type oracleCopy struct {
+	oracle *TrackerSet
+	epochs map[VertexID]uint64
+}
+
+// copy returns a deep copy of c: the same graph and the same vectors, bit
+// for bit.
+func (c oracleCopy) copy(t *testing.T) oracleCopy {
+	g := c.oracle.g.Clone()
+	states := make([]*push.State, len(c.oracle.states))
+	for i, st := range c.oracle.states {
+		var err error
+		if states[i], err = push.RestoreState(g, st.Source(), st.Config(), st.Estimates(), st.Residuals()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, err := newTrackerSet(g, c.oracle.opts, 1, c.oracle.sources, states, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracleCopy{ts, maps.Clone(c.epochs)}
+}
+
+// restore sets the run's oracle to a copy of c.
+func (r *scenarioRun) restore(c oracleCopy) {
+	c = c.copy(r.t)
+	r.oracle, r.epochs = c.oracle, c.epochs
+}
+
+// record appends a copy of the run's oracle to log.
+func (r *scenarioRun) record(log *oracleLog) {
+	log.states = append(log.states, oracleCopy{r.oracle, r.epochs}.copy(r.t))
+}
+
+// sameOp reports whether two acknowledged mutations are the same.
+func sameOp(a, b op) bool {
+	return a.kind == b.kind && a.source == b.source && slices.Equal(a.batch, b.batch)
 }
 
 // invalid reports whether the Service must refuse a mutation, judged on the
@@ -378,16 +461,26 @@ func (r *scenarioRun) oracleSources() []VertexID {
 	return s
 }
 
-// restart closes the Service, checks that its journal holds exactly the
-// acknowledged mutations past its last checkpoint, optionally cuts the WAL
-// at cut bytes (rewinding the oracle to the records that survive), and
-// recovers at pool workers.
+// restart crashes the Service, optionally cuts its WAL at cut bytes
+// (rewinding the oracle to the mutations that survive), and recovers at pool
+// workers.
 func (r *scenarioRun) restart(pool int, cut int64) {
-	t := r.t
-	t.Helper()
 	if r.dir == "" {
 		return
 	}
+	r.crash()
+	if n := r.cutWAL(cut); n < len(r.history) {
+		r.history = r.history[:n]
+		r.resetOracle()
+	}
+	r.recoverAt(pool)
+}
+
+// crash closes the Service and checks that its journal holds exactly the
+// acknowledged mutations past its last checkpoint.
+func (r *scenarioRun) crash() {
+	t := r.t
+	t.Helper()
 	if r.in != nil {
 		// Faults are for mutations: a rule that has not fired yet must not
 		// break the boot.
@@ -398,7 +491,7 @@ func (r *scenarioRun) restart(pool int, cut int64) {
 	if err := r.svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, size, err := wal.ScanFile(walPath(r.dir))
+	_, recs, _, err := wal.ScanFile(walPath(r.dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,28 +506,65 @@ func (r *scenarioRun) restart(pool int, cut int64) {
 			t.Fatalf("journal record %d is %+v, want the acknowledged %v %d", covered+i, rec, m.kind, m.source)
 		}
 	}
-	if cut >= 0 && cut < size {
-		kept := 0
-		for _, rec := range recs {
-			if rec.Offset+int64(rec.EncodedLen) <= cut {
-				kept++
-			}
-		}
-		if err := os.Truncate(walPath(r.dir), cut); err != nil {
-			t.Fatal(err)
-		}
-		r.history = r.history[:covered+kept]
-		r.resetOracle()
+}
+
+// cutWAL truncates a crashed run's WAL at cut bytes when the cut falls
+// inside it, and returns how many acknowledged mutations survive: those the
+// checkpoint covers and the records that end by the cut.
+func (r *scenarioRun) cutWAL(cut int64) int {
+	t := r.t
+	t.Helper()
+	_, recs, size, err := wal.ScanFile(walPath(r.dir))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if cut < 0 || cut >= size {
+		return len(r.history)
+	}
+	kept := 0
+	for _, rec := range recs {
+		if rec.Offset+int64(rec.EncodedLen) <= cut {
+			kept++
+		}
+	}
+	if err := os.Truncate(walPath(r.dir), cut); err != nil {
+		t.Fatal(err)
+	}
+	return len(r.history) - len(recs) + kept // crash checked the records are the history's last
+}
+
+// recoverAt recovers a crashed run at pool workers.
+func (r *scenarioRun) recoverAt(pool int) {
+	t := r.t
+	t.Helper()
 	r.so.PoolWorkers = pool
 	rec, err := NewServiceFromRecovery(r.so, r.po)
 	if err != nil {
-		t.Fatalf("recovery at a %d-byte WAL cut: %v", cut, err)
+		t.Fatalf("recovery of %d acknowledged mutations: %v", len(r.history), err)
 	}
 	r.svc, r.comp = rec, nil
 	if _, err := ckpt.LoadFileFS(faultfs.OS, checkpointPath(r.dir)); err != nil {
 		t.Fatalf("checkpoint undecodable after a restart: %v", err)
 	}
+}
+
+// fork copies a crashed run for t, with the copy's WAL cut at cut bytes (a
+// cut < 0 keeps it whole): a copy of the data directory, and the history and
+// oracle rewound to the mutations that survive the cut, ready for recoverAt.
+// The crashed run is left as it was, so it can be forked again.
+func (r *scenarioRun) fork(t *testing.T, cut int64) *scenarioRun {
+	t.Helper()
+	f := *r
+	f.t, f.dir = t, filepath.Join(t.TempDir(), "data")
+	f.po.Dir = f.dir
+	if err := os.CopyFS(f.dir, os.DirFS(r.dir)); err != nil {
+		t.Fatal(err)
+	}
+	n := f.cutWAL(cut)
+	f.history, f.cold = slices.Clone(r.history[:n]), nil
+	f.resetOracle()
+	t.Cleanup(func() { f.svc.Close() })
+	return &f
 }
 
 // checkServing is the serving contract, checked after every op:
@@ -686,19 +816,21 @@ func TestCompactionDifferential(t *testing.T) {
 	cfg := SyntheticConfig{Model: ModelErdosRenyi, Vertices: 1000, Edges: 60000, Seed: 5}
 	universe := generate(t, cfg)
 	windowInitial, window := windowWorkload(t, cfg, 20, 300)
+	streams := []struct {
+		name    string
+		initial []Edge
+		stream  []Batch
+		oracles *oracleLog // one history for all four runs
+	}{
+		{"delete-heavy", universe[:30000], deleteHeavyStream(universe, universe[:30000], 99, 20, 300), new(oracleLog)},
+		{"sliding-window", windowInitial, window, new(oracleLog)},
+	}
 	for _, par := range []int{1, 4} {
-		for _, st := range []struct {
-			name    string
-			initial []Edge
-			stream  []Batch
-		}{
-			{"delete-heavy", universe[:30000], deleteHeavyStream(universe, universe[:30000], 99, 20, 300)},
-			{"sliding-window", windowInitial, window},
-		} {
+		for _, st := range streams {
 			t.Run(fmt.Sprintf("%s/par=%d", st.name, par), func(t *testing.T) {
 				sc := scenario{
 					initial: st.initial, sources: GraphFromEdges(st.initial).TopDegreeVertices(3),
-					epsilon: 1e-5, pool: par, persist: true, ops: batchOps(st.stream...),
+					epsilon: 1e-5, pool: par, persist: true, ops: batchOps(st.stream...), oracles: st.oracles,
 				}
 				on := runScenario(t, sc)
 				// Every threshold crossing starts a merge: the installed ones
@@ -860,7 +992,9 @@ func TestSparseServingAcrossRecovery(t *testing.T) {
 // inside records (mid-frame, mid-payload, one byte short), and each cut is
 // recovered at the other pool size — restoring epochs above 1 from the
 // checkpoint — checked against the oracle rewound to the surviving records,
-// and driven through the lost rest of the stream.
+// and driven through the lost rest of the stream. The journaled run is
+// bit-deterministic, so it is run and checked once per pool size; each cut
+// recovers a copy of its data directory.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	initial, stream := windowWorkload(t, recoveryGraph(400, 4000), 8, 25)
 	top := GraphFromEdges(initial).TopDegreeVertices(3)
@@ -868,10 +1002,12 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	// tail is journaled after the checkpoint, one WAL record per op.
 	tail := []op{batchOp(stream[4]), addOp(top[2]), batchOp(stream[5]), removeOp(top[0]), batchOp(stream[6]), batchOp(stream[7])}
 	ops := slices.Concat(head, []op{{kind: opCheckpoint}}, tail)
+	oracles := new(oracleLog) // the forks rewind and replay the journaled history
 	for _, pool := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
-			sc := scenario{initial: initial, sources: top[:2], epsilon: 1e-5, pool: pool, persist: true, ops: ops}
-			_, recs, size, err := wal.ScanFile(walPath(runScenario(t, sc).dir))
+			journaled := runScenario(t, scenario{initial: initial, sources: top[:2], epsilon: 1e-5, pool: pool, persist: true, ops: ops, oracles: oracles})
+			journaled.crash()
+			_, recs, size, err := wal.ScanFile(walPath(journaled.dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -881,9 +1017,9 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				cuts = append(cuts, rec.Offset, rec.Offset+3, rec.Offset+10, end-1, end)
 			}
 			for _, cut := range cuts {
-				crash := sc
-				crash.ops = slices.Concat(ops, []op{restartOp(5-pool, cut)})
-				r := runScenario(t, crash)
+				r := journaled.fork(t, cut)
+				r.recoverAt(5 - pool)
+				r.checkServing(fmt.Sprintf("recovery at a %d-byte cut", cut))
 				// Replay what the cut lost: the oracle kept the head and the
 				// surviving records.
 				r.run(tail[len(r.history)-len(head):]...)
@@ -936,11 +1072,12 @@ func TestRecoveryWithCheckpointAndSourceChurn(t *testing.T) {
 // decode, and a recovery at the other pool size must check out too.
 func TestChaosDifferential(t *testing.T) {
 	initial, stream := windowWorkload(t, recoveryGraph(250, 2500), 5, 20)
+	oracles := new(oracleLog) // every run acknowledges the same mutations
 	for _, pool := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism=%d", pool), func(t *testing.T) {
 			sc := scenario{
 				initial: initial, sources: GraphFromEdges(initial).TopDegreeVertices(2),
-				epsilon: 1e-5, pool: pool, faults: true,
+				epsilon: 1e-5, pool: pool, faults: true, oracles: oracles,
 				ops: slices.Concat(batchOps(stream[:3]...), []op{{kind: opCheckpoint}}, batchOps(stream[3:]...)),
 			}
 			calm := runScenario(t, sc)

@@ -488,10 +488,7 @@ func (s *Service) maybeCompact() {
 	case d < th:
 		return
 	case d >= 4*th:
-		start := time.Now()
-		s.g.Compact()
-		s.compactions.Add(1)
-		s.lastCompactNs.Store(int64(time.Since(start)))
+		s.compactInline()
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -525,14 +522,21 @@ func (s *Service) maybeCompact() {
 // Graph.CompactThreshold.
 func (s *Service) CompactNow() error {
 	_, err := onPipeline(context.Background(), s, true, func() (struct{}, error) {
-		before := s.g.Epoch()
-		s.g.Compact()
-		if s.g.Epoch() != before {
-			s.compactions.Add(1)
-		}
+		s.compactInline()
 		return struct{}{}, nil
 	})
 	return err
+}
+
+// compactInline merges the graph's deltas into its base on the pipeline; a
+// base swap is counted and timed as the latest compaction.
+func (s *Service) compactInline() {
+	before, start := s.g.Epoch(), time.Now()
+	s.g.Compact()
+	if s.g.Epoch() != before {
+		s.compactions.Add(1)
+		s.lastCompactNs.Store(int64(time.Since(start)))
+	}
 }
 
 // AddSource starts tracking a new source: its state is cold-started on the

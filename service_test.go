@@ -194,6 +194,14 @@ func TestServiceStats(t *testing.T) {
 	if stats.AvgBatchLatency != stats.TotalBatchLatency/1 {
 		t.Fatal("avg latency mismatch for one batch")
 	}
+
+	// Every base swap counts and is timed, the inline ones included.
+	if err := svc.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats().Storage; st.Compactions != 1 || st.LastCompaction <= 0 {
+		t.Fatalf("after CompactNow: %d compactions, last took %v; want 1, timed", st.Compactions, st.LastCompaction)
+	}
 }
 
 func TestServiceClose(t *testing.T) {
