@@ -157,63 +157,6 @@ func TestTrackerApplyBatchInsertAndDelete(t *testing.T) {
 	}
 }
 
-func TestTrackerEnginesAgree(t *testing.T) {
-	edges, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
-		Model: dynppr.ModelRMAT, Vertices: 200, Edges: 1200, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// perUpdate feeds the inserts one ApplyUpdate at a time — restore and
-	// push per update, the prior state of the art — instead of as one batch.
-	build := func(engine dynppr.EngineKind, perUpdate bool) *dynppr.Tracker {
-		opts := dynppr.DefaultOptions()
-		opts.Engine = engine
-		opts.Epsilon = 1e-5
-		opts.Parallelism = 4
-		g := dynppr.GraphFromEdges(edges[:800])
-		tr, err := dynppr.NewTracker(g, 0, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make(dynppr.Batch, 0, 400)
-		for _, e := range edges[800:] {
-			batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: dynppr.Insert})
-		}
-		if perUpdate {
-			for _, u := range batch {
-				tr.ApplyUpdate(u)
-			}
-		} else {
-			tr.ApplyBatch(batch)
-		}
-		return tr
-	}
-	reference := build(dynppr.EngineSequential, false)
-	configs := []struct {
-		name      string
-		engine    dynppr.EngineKind
-		perUpdate bool
-	}{
-		{"parallel-opt", dynppr.EngineParallel, false},
-		{"sequential-per-update", dynppr.EngineSequential, true},
-	}
-	refEst := reference.Estimates()
-	for _, c := range configs {
-		tr := build(c.engine, c.perUpdate)
-		est := tr.Estimates()
-		if len(est) != len(refEst) {
-			t.Fatalf("%s: estimate length mismatch", c.name)
-		}
-		for v := range est {
-			if d := math.Abs(est[v] - refEst[v]); d > 2e-5 {
-				t.Errorf("%s: estimate of %d differs from sequential by %v", c.name, v, d)
-				break
-			}
-		}
-	}
-}
-
 func TestTrackerTopK(t *testing.T) {
 	g := lineGraph(6)
 	tr, err := dynppr.NewTracker(g, 5, dynppr.DefaultOptions())
@@ -237,45 +180,6 @@ func TestTrackerTopK(t *testing.T) {
 	}
 	if got := tr.TopK(100); len(got) != g.NumVertices() {
 		t.Fatal("TopK(k>n) should clamp to n")
-	}
-}
-
-func TestTrackerSlidingWindowWorkload(t *testing.T) {
-	edges, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
-		Model: dynppr.ModelBarabasiAlbert, Vertices: 150, Edges: 1500, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := dynppr.NewStream(edges, 1)
-	window, initial := dynppr.NewSlidingWindow(s, 0.3)
-	g := dynppr.GraphFromEdges(initial)
-	source := g.TopDegreeVertices(1)[0]
-	opts := dynppr.DefaultOptions()
-	opts.Epsilon = 1e-5
-	tr, err := dynppr.NewTracker(g, source, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		batch := window.Slide(50)
-		if batch == nil {
-			break
-		}
-		res := tr.ApplyBatch(batch)
-		if !tr.Converged() {
-			t.Fatalf("slide %d: not converged", i)
-		}
-		if res.Applied == 0 {
-			t.Fatalf("slide %d applied nothing", i)
-		}
-	}
-	maxErr, err := tr.ExactError()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxErr > opts.Epsilon {
-		t.Fatalf("exact error %v exceeds epsilon after sliding window", maxErr)
 	}
 }
 

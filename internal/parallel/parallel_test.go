@@ -200,6 +200,24 @@ func TestRunCandidateHandling(t *testing.T) {
 	}
 }
 
+// TestDeterministicBitIdenticalAcrossWorkers is the core determinism claim:
+// over a dynamic stream of inserts and deletes, the engine's estimate and
+// residual vectors carry exactly the same float64 bits at parallelism 1, 2,
+// 3, 8 and 16 — worker count is pure scheduling.
+func TestDeterministicBitIdenticalAcrossWorkers(t *testing.T) {
+	engines := []push.Engine{
+		NewPushEngine(1),
+		NewPushEngine(2),
+		NewPushEngine(3),
+		NewPushEngine(8),
+		NewPushEngine(16),
+	}
+	states := replayStates(t, engines, 11)
+	for i, st := range states[1:] {
+		requireSameBits(t, engines[i+1].Name(), st, states[0])
+	}
+}
+
 // TestCutoverDoesNotChangeBits pins that the adaptive cutover is pure
 // scheduling too: forcing every round inline (huge cutover) and forcing
 // every round through the fan-out (zero-ish cutover = 1) both reproduce the
@@ -218,6 +236,38 @@ func TestCutoverDoesNotChangeBits(t *testing.T) {
 			if math.Float64bits(p[v]) != math.Float64bits(refP[v]) {
 				t.Fatalf("%s (case %d): cutover changed bits at vertex %d", engines[i+1].Name(), i, v)
 			}
+		}
+	}
+}
+
+// TestDeterministicApproximatesOracle checks the engine keeps the push
+// contract: converged, invariant intact, within ε of the exact vector.
+func TestDeterministicApproximatesOracle(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.RMAT, Vertices: 300, Edges: 2500, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := g.TopDegreeVertices(1)[0]
+	cfg := push.Config{Alpha: 0.15, Epsilon: 1e-4}
+	oracle, err := power.ReverseGraph(g, source, power.Options{Alpha: cfg.Alpha, Tolerance: 1e-13, MaxIterations: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		e := NewPushEngine(workers)
+		st, err := push.NewState(g, source, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(st, []graph.VertexID{source})
+		if !st.Converged() {
+			t.Fatalf("%s: not converged", e.Name())
+		}
+		if inv := st.InvariantError(); inv > 1e-9 {
+			t.Fatalf("%s: invariant error %v", e.Name(), inv)
+		}
+		if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > cfg.Epsilon {
+			t.Fatalf("%s: max error %v exceeds epsilon %v", e.Name(), worst, cfg.Epsilon)
 		}
 	}
 }

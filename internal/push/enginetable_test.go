@@ -12,7 +12,9 @@ package push_test
 // count, and the sequential engine's work counters are pinned. TestEngines
 // runs the table over ER, BA and R-MAT graphs under mixed-random,
 // delete-heavy, sliding-window and per-update streams; FuzzEngines feeds it
-// arbitrary update sequences.
+// arbitrary update sequences. The other tests here feed it further
+// workloads: a static graph, a stream deleting from the graph as it stands,
+// random small graphs and a large insert batch.
 
 import (
 	"fmt"
@@ -20,6 +22,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
@@ -292,6 +295,103 @@ func TestEngines(t *testing.T) {
 					t.Errorf("sequential counters = %+v\nwant                  %+v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// insertBatch inserts edges as one batch.
+func insertBatch(edges []graph.Edge) stream.Batch {
+	b := make(stream.Batch, 0, len(edges))
+	for _, e := range edges {
+		b = append(b, stream.Update{U: e.U, V: e.V, Op: stream.Insert})
+	}
+	return b
+}
+
+// TestAllEnginesApproximateOracle is Theorem 2 on a static graph: every
+// table engine's cold start is an ε-approximation of the exact vector.
+func TestAllEnginesApproximateOracle(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.RMAT, Vertices: 300, Edges: 2500, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEngineTable(t, g, g.TopDegreeVertices(1)[0])
+}
+
+// TestDynamicMaintenanceTracksOracle runs five batches of forty updates, one
+// in four deleting a random edge of the graph as it stands and the rest
+// inserting the next edge of a BA edge list, through the table.
+func TestDynamicMaintenanceTracksOracle(t *testing.T) {
+	base, err := gen.EdgeList(gen.Config{Model: gen.BarabasiAlbert, Vertices: 150, Edges: 900, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.FromEdges(base[:600])
+	tab := newEngineTable(t, g, g.TopDegreeVertices(1)[0])
+	rng := rand.New(rand.NewSource(99))
+	next := 600
+	for b := range 5 {
+		// Draw the batch on a copy, so a delete sees the batch's own
+		// earlier updates.
+		sim := g.Clone()
+		var batch stream.Batch
+		for i := 0; i < 40 && next < len(base); i++ {
+			if rng.Intn(4) == 0 {
+				edges := sim.Edges()
+				if len(edges) == 0 {
+					continue
+				}
+				e := edges[rng.Intn(len(edges))]
+				sim.RemoveEdge(e.U, e.V)
+				batch = append(batch, stream.Update{U: e.U, V: e.V, Op: stream.Delete})
+			} else {
+				e := base[next]
+				next++
+				sim.AddEdge(e.U, e.V)
+				batch = append(batch, stream.Update{U: e.U, V: e.V, Op: stream.Insert})
+			}
+		}
+		tab.apply(batch)
+		tab.check(t, fmt.Sprintf("batch %d", b))
+	}
+}
+
+// TestEnginesQuickProperty: for random small ER graphs and a random insert
+// batch, every table engine keeps the push contract.
+func TestEnginesQuickProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		edges, err := gen.EdgeList(gen.Config{Model: gen.ErdosRenyi, Vertices: 40, Edges: 200, Seed: seed})
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		tab := newEngineTable(t, graph.FromEdges(edges[:150]), 0)
+		tab.apply(insertBatch(edges[150:]))
+		tab.check(t, fmt.Sprintf("seed %d", seed))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSortAggregateApproximatesOracle is Theorem 2 for the sort-aggregate
+// method under contention, from a cold start and across a 700-insert batch,
+// with every table engine beside it; the method uses no atomic operation.
+func TestSortAggregateApproximatesOracle(t *testing.T) {
+	edges, err := gen.EdgeList(gen.Config{Model: gen.RMAT, Vertices: 250, Edges: 2500, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.FromEdges(edges[:1800])
+	tab := newEngineTable(t, g, g.TopDegreeVertices(1)[0])
+	tab.apply(insertBatch(edges[1800:]))
+	tab.check(t, "inserts")
+	for i, e := range tab.engines {
+		if _, ok := e.(*push.SortAggregate); ok {
+			if n := tab.states[i].Counters.AtomicAdds; n != 0 {
+				t.Fatalf("sort-aggregate must not use atomic adds, counted %d", n)
+			}
 		}
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dynppr/internal/gen"
 	"dynppr/internal/graph"
+	"dynppr/internal/power"
+	"dynppr/internal/push"
 )
 
 func TestVertexSubsetSparse(t *testing.T) {
@@ -141,5 +144,33 @@ func TestEdgeMapFrontierGeneration(t *testing.T) {
 func TestPPREngineName(t *testing.T) {
 	if NewPPREngine(4).Name() != "ligra-w4" {
 		t.Fatal("engine name wrong")
+	}
+}
+
+// The dense/sparse switch must not change results: force each representation
+// and compare against the specialized sequential engine.
+func TestPPREngineDenseSparseAgree(t *testing.T) {
+	g, err := gen.Generate(gen.Config{Model: gen.BarabasiAlbert, Vertices: 150, Edges: 2000, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	source := g.TopDegreeVertices(1)[0]
+	cfg := push.Config{Alpha: 0.15, Epsilon: 1e-4}
+
+	reference, err := push.NewState(g.Clone(), source, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push.NewSequential().Run(reference, []graph.VertexID{source})
+
+	st, err := push.NewState(g.Clone(), source, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewPPREngine(4).Run(st, []graph.VertexID{source})
+
+	// Both are ε-approximations of the same vector, so they differ by at most 2ε.
+	if d := power.MaxAbsDiff(reference.Estimates(), st.Estimates()); d > 2*cfg.Epsilon {
+		t.Fatalf("vertex-centric result differs from sequential by %v", d)
 	}
 }
