@@ -268,7 +268,7 @@ func TestRunAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3*len(ds) {
+	if len(rows) != 4*len(ds) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {

@@ -5,7 +5,6 @@ import (
 
 	"dynppr/internal/fp"
 	"dynppr/internal/gen"
-	"dynppr/internal/graph"
 	"dynppr/internal/push"
 )
 
@@ -424,7 +423,7 @@ func RunAccuracy(p Params, datasets []gen.Dataset) ([]AccuracyRow, error) {
 			return nil, err
 		}
 		batch := w.BatchSize(p.DefaultBatchRatio)
-		for _, a := range []Approach{ApproachSeq, ApproachMT, ApproachLigra} {
+		for _, a := range []Approach{ApproachBase, ApproachSeq, ApproachMT, ApproachLigra} {
 			maxErr, err := w.measureAccuracy(a, p, batch)
 			if err != nil {
 				return nil, err
@@ -435,29 +434,12 @@ func RunAccuracy(p Params, datasets []gen.Dataset) ([]AccuracyRow, error) {
 	return rows, nil
 }
 
+// measureAccuracy replays the run of approach a and returns its final
+// estimate vector's error against the dense oracle.
 func (w *Workload) measureAccuracy(a Approach, p Params, batchSize int) (float64, error) {
-	engine, err := pushEngineFor(a, push.VariantOpt, p.Workers)
+	res, err := w.runPush(a, push.VariantOpt, p.Workers, p.Epsilon, batchSize, p.Slides, w.Source)
 	if err != nil {
 		return 0, err
 	}
-	window, g := w.NewRun()
-	st, err := push.NewState(g, w.Source, push.Config{Alpha: p.Alpha, Epsilon: p.Epsilon})
-	if err != nil {
-		return 0, err
-	}
-	engine.Run(st, []graph.VertexID{w.Source})
-	for i := 0; i < p.Slides; i++ {
-		batch := window.Slide(batchSize)
-		if len(batch) == 0 {
-			break
-		}
-		touched := make([]graph.VertexID, 0, len(batch))
-		for _, u := range batch {
-			if applyPushUpdate(st, u) {
-				touched = append(touched, u.U)
-			}
-		}
-		engine.Run(st, touched)
-	}
-	return exactError(st, p.Alpha)
+	return exactError(res.state, p.Alpha)
 }

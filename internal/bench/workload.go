@@ -109,6 +109,8 @@ type runResult struct {
 	// UpdatesApplied counts effective edge updates (inserts + deletes) fed to
 	// the approach across all measured slides.
 	UpdatesApplied int64
+	// state is a push approach's state after the last slide.
+	state *push.State
 }
 
 // MeanLatency returns the mean per-slide latency.
@@ -137,8 +139,9 @@ func pushEngineFor(a Approach, variant push.Variant, workers int) (push.Engine, 
 }
 
 // runPush replays the sliding window against a push-based approach and
-// reports per-slide latency and work counters. Base mode pushes after every
-// single update; the other approaches push once per batch.
+// reports per-slide latency and work counters. Every slide goes through
+// push.Restore; Base mode restores and pushes one update at a time, the
+// other approaches push once per batch.
 func (w *Workload) runPush(a Approach, variant push.Variant, workers int,
 	epsilon float64, batchSize, slides int, source graph.VertexID) (*runResult, error) {
 	engine, err := pushEngineFor(a, variant, workers)
@@ -153,47 +156,30 @@ func (w *Workload) runPush(a Approach, variant push.Variant, workers int,
 	engine.Run(st, []graph.VertexID{source})
 	st.Counters.Reset()
 
-	res := &runResult{}
+	res := &runResult{state: st}
+	states := []*push.State{st}
+	var touched []graph.VertexID
 	for i := 0; i < slides; i++ {
 		batch := window.Slide(batchSize)
 		if len(batch) == 0 {
 			break
 		}
 		start := time.Now()
+		step := len(batch) // CPU-Base restores and pushes one update at a time
 		if a == ApproachBase {
-			for _, u := range batch {
-				if applyPushUpdate(st, u) {
-					res.UpdatesApplied++
-					engine.Run(st, []graph.VertexID{u.U})
-				}
+			step = 1
+		}
+		for lo := 0; lo < len(batch); lo += step {
+			touched = push.Restore(g, states, batch[lo:min(lo+step, len(batch))], touched[:0])
+			if len(touched) > 0 {
+				res.UpdatesApplied += int64(len(touched))
+				engine.Run(st, touched)
 			}
-		} else {
-			touched := make([]graph.VertexID, 0, len(batch))
-			for _, u := range batch {
-				if applyPushUpdate(st, u) {
-					res.UpdatesApplied++
-					touched = append(touched, u.U)
-				}
-			}
-			engine.Run(st, touched)
 		}
 		res.Latency.Observe(time.Since(start))
 	}
 	res.Counters = st.Counters.Snapshot()
 	return res, nil
-}
-
-func applyPushUpdate(st *push.State, u stream.Update) bool {
-	switch u.Op {
-	case stream.Insert:
-		changed, err := st.ApplyInsert(u.U, u.V)
-		return err == nil && changed
-	case stream.Delete:
-		changed, err := st.ApplyDelete(u.U, u.V)
-		return err == nil && changed
-	default:
-		return false
-	}
 }
 
 // runMonteCarlo replays the sliding window against the incremental

@@ -16,6 +16,12 @@ func DefaultWorkers() int {
 	return n
 }
 
+// Cutover is the frontier size at or below which the parallel push engines
+// run a round on one worker, inline on the calling goroutine: fan-out
+// overhead dominates small frontiers, and the incremental batches of a
+// converged tracker rarely activate more than a few dozen vertices.
+const Cutover = 128
+
 // ClampWorkers normalizes a requested worker count: values <= 0 select
 // GOMAXPROCS (DefaultWorkers).
 func ClampWorkers(w int) int {

@@ -65,12 +65,6 @@ import (
 // at the cost of the parallelism cap.
 const NumStripes = 8
 
-// DefaultCutover is the frontier size below which a round runs inline on the
-// calling goroutine: fan-out overhead dominates for small frontiers, and the
-// incremental batches of a converged tracker rarely activate more than a few
-// dozen vertices.
-const DefaultCutover = 128
-
 // mergeGrain is the dynamic-scheduling block size for the merge and
 // self-update sessions.
 const mergeGrain = 64
@@ -117,18 +111,18 @@ type PushEngine struct {
 }
 
 // NewPushEngine returns a deterministic engine with the given degree of
-// parallelism (<= 0 selects GOMAXPROCS) and the default adaptive cutover.
+// parallelism (<= 0 selects GOMAXPROCS) and the adaptive cutover fp.Cutover.
 func NewPushEngine(workers int) *PushEngine {
 	return NewPushEngineCutover(workers, 0)
 }
 
 // NewPushEngineCutover is NewPushEngine with an explicit cutover (<= 0
-// selects DefaultCutover), exposed for tests that pin the inline and
+// selects fp.Cutover), exposed for tests that pin the inline and
 // fanned-out paths. Neither argument ever influences results, only
 // wall-clock time.
 func NewPushEngineCutover(workers, cutover int) *PushEngine {
 	if cutover <= 0 {
-		cutover = DefaultCutover
+		cutover = fp.Cutover
 	}
 	return &PushEngine{workers: fp.ClampWorkers(workers), cutover: cutover}
 }

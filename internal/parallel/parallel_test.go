@@ -7,10 +7,12 @@ import (
 	"slices"
 	"testing"
 
+	"dynppr/internal/fp"
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
 	"dynppr/internal/power"
 	"dynppr/internal/push"
+	"dynppr/internal/stream"
 )
 
 // replay is one push.State fed a seeded mixed insert/delete stream, one
@@ -55,25 +57,22 @@ func (rp *replay) step(t *testing.T, e push.Engine) {
 // state's invariant, without pushing, and returns the source endpoints of
 // the effective updates in stream order (duplicates included).
 func (rp *replay) mutate() []graph.VertexID {
-	st := rp.st
+	g := rp.st.Graph()
 	var touched []graph.VertexID
 	for k := 0; k < 50; k++ {
+		var e graph.Edge
+		op := stream.Insert
 		if rp.rng.Intn(3) == 0 {
-			edges := st.Graph().Edges()
+			edges := g.Edges()
 			if len(edges) == 0 {
 				continue
 			}
-			del := edges[rp.rng.Intn(len(edges))]
-			if changed, _ := st.ApplyDelete(del.U, del.V); changed {
-				touched = append(touched, del.U)
-			}
+			e, op = edges[rp.rng.Intn(len(edges))], stream.Delete
 		} else {
-			ins := rp.base[rp.next%len(rp.base)]
+			e = rp.base[rp.next%len(rp.base)]
 			rp.next++
-			if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
-				touched = append(touched, ins.U)
-			}
 		}
+		touched = push.Restore(g, []*push.State{rp.st}, stream.Batch{{U: e.U, V: e.V, Op: op}}, touched)
 	}
 	return touched
 }
@@ -98,19 +97,11 @@ func replayStates(t *testing.T, engines []push.Engine, seed int64) []*push.State
 // want's float64 bits.
 func requireSameBits(t *testing.T, name string, got, want *push.State) {
 	t.Helper()
-	p, r := got.Estimates(), got.Residuals()
-	wantP, wantR := want.Estimates(), want.Residuals()
-	if len(p) != len(wantP) {
-		t.Fatalf("%s: vector length %d vs %d", name, len(p), len(wantP))
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	for v := range p {
-		if math.Float64bits(p[v]) != math.Float64bits(wantP[v]) {
-			t.Fatalf("%s: estimate bits differ at vertex %d: %x vs %x",
-				name, v, math.Float64bits(p[v]), math.Float64bits(wantP[v]))
-		}
-		if math.Float64bits(r[v]) != math.Float64bits(wantR[v]) {
-			t.Fatalf("%s: residual bits differ at vertex %d", name, v)
-		}
+	if !same(got.Estimates(), want.Estimates()) || !same(got.Residuals(), want.Residuals()) {
+		t.Fatalf("%s: estimate or residual bits differ", name)
 	}
 }
 
@@ -150,7 +141,7 @@ func TestSharedEngineBitIdenticalToDedicated(t *testing.T) {
 // non-nil list pushes nothing. It also pins the constructor defaults.
 func TestRunCandidateHandling(t *testing.T) {
 	e := NewPushEngine(0)
-	if e.Workers() < 1 || e.cutover != DefaultCutover || e.Name() != fmt.Sprintf("deterministic-w%d", e.Workers()) {
+	if e.Workers() < 1 || e.cutover != fp.Cutover || e.Name() != fmt.Sprintf("deterministic-w%d", e.Workers()) {
 		t.Fatalf("defaults: %s, cutover %d", e.Name(), e.cutover)
 	}
 	if e4 := NewPushEngine(4); e4.Name() != "deterministic-w4" || e4.Workers() != 4 {
@@ -229,14 +220,8 @@ func TestCutoverDoesNotChangeBits(t *testing.T) {
 		NewPushEngineCutover(4, 1<<30),
 	}
 	states := replayStates(t, engines, 23)
-	refP := states[0].Estimates()
 	for i, st := range states[1:] {
-		p := st.Estimates()
-		for v := range p {
-			if math.Float64bits(p[v]) != math.Float64bits(refP[v]) {
-				t.Fatalf("%s (case %d): cutover changed bits at vertex %d", engines[i+1].Name(), i, v)
-			}
-		}
+		requireSameBits(t, fmt.Sprintf("%s (case %d)", engines[i+1].Name(), i), st, states[0])
 	}
 }
 
@@ -268,25 +253,6 @@ func TestDeterministicApproximatesOracle(t *testing.T) {
 		}
 		if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > cfg.Epsilon {
 			t.Fatalf("%s: max error %v exceeds epsilon %v", e.Name(), worst, cfg.Epsilon)
-		}
-	}
-}
-
-// TestRunOnConvergedStateIsNoop mirrors the push package's contract test.
-func TestRunOnConvergedStateIsNoop(t *testing.T) {
-	g := graph.FromEdges([]graph.Edge{{U: 1, V: 0}, {U: 2, V: 0}, {U: 2, V: 1}})
-	st, err := push.NewState(g, 0, push.Config{Alpha: 0.15, Epsilon: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewPushEngine(2)
-	e.Run(st, []graph.VertexID{0})
-	before := st.Estimates()
-	e.Run(st, nil)
-	after := st.Estimates()
-	for v := range before {
-		if math.Float64bits(before[v]) != math.Float64bits(after[v]) {
-			t.Fatalf("re-running on a converged state changed vertex %d", v)
 		}
 	}
 }

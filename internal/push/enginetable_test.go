@@ -6,15 +6,18 @@ package push_test
 // push, the parallel push in each Figure 4 variant at one and four workers,
 // the sort-aggregate alternative, the deterministic engine at 1, 2 and 8
 // workers and the vertex-centric baseline each run their own state over one
-// shared graph, and after every batch every state must be converged, keep
-// Equation 2 to 1e-9 and lie within ε of power iteration on the current
-// graph. The deterministic engine must carry the same bits at every worker
-// count, and the sequential engine's work counters are pinned. TestEngines
-// runs the table over ER, BA and R-MAT graphs under mixed-random,
-// delete-heavy, sliding-window and per-update streams; FuzzEngines feeds it
-// arbitrary update sequences. The other tests here feed it further
-// workloads: a static graph, a stream deleting from the graph as it stands,
-// random small graphs and a large insert batch.
+// shared graph, through a Tracker's own batch procedure: push.Restore, each
+// engine's Run, and a compaction after every second batch. After every
+// batch every state must be converged, keep Equation 2 to 1e-9, lie within ε
+// of power iteration on the current graph, and stay put when its engine runs
+// again (the Run contract: no push, no bit changed). The deterministic
+// engine must carry the same bits at every worker count, and the sequential
+// engine's work counters are pinned. TestEngines runs the table over ER, BA
+// and R-MAT graphs under mixed-random, delete-heavy, sliding-window and
+// per-update streams, and over the workloads of the Tracker differentials
+// it replaced; FuzzEngines feeds it arbitrary update sequences. The other
+// tests here feed it further workloads: static graphs, a stream deleting
+// from the graph as it stands, random small graphs and a large insert batch.
 
 import (
 	"fmt"
@@ -40,14 +43,14 @@ const tableEpsilon = 1e-5
 // push first.
 func tableEngines() []push.Engine {
 	engines := []push.Engine{push.NewSequential()}
+	// The multi-worker engines fan every round out (cutover 1): the table's
+	// frontiers are mostly below the default cutover, which would run them
+	// on one worker.
 	for _, v := range []push.Variant{push.VariantVanilla, push.VariantEager, push.VariantDupDetect, push.VariantOpt} {
-		engines = append(engines, push.NewParallel(v, 1), push.NewParallel(v, 4))
+		engines = append(engines, push.NewParallel(v, 1), push.NewParallelCutover(v, 4, 1))
 	}
 	return append(engines,
-		push.NewSortAggregate(4),
-		// The multi-worker deterministic engines fan every round out
-		// (cutover 1): the table's frontiers are mostly below the default
-		// cutover, which would run them inline.
+		push.NewSortAggregateCutover(4, 1),
 		parallel.NewPushEngine(1),
 		parallel.NewPushEngineCutover(2, 1),
 		parallel.NewPushEngineCutover(8, 1),
@@ -61,6 +64,8 @@ type engineTable struct {
 	source  graph.VertexID
 	engines []push.Engine
 	states  []*push.State
+	touched []graph.VertexID
+	batches int
 }
 
 // newEngineTable cold-starts every table engine for source on g and checks
@@ -80,39 +85,25 @@ func newEngineTable(tb testing.TB, g *graph.Graph, source graph.VertexID) *engin
 	return t
 }
 
-// apply is a TrackerSet's batch procedure: it applies b to the graph one
-// update at a time, restoring every state's invariant after each effective
-// update (Algorithm 1 reads the intermediate out-degree), then runs each
-// engine on its state from the effective updates' source endpoints.
+// apply is a Tracker's batch procedure: push.Restore applies b and restores
+// every state's invariant, each engine runs on its state from the effective
+// updates' source endpoints, and the graph compacts after every second
+// batch (MaybeCompact would never fire on graphs this small).
 func (t *engineTable) apply(b stream.Batch) {
-	var touched []graph.VertexID
-	for _, u := range b {
-		if u.Op == stream.Insert {
-			if added, err := t.g.AddEdge(u.U, u.V); err != nil || !added {
-				continue
-			}
-		} else if t.g.RemoveEdge(u.U, u.V) != nil {
-			continue
-		}
-		touched = append(touched, u.U)
-		for _, st := range t.states {
-			if u.Op == stream.Insert {
-				st.NoteInserted(u.U, u.V)
-			} else {
-				st.NoteDeleted(u.U, u.V)
-			}
+	t.touched = push.Restore(t.g, t.states, b, t.touched[:0])
+	if len(t.touched) > 0 {
+		for i, e := range t.engines {
+			e.Run(t.states[i], t.touched)
 		}
 	}
-	if len(touched) == 0 {
-		return
-	}
-	for i, e := range t.engines {
-		e.Run(t.states[i], touched)
+	if t.batches++; t.batches%2 == 0 {
+		t.g.Compact()
 	}
 }
 
-// check asserts the push contract on every state, and that the
-// deterministic engine's states carry the bits of its single-worker one.
+// check asserts the push contract on every state, including that a further
+// full-scan Run of its engine changes nothing, and that the deterministic
+// engine's states carry the bits of its single-worker one.
 func (t *engineTable) check(tb testing.TB, tag string) {
 	tb.Helper()
 	if err := t.g.CheckConsistency(); err != nil {
@@ -133,6 +124,11 @@ func (t *engineTable) check(tb testing.TB, tag string) {
 		}
 		if worst := power.MaxAbsDiff(st.Estimates(), oracle); worst > tableEpsilon {
 			tb.Fatalf("%s: %s is off the oracle by %g, ε %g", tag, name, worst, tableEpsilon)
+		}
+		p, r, work := st.Estimates(), st.Residuals(), st.Counters.Snapshot()
+		t.engines[i].Run(st, nil)
+		if !bitsEqual(st.Estimates(), p) || !bitsEqual(st.Residuals(), r) || st.Counters.Snapshot() != work {
+			tb.Fatalf("%s: %s ran again on its converged state and changed it", tag, name)
 		}
 		if _, ok := t.engines[i].(*parallel.PushEngine); !ok {
 			continue
@@ -194,6 +190,15 @@ func deleteHeavyStream(universe []graph.Edge, seed int64, batches, size int) []s
 	return out
 }
 
+// slides drains window in slides of size updates.
+func slides(window *stream.SlidingWindow, size int) []stream.Batch {
+	var out []stream.Batch
+	for b := window.Slide(size); len(b) > 0; b = window.Slide(size) {
+		out = append(out, b)
+	}
+	return out
+}
+
 // tableStreams are the table's workloads: each builds the initial graph's
 // edges and the batches from a universe of edges.
 var tableStreams = []struct {
@@ -212,12 +217,7 @@ var tableStreams = []struct {
 	// of it.
 	{"sliding-window", func(universe []graph.Edge, seed int64) ([]graph.Edge, []stream.Batch) {
 		window, initial := stream.NewSlidingWindow(stream.NewStream(universe, seed), 0.3)
-		slide := len(universe) / 5
-		var out []stream.Batch
-		for b := window.Slide(slide); len(b) > 0; b = window.Slide(slide) {
-			out = append(out, b)
-		}
-		return initial, out
+		return initial, slides(window, len(universe)/5)
 	}},
 	// Restore and push after every single update: the prior state of the
 	// art the paper's batches replace.
@@ -255,6 +255,12 @@ var sequentialWork = map[string][4]int64{
 	"rmat/delete-heavy":              {6380, 30062, 6268, 323},
 	"rmat/sliding-window":            {5852, 15848, 5709, 676},
 	"rmat/per-update":                {4809, 23192, 4803, 5},
+	"differential/erdos-renyi":       {15252, 52703, 15182, 121},
+	"differential/barabasi-albert":   {1536, 7219, 1484, 114},
+	"differential/rmat":              {11340, 48167, 11286, 106},
+	"teardown":                       {19384, 96483, 19205, 355},
+	"narrow-window":                  {11594, 18797, 11053, 1450},
+	"from-empty":                     {69, 63, 47, 123},
 }
 
 // topInDegree returns the vertex with the most in-neighbors (the lowest id
@@ -269,33 +275,90 @@ func topInDegree(g *graph.Graph) graph.VertexID {
 	return best
 }
 
-// TestEngines runs the engine table over every graph and stream.
-func TestEngines(t *testing.T) {
+// tableCase is one workload of TestEngines.
+type tableCase struct {
+	name    string
+	initial []graph.Edge
+	source  graph.VertexID
+	batches []stream.Batch
+}
+
+// edgeList generates a seeded edge list or fails tb.
+func edgeList(tb testing.TB, model gen.Model, vertices, edges int, seed int64) []graph.Edge {
+	tb.Helper()
+	universe, err := gen.EdgeList(gen.Config{Model: model, Vertices: vertices, Edges: edges, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return universe
+}
+
+// tableCases returns every TestEngines workload: each table stream over
+// each table graph, then the workloads of the Tracker differentials the
+// table replaced, each with its own graph, seed, stream and batch size and
+// with the source of highest out-degree.
+func tableCases(tb testing.TB) []tableCase {
+	tb.Helper()
+	var cases []tableCase
 	for _, gc := range tableGraphs {
-		universe, err := gen.EdgeList(gc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		universe := edgeList(tb, gc.Model, gc.Vertices, gc.Edges, gc.Seed)
 		for _, sc := range tableStreams {
-			name := gc.Name + "/" + sc.name
-			t.Run(name, func(t *testing.T) {
-				initial, batches := sc.build(universe, gc.Seed+1000)
-				g := graph.FromEdges(initial)
-				tab := newEngineTable(t, g, topInDegree(g))
-				for i, b := range batches {
-					tab.apply(b)
-					tab.check(t, fmt.Sprintf("batch %d", i))
-				}
-				w := sequentialWork[name]
-				want := metrics.Counters{
-					Pushes: w[0], Propagations: w[1], Enqueues: w[2], RestoreOps: w[3],
-					Iterations: w[0], FrontierTotal: w[0], FrontierPeak: 1, RandomAccesses: w[1],
-				}
-				if got := tab.states[0].Counters.Snapshot(); got != want {
-					t.Errorf("sequential counters = %+v\nwant                  %+v", got, want)
-				}
-			})
+			initial, batches := sc.build(universe, gc.Seed+1000)
+			cases = append(cases, tableCase{gc.Name + "/" + sc.name, initial, topInDegree(graph.FromEdges(initial)), batches})
 		}
+	}
+	add := func(name string, initial []graph.Edge, batches []stream.Batch) {
+		cases = append(cases, tableCase{name, initial, graph.FromEdges(initial).TopDegreeVertices(1)[0], batches})
+	}
+	// Mixed streams whose deletes hit only edges the stream inserted, four
+	// batches of 60 over the first 400 edges of a 120-vertex graph.
+	for _, gc := range tableGraphs {
+		universe := edgeList(tb, gc.Model, 120, 700, gc.Seed)
+		add("differential/"+gc.Name, universe[:400], mixedStream(universe, nil, gc.Seed+1000, 4, 60))
+	}
+	// Six batches of 80, three deletes in four, tear a BA graph down.
+	full := edgeList(tb, gen.BarabasiAlbert, 120, 700, 53)
+	teardown := deleteHeavyStream(full, 54, 6, 80)
+	g := graph.FromEdges(full)
+	for _, b := range teardown {
+		b.Apply(g)
+	}
+	if g.NumEdges() >= len(full)/2 {
+		tb.Fatalf("stream was not delete-heavy: %d of %d edges remain", g.NumEdges(), len(full))
+	}
+	add("teardown", full, teardown)
+	// A 10% window slides across a 900-edge R-MAT stream 45 edges at a
+	// time: the window is far smaller than the graph it slides across.
+	universe := edgeList(tb, gen.RMAT, 120, 900, 61)
+	window, initial := stream.NewSlidingWindow(stream.NewStream(universe, 62), 0.1)
+	narrow := slides(window, 45)
+	if window.Size() >= len(universe)/2 || len(narrow) < 10 {
+		tb.Fatalf("window %d over %d edges in %d slides: not a narrow window", window.Size(), len(universe), len(narrow))
+	}
+	add("narrow-window", initial, narrow)
+	// Three mixed batches of 50 grow an R-MAT graph from nothing.
+	universe = edgeList(tb, gen.RMAT, 100, 500, 41)
+	return append(cases, tableCase{"from-empty", nil, 0, mixedStream(universe, nil, 77, 3, 50)})
+}
+
+// TestEngines runs the engine table over every table case.
+func TestEngines(t *testing.T) {
+	for _, c := range tableCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			tab := newEngineTable(t, graph.FromEdges(c.initial), c.source)
+			for i, b := range c.batches {
+				tab.apply(b)
+				tab.check(t, fmt.Sprintf("batch %d", i))
+			}
+			w := sequentialWork[c.name]
+			want := metrics.Counters{
+				Pushes: w[0], Propagations: w[1], Enqueues: w[2], RestoreOps: w[3],
+				Iterations: w[0], FrontierTotal: w[0], FrontierPeak: 1, RandomAccesses: w[1],
+			}
+			if got := tab.states[0].Counters.Snapshot(); got != want {
+				t.Errorf("sequential counters = %+v\nwant                  %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -308,14 +371,19 @@ func insertBatch(edges []graph.Edge) stream.Batch {
 	return b
 }
 
-// TestAllEnginesApproximateOracle is Theorem 2 on a static graph: every
-// table engine's cold start is an ε-approximation of the exact vector.
+// TestAllEnginesApproximateOracle is Theorem 2 on static graphs: every table
+// engine's cold start is an ε-approximation of the exact vector, and a
+// further Run on it changes nothing. The graphs are an R-MAT graph, the
+// paper's running example of Figures 1 and 3 (v1..v4 renumbered 0..3) and
+// a three-vertex graph.
 func TestAllEnginesApproximateOracle(t *testing.T) {
 	g, err := gen.Generate(gen.Config{Model: gen.RMAT, Vertices: 300, Edges: 2500, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
 	newEngineTable(t, g, g.TopDegreeVertices(1)[0])
+	newEngineTable(t, graph.FromEdges([]graph.Edge{{U: 0, V: 3}, {U: 1, V: 0}, {U: 2, V: 0}, {U: 2, V: 1}, {U: 3, V: 2}}), 0)
+	newEngineTable(t, graph.FromEdges([]graph.Edge{{U: 1, V: 0}, {U: 2, V: 0}, {U: 2, V: 1}}), 0)
 }
 
 // TestDynamicMaintenanceTracksOracle runs five batches of forty updates, one
@@ -357,21 +425,24 @@ func TestDynamicMaintenanceTracksOracle(t *testing.T) {
 }
 
 // TestEnginesQuickProperty: for random small ER graphs and a random insert
-// batch, every table engine keeps the push contract.
+// batch, every table engine keeps the push contract — at 40 vertices, 150
+// edges and 50 inserts, and at 50 vertices, 200 edges and 100 inserts.
 func TestEnginesQuickProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		edges, err := gen.EdgeList(gen.Config{Model: gen.ErdosRenyi, Vertices: 40, Edges: 200, Seed: seed})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+	for _, c := range []struct{ vertices, initial, edges, runs int }{{40, 150, 200, 10}, {50, 200, 300, 8}} {
+		f := func(seed int64) bool {
+			edges, err := gen.EdgeList(gen.Config{Model: gen.ErdosRenyi, Vertices: c.vertices, Edges: c.edges, Seed: seed})
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			tab := newEngineTable(t, graph.FromEdges(edges[:c.initial]), 0)
+			tab.apply(insertBatch(edges[c.initial:]))
+			tab.check(t, fmt.Sprintf("seed %d", seed))
+			return true
 		}
-		tab := newEngineTable(t, graph.FromEdges(edges[:150]), 0)
-		tab.apply(insertBatch(edges[150:]))
-		tab.check(t, fmt.Sprintf("seed %d", seed))
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: c.runs}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -48,10 +48,12 @@ func (v Variant) String() string {
 
 // Parallel is the parallel local push engine (Algorithms 3 and 4). Frontier
 // vertices are pushed concurrently by a pool of goroutines; residual
-// transfers use atomic adds on the shared residual vector.
+// transfers use atomic adds on the shared residual vector. A round over at
+// most cutover (fp.Cutover) frontier vertices runs on one worker.
 type Parallel struct {
 	variant Variant
 	workers int
+	cutover int
 }
 
 // NewParallel returns a parallel push engine with the given variant and
@@ -60,7 +62,7 @@ func NewParallel(variant Variant, workers int) *Parallel {
 	if workers <= 0 {
 		workers = fp.DefaultWorkers()
 	}
-	return &Parallel{variant: variant, workers: workers}
+	return &Parallel{variant: variant, workers: workers, cutover: fp.Cutover}
 }
 
 // Name implements Engine.
@@ -104,10 +106,14 @@ func (e *Parallel) runPhase(st *State, candidates []graph.VertexID, ph phase) {
 		// Every frontier vertex's estimate gains its α share this round;
 		// record that for delta snapshot publication before fanning out.
 		st.MarkEstimatesDirty(frontier)
+		workers := e.workers
+		if len(frontier) <= e.cutover {
+			workers = 1
+		}
 		if e.variant.EagerPropagation {
-			frontier = e.iterateEager(st, frontier, ph, seen, inFrontier)
+			frontier = e.iterateEager(st, frontier, ph, workers, seen, inFrontier)
 		} else {
-			frontier = e.iterateVanillaOrder(st, frontier, ph, seen)
+			frontier = e.iterateVanillaOrder(st, frontier, ph, workers, seen)
 		}
 	}
 }
@@ -115,7 +121,7 @@ func (e *Parallel) runPhase(st *State, candidates []graph.VertexID, ph phase) {
 // iterateVanillaOrder performs one ParallelPush round in the order of
 // Algorithm 3: self-update first (read and zero the frontier residuals), then
 // neighbor propagation with frontier generation.
-func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, seen *fp.BitSet) []int32 {
+func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, workers int, seen *fp.BitSet) []int32 {
 	alpha := st.cfg.Alpha
 	eps := st.cfg.Epsilon
 	g := st.g
@@ -125,7 +131,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, se
 	// Frontier vertices are distinct, so plain element accesses are safe; the
 	// fp.For barrier publishes the writes before session 2 begins.
 	taken := make([]float64, len(frontier))
-	fp.For(len(frontier), e.workers, func(i int) {
+	fp.For(len(frontier), workers, func(i int) {
 		u := int(frontier[i])
 		ru := st.r.Get(u)
 		taken[i] = ru
@@ -136,7 +142,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, se
 
 	// Session 2 (neighbor propagation + frontier generation).
 	next := fp.NewQueue(len(frontier) * 4)
-	fp.ForDynamic(len(frontier), e.workers, propagationGrain, func(i int) {
+	fp.ForDynamic(len(frontier), workers, propagationGrain, func(i int) {
 		u := graph.VertexID(frontier[i])
 		w := taken[i]
 		in := g.InNeighbors(u)
@@ -181,7 +187,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, se
 // frontier vertex, then self-update subtracting exactly the propagated
 // amount. A second frontier-generation pass in the self-update session
 // catches vertices that remain active across iterations.
-func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, seen, inFrontier *fp.BitSet) []int32 {
+func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, workers int, seen, inFrontier *fp.BitSet) []int32 {
 	alpha := st.cfg.Alpha
 	eps := st.cfg.Epsilon
 	g := st.g
@@ -197,7 +203,7 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, seen, inF
 	// remember it, propagate it, and detect newly activated vertices.
 	taken := make([]float64, len(frontier))
 	next := fp.NewQueue(len(frontier) * 4)
-	fp.ForDynamic(len(frontier), e.workers, propagationGrain, func(i int) {
+	fp.ForDynamic(len(frontier), workers, propagationGrain, func(i int) {
 		u := graph.VertexID(frontier[i])
 		ru := st.r.AtomicGet(int(u))
 		taken[i] = ru
@@ -231,7 +237,7 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, seen, inF
 
 	// Session 2 (self-update): commit the recorded residuals and re-enqueue
 	// frontier vertices that are still (or again) active.
-	fp.For(len(frontier), e.workers, func(i int) {
+	fp.For(len(frontier), workers, func(i int) {
 		u := int(frontier[i])
 		ru := taken[i]
 		st.p.Set(u, st.p.Get(u)+alpha*ru)

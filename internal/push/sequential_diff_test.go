@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynppr/internal/graph"
+	"dynppr/internal/stream"
 )
 
 // bitmapSequential is the sequential push as it was written with a FIFO
@@ -118,29 +119,18 @@ func TestSequentialMatchesBitmapKernel(t *testing.T) {
 			var touched []graph.VertexID
 			for i := 0; i < 1+rng.Intn(3*n/4); i++ {
 				u := graph.VertexID(rng.Intn(n + 2)) // occasionally a new vertex
-				var err error
+				up := stream.Update{U: u, Op: stream.Delete}
 				switch out := g.OutNeighbors(u); {
 				case len(out) == 1 || len(out) > 0 && rng.Intn(3) == 0:
 					// A lone out-edge goes every time: dout(u) drops to 0.
-					v := out[rng.Intn(len(out))]
-					err = g.RemoveEdge(u, v)
-					ref.NoteDeleted(u, v)
-					got.NoteDeleted(u, v)
+					up.V = out[rng.Intn(len(out))]
 				default:
-					v := graph.VertexID(rng.Intn(n))
+					up.V, up.Op = graph.VertexID(rng.Intn(n)), stream.Insert
 					if rng.Intn(20) == 0 {
-						v = u
+						up.V = u
 					}
-					if added, _ := g.AddEdge(u, v); !added {
-						continue
-					}
-					ref.NoteInserted(u, v)
-					got.NoteInserted(u, v)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				touched = append(touched, u)
+				touched = Restore(g, []*State{ref, got}, stream.Batch{up}, touched)
 			}
 			if ref.r.Len() > 0 && minResidual(ref) < -cfg.Epsilon {
 				negativeRuns++

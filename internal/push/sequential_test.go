@@ -6,6 +6,7 @@ import (
 	"dynppr/internal/fp"
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
+	"dynppr/internal/stream"
 )
 
 // replay is one State over the first two thirds of a seeded R-MAT edge list,
@@ -37,20 +38,15 @@ func newReplay(t *testing.T, e Engine, vertices, edges int, seed int64) *replay 
 // pushes with e.
 func (rp *replay) step(t *testing.T, e Engine) {
 	t.Helper()
-	var touched []graph.VertexID
-	unused := rp.edges[len(rp.edges)*2/3+40*rp.batch:]
-	for _, ins := range unused[:40] {
-		if changed, _ := rp.st.ApplyInsert(ins.U, ins.V); changed {
-			touched = append(touched, ins.U)
-		}
+	var b stream.Batch
+	for _, ins := range rp.edges[len(rp.edges)*2/3+40*rp.batch:][:40] {
+		b = append(b, stream.Update{U: ins.U, V: ins.V, Op: stream.Insert})
 	}
 	for _, del := range rp.edges[10*rp.batch:][:10] {
-		if changed, _ := rp.st.ApplyDelete(del.U, del.V); changed {
-			touched = append(touched, del.U)
-		}
+		b = append(b, stream.Update{U: del.U, V: del.V, Op: stream.Delete})
 	}
 	rp.batch++
-	e.Run(rp.st, touched)
+	e.Run(rp.st, Restore(rp.st.g, []*State{rp.st}, b, nil))
 	if !rp.st.Converged() {
 		t.Fatalf("%s: batch %d not converged", e.Name(), rp.batch)
 	}
@@ -133,16 +129,12 @@ func BenchmarkSequentialTrackedPush(b *testing.B) {
 	}
 	e := NewSequential()
 	e.Run(st, []graph.VertexID{st.source})
-	var touched []graph.VertexID
+	var batch stream.Batch
 	for i := 0; i < 5000; i++ {
 		ins, del := list[initial+i], list[i]
-		if changed, _ := st.ApplyInsert(ins.U, ins.V); changed {
-			touched = append(touched, ins.U)
-		}
-		if changed, _ := st.ApplyDelete(del.U, del.V); changed {
-			touched = append(touched, del.U)
-		}
+		batch = append(batch, stream.Update{U: ins.U, V: ins.V, Op: stream.Insert}, stream.Update{U: del.U, V: del.V, Op: stream.Delete})
 	}
+	touched := Restore(g, []*State{st}, batch, nil)
 	st.MarkAllEstimatesDirty()
 	p0, r0 := fp.NewFloat64Vector(st.p.Len()), fp.NewFloat64Vector(st.r.Len())
 	p0.CopyFrom(st.p)

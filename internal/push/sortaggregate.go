@@ -20,8 +20,12 @@ import (
 // first, then propagation), with frontier generation performed during the
 // aggregation pass — which is naturally duplicate free, since each vertex
 // appears exactly once after the reduce.
+//
+// Like Parallel, it runs a round over at most cutover (fp.Cutover) frontier
+// vertices on one worker.
 type SortAggregate struct {
 	workers int
+	cutover int
 }
 
 // NewSortAggregate returns the sorting-and-aggregating parallel push engine.
@@ -30,7 +34,7 @@ func NewSortAggregate(workers int) *SortAggregate {
 	if workers <= 0 {
 		workers = fp.DefaultWorkers()
 	}
-	return &SortAggregate{workers: workers}
+	return &SortAggregate{workers: workers, cutover: fp.Cutover}
 }
 
 // Name implements Engine.
@@ -67,10 +71,14 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 	eps := st.cfg.Epsilon
 	g := st.g
 	counters := st.Counters
+	workers := e.workers
+	if len(frontier) <= e.cutover {
+		workers = 1
+	}
 
 	// Session 1: self-update, identical to the vanilla order.
 	taken := make([]float64, len(frontier))
-	fp.For(len(frontier), e.workers, func(i int) {
+	fp.For(len(frontier), workers, func(i int) {
 		u := int(frontier[i])
 		ru := st.r.Get(u)
 		taken[i] = ru
@@ -82,7 +90,7 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 	// Session 2: emit contributions into per-slot buffers (no shared writes),
 	// then sort and reduce.
 	buffers := make([][]contribution, len(frontier))
-	fp.ForDynamic(len(frontier), e.workers, propagationGrain, func(i int) {
+	fp.ForDynamic(len(frontier), workers, propagationGrain, func(i int) {
 		u := graph.VertexID(frontier[i])
 		w := taken[i]
 		in := g.InNeighbors(u)

@@ -20,6 +20,7 @@ import (
 	"dynppr/internal/fp"
 	"dynppr/internal/graph"
 	"dynppr/internal/metrics"
+	"dynppr/internal/stream"
 )
 
 // Config holds the two parameters of the local update scheme.
@@ -271,20 +272,37 @@ func (st *State) ApplyDelete(u, v graph.VertexID) (bool, error) {
 	return true, nil
 }
 
-// NoteInserted restores the invariant for an edge u->v that has already been
-// added to the graph by the caller. It exists for callers that maintain
-// several states over one shared graph (multi-source tracking): the graph is
-// mutated once and every state is notified.
-func (st *State) NoteInserted(u, v graph.VertexID) {
-	st.sync()
-	st.restore(u, v, +1)
-}
-
-// NoteDeleted restores the invariant for an edge u->v that has already been
-// removed from the graph by the caller.
-func (st *State) NoteDeleted(u, v graph.VertexID) {
-	st.sync()
-	st.restore(u, v, -1)
+// Restore is the first half of the paper's batch procedure (Algorithm 1)
+// for every state maintained over g: it applies b to g one update at a time
+// and, after each effective update, restores Equation 2 in every state, so
+// the restore reads the out-degree of the intermediate graph. Duplicate
+// inserts, deletes of missing edges and unknown ops change nothing and are
+// skipped. It appends each effective update's source endpoint to touched —
+// the candidates of the push that completes the batch — and returns it.
+func Restore(g *graph.Graph, states []*State, b stream.Batch, touched []graph.VertexID) []graph.VertexID {
+	for _, u := range b {
+		var op float64
+		switch u.Op {
+		case stream.Insert:
+			if added, err := g.AddEdge(u.U, u.V); err != nil || !added {
+				continue
+			}
+			op = +1
+		case stream.Delete:
+			if g.RemoveEdge(u.U, u.V) != nil {
+				continue
+			}
+			op = -1
+		default:
+			continue
+		}
+		touched = append(touched, u.U)
+		for _, st := range states {
+			st.sync()
+			st.restore(u.U, u.V, op)
+		}
+	}
+	return touched
 }
 
 // restore repairs Equation 2 at u after the graph has already been mutated.

@@ -147,39 +147,15 @@ func (ts *TrackerSet) each(fn func(e push.Engine, st *push.State)) {
 	wg.Wait()
 }
 
-// apply is the paper's batch procedure for many sources. It applies b to the
-// graph one update at a time and notifies every state after each effective
-// mutation, so the invariant restore reads the out-degree of the intermediate
-// graph exactly as Algorithm 1 requires; then it pushes every source to
-// convergence from the effective updates' source endpoints, calling after
-// (if non-nil) on each converged state. A batch with no effective update
-// pushes nothing and calls after for no one. It returns the number of
-// effective updates and the pushes performed.
+// apply is the paper's batch procedure for many sources: push.Restore
+// applies b to the graph and restores every state's invariant after each
+// effective update, then every source is pushed to convergence from the
+// effective updates' source endpoints, and after (if non-nil) is called on
+// each converged state. A batch with no effective update pushes nothing and
+// calls after for no one. It returns the number of effective updates and
+// the pushes performed.
 func (ts *TrackerSet) apply(b Batch, after func(*push.State)) (applied int, pushes int64) {
-	touched := ts.touched[:0]
-	for _, u := range b {
-		switch u.Op {
-		case Insert:
-			added, err := ts.g.AddEdge(u.U, u.V)
-			if err != nil || !added {
-				continue
-			}
-		case Delete:
-			if err := ts.g.RemoveEdge(u.U, u.V); err != nil {
-				continue
-			}
-		default:
-			continue
-		}
-		touched = append(touched, u.U)
-		for _, st := range ts.states {
-			if u.Op == Insert {
-				st.NoteInserted(u.U, u.V)
-			} else {
-				st.NoteDeleted(u.U, u.V)
-			}
-		}
-	}
+	touched := push.Restore(ts.g, ts.states, b, ts.touched[:0])
 	ts.touched = touched
 	if len(touched) == 0 {
 		return 0, 0
