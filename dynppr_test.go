@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/quick"
 
 	"dynppr"
 )
@@ -358,5 +359,36 @@ func TestTrackerSetEnginePerWorker(t *testing.T) {
 	t.Logf("%d sources: %.1f live heap bytes per vertex per source", nSources, perVertex)
 	if perVertex >= 32 {
 		t.Fatalf("a source costs %.1f live heap bytes per vertex, want < 32", perVertex)
+	}
+}
+
+// Property: whatever insert-only batch is applied, the tracker stays within
+// epsilon of the exact vector.
+func TestTrackerAccuracyProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		edges, err := dynppr.GenerateEdges(dynppr.SyntheticConfig{
+			Model: dynppr.ModelErdosRenyi, Vertices: 50, Edges: 300, Seed: seed,
+		})
+		if err != nil {
+			return false
+		}
+		g := dynppr.GraphFromEdges(edges[:200])
+		opts := dynppr.DefaultOptions()
+		opts.Epsilon = 1e-4
+		opts.Parallelism = 2
+		tr, err := dynppr.NewTracker(g, 0, opts)
+		if err != nil {
+			return false
+		}
+		batch := make(dynppr.Batch, 0, 100)
+		for _, e := range edges[200:] {
+			batch = append(batch, dynppr.Update{U: e.U, V: e.V, Op: dynppr.Insert})
+		}
+		tr.ApplyBatch(batch)
+		maxErr, err := tr.ExactError()
+		return err == nil && maxErr <= opts.Epsilon
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -257,6 +257,25 @@ func TestDeterministicApproximatesOracle(t *testing.T) {
 	}
 }
 
+// TestRunOnConvergedStateIsNoop mirrors the push package's contract test.
+func TestRunOnConvergedStateIsNoop(t *testing.T) {
+	g := graph.FromEdges([]graph.Edge{{U: 1, V: 0}, {U: 2, V: 0}, {U: 2, V: 1}})
+	st, err := push.NewState(g, 0, push.Config{Alpha: 0.15, Epsilon: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewPushEngine(2)
+	e.Run(st, []graph.VertexID{0})
+	before := st.Estimates()
+	e.Run(st, nil)
+	after := st.Estimates()
+	for v := range before {
+		if math.Float64bits(before[v]) != math.Float64bits(after[v]) {
+			t.Fatalf("re-running on a converged state changed vertex %d", v)
+		}
+	}
+}
+
 // TestSelfLoopAndDangling exercises the corner topologies through the
 // deterministic schedule: a self-loop keeps propagating to its own residual,
 // and a vertex with a deleted last out-edge flips through the negative

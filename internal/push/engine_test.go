@@ -203,6 +203,26 @@ func TestNilCandidatesEquivalent(t *testing.T) {
 	}
 }
 
+// An engine run on an already converged state must do nothing.
+func TestRunOnConvergedStateIsNoop(t *testing.T) {
+	st, err := NewState(paperGraph(), 0, paperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewSequential().Run(st, []graph.VertexID{0})
+	before := st.Estimates()
+	pushes := st.Counters.Pushes
+	for _, e := range []Engine{NewSequential(), NewParallel(VariantOpt, 4), NewParallel(VariantVanilla, 2)} {
+		e.Run(st, nil)
+	}
+	if st.Counters.Pushes != pushes {
+		t.Fatalf("extra pushes on converged state: %d -> %d", pushes, st.Counters.Pushes)
+	}
+	if d := power.MaxAbsDiff(before, st.Estimates()); d != 0 {
+		t.Fatalf("estimates changed by %v", d)
+	}
+}
+
 // Multi-worker determinism of the result quality: different worker counts may
 // produce different (but all valid) estimates; each must stay within ε of the
 // oracle. This guards the atomic update paths under real contention.
