@@ -1,13 +1,14 @@
 // Package ckpt reads and writes checkpoints of the durable serving layer: a
 // versioned binary snapshot of the dynamic graph, the tracked source set and
-// each source's converged push state (estimates, residuals, snapshot epoch),
-// together with the WAL sequence number the snapshot covers. A checkpoint
-// plus the WAL suffix past its LSN reconstructs a Service bit for bit.
+// each source's converged push state (estimates, residuals, snapshot epoch,
+// promotion mark), together with the WAL sequence number the snapshot
+// covers. A checkpoint plus the WAL suffix past its LSN reconstructs a
+// Service bit for bit.
 //
 // # Format (CSR image)
 //
-//	magic       [8]byte  "DPPRCKP3"
-//	version     uint32   little-endian (3)
+//	magic       [8]byte  "DPPRCKP4"
+//	version     uint32   little-endian (4)
 //	lsn         uint64   WAL LSN covered by this checkpoint
 //	alpha       float64  IEEE-754 bits, little-endian
 //	epsilon     float64
@@ -27,13 +28,14 @@
 // hold a duplicate edge or disagree between directions. Recovery wraps the
 // result as the new base with no re-insertion. This is the one format
 // written and read: any other magic or version, the retired DPPRCKP1
-// adjacency-list and two-direction v2 images included, is rejected as
-// ErrInvalid.
+// adjacency-list, two-direction v2 and unmarked v3 images included, is
+// rejected as ErrInvalid.
 //
 // A source block is
 //
 //	source    uvarint
 //	epoch     uint64
+//	auto      uvarint                    1 if the on-demand tier promoted it, else 0
 //	veclen    uvarint                    length of both vectors
 //	estimates veclen × float64 bits      little-endian
 //	residuals veclen × float64 bits
@@ -56,8 +58,8 @@ import (
 )
 
 const (
-	magic   = "DPPRCKP3"
-	version = 3
+	magic   = "DPPRCKP4"
+	version = 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -73,6 +75,9 @@ type Source struct {
 	// Epoch is the source's snapshot epoch at checkpoint time (≥ 1: the
 	// cold start has always published by then).
 	Epoch uint64
+	// Auto marks a source the on-demand tier promoted, which a later
+	// promotion may evict; a source added by hand never is.
+	Auto bool
 	// Estimates and Residuals are the converged (P, R) vectors. Their
 	// common length may lag the vertex count when the graph grew without
 	// touching this source.
@@ -129,7 +134,7 @@ func encodedSize(n, m int, sources []Source) int {
 	size := len(magic) + 4 + 8 + 8 + 8 + uvarintLen(uint64(n)) + uvarintLen(uint64(m)) + 4*(n+1+m) +
 		uvarintLen(uint64(len(sources))) + 4
 	for _, s := range sources {
-		size += uvarintLen(uint64(s.Source)) + 8 + uvarintLen(uint64(len(s.Estimates))) +
+		size += uvarintLen(uint64(s.Source)) + 8 + 1 + uvarintLen(uint64(len(s.Estimates))) +
 			8*(len(s.Estimates)+len(s.Residuals))
 	}
 	return size
@@ -179,6 +184,11 @@ func appendSources(buf []byte, sources []Source, n int) ([]byte, error) {
 		}
 		buf = binary.AppendUvarint(buf, uint64(s.Source))
 		buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
+		auto := uint64(0)
+		if s.Auto {
+			auto = 1
+		}
+		buf = binary.AppendUvarint(buf, auto)
 		buf = binary.AppendUvarint(buf, uint64(len(s.Estimates)))
 		for _, x := range s.Estimates {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
@@ -381,7 +391,7 @@ func (r *reader) csr(d *Data) (int, error) {
 
 // sources reads the trailing source blocks.
 func (r *reader) sources(n int) ([]Source, error) {
-	numSources, err := r.count(1 + 8 + 1)
+	numSources, err := r.count(1 + 8 + 1 + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -399,6 +409,13 @@ func (r *reader) sources(n int) ([]Source, error) {
 		prev = src
 		s.Source = src
 		s.Epoch = r.u64()
+		// A mark of 0 or 1 is one uvarint byte. A truncation error is
+		// sticky and surfaces at the vector length below.
+		auto, _ := r.uvarint()
+		if auto > 1 {
+			return nil, fmt.Errorf("%w: source %d auto mark %d", ErrInvalid, src, auto)
+		}
+		s.Auto = auto == 1
 		vecLen, err := r.count(16)
 		if err != nil {
 			return nil, err

@@ -29,7 +29,7 @@ func sampleData() *Data {
 			graph.Edge{U: 3, V: 0}, graph.Edge{U: 3, V: 1}),
 		Sources: []Source{
 			{Source: 1, Epoch: 4, Estimates: []float64{0.1, 0.9, 0}, Residuals: []float64{0, -1e-7, 1e-8}},
-			{Source: 3, Epoch: 2, Estimates: []float64{0, 0.25, 0.5, 0.25}, Residuals: []float64{1e-9, 0, 0, 0}},
+			{Source: 3, Epoch: 2, Auto: true, Estimates: []float64{0, 0.25, 0.5, 0.25}, Residuals: []float64{1e-9, 0, 0, 0}},
 		},
 	}
 }

@@ -23,7 +23,7 @@ func dataEqual(a, b *Data) bool {
 	}
 	for i := range a.Sources {
 		sa, sb := a.Sources[i], b.Sources[i]
-		if sa.Source != sb.Source || sa.Epoch != sb.Epoch ||
+		if sa.Source != sb.Source || sa.Epoch != sb.Epoch || sa.Auto != sb.Auto ||
 			len(sa.Estimates) != len(sb.Estimates) || len(sa.Residuals) != len(sb.Residuals) {
 			return false
 		}
@@ -51,8 +51,9 @@ func csrEqual(a, b *graph.CSR) bool {
 
 // FuzzCSRImageRead drives Decode, the one checkpoint reader, with arbitrary
 // bytes. The strict-reader contract: truncation, checksum damage, version
-// skew, the retired DPPRCKP1 and DPPRCKP2 formats, forged counts and
-// malformed CSR structure (unsorted or duplicate rows) must all return
+// skew, the retired DPPRCKP1, DPPRCKP2 and DPPRCKP3 formats, forged counts,
+// malformed CSR structure (unsorted or duplicate rows) and auto marks other
+// than 0 or 1 must all return
 // ErrInvalid — never a panic and never an allocation proportional to a
 // forged count rather than the actual input size — and any accepted image
 // must carry the one magic, re-encode to exactly its own bytes, and wrap
@@ -65,8 +66,8 @@ func FuzzCSRImageRead(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5]) // truncated: checksum and arrays cut off
 	f.Add(valid[:30])           // truncated inside the CSR arrays
-	f.Add([]byte("DPPRCKP3"))
-	f.Add([]byte("DPPRCKP3\x03\x00\x00\x00junk"))
+	f.Add([]byte("DPPRCKP4"))
+	f.Add([]byte("DPPRCKP4\x04\x00\x00\x00junk"))
 
 	// Checksum damage: flip one bit mid-array.
 	flip := append([]byte(nil), valid...)

@@ -38,6 +38,8 @@ func FuzzHandlerBodies(f *testing.F) {
 		{2, `{"add":[-4]}`},
 		{0, `{"updates":[{"u":2147483647,"v":2,"op":"insert"}]}`},
 		{2, `{"add":[2147483647]}`},
+		{2, `{"add":[9],"remove":[9]}`},
+		{2, `{"add":[9,9]}`},
 	} {
 		f.Add(seed.endpoint, []byte(seed.body))
 	}

@@ -160,6 +160,8 @@ func errorStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, dynppr.ErrVertexOutOfRange):
 		return http.StatusBadRequest
+	case errors.Is(err, dynppr.ErrSourceTracked):
+		return http.StatusConflict
 	case errors.Is(err, dynppr.ErrServiceClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, dynppr.ErrPersistenceDegraded),
@@ -367,55 +369,17 @@ func (h *Handler) handleSources(r *http.Request) (any, error) {
 		if len(req.Add) == 0 && len(req.Remove) == 0 {
 			return nil, badRequest("empty sources request: nothing to add or remove")
 		}
-		// Validate the whole batch against the current source table before
-		// applying anything, so a rejected request leaves state untouched
-		// and is safe to retry. (A concurrent /sources writer can still
-		// invalidate the batch between check and apply; that residual race
-		// surfaces as the per-call error below.)
-		tracked := make(map[dynppr.VertexID]bool)
-		for _, s := range h.svc.Sources() {
-			tracked[s] = true
-		}
-		// Vertex counts never shrink, so a bound against this count is
-		// conservative: an add that passes here cannot fail the service's
-		// own check.
-		limit := h.svc.Stats().Vertices + dynppr.MaxVertexGrowth
 		for _, s := range req.Add {
 			if s < 0 {
 				return nil, badRequest("negative source id %d", s)
 			}
-			if int(s) >= limit {
-				return nil, fmt.Errorf("%w: source %d, the bound is %d", dynppr.ErrVertexOutOfRange, s, limit)
-			}
-			if tracked[s] {
-				return nil, &apiError{
-					status: http.StatusConflict,
-					msg:    fmt.Sprintf("source %d is already tracked", s),
-				}
-			}
-			tracked[s] = true
 		}
-		for _, s := range req.Remove {
-			if !tracked[s] {
-				return nil, fmt.Errorf("%w: %d", dynppr.ErrUnknownSource, s)
-			}
-			delete(tracked, s)
-		}
+		// One mutation, admitted once and validated whole before anything is
+		// journaled: a 4xx — 429 included — leaves the tracked set as it was.
 		ctx, cancel := h.admissionCtx(r)
 		defer cancel()
-		for _, s := range req.Add {
-			if err := h.svc.AddSourceCtx(ctx, s); err != nil {
-				if errors.Is(err, dynppr.ErrServiceClosed) || errors.Is(err, dynppr.ErrOverloaded) ||
-					errors.Is(err, dynppr.ErrVertexOutOfRange) {
-					return nil, err
-				}
-				return nil, &apiError{status: http.StatusConflict, msg: err.Error()}
-			}
-		}
-		for _, s := range req.Remove {
-			if err := h.svc.RemoveSourceCtx(ctx, s); err != nil {
-				return nil, err
-			}
+		if err := h.svc.UpdateSources(ctx, req.Add, req.Remove); err != nil {
+			return nil, err
 		}
 		return SourcesResponse{Sources: h.svc.Sources()}, nil
 	default:

@@ -54,7 +54,7 @@ func tableEngines() []push.Engine {
 		parallel.NewPushEngine(1),
 		parallel.NewPushEngineCutover(2, 1),
 		parallel.NewPushEngineCutover(8, 1),
-		vc.NewPPREngine(4),
+		vc.NewPPREngineCutover(4, 1),
 	)
 }
 

@@ -3,6 +3,7 @@ package vc
 import (
 	"fmt"
 
+	"dynppr/internal/fp"
 	"dynppr/internal/graph"
 	"dynppr/internal/push"
 )
@@ -18,14 +19,23 @@ import (
 // synchronous, the engine cannot read residual increments that arrive during
 // the same superstep (no eager propagation) and must pay the shared-bitmap
 // synchronization for frontier deduplication (no local duplicate detection).
+// Like the specialized parallel engines, it runs a round over at most
+// cutover (fp.Cutover) frontier vertices on one worker.
 type PPREngine struct {
 	workers int
+	cutover int
 }
 
 // NewPPREngine returns the vertex-centric PPR engine. workers <= 0 selects
 // GOMAXPROCS.
 func NewPPREngine(workers int) *PPREngine {
-	return &PPREngine{workers: workers}
+	return NewPPREngineCutover(workers, fp.Cutover)
+}
+
+// NewPPREngineCutover is NewPPREngine with an explicit cutover, exposed for
+// the engine table, which fans every round out (cutover 1).
+func NewPPREngineCutover(workers, cutover int) *PPREngine {
+	return &PPREngine{workers: workers, cutover: cutover}
 }
 
 // Name implements push.Engine.
@@ -44,7 +54,7 @@ func (e *PPREngine) Run(st *push.State, candidates []graph.VertexID) {
 
 func (e *PPREngine) runPhase(st *push.State, candidates []graph.VertexID, sign int) {
 	g := st.Graph()
-	fw := NewFramework(g, e.workers)
+	fanOut, inline := NewFramework(g, e.workers), NewFramework(g, 1)
 	n := g.NumVertices()
 	alpha := st.Alpha()
 	eps := st.Epsilon()
@@ -61,10 +71,13 @@ func (e *PPREngine) runPhase(st *push.State, candidates []graph.VertexID, sign i
 	// current superstep, for use by the following EdgeMap.
 	pushed := make([]float64, n)
 
-	for !frontier.Empty() {
-		st.Counters.ObserveIteration(frontier.Size())
-		members := int64(frontier.Size())
-		st.Counters.AddPushes(members)
+	for members := frontier.Size(); members > 0; members = frontier.Size() {
+		st.Counters.ObserveIteration(members)
+		st.Counters.AddPushes(int64(members))
+		fw := fanOut
+		if members <= e.cutover {
+			fw = inline
+		}
 
 		// Self-update as a VertexMap.
 		fw.VertexMap(frontier, func(u graph.VertexID) bool {

@@ -40,8 +40,8 @@ func FuzzWALRead(f *testing.F) {
 			{U: 1, V: 2, Op: stream.Insert},
 			{U: 2, V: 1, Op: stream.Delete},
 		})
-		l.AppendAddSource(7)
-		l.AppendRemoveSource(7)
+		l.Append(Record{Type: RecordAddSource, Source: 7})
+		l.Append(Record{Type: RecordRemoveSource, Source: 7})
 		l.AppendBatch(nil) // empty batch is a valid record
 	})
 	f.Add(valid)
@@ -78,15 +78,11 @@ func FuzzWALRead(f *testing.F) {
 			var lsn uint64
 			var aerr error
 			switch rec.Type {
-			case RecordBatch:
-				lsn, aerr = l.AppendBatch(rec.Batch)
-			case RecordAddSource:
+			case RecordBatch, RecordAddSource, RecordRemoveSource, RecordPromote:
 				if rec.Source < 0 {
 					t.Fatalf("decoded negative source %d", rec.Source)
 				}
-				lsn, aerr = l.AppendAddSource(rec.Source)
-			case RecordRemoveSource:
-				lsn, aerr = l.AppendRemoveSource(rec.Source)
+				lsn, aerr = l.Append(rec)
 			default:
 				t.Fatalf("decoded unknown record type %d", rec.Type)
 			}

@@ -1,7 +1,7 @@
 // Package wal implements the write-ahead log of the durable serving layer: an
 // append-only file of length-prefixed, CRC32-checksummed records journaling
-// every mutation a Service accepts — edge-update batches and source
-// add/remove — so that accumulated state survives a crash.
+// every mutation a Service accepts — edge-update batches, source additions,
+// promotions and removals — so that accumulated state survives a crash.
 //
 // # File layout
 //
@@ -36,14 +36,12 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"dynppr/internal/faultfs"
 	"dynppr/internal/fsatomic"
@@ -118,6 +116,11 @@ const (
 	RecordAddSource RecordType = 2
 	// RecordRemoveSource journals the end of tracking for a source.
 	RecordRemoveSource RecordType = 3
+	// RecordPromote journals the on-demand tier's promotion of a source: a
+	// RecordAddSource whose source carries the auto-promoted mark, so a later
+	// promotion may evict it. The eviction is journaled as its own
+	// RecordRemoveSource.
+	RecordPromote RecordType = 4
 )
 
 // Record is one decoded log entry.
@@ -128,7 +131,8 @@ type Record struct {
 	Type RecordType
 	// Batch is the update batch of a RecordBatch.
 	Batch stream.Batch
-	// Source is the vertex of a RecordAddSource / RecordRemoveSource.
+	// Source is the vertex of a RecordAddSource, RecordRemoveSource or
+	// RecordPromote.
 	Source graph.VertexID
 	// Offset is the file offset of the record's length prefix.
 	Offset int64
@@ -193,18 +197,13 @@ func OpenOrCreate(path string, createBase uint64, opts Options) (*Log, []Record,
 	}, recs, nil
 }
 
-// create writes a fresh log (header only) at path via a temp file and atomic
-// rename, so a crash mid-create never leaves a half-written header behind.
-// The header is read back and compared before the rename — a silent short
-// write here would otherwise relabel (or strand) every subsequent record —
-// and every failure path removes the temp file.
+// create writes a fresh log (header only) at path with
+// fsatomic.WriteFileFS, so a crash mid-create never leaves a half-written
+// header behind and a silent short write is caught by its read-back — one
+// here would otherwise relabel (or strand) every subsequent record — then
+// reopens the file for appending.
 func create(path string, base uint64, opts Options) (*Log, error) {
 	fs := opts.fsys()
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
 	// The header CRC covers the baseLSN: record payloads carry their own
 	// checksums, and without this one a flipped baseLSN bit would silently
 	// relabel every record's LSN — recovery would then skip acknowledged
@@ -213,47 +212,20 @@ func create(path string, base uint64, opts Options) (*Log, error) {
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint64(hdr[8:], base)
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], castagnoli))
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		fs.Remove(tmp)
+	if err := fsatomic.WriteFileFS(fs, path, hdr[:]); err != nil {
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return nil, err
-	}
-	if got, err := fs.ReadFile(tmp); err != nil || !bytes.Equal(got, hdr[:]) {
-		fs.Remove(tmp)
-		if err == nil {
-			err = fmt.Errorf("wal: verify %s: wrote %d header bytes but %d read back (torn or lying write)",
-				tmp, headerSize, len(got))
-		}
-		return nil, err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return nil, err
-	}
-	if err := fsatomic.SyncDirFS(fs, filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	// Reopen under the final name: the append handle must carry the real
-	// path, not the temp one — path-scoped fault rules (and error messages)
-	// would otherwise keep attributing every append to a *.tmp file.
-	af, err := fs.OpenFile(path, os.O_RDWR, 0o644)
+	// The append handle is opened under the final name, so path-scoped
+	// fault rules and error messages attribute every append to the log.
+	f, err := fs.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := af.Seek(headerSize, io.SeekStart); err != nil {
-		af.Close()
+	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
+		f.Close()
 		return nil, err
 	}
-	return &Log{path: path, opts: opts, fs: fs, f: af, base: base, next: base, size: headerSize}, nil
+	return &Log{path: path, opts: opts, fs: fs, f: f, base: base, next: base, size: headerSize}, nil
 }
 
 // BaseLSN returns the LSN of the first record slot of the current file.
@@ -277,25 +249,28 @@ func (l *Log) frameReserve() []byte {
 	return append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
-// AppendBatch journals an edge-update batch and returns its LSN. Every
-// update must be Representable; anything else is rejected rather than
-// mis-encoded.
+// AppendBatch journals an edge-update batch and returns its LSN.
 func (l *Log) AppendBatch(b stream.Batch) (uint64, error) {
-	buf, err := appendBatchPayload(l.frameReserve(), b)
-	if err != nil {
-		return 0, err
+	return l.Append(Record{Type: RecordBatch, Batch: b})
+}
+
+// Append journals rec's type and payload and returns the LSN it received;
+// rec's own LSN, Offset and EncodedLen are ignored. A batch's updates that
+// are not representable are left out; a source must be non-negative.
+func (l *Log) Append(rec Record) (uint64, error) {
+	buf := append(l.frameReserve(), byte(rec.Type))
+	switch rec.Type {
+	case RecordBatch:
+		buf = appendBatchPayload(buf, rec.Batch)
+	case RecordAddSource, RecordRemoveSource, RecordPromote:
+		if rec.Source < 0 {
+			return 0, fmt.Errorf("wal: source %d is not journalable", rec.Source)
+		}
+		buf = binary.AppendUvarint(buf, uint64(rec.Source))
+	default:
+		return 0, fmt.Errorf("wal: unknown record type %d", rec.Type)
 	}
 	return l.append(buf)
-}
-
-// AppendAddSource journals the start of tracking for source.
-func (l *Log) AppendAddSource(source graph.VertexID) (uint64, error) {
-	return l.append(appendSourcePayload(l.frameReserve(), RecordAddSource, source))
-}
-
-// AppendRemoveSource journals the end of tracking for source.
-func (l *Log) AppendRemoveSource(source graph.VertexID) (uint64, error) {
-	return l.append(appendSourcePayload(l.frameReserve(), RecordRemoveSource, source))
 }
 
 // append backfills the frame header of a buffer built by frameReserve and
@@ -403,8 +378,8 @@ func (l *Log) Close() error {
 // ---------------------------------------------------------------------------
 // Payload encoding. Format: one type byte, then
 //
-//	RecordBatch:        uvarint count, count × (op byte, uvarint u, uvarint v)
-//	RecordAdd/Remove:   uvarint source
+//	RecordBatch:                uvarint count, count × (op byte, uvarint u, uvarint v)
+//	RecordAdd/Remove/Promote:   uvarint source
 //
 // with op 0 = insert, 1 = delete.
 
@@ -413,22 +388,28 @@ const (
 	opDelete byte = 1
 )
 
-// Representable reports whether an update can be journaled: a recognized op
+// representable reports whether an update can be journaled: a recognized op
 // and non-negative endpoints. Unrepresentable updates are always no-ops to
-// apply (the graph skips them), so callers drop them from the journaled
-// batch rather than mis-encode them — a zero-valued Op written as an insert,
-// or a negative id written as a huge uvarint, would make replay diverge from
-// (or outright refuse) what the original process did.
-func Representable(u stream.Update) bool {
+// apply (the graph skips them), so a journaled batch leaves them out and
+// replays to the same state — whereas mis-encoding them would make replay
+// diverge (a zero-valued Op read back as an insert) or refuse the file (a
+// negative id read back as a huge uvarint).
+func representable(u stream.Update) bool {
 	return (u.Op == stream.Insert || u.Op == stream.Delete) && u.U >= 0 && u.V >= 0
 }
 
-func appendBatchPayload(buf []byte, b stream.Batch) ([]byte, error) {
-	buf = append(buf, byte(RecordBatch))
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
+// appendBatchPayload encodes b's representable updates.
+func appendBatchPayload(buf []byte, b stream.Batch) []byte {
+	count := 0
 	for _, u := range b {
-		if !Representable(u) {
-			return nil, fmt.Errorf("wal: update %+v is not journalable (filter with Representable)", u)
+		if representable(u) {
+			count++
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(count))
+	for _, u := range b {
+		if !representable(u) {
+			continue
 		}
 		op := opInsert
 		if u.Op == stream.Delete {
@@ -438,12 +419,7 @@ func appendBatchPayload(buf []byte, b stream.Batch) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(u.U))
 		buf = binary.AppendUvarint(buf, uint64(u.V))
 	}
-	return buf, nil
-}
-
-func appendSourcePayload(buf []byte, t RecordType, source graph.VertexID) []byte {
-	buf = append(buf, byte(t))
-	return binary.AppendUvarint(buf, uint64(source))
+	return buf
 }
 
 // decodePayload strictly parses one record payload. Every malformation is an
@@ -496,7 +472,7 @@ func decodePayload(lsn uint64, p []byte) (Record, error) {
 		if len(p) != 0 {
 			return rec, fmt.Errorf("%d trailing bytes after batch", len(p))
 		}
-	case RecordAddSource, RecordRemoveSource:
+	case RecordAddSource, RecordRemoveSource, RecordPromote:
 		s, err := takeVertex(&p)
 		if err != nil {
 			return rec, err

@@ -37,11 +37,11 @@ func appendMixed(t *testing.T, l *Log, n int) []Record {
 			lsn, err = l.AppendBatch(b)
 			rec = Record{Type: RecordBatch, Batch: b}
 		case 1:
-			lsn, err = l.AppendAddSource(graph.VertexID(i))
 			rec = Record{Type: RecordAddSource, Source: graph.VertexID(i)}
+			lsn, err = l.Append(rec)
 		default:
-			lsn, err = l.AppendRemoveSource(graph.VertexID(i))
 			rec = Record{Type: RecordRemoveSource, Source: graph.VertexID(i)}
+			lsn, err = l.Append(rec)
 		}
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -154,7 +154,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 				t.Fatalf("surviving records wrong: got %d want %d", len(got), len(wantSurviving))
 			}
 			// Appending after truncation works and the file is clean again.
-			if _, err := l2.AppendAddSource(99); err != nil {
+			if _, err := l2.Append(Record{Type: RecordAddSource, Source: 99}); err != nil {
 				t.Fatal(err)
 			}
 			if err := l2.Close(); err != nil {
@@ -219,7 +219,7 @@ func TestRotate(t *testing.T) {
 		t.Fatalf("post-rotate state wrong: base %d next %d size %d", l.BaseLSN(), l.NextLSN(), l.Size())
 	}
 	// Appends continue with monotone LSNs in the fresh file.
-	lsn, err := l.AppendAddSource(1)
+	lsn, err := l.Append(Record{Type: RecordAddSource, Source: 1})
 	if err != nil || lsn != 4 {
 		t.Fatalf("post-rotate append: lsn %d err %v", lsn, err)
 	}

@@ -21,7 +21,7 @@
 // carries the per-vertex bound it achieved. A caller who needs better than
 // the coarse ε has two levers, both deterministic: a smaller
 // OnDemandOptions.Epsilon, or tracking the source at the tracked ε (promotion
-// or AddSource, journaled on a persistent service).
+// or UpdateSources, journaled on a persistent service).
 //
 // Cold answers are computed concurrently but never redundantly, and each is
 // kept in one place: odTable, a bounded LRU of answers keyed by source at the
@@ -37,20 +37,24 @@
 //
 // A frequency-based admission cache (an LRU of per-source query counts)
 // watches on-demand traffic: a source queried at least PromoteAfter times is
-// promoted into tracked state through the live AddSource path, and when the
-// auto-promoted set is at capacity the coldest auto-promoted source is
-// evicted. The auto mark and its recency live on the tracked source itself,
-// so a source added by hand — even one re-added after its promotion was
-// removed — is never evicted. Hot long-tail users therefore graduate to exact
-// incremental maintenance automatically, and fall back to approximate answers
-// — never errors — when they cool off.
+// promoted into tracked state through the service's one mutation path, which
+// adds it and — when the auto-promoted set is at capacity — evicts the
+// coldest auto-promoted source in the same pipeline task. The auto mark and
+// its recency live on the tracked source itself, and the journal and the
+// checkpoint keep the mark, so a source added by hand — even one re-added
+// after its promotion was removed — is never evicted, and a promoted one
+// stays evictable across restarts. Hot long-tail users therefore graduate to
+// exact incremental maintenance automatically, and fall back to approximate
+// answers — never errors — when they cool off.
 package dynppr
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +62,7 @@ import (
 	"dynppr/internal/fp"
 	"dynppr/internal/graph"
 	"dynppr/internal/push"
+	"dynppr/internal/wal"
 )
 
 // OnDemandOptions configure the approximate query path for untracked
@@ -158,10 +163,6 @@ type onDemand struct {
 	mu   sync.Mutex
 	cand map[VertexID]*list.Element
 	lru  list.List
-
-	// tick is the recency clock of auto-promoted sources
-	// (serviceSource.lastUse).
-	tick atomic.Int64
 
 	queries           atomic.Int64
 	snapshotBuilds    atomic.Int64
@@ -673,30 +674,19 @@ func (od *onDemand) note(source VertexID) {
 	el.Value.(*odCandidate).count++
 }
 
-// forget drops source's admission-cache entry once the source is tracked.
-func (od *onDemand) forget(source VertexID) {
-	od.mu.Lock()
-	defer od.mu.Unlock()
-	if el := od.cand[source]; el != nil {
-		od.lru.Remove(el)
-		delete(od.cand, source)
-	}
-}
-
 // maybePromote promotes source into tracked state once its query count
-// reaches the threshold, then evicts the coldest other auto-promoted source
-// when the auto set ran over capacity. The order matters: the add happens
-// FIRST, so a failed promotion (overloaded pipeline) tears nothing down — an
-// evict-then-add order could lose a healthy tracked source and gain nothing.
-// MaxAutoSources is policy, not a hard cap; the set transiently holds one
-// extra source between the add and the eviction. Promotion failures are
-// swallowed — the query that triggered them already has its answer, and the
-// candidate's count is kept so a later query retries.
+// reaches the threshold. The promotion is one mutation: the addition and,
+// when the auto set would run over MaxAutoSources, the eviction of its
+// coldest members (appendEvictions) are validated, journaled and applied in
+// one pipeline task, so a promotion that fails admission tears nothing down
+// and one that succeeds never leaves the set over capacity. Failures are
+// swallowed — the query that triggered them already has its answer — and
+// the candidate's count is kept so a later query retries, unless the source
+// is tracked already (a concurrent promotion or a manual addition won).
 func (od *onDemand) maybePromote(ctx context.Context, source VertexID) bool {
 	if od.opts.PromoteAfter <= 0 {
 		return false
 	}
-	s := od.svc
 	od.mu.Lock()
 	el := od.cand[source]
 	ready := el != nil && el.Value.(*odCandidate).count >= od.opts.PromoteAfter
@@ -704,39 +694,44 @@ func (od *onDemand) maybePromote(ctx context.Context, source VertexID) bool {
 	if !ready {
 		return false
 	}
+	_, err := od.svc.mutate(ctx, []wal.Record{{Type: wal.RecordPromote, Source: source}}, true)
+	if err == nil || errors.Is(err, ErrSourceTracked) {
+		// The source is tracked now: its candidate entry has served.
+		od.mu.Lock()
+		if el := od.cand[source]; el != nil {
+			od.lru.Remove(el)
+			delete(od.cand, source)
+		}
+		od.mu.Unlock()
+	}
+	return err == nil
+}
 
-	// The addition and the eviction go through the ordinary live
-	// source-management path, outside od.mu (the pipeline never takes it, so
-	// there is no lock-order hazard — just no reason to hold it while a cold
-	// start runs). Both run as auto-promotion work: the addition marks the
-	// new source auto on the pipeline, and the eviction removes the victim
-	// only if it still carries that mark.
-	if err := s.addSource(ctx, source, true); err != nil {
-		// "already tracked" means someone else (a concurrent promotion or a
-		// manual AddSource) won the race; either way the source is tracked
-		// now and the candidate entry has served its purpose. Otherwise the
-		// pipeline was overloaded or closed: retry on a later query.
-		if _, tracked := (*s.table.Load())[source]; tracked {
-			od.forget(source)
-		}
-		return false
+// appendEvictions runs on the pipeline once a promotion has validated. It
+// appends the removals that keep the auto-promoted set within
+// MaxAutoSources once the promoted source joins it: the coldest
+// auto-promoted sources by last use, ties to the lower id.
+func (od *onDemand) appendEvictions(recs []wal.Record) []wal.Record {
+	// Readers keep refreshing lastUse, so the sort runs on one reading of it.
+	type auto struct {
+		lastUse int64
+		source  VertexID
 	}
-	od.forget(source)
-	od.promotions.Add(1)
-	victim, autos, cold := VertexID(-1), 0, int64(0)
-	for v, src := range *s.table.Load() {
-		if !src.auto.Load() {
-			continue
-		}
-		autos++
-		if last := src.lastUse.Load(); v != source && (victim < 0 || last < cold) {
-			victim, cold = v, last
+	var autos []auto
+	for _, src := range *od.svc.table.Load() {
+		if src.auto.Load() {
+			autos = append(autos, auto{src.lastUse.Load(), src.source})
 		}
 	}
-	// A failed removal (overloaded pipeline) leaves the auto set transiently
-	// over capacity; the next promotion picks a victim again.
-	if autos > od.opts.MaxAutoSources && s.removeSource(ctx, victim, true) == nil {
-		od.evictions.Add(1)
+	over := len(autos) + 1 - od.opts.MaxAutoSources
+	if over <= 0 {
+		return recs
 	}
-	return true
+	slices.SortFunc(autos, func(a, b auto) int {
+		return cmp.Or(cmp.Compare(a.lastUse, b.lastUse), cmp.Compare(a.source, b.source))
+	})
+	for _, a := range autos[:over] {
+		recs = append(recs, wal.Record{Type: wal.RecordRemoveSource, Source: a.source})
+	}
+	return recs
 }

@@ -31,13 +31,15 @@ import (
 //	wal.log     mutations journaled since that snapshot
 //
 // Recovery loads the checkpoint, replays the WAL suffix past the
-// checkpoint's sequence number through the ordinary write pipeline (so each
-// replayed batch converges exactly as it originally did), and re-checkpoints.
+// checkpoint's sequence number through the mutation path live writes take
+// (so each replayed batch converges exactly as it originally did), and
+// re-checkpoints.
 // The recovered estimates, residuals and snapshot epochs are bit-identical to
 // a process of the same build that never crashed, because the checkpoint
 // holds the edge set, whose sorted adjacency lists fix the push order and
 // floating-point summation order of subsequent pushes, and the snapshot
-// epochs it had published.
+// epochs it had published. Promotion marks survive too: the WAL journals a
+// promotion as its own record and the checkpoint stores the mark.
 
 // SyncPolicy selects when WAL appends reach stable storage; see the wal
 // package for the exact guarantees.
@@ -473,14 +475,14 @@ func (s *Service) persistenceStats() *PersistenceStats {
 	}
 }
 
-// journal is the write-ahead hook of the pipeline: it runs the given append
-// on the pipeline goroutine before the corresponding mutation is applied. It
-// is a no-op on an in-memory service. An append failure degrades (or, for
-// permanent errors, fails) persistence and rejects the mutation — the
-// in-memory state never runs ahead of what recovery can reconstruct, and no
-// further append touches the current WAL file before the recovery probe
-// rotates onto a fresh one.
-func (s *Service) journal(appendRec func(*wal.Log) (uint64, error)) error {
+// journal is the write-ahead step of the mutation path; Service.commit is
+// its one caller: it appends rec on the pipeline goroutine before rec is
+// applied. It is a no-op on an in-memory service. An append failure
+// degrades (or, for permanent errors, fails) persistence and rejects the
+// record — the in-memory state never runs ahead of what recovery can
+// reconstruct, and no further append touches the current WAL file before
+// the recovery probe rotates onto a fresh one.
+func (s *Service) journal(rec wal.Record) error {
 	p := s.persist.Load()
 	if p == nil {
 		return nil
@@ -488,41 +490,11 @@ func (s *Service) journal(appendRec func(*wal.Log) (uint64, error)) error {
 	if p.stateNow() != PersistHealthy {
 		return p.rejectErr()
 	}
-	if _, err := appendRec(p.log); err != nil {
+	if _, err := p.log.Append(rec); err != nil {
 		return s.degradePersistence(p, err)
 	}
 	p.nextLSN.Store(p.log.NextLSN())
 	return nil
-}
-
-func (s *Service) journalBatch(b Batch) error {
-	// Drop updates the WAL cannot represent (unknown op, negative id).
-	// They are exactly the updates the apply path skips as no-ops, so the
-	// journaled batch replays to the same state — whereas mis-encoding
-	// them would make recovery diverge (a zero Op read back as an insert)
-	// or refuse the file (a negative id read back as an overflow).
-	journalable := b
-	for i, u := range b {
-		if !wal.Representable(u) {
-			journalable = make(Batch, i, len(b))
-			copy(journalable, b[:i])
-			for _, rest := range b[i:] {
-				if wal.Representable(rest) {
-					journalable = append(journalable, rest)
-				}
-			}
-			break
-		}
-	}
-	return s.journal(func(l *wal.Log) (uint64, error) { return l.AppendBatch(journalable) })
-}
-
-func (s *Service) journalAddSource(source VertexID) error {
-	return s.journal(func(l *wal.Log) (uint64, error) { return l.AppendAddSource(source) })
-}
-
-func (s *Service) journalRemoveSource(source VertexID) error {
-	return s.journal(func(l *wal.Log) (uint64, error) { return l.AppendRemoveSource(source) })
 }
 
 // Checkpoint serializes the service's entire state — graph, source set,
@@ -587,6 +559,7 @@ func (s *Service) checkpointData(lsn uint64) *ckpt.Data {
 		data.Sources = append(data.Sources, ckpt.Source{
 			Source:    src.source,
 			Epoch:     src.slot.Epoch(),
+			Auto:      src.auto.Load(),
 			Estimates: src.st.Estimates(),
 			Residuals: src.st.Residuals(),
 		})
@@ -678,27 +651,27 @@ func NewServiceFromRecovery(so ServiceOptions, po PersistOptions) (*Service, err
 		log.Close()
 		return nil, err
 	}
-	// Replay the suffix past the checkpoint through the ordinary pipeline:
-	// each batch restores invariants and converges exactly as it originally
-	// did. Journaling is not yet attached, so replay does not re-journal.
+	// Promotion marks come back in ascending source order, each with the
+	// next tick of the recency clock, so which restored source a later
+	// promotion evicts first does not depend on timing.
+	table := *svc.table.Load()
+	for _, cs := range data.Sources {
+		if cs.Auto {
+			table[cs.Source].auto.Store(true)
+			table[cs.Source].lastUse.Store(svc.tick.Add(1))
+		}
+	}
+	// Replay the suffix past the checkpoint through the mutation path that
+	// wrote it: each batch restores invariants and converges exactly as it
+	// originally did. Journaling is not yet attached, so replay does not
+	// re-journal.
 	replayed := 0
 	for _, rec := range records {
 		if rec.LSN < data.LSN {
 			continue // covered by the checkpoint (crash between rename and rotate)
 		}
 		replayed++
-		var rerr error
-		switch rec.Type {
-		case wal.RecordBatch:
-			_, rerr = svc.ApplyBatch(rec.Batch)
-		case wal.RecordAddSource:
-			rerr = svc.AddSource(rec.Source)
-		case wal.RecordRemoveSource:
-			rerr = svc.RemoveSource(rec.Source)
-		default:
-			rerr = fmt.Errorf("unknown record type %d", rec.Type)
-		}
-		if rerr != nil {
+		if _, rerr := svc.mutate(context.Background(), []wal.Record{rec}, false); rerr != nil {
 			svc.Close()
 			log.Close()
 			return nil, fmt.Errorf("dynppr: replaying WAL record %d: %w", rec.LSN, rerr)

@@ -154,8 +154,8 @@ func TestOutOfRangeVertexRejectedBeforeJournal(t *testing.T) {
 
 // TestPersistentServiceBootGuards covers the constructor error paths: a
 // fresh boot refuses a directory that already holds a checkpoint, recovery
-// refuses a directory without one or with one in a retired format (DPPRCKP1
-// or DPPRCKP2), and Checkpoint on an in-memory service reports
+// refuses a directory without one or with one in a retired format (DPPRCKP1,
+// DPPRCKP2 or DPPRCKP3), and Checkpoint on an in-memory service reports
 // ErrNoPersistence.
 func TestPersistentServiceBootGuards(t *testing.T) {
 	initial, _ := windowWorkload(t, recoveryGraph(100, 800), 1, 5)
@@ -184,13 +184,17 @@ func TestPersistentServiceBootGuards(t *testing.T) {
 		t.Fatal("recovery without a checkpoint must fail")
 	}
 	// Well-formed checkpoints of an empty graph in the retired formats: the
-	// adjacency-list v1 and the two-direction CSR v2.
+	// adjacency-list v1, the two-direction CSR v2 and v3, whose source
+	// blocks carry no promotion mark.
 	for name, img := range map[string]string{
 		"DPPRCKP1": "DPPRCKP1\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
 			"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00N\x03u\xbe",
 		"DPPRCKP2": "DPPRCKP2\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
 			"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?" +
 			"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00:\xff;~",
+		"DPPRCKP3": "DPPRCKP3\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+			"\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?" +
+			"\x00\x00\x00\x00\x00\x00\x006\xee_C",
 	} {
 		oldDir := t.TempDir()
 		if err := os.WriteFile(checkpointPath(oldDir), []byte(img), 0o644); err != nil {

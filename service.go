@@ -12,6 +12,7 @@ import (
 
 	"dynppr/internal/fp"
 	"dynppr/internal/push"
+	"dynppr/internal/wal"
 )
 
 // Service is a concurrent multi-source PPR serving layer: it keeps an
@@ -23,11 +24,13 @@ import (
 //
 // Writes and reads are decoupled:
 //
-//   - All mutation — ApplyBatch, AddSource, RemoveSource — flows through a
-//     single internal pipeline goroutine, so the graph only ever changes on
-//     one goroutine. Mutating calls are safe to issue from any number of
-//     goroutines; they are serialized in arrival order and block until their
-//     effect is complete and published.
+//   - All mutation — ApplyBatch, UpdateSources and its AddSource and
+//     RemoveSource shorthands, on-demand promotion, WAL replay — takes one
+//     path onto a single internal pipeline goroutine, so the graph only ever
+//     changes on one goroutine. Each change is admitted once, then validated
+//     whole, journaled and applied in one pipeline task. Mutating calls are
+//     safe to issue from any number of goroutines; they are serialized in
+//     arrival order and block until their effect is complete and published.
 //
 //   - The pipeline drives one TrackerSet: a batch is journaled, applied to
 //     the graph with every source's invariant restored, and then up to
@@ -113,6 +116,9 @@ type Service struct {
 	// od is the on-demand query engine for untracked sources; nil unless
 	// ServiceOptions.OnDemand.Enabled.
 	od *onDemand
+	// tick is the recency clock of auto-promoted sources
+	// (serviceSource.lastUse).
+	tick atomic.Int64
 }
 
 type sourceTable map[VertexID]*serviceSource
@@ -125,9 +131,10 @@ type serviceSource struct {
 	st     *push.State
 	slot   *push.SnapshotSlot
 	// auto marks a source the on-demand tier promoted, set when the source
-	// enters the table; lastUse is its recency for eviction, a tick of the
-	// tier's clock refreshed by every read. A source added by hand carries
-	// neither, so it is never evicted.
+	// enters the table and kept by the journal and the checkpoint; lastUse
+	// is its recency for eviction, a tick of the service's clock refreshed
+	// by every read. A source added by hand carries neither, so it is never
+	// evicted.
 	auto    atomic.Bool
 	lastUse atomic.Int64
 }
@@ -151,10 +158,10 @@ type ServiceOptions struct {
 	PoolWorkers int
 	// QueueDepth is the capacity of the write pipeline. When it is full,
 	// ApplyBatch/AddSource/RemoveSource block (backpressure), the Ctx
-	// variants wait only until their context's deadline, and TryApplyBatch
-	// sheds immediately — both surfacing ErrOverloaded so serving front
-	// ends can turn saturation into load shedding instead of unbounded
-	// latency. <= 0 selects 64.
+	// variants and UpdateSources wait only until their context's deadline,
+	// and TryApplyBatch sheds immediately — both surfacing ErrOverloaded so
+	// serving front ends can turn saturation into load shedding instead of
+	// unbounded latency. <= 0 selects 64.
 	QueueDepth int
 	// OnDemand configures the approximate query path for untracked sources
 	// (QueryTopK/QueryEstimate); the zero value disables it.
@@ -185,10 +192,15 @@ var (
 	// frees up. The mutation was NOT journaled and NOT applied: the caller
 	// can safely retry later. Serving front ends map it to 429.
 	ErrOverloaded = errors.New("dynppr: write pipeline is overloaded")
-	// ErrVertexOutOfRange is returned by ApplyBatch and AddSource for a
+	// ErrVertexOutOfRange is returned by ApplyBatch and UpdateSources for a
 	// vertex id at or beyond NumVertices + MaxVertexGrowth. The mutation
 	// was NOT journaled and NOT applied. Serving front ends map it to 400.
 	ErrVertexOutOfRange = errors.New("dynppr: vertex id out of range")
+	// ErrSourceTracked is returned by UpdateSources and AddSource for an
+	// addition of a source that is already tracked, or added twice. The
+	// mutation was NOT journaled and NOT applied. Serving front ends map it
+	// to 409.
+	ErrSourceTracked = errors.New("dynppr: source is already tracked")
 )
 
 // MaxVertexGrowth bounds how far past the current graph one mutation may
@@ -201,7 +213,7 @@ var (
 const MaxVertexGrowth = 1 << 16
 
 // checkVertex rejects a vertex id beyond the growth bound. It runs on the
-// pipeline, before anything is journaled.
+// pipeline, in validate.
 func (s *Service) checkVertex(v VertexID) error {
 	if n := s.g.NumVertices(); int(v) >= n+MaxVertexGrowth {
 		return fmt.Errorf("%w: %d, the graph has %d vertices", ErrVertexOutOfRange, v, n)
@@ -343,16 +355,16 @@ func (s *Service) admit(ctx context.Context, t task, mutation bool) error {
 // onPipeline admits fn, waits for the pipeline goroutine to run it and
 // returns what it returned; an admission failure returns the zero T.
 func onPipeline[T any](ctx context.Context, s *Service, mutation bool, fn func() (T, error)) (T, error) {
-	var (
+	var out struct {
 		v   T
 		err error
-	)
+	}
 	done := make(chan struct{})
-	if aerr := s.admit(ctx, task{fn: func() { v, err = fn() }, done: done}, mutation); aerr != nil {
-		return v, aerr
+	if aerr := s.admit(ctx, task{fn: func() { out.v, out.err = fn() }, done: done}, mutation); aerr != nil {
+		return out.v, aerr
 	}
 	<-done
-	return v, err
+	return out.v, out.err
 }
 
 // canceled is the context of the non-blocking entry points: admission under
@@ -426,17 +438,93 @@ func (s *Service) TryApplyBatch(b Batch) (BatchResult, error) {
 }
 
 func (s *Service) applyBatch(ctx context.Context, b Batch) (BatchResult, error) {
-	return onPipeline(ctx, s, true, func() (BatchResult, error) {
-		for _, u := range b {
-			if err := s.checkVertex(max(u.U, u.V)); err != nil {
-				return BatchResult{}, err
+	return s.mutate(ctx, []wal.Record{{Type: wal.RecordBatch, Batch: b}}, false)
+}
+
+// mutate is the one path every change to the served state takes — edge
+// batches, source additions and removals, a promotion with its eviction,
+// and WAL replay — given as the WAL records it journals. It admits the
+// change once, under ctx, and commits it in one pipeline task.
+func (s *Service) mutate(ctx context.Context, recs []wal.Record, evict bool) (BatchResult, error) {
+	return onPipeline(ctx, s, true, func() (BatchResult, error) { return s.commit(recs, evict) })
+}
+
+// commit runs a change on the pipeline. It validates every record before
+// any is journaled, then journals and applies them in order: a change that
+// fails validation has no effect at all. Each record is applied as soon as
+// it is journaled, so memory never runs ahead of the journal or behind it;
+// a journal failure part-way through (storage trouble) keeps the records
+// before it. evict marks a live promotion: the evictions that keep the
+// auto-promoted set within its cap are chosen once the promotion has
+// validated, and journaled after it as removals. The result is the last
+// batch record's.
+func (s *Service) commit(recs []wal.Record, evict bool) (BatchResult, error) {
+	if err := s.validate(recs); err != nil {
+		return BatchResult{}, err
+	}
+	if evict {
+		recs = s.od.appendEvictions(recs)
+	}
+	var res BatchResult
+	for _, rec := range recs {
+		if err := s.journal(rec); err != nil {
+			return res, err
+		}
+		if rec.Type == wal.RecordBatch {
+			res = s.doBatch(rec.Batch)
+		} else if err := s.applySource(rec); err != nil {
+			return res, err
+		}
+	}
+	if evict {
+		s.od.promotions.Add(1)
+		s.od.evictions.Add(int64(len(recs) - 1))
+	}
+	return res, nil
+}
+
+// validate checks a change on the pipeline before any of it is journaled:
+// every batch update against the vertex bound, and every source record
+// against the tracked set as the records before it leave it. So the WAL
+// never holds a record that fails to apply, or to replay.
+func (s *Service) validate(recs []wal.Record) error {
+	var tracked map[VertexID]bool // copied from the table at the first source record
+	for _, rec := range recs {
+		if rec.Type == wal.RecordBatch {
+			for _, u := range rec.Batch {
+				if err := s.checkVertex(max(u.U, u.V)); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if tracked == nil {
+			tracked = make(map[VertexID]bool)
+			for v := range *s.table.Load() {
+				tracked[v] = true
 			}
 		}
-		if err := s.journalBatch(b); err != nil {
-			return BatchResult{}, err
+		switch rec.Type {
+		case wal.RecordAddSource, wal.RecordPromote:
+			if rec.Source < 0 {
+				return fmt.Errorf("dynppr: source must be non-negative, got %d", rec.Source)
+			}
+			if err := s.checkVertex(rec.Source); err != nil {
+				return err
+			}
+			if tracked[rec.Source] {
+				return fmt.Errorf("%w: %d", ErrSourceTracked, rec.Source)
+			}
+		case wal.RecordRemoveSource:
+			if !tracked[rec.Source] {
+				return fmt.Errorf("%w: %d", ErrUnknownSource, rec.Source)
+			}
+		default:
+			return fmt.Errorf("dynppr: unknown record type %d", rec.Type)
 		}
-		return s.doBatch(b), nil
-	})
+		tracked[rec.Source] = rec.Type != wal.RecordRemoveSource
+	}
+	return nil
 }
 
 func (s *Service) doBatch(b Batch) BatchResult {
@@ -539,70 +627,72 @@ func (s *Service) compactInline() {
 	}
 }
 
-// AddSource starts tracking a new source: its state is cold-started on the
-// current graph and its first snapshot published before the call returns.
-// Readers of existing sources are never blocked; the new source becomes
-// visible to reads atomically once converged. Adding an already tracked
-// source is an error. On a persistent service the addition is journaled
-// (after validation, so the log never records an operation that would fail
-// on replay).
-func (s *Service) AddSource(source VertexID) error {
-	return s.addSource(context.Background(), source, false)
-}
-
-// AddSourceCtx is AddSource with bounded admission (see ApplyBatchCtx for
-// the contract: ctx bounds the wait for a pipeline slot only).
-func (s *Service) AddSourceCtx(ctx context.Context, source VertexID) error {
-	return s.addSource(ctx, source, false)
-}
-
-// addSource adds source on the pipeline; auto marks it as the on-demand
-// tier's promotion.
-func (s *Service) addSource(ctx context.Context, source VertexID, auto bool) error {
-	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
-		if err := s.validateAddSource(source); err != nil {
-			return struct{}{}, err
-		}
-		if err := s.journalAddSource(source); err != nil {
-			return struct{}{}, err
-		}
-		return struct{}{}, s.doAddSource(source, auto)
-	})
+// UpdateSources changes the tracked set in one mutation: every source of
+// add starts being tracked, in order, then every source of remove stops. An
+// added source is cold-started on the current graph and becomes visible to
+// reads atomically once converged; readers of other sources are never
+// blocked, and in-flight reads of a removed source complete normally. ctx
+// bounds admission only (see ApplyBatchCtx). The change is validated whole
+// before any of it is journaled: an addition that is negative, beyond the
+// vertex bound (ErrVertexOutOfRange) or already tracked (ErrSourceTracked),
+// or a removal of a source that is not tracked (ErrUnknownSource), rejects
+// all of it with no effect. A removal may name a source the same call adds.
+func (s *Service) UpdateSources(ctx context.Context, add, remove []VertexID) error {
+	recs := make([]wal.Record, 0, len(add)+len(remove))
+	for _, v := range add {
+		recs = append(recs, wal.Record{Type: wal.RecordAddSource, Source: v})
+	}
+	for _, v := range remove {
+		recs = append(recs, wal.Record{Type: wal.RecordRemoveSource, Source: v})
+	}
+	_, err := s.mutate(ctx, recs, false)
 	return err
 }
 
-// validateAddSource runs on the pipeline before the addition is journaled,
-// so the WAL never records an operation that would fail on replay.
-func (s *Service) validateAddSource(source VertexID) error {
-	if source < 0 {
-		return fmt.Errorf("dynppr: source must be non-negative, got %d", source)
-	}
-	if err := s.checkVertex(source); err != nil {
-		return err
-	}
-	if _, dup := (*s.table.Load())[source]; dup {
-		return fmt.Errorf("dynppr: source %d is already tracked", source)
-	}
-	return nil
+// AddSource is UpdateSources adding one source, with unbounded admission.
+func (s *Service) AddSource(source VertexID) error {
+	return s.UpdateSources(context.Background(), []VertexID{source}, nil)
 }
 
-// doAddSource applies a validated addition (see validateAddSource). The
-// pipeline goroutine is not inside a batch, so the set's engines are idle and
-// the cold start runs right here.
-func (s *Service) doAddSource(source VertexID, auto bool) error {
+// AddSourceCtx is UpdateSources adding one source.
+func (s *Service) AddSourceCtx(ctx context.Context, source VertexID) error {
+	return s.UpdateSources(ctx, []VertexID{source}, nil)
+}
+
+// RemoveSource is UpdateSources removing one source, with unbounded
+// admission.
+func (s *Service) RemoveSource(source VertexID) error {
+	return s.UpdateSources(context.Background(), nil, []VertexID{source})
+}
+
+// RemoveSourceCtx is UpdateSources removing one source.
+func (s *Service) RemoveSourceCtx(ctx context.Context, source VertexID) error {
+	return s.UpdateSources(ctx, nil, []VertexID{source})
+}
+
+// applySource applies a validated source record. An addition's cold start
+// runs right here: the pipeline goroutine is not inside a batch, so the
+// set's engines are idle. A promotion marks the source auto-promoted.
+func (s *Service) applySource(rec wal.Record) error {
+	next := maps.Clone(*s.table.Load())
+	if rec.Type == wal.RecordRemoveSource {
+		delete(next, rec.Source)
+		s.table.Store(&next)
+		s.set.remove(rec.Source)
+		return nil
+	}
 	vertices := s.g.NumVertices()
-	st, err := s.set.add(source)
+	st, err := s.set.add(rec.Source)
 	if err != nil {
 		return err
 	}
-	src := &serviceSource{source: source, st: st, slot: push.NewSnapshotSlot()}
-	if auto {
+	src := &serviceSource{source: rec.Source, st: st, slot: push.NewSnapshotSlot()}
+	if rec.Type == wal.RecordPromote {
 		src.auto.Store(true)
-		src.lastUse.Store(s.od.tick.Add(1))
+		src.lastUse.Store(s.tick.Add(1))
 	}
 	src.slot.Publish(st)
-	next := maps.Clone(*s.table.Load())
-	next[source] = src
+	next[rec.Source] = src
 	s.table.Store(&next)
 	// Tracking a vertex of the graph leaves the graph as it was, and with it
 	// every pinned view and cached cold answer; only an id beyond the graph
@@ -611,42 +701,6 @@ func (s *Service) doAddSource(source VertexID, auto bool) error {
 		s.graphGen.Add(1)
 	}
 	return nil
-}
-
-// RemoveSource stops tracking a source and frees its state. In-flight reads
-// that already acquired the source's snapshot complete normally; subsequent
-// reads return ErrUnknownSource. Removing an untracked source is an error.
-// On a persistent service the removal is journaled after validation.
-func (s *Service) RemoveSource(source VertexID) error {
-	return s.removeSource(context.Background(), source, false)
-}
-
-// RemoveSourceCtx is RemoveSource with bounded admission (see ApplyBatchCtx
-// for the contract: ctx bounds the wait for a pipeline slot only).
-func (s *Service) RemoveSourceCtx(ctx context.Context, source VertexID) error {
-	return s.removeSource(ctx, source, false)
-}
-
-// removeSource removes source on the pipeline; onlyAuto refuses a source
-// that does not carry the on-demand tier's auto mark, so an eviction can
-// never remove a source added by hand.
-func (s *Service) removeSource(ctx context.Context, source VertexID, onlyAuto bool) error {
-	_, err := onPipeline(ctx, s, true, func() (struct{}, error) {
-		// The lookup doubles as pre-journal validation: an untracked source
-		// is rejected before anything reaches the WAL.
-		if src, ok := (*s.table.Load())[source]; !ok || onlyAuto && !src.auto.Load() {
-			return struct{}{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
-		}
-		if err := s.journalRemoveSource(source); err != nil {
-			return struct{}{}, err
-		}
-		next := maps.Clone(*s.table.Load())
-		delete(next, source)
-		s.table.Store(&next)
-		s.set.remove(source)
-		return struct{}{}, nil
-	})
-	return err
 }
 
 // lookup resolves a source through the copy-on-write table (lock-free).
@@ -665,7 +719,7 @@ func (s *Service) lookup(source VertexID) (*serviceSource, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 	}
 	if src.auto.Load() {
-		src.lastUse.Store(s.od.tick.Add(1))
+		src.lastUse.Store(s.tick.Add(1))
 	}
 	return src, nil
 }
