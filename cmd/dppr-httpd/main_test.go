@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -180,8 +181,8 @@ func TestHTTPDErrors(t *testing.T) {
 }
 
 // TestHTTPDFlagSurface compares the daemon's flags with a golden list, so
-// the next flag is a visible diff here — and in the README's knob table,
-// which maps each of them to the caller that needs it.
+// the next flag is a visible diff here — and in the README's flag table,
+// which must name each of them as `-name`.
 func TestHTTPDFlagSurface(t *testing.T) {
 	var got []string
 	newFlagSet(new(config)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
@@ -190,6 +191,15 @@ func TestHTTPDFlagSurface(t *testing.T) {
 		seed sources vertices`)
 	if !slices.Equal(got, want) { // VisitAll walks in sorted order
 		t.Fatalf("dppr-httpd has %d flags %v, the golden list has %d: %v", len(got), got, len(want), want)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range want {
+		if !strings.Contains(string(readme), "`-"+name+"`") {
+			t.Errorf("README.md does not document the flag `-%s`", name)
+		}
 	}
 }
 

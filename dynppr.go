@@ -57,8 +57,8 @@
 // handler, server and client; every read response carries the SnapshotInfo
 // of the converged snapshot it came from) together with cmd/dppr-httpd (the
 // daemon) and cmd/dppr-loadgen (a closed-loop load generator that doubles as
-// a serving-contract checker). The README's "Serving over the network"
-// section documents the endpoints and JSON shapes.
+// a serving-contract checker). The README's "HTTP API" section documents
+// the routes, JSON shapes and status codes.
 package dynppr
 
 import (

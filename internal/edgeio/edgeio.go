@@ -86,13 +86,3 @@ func LoadFile(path string) ([]graph.Edge, error) {
 	defer f.Close()
 	return Read(f)
 }
-
-// LoadGraph reads an edge list from path and builds a graph from it,
-// ignoring duplicate edges.
-func LoadGraph(path string) (*graph.Graph, error) {
-	edges, err := LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromEdges(edges), nil
-}

@@ -63,7 +63,7 @@ const (
 	ModePartial
 	// ModeSilentShort (writes only; ModeFail elsewhere) lets the first
 	// Partial bytes reach the file but reports complete success — a lying
-	// write. Only layers that re-read what they wrote (fsatomic.WriteFile,
+	// write. Only layers that re-read what they wrote (fsatomic.WriteFileFS,
 	// the WAL header create path) can detect it, so test scripts restrict
 	// this mode to paths with read-back verification.
 	ModeSilentShort

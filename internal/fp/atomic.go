@@ -80,14 +80,6 @@ func (v *Float64Vector) Get(i int) float64 { return math.Float64frombits(v.bits[
 // Set stores x at element i without synchronization.
 func (v *Float64Vector) Set(i int, x float64) { v.bits[i] = math.Float64bits(x) }
 
-// Add adds delta to element i without synchronization and returns the
-// previous value.
-func (v *Float64Vector) Add(i int, delta float64) (before float64) {
-	before = math.Float64frombits(v.bits[i])
-	v.bits[i] = math.Float64bits(before + delta)
-	return before
-}
-
 // AtomicGet atomically loads element i.
 func (v *Float64Vector) AtomicGet(i int) float64 { return LoadFloat64(&v.bits[i]) }
 
@@ -99,12 +91,6 @@ func (v *Float64Vector) AtomicAdd(i int, delta float64) (before float64) {
 // AtomicSwap atomically replaces element i with x and returns the previous value.
 func (v *Float64Vector) AtomicSwap(i int, x float64) float64 {
 	return SwapFloat64(&v.bits[i], x)
-}
-
-// CopyFrom copies the contents of src into v. The vectors must have the same
-// length.
-func (v *Float64Vector) CopyFrom(src *Float64Vector) {
-	copy(v.bits, src.bits)
 }
 
 // Snapshot returns the values as a plain []float64 copy.

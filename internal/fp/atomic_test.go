@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+// Add adds delta to element i without synchronization and returns the
+// previous value.
+func (v *Float64Vector) Add(i int, delta float64) (before float64) {
+	before = math.Float64frombits(v.bits[i])
+	v.bits[i] = math.Float64bits(before + delta)
+	return before
+}
+
+// CopyFrom copies the contents of src into v. The vectors must have the same
+// length.
+func (v *Float64Vector) CopyFrom(src *Float64Vector) {
+	copy(v.bits, src.bits)
+}
+
 func TestAtomicAddFloat64Sequential(t *testing.T) {
 	cell := math.Float64bits(1.5)
 	before := AtomicAddFloat64(&cell, 2.25)

@@ -41,19 +41,8 @@ func (q *Queue) Enqueue(v int32) {
 	q.overflowMu.Unlock()
 }
 
-// Len returns the number of enqueued items. Only meaningful after producers
-// have finished.
-func (q *Queue) Len() int {
-	n := int(atomic.LoadInt64(&q.next))
-	if n > len(q.items) {
-		n = len(q.items)
-	}
-	return n + len(q.overflow)
-}
-
 // Drain returns the queued items. The returned slice aliases internal storage
-// when no overflow occurred; callers must not retain it across a Reset.
-// Only call after all producers have finished.
+// when no overflow occurred. Only call after all producers have finished.
 func (q *Queue) Drain() []int32 {
 	n := int(atomic.LoadInt64(&q.next))
 	if n > len(q.items) {
@@ -68,16 +57,6 @@ func (q *Queue) Drain() []int32 {
 	return out
 }
 
-// Reset clears the queue for reuse, growing the backing array if a previous
-// round overflowed.
-func (q *Queue) Reset() {
-	if len(q.overflow) > 0 {
-		q.items = make([]int32, (len(q.items)+len(q.overflow))*2)
-		q.overflow = nil
-	}
-	atomic.StoreInt64(&q.next, 0)
-}
-
 // BitSet is a fixed-size concurrent bit set over vertex ids. It backs the
 // "unique enqueue" path of the vanilla parallel push (Algorithm 3), where a
 // vertex must be added to the next frontier at most once: TestAndSet is the
@@ -89,20 +68,6 @@ type BitSet struct {
 // NewBitSet returns a bit set able to hold n bits.
 func NewBitSet(n int) *BitSet {
 	return &BitSet{words: make([]uint64, (n+63)/64)}
-}
-
-// Len returns the capacity in bits.
-func (b *BitSet) Len() int { return len(b.words) * 64 }
-
-// Resize grows the bit set to hold at least n bits.
-func (b *BitSet) Resize(n int) {
-	need := (n + 63) / 64
-	if need <= len(b.words) {
-		return
-	}
-	grown := make([]uint64, need)
-	copy(grown, b.words)
-	b.words = grown
 }
 
 // TestAndSet atomically sets bit i and reports whether it was already set.
@@ -150,29 +115,4 @@ func (b *BitSet) Clear(i int) {
 			return
 		}
 	}
-}
-
-// Reset clears every bit.
-func (b *BitSet) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Count returns the number of set bits (not atomic across words).
-func (b *BitSet) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -3,9 +3,69 @@ package fp
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// Len returns the number of enqueued items. Only meaningful after producers
+// have finished.
+func (q *Queue) Len() int {
+	n := int(atomic.LoadInt64(&q.next))
+	if n > len(q.items) {
+		n = len(q.items)
+	}
+	return n + len(q.overflow)
+}
+
+// Reset clears the queue for reuse, growing the backing array if a previous
+// round overflowed.
+func (q *Queue) Reset() {
+	if len(q.overflow) > 0 {
+		q.items = make([]int32, (len(q.items)+len(q.overflow))*2)
+		q.overflow = nil
+	}
+	atomic.StoreInt64(&q.next, 0)
+}
+
+// Len returns the capacity in bits.
+func (b *BitSet) Len() int { return len(b.words) * 64 }
+
+// Resize grows the bit set to hold at least n bits.
+func (b *BitSet) Resize(n int) {
+	need := (n + 63) / 64
+	if need <= len(b.words) {
+		return
+	}
+	grown := make([]uint64, need)
+	copy(grown, b.words)
+	b.words = grown
+}
+
+// Reset clears every bit.
+func (b *BitSet) Reset() {
+	for i := range b.words {
+		b.words[i] = 0
+	}
+}
+
+// Count returns the number of set bits (not atomic across words).
+func (b *BitSet) Count() int {
+	n := 0
+	for _, w := range b.words {
+		n += popcount(w)
+	}
+	return n
+}
+
+func popcount(x uint64) int {
+	n := 0
+	for x != 0 {
+		x &= x - 1
+		n++
+	}
+	return n
+}
 
 func TestQueueSequential(t *testing.T) {
 	q := NewQueue(4)

@@ -14,11 +14,6 @@ import (
 	"dynppr/internal/faultfs"
 )
 
-// WriteFile is WriteFileFS on the real filesystem.
-func WriteFile(path string, data []byte) error {
-	return WriteFileFS(faultfs.OS, path, data)
-}
-
 // WriteFileFS atomically replaces path with data: the bytes go to path.tmp,
 // are fsynced, read back and compared (catching silent short or bit-damaged
 // writes before they can replace good data), renamed over path, and the
@@ -61,11 +56,6 @@ func WriteFileFS(fs faultfs.FS, path string, data []byte) error {
 		return err
 	}
 	return SyncDirFS(fs, filepath.Dir(path))
-}
-
-// SyncDir is SyncDirFS on the real filesystem.
-func SyncDir(dir string) error {
-	return SyncDirFS(faultfs.OS, dir)
 }
 
 // SyncDirFS fsyncs a directory so a just-renamed file's directory entry is

@@ -28,7 +28,7 @@ func noTmpLitter(t *testing.T, dir string) {
 
 func TestWriteFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	if err := WriteFile(path, []byte("payload")); err != nil {
+	if err := WriteFileFS(faultfs.OS, path, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -114,8 +114,8 @@ func TestENOSPCErrorSurfaces(t *testing.T) {
 }
 
 func TestSyncDir(t *testing.T) {
-	if err := SyncDir(t.TempDir()); err != nil {
-		t.Fatalf("SyncDir on a real directory: %v", err)
+	if err := SyncDirFS(faultfs.OS, t.TempDir()); err != nil {
+		t.Fatalf("SyncDirFS on a real directory: %v", err)
 	}
 	in := faultfs.NewInjector(faultfs.OS)
 	in.Add(faultfs.Rule{Op: faultfs.OpSync})

@@ -190,11 +190,6 @@ func (c *CSR) NumVertices() int { return c.n }
 // NumEdges returns the number of directed edges in the snapshot.
 func (c *CSR) NumEdges() int { return len(c.outTargets) }
 
-// OutDegree returns the out-degree of u in the snapshot.
-func (c *CSR) OutDegree(u VertexID) int {
-	return int(c.outOffsets[u+1] - c.outOffsets[u])
-}
-
 // InDegree returns the in-degree of v in the snapshot.
 func (c *CSR) InDegree(v VertexID) int {
 	return int(c.inOffsets[v+1] - c.inOffsets[v])

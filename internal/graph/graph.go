@@ -11,7 +11,11 @@
 // and every mutation moves by ±1. The push divides by dout(v) once per edge
 // it relaxes, so a degree lookup is one load; the overlays hold only the
 // lists, and compaction, which never changes logical content, leaves the
-// array alone.
+// array alone. Reading the degree through the layers (an overlay slice
+// header, then two base offsets) took 41 % of the sequential push's CPU on
+// the benchmark's write-stream workload; with the array and the bitmap-free
+// push kernel together, BenchmarkSequentialTrackedPush in internal/push went
+// from ≈ 45 to ≈ 26 ns per propagation.
 //
 // A delta segment is a fully materialized adjacency list for one vertex and
 // direction: the first mutation of a vertex copies its base list into the

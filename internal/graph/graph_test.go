@@ -214,7 +214,7 @@ func TestSnapshotMatchesGraph(t *testing.T) {
 			c.NumVertices(), c.NumEdges(), g.NumVertices(), g.NumEdges())
 	}
 	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
-		if c.OutDegree(u) != g.OutDegree(u) || c.InDegree(u) != g.InDegree(u) {
+		if len(c.OutNeighbors(u)) != g.OutDegree(u) || c.InDegree(u) != g.InDegree(u) {
 			t.Fatalf("degree mismatch at %d", u)
 		}
 		outSet := make(map[VertexID]bool)

@@ -5,25 +5,6 @@ import (
 	"slices"
 )
 
-// Adjacency is the read-only neighbor-access surface shared by *CSR, *View
-// and *Graph. Code that only walks a frozen graph (cold pushes, random
-// walks, oracles) can accept any of the three. Accessor behavior for
-// out-of-range ids follows the implementing type: Graph and View return
-// 0/nil, CSR assumes in-range ids.
-type Adjacency interface {
-	NumVertices() int
-	OutDegree(u VertexID) int
-	InDegree(v VertexID) int
-	OutNeighbors(u VertexID) []VertexID
-	InNeighbors(v VertexID) []VertexID
-}
-
-var (
-	_ Adjacency = (*CSR)(nil)
-	_ Adjacency = (*View)(nil)
-	_ Adjacency = (*Graph)(nil)
-)
-
 // viewOverlay is one vertex's frozen delta segments. hasOut/hasIn
 // distinguish "direction overlaid (possibly with zero edges)" from
 // "direction reads the base".
@@ -88,25 +69,12 @@ func (c *CSR) View() *View {
 // NumVertices returns the number of vertices in the view.
 func (v *View) NumVertices() int { return v.n }
 
-// NumEdges returns the number of directed edges in the view.
-func (v *View) NumEdges() int { return v.m }
-
-// Epoch returns the base-segment epoch the view pins.
-func (v *View) Epoch() uint64 { return v.epoch }
-
 // DeltaEdges returns the number of delta-segment adjacency entries layered
 // over the base — the touched-proportional cost of having built this view.
 func (v *View) DeltaEdges() int { return v.deltaEdges }
 
-// OverlaidVertices returns the number of vertices read from delta segments
-// rather than the base.
-func (v *View) OverlaidVertices() int { return len(v.ov) }
-
 // OutDegree returns the out-degree of u (0 for out-of-range ids).
 func (v *View) OutDegree(u VertexID) int { return len(v.OutNeighbors(u)) }
-
-// InDegree returns the in-degree of u (0 for out-of-range ids).
-func (v *View) InDegree(u VertexID) int { return len(v.InNeighbors(u)) }
 
 // OutNeighbors returns the out-neighbors of u. The slice is immutable for
 // the lifetime of the view.

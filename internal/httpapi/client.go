@@ -67,9 +67,6 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	return &Client{base: base, hc: httpClient}
 }
 
-// BaseURL returns the server base URL the client was built with.
-func (c *Client) BaseURL() string { return c.base }
-
 // do issues the request and decodes the JSON response into out, translating
 // non-2xx responses to *APIError.
 func (c *Client) do(method, path string, body, out any) error {

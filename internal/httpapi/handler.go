@@ -130,9 +130,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// Metrics returns the handler's per-endpoint counters.
-func (h *Handler) Metrics() *Metrics { return h.metrics }
-
 // apiError carries an HTTP status with a message through the handler
 // helpers; retryAfter, when set, overrides the Retry-After suggestion on a
 // 429.

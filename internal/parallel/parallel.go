@@ -42,9 +42,20 @@
 //     form the next frontier, in the (deterministic) order the merge
 //     collected them.
 //
-// Small frontiers fall back to an inline single-worker execution of the very
-// same schedule (the adaptive cutover), so the fallback is free of goroutine
-// fan-out overhead and still bit-identical.
+// Small frontiers — at most fp.Cutover (128) vertices — fall back to an
+// inline single-worker execution of the very same schedule (the adaptive
+// cutover), so the small incremental batches of a converged tracker pay no
+// goroutine fan-out and stay bit-identical.
+//
+// Determinism is not free. The round-synchronous schedule performs ≈ 1.3–1.5×
+// the pushes of the sequential FIFO engine: deferred merges re-activate
+// frontier vertices that sequential processing would have drained in place.
+// On a 2-vCPU box (benchmark/README.md) the engine at nproc ran at 0.58–0.91×
+// the sequential push on 10 000-update batches and 0.31–0.38× on 100-update
+// batches, and at one worker it is ≈ 1.4× slower than sequential, so the cost
+// is the schedule itself, not only the fan-out. Whether it wins on ≥ 4 real
+// cores, the paper's scaling claim, has not been measured. That is why a
+// Service runs the sequential push and offers no engine choice.
 package parallel
 
 import (

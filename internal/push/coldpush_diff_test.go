@@ -163,7 +163,7 @@ func TestColdPushMatchesSortedKernel(t *testing.T) {
 	for _, sh := range shapes {
 		g, hub := diffColdGraph(t, sh.model, sh.n, sh.m, sh.seed)
 		compacted := g.View()
-		if compacted.OverlaidVertices() != 0 {
+		if compacted.DeltaEdges() != 0 {
 			t.Fatalf("%s: fresh graph must have no overlays", sh.name)
 		}
 		// A batch: every 9th vertex loses its first out-edge, every 11th
@@ -188,7 +188,7 @@ func TestColdPushMatchesSortedKernel(t *testing.T) {
 			}
 		}
 		overlaid := g.View()
-		if overlaid.OverlaidVertices() == 0 {
+		if overlaid.DeltaEdges() == 0 {
 			t.Fatalf("%s: the batch must leave overlays", sh.name)
 		}
 

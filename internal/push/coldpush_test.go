@@ -35,7 +35,7 @@ func TestColdPushCSRValidation(t *testing.T) {
 		t.Fatal("invalid config must fail")
 	}
 	for _, src := range []graph.VertexID{-1, graph.VertexID(c.NumVertices())} {
-		if _, err := ColdPushCSR(c, src, DefaultConfig(), 0); err == nil {
+		if _, err := ColdPushCSR(c, src, Config{Alpha: 0.15, Epsilon: 1e-6}, 0); err == nil {
 			t.Fatalf("out-of-range source %d must fail", src)
 		}
 	}
@@ -102,11 +102,19 @@ func TestColdPushCSRCapped(t *testing.T) {
 	}
 }
 
+// adjacency is the neighbor-access surface *graph.View and *graph.Graph
+// share.
+type adjacency interface {
+	NumVertices() int
+	OutDegree(u graph.VertexID) int
+	InNeighbors(v graph.VertexID) []graph.VertexID
+}
+
 // densePush is the oracle the sparse kernel is pinned to: the textbook FIFO
 // push over dense length-n arrays with a membership bitmap, draining the
 // frontier at threshold eps. It stops with capped=true the moment maxPushes
 // (> 0) is reached.
-func densePush(a graph.Adjacency, source graph.VertexID, alpha, eps float64, maxPushes int64) (p, r []float64, pushes int64, capped bool) {
+func densePush(a adjacency, source graph.VertexID, alpha, eps float64, maxPushes int64) (p, r []float64, pushes int64, capped bool) {
 	n := a.NumVertices()
 	p, r = make([]float64, n), make([]float64, n)
 	inQueue := make([]bool, n)
@@ -177,7 +185,7 @@ func TestColdPushMatchesDenseReference(t *testing.T) {
 	}
 	g := graph.FromEdges(list)
 	compacted := g.View()
-	if compacted.OverlaidVertices() != 0 {
+	if compacted.DeltaEdges() != 0 {
 		t.Fatal("fresh graph must have no overlays")
 	}
 	// A delete-heavy batch: a third of the vertices lose every other
@@ -201,7 +209,7 @@ func TestColdPushMatchesDenseReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	overlaid := g.View()
-	if overlaid.OverlaidVertices() == 0 {
+	if overlaid.DeltaEdges() == 0 {
 		t.Fatal("the batch must leave overlays")
 	}
 
@@ -346,7 +354,7 @@ func TestColdPushAllocatesWhatItTouches(t *testing.T) {
 		view := graph.FromEdges(list).View()
 		var sources []graph.VertexID
 		for v := graph.VertexID(n / 2); len(sources) < 64; v += 37 {
-			if view.InDegree(v) > 0 {
+			if len(view.InNeighbors(v)) > 0 {
 				sources = append(sources, v)
 			}
 		}
@@ -393,7 +401,7 @@ func BenchmarkColdPushLedgerShape(b *testing.B) {
 	view := graph.FromEdges(initial).View()
 	var sources []graph.VertexID
 	for _, c := range rand.New(rand.NewSource(seed ^ 0x636f6c64)).Perm(n) {
-		if v := graph.VertexID(c); c < view.NumVertices() && view.InDegree(v) >= 1 {
+		if v := graph.VertexID(c); c < view.NumVertices() && len(view.InNeighbors(v)) >= 1 {
 			if sources = append(sources, v); len(sources) == 200 {
 				break
 			}

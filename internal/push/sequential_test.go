@@ -3,7 +3,6 @@ package push
 import (
 	"testing"
 
-	"dynppr/internal/fp"
 	"dynppr/internal/gen"
 	"dynppr/internal/graph"
 	"dynppr/internal/stream"
@@ -136,15 +135,15 @@ func BenchmarkSequentialTrackedPush(b *testing.B) {
 	}
 	touched := Restore(g, []*State{st}, batch, nil)
 	st.MarkAllEstimatesDirty()
-	p0, r0 := fp.NewFloat64Vector(st.p.Len()), fp.NewFloat64Vector(st.r.Len())
-	p0.CopyFrom(st.p)
-	r0.CopyFrom(st.r)
+	p0, r0 := st.p.Snapshot(), st.r.Snapshot()
 	var props int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st.p.CopyFrom(p0)
-		st.r.CopyFrom(r0)
+		for i := range p0 {
+			st.p.Set(i, p0[i])
+			st.r.Set(i, r0[i])
+		}
 		before := st.Counters.Propagations
 		b.StartTimer()
 		e.Run(st, touched)

@@ -87,11 +87,11 @@ func TestDeltaPublishBitIdentical(t *testing.T) {
 				if want := st.Estimates(); !bitsEq(snap.Estimates(), want) {
 					t.Fatalf("batch %d: published snapshot diverges from live state", batch)
 				}
-				if !snap.Converged() {
+				if snap.MaxResidual() > snap.Epsilon() {
 					t.Fatalf("batch %d: snapshot not converged (%v > %v)", batch, snap.MaxResidual(), snap.Epsilon())
 				}
 				for _, k := range []int{1, 5, 16, 23, st.NumVertices()} {
-					got := snap.TopK(k)
+					got := snap.AppendTopK(nil, k)
 					want := AppendTopK(nil, snap.Estimates(), k)
 					if len(got) != len(want) {
 						t.Fatalf("batch %d k=%d: got %d entries, want %d", batch, k, len(got), len(want))
@@ -182,16 +182,16 @@ func TestTopIndexAbsorbsDecays(t *testing.T) {
 	slot.Publish(st) // cold start
 	for sink := 1; sink <= cap+1; sink++ {
 		cur := slot.Acquire()
-		bottom := cur.TopK(cap)[cap-1].Vertex
+		bottom := cur.AppendTopK(nil, cap)[cap-1].Vertex
 		cur.Release()
 		st.p.Set(int(bottom), 0)
 		st.MarkEstimatesDirty([]int32{bottom})
 		snap := slot.Publish(st)
-		if snap.TopIndexLen() != cap {
-			t.Fatalf("sink %d: published %d entries, want %d", sink, snap.TopIndexLen(), cap)
+		if len(snap.top) != cap {
+			t.Fatalf("sink %d: published %d entries, want %d", sink, len(snap.top), cap)
 		}
 		for k := 1; k <= cap; k++ {
-			if got, want := snap.TopK(k), st.AppendTopK(nil, k); !slices.Equal(got, want) {
+			if got, want := snap.AppendTopK(nil, k), st.AppendTopK(nil, k); !slices.Equal(got, want) {
 				t.Fatalf("sink %d k=%d: published %v, want %v", sink, k, got, want)
 			}
 		}
@@ -261,32 +261,6 @@ func TestPublishFullFallbacks(t *testing.T) {
 	}
 }
 
-// TestSnapshotTopKDisabled checks the index-less slot: snapshots carry no
-// embedded ranking and TopK falls back to the heap scan.
-func TestSnapshotTopKDisabled(t *testing.T) {
-	g := graph.New(0)
-	for v := 1; v < 20; v++ {
-		g.AddEdge(graph.VertexID(v), 0)
-	}
-	st, err := NewState(g, 0, Config{Alpha: 0.2, Epsilon: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewSequential().Run(st, []graph.VertexID{0})
-	slot := NewSnapshotSlotTopK(0)
-	snap := slot.Publish(st)
-	if snap.TopIndexLen() != 0 {
-		t.Fatalf("disabled index has %d entries", snap.TopIndexLen())
-	}
-	got := snap.TopK(5)
-	want := AppendTopK(nil, st.Estimates(), 5)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestDrainDirty checks the drain contract: dedup, reset, poisoning.
 func TestDrainDirty(t *testing.T) {
 	g := graph.New(5)
@@ -295,14 +269,14 @@ func TestDrainDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.MarkEstimatesDirty([]int32{3, 1, 3, 2, 1})
-	if st.DirtyCount() != 3 {
-		t.Fatalf("dirty count %d, want 3 (deduplicated)", st.DirtyCount())
+	if len(st.dirtyList) != 3 {
+		t.Fatalf("dirty count %d, want 3 (deduplicated)", len(st.dirtyList))
 	}
 	d, all := st.DrainDirty(nil)
 	if all || len(d) != 3 {
 		t.Fatalf("drain = %v all=%t, want 3 vertices, not poisoned", d, all)
 	}
-	if st.DirtyCount() != 0 {
+	if len(st.dirtyList) != 0 {
 		t.Fatal("drain did not reset the set")
 	}
 	st.MarkEstimatesDirty([]int32{4})

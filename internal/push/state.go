@@ -33,10 +33,6 @@ type Config struct {
 	Epsilon float64
 }
 
-// DefaultConfig returns the paper's default α with an ε suitable for the
-// scaled-down datasets of this repository.
-func DefaultConfig() Config { return Config{Alpha: 0.15, Epsilon: 1e-6} }
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Alpha <= 0 || c.Alpha >= 1 {
@@ -119,9 +115,6 @@ func (st *State) Alpha() float64 { return st.cfg.Alpha }
 
 // Epsilon returns the error threshold.
 func (st *State) Epsilon() float64 { return st.cfg.Epsilon }
-
-// Config returns the scheme parameters.
-func (st *State) Config() Config { return st.cfg }
 
 // NumVertices returns the number of vertices covered by the state vectors.
 func (st *State) NumVertices() int { return st.p.Len() }
@@ -229,15 +222,6 @@ func (st *State) DrainDirty(dst []int32) (dirty []int32, all bool) {
 	st.dirtyList = st.dirtyList[:0]
 	st.dirtyAll = false
 	return dst, all
-}
-
-// DirtyCount returns the current size of the estimate-dirty set (n when
-// poisoned). Exposed for tests and stats.
-func (st *State) DirtyCount() int {
-	if st.dirtyAll {
-		return st.p.Len()
-	}
-	return len(st.dirtyList)
 }
 
 // AppendTopK appends the k highest-estimate vertices (descending, ties by

@@ -36,8 +36,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) should fail", c)
 		}
 	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("DefaultConfig invalid: %v", err)
+	if err := (Config{Alpha: 0.15, Epsilon: 1e-6}).Validate(); err != nil {
+		t.Errorf("the paper's default config is invalid: %v", err)
 	}
 }
 

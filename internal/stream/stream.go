@@ -44,17 +44,6 @@ type Update struct {
 // Batch is the set of updates arriving at one time step (ΔE_t).
 type Batch []Update
 
-// Inserts returns the number of insert updates in the batch.
-func (b Batch) Inserts() int {
-	n := 0
-	for _, u := range b {
-		if u.Op == Insert {
-			n++
-		}
-	}
-	return n
-}
-
 // Apply applies every update of the batch to g in order. Inserting an edge
 // that already exists or deleting one that does not is silently skipped, and
 // the number of updates that actually changed the graph is returned: the
@@ -96,9 +85,6 @@ func NewStream(edges []graph.Edge, seed int64) *Stream {
 
 // Len returns the total number of edges in the stream.
 func (s *Stream) Len() int { return len(s.edges) }
-
-// Edges returns the full ordered edge sequence (the random permutation).
-func (s *Stream) Edges() []graph.Edge { return s.edges }
 
 // Prefix returns the first n edges of the stream.
 func (s *Stream) Prefix(n int) []graph.Edge {

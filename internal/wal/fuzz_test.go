@@ -1,12 +1,27 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dynppr/internal/stream"
 )
+
+// ReadAll strictly parses a complete log image: junk bytes, truncated tails
+// and bad checksums are all errors, never a silent truncation and never a
+// panic. It is the surface the fuzz harness drives.
+func ReadAll(data []byte) (base uint64, recs []Record, err error) {
+	base, recs, valid, err := scan(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if valid != int64(len(data)) {
+		return 0, nil, fmt.Errorf("wal: torn tail: %d trailing bytes do not form a record", int64(len(data))-valid)
+	}
+	return base, recs, nil
+}
 
 // buildImage writes records through the real append path and returns the
 // file bytes — the canonical well-formed seeds.

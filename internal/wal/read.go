@@ -73,20 +73,6 @@ func scan(data []byte) (base uint64, recs []Record, validSize int64, err error) 
 	}
 }
 
-// ReadAll strictly parses a complete log image: junk bytes, truncated tails
-// and bad checksums are all errors, never a silent truncation and never a
-// panic. It is the surface the fuzz harness drives.
-func ReadAll(data []byte) (base uint64, recs []Record, err error) {
-	base, recs, valid, err := scan(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	if valid != int64(len(data)) {
-		return 0, nil, fmt.Errorf("wal: torn tail: %d trailing bytes do not form a record", int64(len(data))-valid)
-	}
-	return base, recs, nil
-}
-
 // ScanFile reads the log at path tolerantly: records of the longest valid
 // prefix are returned together with that prefix's byte length, a torn tail
 // is not an error, and mid-file damage is ErrCorrupt. The file is not

@@ -31,8 +31,7 @@
 // it — those updates were never acknowledged as durable. A damaged record
 // that is *followed by further bytes* cannot be a torn tail (appends are
 // strictly sequential), so Open refuses the file instead of silently
-// dropping acknowledged records. ReadAll is the strict variant used by the
-// fuzz harness and tooling: every anomaly, torn or not, is an error.
+// dropping acknowledged records.
 package wal
 
 import (
@@ -315,9 +314,6 @@ func (l *Log) rollback() {
 	}
 	_, _ = l.f.Seek(l.size, io.SeekStart)
 }
-
-// Sync flushes the log to stable storage regardless of the append policy.
-func (l *Log) Sync() error { return l.f.Sync() }
 
 // Policy returns the log's append fsync policy.
 func (l *Log) Policy() SyncPolicy { return l.opts.Sync }

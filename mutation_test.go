@@ -19,16 +19,16 @@ import (
 func wedge(t *testing.T, svc *Service) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	if err := svc.admit(context.Background(), task{fn: func() { <-gate }}, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() { <-gate }}); err != nil {
 		t.Fatalf("admit gate: %v", err)
 	}
-	if err := svc.admit(context.Background(), task{fn: func() {}}, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() {}}); err != nil {
 		t.Fatalf("admit filler: %v", err)
 	}
 	return func() {
 		close(gate)
 		drained := make(chan struct{})
-		if err := svc.admit(context.Background(), task{fn: func() {}, done: drained}, true); err != nil {
+		if err := svc.admit(context.Background(), task{fn: func() {}, done: drained}); err != nil {
 			t.Fatalf("admit drain: %v", err)
 		}
 		<-drained

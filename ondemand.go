@@ -639,7 +639,7 @@ func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
 	if cur := od.snap.Load(); cur != nil && cur.gen == s.graphGen.Load() {
 		return cur, nil
 	}
-	return onPipeline(ctx, s, false, func() (*odSnapshot, error) {
+	return onPipeline(ctx, s, func() (*odSnapshot, error) {
 		cur := od.snap.Load()
 		// Concurrent refreshers coalesce: the generation is re-read on the
 		// pipeline, where it cannot advance under us.

@@ -107,10 +107,10 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	// ...but the pipeline is wedged: one fn parked inside the pipeline
 	// goroutine, one more filling the QueueDepth=1 buffer.
 	gate := make(chan struct{})
-	if err := svc.admit(context.Background(), task{fn: func() { <-gate }}, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() { <-gate }}); err != nil {
 		t.Fatalf("admit gate: %v", err)
 	}
-	if err := svc.admit(context.Background(), task{fn: func() {}}, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() {}}); err != nil {
 		t.Fatalf("admit filler: %v", err)
 	}
 	expired, cancel := context.WithCancel(context.Background())
@@ -142,7 +142,7 @@ func TestMaybePromoteOverloadKeepsVictim(t *testing.T) {
 	// coldest auto source evicted.
 	close(gate)
 	drained := make(chan struct{})
-	if err := svc.admit(context.Background(), task{fn: func() {}, done: drained}, true); err != nil {
+	if err := svc.admit(context.Background(), task{fn: func() {}, done: drained}); err != nil {
 		t.Fatalf("admit drain: %v", err)
 	}
 	<-drained

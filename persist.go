@@ -326,7 +326,7 @@ func (s *Service) schedulePersistProbe(p *persistence) {
 		p.probeTimer.Stop()
 	}
 	p.probeTimer = time.AfterFunc(d, func() {
-		_ = s.admit(context.Background(), task{fn: func() { s.persistProbe(p) }}, true)
+		_ = s.admit(context.Background(), task{fn: func() { s.persistProbe(p) }})
 	})
 }
 
@@ -504,7 +504,7 @@ func (s *Service) journal(rec wal.Record) error {
 // it observes a quiescent state between batches; readers are never blocked.
 // It returns the WAL sequence number the checkpoint covers.
 func (s *Service) Checkpoint() (uint64, error) {
-	return onPipeline(context.Background(), s, true, s.doCheckpoint)
+	return onPipeline(context.Background(), s, s.doCheckpoint)
 }
 
 func (s *Service) doCheckpoint() (uint64, error) {

@@ -1,0 +1,59 @@
+package dynppr_test
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestReadmeCitesRealTests holds README.md to the test suite: every Test… or
+// Fuzz… name it cites must be a test function declared in some _test.go of
+// the repository. A trailing * is a prefix match (TestMerge* names every
+// test whose name starts with TestMerge).
+func TestReadmeCitesRealTests(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	var funcs []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			funcs = append(funcs, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b((?:Test|Fuzz)[A-Z]\w*)(\*?)`)
+	for _, m := range cited.FindAllStringSubmatch(string(readme), -1) {
+		name, prefix := m[1], m[2] == "*"
+		found := false
+		for _, f := range funcs {
+			if f == name || prefix && strings.HasPrefix(f, name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("README.md cites %s%s, which no _test.go declares", name, m[2])
+		}
+	}
+}

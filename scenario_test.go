@@ -89,7 +89,7 @@ func coldOp(v VertexID, reads int) op  { return op{kind: opCold, source: v, read
 
 // pipelineDo runs fn as one task on s's pipeline goroutine.
 func pipelineDo(s *Service, fn func() error) error {
-	_, err := onPipeline(context.Background(), s, false, func() (struct{}, error) { return struct{}{}, fn() })
+	_, err := onPipeline(context.Background(), s, func() (struct{}, error) { return struct{}{}, fn() })
 	return err
 }
 
@@ -299,7 +299,7 @@ func (c oracleCopy) copy(t *testing.T) oracleCopy {
 	states := make([]*push.State, len(c.oracle.states))
 	for i, st := range c.oracle.states {
 		var err error
-		if states[i], err = push.RestoreState(g, st.Source(), st.Config(), st.Estimates(), st.Residuals()); err != nil {
+		if states[i], err = push.RestoreState(g, st.Source(), push.Config{Alpha: st.Alpha(), Epsilon: st.Epsilon()}, st.Estimates(), st.Residuals()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -624,7 +624,7 @@ func (r *scenarioRun) checkLive() error {
 		src := table[s]
 		snap := src.slot.Acquire()
 		est, info := snap.Estimates(), snapshotInfo(snap)
-		tops := [][]VertexScore{snap.TopK(10), snap.TopK(push.DefaultTopKCap + 1)}
+		tops := [][]VertexScore{snap.AppendTopK(nil, 10), snap.AppendTopK(nil, push.DefaultTopKCap+1)}
 		snap.Release()
 		wantEst := want.Estimates()
 		switch {

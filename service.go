@@ -327,10 +327,8 @@ func (s *Service) publish(st *push.State) {
 // done still admits immediately when a slot is free. The context bounds
 // ADMISSION only: once t is enqueued it runs to completion regardless of
 // ctx, so a journaled mutation is never abandoned half-acknowledged. A
-// timeout surfaces ErrOverloaded and counts against the shed statistic only
-// for a mutation — a read that gave up refreshing its graph view must not
-// look like write load shedding on the dashboards.
-func (s *Service) admit(ctx context.Context, t task, mutation bool) error {
+// timeout surfaces ErrOverloaded.
+func (s *Service) admit(ctx context.Context, t task) error {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
@@ -345,22 +343,19 @@ func (s *Service) admit(ctx context.Context, t task, mutation bool) error {
 	case s.work <- t:
 		return nil
 	case <-ctx.Done():
-		if mutation {
-			s.shed.Add(1)
-		}
 		return fmt.Errorf("%w: %v", ErrOverloaded, ctx.Err())
 	}
 }
 
 // onPipeline admits fn, waits for the pipeline goroutine to run it and
 // returns what it returned; an admission failure returns the zero T.
-func onPipeline[T any](ctx context.Context, s *Service, mutation bool, fn func() (T, error)) (T, error) {
+func onPipeline[T any](ctx context.Context, s *Service, fn func() (T, error)) (T, error) {
 	var out struct {
 		v   T
 		err error
 	}
 	done := make(chan struct{})
-	if aerr := s.admit(ctx, task{fn: func() { out.v, out.err = fn() }, done: done}, mutation); aerr != nil {
+	if aerr := s.admit(ctx, task{fn: func() { out.v, out.err = fn() }, done: done}); aerr != nil {
 		return out.v, aerr
 	}
 	<-done
@@ -444,9 +439,16 @@ func (s *Service) applyBatch(ctx context.Context, b Batch) (BatchResult, error) 
 // mutate is the one path every change to the served state takes — edge
 // batches, source additions and removals, a promotion with its eviction,
 // and WAL replay — given as the WAL records it journals. It admits the
-// change once, under ctx, and commits it in one pipeline task.
+// change once, under ctx, and commits it in one pipeline task. A change
+// shed at admission counts against the shed statistic; a read that gave up
+// refreshing its graph view does not, so it never looks like write load
+// shedding on the dashboards.
 func (s *Service) mutate(ctx context.Context, recs []wal.Record, evict bool) (BatchResult, error) {
-	return onPipeline(ctx, s, true, func() (BatchResult, error) { return s.commit(recs, evict) })
+	res, err := onPipeline(ctx, s, func() (BatchResult, error) { return s.commit(recs, evict) })
+	if errors.Is(err, ErrOverloaded) {
+		s.shed.Add(1)
+	}
+	return res, err
 }
 
 // commit runs a change on the pipeline. It validates every record before
@@ -596,7 +598,7 @@ func (s *Service) maybeCompact() {
 				s.lastCompactNs.Store(int64(time.Since(start)))
 			}
 			s.compacting.Store(false)
-		}}, true); err != nil {
+		}}); err != nil {
 			s.compacting.Store(false) // service closed; deltas stay mergeable
 		}
 	}()
@@ -609,7 +611,7 @@ func (s *Service) maybeCompact() {
 // tests) — the service normally compacts itself once the deltas reach
 // Graph.CompactThreshold.
 func (s *Service) CompactNow() error {
-	_, err := onPipeline(context.Background(), s, true, func() (struct{}, error) {
+	_, err := onPipeline(context.Background(), s, func() (struct{}, error) {
 		s.compactInline()
 		return struct{}{}, nil
 	})
@@ -703,13 +705,14 @@ func (s *Service) applySource(rec wal.Record) error {
 	return nil
 }
 
-// lookup resolves a source through the copy-on-write table (lock-free).
-// A successful resolution of an auto-promoted source refreshes its lastUse —
-// lookup is the one path all read APIs share, so a source read heavily
-// through TopK/Estimate (not just Query*) stays warm against eviction. The
-// refresh is two atomics on the source itself, so tracked reads stay
-// lock-free.
-func (s *Service) lookup(source VertexID) (*serviceSource, error) {
+// acquire resolves a source through the copy-on-write table and returns
+// its current snapshot with a read hold on it, lock-free; the caller must
+// Release it. A successful resolution of an auto-promoted source refreshes
+// its lastUse — acquire is the one path all tracked reads share, so a source
+// read heavily through TopK/Estimate (not just Query*) stays warm against
+// eviction. The refresh is two atomics on the source itself, so tracked
+// reads stay lock-free.
+func (s *Service) acquire(source VertexID) (*push.Snapshot, error) {
 	table := s.table.Load()
 	if table == nil {
 		return nil, ErrUnknownSource
@@ -721,7 +724,11 @@ func (s *Service) lookup(source VertexID) (*serviceSource, error) {
 	if src.auto.Load() {
 		src.lastUse.Store(s.tick.Add(1))
 	}
-	return src, nil
+	snap := src.slot.Acquire()
+	if snap == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownSource, source)
+	}
+	return snap, nil
 }
 
 // Sources returns the currently tracked sources in ascending order.
@@ -781,13 +788,9 @@ func snapshotInfo(snap *push.Snapshot) SnapshotInfo {
 // metadata of the snapshot it came from, so callers can check the epoch and
 // convergence of what they read.
 func (s *Service) EstimatesInfo(source VertexID) ([]float64, SnapshotInfo, error) {
-	src, err := s.lookup(source)
+	snap, err := s.acquire(source)
 	if err != nil {
 		return nil, SnapshotInfo{}, err
-	}
-	snap := src.slot.Acquire()
-	if snap == nil {
-		return nil, SnapshotInfo{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 	}
 	defer snap.Release()
 	return snap.Estimates(), snapshotInfo(snap), nil
@@ -796,13 +799,9 @@ func (s *Service) EstimatesInfo(source VertexID) ([]float64, SnapshotInfo, error
 // Info returns the metadata of source's current snapshot without copying the
 // vector.
 func (s *Service) Info(source VertexID) (SnapshotInfo, error) {
-	src, err := s.lookup(source)
+	snap, err := s.acquire(source)
 	if err != nil {
 		return SnapshotInfo{}, err
-	}
-	snap := src.slot.Acquire()
-	if snap == nil {
-		return SnapshotInfo{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 	}
 	defer snap.Release()
 	return snapshotInfo(snap), nil
@@ -828,13 +827,9 @@ func (s *Service) TopKInfo(source VertexID, k int) ([]VertexScore, SnapshotInfo,
 // exact incrementally at publish time) the read is an O(k) copy; larger k
 // falls back to the O(n log k) heap scan of the vector.
 func (s *Service) AppendTopK(dst []VertexScore, source VertexID, k int) ([]VertexScore, SnapshotInfo, error) {
-	src, err := s.lookup(source)
+	snap, err := s.acquire(source)
 	if err != nil {
 		return dst, SnapshotInfo{}, err
-	}
-	snap := src.slot.Acquire()
-	if snap == nil {
-		return dst, SnapshotInfo{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 	}
 	defer snap.Release()
 	return snap.AppendTopK(dst, k), snapshotInfo(snap), nil
@@ -845,13 +840,9 @@ func (s *Service) AppendTopK(dst []VertexScore, source VertexID, k int) ([]Verte
 // to belong to the reported epoch — the consistency check batched remote
 // reads rely on.
 func (s *Service) EstimateInfo(source, v VertexID) (float64, SnapshotInfo, error) {
-	src, err := s.lookup(source)
+	snap, err := s.acquire(source)
 	if err != nil {
 		return 0, SnapshotInfo{}, err
-	}
-	snap := src.slot.Acquire()
-	if snap == nil {
-		return 0, SnapshotInfo{}, fmt.Errorf("%w: %d", ErrUnknownSource, source)
 	}
 	defer snap.Release()
 	return snap.Estimate(v), snapshotInfo(snap), nil

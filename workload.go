@@ -1,8 +1,6 @@
 package dynppr
 
 import (
-	"io"
-
 	"dynppr/internal/edgeio"
 	"dynppr/internal/gen"
 	"dynppr/internal/stream"
@@ -28,9 +26,6 @@ const (
 // SyntheticConfig describes a synthetic graph to generate.
 type SyntheticConfig = gen.Config
 
-// GenerateGraph builds a synthetic graph.
-func GenerateGraph(cfg SyntheticConfig) (*Graph, error) { return gen.Generate(cfg) }
-
 // GenerateEdges builds only the edge list of a synthetic graph, for feeding a
 // Stream.
 func GenerateEdges(cfg SyntheticConfig) ([]Edge, error) { return gen.EdgeList(cfg) }
@@ -52,19 +47,10 @@ func NewSlidingWindow(s *Stream, initialFraction float64) (*SlidingWindow, []Edg
 	return stream.NewSlidingWindow(s, initialFraction)
 }
 
-// ReadEdges parses a whitespace-separated "u v" edge list ('#' and '%'
+// LoadEdges reads a whitespace-separated "u v" edge list file ('#' and '%'
 // comment lines are skipped), the format used by the SNAP archive and by the
 // cmd tools of this repository.
-func ReadEdges(r io.Reader) ([]Edge, error) { return edgeio.Read(r) }
-
-// WriteEdges writes edges in the "u v" text format.
-func WriteEdges(w io.Writer, edges []Edge) error { return edgeio.Write(w, edges) }
-
-// LoadEdges reads an edge list file.
 func LoadEdges(path string) ([]Edge, error) { return edgeio.LoadFile(path) }
 
 // SaveEdges writes an edge list file.
 func SaveEdges(path string, edges []Edge) error { return edgeio.SaveFile(path, edges) }
-
-// LoadGraph reads an edge list file and builds a graph from it.
-func LoadGraph(path string) (*Graph, error) { return edgeio.LoadGraph(path) }
