@@ -277,7 +277,7 @@ func TestSequentialCountersPinned(t *testing.T) {
 	for i, b := range randomUpdateStream(universe, 36, 12, 200) {
 		if i%4 == 3 {
 			for _, u := range b[:20] {
-				tr.ApplyUpdate(u)
+				tr.ApplyBatch(dynppr.Batch{u})
 			}
 			continue
 		}

@@ -56,9 +56,11 @@
 // To serve a Service over the network, see internal/httpapi (HTTP/JSON
 // handler, server and client; every read response carries the SnapshotInfo
 // of the converged snapshot it came from) together with cmd/dppr-httpd (the
-// daemon) and cmd/dppr-loadgen (a closed-loop load generator that doubles as
-// a serving-contract checker). The README's "HTTP API" section documents
-// the routes, JSON shapes and status codes.
+// daemon) and cmd/dppr-loadgen (a load generator, closed loop for peak
+// throughput or open loop at a fixed arrival rate for an overload SLO check
+// with -arrival, -max-p99 and -expect-shed, that doubles as a
+// serving-contract checker). The README's "HTTP API" section documents the
+// routes, JSON shapes and status codes.
 package dynppr
 
 import (
@@ -172,7 +174,7 @@ type Options struct {
 // DefaultOptions returns the paper's defaults: α = 0.15, ε = 1e-6 and the
 // fully optimized parallel engine using every available core. Every batch is
 // processed the paper's way — all its updates restored, then one push; to
-// push after each update instead, feed updates one at a time (ApplyUpdate).
+// push after each update instead, apply one-update batches.
 func DefaultOptions() Options {
 	return Options{
 		Alpha:   0.15,
@@ -272,11 +274,6 @@ func (t *Tracker) Converged() bool { return t.st.Converged() }
 
 // Counters returns a snapshot of the work counters accumulated so far.
 func (t *Tracker) Counters() Counters { return t.st.Counters.Snapshot() }
-
-// ApplyUpdate applies a single edge update and restores the approximation.
-func (t *Tracker) ApplyUpdate(u Update) BatchResult {
-	return t.ApplyBatch(Batch{u})
-}
 
 // ApplyBatch applies a batch of edge updates and restores the approximation
 // guarantee before returning: the TrackerSet procedure runs once over the

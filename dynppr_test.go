@@ -145,7 +145,7 @@ func TestTrackerApplyBatchInsertAndDelete(t *testing.T) {
 	}
 	// Now delete the shortcut again; estimate drops back.
 	high := tr.Estimate(0)
-	res = tr.ApplyUpdate(dynppr.Update{U: 0, V: 3, Op: dynppr.Delete})
+	res = tr.ApplyBatch(dynppr.Batch{{U: 0, V: 3, Op: dynppr.Delete}})
 	if res.Applied != 1 {
 		t.Fatalf("delete not applied: %+v", res)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -72,11 +73,11 @@ func main() {
 				all := svc.Sources() // sources can change live
 				src := all[rng.Intn(len(all))]
 				if rng.Intn(2) == 0 {
-					if _, err := svc.Estimate(src, dynppr.VertexID(rng.Intn(4000))); err != nil {
+					if _, _, err := svc.EstimateInfo(src, dynppr.VertexID(rng.Intn(4000))); err != nil {
 						continue // source removed between Sources() and the read
 					}
 				} else {
-					if _, err := svc.TopK(src, 10); err != nil {
+					if _, _, err := svc.AppendTopK(nil, src, 10); err != nil {
 						continue
 					}
 				}
@@ -95,7 +96,7 @@ func main() {
 		if i == slides/2 {
 			// Halfway through, start serving a brand-new source — readers
 			// keep going; the source appears once converged.
-			if err := svc.AddSource(liveAddSource); err != nil {
+			if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{liveAddSource}, nil); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("  >> live-added source %d (now serving %d sources)\n",
@@ -132,7 +133,7 @@ func main() {
 
 	// Each snapshot is a coherent converged vector, so rankings read
 	// mid-stream are as trustworthy as offline ones.
-	top, err := svc.TopK(sources[0], 5)
+	top, _, err := svc.AppendTopK(nil, sources[0], 5)
 	if err != nil {
 		log.Fatal(err)
 	}

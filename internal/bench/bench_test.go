@@ -197,9 +197,6 @@ func TestBucketName(t *testing.T) {
 	if bucketName(10) != "top-10" || bucketName(1000) != "top-1K" || bucketName(1_000_000) != "top-1M" {
 		t.Fatalf("bucketName wrong: %s %s %s", bucketName(10), bucketName(1000), bucketName(1_000_000))
 	}
-	if itoa(0) != "0" || itoa(42) != "42" || itoa(-7) != "-7" {
-		t.Fatal("itoa wrong")
-	}
 }
 
 func TestRunBatchSize(t *testing.T) {

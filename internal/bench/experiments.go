@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"time"
 
 	"dynppr/internal/fp"
@@ -216,30 +217,8 @@ func bucketName(k int) string {
 	case k >= 1_000:
 		return "top-1K"
 	default:
-		return "top-" + itoa(k)
+		return "top-" + strconv.Itoa(k)
 	}
-}
-
-func itoa(k int) string {
-	if k == 0 {
-		return "0"
-	}
-	neg := k < 0
-	if neg {
-		k = -k
-	}
-	var buf [20]byte
-	i := len(buf)
-	for k > 0 {
-		i--
-		buf[i] = byte('0' + k%10)
-		k /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // ---------------------------------------------------------------------------

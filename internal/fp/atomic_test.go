@@ -7,20 +7,6 @@ import (
 	"testing/quick"
 )
 
-// Add adds delta to element i without synchronization and returns the
-// previous value.
-func (v *Float64Vector) Add(i int, delta float64) (before float64) {
-	before = math.Float64frombits(v.bits[i])
-	v.bits[i] = math.Float64bits(before + delta)
-	return before
-}
-
-// CopyFrom copies the contents of src into v. The vectors must have the same
-// length.
-func (v *Float64Vector) CopyFrom(src *Float64Vector) {
-	copy(v.bits, src.bits)
-}
-
 func TestAtomicAddFloat64Sequential(t *testing.T) {
 	cell := math.Float64bits(1.5)
 	before := AtomicAddFloat64(&cell, 2.25)
@@ -106,9 +92,9 @@ func TestFloat64VectorBasics(t *testing.T) {
 	if got := v.Get(2); got != 3.5 {
 		t.Fatalf("Get(2) = %v", got)
 	}
-	before := v.Add(2, 1.5)
+	before := v.AtomicAdd(2, 1.5)
 	if before != 3.5 || v.Get(2) != 5 {
-		t.Fatalf("Add: before=%v value=%v", before, v.Get(2))
+		t.Fatalf("AtomicAdd: before=%v value=%v", before, v.Get(2))
 	}
 	before = v.AtomicAdd(2, -5)
 	if before != 5 || v.AtomicGet(2) != 0 {
@@ -142,11 +128,10 @@ func TestFloat64VectorCopyFrom(t *testing.T) {
 	v.Set(0, -1)
 	v.Set(1, 2)
 	v.Set(2, -3)
-	w := NewFloat64Vector(3)
-	w.CopyFrom(v)
-	w.Set(0, 100)
-	if v.Get(0) != -1 || w.Get(2) != -3 {
-		t.Fatal("CopyFrom is not a deep copy")
+	w := v.Snapshot()
+	w[0] = 100
+	if v.Get(0) != -1 || w[2] != -3 {
+		t.Fatal("Snapshot is not a deep copy")
 	}
 	if got, want := v.MaxAbs(), 3.0; got != want {
 		t.Fatalf("MaxAbs = %v, want %v", got, want)

@@ -3,68 +3,19 @@ package fp
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-// Len returns the number of enqueued items. Only meaningful after producers
-// have finished.
-func (q *Queue) Len() int {
-	n := int(atomic.LoadInt64(&q.next))
-	if n > len(q.items) {
-		n = len(q.items)
+// testedBits counts the bits below n that Test reports set.
+func testedBits(b *BitSet, n int) int {
+	count := 0
+	for i := 0; i < n; i++ {
+		if b.Test(i) {
+			count++
+		}
 	}
-	return n + len(q.overflow)
-}
-
-// Reset clears the queue for reuse, growing the backing array if a previous
-// round overflowed.
-func (q *Queue) Reset() {
-	if len(q.overflow) > 0 {
-		q.items = make([]int32, (len(q.items)+len(q.overflow))*2)
-		q.overflow = nil
-	}
-	atomic.StoreInt64(&q.next, 0)
-}
-
-// Len returns the capacity in bits.
-func (b *BitSet) Len() int { return len(b.words) * 64 }
-
-// Resize grows the bit set to hold at least n bits.
-func (b *BitSet) Resize(n int) {
-	need := (n + 63) / 64
-	if need <= len(b.words) {
-		return
-	}
-	grown := make([]uint64, need)
-	copy(grown, b.words)
-	b.words = grown
-}
-
-// Reset clears every bit.
-func (b *BitSet) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Count returns the number of set bits (not atomic across words).
-func (b *BitSet) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return count
 }
 
 func TestQueueSequential(t *testing.T) {
@@ -72,10 +23,10 @@ func TestQueueSequential(t *testing.T) {
 	for i := int32(0); i < 4; i++ {
 		q.Enqueue(i)
 	}
-	if q.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", q.Len())
-	}
 	got := append([]int32(nil), q.Drain()...)
+	if len(got) != 4 {
+		t.Fatalf("Drain len = %d, want 4", len(got))
+	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	for i := int32(0); i < 4; i++ {
 		if got[i] != i {
@@ -89,9 +40,6 @@ func TestQueueOverflow(t *testing.T) {
 	for i := int32(0); i < 10; i++ {
 		q.Enqueue(i)
 	}
-	if q.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", q.Len())
-	}
 	got := append([]int32(nil), q.Drain()...)
 	if len(got) != 10 {
 		t.Fatalf("Drain len = %d, want 10", len(got))
@@ -101,17 +49,6 @@ func TestQueueOverflow(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("Drain missing %d: %v", i, got)
 		}
-	}
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", q.Len())
-	}
-	// After reset the capacity should have grown enough to avoid overflow.
-	for i := int32(0); i < 10; i++ {
-		q.Enqueue(i)
-	}
-	if q.Len() != 10 {
-		t.Fatalf("Len after refill = %d", q.Len())
 	}
 }
 
@@ -146,15 +83,15 @@ func TestQueueConcurrentNoLoss(t *testing.T) {
 func TestQueueNewQueueMinimumCapacity(t *testing.T) {
 	q := NewQueue(0)
 	q.Enqueue(7)
-	if q.Len() != 1 || q.Drain()[0] != 7 {
+	if got := q.Drain(); len(got) != 1 || got[0] != 7 {
 		t.Fatal("queue with zero capacity hint should still work")
 	}
 }
 
 func TestBitSetBasics(t *testing.T) {
 	b := NewBitSet(130)
-	if b.Len() < 130 {
-		t.Fatalf("Len = %d, want >= 130", b.Len())
+	if n := testedBits(b, 130); n != 0 {
+		t.Fatalf("%d of 130 bits start set", n)
 	}
 	if b.Test(5) {
 		t.Fatal("bit 5 should start clear")
@@ -176,25 +113,26 @@ func TestBitSetBasics(t *testing.T) {
 	if !b.Test(129) {
 		t.Fatal("bit 129 should be set")
 	}
-	if b.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", b.Count())
+	if n := testedBits(b, 130); n != 1 {
+		t.Fatalf("%d bits set, want 1", n)
 	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatalf("Count after Reset = %d", b.Count())
+	b.Clear(129)
+	if n := testedBits(b, 130); n != 0 {
+		t.Fatalf("%d bits set after Clear, want 0", n)
 	}
 }
 
+// The engines never grow a bit set: each run sizes a fresh one with
+// NewBitSet, which must hold every bit below n whatever n's word remainder.
 func TestBitSetResize(t *testing.T) {
-	b := NewBitSet(10)
+	b := NewBitSet(1000)
 	b.Set(3)
-	b.Resize(1000)
-	if !b.Test(3) {
-		t.Fatal("resize lost bit 3")
-	}
 	b.Set(999)
-	if !b.Test(999) {
-		t.Fatal("bit 999 not set after resize")
+	if !b.Test(3) || !b.Test(999) {
+		t.Fatal("bits 3 and 999 not set")
+	}
+	if n := testedBits(b, 1000); n != 2 {
+		t.Fatalf("%d bits set, want 2", n)
 	}
 }
 
@@ -233,7 +171,7 @@ func TestBitSetTestAndSetExactlyOneWinner(t *testing.T) {
 	}
 }
 
-// Property: Count equals the number of distinct indices set.
+// Property: the bits Test reports set are the distinct indices set.
 func TestBitSetCountProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		b := NewBitSet(1 << 16)
@@ -243,18 +181,26 @@ func TestBitSetCountProperty(t *testing.T) {
 			b.Set(i)
 			distinct[i] = true
 		}
-		return b.Count() == len(distinct)
+		return testedBits(b, 1<<16) == len(distinct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// Setting the bits of one word pattern through Set leaves Test reporting
+// exactly that pattern, the top bit and a full word included.
 func TestPopcount(t *testing.T) {
 	cases := map[uint64]int{0: 0, 1: 1, 3: 2, 0xFF: 8, 1 << 63: 1, ^uint64(0): 64}
 	for x, want := range cases {
-		if got := popcount(x); got != want {
-			t.Errorf("popcount(%#x) = %d, want %d", x, got, want)
+		b := NewBitSet(64)
+		for i := 0; i < 64; i++ {
+			if x&(1<<uint(i)) != 0 {
+				b.Set(i)
+			}
+		}
+		if got := testedBits(b, 64); got != want {
+			t.Errorf("pattern %#x: %d bits set, want %d", x, got, want)
 		}
 	}
 }

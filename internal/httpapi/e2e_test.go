@@ -217,7 +217,7 @@ func TestHTTPAPIEndToEnd(t *testing.T) {
 	if err := httpapi.NewClient(base, hc).Health(); err == nil {
 		t.Fatal("server still accepting requests after shutdown")
 	}
-	if _, err := svc.TopK(stable[0], 1); err != nil {
+	if _, _, err := svc.AppendTopK(nil, stable[0], 1); err != nil {
 		t.Fatalf("service must outlive its server: %v", err)
 	}
 }

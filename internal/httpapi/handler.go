@@ -410,7 +410,7 @@ func (h *Handler) topK(ctx context.Context, source dynppr.VertexID, k int) (*Top
 	}
 	if qi.Approx {
 		res.Approx = true
-		res.Epsilon = qi.Epsilon
+		res.Epsilon = qi.Snapshot.Epsilon
 		res.Cached = qi.Cached
 		res.Truncated = qi.Truncated
 	}
@@ -426,7 +426,7 @@ func (h *Handler) estimate(ctx context.Context, source, v dynppr.VertexID) (*Est
 	res := &EstimateResult{Snapshot: snapshotMeta(qi.Snapshot), Vertex: v, Score: est}
 	if qi.Approx {
 		res.Approx = true
-		res.Epsilon = qi.Epsilon
+		res.Epsilon = qi.Snapshot.Epsilon
 		res.Cached = qi.Cached
 		res.Truncated = qi.Truncated
 	}

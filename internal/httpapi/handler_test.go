@@ -77,7 +77,7 @@ func TestTopKEndpoint(t *testing.T) {
 		t.Fatalf("bad snapshot meta: %+v", got.Snapshot)
 	}
 	// Must agree with the in-process read path exactly.
-	want, err := svc.TopK(src, 5)
+	want, _, err := svc.AppendTopK(nil, src, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEstimateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := svc.Estimate(src, 3)
+	want, _, err := svc.EstimateInfo(src, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,6 @@ import (
 	"dynppr/internal/push"
 )
 
-// Empty reports whether the subset has no members.
-func (s *VertexSubset) Empty() bool { return s.Size() == 0 }
-
 // Contains reports membership of v.
 func (s *VertexSubset) Contains(v graph.VertexID) bool {
 	if int(v) >= s.n || v < 0 {
@@ -34,7 +31,7 @@ func (s *VertexSubset) Contains(v graph.VertexID) bool {
 
 func TestVertexSubsetSparse(t *testing.T) {
 	s := NewSparseSubset(10, []graph.VertexID{3, 5, 3, 7})
-	if s.Empty() {
+	if s.Size() == 0 {
 		t.Fatal("subset should not be empty")
 	}
 	if s.Size() != 3 {
@@ -51,8 +48,8 @@ func TestVertexSubsetSparse(t *testing.T) {
 	if !s.Contains(5) || s.Contains(4) || s.Contains(100) || s.Contains(-1) {
 		t.Fatal("Contains wrong")
 	}
-	if !NewSparseSubset(10, nil).Empty() {
-		t.Fatal("empty sparse subset should be Empty")
+	if e := NewSparseSubset(10, nil); e.Size() != 0 || len(e.Members()) != 0 {
+		t.Fatal("sparse subset of no ids should be empty")
 	}
 }
 

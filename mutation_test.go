@@ -131,7 +131,7 @@ func TestPromotionMarkSurvivesRestart(t *testing.T) {
 			}
 			promote := func(v VertexID) {
 				t.Helper()
-				if _, qi, err := svc.QueryTopK(v, 3); err != nil || !qi.Promoted {
+				if _, qi, err := svc.QueryTopKCtx(context.Background(), v, 3); err != nil || !qi.Promoted {
 					t.Fatalf("query of %d: promoted %v, err %v", v, qi.Promoted, err)
 				}
 			}

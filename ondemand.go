@@ -16,12 +16,12 @@
 // meaning of its answers.
 //
 // Accuracy has one dial. Every cold answer — computed, coalesced or cached,
-// whichever of QueryTopK or QueryEstimate asked first — is a bit-deterministic
-// function of (graph generation, source, α, on-demand ε, odMaxPushes) and
-// carries the per-vertex bound it achieved. A caller who needs better than
-// the coarse ε has two levers, both deterministic: a smaller
-// OnDemandOptions.Epsilon, or tracking the source at the tracked ε (promotion
-// or UpdateSources, journaled on a persistent service).
+// whichever of QueryTopKCtx or QueryEstimateCtx asked first — is a
+// bit-deterministic function of (graph generation, source, α, on-demand ε,
+// odMaxPushes) and carries the per-vertex bound it achieved. A caller who
+// needs better than the coarse ε has two levers, both deterministic: a
+// smaller OnDemandOptions.Epsilon, or tracking the source at the tracked ε
+// (promotion or UpdateSources, journaled on a persistent service).
 //
 // Cold answers are computed concurrently but never redundantly, and each is
 // kept in one place: odTable, a bounded LRU of answers keyed by source at the
@@ -66,9 +66,9 @@ import (
 )
 
 // OnDemandOptions configure the approximate query path for untracked
-// sources. The zero value disables it: QueryTopK/QueryEstimate then behave
-// exactly like TopK/Estimate, returning ErrUnknownSource for untracked
-// sources.
+// sources. The zero value disables it: QueryTopKCtx/QueryEstimateCtx then
+// behave exactly like AppendTopK/EstimateInfo, returning ErrUnknownSource
+// for untracked sources.
 type OnDemandOptions struct {
 	// Enabled turns the on-demand path on.
 	Enabled bool
@@ -108,18 +108,18 @@ func (o OnDemandOptions) withDefaults() OnDemandOptions {
 	return o
 }
 
-// QueryInfo describes how a QueryTopK/QueryEstimate answer was produced.
+// QueryInfo describes how a QueryTopKCtx/QueryEstimateCtx answer was
+// produced.
 type QueryInfo struct {
 	// Approx is true when the answer came from the on-demand path (one-shot
 	// push) rather than a tracked source's converged snapshot.
 	Approx bool
-	// Epsilon bounds the absolute error of every estimate in the answer:
-	// the snapshot's configured ε on the tracked path, the push's achieved
-	// max residual on the on-demand path. Both are per-vertex bounds on the
-	// same contribution vector.
-	Epsilon float64
-	// Snapshot is the snapshot metadata of the answer. On the on-demand
-	// path it is synthesized: Epoch 0 marks "not a tracked snapshot", and
+	// Snapshot is the snapshot metadata of the answer. Its Epsilon bounds
+	// the absolute error of every estimate in the answer: the snapshot's
+	// configured ε on the tracked path, the push's achieved max residual on
+	// the on-demand path. Both are per-vertex bounds on the same
+	// contribution vector. On the on-demand path the metadata is
+	// synthesized: Epoch 0 marks "not a tracked snapshot", and
 	// MaxResidual/Epsilon carry the push's achieved values.
 	Snapshot SnapshotInfo
 	// Promoted reports that this query crossed the promotion threshold and
@@ -133,7 +133,8 @@ type QueryInfo struct {
 	// identical in-flight query instead of pushing redundantly.
 	Coalesced bool
 	// Truncated reports that the push stopped at the fixed safety cap on one
-	// push's work (4,000,000 pushes); Epsilon still soundly bounds the error.
+	// push's work (4,000,000 pushes); Snapshot.Epsilon still soundly bounds
+	// the error.
 	Truncated bool
 }
 
@@ -296,23 +297,19 @@ func (od *onDemand) stats() *OnDemandStats {
 	return st
 }
 
-// QueryTopK returns the k vertices with the largest PPR estimates for
+// QueryTopKCtx returns the k vertices with the largest PPR estimates for
 // source. A tracked source is served from its converged snapshot exactly
-// like TopK; an untracked source is answered by the on-demand path when it
-// is enabled (QueryInfo.Approx true, QueryInfo.Epsilon the achieved bound)
-// and with ErrUnknownSource otherwise.
-func (s *Service) QueryTopK(source VertexID, k int) ([]VertexScore, QueryInfo, error) {
-	return s.QueryTopKCtx(context.Background(), source, k)
-}
-
-// QueryTopKCtx is QueryTopK with bounded admission for the pipeline work and
-// the cold-push token an on-demand answer may need (view refresh after a
-// graph mutation, the push itself, promotion): if those stay contended
-// until ctx is done the query gives up with ErrOverloaded, having had no
-// effect. Tracked-source reads never touch the pipeline and ignore ctx.
+// like AppendTopK; an untracked source is answered by the on-demand path
+// when it is enabled (QueryInfo.Approx true, QueryInfo.Snapshot.Epsilon the
+// achieved bound) and with ErrUnknownSource otherwise. ctx bounds admission
+// for the pipeline work and the cold-push token an on-demand answer may need
+// (view refresh after a graph mutation, the push itself, promotion): if
+// those stay contended until ctx is done the query gives up with
+// ErrOverloaded, having had no effect; context.Background() waits without
+// bound. Tracked-source reads never touch the pipeline and ignore ctx.
 func (s *Service) QueryTopKCtx(ctx context.Context, source VertexID, k int) ([]VertexScore, QueryInfo, error) {
-	if top, info, err := s.TopKInfo(source, k); err == nil {
-		return top, QueryInfo{Epsilon: info.Epsilon, Snapshot: info}, nil
+	if top, info, err := s.AppendTopK(nil, source, k); err == nil {
+		return top, QueryInfo{Snapshot: info}, nil
 	} else if !errors.Is(err, ErrUnknownSource) || s.od == nil {
 		return nil, QueryInfo{}, err
 	}
@@ -323,18 +320,12 @@ func (s *Service) QueryTopKCtx(ctx context.Context, source VertexID, k int) ([]V
 	return e.topK(k), qi, nil
 }
 
-// QueryEstimate returns the PPR estimate of v with respect to source,
-// falling back to the on-demand path for untracked sources exactly like
-// QueryTopK.
-func (s *Service) QueryEstimate(source, v VertexID) (float64, QueryInfo, error) {
-	return s.QueryEstimateCtx(context.Background(), source, v)
-}
-
-// QueryEstimateCtx is QueryEstimate with bounded admission (see
-// QueryTopKCtx).
+// QueryEstimateCtx returns the PPR estimate of v with respect to source,
+// falling back to the on-demand path for untracked sources, under the same
+// bounded admission, exactly like QueryTopKCtx.
 func (s *Service) QueryEstimateCtx(ctx context.Context, source, v VertexID) (float64, QueryInfo, error) {
 	if est, info, err := s.EstimateInfo(source, v); err == nil {
-		return est, QueryInfo{Epsilon: info.Epsilon, Snapshot: info}, nil
+		return est, QueryInfo{Snapshot: info}, nil
 	} else if !errors.Is(err, ErrUnknownSource) || s.od == nil {
 		return 0, QueryInfo{}, err
 	}
@@ -406,7 +397,6 @@ func (e *odEntry) topK(k int) []VertexScore {
 func (e *odEntry) queryInfo() QueryInfo {
 	return QueryInfo{
 		Approx:    true,
-		Epsilon:   e.eps,
 		Truncated: e.truncated,
 		Snapshot: SnapshotInfo{
 			Source:      e.source,
@@ -445,10 +435,8 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry,
 			isolated: true,
 			vertices: n,
 		}
-		qi := e.queryInfo()
-		qi.Snapshot.MaxResidual, qi.Snapshot.Epsilon = 0, 0
 		od.served(start)
-		return e, qi, nil
+		return e, e.queryInfo(), nil
 	}
 	e, qi, err := od.answer(ctx, source, snap)
 	if err != nil {

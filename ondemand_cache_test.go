@@ -140,8 +140,8 @@ func TestOnDemandTableAccountingUnderChurn(t *testing.T) {
 				if i%2 == 0 {
 					src = VertexID(1 + rng.Intn(8))
 				}
-				if _, _, err := svc.QueryTopK(src, 5); err != nil {
-					errs <- fmt.Errorf("QueryTopK(%d): %v", src, err)
+				if _, _, err := svc.QueryTopKCtx(context.Background(), src, 5); err != nil {
+					errs <- fmt.Errorf("QueryTopKCtx(%d): %v", src, err)
 					return
 				}
 				if w == 0 && i == perWorker/2 {
@@ -223,7 +223,7 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer done.Done()
-			top, qi, err := svc.QueryTopK(probe, 10)
+			top, qi, err := svc.QueryTopKCtx(context.Background(), probe, 10)
 			answers[i] = ans{top, qi, err}
 		}(i)
 	}
@@ -242,8 +242,8 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 		if a.err != nil {
 			t.Fatalf("waiter %d: %v", i, a.err)
 		}
-		if !a.qi.Approx || a.qi.Epsilon <= 0 {
-			t.Fatalf("waiter %d: approx=%v epsilon=%g", i, a.qi.Approx, a.qi.Epsilon)
+		if !a.qi.Approx || a.qi.Snapshot.Epsilon <= 0 {
+			t.Fatalf("waiter %d: approx=%v epsilon=%g", i, a.qi.Approx, a.qi.Snapshot.Epsilon)
 		}
 		if len(a.top) != len(answers[0].top) {
 			t.Fatalf("waiter %d: answer shape diverged", i)
@@ -276,9 +276,9 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	// the identical answer; an estimate for the same source reads the same
 	// entry.
 	hitsBefore := st.CacheHits
-	again, qi, err := svc.QueryTopK(probe, 10)
+	again, qi, err := svc.QueryTopKCtx(context.Background(), probe, 10)
 	if err != nil {
-		t.Fatalf("repeat QueryTopK: %v", err)
+		t.Fatalf("repeat QueryTopKCtx: %v", err)
 	}
 	if !qi.Cached {
 		t.Fatal("repeat cold query was not served from the result cache")
@@ -288,7 +288,7 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 			t.Fatalf("cached entry %d: %v vs %v", j, again[j], answers[0].top[j])
 		}
 	}
-	if _, eqi, err := svc.QueryEstimate(probe, 0); err != nil || !eqi.Cached {
+	if _, eqi, err := svc.QueryEstimateCtx(context.Background(), probe, 0); err != nil || !eqi.Cached {
 		t.Fatalf("estimate after topk: err=%v cached=%v (want cache hit on the shared entry)", err, eqi.Cached)
 	}
 	if st := svc.Stats().OnDemand; st.CacheHits != hitsBefore+2 {
@@ -316,8 +316,8 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 		check := func(what string, top []VertexScore, est float64, qis ...QueryInfo) {
 			t.Helper()
 			for _, qi := range qis {
-				if !qi.Approx || math.Float64bits(qi.Epsilon) != math.Float64bits(want.MaxResidual) {
-					t.Fatalf("%s source %d: approx=%v epsilon %g, the cold push left %g", what, src, qi.Approx, qi.Epsilon, want.MaxResidual)
+				if !qi.Approx || math.Float64bits(qi.Snapshot.Epsilon) != math.Float64bits(want.MaxResidual) {
+					t.Fatalf("%s source %d: approx=%v epsilon %g, the cold push left %g", what, src, qi.Approx, qi.Snapshot.Epsilon, want.MaxResidual)
 				}
 			}
 			if len(top) != len(wantTop) || math.Float64bits(est) != math.Float64bits(wantTop[3].Score) {
@@ -330,22 +330,22 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 				}
 			}
 		}
-		top, tqi, err := svc.QueryTopK(src, 10)
+		top, tqi, err := svc.QueryTopKCtx(context.Background(), src, 10)
 		if err != nil {
-			t.Fatalf("QueryTopK(%d): %v", src, err)
+			t.Fatalf("QueryTopKCtx(%d): %v", src, err)
 		}
-		est, eqi, err := svc.QueryEstimate(src, v)
+		est, eqi, err := svc.QueryEstimateCtx(context.Background(), src, v)
 		if err != nil {
-			t.Fatalf("QueryEstimate(%d,%d): %v", src, v, err)
+			t.Fatalf("QueryEstimateCtx(%d,%d): %v", src, v, err)
 		}
 		check("top-k first", top, est, tqi, eqi)
-		est, eqi, err = svc2.QueryEstimate(src, v)
+		est, eqi, err = svc2.QueryEstimateCtx(context.Background(), src, v)
 		if err != nil {
-			t.Fatalf("QueryEstimate(%d,%d): %v", src, v, err)
+			t.Fatalf("QueryEstimateCtx(%d,%d): %v", src, v, err)
 		}
-		top, tqi, err = svc2.QueryTopK(src, 10)
+		top, tqi, err = svc2.QueryTopKCtx(context.Background(), src, 10)
 		if err != nil {
-			t.Fatalf("QueryTopK(%d): %v", src, err)
+			t.Fatalf("QueryTopKCtx(%d): %v", src, err)
 		}
 		check("estimate first", top, est, tqi, eqi)
 	}
@@ -356,7 +356,7 @@ func TestOnDemandColdQueryCoalescingAndCache(t *testing.T) {
 	if _, err := svc.ApplyBatch(Batch{{U: 1, V: 20_000, Op: Insert}}); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
-	if _, qi, err := svc.QueryTopK(probe, 10); err != nil || qi.Cached {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), probe, 10); err != nil || qi.Cached {
 		t.Fatalf("post-mutation query: err=%v cached=%v (want recompute)", err, qi.Cached)
 	}
 	if st := svc.Stats().OnDemand; st.ColdPushes != pushes+1 {
@@ -430,7 +430,7 @@ func TestOnDemandLeaderCancelFollowerRetries(t *testing.T) {
 	followed := make(chan ans, 1)
 	go func() {
 		top, qi, err := svc.QueryTopKCtx(follow, src, 10)
-		followed <- ans{top, qi.Epsilon, err}
+		followed <- ans{top, qi.Snapshot.Epsilon, err}
 	}()
 	<-follow.waits // the follower found the leader's flight and waits on it
 	cancel()

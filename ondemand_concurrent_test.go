@@ -1,6 +1,7 @@
 package dynppr_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -35,8 +36,8 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 	var lens []int64
 	var resident int64
 	for i, src := range cold {
-		if _, _, err := svc.QueryTopK(src, 5); err != nil {
-			t.Fatalf("QueryTopK(%d): %v", src, err)
+		if _, _, err := svc.QueryTopKCtx(context.Background(), src, 5); err != nil {
+			t.Fatalf("QueryTopKCtx(%d): %v", src, err)
 		}
 		st := svc.Stats().OnDemand
 		if st.CacheBytes != 12*st.CacheAnswerEntries {
@@ -55,10 +56,10 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 	}
 	// The newest answer is resident; the first was evicted and must push
 	// again, displacing the second.
-	if _, qi, err := svc.QueryTopK(cold[capacity], 5); err != nil || !qi.Cached {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), cold[capacity], 5); err != nil || !qi.Cached {
 		t.Fatalf("resident source %d: err=%v cached=%v", cold[capacity], err, qi.Cached)
 	}
-	if _, qi, err := svc.QueryTopK(cold[0], 5); err != nil || qi.Cached {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), cold[0], 5); err != nil || qi.Cached {
 		t.Fatalf("evicted source %d: err=%v cached=%v (want recompute)", cold[0], err, qi.Cached)
 	}
 	if st := svc.Stats().OnDemand; st.CacheAnswerEntries != resident+lens[0]-lens[1] || st.CacheEntries != capacity {
@@ -72,7 +73,7 @@ func TestOnDemandResultCacheBounds(t *testing.T) {
 	if _, err := svc.ApplyBatch(dynppr.Batch{{U: 1, V: 150, Op: dynppr.Insert}}); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
-	if _, qi, err := svc.QueryTopK(cold[2], 5); err != nil || qi.Cached {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), cold[2], 5); err != nil || qi.Cached {
 		t.Fatalf("post-write query: err=%v cached=%v (want recompute)", err, qi.Cached)
 	}
 	if st := svc.Stats().OnDemand; st.CacheEntries != 1 || st.CacheBytes != 12*st.CacheAnswerEntries ||
@@ -109,8 +110,8 @@ func TestTrackedReadsKeepAutoSourceWarm(t *testing.T) {
 	}
 	promote := func(src dynppr.VertexID) {
 		for i := 0; i < 2; i++ {
-			if _, _, err := svc.QueryTopK(src, 5); err != nil {
-				t.Fatalf("QueryTopK(%d): %v", src, err)
+			if _, _, err := svc.QueryTopKCtx(context.Background(), src, 5); err != nil {
+				t.Fatalf("QueryTopKCtx(%d): %v", src, err)
 			}
 		}
 		if !tracked(src) {
@@ -123,14 +124,14 @@ func TestTrackedReadsKeepAutoSourceWarm(t *testing.T) {
 	promote(b) // newer tick
 
 	// Heavy non-Query reads of a — all four tracked-read entry points.
-	if _, err := svc.TopK(a, 3); err != nil {
+	if _, _, err := svc.AppendTopK(nil, a, 3); err != nil {
 		t.Fatalf("TopK(a): %v", err)
 	}
-	if _, err := svc.Estimate(a, 0); err != nil {
+	if _, _, err := svc.EstimateInfo(a, 0); err != nil {
 		t.Fatalf("Estimate(a): %v", err)
 	}
-	if _, _, err := svc.TopKInfo(a, 3); err != nil {
-		t.Fatalf("TopKInfo(a): %v", err)
+	if _, _, err := svc.AppendTopK(nil, a, 3); err != nil {
+		t.Fatalf("AppendTopK(a): %v", err)
 	}
 	if _, _, err := svc.EstimateInfo(a, 0); err != nil {
 		t.Fatalf("EstimateInfo(a): %v", err)
@@ -177,7 +178,7 @@ func TestOnDemandCloseRace(t *testing.T) {
 				default:
 				}
 				src := dynppr.VertexID(rng.Intn(2000))
-				_, _, err := svc.QueryTopK(src, 5)
+				_, _, err := svc.QueryTopKCtx(context.Background(), src, 5)
 				if err != nil {
 					if !errors.Is(err, dynppr.ErrServiceClosed) && !errors.Is(err, dynppr.ErrOverloaded) {
 						t.Errorf("reader: unexpected error %v", err)
@@ -217,7 +218,7 @@ func TestOnDemandCloseRace(t *testing.T) {
 
 	// A fresh cold source after Close errors out instead of hanging in pool
 	// admission.
-	if _, _, err := svc.QueryTopK(dynppr.VertexID(1999), 5); err == nil {
+	if _, _, err := svc.QueryTopKCtx(context.Background(), dynppr.VertexID(1999), 5); err == nil {
 		// The snapshot and cache can legitimately serve a pre-Close answer
 		// (reads racing Close may succeed); force a pool trip with a source
 		// that cannot be cached yet after the last mutation.

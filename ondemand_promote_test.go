@@ -1,7 +1,7 @@
 package dynppr
 
 // White-box promotion tests: they wedge the unexported write pipeline to
-// make AddSourceCtx fail deterministically, which cannot be arranged
+// make UpdateSources fail deterministically, which cannot be arranged
 // through the public API without sleeps.
 
 import (
@@ -62,11 +62,11 @@ func TestManualReAddIsNeverEvicted(t *testing.T) {
 	if !od.maybePromote(ctx, a) {
 		t.Fatal("promoting a failed on an idle service")
 	}
-	if err := svc.RemoveSource(a); err != nil {
-		t.Fatalf("RemoveSource(a): %v", err)
+	if err := svc.UpdateSources(context.Background(), nil, []VertexID{a}); err != nil {
+		t.Fatalf("UpdateSources remove a: %v", err)
 	}
-	if err := svc.AddSource(a); err != nil {
-		t.Fatalf("AddSource(a): %v", err)
+	if err := svc.UpdateSources(context.Background(), []VertexID{a}, nil); err != nil {
+		t.Fatalf("UpdateSources add a: %v", err)
 	}
 	od.note(b)
 	if !od.maybePromote(ctx, b) {

@@ -1,6 +1,7 @@
 package dynppr_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -56,9 +57,9 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 	queryN := func(src dynppr.VertexID, n int) dynppr.QueryInfo {
 		var last dynppr.QueryInfo
 		for i := 0; i < n; i++ {
-			_, qi, err := svc.QueryTopK(src, 5)
+			_, qi, err := svc.QueryTopKCtx(context.Background(), src, 5)
 			if err != nil {
-				t.Fatalf("QueryTopK(%d) #%d: %v", src, i, err)
+				t.Fatalf("QueryTopKCtx(%d) #%d: %v", src, i, err)
 			}
 			last = qi
 		}
@@ -72,9 +73,9 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 
 	// Below the threshold the source stays approximate. Keep the first
 	// answer to compare against the exact one after promotion.
-	approxTop, aqi, err := svc.QueryTopK(s1, 5)
+	approxTop, aqi, err := svc.QueryTopKCtx(context.Background(), s1, 5)
 	if err != nil {
-		t.Fatalf("QueryTopK(%d): %v", s1, err)
+		t.Fatalf("QueryTopKCtx(%d): %v", s1, err)
 	}
 	if !aqi.Approx || aqi.Promoted {
 		t.Fatalf("pre-threshold query: approx=%v promoted=%v", aqi.Approx, aqi.Promoted)
@@ -92,7 +93,7 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 	// Subsequent reads take the exact path and do not advance the
 	// on-demand query counter.
 	before := svc.Stats().OnDemand.Queries
-	if _, qi, err := svc.QueryTopK(s1, 5); err != nil || qi.Approx {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), s1, 5); err != nil || qi.Approx {
 		t.Fatalf("post-promotion read: err=%v approx=%v", err, qi.Approx)
 	}
 	if after := svc.Stats().OnDemand.Queries; after != before {
@@ -109,9 +110,9 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EstimateInfo(%d,%d): %v", s1, vs.Vertex, err)
 		}
-		if d := math.Abs(vs.Score - exact); d > aqi.Epsilon+info.Epsilon+1e-12 {
+		if d := math.Abs(vs.Score - exact); d > aqi.Snapshot.Epsilon+info.Epsilon+1e-12 {
 			t.Fatalf("promotion changed the answer at vertex %d: approx %g vs exact %g (diff %g > %g+%g)",
-				vs.Vertex, vs.Score, exact, d, aqi.Epsilon, info.Epsilon)
+				vs.Vertex, vs.Score, exact, d, aqi.Snapshot.Epsilon, info.Epsilon)
 		}
 	}
 
@@ -143,10 +144,10 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 	}
 
 	// The evicted source falls back to approximate answers, never errors.
-	if _, qi, err := svc.QueryTopK(s1, 5); err != nil || !qi.Approx {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), s1, 5); err != nil || !qi.Approx {
 		t.Fatalf("evicted-source read: err=%v approx=%v", err, qi.Approx)
 	}
-	if _, qi, err := svc.QueryEstimate(s1, 0); err != nil || !qi.Approx {
+	if _, qi, err := svc.QueryEstimateCtx(context.Background(), s1, 0); err != nil || !qi.Approx {
 		t.Fatalf("evicted-source estimate: err=%v approx=%v", err, qi.Approx)
 	}
 
@@ -160,12 +161,12 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 	far := dynppr.VertexID(10_000)
 	was, sources := svc.Stats(), svc.Sources()
 	for i := 0; i < 2*so.OnDemand.PromoteAfter; i++ {
-		est, qi, err := svc.QueryEstimate(far, far)
-		if err != nil || !qi.Approx || qi.Promoted || qi.Epsilon != 0 || est != so.Options.Alpha {
+		est, qi, err := svc.QueryEstimateCtx(context.Background(), far, far)
+		if err != nil || !qi.Approx || qi.Promoted || qi.Snapshot.Epsilon != 0 || est != so.Options.Alpha {
 			t.Fatalf("out-of-graph source read #%d: est=%g (want alpha %g) approx=%v promoted=%v epsilon=%g err=%v",
-				i, est, so.Options.Alpha, qi.Approx, qi.Promoted, qi.Epsilon, err)
+				i, est, so.Options.Alpha, qi.Approx, qi.Promoted, qi.Snapshot.Epsilon, err)
 		}
-		top, _, err := svc.QueryTopK(far, 5)
+		top, _, err := svc.QueryTopKCtx(context.Background(), far, 5)
 		if err != nil || len(top) != 1 || top[0] != (dynppr.VertexScore{Vertex: far, Score: so.Options.Alpha}) {
 			t.Fatalf("out-of-graph source top-k #%d: %v err=%v", i, top, err)
 		}
@@ -184,7 +185,7 @@ func TestOnDemandPromotionLifecycle(t *testing.T) {
 
 // Tracking a vertex the graph already has leaves the graph — and so every
 // pinned view and cached cold answer — as it was: a promotion must not cost
-// the other cold sources their cache. (Regression test — every AddSource used
+// the other cold sources their cache. (Regression test — every source addition used
 // to advance the graph generation "in case" the cold start had grown the
 // graph, so with PromoteAfter set each promotion dropped all cached answers
 // and sent the next cold read through the pipeline for a new view of an
@@ -201,12 +202,12 @@ func TestPromotionKeepsColdCache(t *testing.T) {
 	defer svc.Close()
 	var a, b dynppr.VertexID = 11, 22
 
-	first, fqi, err := svc.QueryTopK(b, 5)
+	first, fqi, err := svc.QueryTopKCtx(context.Background(), b, 5)
 	if err != nil || !fqi.Approx || fqi.Cached {
 		t.Fatalf("first read of %d: err=%v approx=%v cached=%v", b, err, fqi.Approx, fqi.Cached)
 	}
 	for i := 0; i < so.OnDemand.PromoteAfter; i++ {
-		if _, _, err := svc.QueryTopK(a, 5); err != nil {
+		if _, _, err := svc.QueryTopKCtx(context.Background(), a, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +215,7 @@ func TestPromotionKeepsColdCache(t *testing.T) {
 		t.Fatalf("source %d not promoted: %v", a, err)
 	}
 	was := svc.Stats().OnDemand
-	again, qi, err := svc.QueryTopK(b, 5)
+	again, qi, err := svc.QueryTopKCtx(context.Background(), b, 5)
 	if err != nil || !qi.Cached {
 		t.Fatalf("read of %d after promoting %d: err=%v cached=%v", b, a, err, qi.Cached)
 	}
@@ -222,8 +223,8 @@ func TestPromotionKeepsColdCache(t *testing.T) {
 		t.Fatalf("promotion of an existing vertex cost a view or a push: builds %d (want 1), cold pushes %d -> %d",
 			now.SnapshotBuilds, was.ColdPushes, now.ColdPushes)
 	}
-	if math.Float64bits(qi.Epsilon) != math.Float64bits(fqi.Epsilon) || len(again) != len(first) {
-		t.Fatalf("cached answer differs: epsilon %g vs %g, %d vs %d entries", qi.Epsilon, fqi.Epsilon, len(again), len(first))
+	if math.Float64bits(qi.Snapshot.Epsilon) != math.Float64bits(fqi.Snapshot.Epsilon) || len(again) != len(first) {
+		t.Fatalf("cached answer differs: epsilon %g vs %g, %d vs %d entries", qi.Snapshot.Epsilon, fqi.Snapshot.Epsilon, len(again), len(first))
 	}
 	for i := range first {
 		if again[i].Vertex != first[i].Vertex || math.Float64bits(again[i].Score) != math.Float64bits(first[i].Score) {
@@ -232,14 +233,14 @@ func TestPromotionKeepsColdCache(t *testing.T) {
 	}
 
 	vertices := svc.Stats().Vertices
-	if err := svc.AddSource(10_000); err != nil {
+	if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{10_000}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, qi, err := svc.QueryTopK(b, 5); err != nil || qi.Cached {
+	if _, qi, err := svc.QueryTopKCtx(context.Background(), b, 5); err != nil || qi.Cached {
 		t.Fatalf("read of %d after the graph grew: err=%v cached=%v", b, err, qi.Cached)
 	}
 	if now := svc.Stats(); now.Vertices <= vertices || now.OnDemand.SnapshotBuilds != 2 {
-		t.Fatalf("AddSource beyond the graph: vertices %d -> %d, view builds %d (want 2)",
+		t.Fatalf("UpdateSources beyond the graph: vertices %d -> %d, view builds %d (want 2)",
 			vertices, now.Vertices, now.OnDemand.SnapshotBuilds)
 	}
 }
@@ -266,24 +267,20 @@ func TestUnknownSourceErrorIdentity(t *testing.T) {
 	defer svc.Close()
 	unknown := dynppr.VertexID(39)
 	checks := map[string]error{}
-	_, e1 := svc.Estimate(unknown, 0)
-	checks["Service.Estimate"] = e1
-	_, e2 := svc.TopK(unknown, 5)
-	checks["Service.TopK"] = e2
-	_, e3 := svc.Estimates(unknown)
-	checks["Service.Estimates"] = e3
+	_, _, e2 := svc.AppendTopK(nil, unknown, 5)
+	checks["Service.AppendTopK"] = e2
+	_, _, e3 := svc.EstimatesInfo(unknown)
+	checks["Service.EstimatesInfo"] = e3
 	_, e4 := svc.Info(unknown)
 	checks["Service.Info"] = e4
-	_, _, e5 := svc.TopKInfo(unknown, 5)
-	checks["Service.TopKInfo"] = e5
 	_, _, e6 := svc.EstimateInfo(unknown, 0)
 	checks["Service.EstimateInfo"] = e6
-	checks["Service.RemoveSource"] = svc.RemoveSource(unknown)
+	checks["Service.UpdateSources"] = svc.UpdateSources(context.Background(), nil, []dynppr.VertexID{unknown})
 	// With on-demand disabled the Query entry points keep the same error.
-	_, _, e7 := svc.QueryTopK(unknown, 5)
-	checks["Service.QueryTopK"] = e7
-	_, _, e8 := svc.QueryEstimate(unknown, 0)
-	checks["Service.QueryEstimate"] = e8
+	_, _, e7 := svc.QueryTopKCtx(context.Background(), unknown, 5)
+	checks["Service.QueryTopKCtx"] = e7
+	_, _, e8 := svc.QueryEstimateCtx(context.Background(), unknown, 0)
+	checks["Service.QueryEstimateCtx"] = e8
 	for name, err := range checks {
 		if !errors.Is(err, dynppr.ErrUnknownSource) {
 			t.Errorf("%s: %v does not wrap ErrUnknownSource", name, err)
@@ -324,7 +321,7 @@ func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
 
 	// Cold query against the untouched graph: FromEdges built a pure CSR
 	// base, so the pinned view must report zero delta entries.
-	if _, _, err := svc.QueryTopK(cold, 10); err != nil {
+	if _, _, err := svc.QueryTopKCtx(context.Background(), cold, 10); err != nil {
 		t.Fatal(err)
 	}
 	stats := svc.Stats()
@@ -353,7 +350,7 @@ func TestOnDemandSnapshotTouchedProportional(t *testing.T) {
 	if _, err := svc.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.QueryTopK(cold, 10); err != nil {
+	if _, _, err := svc.QueryTopKCtx(context.Background(), cold, 10); err != nil {
 		t.Fatal(err)
 	}
 	stats = svc.Stats()

@@ -26,10 +26,10 @@ func overloadBatch(n, vertices int, seed int64) dynppr.Batch {
 }
 
 // TestServiceBoundedAdmission exercises the overload surface: with a
-// depth-1 queue saturated by slow batches, TryApplyBatch and an expired
-// ApplyBatchCtx must shed with ErrOverloaded (and count the sheds), while
-// admission succeeds again once the queue drains — even with an
-// already-cancelled context, which only bounds the wait for a slot.
+// depth-1 queue saturated by slow batches, ApplyBatchCtx under a done and
+// under an expired context must shed with ErrOverloaded (and count the
+// sheds), while admission succeeds again once the queue drains — even with
+// an already-cancelled context, which only bounds the wait for a slot.
 func TestServiceBoundedAdmission(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelRMAT, 8000, 48000, 5)
 	g := dynppr.GraphFromEdges(edges)
@@ -47,6 +47,8 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	if qs := svc.Queue(); qs.QueueCap != 1 || qs.QueueDepth != 0 || qs.Shed != 0 {
 		t.Fatalf("initial queue stats: %+v", qs)
 	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 
 	// Saturate: one heavy batch runs on the pipeline while a second fills
 	// the single queue slot.
@@ -71,12 +73,12 @@ func TestServiceBoundedAdmission(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			continue
 		}
-		_, err := svc.TryApplyBatch(overloadBatch(4, 8000, 99))
+		_, err := svc.ApplyBatchCtx(cancelled, overloadBatch(4, 8000, 99))
 		if err == nil {
 			continue // the queue drained between the poll and the try
 		}
 		if !errors.Is(err, dynppr.ErrOverloaded) {
-			t.Fatalf("TryApplyBatch on full queue: %v", err)
+			t.Fatalf("ApplyBatchCtx with done context on full queue: %v", err)
 		}
 		shedSeen = true
 
@@ -108,28 +110,26 @@ func TestServiceBoundedAdmission(t *testing.T) {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
 	if _, err := svc.ApplyBatchCtx(cancelled, overloadBatch(4, 8000, 97)); err != nil {
 		t.Fatalf("ApplyBatchCtx with free queue and done context: %v", err)
 	}
-	if _, err := svc.TryApplyBatch(overloadBatch(4, 8000, 96)); err != nil {
-		t.Fatalf("TryApplyBatch with free queue: %v", err)
+	if _, err := svc.ApplyBatchCtx(cancelled, overloadBatch(4, 8000, 96)); err != nil {
+		t.Fatalf("ApplyBatchCtx with free queue and done context: %v", err)
 	}
 
 	// The context-aware source mutators share the admission path.
 	ctx, cancelAdd := context.WithTimeout(context.Background(), time.Second)
 	defer cancelAdd()
-	if err := svc.AddSourceCtx(ctx, 7); err != nil {
-		t.Fatalf("AddSourceCtx: %v", err)
+	if err := svc.UpdateSources(ctx, []dynppr.VertexID{7}, nil); err != nil {
+		t.Fatalf("UpdateSources add: %v", err)
 	}
-	if err := svc.RemoveSourceCtx(ctx, 7); err != nil {
-		t.Fatalf("RemoveSourceCtx: %v", err)
+	if err := svc.UpdateSources(ctx, nil, []dynppr.VertexID{7}); err != nil {
+		t.Fatalf("UpdateSources remove: %v", err)
 	}
 
 	// Closed beats overloaded.
 	svc.Close()
-	if _, err := svc.TryApplyBatch(overloadBatch(4, 8000, 95)); !errors.Is(err, dynppr.ErrServiceClosed) {
-		t.Fatalf("TryApplyBatch after Close: %v", err)
+	if _, err := svc.ApplyBatchCtx(cancelled, overloadBatch(4, 8000, 95)); !errors.Is(err, dynppr.ErrServiceClosed) {
+		t.Fatalf("ApplyBatchCtx after Close: %v", err)
 	}
 }

@@ -342,35 +342,52 @@ func (s *Service) persistProbe(p *persistence) {
 	}
 }
 
-// tryHealPersistence runs the full recovery sequence on the pipeline: write
-// a fresh checkpoint of the current state (which holds exactly the
-// acknowledged mutations — journaling failures reject before applying, so
-// memory never runs ahead of the journal), verify it by re-reading and
-// decoding it, rotate the WAL onto a fresh file, verify that too, and only
-// then declare the stack healthy. A checkpoint that landed in an earlier
+// tryHealPersistence runs the full recovery sequence on the pipeline: a
+// verified checkpoint-and-rotate (see writeCheckpoint), and only then the
+// transition back to healthy. The checkpoint holds exactly the acknowledged
+// mutations — journaling failures reject before applying, so memory never
+// runs ahead of the journal. A checkpoint that landed in an earlier
 // partially-successful attempt is simply rewritten: no mutations are
 // accepted while degraded, so the state (and its LSN) cannot have moved.
 func (s *Service) tryHealPersistence(p *persistence) error {
-	lsn := p.log.NextLSN()
-	path := checkpointPath(p.dir)
-	if err := ckpt.WriteFileFS(p.fs, path, s.checkpointData(lsn)); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	verify, err := ckpt.LoadFileFS(p.fs, path)
+	lsn, err := s.writeCheckpoint(p, true)
 	if err != nil {
-		return fmt.Errorf("checkpoint verify: %w", err)
-	}
-	if verify.LSN != lsn {
-		return fmt.Errorf("checkpoint verify: covers LSN %d, want %d", verify.LSN, lsn)
-	}
-	if err := p.log.Rotate(lsn); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
-	}
-	if err := p.log.SelfCheck(); err != nil {
-		return fmt.Errorf("wal verify: %w", err)
+		return err
 	}
 	p.healed(lsn)
 	return nil
+}
+
+// writeCheckpoint is the one write-then-rotate sequence: it writes a
+// checkpoint of the current state covering the WAL's next LSN, atomically
+// replacing the previous one, then rotates the WAL onto a fresh file behind
+// it, and returns that LSN. verify, on the heal path, also re-reads and
+// decodes the checkpoint before the rotation and self-checks the fresh WAL
+// file after it. Runs on the pipeline.
+func (s *Service) writeCheckpoint(p *persistence, verify bool) (uint64, error) {
+	lsn := p.log.NextLSN()
+	path := checkpointPath(p.dir)
+	if err := ckpt.WriteFileFS(p.fs, path, s.checkpointData(lsn)); err != nil {
+		return 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	if verify {
+		back, err := ckpt.LoadFileFS(p.fs, path)
+		if err != nil {
+			return 0, fmt.Errorf("checkpoint verify: %w", err)
+		}
+		if back.LSN != lsn {
+			return 0, fmt.Errorf("checkpoint verify: covers LSN %d, want %d", back.LSN, lsn)
+		}
+	}
+	if err := p.log.Rotate(lsn); err != nil {
+		return 0, fmt.Errorf("wal rotate: %w", err)
+	}
+	if verify {
+		if err := p.log.SelfCheck(); err != nil {
+			return 0, fmt.Errorf("wal verify: %w", err)
+		}
+	}
+	return lsn, nil
 }
 
 // healed transitions back to PersistHealthy after a verified heal.
@@ -525,12 +542,8 @@ func (s *Service) doCheckpoint() (uint64, error) {
 		}
 		return p.ckptLSN.Load(), nil
 	}
-	lsn := p.log.NextLSN()
-	data := s.checkpointData(lsn)
-	if err := ckpt.WriteFileFS(p.fs, checkpointPath(p.dir), data); err != nil {
-		return 0, s.degradePersistence(p, err)
-	}
-	if err := p.log.Rotate(lsn); err != nil {
+	lsn, err := s.writeCheckpoint(p, false)
+	if err != nil {
 		return 0, s.degradePersistence(p, err)
 	}
 	p.ckptLSN.Store(lsn)

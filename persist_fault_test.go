@@ -6,6 +6,7 @@ package dynppr
 // exhausted probe budgets must fail persistence instead of probing forever.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -69,7 +70,7 @@ func TestTransientFaultDegradesThenSelfHeals(t *testing.T) {
 	if _, err := svc.ApplyBatch(stream[0]); err != nil {
 		t.Fatal(err)
 	}
-	preFault, err := svc.Estimates(sources[0])
+	preFault, _, err := svc.EstimatesInfo(sources[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +85,12 @@ func TestTransientFaultDegradesThenSelfHeals(t *testing.T) {
 	}
 
 	// Zero partial effect: the rejected batch changed nothing.
-	if got, _ := svc.Estimates(sources[0]); !bitsEqual(got, preFault) {
+	if got, _, _ := svc.EstimatesInfo(sources[0]); !bitsEqual(got, preFault) {
 		t.Fatal("rejected mutation left a partial effect on served estimates")
 	}
 	// Reads keep serving while degraded.
 	if h, _ := svc.PersistenceHealth(); h.State == PersistDegraded {
-		if _, err := svc.TopK(sources[0], 5); err != nil {
+		if _, _, err := svc.AppendTopK(nil, sources[0], 5); err != nil {
 			t.Fatalf("read while degraded: %v", err)
 		}
 	}
@@ -202,7 +203,7 @@ func TestPermanentErrorFailsImmediately(t *testing.T) {
 	if _, err := svc.ApplyBatch(stream[1]); !errors.Is(err, ErrPersistenceFailed) {
 		t.Fatalf("second mutation: got %v", err)
 	}
-	if _, err := svc.TopK(sources[0], 5); err != nil {
+	if _, _, err := svc.AppendTopK(nil, sources[0], 5); err != nil {
 		t.Fatalf("read after permanent failure: %v", err)
 	}
 	if _, err := svc.Checkpoint(); !errors.Is(err, ErrPersistenceFailed) {
@@ -255,7 +256,7 @@ func TestHealedStateRecoversFromDisk(t *testing.T) {
 	}
 	want := make(map[VertexID][]float64, len(sources))
 	for _, s := range sources {
-		est, err := svc.Estimates(s)
+		est, _, err := svc.EstimatesInfo(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +273,7 @@ func TestHealedStateRecoversFromDisk(t *testing.T) {
 	}
 	defer rec.Close()
 	for _, s := range sources {
-		got, err := rec.Estimates(s)
+		got, _, err := rec.EstimatesInfo(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,12 +380,12 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatalf("mutation under fault: got %v, want ErrPersistenceDegraded", err)
 	}
 	for _, s := range sources {
-		if _, err := svc.TopK(s, 5); err != nil {
+		if _, _, err := svc.AppendTopK(nil, s, 5); err != nil {
 			t.Errorf("tracked read of %d: %v", s, err)
 		}
 	}
 	for _, s := range cold {
-		if _, _, err := svc.QueryTopK(s, 5); err != nil {
+		if _, _, err := svc.QueryTopKCtx(context.Background(), s, 5); err != nil {
 			t.Errorf("cold read of %d: %v", s, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,28 @@ func TestReadmeCitesRealTests(t *testing.T) {
 		if !found {
 			t.Errorf("README.md cites %s%s, which no _test.go declares", name, m[2])
 		}
+	}
+}
+
+// TestReadmeCitesRealServiceMethods holds README.md to the Service API:
+// every svc.Name( or Service.Name it cites must be an exported method of
+// *dynppr.Service.
+func TestReadmeCitesRealServiceMethods(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := serviceMethods()
+	cited := regexp.MustCompile(`\bsvc\.([A-Z]\w*)\(|\bService\.([A-Z]\w*)`)
+	n := 0
+	for _, m := range cited.FindAllStringSubmatch(string(readme), -1) {
+		name := m[1] + m[2]
+		n++
+		if !slices.Contains(methods, name) {
+			t.Errorf("README.md cites %s, which is not a method of Service", m[0])
+		}
+	}
+	if n == 0 {
+		t.Fatal("README.md cites no Service method; the pattern no longer matches its snippets")
 	}
 }

@@ -4,6 +4,7 @@ package dynppr
 // churn differentials themselves are scenarios in scenario_test.go.
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 
 // TestRecoveryOfZeroSourceService guards the empty-source-set corner: a live
 // service may remove its last source, and the checkpoint that state produces
-// must stay recoverable — recovery boots with zero sources and AddSource
+// must stay recoverable — recovery boots with zero sources and UpdateSources
 // brings the service back to life.
 func TestRecoveryOfZeroSourceService(t *testing.T) {
 	initial, stream := windowWorkload(t, recoveryGraph(200, 1600), 2, 10)
@@ -31,7 +32,7 @@ func TestRecoveryOfZeroSourceService(t *testing.T) {
 	if _, err := svc.ApplyBatch(stream[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.RemoveSource(sources[0]); err != nil {
+	if err := svc.UpdateSources(context.Background(), nil, []VertexID{sources[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Checkpoint(); err != nil {
@@ -52,7 +53,7 @@ func TestRecoveryOfZeroSourceService(t *testing.T) {
 	if _, err := rec.ApplyBatch(stream[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.AddSource(sources[0]); err != nil {
+	if err := rec.UpdateSources(context.Background(), []VertexID{sources[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if info, err := rec.Info(sources[0]); err != nil || info.Epoch != 1 || !info.Converged() {
@@ -97,7 +98,7 @@ func TestUnjournalableUpdatesDoNotPoisonRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveEdges := svc.Stats().Edges
-	liveEst, err := svc.Estimates(sources[0])
+	liveEst, _, err := svc.EstimatesInfo(sources[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestUnjournalableUpdatesDoNotPoisonRecovery(t *testing.T) {
 	if got := rec.Stats().Edges; got != liveEdges {
 		t.Fatalf("recovered graph has %d edges, live had %d (before poison: %d)", got, liveEdges, edgesBefore)
 	}
-	recEst, err := rec.Estimates(sources[0])
+	recEst, _, err := rec.EstimatesInfo(sources[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestOutOfRangeVertexRejectedBeforeJournal(t *testing.T) {
 	before := svc.Stats()
 	far := VertexID(before.Vertices + 70_000)
 	_, errBatch := svc.ApplyBatch(Batch{stream[0][0], {U: 1, V: far, Op: Insert}})
-	for _, err := range []error{errBatch, svc.AddSource(far)} {
+	for _, err := range []error{errBatch, svc.UpdateSources(context.Background(), []VertexID{far}, nil)} {
 		if !errors.Is(err, ErrVertexOutOfRange) {
 			t.Fatalf("vertex %d past a %d-vertex graph: got %v, want ErrVertexOutOfRange", far, before.Vertices, err)
 		}

@@ -44,8 +44,8 @@ type opKind uint8
 
 const (
 	opBatch          opKind = iota // ApplyBatch(batch)
-	opAdd                          // AddSource(source)
-	opRemove                       // RemoveSource(source)
+	opAdd                          // UpdateSources adding source
+	opRemove                       // UpdateSources removing source
 	opCheckpoint                   // Checkpoint()
 	opCompactNow                   // CompactNow()
 	opCompactBegin                 // freeze a compaction of the graph on the pipeline
@@ -387,9 +387,9 @@ func (r *scenarioRun) step(o op) {
 			t.Fatalf("batch applied %d updates, the oracle %d", res.Applied, applied)
 		}
 	case opAdd:
-		r.mutate(o, func() error { return svc.AddSource(o.source) })
+		r.mutate(o, func() error { return svc.UpdateSources(context.Background(), []VertexID{o.source}, nil) })
 	case opRemove:
-		r.mutate(o, func() error { return svc.RemoveSource(o.source) })
+		r.mutate(o, func() error { return svc.UpdateSources(context.Background(), nil, []VertexID{o.source}) })
 	case opCheckpoint:
 		if r.dir == "" {
 			return
@@ -668,7 +668,7 @@ func (r *scenarioRun) checkCold(a coldAnswer) error {
 		return err
 	}
 	if !slices.Equal(e.ids, want.Vertices) || !bitsEqual(e.vals, want.Estimates) ||
-		!bitsEqual([]float64{e.eps, qi.Epsilon}, []float64{want.MaxResidual, want.MaxResidual}) {
+		!bitsEqual([]float64{e.eps, qi.Snapshot.Epsilon}, []float64{want.MaxResidual, want.MaxResidual}) {
 		return fmt.Errorf("answer differs from the cold kernel on the oracle's graph")
 	}
 	if n > 500 {
@@ -680,8 +680,8 @@ func (r *scenarioRun) checkCold(a coldAnswer) error {
 	}
 	const slack = 1e-12 // the power iteration's own error
 	for v, x := range exact {
-		if d := math.Abs(push.SparseValue(e.ids, e.vals, VertexID(v)) - x); d > qi.Epsilon+slack {
-			return fmt.Errorf("vertex %d: off by %g from power iteration, advertised ε %g", v, d, qi.Epsilon)
+		if d := math.Abs(push.SparseValue(e.ids, e.vals, VertexID(v)) - x); d > qi.Snapshot.Epsilon+slack {
+			return fmt.Errorf("vertex %d: off by %g from power iteration, advertised ε %g", v, d, qi.Snapshot.Epsilon)
 		}
 	}
 	return nil
@@ -796,7 +796,7 @@ func TestServiceMatchesTracker(t *testing.T) {
 			if got := r.svc.Options().Options.Engine; got != EngineSequential {
 				t.Fatalf("service given %v reports engine %v", tc.engine, got)
 			}
-			if _, err := r.svc.Estimates(removed); !errors.Is(err, ErrUnknownSource) {
+			if _, _, err := r.svc.EstimatesInfo(removed); !errors.Is(err, ErrUnknownSource) {
 				t.Fatalf("removed source still served: %v", err)
 			}
 		})
@@ -1142,13 +1142,13 @@ func TestOnDemandDifferentialVsOracle(t *testing.T) {
 		t.Fatalf("on-demand stats %+v: want queries, cache hits and a view per graph generation", st)
 	}
 	// A tracked source stays on the exact path.
-	if _, qi, err := r.svc.QueryTopK(tracked[0], 5); err != nil || qi.Approx {
-		t.Fatalf("tracked QueryTopK: err=%v approx=%v", err, qi.Approx)
+	if _, qi, err := r.svc.QueryTopKCtx(context.Background(), tracked[0], 5); err != nil || qi.Approx {
+		t.Fatalf("tracked QueryTopKCtx: err=%v approx=%v", err, qi.Approx)
 	}
 	// After Close, a cold read that needs a fresh view fails, never hangs.
 	r.run(addOp(vertices + 4))
 	r.svc.Close()
-	if _, _, err := r.svc.QueryTopK(probes[0].source, 5); !errors.Is(err, ErrServiceClosed) {
+	if _, _, err := r.svc.QueryTopKCtx(context.Background(), probes[0].source, 5); !errors.Is(err, ErrServiceClosed) {
 		t.Fatalf("cold read after Close: %v, want ErrServiceClosed", err)
 	}
 }

@@ -24,10 +24,9 @@ import (
 //
 // Writes and reads are decoupled:
 //
-//   - All mutation — ApplyBatch, UpdateSources and its AddSource and
-//     RemoveSource shorthands, on-demand promotion, WAL replay — takes one
-//     path onto a single internal pipeline goroutine, so the graph only ever
-//     changes on one goroutine. Each change is admitted once, then validated
+//   - All mutation — ApplyBatch, UpdateSources, on-demand promotion, WAL
+//     replay — takes one path onto a single internal pipeline goroutine, so
+//     the graph only ever changes on one goroutine. Each change is admitted once, then validated
 //     whole, journaled and applied in one pipeline task. Mutating calls are
 //     safe to issue from any number of goroutines; they are serialized in
 //     arrival order and block until their effect is complete and published.
@@ -41,9 +40,9 @@ import (
 //     so a source has one publisher at a time and its publications are
 //     ordered batch after batch.
 //
-//   - Reads — Estimate, Estimates, TopK, Info — are lock-free: they load the
-//     source's current snapshot through an atomic pointer and read immutable
-//     data. A snapshot is only published after its push has converged, so a
+//   - Reads — EstimateInfo, EstimatesInfo, AppendTopK, Info — are
+//     lock-free: they load the source's current snapshot through an atomic
+//     pointer and read immutable data. A snapshot is only published after its push has converged, so a
 //     read can never observe a mid-push, non-converged vector; during a
 //     batch, reads simply keep serving the previous converged state. Each
 //     source's snapshots are double-buffered, and the publisher waits for
@@ -157,14 +156,14 @@ type ServiceOptions struct {
 	// GOMAXPROCS.
 	PoolWorkers int
 	// QueueDepth is the capacity of the write pipeline. When it is full,
-	// ApplyBatch/AddSource/RemoveSource block (backpressure), the Ctx
-	// variants and UpdateSources wait only until their context's deadline,
-	// and TryApplyBatch sheds immediately — both surfacing ErrOverloaded so
-	// serving front ends can turn saturation into load shedding instead of
-	// unbounded latency. <= 0 selects 64.
+	// ApplyBatch blocks (backpressure), while ApplyBatchCtx and UpdateSources
+	// wait only until their context is done — at once if it already is —
+	// and then surface ErrOverloaded, so serving front ends can turn
+	// saturation into load shedding instead of unbounded latency. <= 0
+	// selects 64.
 	QueueDepth int
 	// OnDemand configures the approximate query path for untracked sources
-	// (QueryTopK/QueryEstimate); the zero value disables it.
+	// (QueryTopKCtx/QueryEstimateCtx); the zero value disables it.
 	OnDemand OnDemandOptions
 }
 
@@ -186,20 +185,18 @@ var (
 	ErrUnknownSource = errors.New("dynppr: source is not tracked")
 	// ErrServiceClosed is returned by every operation after Close.
 	ErrServiceClosed = errors.New("dynppr: service is closed")
-	// ErrOverloaded is returned by TryApplyBatch and the context-aware
-	// mutators when the write pipeline's queue is full and the caller's
-	// admission budget (none, for the Try variants) expires before a slot
-	// frees up. The mutation was NOT journaled and NOT applied: the caller
+	// ErrOverloaded is returned by the context-aware mutators when the write
+	// pipeline's queue is full and the caller's admission budget (none, under
+	// a context that is already done) expires before a slot frees up. The mutation was NOT journaled and NOT applied: the caller
 	// can safely retry later. Serving front ends map it to 429.
 	ErrOverloaded = errors.New("dynppr: write pipeline is overloaded")
 	// ErrVertexOutOfRange is returned by ApplyBatch and UpdateSources for a
 	// vertex id at or beyond NumVertices + MaxVertexGrowth. The mutation
 	// was NOT journaled and NOT applied. Serving front ends map it to 400.
 	ErrVertexOutOfRange = errors.New("dynppr: vertex id out of range")
-	// ErrSourceTracked is returned by UpdateSources and AddSource for an
-	// addition of a source that is already tracked, or added twice. The
-	// mutation was NOT journaled and NOT applied. Serving front ends map it
-	// to 409.
+	// ErrSourceTracked is returned by UpdateSources for an addition of a
+	// source that is already tracked, or added twice. The mutation was NOT
+	// journaled and NOT applied. Serving front ends map it to 409.
 	ErrSourceTracked = errors.New("dynppr: source is already tracked")
 )
 
@@ -244,7 +241,7 @@ func newService(g *Graph, so ServiceOptions, sources []VertexID, states []*push.
 	}
 	// Checkpointed source sets are unique by format (strictly ascending) and
 	// may legitimately be empty: a live service can drop its last source
-	// through RemoveSource, and recovery must be able to rebuild that state
+	// through UpdateSources, and recovery must be able to rebuild that state
 	// rather than refuse its own checkpoint.
 	if states == nil {
 		if err := validateSources(sources); err != nil {
@@ -323,8 +320,8 @@ func (s *Service) publish(st *push.State) {
 
 // admit is the one way onto the pipeline: it enqueues t, waiting for a queue
 // slot at most until ctx is done. Blocking callers pass the background
-// context, non-blocking ones an already cancelled one — a context that is
-// done still admits immediately when a slot is free. The context bounds
+// context; a context that is already done still admits immediately when a
+// slot is free, and sheds at once when none is. The context bounds
 // ADMISSION only: once t is enqueued it runs to completion regardless of
 // ctx, so a journaled mutation is never abandoned half-acknowledged. A
 // timeout surfaces ErrOverloaded.
@@ -361,14 +358,6 @@ func onPipeline[T any](ctx context.Context, s *Service, fn func() (T, error)) (T
 	<-done
 	return out.v, out.err
 }
-
-// canceled is the context of the non-blocking entry points: admission under
-// it succeeds only if a queue slot is free right now.
-var canceled = func() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}()
 
 // Close shuts the service down: queued mutations finish, the pipeline
 // exits, the write-ahead log (if any) is flushed and closed,
@@ -412,7 +401,7 @@ func (s *Service) Close() error {
 // later mutation) so the in-memory state never runs ahead of what recovery
 // can reconstruct.
 func (s *Service) ApplyBatch(b Batch) (BatchResult, error) {
-	return s.applyBatch(context.Background(), b)
+	return s.ApplyBatchCtx(context.Background(), b)
 }
 
 // ApplyBatchCtx is ApplyBatch with bounded admission: if the write queue is
@@ -421,18 +410,10 @@ func (s *Service) ApplyBatch(b Batch) (BatchResult, error) {
 // applying anything. The context bounds admission only — once the batch is
 // admitted the call blocks until the batch is journaled, applied, and
 // published, even past the deadline, so the acknowledgement a caller
-// eventually reads always matches the durable state.
+// eventually reads always matches the durable state. Under a context that
+// is already done, admission never waits: a free slot admits the batch, a
+// full queue sheds it at once.
 func (s *Service) ApplyBatchCtx(ctx context.Context, b Batch) (BatchResult, error) {
-	return s.applyBatch(ctx, b)
-}
-
-// TryApplyBatch is ApplyBatch with non-blocking admission: a full write
-// queue sheds the batch immediately with ErrOverloaded.
-func (s *Service) TryApplyBatch(b Batch) (BatchResult, error) {
-	return s.applyBatch(canceled, b)
-}
-
-func (s *Service) applyBatch(ctx context.Context, b Batch) (BatchResult, error) {
 	return s.mutate(ctx, []wal.Record{{Type: wal.RecordBatch, Batch: b}}, false)
 }
 
@@ -639,6 +620,8 @@ func (s *Service) compactInline() {
 // vertex bound (ErrVertexOutOfRange) or already tracked (ErrSourceTracked),
 // or a removal of a source that is not tracked (ErrUnknownSource), rejects
 // all of it with no effect. A removal may name a source the same call adds.
+// To add or remove one source, pass a one-element slice; to wait for
+// admission without bound, pass context.Background().
 func (s *Service) UpdateSources(ctx context.Context, add, remove []VertexID) error {
 	recs := make([]wal.Record, 0, len(add)+len(remove))
 	for _, v := range add {
@@ -649,27 +632,6 @@ func (s *Service) UpdateSources(ctx context.Context, add, remove []VertexID) err
 	}
 	_, err := s.mutate(ctx, recs, false)
 	return err
-}
-
-// AddSource is UpdateSources adding one source, with unbounded admission.
-func (s *Service) AddSource(source VertexID) error {
-	return s.UpdateSources(context.Background(), []VertexID{source}, nil)
-}
-
-// AddSourceCtx is UpdateSources adding one source.
-func (s *Service) AddSourceCtx(ctx context.Context, source VertexID) error {
-	return s.UpdateSources(ctx, []VertexID{source}, nil)
-}
-
-// RemoveSource is UpdateSources removing one source, with unbounded
-// admission.
-func (s *Service) RemoveSource(source VertexID) error {
-	return s.UpdateSources(context.Background(), nil, []VertexID{source})
-}
-
-// RemoveSourceCtx is UpdateSources removing one source.
-func (s *Service) RemoveSourceCtx(ctx context.Context, source VertexID) error {
-	return s.UpdateSources(ctx, nil, []VertexID{source})
 }
 
 // applySource applies a validated source record. An addition's cold start
@@ -709,8 +671,8 @@ func (s *Service) applySource(rec wal.Record) error {
 // its current snapshot with a read hold on it, lock-free; the caller must
 // Release it. A successful resolution of an auto-promoted source refreshes
 // its lastUse — acquire is the one path all tracked reads share, so a source
-// read heavily through TopK/Estimate (not just Query*) stays warm against
-// eviction. The refresh is two atomics on the source itself, so tracked
+// read heavily through AppendTopK/EstimateInfo (not just Query*) stays warm
+// against eviction. The refresh is two atomics on the source itself, so tracked
 // reads stay lock-free.
 func (s *Service) acquire(source VertexID) (*push.Snapshot, error) {
 	table := s.table.Load()
@@ -740,19 +702,6 @@ func (s *Service) Sources() []VertexID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Estimate returns the PPR estimate of v with respect to source, read from
-// the source's current converged snapshot.
-func (s *Service) Estimate(source, v VertexID) (float64, error) {
-	est, _, err := s.EstimateInfo(source, v)
-	return est, err
-}
-
-// Estimates returns a copy of source's full estimate vector.
-func (s *Service) Estimates(source VertexID) ([]float64, error) {
-	est, _, err := s.EstimatesInfo(source)
-	return est, err
 }
 
 // SnapshotInfo describes the snapshot a read was served from.
@@ -807,25 +756,15 @@ func (s *Service) Info(source VertexID) (SnapshotInfo, error) {
 	return snapshotInfo(snap), nil
 }
 
-// TopK returns the k vertices with the largest PPR estimates towards source,
-// read from the current converged snapshot.
-func (s *Service) TopK(source VertexID, k int) ([]VertexScore, error) {
-	top, _, err := s.TopKInfo(source, k)
-	return top, err
-}
-
-// TopKInfo is TopK plus the metadata of the snapshot the ranking was read
-// from, so remote callers (the HTTP front end) can verify convergence and
-// epoch monotonicity of what they were served.
-func (s *Service) TopKInfo(source VertexID, k int) ([]VertexScore, SnapshotInfo, error) {
-	return s.AppendTopK(nil, source, k)
-}
-
-// AppendTopK is TopKInfo appending into a caller-provided buffer, so hot
-// readers that recycle their result slices perform no allocations. When k is
-// within the snapshot's embedded Top-K index (push.DefaultTopKCap deep, kept
-// exact incrementally at publish time) the read is an O(k) copy; larger k
-// falls back to the O(n log k) heap scan of the vector.
+// AppendTopK appends to dst the k vertices with the largest PPR estimates
+// towards source, read from the current converged snapshot, and returns the
+// metadata of that snapshot, so remote callers (the HTTP front end) can
+// verify convergence and epoch monotonicity of what they were served. A nil
+// dst allocates the result; hot readers that recycle their result slices
+// perform no allocations. When k is within the snapshot's embedded Top-K
+// index (push.DefaultTopKCap deep, kept exact incrementally at publish time)
+// the read is an O(k) copy; larger k falls back to the O(n log k) heap scan
+// of the vector.
 func (s *Service) AppendTopK(dst []VertexScore, source VertexID, k int) ([]VertexScore, SnapshotInfo, error) {
 	snap, err := s.acquire(source)
 	if err != nil {
@@ -835,10 +774,11 @@ func (s *Service) AppendTopK(dst []VertexScore, source VertexID, k int) ([]Verte
 	return snap.AppendTopK(dst, k), snapshotInfo(snap), nil
 }
 
-// EstimateInfo is Estimate plus the metadata of the snapshot the value was
-// read from. Both values come from one Acquire, so the estimate is guaranteed
-// to belong to the reported epoch — the consistency check batched remote
-// reads rely on.
+// EstimateInfo returns the PPR estimate of v with respect to source, read
+// from the source's current converged snapshot, together with the metadata
+// of that snapshot. Both values come from one Acquire, so the estimate is
+// guaranteed to belong to the reported epoch — the consistency check batched
+// remote reads rely on.
 func (s *Service) EstimateInfo(source, v VertexID) (float64, SnapshotInfo, error) {
 	snap, err := s.acquire(source)
 	if err != nil {

@@ -1,6 +1,7 @@
 package dynppr_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -121,12 +122,12 @@ func serviceConcurrentStress(t *testing.T, pool int) {
 						return
 					}
 				case 1:
-					if _, err := svc.Estimate(src, dynppr.VertexID(rng.Intn(400))); err != nil {
+					if _, _, err := svc.EstimateInfo(src, dynppr.VertexID(rng.Intn(400))); err != nil {
 						t.Errorf("Estimate(%d): %v", src, err)
 						return
 					}
 				default:
-					top, err := svc.TopK(src, 5)
+					top, _, err := svc.AppendTopK(nil, src, 5)
 					if err != nil || len(top) == 0 {
 						t.Errorf("TopK(%d): %v (len %d)", src, err, len(top))
 						return
@@ -145,19 +146,19 @@ func serviceConcurrentStress(t *testing.T, pool int) {
 		extra := []dynppr.VertexID{390, 391, 392}
 		for i := 0; i < 4; i++ {
 			v := extra[i%len(extra)]
-			if err := svc.AddSource(v); err != nil {
-				t.Errorf("AddSource(%d): %v", v, err)
+			if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{v}, nil); err != nil {
+				t.Errorf("UpdateSources add %d: %v", v, err)
 				return
 			}
-			if _, err := svc.Estimate(v, 0); err != nil {
+			if _, _, err := svc.EstimateInfo(v, 0); err != nil {
 				t.Errorf("Estimate of fresh source %d: %v", v, err)
 				return
 			}
-			if err := svc.RemoveSource(v); err != nil {
-				t.Errorf("RemoveSource(%d): %v", v, err)
+			if err := svc.UpdateSources(context.Background(), nil, []dynppr.VertexID{v}); err != nil {
+				t.Errorf("UpdateSources remove %d: %v", v, err)
 				return
 			}
-			if _, err := svc.Estimate(v, 0); !errors.Is(err, dynppr.ErrUnknownSource) {
+			if _, _, err := svc.EstimateInfo(v, 0); !errors.Is(err, dynppr.ErrUnknownSource) {
 				t.Errorf("read of removed source %d: %v", v, err)
 				return
 			}
@@ -225,7 +226,7 @@ func serviceConcurrentStress(t *testing.T, pool int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := svc.Estimates(src)
+		got, _, err := svc.EstimatesInfo(src)
 		if err != nil {
 			t.Fatal(err)
 		}

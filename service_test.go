@@ -1,10 +1,14 @@
 package dynppr_test
 
 import (
+	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"dynppr"
@@ -36,6 +40,29 @@ func newTestService(t *testing.T, edges []dynppr.Edge, nSources int, eps float64
 	return svc, sources
 }
 
+// serviceMethods returns the exported methods of *dynppr.Service, sorted.
+func serviceMethods() []string {
+	typ := reflect.TypeOf(&dynppr.Service{})
+	names := make([]string, typ.NumMethod())
+	for i := range names {
+		names[i] = typ.Method(i).Name
+	}
+	return names
+}
+
+// TestServiceMethodSurface pins the exported methods of Service: one entry
+// point per operation, so a new method — an alias with a different default
+// context or a dropped return value above all — shows up as a diff here.
+func TestServiceMethodSurface(t *testing.T) {
+	got := serviceMethods()
+	want := strings.Fields(`AppendTopK ApplyBatch ApplyBatchCtx Checkpoint Close Closed
+		CompactNow EstimateInfo EstimatesInfo Info Options PersistenceHealth
+		QueryEstimateCtx QueryTopKCtx Queue Sources Stats UpdateSources`)
+	if !slices.Equal(got, want) { // reflect lists methods in sorted order
+		t.Fatalf("Service has %d methods %v, the golden list has %d: %v", len(got), got, len(want), want)
+	}
+}
+
 func TestNewServiceErrors(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, 50, 200, 3)
 	g := dynppr.GraphFromEdges(edges)
@@ -58,13 +85,13 @@ func TestServiceReadErrors(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, 60, 300, 5)
 	svc, _ := newTestService(t, edges, 2, 1e-4)
 
-	if _, err := svc.Estimate(9999, 0); !errors.Is(err, dynppr.ErrUnknownSource) {
+	if _, _, err := svc.EstimateInfo(9999, 0); !errors.Is(err, dynppr.ErrUnknownSource) {
 		t.Fatalf("want ErrUnknownSource, got %v", err)
 	}
-	if _, err := svc.Estimates(9999); !errors.Is(err, dynppr.ErrUnknownSource) {
+	if _, _, err := svc.EstimatesInfo(9999); !errors.Is(err, dynppr.ErrUnknownSource) {
 		t.Fatalf("want ErrUnknownSource, got %v", err)
 	}
-	if _, err := svc.TopK(9999, 3); !errors.Is(err, dynppr.ErrUnknownSource) {
+	if _, _, err := svc.AppendTopK(nil, 9999, 3); !errors.Is(err, dynppr.ErrUnknownSource) {
 		t.Fatalf("want ErrUnknownSource, got %v", err)
 	}
 	if _, err := svc.Info(9999); !errors.Is(err, dynppr.ErrUnknownSource) {
@@ -76,15 +103,15 @@ func TestServiceAddRemoveSource(t *testing.T) {
 	edges := serviceTestEdges(t, dynppr.ModelBarabasiAlbert, 100, 600, 11)
 	svc, sources := newTestService(t, edges, 2, 1e-4)
 
-	if err := svc.AddSource(sources[0]); err == nil {
+	if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{sources[0]}, nil); err == nil {
 		t.Fatal("adding an existing source must fail")
 	}
-	if err := svc.RemoveSource(9999); !errors.Is(err, dynppr.ErrUnknownSource) {
+	if err := svc.UpdateSources(context.Background(), nil, []dynppr.VertexID{9999}); !errors.Is(err, dynppr.ErrUnknownSource) {
 		t.Fatalf("removing an unknown source: %v", err)
 	}
 
 	extra := dynppr.VertexID(7)
-	if err := svc.AddSource(extra); err != nil {
+	if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{extra}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(svc.Sources()); got != 3 {
@@ -105,7 +132,7 @@ func TestServiceAddRemoveSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := dynppr.VertexID(0); int(v) < 100; v += 13 {
-		got, err := svc.Estimate(extra, v)
+		got, _, err := svc.EstimateInfo(extra, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +153,10 @@ func TestServiceAddRemoveSource(t *testing.T) {
 		t.Fatalf("epoch after batch = %+v", info)
 	}
 
-	if err := svc.RemoveSource(extra); err != nil {
+	if err := svc.UpdateSources(context.Background(), nil, []dynppr.VertexID{extra}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Estimate(extra, 0); !errors.Is(err, dynppr.ErrUnknownSource) {
+	if _, _, err := svc.EstimateInfo(extra, 0); !errors.Is(err, dynppr.ErrUnknownSource) {
 		t.Fatalf("read after remove: %v", err)
 	}
 	if got := len(svc.Sources()); got != 2 {
@@ -139,7 +166,7 @@ func TestServiceAddRemoveSource(t *testing.T) {
 	if _, err := svc.ApplyBatch(dynppr.Batch{{U: 5, V: sources[0], Op: dynppr.Insert}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Estimate(sources[0], 5); err != nil {
+	if _, _, err := svc.EstimateInfo(sources[0], 5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -222,11 +249,11 @@ func TestServiceClose(t *testing.T) {
 	if _, err := svc.ApplyBatch(dynppr.Batch{{U: 1, V: 2, Op: dynppr.Insert}}); !errors.Is(err, dynppr.ErrServiceClosed) {
 		t.Fatalf("ApplyBatch after close: %v", err)
 	}
-	if err := svc.AddSource(17); !errors.Is(err, dynppr.ErrServiceClosed) {
-		t.Fatalf("AddSource after close: %v", err)
+	if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{17}, nil); !errors.Is(err, dynppr.ErrServiceClosed) {
+		t.Fatalf("UpdateSources add after close: %v", err)
 	}
-	if err := svc.RemoveSource(17); !errors.Is(err, dynppr.ErrServiceClosed) {
-		t.Fatalf("RemoveSource after close: %v", err)
+	if err := svc.UpdateSources(context.Background(), nil, []dynppr.VertexID{17}); !errors.Is(err, dynppr.ErrServiceClosed) {
+		t.Fatalf("UpdateSources remove after close: %v", err)
 	}
 }
 
@@ -251,8 +278,9 @@ func TestServiceNoOpBatchKeepsEpoch(t *testing.T) {
 	}
 }
 
-// Tracker.TopK and Service.TopK share the heap-based selection; cross-check
-// it against a straightforward full sort, including exact score ties.
+// Tracker.TopK and Service.AppendTopK share the heap-based selection;
+// cross-check it against a straightforward full sort, including exact score
+// ties.
 func TestTopKMatchesFullSort(t *testing.T) {
 	// A star: every leaf points at the hub, so all leaves tie exactly.
 	g := dynppr.NewGraph(0)
@@ -333,7 +361,7 @@ func TestServiceHeapPerSource(t *testing.T) {
 	}
 	before := liveHeap()
 	for _, s := range sources[1:] {
-		if err := svc.AddSource(s); err != nil {
+		if err := svc.UpdateSources(context.Background(), []dynppr.VertexID{s}, nil); err != nil {
 			t.Fatal(err)
 		}
 		after := liveHeap()

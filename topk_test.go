@@ -35,7 +35,7 @@ func fullSortTopK(est []float64, k int) []dynppr.VertexScore {
 }
 
 // topKCases are the edge-case graphs every TopK implementation — the
-// heap-based selection behind Tracker.TopK, Service.TopK and the HTTP
+// heap-based selection behind Tracker.TopK, Service.AppendTopK and the HTTP
 // /topk endpoint — is driven through.
 func topKCases(t *testing.T) []struct {
 	name   string
@@ -113,7 +113,7 @@ func TestTopKTableAcrossLayers(t *testing.T) {
 			defer ts.Close()
 			client := httpapi.NewClient(ts.URL, ts.Client())
 
-			svcEst, err := svc.Estimates(tc.source)
+			svcEst, _, err := svc.EstimatesInfo(tc.source)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestTopKTableAcrossLayers(t *testing.T) {
 				assertEqual(t, "tracker", k, tr.TopK(k), fullSortTopK(tr.Estimates(), k))
 
 				// Service: snapshot read path against the snapshot's vector.
-				gotSvc, err := svc.TopK(tc.source, k)
+				gotSvc, _, err := svc.AppendTopK(nil, tc.source, k)
 				if err != nil {
 					t.Fatal(err)
 				}
