@@ -287,7 +287,7 @@ func TestSequentialCountersPinned(t *testing.T) {
 	want := dynppr.Counters{
 		Pushes: 459088, Propagations: 3951899, Enqueues: 458635,
 		Iterations: 459088, FrontierPeak: 1, FrontierTotal: 459088,
-		RestoreOps: 654, RandomAccesses: 3951899,
+		RestoreOps: 654,
 	}
 	if got != want {
 		t.Fatalf("counters = %+v\nwant       %+v", got, want)

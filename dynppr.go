@@ -297,13 +297,5 @@ func (t *Tracker) TopK(k int) []VertexScore {
 // estimation error. It is expensive (O(iterations × edges)) and intended for
 // validation and experiments, not for the hot path.
 func (t *Tracker) ExactError() (float64, error) {
-	oracle, err := power.ReverseGraph(t.st.Graph(), t.st.Source(), power.Options{
-		Alpha:         t.ts.opts.Alpha,
-		Tolerance:     1e-13,
-		MaxIterations: 20_000,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return power.MaxAbsDiff(t.st.Estimates(), oracle), nil
+	return power.ExactError(t.st.Graph(), t.st.Source(), t.ts.opts.Alpha, t.st.Estimates())
 }

@@ -6,6 +6,7 @@ import (
 
 	"dynppr/internal/fp"
 	"dynppr/internal/gen"
+	"dynppr/internal/power"
 	"dynppr/internal/push"
 )
 
@@ -290,7 +291,9 @@ type ResourceRow struct {
 	// PeakFrontier is the largest frontier observed.
 	PeakFrontier int64
 	// RandomAccessesPerUpdate approximates irregular memory traffic per edge
-	// update — the proxy for global-load efficiency / cache miss rates.
+	// update — the proxy for global-load efficiency / cache miss rates. Each
+	// propagation updates one neighbor's residual, one irregular access, so
+	// it is Propagations per update.
 	RandomAccessesPerUpdate float64
 	// AtomicsPerUpdate is the number of atomic residual updates per edge
 	// update — the proxy for cycles stalled on synchronization.
@@ -323,7 +326,7 @@ func RunResourceProfile(p Params, datasets []gen.Dataset) ([]ResourceRow, error)
 				BatchSize:               batch,
 				MeanFrontier:            res.Counters.MeanFrontier(),
 				PeakFrontier:            res.Counters.FrontierPeak,
-				RandomAccessesPerUpdate: float64(res.Counters.RandomAccesses) / updates,
+				RandomAccessesPerUpdate: float64(res.Counters.Propagations) / updates,
 				AtomicsPerUpdate:        float64(res.Counters.AtomicAdds) / updates,
 				Iterations:              res.Counters.Iterations,
 			})
@@ -420,5 +423,6 @@ func (w *Workload) measureAccuracy(a Approach, p Params, batchSize int) (float64
 	if err != nil {
 		return 0, err
 	}
-	return exactError(res.state, p.Alpha)
+	st := res.state
+	return power.ExactError(st.Graph(), st.Source(), p.Alpha, st.Estimates())
 }

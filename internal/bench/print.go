@@ -4,24 +4,7 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"dynppr/internal/power"
-	"dynppr/internal/push"
 )
-
-// exactError computes the tracker state's worst-case estimation error against
-// the dense oracle.
-func exactError(st *push.State, alpha float64) (float64, error) {
-	oracle, err := power.ReverseGraph(st.Graph(), st.Source(), power.Options{
-		Alpha:         alpha,
-		Tolerance:     1e-13,
-		MaxIterations: 20_000,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return power.MaxAbsDiff(st.Estimates(), oracle), nil
-}
 
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

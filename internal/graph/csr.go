@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // CSR is an immutable compressed-sparse-row segment of a graph, in both
 // directions. It is the base segment of the LSM-style store (every Graph
@@ -13,18 +10,25 @@ import (
 // instead of an edge replay. Every row is sorted by neighbor id, so the out
 // rows alone determine the segment and the in rows are their transpose.
 // Two constructors keep it so: newCSR derives the in rows from out rows
-// (edge lists, checkpoint images), and mergeCSR copies both directions from
-// a base plus overlay rows that are already each other's transpose
-// (compaction). Accessors assume ids in [0, NumVertices()); Graph and View
-// perform the bounds checks before delegating.
+// (edge lists, checkpoint images), and View.CSR copies both directions, one
+// mergeRows each, from a base plus overlay rows that are already each
+// other's transpose (compaction). Accessors assume ids in
+// [0, NumVertices()); Graph and View perform the bounds checks before
+// delegating.
 type CSR struct {
-	n int
+	n   int
+	dir [2]csrRows // indexed by direction: the out rows, then their transpose
+}
 
-	outOffsets []int32
-	outTargets []VertexID
+// csrRows is one direction of a CSR: row u is targets[offsets[u]:offsets[u+1]].
+type csrRows struct {
+	offsets []int32
+	targets []VertexID
+}
 
-	inOffsets []int32
-	inTargets []VertexID
+// row returns u's list in direction d (read-only view).
+func (c *CSR) row(d int, u VertexID) []VertexID {
+	return c.dir[d].targets[c.dir[d].offsets[u]:c.dir[d].offsets[u+1]]
 }
 
 // newCSR builds a CSR from out rows alone. It takes ownership of out rows
@@ -51,47 +55,27 @@ func newCSR(outOffsets []int32, outTargets []VertexID) *CSR {
 	}
 	copy(inOffsets[1:], inOffsets[:n])
 	inOffsets[0] = 0
-	return &CSR{
-		n:          n,
-		outOffsets: outOffsets,
-		outTargets: outTargets,
-		inOffsets:  inOffsets,
-		inTargets:  inTargets,
-	}
+	return &CSR{n: n, dir: [2]csrRows{{outOffsets, outTargets}, {inOffsets, inTargets}}}
 }
 
-// overlayRow is one vertex's delta segment in one direction: the complete
-// adjacency list that shadows the vertex's base row.
-type overlayRow struct {
-	id  VertexID
-	row []VertexID
-}
-
-// mergeCSR builds the CSR of a layered state: base rows for every vertex
-// without an overlay, the overlay row for every vertex with one, and empty
-// rows for vertices in [base.n, n) that have none. out and in must each be
-// sorted by id; m is the edge count (the target count of either direction).
-// Both overlay directions are the exact lists the graph serves, so the
-// in rows are copied like the out rows, never transposed.
-func mergeCSR(base *CSR, n, m int, out, in []overlayRow) *CSR {
-	c := &CSR{n: n}
-	c.outOffsets, c.outTargets = mergeRows(base.n, base.outOffsets, base.outTargets, n, m, out)
-	c.inOffsets, c.inTargets = mergeRows(base.n, base.inOffsets, base.inTargets, n, m, in)
-	return c
-}
-
-// mergeRows is one direction of mergeCSR. It walks the overlaid ids in
-// ascending order: each stretch of base rows between two of them is copied
-// with one append and its offsets shifted by how far the stretch moved, and
-// each overlaid id contributes its overlay row. O(n) offsets plus one
-// sequential copy of m targets.
-func mergeRows(baseN int, baseOff []int32, baseTgt []VertexID, n, m int, rows []overlayRow) ([]int32, []VertexID) {
+// mergeRows builds direction d of the CSR of a layered state: base rows for
+// every vertex without an overlay in d, the overlay row for every vertex
+// with one, and empty rows for vertices in [base.n, n) that have none. ovs
+// must be sorted by id; m is the edge count (the target count of either
+// direction). Both overlay directions are the exact lists the graph serves,
+// so the in rows are copied like the out rows, never transposed. It walks
+// the overlaid ids in ascending order: each stretch of base rows between two
+// of them is copied with one append and its offsets shifted by how far the
+// stretch moved, and each overlaid id contributes its overlay row. O(n)
+// offsets plus one sequential copy of m targets.
+func mergeRows(base *CSR, d, n, m int, ovs []idOverlay) csrRows {
+	baseOff, baseTgt := base.dir[d].offsets, base.dir[d].targets
 	offsets := make([]int32, n+1)
 	targets := make([]VertexID, 0, m)
 	next := 0 // first vertex whose row is not yet emitted
 	// runTo emits the rows of vertices [next, hi), none of them overlaid.
 	runTo := func(hi int) {
-		if b := min(hi, baseN); next < b {
+		if b := min(hi, base.n); next < b {
 			lo := baseOff[next]
 			shift := int32(len(targets)) - lo
 			targets = append(targets, baseTgt[lo:baseOff[b]]...)
@@ -104,33 +88,17 @@ func mergeRows(baseN int, baseOff []int32, baseTgt []VertexID, n, m int, rows []
 			offsets[next+1] = end // past the base: no edges
 		}
 	}
-	for _, r := range rows {
-		runTo(int(r.id))
-		targets = append(targets, r.row...)
-		offsets[r.id+1] = int32(len(targets))
-		next = int(r.id) + 1
+	for _, o := range ovs {
+		if o.seg[d] == nil {
+			continue // d reads the base: part of the next run
+		}
+		runTo(int(o.id))
+		targets = append(targets, o.seg[d]...)
+		offsets[o.id+1] = int32(len(targets))
+		next = int(o.id) + 1
 	}
 	runTo(n)
-	return offsets, targets
-}
-
-// Snapshot builds a CSR copy of the current graph state, merging the base
-// segment with any delta segments. Every list is sorted, so a snapshot holds
-// exactly the live graph's lists and is bit-compatible with it for any float
-// summation.
-func (g *Graph) Snapshot() *CSR {
-	ids := slices.Sorted(slices.Values(g.overlaid))
-	out := make([]overlayRow, 0, len(ids))
-	in := make([]overlayRow, 0, len(ids))
-	for _, u := range ids {
-		if s := g.outOv[u]; s != nil {
-			out = append(out, overlayRow{u, s})
-		}
-		if s := g.inOv[u]; s != nil {
-			in = append(in, overlayRow{u, s})
-		}
-	}
-	return mergeCSR(g.base, g.n, g.m, out, in)
+	return csrRows{offsets, targets}
 }
 
 // NewCSR assembles a CSR from raw out-direction offset/target arrays, taking
@@ -181,26 +149,26 @@ func sortedRow(row []VertexID, n int) bool {
 // RawOut exposes the underlying out-direction arrays (offsets has n+1
 // entries, targets one per edge). Read-only: the arrays are the live segment.
 func (c *CSR) RawOut() (offsets []int32, targets []VertexID) {
-	return c.outOffsets, c.outTargets
+	return c.dir[dirOut].offsets, c.dir[dirOut].targets
 }
 
 // NumVertices returns the number of vertices in the snapshot.
 func (c *CSR) NumVertices() int { return c.n }
 
 // NumEdges returns the number of directed edges in the snapshot.
-func (c *CSR) NumEdges() int { return len(c.outTargets) }
+func (c *CSR) NumEdges() int { return len(c.dir[dirOut].targets) }
 
 // InDegree returns the in-degree of v in the snapshot.
 func (c *CSR) InDegree(v VertexID) int {
-	return int(c.inOffsets[v+1] - c.inOffsets[v])
+	return int(c.dir[dirIn].offsets[v+1] - c.dir[dirIn].offsets[v])
 }
 
 // OutNeighbors returns the out-neighbors of u (read-only view).
 func (c *CSR) OutNeighbors(u VertexID) []VertexID {
-	return c.outTargets[c.outOffsets[u]:c.outOffsets[u+1]]
+	return c.row(dirOut, u)
 }
 
 // InNeighbors returns the in-neighbors of v (read-only view).
 func (c *CSR) InNeighbors(v VertexID) []VertexID {
-	return c.inTargets[c.inOffsets[v]:c.inOffsets[v+1]]
+	return c.row(dirIn, v)
 }

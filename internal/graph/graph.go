@@ -36,10 +36,18 @@
 // the out list, which is also how AddEdge refuses a duplicate and RemoveEdge
 // a missing edge before either touches any state.
 //
+// Both directions are one structure: the delta segments, their
+// copy-on-write generations and a CSR's offset and target arrays are each
+// indexed by direction (dirOut, dirIn), so every layer operation — reading a
+// base row, materializing or cloning a segment, pruning, merging — is
+// written once for both. Only Graph's public per-direction accessors are
+// spelled out twice, so that each inlines into the push loops unchanged.
+//
 // View (see view.go) captures an O(#overlaid vertices) frozen snapshot of the
-// layered state for concurrent readers; Snapshot still materializes a full
-// CSR when a flat copy is wanted. Both pin their graph view by the epoch that
-// advances on every base swap.
+// layered state for concurrent readers and pins it by the epoch that
+// advances on every base swap. There is one merge, View.CSR: Snapshot is the
+// CSR of a fresh View, and Compact runs the background compaction protocol
+// inline.
 //
 // Vertices are identified by dense non-negative int32 ids. The graph grows
 // automatically when an edge mentions a vertex id beyond the current size,
@@ -61,6 +69,13 @@ type VertexID = int32
 type Edge struct {
 	U, V VertexID
 }
+
+// Adjacency directions: the index of a delta segment, its generation and a
+// CSR's rows.
+const (
+	dirOut = 0
+	dirIn  = 1
+)
 
 // ErrEdgeNotFound is returned by RemoveEdge when the edge does not exist.
 var ErrEdgeNotFound = errors.New("graph: edge not found")
@@ -86,10 +101,8 @@ type Graph struct {
 
 	outDeg []int32 // out-degree per vertex slot, kept by every mutation
 
-	outOv  [][]VertexID // delta segment per vertex: nil = fall through to base
-	inOv   [][]VertexID
-	outGen []uint64 // viewGen at last write of the overlay (copy-on-write seal)
-	inGen  []uint64
+	ov  [2][][]VertexID // delta segment per direction and vertex: nil = fall through to base
+	gen [2][]uint64     // viewGen at last write of the segment (copy-on-write seal)
 
 	overlaid   []VertexID // vertices with at least one non-nil overlay
 	deltaEdges int        // total adjacency entries held in overlays (both directions)
@@ -119,19 +132,21 @@ func fromBase(c *CSR, n int) *Graph {
 		n = c.n
 	}
 	outDeg := make([]int32, n)
+	off := c.dir[dirOut].offsets
 	for u := 0; u < c.n; u++ {
-		outDeg[u] = c.outOffsets[u+1] - c.outOffsets[u]
+		outDeg[u] = off[u+1] - off[u]
 	}
-	return &Graph{
-		base:   c,
-		n:      n,
-		m:      c.NumEdges(),
-		outDeg: outDeg,
-		outOv:  make([][]VertexID, n),
-		inOv:   make([][]VertexID, n),
-		outGen: make([]uint64, n),
-		inGen:  make([]uint64, n),
+	return newGraph(c, n, c.NumEdges(), outDeg)
+}
+
+// newGraph returns a graph over base with empty delta segments.
+func newGraph(base *CSR, n, m int, outDeg []int32) *Graph {
+	g := &Graph{base: base, n: n, m: m, outDeg: outDeg}
+	for d := range g.ov {
+		g.ov[d] = make([][]VertexID, n)
+		g.gen[d] = make([]uint64, n)
 	}
+	return g
 }
 
 // FromEdges builds a graph from a list of edges, ignoring duplicates (and,
@@ -215,10 +230,10 @@ func (g *Graph) EnsureVertex(id VertexID) {
 		return
 	}
 	g.outDeg = grow(g.outDeg, need)
-	g.outOv = grow(g.outOv, need)
-	g.inOv = grow(g.inOv, need)
-	g.outGen = grow(g.outGen, need)
-	g.inGen = grow(g.inGen, need)
+	for d := range g.ov {
+		g.ov[d] = grow(g.ov[d], need)
+		g.gen[d] = grow(g.gen[d], need)
+	}
 	g.n = need
 }
 
@@ -250,75 +265,31 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 	return found
 }
 
-// baseOut returns u's base-segment out list (nil when u postdates the base).
-func (g *Graph) baseOut(u VertexID) []VertexID {
-	if int(u) < g.base.n {
-		return g.base.OutNeighbors(u)
-	}
-	return nil
+// overlaidAt reports whether u has a delta segment in either direction.
+func (g *Graph) overlaidAt(u VertexID) bool {
+	return g.ov[dirOut][u] != nil || g.ov[dirIn][u] != nil
 }
 
-func (g *Graph) baseIn(v VertexID) []VertexID {
-	if int(v) < g.base.n {
-		return g.base.InNeighbors(v)
-	}
-	return nil
-}
-
-// materializeOut creates u's out delta segment by copying the base list.
-// Callers must have checked that no overlay exists yet.
-func (g *Graph) materializeOut(u VertexID) []VertexID {
-	base := g.baseOut(u)
-	ov := make([]VertexID, len(base), len(base)+4)
-	copy(ov, base)
-	if g.inOv[u] == nil {
-		g.overlaid = append(g.overlaid, u)
-	}
-	g.outOv[u] = ov
-	g.outGen[u] = g.viewGen
-	g.deltaEdges += len(ov)
-	return ov
-}
-
-func (g *Graph) materializeIn(v VertexID) []VertexID {
-	base := g.baseIn(v)
-	ov := make([]VertexID, len(base), len(base)+4)
-	copy(ov, base)
-	if g.outOv[v] == nil {
-		g.overlaid = append(g.overlaid, v)
-	}
-	g.inOv[v] = ov
-	g.inGen[v] = g.viewGen
-	g.deltaEdges += len(ov)
-	return ov
-}
-
-// writableOut returns an out overlay safe to edit in place: it materializes
-// the segment on first touch and clones it when a View taken since the last
-// write still aliases it.
-func (g *Graph) writableOut(u VertexID) []VertexID {
-	ov := g.outOv[u]
-	if ov == nil {
-		return g.materializeOut(u)
-	}
-	if g.outGen[u] < g.viewGen {
+// writable returns u's delta segment in direction d, safe to edit in place.
+// On first touch it materializes the segment by copying the base row; when a
+// View taken since the last write still aliases the segment, it clones it.
+func (g *Graph) writable(d int, u VertexID) []VertexID {
+	ov := g.ov[d][u]
+	switch {
+	case ov == nil:
+		base := g.baseRow(d, u)
+		ov = append(make([]VertexID, 0, len(base)+4), base...)
+		if !g.overlaidAt(u) {
+			g.overlaid = append(g.overlaid, u)
+		}
+		g.deltaEdges += len(ov)
+	case g.gen[d][u] < g.viewGen:
 		ov = append(make([]VertexID, 0, len(ov)+4), ov...)
-		g.outOv[u] = ov
-		g.outGen[u] = g.viewGen
+	default:
+		return ov
 	}
-	return ov
-}
-
-func (g *Graph) writableIn(v VertexID) []VertexID {
-	ov := g.inOv[v]
-	if ov == nil {
-		return g.materializeIn(v)
-	}
-	if g.inGen[v] < g.viewGen {
-		ov = append(make([]VertexID, 0, len(ov)+4), ov...)
-		g.inOv[v] = ov
-		g.inGen[v] = g.viewGen
-	}
+	g.ov[d][u] = ov
+	g.gen[d][u] = g.viewGen
 	return ov
 }
 
@@ -336,8 +307,8 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	g.EnsureVertex(v)
 	// A sorted insert shifts elements inside a sealed View's slice length,
 	// so it must go through the copy-on-write path.
-	g.outOv[u] = insertSorted(g.writableOut(u), v)
-	g.inOv[v] = insertSorted(g.writableIn(v), u)
+	g.ov[dirOut][u] = insertSorted(g.writable(dirOut, u), v)
+	g.ov[dirIn][v] = insertSorted(g.writable(dirIn, v), u)
 	g.outDeg[u]++
 	g.deltaEdges += 2
 	g.m++
@@ -350,8 +321,8 @@ func (g *Graph) RemoveEdge(u, v VertexID) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeNotFound, u, v)
 	}
-	g.outOv[u] = deleteSorted(g.writableOut(u), v)
-	g.inOv[v] = deleteSorted(g.writableIn(v), u)
+	g.ov[dirOut][u] = deleteSorted(g.writable(dirOut, u), v)
+	g.ov[dirIn][v] = deleteSorted(g.writable(dirIn, v), u)
 	g.outDeg[u]--
 	g.deltaEdges -= 2
 	g.m--
@@ -387,7 +358,7 @@ func (g *Graph) InDegree(v VertexID) int {
 	if v < 0 || int(v) >= g.n {
 		return 0
 	}
-	if ov := g.inOv[v]; ov != nil {
+	if ov := g.ov[dirIn][v]; ov != nil {
 		return len(ov)
 	}
 	if int(v) < g.base.n {
@@ -403,10 +374,10 @@ func (g *Graph) OutNeighbors(u VertexID) []VertexID {
 	if u < 0 || int(u) >= g.n {
 		return nil
 	}
-	if ov := g.outOv[u]; ov != nil {
+	if ov := g.ov[dirOut][u]; ov != nil {
 		return ov
 	}
-	return g.baseOut(u)
+	return g.baseRow(dirOut, u)
 }
 
 // InNeighbors returns the in-neighbor slice of v with the same aliasing rules
@@ -415,10 +386,19 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	if v < 0 || int(v) >= g.n {
 		return nil
 	}
-	if ov := g.inOv[v]; ov != nil {
+	if ov := g.ov[dirIn][v]; ov != nil {
 		return ov
 	}
-	return g.baseIn(v)
+	return g.baseRow(dirIn, v)
+}
+
+// baseRow returns u's base-segment list in direction d (nil when u postdates
+// the base).
+func (g *Graph) baseRow(d int, u VertexID) []VertexID {
+	if int(u) < g.base.n {
+		return g.base.row(d, u)
+	}
+	return nil
 }
 
 // Edges returns all edges, sorted by source and then by target.
@@ -435,25 +415,14 @@ func (g *Graph) Edges() []Edge {
 // Clone returns a deep copy of the graph. The immutable base segment is
 // shared (it is never written); delta segments are copied.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		base:       g.base,
-		n:          g.n,
-		m:          g.m,
-		outDeg:     slices.Clone(g.outDeg),
-		outOv:      make([][]VertexID, g.n),
-		inOv:       make([][]VertexID, g.n),
-		outGen:     make([]uint64, g.n),
-		inGen:      make([]uint64, g.n),
-		overlaid:   append([]VertexID(nil), g.overlaid...),
-		deltaEdges: g.deltaEdges,
-		epoch:      g.epoch,
-	}
-	for _, u := range g.overlaid {
-		if s := g.outOv[u]; s != nil {
-			c.outOv[u] = append(make([]VertexID, 0, len(s)), s...)
-		}
-		if s := g.inOv[u]; s != nil {
-			c.inOv[u] = append(make([]VertexID, 0, len(s)), s...)
+	c := newGraph(g.base, g.n, g.m, slices.Clone(g.outDeg))
+	c.overlaid = append([]VertexID(nil), g.overlaid...)
+	c.deltaEdges, c.epoch = g.deltaEdges, g.epoch
+	for d := range g.ov {
+		for _, u := range g.overlaid {
+			if s := g.ov[d][u]; s != nil {
+				c.ov[d][u] = append(make([]VertexID, 0, len(s)), s...)
+			}
 		}
 	}
 	return c
@@ -487,13 +456,14 @@ func (g *Graph) TopDegreeVertices(k int) []VertexID {
 // CheckConsistency validates the internal invariants of the graph: every out
 // list and every in list strictly increases within [0, n), every in list is
 // the transpose of the out lists (compared against the counting-sort
-// transpose of Snapshot's out rows, O(n+m)), m counts the out entries, the
-// degree array holds every out list's length, and the delta-segment
-// accounting (deltaEdges, overlaid registry) matches the segments actually
-// present. It is used by tests and by failure injection tooling.
+// transpose of Snapshot's out rows, O(n+m); the View that Snapshot merges
+// seals the live segments), m counts the out entries, the degree array
+// holds every out list's length, and the delta-segment accounting
+// (deltaEdges, overlaid registry) matches the segments actually present in
+// either direction. It is used by tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
-	if len(g.outOv) != g.n || len(g.inOv) != g.n || len(g.outDeg) != g.n {
-		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots and %d degrees", g.n, len(g.outOv), len(g.inOv), len(g.outDeg))
+	if len(g.ov[dirOut]) != g.n || len(g.ov[dirIn]) != g.n || len(g.outDeg) != g.n {
+		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots and %d degrees", g.n, len(g.ov[dirOut]), len(g.ov[dirIn]), len(g.outDeg))
 	}
 	count := 0
 	for u := VertexID(0); int(u) < g.n; u++ {
@@ -522,10 +492,10 @@ func (g *Graph) CheckConsistency() error {
 			return fmt.Errorf("graph: vertex %d registered as overlaid twice", u)
 		}
 		reg[u] = true
-		delta += len(g.outOv[u]) + len(g.inOv[u])
+		delta += len(g.ov[dirOut][u]) + len(g.ov[dirIn][u])
 	}
-	for u := 0; u < g.n; u++ {
-		if (g.outOv[u] != nil || g.inOv[u] != nil) && !reg[VertexID(u)] {
+	for u := VertexID(0); int(u) < g.n; u++ {
+		if g.overlaidAt(u) && !reg[u] {
 			return fmt.Errorf("graph: vertex %d has a delta segment but is not registered", u)
 		}
 	}

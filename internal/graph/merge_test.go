@@ -19,11 +19,11 @@ func transposeCSR(g *Graph) *CSR {
 		}
 		return off
 	}
-	return &CSR{
-		n:          g.NumVertices(),
-		outOffsets: pad(c.outOffsets), outTargets: c.outTargets,
-		inOffsets: pad(c.inOffsets), inTargets: c.inTargets,
-	}
+	out, in := c.dir[dirOut], c.dir[dirIn]
+	return &CSR{n: g.NumVertices(), dir: [2]csrRows{
+		{pad(out.offsets), out.targets},
+		{pad(in.offsets), in.targets},
+	}}
 }
 
 // sameArrays reports the first array in which got and want differ.
@@ -31,13 +31,13 @@ func sameArrays(got, want *CSR) error {
 	switch {
 	case got.n != want.n:
 		return fmt.Errorf("n = %d, want %d", got.n, want.n)
-	case !slices.Equal(got.outOffsets, want.outOffsets):
+	case !slices.Equal(got.dir[dirOut].offsets, want.dir[dirOut].offsets):
 		return fmt.Errorf("out offsets differ")
-	case !slices.Equal(got.outTargets, want.outTargets):
+	case !slices.Equal(got.dir[dirOut].targets, want.dir[dirOut].targets):
 		return fmt.Errorf("out targets differ")
-	case !slices.Equal(got.inOffsets, want.inOffsets):
+	case !slices.Equal(got.dir[dirIn].offsets, want.dir[dirIn].offsets):
 		return fmt.Errorf("in offsets differ")
-	case !slices.Equal(got.inTargets, want.inTargets):
+	case !slices.Equal(got.dir[dirIn].targets, want.dir[dirIn].targets):
 		return fmt.Errorf("in targets differ")
 	}
 	return nil
@@ -144,13 +144,14 @@ func TestMergeMatchesTranspose(t *testing.T) {
 // a time: a vertex overlaid in one direction only, a row emptied by deletes,
 // overlays on the first and last base vertex, and growth past the base with
 // ids that have edges, ids that were only ensured, and an overlaid vertex
-// beyond the base followed by edgeless ones.
+// beyond the base followed by edgeless ones. Last, growth with no overlay at
+// all: the inline merge must still swap in a base that covers every vertex.
 func TestMergeEdgeCases(t *testing.T) {
 	g := FromEdges([]Edge{{0, 1}, {0, 2}, {1, 2}, {2, 0}, {3, 1}, {3, 4}, {4, 0}})
 	requireMerge(t, g, "no overlays")
 
 	mustAdd(t, g, 1, 3) // out overlay on 1, in overlay on 3: one direction each
-	if g.inOv[1] != nil || g.outOv[3] != nil {
+	if g.ov[dirIn][1] != nil || g.ov[dirOut][3] != nil {
 		t.Fatal("setup: expected one-direction overlays on 1 and 3")
 	}
 	requireMerge(t, g, "one-direction overlays")
@@ -184,7 +185,7 @@ func TestMergeEdgeCases(t *testing.T) {
 	if !g.Install(c, c.Build()) {
 		t.Fatal("install rejected a current compaction")
 	}
-	if g.outOv[11] == nil || g.outOv[2] == nil || g.inOv[12] == nil {
+	if g.ov[dirOut][11] == nil || g.ov[dirOut][2] == nil || g.ov[dirIn][12] == nil {
 		t.Fatal("install dropped a segment written after the freeze")
 	}
 	if err := sameArrays(g.Snapshot(), want); err != nil {
@@ -193,6 +194,22 @@ func TestMergeEdgeCases(t *testing.T) {
 	if err := g.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+
+	g.Compact()
+	g.EnsureVertex(VertexID(g.NumVertices() + 2)) // grown, not overlaid
+	epoch := g.Epoch()
+	g.Compact()
+	if g.Epoch() != epoch+1 {
+		t.Fatalf("Compact of a grown graph left the epoch at %d, want %d", g.Epoch(), epoch+1)
+	}
+	base := g.CompactedSnapshot()
+	if base.NumVertices() != g.NumVertices() {
+		t.Fatalf("compacted base has %d vertices, graph %d", base.NumVertices(), g.NumVertices())
+	}
+	if g.CompactedSnapshot() != base || g.Epoch() != epoch+1 {
+		t.Fatal("CompactedSnapshot of a compacted graph swapped the base again")
+	}
+	requireMerge(t, g, "growth with no overlay")
 }
 
 // TestMergeConcurrentBuild runs each Build on its own goroutine while the

@@ -1,16 +1,19 @@
 package graph
 
 import (
-	"cmp"
+	"maps"
 	"slices"
 )
 
-// viewOverlay is one vertex's frozen delta segments. hasOut/hasIn
-// distinguish "direction overlaid (possibly with zero edges)" from
-// "direction reads the base".
-type viewOverlay struct {
-	out, in       []VertexID
-	hasOut, hasIn bool
+// viewOverlay is one vertex's frozen delta segments, indexed by direction.
+// An overlaid direction always holds a non-nil (possibly empty) list; nil
+// means the direction reads the base.
+type viewOverlay [2][]VertexID
+
+// idOverlay pairs an overlaid vertex with its segments, for the merge.
+type idOverlay struct {
+	id  VertexID
+	seg viewOverlay
 }
 
 // View is a frozen, immutable view of the layered graph state: the shared
@@ -47,14 +50,7 @@ func (g *Graph) View() *View {
 	if len(g.overlaid) > 0 {
 		v.ov = make(map[VertexID]viewOverlay, len(g.overlaid))
 		for _, u := range g.overlaid {
-			var o viewOverlay
-			if s := g.outOv[u]; s != nil {
-				o.out, o.hasOut = s, true
-			}
-			if s := g.inOv[u]; s != nil {
-				o.in, o.hasIn = s, true
-			}
-			v.ov[u] = o
+			v.ov[u] = viewOverlay{g.ov[dirOut][u], g.ov[dirIn][u]}
 		}
 	}
 	return v
@@ -74,58 +70,52 @@ func (v *View) NumVertices() int { return v.n }
 func (v *View) DeltaEdges() int { return v.deltaEdges }
 
 // OutDegree returns the out-degree of u (0 for out-of-range ids).
-func (v *View) OutDegree(u VertexID) int { return len(v.OutNeighbors(u)) }
+func (v *View) OutDegree(u VertexID) int { return len(v.neighbors(dirOut, u)) }
 
 // OutNeighbors returns the out-neighbors of u. The slice is immutable for
 // the lifetime of the view.
-func (v *View) OutNeighbors(u VertexID) []VertexID {
-	if u < 0 || int(u) >= v.n {
-		return nil
-	}
-	if v.ov != nil {
-		if o, ok := v.ov[u]; ok && o.hasOut {
-			return o.out
-		}
-	}
-	if int(u) < v.base.n {
-		return v.base.OutNeighbors(u)
-	}
-	return nil
-}
+func (v *View) OutNeighbors(u VertexID) []VertexID { return v.neighbors(dirOut, u) }
 
 // InNeighbors returns the in-neighbors of u with the same contract as
 // OutNeighbors.
-func (v *View) InNeighbors(u VertexID) []VertexID {
+func (v *View) InNeighbors(u VertexID) []VertexID { return v.neighbors(dirIn, u) }
+
+// neighbors returns u's list in direction d: its frozen overlay when it has
+// one, else its base row.
+func (v *View) neighbors(d int, u VertexID) []VertexID {
 	if u < 0 || int(u) >= v.n {
 		return nil
 	}
 	if v.ov != nil {
-		if o, ok := v.ov[u]; ok && o.hasIn {
-			return o.in
+		if s := v.ov[u][d]; s != nil {
+			return s
 		}
 	}
 	if int(u) < v.base.n {
-		return v.base.InNeighbors(u)
+		return v.base.row(d, u)
 	}
 	return nil
 }
 
-// CSR materializes the view into a flat CSR by the same run-copy merge as
-// Graph.Snapshot. This is the off-pipeline half of a background compaction:
-// it reads only the frozen base and overlay segments.
+// CSR materializes the view into a flat CSR by the run-copy merge, one
+// mergeRows per direction over the overlaid ids sorted once. It reads only
+// the frozen base and overlay segments, so it is the off-pipeline half of a
+// background compaction as well as the body of Graph.Snapshot.
 func (v *View) CSR() *CSR {
-	out := make([]overlayRow, 0, len(v.ov))
-	in := make([]overlayRow, 0, len(v.ov))
-	for u, o := range v.ov {
-		if o.hasOut {
-			out = append(out, overlayRow{u, o.out})
-		}
-		if o.hasIn {
-			in = append(in, overlayRow{u, o.in})
-		}
+	ids := slices.Sorted(maps.Keys(v.ov))
+	ovs := make([]idOverlay, len(ids))
+	for i, u := range ids {
+		ovs[i] = idOverlay{u, v.ov[u]}
 	}
-	byID := func(a, b overlayRow) int { return cmp.Compare(a.id, b.id) }
-	slices.SortFunc(out, byID)
-	slices.SortFunc(in, byID)
-	return mergeCSR(v.base, v.n, v.m, out, in)
+	c := &CSR{n: v.n}
+	for d := range c.dir {
+		c.dir[d] = mergeRows(v.base, d, v.n, v.m, ovs)
+	}
+	return c
 }
+
+// Snapshot builds a CSR copy of the current graph state: the CSR of a fresh
+// View, so it seals the live delta segments as View does. Every list is
+// sorted, so a snapshot holds exactly the live graph's lists and is
+// bit-compatible with it for any float summation.
+func (g *Graph) Snapshot() *CSR { return g.View().CSR() }

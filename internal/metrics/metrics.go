@@ -38,10 +38,6 @@ type Counters struct {
 	FrontierTotal int64
 	// RestoreOps counts invariant-restore operations.
 	RestoreOps int64
-	// RandomAccesses approximates irregular memory accesses: every residual
-	// update of a neighbor counts one (the proxy for cache misses / global
-	// load efficiency of Figure 9).
-	RandomAccesses int64
 }
 
 // AddPushes atomically adds n push operations.
@@ -61,9 +57,6 @@ func (c *Counters) AddDuplicateAttempts(n int64) { atomic.AddInt64(&c.DuplicateA
 
 // AddRestoreOps atomically adds n invariant restorations.
 func (c *Counters) AddRestoreOps(n int64) { atomic.AddInt64(&c.RestoreOps, n) }
-
-// AddRandomAccesses atomically adds n irregular memory accesses.
-func (c *Counters) AddRandomAccesses(n int64) { atomic.AddInt64(&c.RandomAccesses, n) }
 
 // ObserveIteration records one push round over a frontier of the given size.
 func (c *Counters) ObserveIteration(frontierSize int) {
@@ -110,7 +103,6 @@ func (c *Counters) Merge(other *Counters) {
 	atomic.AddInt64(&c.FrontierTotal, other.FrontierTotal)
 	c.raisePeak(other.FrontierPeak)
 	atomic.AddInt64(&c.RestoreOps, other.RestoreOps)
-	atomic.AddInt64(&c.RandomAccesses, other.RandomAccesses)
 }
 
 // Snapshot returns a copy of the counters read atomically field by field.
@@ -125,7 +117,6 @@ func (c *Counters) Snapshot() Counters {
 		FrontierPeak:      atomic.LoadInt64(&c.FrontierPeak),
 		FrontierTotal:     atomic.LoadInt64(&c.FrontierTotal),
 		RestoreOps:        atomic.LoadInt64(&c.RestoreOps),
-		RandomAccesses:    atomic.LoadInt64(&c.RandomAccesses),
 	}
 }
 

@@ -14,7 +14,6 @@ func TestCountersBasics(t *testing.T) {
 	c.AddEnqueues(2)
 	c.AddDuplicateAttempts(1)
 	c.AddRestoreOps(5)
-	c.AddRandomAccesses(10)
 	c.ObserveIteration(4)
 	c.ObserveIteration(8)
 	c.ObserveIteration(2)
@@ -92,7 +91,7 @@ func TestCountersConcurrentMerge(t *testing.T) {
 				c.Merge(&Counters{
 					Pushes: 1, Propagations: 2, AtomicAdds: 3, Enqueues: 4,
 					DuplicateAttempts: 5, Iterations: 6, FrontierTotal: 7,
-					FrontierPeak: int64(w*per + i), RestoreOps: 8, RandomAccesses: 9,
+					FrontierPeak: int64(w*per + i), RestoreOps: 8,
 				})
 			}
 		}()
@@ -110,7 +109,7 @@ func TestCountersConcurrentMerge(t *testing.T) {
 	want := Counters{
 		Pushes: 2 * n, Propagations: 2 * n, AtomicAdds: 3 * n, Enqueues: 4 * n,
 		DuplicateAttempts: 5 * n, Iterations: 7 * n, FrontierTotal: 8 * n,
-		FrontierPeak: n - 1, RestoreOps: 8 * n, RandomAccesses: 9 * n,
+		FrontierPeak: n - 1, RestoreOps: 8 * n,
 	}
 	if got := c.Snapshot(); got != want {
 		t.Fatalf("counters = %+v\nwant       %+v", got, want)

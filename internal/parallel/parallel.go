@@ -282,7 +282,6 @@ func (e *PushEngine) round(st *push.State, frontier []int32, cond func(float64) 
 			taken[i] = ru
 			in := g.InNeighbors(u)
 			counters.AddPropagations(int64(len(in)))
-			counters.AddRandomAccesses(int64(len(in)))
 			share := w * ru
 			for _, v := range in {
 				d.add(v, share/float64(g.OutDegree(v)))
@@ -321,7 +320,7 @@ func (e *PushEngine) round(st *push.State, frontier []int32, cond func(float64) 
 	fp.ForDynamic(F, workers, mergeGrain, func(i int) {
 		u := int(frontier[i])
 		ru := taken[i]
-		p.Set(u, p.Get(u)+alpha*ru)
+		p.Set(u, p.Get(u)+float64(alpha*ru))
 		r.Set(u, r.Get(u)-ru)
 	})
 

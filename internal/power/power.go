@@ -177,6 +177,18 @@ func ForwardGraph(g *graph.Graph, s graph.VertexID, opts Options) ([]float64, er
 	return Forward(g.Snapshot(), s, opts)
 }
 
+// ExactError solves g exactly for source s at α by ReverseGraph (tolerance
+// 1e-13, at most 20 000 iterations) and returns the L∞ distance of
+// estimates from that vector: the validation oracle of a tracked estimate
+// vector, too expensive for the hot path.
+func ExactError(g *graph.Graph, s graph.VertexID, alpha float64, estimates []float64) (float64, error) {
+	oracle, err := ReverseGraph(g, s, Options{Alpha: alpha, Tolerance: 1e-13, MaxIterations: 20_000})
+	if err != nil {
+		return 0, err
+	}
+	return MaxAbsDiff(estimates, oracle), nil
+}
+
 // MaxAbsDiff returns the L∞ distance between two vectors of equal length; it
 // panics if the lengths differ (programmer error in tests/harness).
 func MaxAbsDiff(a, b []float64) float64 {

@@ -60,7 +60,7 @@ func (sc *sortedColdScratch) drain(view *graph.View, res *ColdPushResult, alpha,
 			continue
 		}
 		res.Pushes++
-		cells[u].p += alpha * ru
+		cells[u].p += float64(alpha * ru)
 		cells[u].r = 0
 		spread := (1 - alpha) * ru
 		for _, v := range view.InNeighbors(u) {

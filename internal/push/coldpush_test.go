@@ -132,7 +132,7 @@ func densePush(a adjacency, source graph.VertexID, alpha, eps float64, maxPushes
 			continue
 		}
 		pushes++
-		p[u] += alpha * ru
+		p[u] += float64(alpha * ru)
 		r[u] = 0
 		for _, v := range a.InNeighbors(u) {
 			r[v] += (1 - alpha) * ru / float64(a.OutDegree(v))

@@ -353,7 +353,7 @@ func TestEngines(t *testing.T) {
 			w := sequentialWork[c.name]
 			want := metrics.Counters{
 				Pushes: w[0], Propagations: w[1], Enqueues: w[2], RestoreOps: w[3],
-				Iterations: w[0], FrontierTotal: w[0], FrontierPeak: 1, RandomAccesses: w[1],
+				Iterations: w[0], FrontierTotal: w[0], FrontierPeak: 1,
 			}
 			if got := tab.states[0].Counters.Snapshot(); got != want {
 				t.Errorf("sequential counters = %+v\nwant                  %+v", got, want)

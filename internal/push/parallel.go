@@ -135,7 +135,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, wo
 		u := int(frontier[i])
 		ru := st.r.Get(u)
 		taken[i] = ru
-		st.p.Set(u, st.p.Get(u)+alpha*ru)
+		st.p.Set(u, st.p.Get(u)+float64(alpha*ru))
 		st.r.Set(u, 0)
 	})
 	counters.AddPushes(int64(len(frontier)))
@@ -148,7 +148,6 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, wo
 		in := g.InNeighbors(u)
 		counters.AddPropagations(int64(len(in)))
 		counters.AddAtomicAdds(int64(len(in)))
-		counters.AddRandomAccesses(int64(len(in)))
 		for _, v := range in {
 			inc := (1 - alpha) * w / float64(g.OutDegree(v))
 			before := st.r.AtomicAdd(int(v), inc)
@@ -210,7 +209,6 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, workers i
 		in := g.InNeighbors(u)
 		counters.AddPropagations(int64(len(in)))
 		counters.AddAtomicAdds(int64(len(in)))
-		counters.AddRandomAccesses(int64(len(in)))
 		for _, v := range in {
 			inc := (1 - alpha) * ru / float64(g.OutDegree(v))
 			before := st.r.AtomicAdd(int(v), inc)
@@ -240,7 +238,7 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, workers i
 	fp.For(len(frontier), workers, func(i int) {
 		u := int(frontier[i])
 		ru := taken[i]
-		st.p.Set(u, st.p.Get(u)+alpha*ru)
+		st.p.Set(u, st.p.Get(u)+float64(alpha*ru))
 		after := st.r.AtomicAdd(u, -ru) - ru
 		if ph.cond(after, eps) {
 			next.Enqueue(int32(u))

@@ -53,7 +53,7 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 		}
 		pushes++
 		// Self-update: move the α share into the estimate, clear the residual.
-		st.p.Set(int(u), st.p.Get(int(u))+alpha*ru)
+		st.p.Set(int(u), st.p.Get(int(u))+float64(alpha*ru))
 		st.r.Set(int(u), 0)
 		st.markEstimateDirty(u)
 		// Neighbor propagation: each in-neighbor v of u receives
@@ -78,12 +78,11 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 	}
 	st.activeBuf = queue[:0]
 	st.Counters.Merge(&metrics.Counters{
-		Pushes:         pushes,
-		Propagations:   props,
-		RandomAccesses: props,
-		Enqueues:       enqueues,
-		Iterations:     pushes,
-		FrontierTotal:  pushes,
-		FrontierPeak:   min(pushes, 1),
+		Pushes:        pushes,
+		Propagations:  props,
+		Enqueues:      enqueues,
+		Iterations:    pushes,
+		FrontierTotal: pushes,
+		FrontierPeak:  min(pushes, 1),
 	})
 }

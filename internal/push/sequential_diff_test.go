@@ -48,14 +48,13 @@ func (e *bitmapSequential) runPhase(st *State, candidates []graph.VertexID, ph p
 		counters.AddPushes(1)
 		counters.ObserveIteration(1)
 		// Self-update: move the α share into the estimate, clear the residual.
-		st.p.Set(int(u), st.p.Get(int(u))+alpha*ru)
+		st.p.Set(int(u), st.p.Get(int(u))+float64(alpha*ru))
 		st.r.Set(int(u), 0)
 		st.markEstimateDirty(u)
 		// Neighbor propagation: each in-neighbor v of u receives
 		// (1−α)·ru/dout(v).
 		in := g.InNeighbors(graph.VertexID(u))
 		counters.AddPropagations(int64(len(in)))
-		counters.AddRandomAccesses(int64(len(in)))
 		for _, v := range in {
 			dv := float64(g.OutDegree(v))
 			nr := st.r.Get(int(v)) + (1-alpha)*ru/dv

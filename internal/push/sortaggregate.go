@@ -82,7 +82,7 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 		u := int(frontier[i])
 		ru := st.r.Get(u)
 		taken[i] = ru
-		st.p.Set(u, st.p.Get(u)+alpha*ru)
+		st.p.Set(u, st.p.Get(u)+float64(alpha*ru))
 		st.r.Set(u, 0)
 	})
 	counters.AddPushes(int64(len(frontier)))
@@ -95,7 +95,6 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 		w := taken[i]
 		in := g.InNeighbors(u)
 		counters.AddPropagations(int64(len(in)))
-		counters.AddRandomAccesses(int64(len(in)))
 		buf := make([]contribution, 0, len(in))
 		for _, v := range in {
 			buf = append(buf, contribution{

@@ -309,8 +309,8 @@ func (st *State) restore(u, v graph.VertexID, op float64) {
 		st.r.Set(iu, (indicator-st.p.Get(iu))/alpha)
 		return
 	}
-	delta := ((1-alpha)*st.p.Get(iv) - st.p.Get(iu) - alpha*st.r.Get(iu) + indicator) / (alpha * d)
-	st.r.Set(iu, st.r.Get(iu)+op*delta)
+	delta := (float64((1-alpha)*st.p.Get(iv)) - st.p.Get(iu) - float64(alpha*st.r.Get(iu)) + indicator) / (alpha * d)
+	st.r.Set(iu, st.r.Get(iu)+float64(op*delta))
 }
 
 // InvariantError returns the maximum absolute violation of Equation 2 over
@@ -335,7 +335,7 @@ func (st *State) InvariantError() float64 {
 			}
 			rhs += (1 - alpha) * sum / float64(len(out))
 		}
-		lhs := st.Estimate(graph.VertexID(v)) + alpha*st.Residual(graph.VertexID(v))
+		lhs := st.Estimate(graph.VertexID(v)) + float64(alpha*st.Residual(graph.VertexID(v)))
 		diff := lhs - rhs
 		if diff < 0 {
 			diff = -diff
@@ -409,7 +409,7 @@ func (st *State) Vectors() (p, r *fp.Float64Vector) { return st.p, st.r }
 // AddEstimate adds delta to P(v) without synchronization. Callers must ensure
 // v is owned by a single goroutine for the duration of the call.
 func (st *State) AddEstimate(v graph.VertexID, delta float64) {
-	st.p.Set(int(v), st.p.Get(int(v))+delta)
+	st.p.Set(int(v), st.p.Get(int(v))+float64(delta))
 }
 
 // AtomicAddResidual atomically adds delta to R(v) and returns the value held

@@ -575,8 +575,7 @@ func (s *Service) maybeCompact() {
 			// Install no-ops (false) when an inline compaction or checkpoint
 			// swapped the base first; the stale merge is simply discarded.
 			if s.g.Install(c, base) {
-				s.compactions.Add(1)
-				s.lastCompactNs.Store(int64(time.Since(start)))
+				s.compacted(start)
 			}
 			s.compacting.Store(false)
 		}}); err != nil {
@@ -599,15 +598,21 @@ func (s *Service) CompactNow() error {
 	return err
 }
 
-// compactInline merges the graph's deltas into its base on the pipeline; a
-// base swap is counted and timed as the latest compaction.
+// compactInline merges the graph's deltas into its base on the pipeline
+// (Graph.Compact: the background protocol run inline).
 func (s *Service) compactInline() {
 	before, start := s.g.Epoch(), time.Now()
 	s.g.Compact()
 	if s.g.Epoch() != before {
-		s.compactions.Add(1)
-		s.lastCompactNs.Store(int64(time.Since(start)))
+		s.compacted(start)
 	}
+}
+
+// compacted counts a base swap, inline or installed from the background, as
+// the latest compaction, begun at start.
+func (s *Service) compacted(start time.Time) {
+	s.compactions.Add(1)
+	s.lastCompactNs.Store(int64(time.Since(start)))
 }
 
 // UpdateSources changes the tracked set in one mutation: every source of
