@@ -278,3 +278,31 @@ func TestRunAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMonteCarloCountsEffectiveUpdates holds Fig. 5's numerator to one
+// definition: over the same slide sequence, Monte-Carlo counts exactly the
+// effective updates CPU-Seq counts (push.Restore's touched list). A
+// duplicate insert or a delete of a missing edge — R-MAT streams repeat
+// edges — changes no graph, so it counts for neither.
+func TestMonteCarloCountsEffectiveUpdates(t *testing.T) {
+	p, ds := quick(t)
+	w, err := BuildWorkload(ds[0], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, slides := w.BatchSize(p.DefaultBatchRatio), 20
+	mc, err := w.runMonteCarlo(1, batch, slides, w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.runPush(ApproachSeq, push.VariantOpt, 1, p.Epsilon, batch, slides, w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fed := int64(2 * batch * slides); seq.UpdatesApplied == 0 || seq.UpdatesApplied >= fed {
+		t.Fatalf("setup: CPU-Seq applied %d of %d updates; the stream must hold no-ops", seq.UpdatesApplied, fed)
+	}
+	if mc.UpdatesApplied != seq.UpdatesApplied {
+		t.Fatalf("Monte-Carlo counted %d updates applied, CPU-Seq %d", mc.UpdatesApplied, seq.UpdatesApplied)
+	}
+}

@@ -207,15 +207,12 @@ func (w *Workload) runMonteCarlo(workers, batchSize, slides int, source graph.Ve
 		}
 		start := time.Now()
 		for _, u := range batch {
-			switch u.Op {
-			case stream.Insert:
-				if n, err := est.ApplyInsert(u.U, u.V); err == nil && n >= 0 {
-					res.UpdatesApplied++
-				}
-			case stream.Delete:
-				if _, err := est.ApplyDelete(u.U, u.V); err == nil {
-					res.UpdatesApplied++
-				}
+			apply := est.ApplyInsert
+			if u.Op == stream.Delete {
+				apply = est.ApplyDelete
+			}
+			if changed, _, err := apply(u.U, u.V); err == nil && changed {
+				res.UpdatesApplied++
 			}
 		}
 		res.Latency.Observe(time.Since(start))

@@ -5,12 +5,13 @@ package graph
 // background goroutine); Install hands the result back to the goroutine that
 // owns the graph. The protocol:
 //
-//	c := g.BeginCompaction()   // on the owner: O(#overlaid) freeze
+//	c := g.BeginCompaction()   // on the owner: O(n/64 + #overlaid) freeze
 //	base := c.Build()          // anywhere: run-copy merge, owner keeps mutating
 //	g.Install(c, base)         // on the owner: O(#overlaid) swap
 //
-// Compact is this protocol run inline, and Snapshot is its Build half on a
-// fresh View: View.CSR is the only merge.
+// Compact is this protocol run inline, and Snapshot is the Build of a fresh
+// compaction: Build is the only merge. Its input is the overlaid segments in
+// ascending id order, read off the registry bitmap with no map and no sort.
 //
 // The merge copies rather than rebuilds. Base rows are contiguous and both
 // overlay directions are exact sorted lists, so each direction of the new
@@ -18,14 +19,14 @@ package graph
 // overlay rows themselves: O(n) offsets and one sequential copy of m
 // targets per direction, with no transpose. On a skewed graph of 100 000
 // vertices and 766 000 edges with 334 000 delta entries over 1 386 overlaid
-// vertices, one merge from a View took 2.4 ms (best of 15, one core of a
-// 2-vCPU box), against 21 ms for the transpose rebuild it replaced. On the
-// write-stream graph after one 10 000-update batch (765 000 edges, 884 000
-// delta entries over 9 059 overlaid vertices) an inline Compact takes
-// 3.4 ms (median of seven runs' best of 15; 2.9 ms at the fastest), 0.3 to
-// 0.7 ms of it the View's freeze.
+// vertices, one merge took 2.4 ms (best of 15, one core of a 2-vCPU box),
+// against 21 ms for the transpose rebuild it replaced. On the write-stream
+// graph after one 10 000-update batch (884 000 delta entries over 9 059
+// overlaid vertices) the freeze takes 0.15–0.21 ms and an inline Compact
+// 2.2–3.3 ms (best of 15, five runs), against 0.39–0.64 and 3.0–4.9 ms when
+// the freeze built a View's lookup map.
 //
-// Install drops exactly the delta segments whose content the frozen view
+// Install drops exactly the delta segments whose content the freeze
 // captured (their data is now in the new base) and keeps segments written
 // after the freeze — each is a complete adjacency list, so it shadows the
 // new base just as correctly as it shadowed the old one. Logical graph
@@ -33,48 +34,69 @@ package graph
 // element order: float summation — and every differential bit-identity
 // guarantee — is stable across compaction.
 type Compaction struct {
-	view *View
-	gen  uint64 // delta segments with generation < gen are covered by view
+	base  *CSR
+	n, m  int
+	epoch uint64      // the base's epoch at the freeze; Install checks it
+	gen   uint64      // delta segments with generation < gen are in segs
+	segs  []idOverlay // the frozen segments, ascending by vertex id
 }
 
-// BeginCompaction freezes the current state as the compaction input.
+// idOverlay pairs an overlaid vertex with its frozen segments.
+type idOverlay struct {
+	id  VertexID
+	seg viewOverlay
+}
+
+// BeginCompaction freezes the current state as the compaction input, and
+// seals every live delta segment as View does.
 func (g *Graph) BeginCompaction() *Compaction {
-	v := g.View()
-	return &Compaction{view: v, gen: g.viewGen}
+	g.viewGen++
+	c := &Compaction{base: g.base, n: g.n, m: g.m, epoch: g.epoch, gen: g.viewGen,
+		segs: make([]idOverlay, 0, g.OverlaidVertices())}
+	for u := range g.overlaidIDs() {
+		c.segs = append(c.segs, idOverlay{u, viewOverlay{g.ov[dirOut][u], g.ov[dirIn][u]}})
+	}
+	return c
 }
 
-// Build materializes the merged base segment (View.CSR). It reads only the
-// frozen view, so it may run concurrently with further mutations of the
-// graph.
+// Build materializes the merged base segment, one mergeRows per direction.
+// It reads only the frozen segments and the old base, so it may run
+// concurrently with further mutations of the graph.
 func (c *Compaction) Build() *CSR {
-	return c.view.CSR()
+	b := &CSR{n: c.n}
+	for d := range b.dir {
+		b.dir[d] = mergeRows(c.base, d, c.n, c.m, c.segs)
+	}
+	return b
 }
+
+// Snapshot builds a CSR copy of the current graph state: the Build of a
+// fresh compaction that is never installed, so it seals the live delta
+// segments as BeginCompaction does. Every list is sorted, so a snapshot
+// holds exactly the live graph's lists and is bit-compatible with it for
+// any float summation.
+func (g *Graph) Snapshot() *CSR { return g.BeginCompaction().Build() }
 
 // Install swaps in the compacted base and prunes the delta segments it
 // absorbed. It returns false without touching the graph when the base moved
 // since BeginCompaction (an inline Compact or a checkpoint won the race) —
 // the built CSR then describes a stale epoch and is discarded.
 func (g *Graph) Install(c *Compaction, base *CSR) bool {
-	if g.epoch != c.view.epoch {
+	if g.epoch != c.epoch {
 		return false
 	}
 	g.base = base
-	kept := g.overlaid[:0]
-	delta := 0
-	for _, u := range g.overlaid {
+	for _, o := range c.segs {
 		for d := range g.ov {
-			if g.gen[d][u] < c.gen {
-				g.ov[d][u] = nil
-			} else {
-				delta += len(g.ov[d][u])
+			if g.gen[d][o.id] < c.gen {
+				g.deltaEdges -= len(g.ov[d][o.id])
+				g.ov[d][o.id] = nil
 			}
 		}
-		if g.overlaidAt(u) {
-			kept = append(kept, u)
+		if !g.overlaidAt(o.id) {
+			g.overlaid[o.id/64] &^= 1 << (o.id % 64)
 		}
 	}
-	g.overlaid = kept
-	g.deltaEdges = delta
 	g.epoch++
 	return true
 }
@@ -86,7 +108,7 @@ func (g *Graph) Install(c *Compaction, base *CSR) bool {
 // when there are no delta segments and the base already covers every vertex
 // (a graph grown by EnsureVertex alone still earns a base that covers it).
 func (g *Graph) Compact() {
-	if len(g.overlaid) == 0 && g.base.n == g.n {
+	if g.OverlaidVertices() == 0 && g.base.n == g.n {
 		return
 	}
 	c := g.BeginCompaction()

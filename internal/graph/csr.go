@@ -10,9 +10,9 @@ import "fmt"
 // instead of an edge replay. Every row is sorted by neighbor id, so the out
 // rows alone determine the segment and the in rows are their transpose.
 // Two constructors keep it so: newCSR derives the in rows from out rows
-// (edge lists, checkpoint images), and View.CSR copies both directions, one
-// mergeRows each, from a base plus overlay rows that are already each
-// other's transpose (compaction). Accessors assume ids in
+// (edge lists, checkpoint images), and Compaction.Build copies both
+// directions, one mergeRows each, from a base plus the frozen overlay rows,
+// which are already each other's transpose. Accessors assume ids in
 // [0, NumVertices()); Graph and View perform the bounds checks before
 // delegating.
 type CSR struct {

@@ -43,11 +43,11 @@
 // written once for both. Only Graph's public per-direction accessors are
 // spelled out twice, so that each inlines into the push loops unchanged.
 //
-// View (see view.go) captures an O(#overlaid vertices) frozen snapshot of the
-// layered state for concurrent readers and pins it by the epoch that
-// advances on every base swap. There is one merge, View.CSR: Snapshot is the
-// CSR of a fresh View, and Compact runs the background compaction protocol
-// inline.
+// The overlaid vertices are registered in a bitmap. View (see view.go)
+// freezes their segments into a lookup map for readers, and a Compaction
+// (see compact.go) into a list in id order, the one merge input. Version
+// counts the logical changes — effective inserts and deletes, growth — and
+// nothing else moves it.
 //
 // Vertices are identified by dense non-negative int32 ids. The graph grows
 // automatically when an edge mentions a vertex id beyond the current size,
@@ -58,6 +58,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -91,9 +93,10 @@ var ErrNegativeVertex = errors.New("graph: negative vertex id")
 // segments. An overlay slot of nil means "read the base"; a non-nil (possibly
 // empty) overlay is the complete current adjacency of that vertex/direction
 // and shadows the base entirely. Overlay generations implement copy-on-write
-// against Views: an overlay last written before the most recent View() call
-// is sealed, and the next insert or delete clones it instead of shifting in
-// place (either may shift elements a View still reads).
+// against freezes: an overlay last written before the most recent View() or
+// BeginCompaction() call is sealed, and the next insert or delete clones it
+// instead of shifting in place (either may shift elements a freeze still
+// reads).
 type Graph struct {
 	base *CSR // immutable base segment; never nil
 	n    int  // vertex slots (>= base.n: vertices can be added after a compaction)
@@ -104,11 +107,12 @@ type Graph struct {
 	ov  [2][][]VertexID // delta segment per direction and vertex: nil = fall through to base
 	gen [2][]uint64     // viewGen at last write of the segment (copy-on-write seal)
 
-	overlaid   []VertexID // vertices with at least one non-nil overlay
-	deltaEdges int        // total adjacency entries held in overlays (both directions)
+	overlaid   []uint64 // bitmap: bit u set when u has a non-nil overlay
+	deltaEdges int      // total adjacency entries held in overlays (both directions)
 
-	epoch   uint64 // bumped on every base swap; Views pin it
-	viewGen uint64 // bumped by View(); drives overlay sealing
+	version uint64 // bumped by every logical change (see Version)
+	epoch   uint64 // bumped on every base swap; compactions pin it
+	viewGen uint64 // bumped by every freeze; drives overlay sealing
 }
 
 // New returns an empty graph pre-sized for n vertices.
@@ -141,7 +145,7 @@ func fromBase(c *CSR, n int) *Graph {
 
 // newGraph returns a graph over base with empty delta segments.
 func newGraph(base *CSR, n, m int, outDeg []int32) *Graph {
-	g := &Graph{base: base, n: n, m: m, outDeg: outDeg}
+	g := &Graph{base: base, n: n, m: m, outDeg: outDeg, overlaid: make([]uint64, words(n))}
 	for d := range g.ov {
 		g.ov[d] = make([][]VertexID, n)
 		g.gen[d] = make([]uint64, n)
@@ -204,6 +208,11 @@ func (g *Graph) NumVertices() int { return g.n }
 // NumEdges returns the number of directed edges currently in the graph.
 func (g *Graph) NumEdges() int { return g.m }
 
+// Version counts the logical changes of the graph: it moves on every
+// effective AddEdge or RemoveEdge and on every growth of the vertex range,
+// and on nothing else. Equal versions of one graph mean equal content.
+func (g *Graph) Version() uint64 { return g.version }
+
 // Epoch identifies the current base segment; it advances on every compaction
 // (base swap). Logical graph content is unchanged across an epoch bump.
 func (g *Graph) Epoch() uint64 { return g.epoch }
@@ -216,7 +225,30 @@ func (g *Graph) DeltaEdges() int { return g.deltaEdges }
 
 // OverlaidVertices returns the number of vertices with at least one delta
 // segment.
-func (g *Graph) OverlaidVertices() int { return len(g.overlaid) }
+func (g *Graph) OverlaidVertices() int {
+	k := 0
+	for _, w := range g.overlaid {
+		k += bits.OnesCount64(w)
+	}
+	return k
+}
+
+// overlaidIDs yields the vertices with a delta segment in ascending id
+// order: a walk of the registry bitmap, O(n/64 + #overlaid).
+func (g *Graph) overlaidIDs() iter.Seq[VertexID] {
+	return func(yield func(VertexID) bool) {
+		for i, w := range g.overlaid {
+			for ; w != 0; w &= w - 1 {
+				if !yield(VertexID(i*64 + bits.TrailingZeros64(w))) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// words returns the bitmap words that cover n vertices.
+func words(n int) int { return (n + 63) / 64 }
 
 // BaseEdges returns the number of edges stored in the immutable base segment
 // (live edges may be fewer — deletions shadow the base — or more, when
@@ -230,11 +262,13 @@ func (g *Graph) EnsureVertex(id VertexID) {
 		return
 	}
 	g.outDeg = grow(g.outDeg, need)
+	g.overlaid = grow(g.overlaid, words(need))
 	for d := range g.ov {
 		g.ov[d] = grow(g.ov[d], need)
 		g.gen[d] = grow(g.gen[d], need)
 	}
 	g.n = need
+	g.version++
 }
 
 // grow extends s to length n, zero-filling any reused capacity.
@@ -272,16 +306,15 @@ func (g *Graph) overlaidAt(u VertexID) bool {
 
 // writable returns u's delta segment in direction d, safe to edit in place.
 // On first touch it materializes the segment by copying the base row; when a
-// View taken since the last write still aliases the segment, it clones it.
+// View or compaction frozen since the last write still aliases the segment,
+// it clones it.
 func (g *Graph) writable(d int, u VertexID) []VertexID {
 	ov := g.ov[d][u]
 	switch {
 	case ov == nil:
 		base := g.baseRow(d, u)
 		ov = append(make([]VertexID, 0, len(base)+4), base...)
-		if !g.overlaidAt(u) {
-			g.overlaid = append(g.overlaid, u)
-		}
+		g.overlaid[u/64] |= 1 << (u % 64)
 		g.deltaEdges += len(ov)
 	case g.gen[d][u] < g.viewGen:
 		ov = append(make([]VertexID, 0, len(ov)+4), ov...)
@@ -312,6 +345,7 @@ func (g *Graph) AddEdge(u, v VertexID) (bool, error) {
 	g.outDeg[u]++
 	g.deltaEdges += 2
 	g.m++
+	g.version++
 	return true, nil
 }
 
@@ -326,6 +360,7 @@ func (g *Graph) RemoveEdge(u, v VertexID) error {
 	g.outDeg[u]--
 	g.deltaEdges -= 2
 	g.m--
+	g.version++
 	return nil
 }
 
@@ -416,10 +451,10 @@ func (g *Graph) Edges() []Edge {
 // shared (it is never written); delta segments are copied.
 func (g *Graph) Clone() *Graph {
 	c := newGraph(g.base, g.n, g.m, slices.Clone(g.outDeg))
-	c.overlaid = append([]VertexID(nil), g.overlaid...)
-	c.deltaEdges, c.epoch = g.deltaEdges, g.epoch
-	for d := range g.ov {
-		for _, u := range g.overlaid {
+	copy(c.overlaid, g.overlaid)
+	c.deltaEdges, c.version, c.epoch = g.deltaEdges, g.version, g.epoch
+	for u := range g.overlaidIDs() {
+		for d := range g.ov {
 			if s := g.ov[d][u]; s != nil {
 				c.ov[d][u] = append(make([]VertexID, 0, len(s)), s...)
 			}
@@ -456,14 +491,14 @@ func (g *Graph) TopDegreeVertices(k int) []VertexID {
 // CheckConsistency validates the internal invariants of the graph: every out
 // list and every in list strictly increases within [0, n), every in list is
 // the transpose of the out lists (compared against the counting-sort
-// transpose of Snapshot's out rows, O(n+m); the View that Snapshot merges
-// seals the live segments), m counts the out entries, the degree array
+// transpose of Snapshot's out rows, O(n+m); the compaction that Snapshot
+// freezes seals the live segments), m counts the out entries, the degree array
 // holds every out list's length, and the delta-segment accounting
 // (deltaEdges, overlaid registry) matches the segments actually present in
 // either direction. It is used by tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
-	if len(g.ov[dirOut]) != g.n || len(g.ov[dirIn]) != g.n || len(g.outDeg) != g.n {
-		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots and %d degrees", g.n, len(g.ov[dirOut]), len(g.ov[dirIn]), len(g.outDeg))
+	if len(g.ov[dirOut]) != g.n || len(g.ov[dirIn]) != g.n || len(g.outDeg) != g.n || len(g.overlaid) != words(g.n) {
+		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots, %d degrees and %d registry words", g.n, len(g.ov[dirOut]), len(g.ov[dirIn]), len(g.outDeg), len(g.overlaid))
 	}
 	count := 0
 	for u := VertexID(0); int(u) < g.n; u++ {
@@ -486,18 +521,11 @@ func (g *Graph) CheckConsistency() error {
 		}
 	}
 	delta := 0
-	reg := make(map[VertexID]bool, len(g.overlaid))
-	for _, u := range g.overlaid {
-		if reg[u] {
-			return fmt.Errorf("graph: vertex %d registered as overlaid twice", u)
-		}
-		reg[u] = true
-		delta += len(g.ov[dirOut][u]) + len(g.ov[dirIn][u])
-	}
 	for u := VertexID(0); int(u) < g.n; u++ {
-		if g.overlaidAt(u) && !reg[u] {
-			return fmt.Errorf("graph: vertex %d has a delta segment but is not registered", u)
+		if reg := g.overlaid[u/64]&(1<<(u%64)) != 0; reg != g.overlaidAt(u) {
+			return fmt.Errorf("graph: vertex %d registered as overlaid %v, has a delta segment %v", u, reg, !reg)
 		}
+		delta += len(g.ov[dirOut][u]) + len(g.ov[dirIn][u])
 	}
 	if delta != g.deltaEdges {
 		return fmt.Errorf("graph: delta accounting mismatch: counted %d, recorded %d", delta, g.deltaEdges)

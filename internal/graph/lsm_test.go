@@ -112,8 +112,8 @@ func TestViewStableUnderMutation(t *testing.T) {
 	g := New(6)
 	churn(t, g, 7, 300)
 	view := g.View()
+	frozen := g.BeginCompaction() // the merge input frozen at the same instant
 	wantOut, wantIn := dumpAdjacency(view)
-	wantM := view.m
 
 	churn(t, g, 8, 500)
 	g.Compact()
@@ -123,14 +123,10 @@ func TestViewStableUnderMutation(t *testing.T) {
 	if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotIn, wantIn) {
 		t.Fatal("later mutations leaked into a sealed view")
 	}
-	if view.m != wantM {
-		t.Fatalf("view edge count drifted: %d -> %d", wantM, view.m)
-	}
-	// The materialized snapshot agrees with the frozen accessors.
-	c := view.CSR()
-	csrOut, csrIn := dumpAdjacency(c)
+	// The merge of the same frozen state agrees with the view's accessors.
+	csrOut, csrIn := dumpAdjacency(frozen.Build())
 	if !reflect.DeepEqual(csrOut, wantOut) || !reflect.DeepEqual(csrIn, wantIn) {
-		t.Fatal("view.CSR() disagrees with the view's accessors")
+		t.Fatal("a compaction frozen with the view built a different adjacency")
 	}
 	if err := g.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -258,5 +254,51 @@ func TestFromCSRRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(baseOut[v], wantOut[v]) {
 			t.Fatalf("mutating a FromCSR graph dirtied the shared base at vertex %d", v)
 		}
+	}
+}
+
+// TestVersionCountsLogicalChanges pins the version contract: Version moves
+// on every effective insert, every effective delete and every growth of the
+// vertex range, and on nothing else — refused mutations, freezes, merges
+// and base swaps leave the logical graph, and so its version, as they were.
+// Clone copies it.
+func TestVersionCountsLogicalChanges(t *testing.T) {
+	g := New(4)
+	churn(t, g, 5, 200)
+	moves := func(what string, want bool, op func()) {
+		t.Helper()
+		before := g.Version()
+		op()
+		if moved := g.Version() != before; moved != want {
+			t.Fatalf("%s: version moved %v, want %v", what, moved, want)
+		}
+	}
+	u := VertexID(0)
+	for len(g.OutNeighbors(u)) == 0 {
+		u++
+	}
+	v := g.OutNeighbors(u)[0]
+	moves("duplicate insert", false, func() { g.AddEdge(u, v) })
+	moves("delete of a missing edge", false, func() { g.RemoveEdge(u, u) })
+	moves("EnsureVertex within range", false, func() { g.EnsureVertex(VertexID(g.NumVertices() - 1)) })
+	moves("View", false, func() { g.View() })
+	moves("BeginCompaction/Build/Install", false, func() {
+		c := g.BeginCompaction()
+		if !g.Install(c, c.Build()) {
+			t.Fatal("install rejected a current compaction")
+		}
+	})
+	moves("Snapshot", false, func() { g.Snapshot() })
+	moves("Compact", false, g.Compact)
+	moves("effective delete", true, func() {
+		if err := g.RemoveEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	moves("effective insert", true, func() { mustAdd(t, g, u, v) })
+	moves("growth", true, func() { g.EnsureVertex(VertexID(g.NumVertices())) })
+	moves("Compact of a grown graph", false, g.Compact)
+	if c := g.Clone(); c.Version() != g.Version() {
+		t.Fatalf("Clone has version %d, original %d", c.Version(), g.Version())
 	}
 }

@@ -85,16 +85,12 @@ func skewedBatch(t *testing.T, g *Graph, rng *rand.Rand, ops int) {
 	}
 }
 
-// requireMerge checks every merge path of g against the transpose-built
-// reference: Snapshot, and the CSR of a fresh View.
+// requireMerge checks the merge of g's current state, Snapshot, against the
+// transpose-built reference.
 func requireMerge(t *testing.T, g *Graph, at string) {
 	t.Helper()
-	want := transposeCSR(g)
-	if err := sameArrays(g.Snapshot(), want); err != nil {
+	if err := sameArrays(g.Snapshot(), transposeCSR(g)); err != nil {
 		t.Fatalf("%s: Snapshot: %v", at, err)
-	}
-	if err := sameArrays(g.View().CSR(), want); err != nil {
-		t.Fatalf("%s: View().CSR(): %v", at, err)
 	}
 }
 

@@ -1,36 +1,26 @@
 package graph
 
-import (
-	"maps"
-	"slices"
-)
-
 // viewOverlay is one vertex's frozen delta segments, indexed by direction.
 // An overlaid direction always holds a non-nil (possibly empty) list; nil
 // means the direction reads the base.
 type viewOverlay [2][]VertexID
 
-// idOverlay pairs an overlaid vertex with its segments, for the merge.
-type idOverlay struct {
-	id  VertexID
-	seg viewOverlay
-}
-
-// View is a frozen, immutable view of the layered graph state: the shared
-// base segment plus the delta segments present when the view was taken.
-// Building one costs O(#overlaid vertices) — proportional to what recent
-// batches touched, not to graph size — which is what lets the on-demand
-// query path stop materializing a full CSR per graph generation. A View is
-// safe for concurrent readers and stays valid (and logically unchanged)
-// across later graph mutations and compactions: mutations clone a frozen
-// segment before editing it, and compaction only swaps segments the view
-// does not reference.
+// View is a frozen, immutable view of the layered graph state for readers:
+// the shared base segment plus a lookup map of the delta segments present
+// when the view was taken. Building one costs O(#overlaid vertices) —
+// proportional to what recent batches touched, not to graph size — which is
+// what lets the on-demand query path stop materializing a full CSR per
+// graph version. A View is safe for concurrent readers and stays valid (and
+// logically unchanged) across later graph mutations and compactions:
+// mutations clone a frozen segment before editing it, and compaction only
+// swaps segments the view does not reference. It records the graph's
+// Version at the freeze, so holders can tell whether it is still current.
 type View struct {
 	base *CSR
 	ov   map[VertexID]viewOverlay // nil when the graph was fully compacted
-	n, m int
+	n    int
 
-	epoch      uint64
+	version    uint64
 	deltaEdges int
 }
 
@@ -40,16 +30,10 @@ type View struct {
 // slice length.
 func (g *Graph) View() *View {
 	g.viewGen++
-	v := &View{
-		base:       g.base,
-		n:          g.n,
-		m:          g.m,
-		epoch:      g.epoch,
-		deltaEdges: g.deltaEdges,
-	}
-	if len(g.overlaid) > 0 {
-		v.ov = make(map[VertexID]viewOverlay, len(g.overlaid))
-		for _, u := range g.overlaid {
+	v := &View{base: g.base, n: g.n, version: g.version, deltaEdges: g.deltaEdges}
+	if k := g.OverlaidVertices(); k > 0 {
+		v.ov = make(map[VertexID]viewOverlay, k)
+		for u := range g.overlaidIDs() {
 			v.ov[u] = viewOverlay{g.ov[dirOut][u], g.ov[dirIn][u]}
 		}
 	}
@@ -59,11 +43,14 @@ func (g *Graph) View() *View {
 // View wraps the segment as a view with no deltas, so code written against
 // a pinned *View (the cold push) also runs on a bare snapshot.
 func (c *CSR) View() *View {
-	return &View{base: c, n: c.n, m: c.NumEdges()}
+	return &View{base: c, n: c.n}
 }
 
 // NumVertices returns the number of vertices in the view.
 func (v *View) NumVertices() int { return v.n }
+
+// Version returns the graph's Version when the view was taken.
+func (v *View) Version() uint64 { return v.version }
 
 // DeltaEdges returns the number of delta-segment adjacency entries layered
 // over the base — the touched-proportional cost of having built this view.
@@ -96,26 +83,3 @@ func (v *View) neighbors(d int, u VertexID) []VertexID {
 	}
 	return nil
 }
-
-// CSR materializes the view into a flat CSR by the run-copy merge, one
-// mergeRows per direction over the overlaid ids sorted once. It reads only
-// the frozen base and overlay segments, so it is the off-pipeline half of a
-// background compaction as well as the body of Graph.Snapshot.
-func (v *View) CSR() *CSR {
-	ids := slices.Sorted(maps.Keys(v.ov))
-	ovs := make([]idOverlay, len(ids))
-	for i, u := range ids {
-		ovs[i] = idOverlay{u, v.ov[u]}
-	}
-	c := &CSR{n: v.n}
-	for d := range c.dir {
-		c.dir[d] = mergeRows(v.base, d, v.n, v.m, ovs)
-	}
-	return c
-}
-
-// Snapshot builds a CSR copy of the current graph state: the CSR of a fresh
-// View, so it seals the live delta segments as View does. Every list is
-// sorted, so a snapshot holds exactly the live graph's lists and is
-// bit-compatible with it for any float summation.
-func (g *Graph) Snapshot() *CSR { return g.View().CSR() }

@@ -31,10 +31,10 @@ func buildAndChurn(t *testing.T, workers int) []float64 {
 		u := graph.VertexID(updates.Intn(80))
 		v := graph.VertexID(updates.Intn(80))
 		if i%3 == 2 {
-			if _, err := e.ApplyDelete(u, v); err != nil {
+			if _, _, err := e.ApplyDelete(u, v); err != nil {
 				t.Fatalf("ApplyDelete(%d,%d): %v", u, v, err)
 			}
-		} else if _, err := e.ApplyInsert(u, v); err != nil {
+		} else if _, _, err := e.ApplyInsert(u, v); err != nil {
 			t.Fatalf("ApplyInsert(%d,%d): %v", u, v, err)
 		}
 	}

@@ -179,26 +179,26 @@ func (e *Estimator) AffectedWalks(u graph.VertexID) []int32 {
 }
 
 // ApplyInsert applies edge insertion u->v to the graph and re-routes every
-// walk passing through u from its first visit of u. It returns the number of
-// walks that were re-simulated.
-func (e *Estimator) ApplyInsert(u, v graph.VertexID) (int, error) {
+// walk passing through u from its first visit of u. It reports whether the
+// edge was added (a duplicate is a skipped update) and the number of walks
+// that were re-simulated.
+func (e *Estimator) ApplyInsert(u, v graph.VertexID) (changed bool, rerouted int, err error) {
 	added, err := e.g.AddEdge(u, v)
-	if err != nil {
-		return 0, err
-	}
-	if !added {
-		return 0, nil
+	if err != nil || !added {
+		return false, 0, err
 	}
 	e.ensureSize(e.g.NumVertices())
-	return e.reroute(u), nil
+	return true, e.reroute(u), nil
 }
 
-// ApplyDelete applies edge deletion u->v and re-routes affected walks.
-func (e *Estimator) ApplyDelete(u, v graph.VertexID) (int, error) {
-	if err := e.g.RemoveEdge(u, v); err != nil {
-		return 0, nil //nolint:nilerr // missing edge is a skipped update
+// ApplyDelete applies edge deletion u->v and re-routes affected walks. It
+// reports whether the edge was removed (a missing edge is a skipped update)
+// and the number of walks that were re-simulated.
+func (e *Estimator) ApplyDelete(u, v graph.VertexID) (changed bool, rerouted int, err error) {
+	if e.g.RemoveEdge(u, v) != nil {
+		return false, 0, nil
 	}
-	return e.reroute(u), nil
+	return true, e.reroute(u), nil
 }
 
 // reroute re-simulates every walk that visits u, keeping the prefix before

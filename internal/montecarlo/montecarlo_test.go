@@ -93,15 +93,15 @@ func TestApplyInsertReroutesOnlyAffectedWalks(t *testing.T) {
 	}
 	// Vertex 5 is not visited by any walk (it does not exist yet), so an
 	// insert from it re-routes nothing.
-	n, err := e.ApplyInsert(5, 0)
-	if err != nil {
-		t.Fatal(err)
+	changed, n, err := e.ApplyInsert(5, 0)
+	if err != nil || !changed {
+		t.Fatalf("insert from a new vertex: changed=%v err=%v", changed, err)
 	}
 	if n != 0 {
 		t.Fatalf("insert from unvisited vertex re-routed %d walks", n)
 	}
 	// An insert out of the source touches every walk (they all start there).
-	n, err = e.ApplyInsert(0, 5)
+	_, n, err = e.ApplyInsert(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestApplyInsertReroutesOnlyAffectedWalks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Duplicate insert: no graph change, no rerouting.
-	n, err = e.ApplyInsert(0, 5)
-	if err != nil || n != 0 {
-		t.Fatalf("duplicate insert: n=%d err=%v", n, err)
+	changed, n, err = e.ApplyInsert(0, 5)
+	if err != nil || changed || n != 0 {
+		t.Fatalf("duplicate insert: changed=%v n=%d err=%v", changed, n, err)
 	}
 }
 
@@ -124,9 +124,9 @@ func TestApplyDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := e.ApplyDelete(1, 2)
-	if err != nil {
-		t.Fatal(err)
+	changed, n, err := e.ApplyDelete(1, 2)
+	if err != nil || !changed {
+		t.Fatalf("delete of an edge: changed=%v err=%v", changed, err)
 	}
 	if n == 0 {
 		t.Fatal("deleting a frequently used edge should re-route some walks")
@@ -144,8 +144,8 @@ func TestApplyDelete(t *testing.T) {
 		}
 	}
 	// Deleting a missing edge is a no-op.
-	if n, err := e.ApplyDelete(1, 2); err != nil || n != 0 {
-		t.Fatalf("missing delete: n=%d err=%v", n, err)
+	if changed, n, err := e.ApplyDelete(1, 2); err != nil || changed || n != 0 {
+		t.Fatalf("missing delete: changed=%v n=%d err=%v", changed, n, err)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestDynamicAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ins := range edges[400:] {
-		if _, err := e.ApplyInsert(ins.U, ins.V); err != nil {
+		if _, _, err := e.ApplyInsert(ins.U, ins.V); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,11 +208,11 @@ func TestConsistencyProperty(t *testing.T) {
 		for i, ins := range edges[100:120] {
 			if i%3 == 0 && g.NumEdges() > 0 {
 				del := g.Edges()[0]
-				if _, err := e.ApplyDelete(del.U, del.V); err != nil {
+				if _, _, err := e.ApplyDelete(del.U, del.V); err != nil {
 					return false
 				}
 			}
-			if _, err := e.ApplyInsert(ins.U, ins.V); err != nil {
+			if _, _, err := e.ApplyInsert(ins.U, ins.V); err != nil {
 				return false
 			}
 		}

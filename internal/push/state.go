@@ -83,15 +83,25 @@ type State struct {
 // NewState creates the state for the given source on g. The source vertex is
 // created in the graph if it does not exist yet.
 func NewState(g *graph.Graph, source graph.VertexID, cfg Config) (*State, error) {
+	st, err := newState(g, source, cfg, max(g.NumVertices(), int(source)+1))
+	if err != nil {
+		return nil, err
+	}
+	g.EnsureVertex(source)
+	st.r.Set(int(source), 1)
+	return st, nil
+}
+
+// newState is the one State constructor: it validates cfg and source and
+// returns source's state on g with zero vectors over n vertices.
+func newState(g *graph.Graph, source graph.VertexID, cfg Config, n int) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if source < 0 {
 		return nil, fmt.Errorf("push: source must be non-negative, got %d", source)
 	}
-	g.EnsureVertex(source)
-	n := g.NumVertices()
-	st := &State{
+	return &State{
 		g:           g,
 		source:      source,
 		cfg:         cfg,
@@ -99,9 +109,7 @@ func NewState(g *graph.Graph, source graph.VertexID, cfg Config) (*State, error)
 		r:           fp.NewFloat64Vector(n),
 		dirtyMarked: make([]bool, n),
 		Counters:    &metrics.Counters{},
-	}
-	st.r.Set(int(source), 1)
-	return st, nil
+	}, nil
 }
 
 // Graph returns the dynamic graph the state is tracking.

@@ -17,7 +17,7 @@
 //
 // Accuracy has one dial. Every cold answer — computed, coalesced or cached,
 // whichever of QueryTopKCtx or QueryEstimateCtx asked first — is a
-// bit-deterministic function of (graph generation, source, α, on-demand ε,
+// bit-deterministic function of (graph version, source, α, on-demand ε,
 // odMaxPushes) and carries the per-vertex bound it achieved. A caller who
 // needs better than the coarse ε has two levers, both deterministic: a
 // smaller OnDemandOptions.Epsilon, or tracking the source at the tracked ε
@@ -25,15 +25,16 @@
 //
 // Cold answers are computed concurrently but never redundantly, and each is
 // kept in one place: odTable, a bounded LRU of answers keyed by source at the
-// newest graph generation it has seen. The query that claims an absent
+// newest Graph.Version it has seen. The query that claims an absent
 // source's slot computes the answer — taking one of GOMAXPROCS tokens under
 // its context, so overload surfaces ErrOverloaded and never partial effects —
 // while identical queries that arrive meanwhile join the in-flight entry, and
 // later ones read the finished entry as a cache hit: an O(k) read between
 // graph mutations. This is the only place on the serving path identical reads
-// are shared. A mutation invalidates the table for free because the
-// generation moves (compaction does not bump it), and a query pinned to an
-// older generation computes its answer without tabling it.
+// are shared. A logical change of the graph invalidates the table for free
+// because the graph's version moves; a compaction, a refused update or the
+// tracking of an in-graph source does not move it. A query pinned to an
+// older version computes its answer without tabling it.
 //
 // A frequency-based admission cache (an LRU of per-source query counts)
 // watches on-demand traffic: a source queried at least PromoteAfter times is
@@ -127,7 +128,7 @@ type QueryInfo struct {
 	Promoted bool
 	// Cached reports that the answer was served from the on-demand result
 	// cache rather than recomputed. A cached answer is the computed one,
-	// bit for bit (same graph generation, so same bound).
+	// bit for bit (same graph version, so same bound).
 	Cached bool
 	// Coalesced reports that this query shared the computation of an
 	// identical in-flight query instead of pushing redundantly.
@@ -145,11 +146,12 @@ type onDemand struct {
 	opts OnDemandOptions
 	svc  *Service
 
-	// snap caches the graph view the queries run against, keyed by the
-	// service's graph generation. It is rebuilt on the pipeline goroutine
-	// (serialized with writes — Graph itself is not safe for concurrent use),
-	// at a cost proportional to the delta segments present, not graph size.
-	snap atomic.Pointer[odSnapshot]
+	// snap caches the graph view the queries run against; it is current
+	// while its Version is the graph's. It is rebuilt on the pipeline
+	// goroutine (serialized with writes — Graph itself is not safe for
+	// concurrent use), at a cost proportional to the delta segments present,
+	// not graph size.
+	snap atomic.Pointer[graph.View]
 
 	// tokens is the one bound on cold pushes: a GOMAXPROCS-slot semaphore.
 	// The query computing an entry sends to acquire a slot, under its
@@ -176,13 +178,6 @@ type onDemand struct {
 	cacheMisses       atomic.Int64
 	lastLatency       atomic.Int64 // nanoseconds
 	totalLatency      atomic.Int64 // nanoseconds
-}
-
-// odSnapshot is the epoch-pinned layered view cold queries walk, tagged with
-// the graph generation it was taken at.
-type odSnapshot struct {
-	gen  uint64
-	view *graph.View
 }
 
 // odCandidate is one admission-cache entry: how often an untracked source
@@ -241,8 +236,8 @@ type OnDemandStats struct {
 	// the memory those vectors hold — what the answer table keeps resident.
 	CacheAnswerEntries int64 `json:"cache_answer_entries"`
 	CacheBytes         int64 `json:"cache_bytes"`
-	// SnapshotBuilds counts graph-view rebuilds (one per graph mutation
-	// generation actually queried, not per query). Each build copies only
+	// SnapshotBuilds counts graph-view rebuilds (one per Graph.Version
+	// actually queried, not per query). Each build copies only
 	// the delta-segment headers present at that moment, not the graph.
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	// LastSnapshotDeltaEdges is the number of delta-segment adjacency
@@ -417,11 +412,11 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry,
 		return nil, QueryInfo{}, fmt.Errorf("dynppr: source must be non-negative, got %d", source)
 	}
 	start := time.Now()
-	snap, err := od.snapshot(ctx)
+	view, err := od.snapshot(ctx)
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
-	n := snap.view.NumVertices()
+	n := view.NumVertices()
 	if int(source) >= n {
 		// The source is outside the snapshot: an isolated vertex, answered
 		// exactly (see odEntry.isolated) — no push, no table. It counts as a
@@ -438,7 +433,7 @@ func (s *Service) onDemandQuery(ctx context.Context, source VertexID) (*odEntry,
 		od.served(start)
 		return e, e.queryInfo(), nil
 	}
-	e, qi, err := od.answer(ctx, source, snap)
+	e, qi, err := od.answer(ctx, source, view)
 	if err != nil {
 		return nil, QueryInfo{}, err
 	}
@@ -456,16 +451,16 @@ func (od *onDemand) served(start time.Time) {
 	od.totalLatency.Add(int64(elapsed))
 }
 
-// answer returns source's cold answer at snap's generation through the
+// answer returns source's cold answer at view's version through the
 // table: a finished entry is a cache hit, an in-flight one is joined
 // (coalesced), and a claimed one is computed here. A waiter whose computing
 // query gave up at the token bound on its own context does not inherit that
 // error while its own context is live: the failed entry has left the table,
 // so the next lap computes or joins a fresh one.
-func (od *onDemand) answer(ctx context.Context, source VertexID, snap *odSnapshot) (*odEntry, QueryInfo, error) {
+func (od *onDemand) answer(ctx context.Context, source VertexID, view *graph.View) (*odEntry, QueryInfo, error) {
 	missed := false
 	for {
-		e, tabled := od.table.claim(source, snap.gen)
+		e, tabled := od.table.claim(source, view.Version())
 		select {
 		case <-e.done: // tabled and finished
 		default:
@@ -474,7 +469,7 @@ func (od *onDemand) answer(ctx context.Context, source VertexID, snap *odSnapsho
 				od.cacheMisses.Add(1)
 			}
 			if !tabled {
-				od.compute(ctx, e, snap)
+				od.compute(ctx, e, view)
 			} else {
 				select {
 				case <-e.done:
@@ -506,16 +501,16 @@ func (od *onDemand) answer(ctx context.Context, source VertexID, snap *odSnapsho
 // compute fills a claimed entry: it takes a cold-push token under ctx, runs
 // the push on the caller's goroutine, and settles the entry in the table
 // before it releases the entry's waiters.
-func (od *onDemand) compute(ctx context.Context, e *odEntry, snap *odSnapshot) {
+func (od *onDemand) compute(ctx context.Context, e *odEntry, view *graph.View) {
 	select {
 	case od.tokens <- struct{}{}:
 		cfg := push.Config{Alpha: od.svc.opts.Options.Alpha, Epsilon: od.opts.Epsilon}
-		pr, err := push.ColdPushBounded(snap.view, e.source, cfg, odMaxPushes)
+		pr, err := push.ColdPushBounded(view, e.source, cfg, odMaxPushes)
 		<-od.tokens
 		if e.err = err; err == nil {
 			od.coldPushes.Add(1)
 			e.ids, e.vals, e.eps, e.truncated = pr.Vertices, pr.Estimates, pr.MaxResidual, pr.Capped
-			e.vertices = snap.view.NumVertices()
+			e.vertices = view.NumVertices()
 		}
 	case <-od.svc.done:
 		e.err = ErrServiceClosed
@@ -527,19 +522,19 @@ func (od *onDemand) compute(ctx context.Context, e *odEntry, snap *odSnapshot) {
 }
 
 // odTable is the one home of cold answers: a bounded LRU of entries keyed by
-// source that holds only the newest graph generation it has seen. A claim at
-// a newer generation drops every entry at once (none can be requested
+// source that holds only the newest graph version it has seen. A claim at
+// a newer version drops every entry at once (none can be requested
 // again); a claim at an older one — a query pinned before a write — is
 // computed without being tabled. An entry holds its slot from its claim on,
 // in flight or done. One evicted while in flight still answers the queries
 // that joined it, and only a later identical query pushes again — which
 // takes more than cap distinct answers in flight at once.
 type odTable struct {
-	mu  sync.Mutex
-	cap int
-	gen uint64
-	m   map[VertexID]*list.Element
-	lru list.List // of *odEntry, most recently claimed at the front
+	mu      sync.Mutex
+	cap     int
+	version uint64
+	m       map[VertexID]*list.Element
+	lru     list.List // of *odEntry, most recently claimed at the front
 	// answerEntries and bytes total the settled entries' sparse vectors.
 	answerEntries, bytes int64
 }
@@ -548,17 +543,17 @@ func newODTable(capacity int) *odTable {
 	return &odTable{cap: capacity, m: make(map[VertexID]*list.Element, capacity)}
 }
 
-// claim returns source's tabled entry at gen and true — done (a hit) or in
+// claim returns source's tabled entry at version and true — done (a hit) or in
 // flight (to join) — or a fresh entry and false, which the caller must
 // compute and settle.
-func (t *odTable) claim(source VertexID, gen uint64) (*odEntry, bool) {
+func (t *odTable) claim(source VertexID, version uint64) (*odEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch {
-	case gen < t.gen:
+	case version < t.version:
 		return &odEntry{source: source, done: make(chan struct{})}, false
-	case gen > t.gen:
-		t.gen = gen
+	case version > t.version:
+		t.version = version
 		clear(t.m)
 		t.lru.Init()
 		t.answerEntries, t.bytes = 0, 0
@@ -583,7 +578,7 @@ func (t *odTable) settle(e *odEntry) {
 	defer t.mu.Unlock()
 	el := t.m[e.source]
 	if el == nil || el.Value != e {
-		return // never tabled, evicted, or dropped by a newer generation
+		return // never tabled, evicted, or dropped by a newer version
 	}
 	if e.err != nil {
 		t.remove(el)
@@ -617,26 +612,25 @@ func (t *odTable) resident() (entries int, answerEntries, bytes int64) {
 	return t.lru.Len(), t.answerEntries, t.bytes
 }
 
-// snapshot returns the pinned graph view for the current graph generation,
-// building it on the pipeline goroutine when a mutation has invalidated the
-// cached one. The build layers the current delta segments over the shared
-// immutable base — O(segments touched since the last compaction), where the
-// old implementation re-materialized a full CSR per generation.
-func (od *onDemand) snapshot(ctx context.Context) (*odSnapshot, error) {
+// snapshot returns the pinned graph view at the graph's current Version,
+// building it on the pipeline goroutine when a logical change has made the
+// cached one stale. The build layers the current delta segments over the
+// shared immutable base — O(segments touched since the last compaction),
+// not a full CSR per version.
+func (od *onDemand) snapshot(ctx context.Context) (*graph.View, error) {
 	s := od.svc
-	if cur := od.snap.Load(); cur != nil && cur.gen == s.graphGen.Load() {
+	if cur := od.snap.Load(); cur != nil && cur.Version() == s.graphVersion.Load() {
 		return cur, nil
 	}
-	return onPipeline(ctx, s, func() (*odSnapshot, error) {
+	return onPipeline(ctx, s, func() (*graph.View, error) {
+		// Concurrent refreshers coalesce: the version is re-read on the
+		// pipeline, where it cannot move under us.
 		cur := od.snap.Load()
-		// Concurrent refreshers coalesce: the generation is re-read on the
-		// pipeline, where it cannot advance under us.
-		if gen := s.graphGen.Load(); cur == nil || cur.gen != gen {
-			view := s.g.View()
-			cur = &odSnapshot{gen: gen, view: view}
+		if cur == nil || cur.Version() != s.g.Version() {
+			cur = s.g.View()
 			od.snap.Store(cur)
 			od.snapshotBuilds.Add(1)
-			od.lastSnapshotDelta.Store(int64(view.DeltaEdges()))
+			od.lastSnapshotDelta.Store(int64(cur.DeltaEdges()))
 		}
 		return cur, nil
 	})

@@ -245,6 +245,62 @@ func TestPromotionKeepsColdCache(t *testing.T) {
 	}
 }
 
+// TestColdCacheFollowsGraphVersion pins what invalidates a cached cold
+// answer: a logical change of the graph, and nothing else. A compaction
+// swaps the base and a batch of duplicate inserts and missing deletes is
+// refused whole; neither moves Graph.Version, so the answer stays cached and
+// no view is rebuilt. An effective batch moves it: the next read misses and
+// builds one new view.
+func TestColdCacheFollowsGraphVersion(t *testing.T) {
+	edges := odTestEdges(t, 80, 400, 7)
+	g := dynppr.GraphFromEdges(edges)
+	so := dynppr.DefaultServiceOptions()
+	so.OnDemand = dynppr.OnDemandOptions{Enabled: true, Epsilon: 1e-3}
+	svc, err := dynppr.NewService(g, g.TopDegreeVertices(1), so)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	defer svc.Close()
+	const cold dynppr.VertexID = 22
+	read := func(at string, wantCached bool, wantBuilds int64) {
+		t.Helper()
+		_, qi, err := svc.QueryTopKCtx(context.Background(), cold, 5)
+		if err != nil || qi.Cached != wantCached {
+			t.Fatalf("%s: err=%v cached=%v, want cached=%v", at, err, qi.Cached, wantCached)
+		}
+		if builds := svc.Stats().OnDemand.SnapshotBuilds; builds != wantBuilds {
+			t.Fatalf("%s: %d view builds, want %d", at, builds, wantBuilds)
+		}
+	}
+	read("first read", false, 1)
+	read("repeat", true, 1)
+
+	// A write that leaves deltas behind, so the compaction has work to do.
+	e := edges[0]
+	batch := dynppr.Batch{{U: e.U, V: e.V, Op: dynppr.Delete}, {U: e.V, V: e.U + 1, Op: dynppr.Insert}}
+	if res, err := svc.ApplyBatch(batch); err != nil || res.Applied == 0 {
+		t.Fatalf("effective batch: applied %d, err %v", res.Applied, err)
+	}
+	read("after an effective batch", false, 2)
+	if svc.Stats().Storage.DeltaEdges == 0 {
+		t.Fatal("setup: the effective batch left no delta to compact")
+	}
+	compactions := svc.Stats().Storage.Compactions
+	if err := svc.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Stats().Storage.Compactions != compactions+1 {
+		t.Fatal("setup: CompactNow did not swap the base")
+	}
+	read("after CompactNow", true, 2)
+
+	noop := dynppr.Batch{{U: e.V, V: e.U + 1, Op: dynppr.Insert}, {U: e.U, V: e.V, Op: dynppr.Delete}}
+	if res, err := svc.ApplyBatch(noop); err != nil || res.Applied != 0 {
+		t.Fatalf("no-op batch: applied %d, err %v", res.Applied, err)
+	}
+	read("after a batch of refused updates", true, 2)
+}
+
 // TestUnknownSourceErrorIdentity pins the cross-layer error contract:
 // every read path reports an untracked source with an error satisfying
 // errors.Is(err, ErrUnknownSource) — TrackerSet included, which used to

@@ -19,14 +19,40 @@ func TestReadmeCitesRealTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	funcs := declaredTests(t, ".", true)
+	cited := regexp.MustCompile(`\b((?:Test|Fuzz)[A-Z]\w*)(\*?)`)
+	for _, m := range cited.FindAllStringSubmatch(string(readme), -1) {
+		name, prefix := m[1], m[2] == "*"
+		found := false
+		for _, f := range funcs {
+			if f == name || prefix && strings.HasPrefix(f, name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("README.md cites %s%s, which no _test.go declares", name, m[2])
+		}
+	}
+}
+
+// declaredTests returns the Test… and Fuzz… functions declared in the
+// _test.go files of dir and, when recursive, of the packages below it, as
+// ./... names them: testdata, hidden directories and nested modules are
+// skipped.
+func declaredTests(t *testing.T, dir string, recursive bool) []string {
+	t.Helper()
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	var funcs []string
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
+		if d.IsDir() && path != dir {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); !recursive || err == nil ||
+				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
 		}
 		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return nil
@@ -43,20 +69,7 @@ func TestReadmeCitesRealTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cited := regexp.MustCompile(`\b((?:Test|Fuzz)[A-Z]\w*)(\*?)`)
-	for _, m := range cited.FindAllStringSubmatch(string(readme), -1) {
-		name, prefix := m[1], m[2] == "*"
-		found := false
-		for _, f := range funcs {
-			if f == name || prefix && strings.HasPrefix(f, name) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("README.md cites %s%s, which no _test.go declares", name, m[2])
-		}
-	}
+	return funcs
 }
 
 // TestReadmeCitesRealServiceMethods holds README.md to the Service API:

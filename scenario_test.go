@@ -303,7 +303,7 @@ func (c oracleCopy) copy(t *testing.T) oracleCopy {
 			t.Fatal(err)
 		}
 	}
-	ts, err := newTrackerSet(g, c.oracle.opts, 1, c.oracle.sources, states, nil)
+	ts, err := newTrackerSet(g, c.oracle.opts, 1, c.oracle.Sources(), states, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func (r *scenarioRun) checkLive() error {
 			g.NumVertices(), g.NumEdges(), og.NumVertices(), og.NumEdges())
 	}
 	table := *r.svc.table.Load()
-	for i, s := range r.oracle.sources {
+	for i, s := range r.oracle.Sources() {
 		want := r.oracle.states[i]
 		src := table[s]
 		snap := src.slot.Acquire()

@@ -95,15 +95,10 @@ type Service struct {
 	// queue was full and the caller's admission budget ran out.
 	shed atomic.Int64
 
-	// graphGen counts graph mutations (batches with effect, source cold
-	// starts). The on-demand query path keys its view cache on it.
-	// Compaction does NOT bump it: a base swap leaves the logical graph
-	// unchanged, so cached views stay valid.
-	graphGen atomic.Uint64
-
 	// Background compaction of the graph's LSM store. compacting gates one
 	// in-flight merge; compactWG lets Close wait the merge goroutine out.
-	// The remaining fields mirror pipeline-owned graph state for Stats.
+	// The remaining fields mirror pipeline-owned graph state for Stats and,
+	// in graphVersion (Graph.Version), for the on-demand view cache.
 	compacting    atomic.Bool
 	compactWG     sync.WaitGroup
 	compactions   atomic.Int64
@@ -112,6 +107,7 @@ type Service struct {
 	baseEdges     atomic.Int64
 	overlaidVerts atomic.Int64
 	storageEpoch  atomic.Uint64
+	graphVersion  atomic.Uint64
 	// od is the on-demand query engine for untracked sources; nil unless
 	// ServiceOptions.OnDemand.Enabled.
 	od *onDemand
@@ -290,7 +286,6 @@ func newService(g *Graph, so ServiceOptions, sources []VertexID, states []*push.
 	svc.set = set
 	svc.table.Store(&table)
 	svc.noteGraph()
-	svc.graphGen.Store(1)
 	if so.OnDemand.Enabled {
 		svc.od = newOnDemand(svc, so.OnDemand)
 	}
@@ -514,7 +509,6 @@ func (s *Service) doBatch(b Batch) BatchResult {
 	start := time.Now()
 	applied, pushes := s.set.apply(b, s.publish)
 	if applied > 0 {
-		s.graphGen.Add(1)
 		s.maybeCompact()
 	}
 	latency := time.Since(start)
@@ -532,7 +526,9 @@ func (s *Service) doBatch(b Batch) BatchResult {
 }
 
 // noteGraph mirrors the pipeline-owned graph and LSM-store gauges into
-// atomics for Stats readers. Its one call site is the pipeline loop.
+// atomics for Stats readers, and the graph's Version for the on-demand view
+// cache. Its one call site is the pipeline loop, so every task's effect is
+// mirrored before its waiter is released.
 func (s *Service) noteGraph() {
 	s.vertices.Store(int64(s.g.NumVertices()))
 	s.edges.Store(int64(s.g.NumEdges()))
@@ -540,18 +536,20 @@ func (s *Service) noteGraph() {
 	s.baseEdges.Store(int64(s.g.BaseEdges()))
 	s.overlaidVerts.Store(int64(s.g.OverlaidVertices()))
 	s.storageEpoch.Store(s.g.Epoch())
+	s.graphVersion.Store(s.g.Version())
 }
 
 // maybeCompact runs on the pipeline after an effective batch and decides
 // whether the delta segments have earned a compaction, by the graph's own
 // policy (Graph.CompactThreshold). The normal trigger starts a background
-// merge: the current state is pinned as a view (cost proportional to the
-// deltas), the merged CSR is built on a spare goroutine while the pipeline
-// keeps applying batches, and the swap is admitted back to the pipeline — a
-// quiescent point by construction, since every engine read also runs inside
-// pipeline tasks. If the deltas ever reach 4× the trigger (the merge is
-// slower than the write rate), the pipeline compacts inline, trading one
-// batch's latency for bounded memory.
+// merge: the overlaid segments are frozen in id order (a walk of the graph's
+// registry bitmap, with no map and no sort), the merged CSR is built on a
+// spare goroutine while the pipeline keeps applying batches, and the swap is
+// admitted back to the pipeline — a quiescent point by construction, since
+// every engine read also runs inside pipeline tasks. If the deltas ever
+// reach 4× the trigger (the merge is slower than the write rate), the
+// pipeline compacts inline, trading one batch's latency for bounded memory.
+// Neither moves Graph.Version, so cached cold answers survive both.
 func (s *Service) maybeCompact() {
 	th := s.g.CompactThreshold()
 	d := s.g.DeltaEdges()
@@ -650,7 +648,6 @@ func (s *Service) applySource(rec wal.Record) error {
 		s.set.remove(rec.Source)
 		return nil
 	}
-	vertices := s.g.NumVertices()
 	st, err := s.set.add(rec.Source)
 	if err != nil {
 		return err
@@ -663,12 +660,6 @@ func (s *Service) applySource(rec wal.Record) error {
 	src.slot.Publish(st)
 	next[rec.Source] = src
 	s.table.Store(&next)
-	// Tracking a vertex of the graph leaves the graph as it was, and with it
-	// every pinned view and cached cold answer; only an id beyond the graph
-	// grows it (EnsureVertex) and invalidates them.
-	if s.g.NumVertices() != vertices {
-		s.graphGen.Add(1)
-	}
 	return nil
 }
 

@@ -40,10 +40,9 @@ import (
 // states but serves reads lock-free from converged snapshots while writes
 // flow through a serialized pipeline.
 type TrackerSet struct {
-	g       *Graph
-	opts    Options
-	sources []VertexID
-	states  []*push.State
+	g      *Graph
+	opts   Options
+	states []*push.State // one per tracked source, in the order added
 	// engines holds one push engine per worker; len(engines) bounds how many
 	// sources are pushed at once.
 	engines []push.Engine
@@ -87,7 +86,7 @@ func NewTrackerSet(g *Graph, sources []VertexID, opts Options) (*TrackerSet, err
 // Either way after, if non-nil, is called once per source on the goroutine
 // that holds it (see each).
 func newTrackerSet(g *Graph, opts Options, workers int, sources []VertexID, states []*push.State, after func(*push.State)) (*TrackerSet, error) {
-	ts := &TrackerSet{g: g, opts: opts, sources: slices.Clone(sources), states: states}
+	ts := &TrackerSet{g: g, opts: opts, states: states}
 	for range fp.ClampWorkers(workers) {
 		engine, err := opts.buildEngine()
 		if err != nil {
@@ -178,22 +177,30 @@ func (ts *TrackerSet) add(source VertexID) (*push.State, error) {
 		return nil, err
 	}
 	ts.engines[0].Run(st, []graph.VertexID{source})
-	ts.sources = append(ts.sources, source)
 	ts.states = append(ts.states, st)
 	return st, nil
 }
 
 // remove stops tracking source, keeping the others in order.
 func (ts *TrackerSet) remove(source VertexID) {
-	if i := slices.Index(ts.sources, source); i >= 0 {
-		ts.sources = slices.Delete(ts.sources, i, i+1)
+	if i := ts.index(source); i >= 0 {
 		ts.states = slices.Delete(ts.states, i, i+1)
 	}
 }
 
+// index returns the position of source's state, or -1 when it is not
+// tracked.
+func (ts *TrackerSet) index(source VertexID) int {
+	return slices.IndexFunc(ts.states, func(st *push.State) bool { return st.Source() == source })
+}
+
 // Sources returns the tracked source vertices in construction order.
 func (ts *TrackerSet) Sources() []VertexID {
-	return slices.Clone(ts.sources)
+	out := make([]VertexID, len(ts.states))
+	for i, st := range ts.states {
+		out[i] = st.Source()
+	}
+	return out
 }
 
 // Graph returns the shared graph.
@@ -203,7 +210,7 @@ func (ts *TrackerSet) Graph() *Graph { return ts.g }
 // It returns an error wrapping ErrUnknownSource when the source is not
 // tracked, so errors.Is works identically across TrackerSet and Service.
 func (ts *TrackerSet) Estimate(source, v VertexID) (float64, error) {
-	if i := slices.Index(ts.sources, source); i >= 0 {
+	if i := ts.index(source); i >= 0 {
 		return ts.states[i].Estimate(v), nil
 	}
 	return 0, fmt.Errorf("%w: %d", ErrUnknownSource, source)
