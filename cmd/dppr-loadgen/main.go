@@ -534,7 +534,7 @@ func runClient(id int, cfg config, addr string, hc *http.Client,
 		o := genOp(rng, z, cfg, sources, vertices)
 		// -repeat re-issues single reads back-to-back: against an on-demand
 		// server the repeats should be result-cache hits (until a mutation
-		// moves the graph generation under them).
+		// moves the graph's Version under them).
 		tries := 1
 		if cfg.repeat > 0 && (o.class == opTopK || o.class == opEstimate) {
 			tries += cfg.repeat

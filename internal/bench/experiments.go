@@ -383,8 +383,9 @@ func RunScalability(p Params, datasets []gen.Dataset) ([]ScalabilityRow, error) 
 }
 
 // ---------------------------------------------------------------------------
-// Accuracy report (not a paper figure; used by EXPERIMENTS.md to document the
-// ε-guarantee holding end to end on every dataset).
+// Accuracy report (not a paper figure; `dppr-bench -experiment accuracy`
+// prints it to document the ε-guarantee holding end to end on every
+// dataset).
 
 // AccuracyRow records the measured worst-case estimation error after a full
 // experiment run on one dataset.

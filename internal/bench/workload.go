@@ -81,8 +81,9 @@ func (w *Workload) BatchSize(ratio float64) int {
 // Approach identifies one of the compared systems (Figure 5 legend).
 type Approach string
 
-// The approaches of the evaluation. GPU is not reproduced on this substrate;
-// see DESIGN.md for the substitution note.
+// The approaches of the evaluation. The paper's GPU approach is not
+// reproduced: the Go engines run on CPU cores only, so the figures compare
+// the CPU approaches and the two baselines.
 const (
 	// ApproachBase is the sequential push applied per single update (the
 	// prior state of the art, CPU-Base).

@@ -71,6 +71,12 @@ func NewBitSet(n int) *BitSet {
 }
 
 // TestAndSet atomically sets bit i and reports whether it was already set.
+//
+// It keeps a compare-and-swap loop instead of using the old value
+// atomic.OrUint64 returns: Go 1.24.0, which go.mod admits, miscompiles that
+// form on amd64 once inlined into a larger function (the OR loop clobbers a
+// live register). Set and Clear discard the old value, which compiles to a
+// single locked OR or AND.
 func (b *BitSet) TestAndSet(i int) (wasSet bool) {
 	word := &b.words[i>>6]
 	mask := uint64(1) << uint(i&63)
@@ -92,27 +98,10 @@ func (b *BitSet) Test(i int) bool {
 
 // Set sets bit i without returning the previous value.
 func (b *BitSet) Set(i int) {
-	word := &b.words[i>>6]
-	mask := uint64(1) << uint(i&63)
-	for {
-		old := atomic.LoadUint64(word)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(word, old, old|mask) {
-			return
-		}
-	}
+	atomic.OrUint64(&b.words[i>>6], uint64(1)<<uint(i&63))
 }
 
 // Clear unsets bit i.
 func (b *BitSet) Clear(i int) {
-	word := &b.words[i>>6]
-	mask := ^(uint64(1) << uint(i&63))
-	for {
-		old := atomic.LoadUint64(word)
-		if atomic.CompareAndSwapUint64(word, old, old&mask) {
-			return
-		}
-	}
+	atomic.AndUint64(&b.words[i>>6], ^(uint64(1) << uint(i&63)))
 }

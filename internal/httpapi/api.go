@@ -62,7 +62,7 @@ type VertexScore struct {
 // instead, and Snapshot.Epoch 0 marks a synthesized on-demand snapshot).
 // Cached marks an on-demand answer served from the result cache (always
 // bit-identical to the answer a fresh computation would produce for the
-// same graph generation); Truncated marks an answer whose push stopped at
+// same graph Version); Truncated marks an answer whose push stopped at
 // the fixed per-push work cap before reaching the configured ε — the answer
 // is still sound within the reported Epsilon.
 type TopKResult struct {

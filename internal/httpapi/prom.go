@@ -119,7 +119,7 @@ func (h *Handler) gather() []promexp.Family {
 			gauge("dppr_ondemand_pool_depth",
 				"Cold-push tokens held right now.", float64(od.PoolDepth)),
 			counter("dppr_ondemand_snapshot_builds_total",
-				"Layered graph views pinned for on-demand queries (one per queried mutation generation).", float64(od.SnapshotBuilds)),
+				"Layered graph views pinned for on-demand queries (one per queried graph version).", float64(od.SnapshotBuilds)),
 			counter("dppr_ondemand_seconds_total",
 				"Total time spent computing on-demand answers.", od.TotalLatency.Seconds()),
 			gauge("dppr_ondemand_last_seconds",

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"container/list"
 	"net"
 	"net/http"
 	"sync"
@@ -8,10 +9,11 @@ import (
 )
 
 // maxBuckets bounds the rate limiter's client table. When full, admitting a
-// new client evicts the stalest bucket (the one whose tokens refilled
-// longest ago), so a scan of spoofed client IDs cannot grow memory without
-// bound — it can only recycle buckets, which for unseen clients is
-// equivalent to a fresh full bucket anyway.
+// new client evicts the least recently seen bucket, so a scan of spoofed
+// client IDs cannot grow memory without bound — it can only recycle
+// buckets, which for unseen clients is equivalent to a fresh full bucket
+// anyway. Eviction is O(1): a flood of fresh keys costs each request a map
+// insert, never a scan of the table under the mutex.
 const maxBuckets = 4096
 
 // rateLimiter is a per-client token bucket. Each client earns rate tokens
@@ -22,10 +24,12 @@ type rateLimiter struct {
 	burst float64
 
 	mu      sync.Mutex
-	buckets map[string]*bucket
+	buckets map[string]*list.Element
+	lru     list.List // of *bucket, most recently seen at the front
 }
 
 type bucket struct {
+	key    string
 	tokens float64
 	last   time.Time // last refill
 }
@@ -42,7 +46,7 @@ func newRateLimiter(rate float64, burst int) *rateLimiter {
 	return &rateLimiter{
 		rate:    rate,
 		burst:   float64(burst),
-		buckets: make(map[string]*bucket),
+		buckets: make(map[string]*list.Element),
 	}
 }
 
@@ -55,14 +59,16 @@ func (rl *rateLimiter) allow(key string, now time.Time) (ok bool, retryAfter tim
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 
-	b, exists := rl.buckets[key]
-	if !exists {
-		if len(rl.buckets) >= maxBuckets {
-			rl.evictStalest(now)
+	var b *bucket
+	if el := rl.buckets[key]; el == nil {
+		if rl.lru.Len() >= maxBuckets {
+			delete(rl.buckets, rl.lru.Remove(rl.lru.Back()).(*bucket).key)
 		}
-		b = &bucket{tokens: rl.burst, last: now}
-		rl.buckets[key] = b
+		b = &bucket{key: key, tokens: rl.burst, last: now}
+		rl.buckets[key] = rl.lru.PushFront(b)
 	} else {
+		rl.lru.MoveToFront(el)
+		b = el.Value.(*bucket)
 		elapsed := now.Sub(b.last).Seconds()
 		if elapsed > 0 {
 			b.tokens += elapsed * rl.rate
@@ -78,29 +84,6 @@ func (rl *rateLimiter) allow(key string, now time.Time) (ok bool, retryAfter tim
 	}
 	need := (1 - b.tokens) / rl.rate
 	return false, time.Duration(need * float64(time.Second))
-}
-
-// evictStalest drops the bucket that refilled longest ago. Called with the
-// lock held. Any fully-refilled bucket is indistinguishable from a fresh
-// one, so evicting it loses no limiting state.
-func (rl *rateLimiter) evictStalest(now time.Time) {
-	var (
-		victim string
-		oldest time.Time
-	)
-	for k, b := range rl.buckets {
-		if victim == "" || b.last.Before(oldest) {
-			victim, oldest = k, b.last
-			// A bucket idle for burst/rate seconds is already full; no
-			// better victim exists, stop scanning.
-			if now.Sub(oldest).Seconds()*rl.rate >= rl.burst {
-				break
-			}
-		}
-	}
-	if victim != "" {
-		delete(rl.buckets, victim)
-	}
 }
 
 // clientKey identifies the client for rate limiting: the X-Client-ID header

@@ -159,7 +159,7 @@ func (e *PushEngine) Run(st *push.State, candidates []graph.VertexID) {
 		// stripe partition — does not depend on how the caller listed them.
 		cands = e.cands[:0]
 		for _, v := range candidates {
-			if v >= 0 && int(v) < r.Len() {
+			if v >= 0 && int(v) < len(r) {
 				cands = append(cands, v)
 			}
 		}
@@ -170,7 +170,7 @@ func (e *PushEngine) Run(st *push.State, candidates []graph.VertexID) {
 			return
 		}
 	}
-	e.ensure(r.Len())
+	e.ensure(len(r))
 	e.convergePhase(st, cands, true)
 	e.convergePhase(st, cands, false)
 }
@@ -229,15 +229,14 @@ func (e *PushEngine) initialFrontier(st *push.State, candidates []int32, cond fu
 	_, r := st.Vectors()
 	frontier := e.getBuf()
 	if candidates == nil {
-		n := r.Len()
-		for v := 0; v < n; v++ {
-			if cond(r.Get(v)) {
+		for v, rv := range r {
+			if cond(rv) {
 				frontier = append(frontier, int32(v))
 			}
 		}
 	} else {
 		for _, v := range candidates {
-			if cond(r.Get(int(v))) {
+			if cond(r[v]) {
 				frontier = append(frontier, v)
 			}
 		}
@@ -278,7 +277,7 @@ func (e *PushEngine) round(st *push.State, frontier []int32, cond func(float64) 
 		lo, hi := k*F/NumStripes, (k+1)*F/NumStripes
 		for i := lo; i < hi; i++ {
 			u := frontier[i]
-			ru := r.Get(int(u)) + d.buf[u]
+			ru := r[u] + d.buf[u]
 			taken[i] = ru
 			in := g.InNeighbors(u)
 			counters.AddPropagations(int64(len(in)))
@@ -305,23 +304,23 @@ func (e *PushEngine) round(st *push.State, frontier []int32, cond func(float64) 
 		}
 	}
 	fp.ForDynamic(len(merged), workers, mergeGrain, func(i int) {
-		v := int(merged[i])
-		s := r.Get(v)
+		v := merged[i]
+		s := r[v]
 		for k := range e.stripes {
 			s += e.stripes[k].buf[v]
 			e.stripes[k].buf[v] = 0
 		}
-		r.Set(v, s)
+		r[v] = s
 	})
 
 	// Session 3: self-update. Every frontier vertex commits the residual it
 	// propagated: the estimate gains the α share, the residual loses what
 	// was sent. A frontier vertex untouched by session 2 ends at exactly 0.
 	fp.ForDynamic(F, workers, mergeGrain, func(i int) {
-		u := int(frontier[i])
+		u := frontier[i]
 		ru := taken[i]
-		p.Set(u, p.Get(u)+float64(alpha*ru))
-		r.Set(u, r.Get(u)-ru)
+		p[u] += float64(alpha * ru)
+		r[u] -= ru
 	})
 
 	// Session 4: frontier generation from the touched set. The merged list
@@ -331,7 +330,7 @@ func (e *PushEngine) round(st *push.State, frontier []int32, cond func(float64) 
 	next := e.getBuf()
 	for _, v := range merged {
 		e.marked[v] = false
-		if cond(r.Get(int(v))) {
+		if cond(r[v]) {
 			next = append(next, v)
 		}
 	}

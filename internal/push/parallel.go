@@ -92,7 +92,7 @@ func (e *Parallel) runPhase(st *State, candidates []graph.VertexID, ph phase) {
 	if len(frontier) == 0 {
 		return
 	}
-	n := st.r.Len()
+	n := len(st.r)
 	var seen *fp.BitSet
 	var inFrontier *fp.BitSet
 	if !e.variant.LocalDuplicateDetection {
@@ -130,13 +130,14 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, wo
 	// Session 1 (self-update): S = {(u, R(u))}; P(u) += α·R(u); R(u) = 0.
 	// Frontier vertices are distinct, so plain element accesses are safe; the
 	// fp.For barrier publishes the writes before session 2 begins.
+	p, r := st.p, st.r
 	taken := make([]float64, len(frontier))
 	fp.For(len(frontier), workers, func(i int) {
-		u := int(frontier[i])
-		ru := st.r.Get(u)
+		u := frontier[i]
+		ru := r[u]
 		taken[i] = ru
-		st.p.Set(u, st.p.Get(u)+float64(alpha*ru))
-		st.r.Set(u, 0)
+		p[u] += float64(alpha * ru)
+		r[u] = 0
 	})
 	counters.AddPushes(int64(len(frontier)))
 
@@ -150,7 +151,7 @@ func (e *Parallel) iterateVanillaOrder(st *State, frontier []int32, ph phase, wo
 		counters.AddAtomicAdds(int64(len(in)))
 		for _, v := range in {
 			inc := (1 - alpha) * w / float64(g.OutDegree(v))
-			before := st.r.AtomicAdd(int(v), inc)
+			before := fp.AtomicAddFloat64(&r[v], inc)
 			after := before + inc
 			if e.variant.LocalDuplicateDetection {
 				// Local duplicate detection: enqueue exactly when this
@@ -190,6 +191,7 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, workers i
 	alpha := st.cfg.Alpha
 	eps := st.cfg.Epsilon
 	g := st.g
+	p, r := st.p, st.r
 	counters := st.Counters
 
 	if inFrontier != nil {
@@ -204,14 +206,14 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, workers i
 	next := fp.NewQueue(len(frontier) * 4)
 	fp.ForDynamic(len(frontier), workers, propagationGrain, func(i int) {
 		u := graph.VertexID(frontier[i])
-		ru := st.r.AtomicGet(int(u))
+		ru := fp.LoadFloat64(&r[u])
 		taken[i] = ru
 		in := g.InNeighbors(u)
 		counters.AddPropagations(int64(len(in)))
 		counters.AddAtomicAdds(int64(len(in)))
 		for _, v := range in {
 			inc := (1 - alpha) * ru / float64(g.OutDegree(v))
-			before := st.r.AtomicAdd(int(v), inc)
+			before := fp.AtomicAddFloat64(&r[v], inc)
 			after := before + inc
 			if e.variant.LocalDuplicateDetection {
 				if !ph.cond(before, eps) && ph.cond(after, eps) {
@@ -236,12 +238,12 @@ func (e *Parallel) iterateEager(st *State, frontier []int32, ph phase, workers i
 	// Session 2 (self-update): commit the recorded residuals and re-enqueue
 	// frontier vertices that are still (or again) active.
 	fp.For(len(frontier), workers, func(i int) {
-		u := int(frontier[i])
+		u := frontier[i]
 		ru := taken[i]
-		st.p.Set(u, st.p.Get(u)+float64(alpha*ru))
-		after := st.r.AtomicAdd(u, -ru) - ru
+		p[u] += float64(alpha * ru)
+		after := fp.AtomicAddFloat64(&r[u], -ru) - ru
 		if ph.cond(after, eps) {
-			next.Enqueue(int32(u))
+			next.Enqueue(u)
 		}
 	})
 	out := append([]int32(nil), next.Drain()...)

@@ -47,14 +47,14 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 	for head := 0; head < len(queue); { // queue[head:] is the FIFO
 		u := queue[head]
 		head++
-		ru := st.r.Get(int(u))
+		ru := st.r[u]
 		if !ph.cond(ru, eps) {
 			continue
 		}
 		pushes++
 		// Self-update: move the α share into the estimate, clear the residual.
-		st.p.Set(int(u), st.p.Get(int(u))+float64(alpha*ru))
-		st.r.Set(int(u), 0)
+		st.p[u] += float64(alpha * ru)
+		st.r[u] = 0
 		st.markEstimateDirty(u)
 		// Neighbor propagation: each in-neighbor v of u receives
 		// (1−α)·ru/dout(v).
@@ -62,9 +62,9 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 		props += int64(len(in))
 		spread := (1 - alpha) * ru
 		for _, v := range in {
-			old := st.r.Get(int(v))
+			old := st.r[v]
 			nr := old + spread/float64(g.OutDegree(v))
-			st.r.Set(int(v), nr)
+			st.r[v] = nr
 			if ph.cond(nr, eps) && !ph.cond(old, eps) {
 				if len(queue) == cap(queue) && head > len(queue)/2 {
 					// More than half already dequeued: slide, don't grow.

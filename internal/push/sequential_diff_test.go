@@ -29,7 +29,7 @@ func (e *bitmapSequential) runPhase(st *State, candidates []graph.VertexID, ph p
 	if len(queue) == 0 {
 		return
 	}
-	if n := st.r.Len(); len(e.inQueue) < n {
+	if n := len(st.r); len(e.inQueue) < n {
 		e.inQueue = append(e.inQueue, make([]bool, n-len(e.inQueue))...)
 	}
 	inQueue := e.inQueue
@@ -41,15 +41,15 @@ func (e *bitmapSequential) runPhase(st *State, candidates []graph.VertexID, ph p
 		u := queue[head]
 		head++
 		inQueue[u] = false
-		ru := st.r.Get(int(u))
+		ru := st.r[u]
 		if !ph.cond(ru, eps) {
 			continue
 		}
 		counters.AddPushes(1)
 		counters.ObserveIteration(1)
 		// Self-update: move the α share into the estimate, clear the residual.
-		st.p.Set(int(u), st.p.Get(int(u))+float64(alpha*ru))
-		st.r.Set(int(u), 0)
+		st.p[u] += float64(alpha * ru)
+		st.r[u] = 0
 		st.markEstimateDirty(u)
 		// Neighbor propagation: each in-neighbor v of u receives
 		// (1−α)·ru/dout(v).
@@ -57,8 +57,8 @@ func (e *bitmapSequential) runPhase(st *State, candidates []graph.VertexID, ph p
 		counters.AddPropagations(int64(len(in)))
 		for _, v := range in {
 			dv := float64(g.OutDegree(v))
-			nr := st.r.Get(int(v)) + (1-alpha)*ru/dv
-			st.r.Set(int(v), nr)
+			nr := st.r[v] + (1-alpha)*ru/dv
+			st.r[v] = nr
 			if ph.cond(nr, eps) && !inQueue[v] {
 				inQueue[v] = true
 				if len(queue) == cap(queue) && head > len(queue)/2 {
@@ -131,7 +131,7 @@ func TestSequentialMatchesBitmapKernel(t *testing.T) {
 				}
 				touched = Restore(g, []*State{ref, got}, stream.Batch{up}, touched)
 			}
-			if ref.r.Len() > 0 && minResidual(ref) < -cfg.Epsilon {
+			if len(ref.r) > 0 && minResidual(ref) < -cfg.Epsilon {
 				negativeRuns++
 			}
 			var candidates []graph.VertexID

@@ -71,7 +71,7 @@ func TestSequentialQueue(t *testing.T) {
 	delta := 0.01
 	shakeAndRun := func() {
 		for _, v := range touched {
-			st.r.Set(int(v), st.r.Get(int(v))+delta)
+			st.r[v] += delta
 		}
 		delta = -delta
 		pushes = st.Counters.Pushes
@@ -135,15 +135,13 @@ func BenchmarkSequentialTrackedPush(b *testing.B) {
 	}
 	touched := Restore(g, []*State{st}, batch, nil)
 	st.MarkAllEstimatesDirty()
-	p0, r0 := st.p.Snapshot(), st.r.Snapshot()
+	p0, r0 := st.Estimates(), st.Residuals()
 	var props int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for i := range p0 {
-			st.p.Set(i, p0[i])
-			st.r.Set(i, r0[i])
-		}
+		copy(st.p, p0)
+		copy(st.r, r0)
 		before := st.Counters.Propagations
 		b.StartTimer()
 		e.Run(st, touched)

@@ -236,19 +236,23 @@ func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
 		len(dirty)+len(sl.prev) > n/2
 	spare.source = st.Source()
 	if full {
-		spare.estimates = st.FillEstimates(spare.estimates)
+		if cap(spare.estimates) < n {
+			spare.estimates = make([]float64, n)
+		}
+		spare.estimates = spare.estimates[:n]
+		copy(spare.estimates, st.p)
 		sl.resBound = st.MaxResidual()
 		sl.fullPublishes.Add(1)
 	} else {
 		est := spare.estimates
 		for _, v := range dirty {
-			est[v] = st.p.Get(int(v))
+			est[v] = st.p[v]
 		}
 		for _, v := range sl.prev {
-			est[v] = st.p.Get(int(v))
+			est[v] = st.p[v]
 		}
 		for _, v := range dirty {
-			if r := st.r.Get(int(v)); r > sl.resBound {
+			if r := st.r[v]; r > sl.resBound {
 				sl.resBound = r
 			} else if -r > sl.resBound {
 				sl.resBound = -r

@@ -70,6 +70,7 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 	alpha := st.cfg.Alpha
 	eps := st.cfg.Epsilon
 	g := st.g
+	p, r := st.p, st.r
 	counters := st.Counters
 	workers := e.workers
 	if len(frontier) <= e.cutover {
@@ -79,11 +80,11 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 	// Session 1: self-update, identical to the vanilla order.
 	taken := make([]float64, len(frontier))
 	fp.For(len(frontier), workers, func(i int) {
-		u := int(frontier[i])
-		ru := st.r.Get(u)
+		u := frontier[i]
+		ru := r[u]
 		taken[i] = ru
-		st.p.Set(u, st.p.Get(u)+float64(alpha*ru))
-		st.r.Set(u, 0)
+		p[u] += float64(alpha * ru)
+		r[u] = 0
 	})
 	counters.AddPushes(int64(len(frontier)))
 
@@ -126,8 +127,8 @@ func (e *SortAggregate) iterate(st *State, frontier []int32, ph phase) []int32 {
 		for ; i < len(all) && all[i].vertex == v; i++ {
 			sum += all[i].inc
 		}
-		nr := st.r.Get(int(v)) + sum
-		st.r.Set(int(v), nr)
+		nr := r[v] + sum
+		r[v] = nr
 		if ph.cond(nr, eps) {
 			next = append(next, v)
 		}

@@ -141,7 +141,7 @@ func TestTopIndexPropertyRandom(t *testing.T) {
 		dirty := make([]int32, 0, m)
 		for j := 0; j < m; j++ {
 			v := int32(rng.Intn(n))
-			st.p.Set(int(v), scores[rng.Intn(len(scores))])
+			st.p[v] = scores[rng.Intn(len(scores))]
 			dirty = append(dirty, v)
 		}
 		ti.apply(st, dirty, false)
@@ -176,7 +176,7 @@ func TestTopIndexAbsorbsDecays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range n {
-		st.p.Set(v, 1/float64(v+1))
+		st.p[v] = 1 / float64(v+1)
 	}
 	slot := NewSnapshotSlotTopK(cap)
 	slot.Publish(st) // cold start
@@ -184,7 +184,7 @@ func TestTopIndexAbsorbsDecays(t *testing.T) {
 		cur := slot.Acquire()
 		bottom := cur.AppendTopK(nil, cap)[cap-1].Vertex
 		cur.Release()
-		st.p.Set(int(bottom), 0)
+		st.p[bottom] = 0
 		st.MarkEstimatesDirty([]int32{bottom})
 		snap := slot.Publish(st)
 		if len(snap.top) != cap {

@@ -16,8 +16,9 @@ package push
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"dynppr/internal/fp"
 	"dynppr/internal/graph"
 	"dynppr/internal/metrics"
 	"dynppr/internal/stream"
@@ -51,13 +52,20 @@ func (c Config) Validate() error {
 // at the source (R(s)=1, P≡0), which is the standard cold-start of the local
 // update scheme; running any Engine to convergence then yields an
 // ε-approximate vector for the current graph.
+//
+// P and R are plain dense vectors indexed by vertex id. The goroutine
+// driving an engine owns them and reads and writes them plainly; an engine
+// that fans out hands each goroutine distinct vertices for plain access, and
+// goroutines that may touch the same element of R at once reach it only
+// through the fp atomics, with fp.For's barrier between the two kinds of
+// access.
 type State struct {
 	g      *graph.Graph
 	source graph.VertexID
 	cfg    Config
 
-	p *fp.Float64Vector
-	r *fp.Float64Vector
+	p []float64
+	r []float64
 
 	// Estimate-dirty tracking: the set of vertices whose estimate changed
 	// since the last DrainDirty. Engines mark the vertices they push (the
@@ -83,18 +91,19 @@ type State struct {
 // NewState creates the state for the given source on g. The source vertex is
 // created in the graph if it does not exist yet.
 func NewState(g *graph.Graph, source graph.VertexID, cfg Config) (*State, error) {
-	st, err := newState(g, source, cfg, max(g.NumVertices(), int(source)+1))
+	n := max(g.NumVertices(), int(source)+1)
+	st, err := newState(g, source, cfg, make([]float64, n), make([]float64, n))
 	if err != nil {
 		return nil, err
 	}
 	g.EnsureVertex(source)
-	st.r.Set(int(source), 1)
+	st.r[source] = 1
 	return st, nil
 }
 
 // newState is the one State constructor: it validates cfg and source and
-// returns source's state on g with zero vectors over n vertices.
-func newState(g *graph.Graph, source graph.VertexID, cfg Config, n int) (*State, error) {
+// returns source's state on g over the vectors p and r, which it adopts.
+func newState(g *graph.Graph, source graph.VertexID, cfg Config, p, r []float64) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -105,9 +114,9 @@ func newState(g *graph.Graph, source graph.VertexID, cfg Config, n int) (*State,
 		g:           g,
 		source:      source,
 		cfg:         cfg,
-		p:           fp.NewFloat64Vector(n),
-		r:           fp.NewFloat64Vector(n),
-		dirtyMarked: make([]bool, n),
+		p:           p,
+		r:           r,
+		dirtyMarked: make([]bool, len(p)),
 		Counters:    &metrics.Counters{},
 	}, nil
 }
@@ -125,60 +134,61 @@ func (st *State) Alpha() float64 { return st.cfg.Alpha }
 func (st *State) Epsilon() float64 { return st.cfg.Epsilon }
 
 // NumVertices returns the number of vertices covered by the state vectors.
-func (st *State) NumVertices() int { return st.p.Len() }
+func (st *State) NumVertices() int { return len(st.p) }
 
 // Estimate returns the current PPR estimate of v (0 for unknown vertices).
 func (st *State) Estimate(v graph.VertexID) float64 {
-	if int(v) >= st.p.Len() || v < 0 {
+	if int(v) >= len(st.p) || v < 0 {
 		return 0
 	}
-	return st.p.Get(int(v))
+	return st.p[v]
 }
 
 // Residual returns the current residual of v (0 for unknown vertices).
 func (st *State) Residual(v graph.VertexID) float64 {
-	if int(v) >= st.r.Len() || v < 0 {
+	if int(v) >= len(st.r) || v < 0 {
 		return 0
 	}
-	return st.r.Get(int(v))
+	return st.r[v]
 }
 
 // Estimates returns a copy of the estimate vector.
-func (st *State) Estimates() []float64 { return st.p.Snapshot() }
-
-// FillEstimates copies the estimate vector into dst, growing it if needed,
-// and returns the filled slice. It exists for the snapshot publication path
-// (SnapshotSlot.Publish), which recycles buffers instead of allocating a
-// fresh copy per publication.
-func (st *State) FillEstimates(dst []float64) []float64 {
-	n := st.p.Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = st.p.Get(i)
-	}
-	return dst
-}
+func (st *State) Estimates() []float64 { return slices.Clone(st.p) }
 
 // Residuals returns a copy of the residual vector.
-func (st *State) Residuals() []float64 { return st.r.Snapshot() }
+func (st *State) Residuals() []float64 { return slices.Clone(st.r) }
 
-// MaxResidual returns the L∞ norm of the residual vector.
-func (st *State) MaxResidual() float64 { return st.r.MaxAbs() }
+// MaxResidual returns the L∞ norm of the residual vector. A NaN residual
+// never compares greater, so it does not poison the norm.
+func (st *State) MaxResidual() float64 {
+	var m float64
+	for _, x := range st.r {
+		if a := math.Abs(x); a > m {
+			m = a
+		}
+	}
+	return m
+}
 
 // sync grows the state vectors to cover every vertex of the graph. It must be
 // called after graph mutations that may have introduced vertices.
 func (st *State) sync() {
 	n := st.g.NumVertices()
-	if n > st.p.Len() {
-		st.p.Resize(n)
-		st.r.Resize(n)
+	if n > len(st.p) {
+		st.p = grow(st.p, n)
+		st.r = grow(st.r, n)
 	}
 	if n > len(st.dirtyMarked) {
 		st.dirtyMarked = append(st.dirtyMarked, make([]bool, n-len(st.dirtyMarked))...)
 	}
+}
+
+// grow returns v extended with zeros to length n, in a new array of exactly
+// n elements.
+func grow(v []float64, n int) []float64 {
+	grown := make([]float64, n)
+	copy(grown, v)
+	return grown
 }
 
 // markEstimateDirty records that P(v) changed since the last drain. Callers
@@ -236,7 +246,7 @@ func (st *State) DrainDirty(dst []int32) (dirty []int32, all bool) {
 // ascending vertex id) to dst, reading the live estimate vector directly —
 // no O(n) copy. The caller must own the state (not be racing an engine).
 func (st *State) AppendTopK(dst []VertexScore, k int) []VertexScore {
-	return AppendTopKFunc(dst, st.p.Len(), st.p.Get, k)
+	return AppendTopKFunc(dst, len(st.p), func(v int) float64 { return st.p[v] }, k)
 }
 
 // ApplyInsert adds edge u->v to the graph and restores the invariant
@@ -303,7 +313,6 @@ func Restore(g *graph.Graph, states []*State, b stream.Batch, touched []graph.Ve
 // Algorithm 1 of the paper.
 func (st *State) restore(u, v graph.VertexID, op float64) {
 	alpha := st.cfg.Alpha
-	iu, iv := int(u), int(v)
 	d := float64(st.g.OutDegree(u))
 	st.Counters.AddRestoreOps(1)
 
@@ -314,11 +323,11 @@ func (st *State) restore(u, v graph.VertexID, op float64) {
 	if d == 0 {
 		// Deleting the last out-edge: the invariant reduces to
 		// P(u) + α·R(u) = α·1{u=s}.
-		st.r.Set(iu, (indicator-st.p.Get(iu))/alpha)
+		st.r[u] = (indicator - st.p[u]) / alpha
 		return
 	}
-	delta := (float64((1-alpha)*st.p.Get(iv)) - st.p.Get(iu) - float64(alpha*st.r.Get(iu)) + indicator) / (alpha * d)
-	st.r.Set(iu, st.r.Get(iu)+float64(op*delta))
+	delta := (float64((1-alpha)*st.p[v]) - st.p[u] - float64(alpha*st.r[u]) + indicator) / (alpha * d)
+	st.r[u] += float64(op * delta)
 }
 
 // InvariantError returns the maximum absolute violation of Equation 2 over
@@ -356,7 +365,7 @@ func (st *State) InvariantError() float64 {
 }
 
 // Converged reports whether every residual is within the error threshold.
-func (st *State) Converged() bool { return st.r.MaxAbs() <= st.cfg.Epsilon }
+func (st *State) Converged() bool { return st.MaxResidual() <= st.cfg.Epsilon }
 
 // activeFrom filters the candidate vertices down to those whose residual
 // currently satisfies the push condition of the given phase. A nil candidate
@@ -369,27 +378,26 @@ func (st *State) activeFrom(candidates []graph.VertexID, phase phase) []int32 {
 	eps := st.cfg.Epsilon
 	out := st.activeBuf[:0]
 	if candidates == nil {
-		n := st.r.Len()
-		for v := 0; v < n; v++ {
-			if phase.cond(st.r.Get(v), eps) {
+		for v, rv := range st.r {
+			if phase.cond(rv, eps) {
 				out = append(out, int32(v))
 			}
 		}
 		st.activeBuf = out
 		return out
 	}
-	if len(st.activeSeen) < st.r.Len() {
-		st.activeSeen = append(st.activeSeen, make([]bool, st.r.Len()-len(st.activeSeen))...)
+	if len(st.activeSeen) < len(st.r) {
+		st.activeSeen = append(st.activeSeen, make([]bool, len(st.r)-len(st.activeSeen))...)
 	}
 	for _, v := range candidates {
-		if int(v) >= st.r.Len() || v < 0 {
+		if int(v) >= len(st.r) || v < 0 {
 			continue
 		}
 		if st.activeSeen[v] {
 			continue
 		}
 		st.activeSeen[v] = true
-		if phase.cond(st.r.Get(int(v)), eps) {
+		if phase.cond(st.r[v], eps) {
 			out = append(out, int32(v))
 		}
 	}
@@ -402,35 +410,15 @@ func (st *State) activeFrom(candidates []graph.VertexID, phase phase) []int32 {
 	return out
 }
 
-// The following mutators exist for Engine implementations living outside
-// this package (the vertex-centric baseline): they expose the estimate and
-// residual vectors with the same plain/atomic access discipline the built-in
-// engines use.
-
-// Vectors exposes the estimate and residual vectors themselves. It exists
-// for the deterministic engine of internal/parallel, whose striped
-// accumulation and ordered reduction need direct (plain) element access on
-// the hot path; the access discipline is the same as for the built-in
-// engines — distinct vertices per goroutine between barriers.
-func (st *State) Vectors() (p, r *fp.Float64Vector) { return st.p, st.r }
-
-// AddEstimate adds delta to P(v) without synchronization. Callers must ensure
-// v is owned by a single goroutine for the duration of the call.
-func (st *State) AddEstimate(v graph.VertexID, delta float64) {
-	st.p.Set(int(v), st.p.Get(int(v))+float64(delta))
-}
-
-// AtomicAddResidual atomically adds delta to R(v) and returns the value held
-// immediately before the addition.
-func (st *State) AtomicAddResidual(v graph.VertexID, delta float64) (before float64) {
-	return st.r.AtomicAdd(int(v), delta)
-}
-
-// SwapResidual atomically replaces R(v) with x and returns the previous
-// value.
-func (st *State) SwapResidual(v graph.VertexID, x float64) float64 {
-	return st.r.AtomicSwap(int(v), x)
-}
+// Vectors returns the estimate and residual vectors themselves, not copies,
+// for engines living outside this package: the deterministic engine of
+// internal/parallel and the vertex-centric baseline push over them with the
+// access rules of State — plain access to distinct vertices per goroutine,
+// fp atomics where goroutines may meet, a barrier between the two — and the
+// checkpoint writer encodes them while the pipeline it runs on keeps every
+// engine out. The slices are valid until the next graph mutation grows the
+// state.
+func (st *State) Vectors() (p, r []float64) { return st.p, st.r }
 
 // ActiveVertices returns the vertices whose residual currently violates the
 // threshold for the positive (sign > 0) or negative (sign < 0) phase. It is

@@ -58,6 +58,7 @@ func (e *PPREngine) runPhase(st *push.State, candidates []graph.VertexID, sign i
 	n := g.NumVertices()
 	alpha := st.Alpha()
 	eps := st.Epsilon()
+	p, r := st.Vectors()
 
 	cond := func(r float64) bool {
 		if sign > 0 {
@@ -81,9 +82,9 @@ func (e *PPREngine) runPhase(st *push.State, candidates []graph.VertexID, sign i
 
 		// Self-update as a VertexMap.
 		fw.VertexMap(frontier, func(u graph.VertexID) bool {
-			ru := st.SwapResidual(u, 0)
+			ru := fp.SwapFloat64(&r[u], 0)
 			pushed[u] = ru
-			st.AddEstimate(u, alpha*ru)
+			p[u] += float64(alpha * ru)
 			return false
 		})
 
@@ -91,7 +92,7 @@ func (e *PPREngine) runPhase(st *push.State, candidates []graph.VertexID, sign i
 		next := fw.EdgeMap(frontier,
 			func(u, v graph.VertexID) bool {
 				inc := (1 - alpha) * pushed[u] / float64(g.OutDegree(v))
-				after := st.AtomicAddResidual(v, inc) + inc
+				after := fp.AtomicAddFloat64(&r[v], inc) + inc
 				st.Counters.AddPropagations(1)
 				st.Counters.AddAtomicAdds(1)
 				return cond(after)

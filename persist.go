@@ -555,9 +555,9 @@ func (s *Service) doCheckpoint() (uint64, error) {
 // quiescent point, so it first folds any delta segments into the immutable
 // CSR base and then serializes that base's out arrays verbatim as a CSR
 // image — no per-vertex adjacency walk. The CSR arrays alias the live base
-// (Estimates/Residuals already copy), which is safe because the base never
-// mutates in place and ckpt.WriteFile serializes it before this pipeline
-// step completes — no mutation can run until then.
+// and the vectors alias each source's live state, which is safe because the
+// base never mutates in place and ckpt.WriteFile serializes both before this
+// pipeline step completes — no mutation or push can run until then.
 func (s *Service) checkpointData(lsn uint64) *ckpt.Data {
 	s.compactInline()
 	data := &ckpt.Data{
@@ -569,12 +569,13 @@ func (s *Service) checkpointData(lsn uint64) *ckpt.Data {
 	table := *s.table.Load()
 	for _, source := range s.Sources() { // ascending, as the format requires
 		src := table[source]
+		p, r := src.st.Vectors()
 		data.Sources = append(data.Sources, ckpt.Source{
 			Source:    src.source,
 			Epoch:     src.slot.Epoch(),
 			Auto:      src.auto.Load(),
-			Estimates: src.st.Estimates(),
-			Residuals: src.st.Residuals(),
+			Estimates: p,
+			Residuals: r,
 		})
 	}
 	return data
