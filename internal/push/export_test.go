@@ -14,3 +14,15 @@ func NewSortAggregateCutover(workers, cutover int) *SortAggregate {
 	e.cutover = cutover
 	return e
 }
+
+// DrainDirty appends the dirty vertices to dst, resets the tracking, and
+// reports whether the set was poisoned (all == true means "assume every
+// estimate changed" and the appended list is empty).
+func (st *State) DrainDirty(dst []int32) (dirty []int32, all bool) {
+	all = st.dirtyAll
+	if !all {
+		dst = append(dst, st.dirtyList...)
+	}
+	st.resetDirty()
+	return dst, all
+}

@@ -54,6 +54,7 @@ type Parallel struct {
 	variant Variant
 	workers int
 	cutover int
+	sc      scratch
 }
 
 // NewParallel returns a parallel push engine with the given variant and
@@ -88,7 +89,7 @@ func (e *Parallel) Run(st *State, candidates []graph.VertexID) {
 const propagationGrain = 16
 
 func (e *Parallel) runPhase(st *State, candidates []graph.VertexID, ph phase) {
-	frontier := st.activeFrom(candidates, ph)
+	frontier := st.activeFrom(candidates, ph, &e.sc)
 	if len(frontier) == 0 {
 		return
 	}

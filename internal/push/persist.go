@@ -14,7 +14,9 @@ import (
 // use them afterwards. The vector length is preserved as serialized: it may
 // lag g.NumVertices() when the graph grew without touching this source (sync
 // grows it on the next mutation, exactly as it would have in the original
-// process).
+// process). Like every new state its dirty set starts poisoned, so the
+// recovery reseed's first publication full-copies and rebuilds the Top-K
+// index instead of trusting deltas tracked in another life.
 func RestoreState(g *graph.Graph, source graph.VertexID, cfg Config, estimates, residuals []float64) (*State, error) {
 	n := len(estimates)
 	st, err := newState(g, source, cfg, estimates, residuals)
@@ -28,9 +30,5 @@ func RestoreState(g *graph.Graph, source graph.VertexID, cfg Config, estimates, 
 	case n > g.NumVertices():
 		return nil, fmt.Errorf("push: restore vectors cover %d vertices, graph has %d", n, g.NumVertices())
 	}
-	// A restored vector has no publication history: poison the dirty set so
-	// the recovery reseed's first publication full-copies and the Top-K
-	// index rebuilds, instead of trusting deltas tracked in another life.
-	st.MarkAllEstimatesDirty()
 	return st, nil
 }

@@ -11,15 +11,18 @@ import (
 // into the estimate and propagates the remaining (1−α) share to the
 // in-neighbors, scaled by their out-degrees.
 //
-// The engine is stateless, so one value may serve any number of states. A
-// phase only moves residuals in its own direction (the positive phase only
+// A phase only moves residuals in its own direction (the positive phase only
 // adds, the negative phase only subtracts), so a vertex is in the FIFO
 // exactly while its residual satisfies the phase's push condition: it enters
 // when a propagation carries it across the threshold and leaves when it is
 // pushed to zero. FIFO membership therefore follows the threshold crossing,
-// and no membership bitmap is kept. The queue is the state's scratch, so the
-// steady-state batch path allocates nothing.
-type Sequential struct{}
+// and no membership bitmap is kept. The queue is the engine's scratch, kept
+// at its steady-state size across runs, so the batch path allocates nothing:
+// one value may serve any number of states, one run at a time, and push
+// scratch memory grows with engines (workers), not with states.
+type Sequential struct {
+	sc scratch
+}
 
 // NewSequential returns the sequential push engine.
 func NewSequential() *Sequential { return &Sequential{} }
@@ -37,7 +40,7 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 	eps := st.cfg.Epsilon
 	alpha := st.cfg.Alpha
 	g := st.g
-	queue := st.activeFrom(candidates, ph)
+	queue := st.activeFrom(candidates, ph, &e.sc)
 	if len(queue) == 0 {
 		return
 	}
@@ -76,7 +79,7 @@ func (e *Sequential) runPhase(st *State, candidates []graph.VertexID, ph phase) 
 			}
 		}
 	}
-	st.activeBuf = queue[:0]
+	e.sc.buf = queue[:0]
 	st.Counters.Merge(&metrics.Counters{
 		Pushes:        pushes,
 		Propagations:  props,

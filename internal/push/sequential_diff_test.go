@@ -14,6 +14,7 @@ import (
 // reference the bitmap-free kernel must reproduce bit for bit.
 type bitmapSequential struct {
 	inQueue []bool
+	sc      scratch
 }
 
 func (e *bitmapSequential) Run(st *State, candidates []graph.VertexID) {
@@ -25,7 +26,7 @@ func (e *bitmapSequential) runPhase(st *State, candidates []graph.VertexID, ph p
 	eps := st.cfg.Epsilon
 	alpha := st.cfg.Alpha
 	g := st.g
-	queue := st.activeFrom(candidates, ph)
+	queue := st.activeFrom(candidates, ph, &e.sc)
 	if len(queue) == 0 {
 		return
 	}
@@ -71,7 +72,7 @@ func (e *bitmapSequential) runPhase(st *State, candidates []graph.VertexID, ph p
 			}
 		}
 	}
-	st.activeBuf = queue[:0]
+	e.sc.buf = queue[:0]
 }
 
 // TestSequentialMatchesBitmapKernel runs the bitmap reference and Sequential

@@ -92,13 +92,14 @@ func (s *Snapshot) AppendTopK(dst []VertexScore, k int) []VertexScore {
 // paired with exactly one Release; the snapshot must not be read afterwards.
 func (s *Snapshot) Release() { s.readers.Add(-1) }
 
-// SnapshotSlot is the double-buffered publication point between one
-// publisher at a time and any number of concurrent readers. The publisher
-// alternates between two Snapshot buffers: while one is published (visible
-// to readers through an atomic pointer), the other is rewritten with the
-// freshly converged state and then published with a single atomic store.
-// Readers therefore always observe a complete, converged vector — never a
-// mid-push intermediate.
+// SnapshotSlot is the publication point between one publisher at a time and
+// any number of concurrent readers. It holds one copy of the estimate vector
+// besides the state's own P: Publish hands the state's converged P to
+// readers with a single atomic pointer store, then takes the copy it
+// published before, waits out that copy's readers and gives it back to the
+// state as its new private P, patched with the entries that changed. Readers
+// therefore always observe a complete, converged vector — never a mid-push
+// intermediate — and a held snapshot never changes.
 //
 // Publish is single-producer in the sense of one publisher at a time, not of
 // one pinned goroutine: successive Publish calls may come from different
@@ -107,22 +108,13 @@ func (s *Snapshot) Release() { s.readers.Add(-1) }
 // that before the next batch). Acquire/Release may be called from any number
 // of goroutines concurrently with Publish.
 type SnapshotSlot struct {
-	cur  atomic.Pointer[Snapshot]
-	bufs [2]*Snapshot
-	// next indexes the buffer the next Publish will write (the one that is
-	// not currently published). Only the current publisher touches it.
+	cur atomic.Pointer[Snapshot]
+	// bufs are the two Snapshot headers the slot alternates between; next
+	// indexes the one the next Publish fills (its readers were waited out
+	// when it was retired). Only the current publisher touches them.
+	bufs  [2]*Snapshot
 	next  int
 	epoch uint64
-
-	// Delta-publication state (write side only). prev holds the dirty set
-	// drained by the previous Publish and prevAll whether it was poisoned:
-	// because the two buffers alternate, the spare buffer was last written
-	// two publications ago, so bringing it current requires refreshing the
-	// union of the previous and the current dirty sets. drain is the
-	// recycled buffer handed to State.DrainDirty.
-	drain   []int32
-	prev    []int32
-	prevAll bool
 
 	// resBound is the running convergence certificate: exact on full
 	// publications (an O(n) scan), and on delta publications the maximum of
@@ -173,7 +165,7 @@ type PublishStats struct {
 	// (cold start, recovery reseed, graph growth, poisoned dirty set, or a
 	// dirty set too large for the delta path to win).
 	Full uint64
-	// Delta counts publications that copied only the dirty union.
+	// Delta counts publications that copied only the dirty set.
 	Delta uint64
 	// TopKRebuilds counts full-scan rebuilds of the Top-K index.
 	TopKRebuilds uint64
@@ -198,59 +190,34 @@ func (sl *SnapshotSlot) Stats() PublishStats {
 // be called before the first Publish, from the slot's write side.
 func (sl *SnapshotSlot) SeedEpoch(e uint64) { sl.epoch = e }
 
-// Publish brings the spare buffer up to date with the state's estimate
-// vector, refreshes the Top-K index, and atomically swaps the buffer in as
-// the current snapshot. It must only be called after the engine has
-// converged st, and only from the single goroutine that owns the slot's
-// write side.
+// Publish makes the state's estimate vector the current snapshot, refreshes
+// the Top-K index, and gives the state a private copy to push into next. It
+// must only be called after the engine has converged st, and only from the
+// single goroutine that owns the slot's write side.
 //
-// Publication is sparse: the state's estimate-dirty set (maintained by the
-// engines) names every vertex whose estimate changed since the previous
-// drain, so the spare buffer — last written two publications ago — is
-// brought current by copying only the union of the previous and current
-// dirty sets. The result is bit-identical to a full copy. A full copy is
-// performed instead when the dirty set is poisoned (MarkAllEstimatesDirty,
-// recovery reseed), when the vector grew (new vertices), when the buffer
-// has never been filled, or when the union is so large that the dense copy
-// is cheaper.
+// The state's P itself is published, with one pointer store and no copy.
+// The vector the previous snapshot published then becomes the state's P: it
+// differs from the new snapshot exactly in the state's estimate-dirty set
+// (maintained by the engines), so only those entries are copied in, and the
+// result is bit-identical to a full copy. A full copy is made instead when
+// the dirty set is poisoned (a new or restored state, MarkAllEstimatesDirty),
+// when the vector grew (new vertices), on the slot's first publication, or
+// when the set covers more than half the vector, where the dense copy is
+// cheaper.
 //
-// Recycling the spare buffer waits for stragglers: a reader that acquired
-// the buffer during its previous publication may still be reading it, so
-// Publish spins until the buffer's reader count drains to zero. Readers hold
-// snapshots only for the duration of one query, so the wait is bounded and
-// short.
+// Recycling the previous vector waits for stragglers: a reader that acquired
+// it may still be reading it, so Publish spins until its reader count drains
+// to zero. Readers hold snapshots only for the duration of one query, so the
+// wait is bounded and short.
 func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
-	spare := sl.bufs[sl.next]
-	for spare.readers.Load() != 0 {
-		runtime.Gosched()
-	}
 	n := st.NumVertices()
-	dirty, all := st.DrainDirty(sl.drain[:0])
-	sl.drain = dirty
-
-	// The spare is delta-patchable only if it was filled to the current
-	// length (never-filled and pre-growth buffers miss entries no dirty set
-	// covers) and neither of the two dirty sets it must absorb is poisoned.
-	// Beyond half the vector a dense copy is cheaper than scattered stores.
-	full := all || sl.prevAll || len(spare.estimates) != n ||
-		len(dirty)+len(sl.prev) > n/2
-	spare.source = st.Source()
+	dirty, all := st.dirtyList, st.dirtyAll
+	old := sl.cur.Load()
+	full := all || old == nil || len(old.estimates) != n || len(dirty) > n/2
 	if full {
-		if cap(spare.estimates) < n {
-			spare.estimates = make([]float64, n)
-		}
-		spare.estimates = spare.estimates[:n]
-		copy(spare.estimates, st.p)
 		sl.resBound = st.MaxResidual()
 		sl.fullPublishes.Add(1)
 	} else {
-		est := spare.estimates
-		for _, v := range dirty {
-			est[v] = st.p[v]
-		}
-		for _, v := range sl.prev {
-			est[v] = st.p[v]
-		}
 		for _, v := range dirty {
 			if r := st.r[v]; r > sl.resBound {
 				sl.resBound = r
@@ -260,22 +227,40 @@ func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
 		}
 		sl.deltaPublishes.Add(1)
 	}
-	spare.maxResidual = sl.resBound
-	spare.epsilon = st.Epsilon()
-
 	sl.index.apply(st, dirty, all)
-	spare.top = append(spare.top[:0], sl.index.served()...)
 
-	// Rotate the dirty buffers: the set drained now is what the *other*
-	// buffer must absorb on the next publication.
-	sl.drain, sl.prev = sl.prev[:0], dirty
-	sl.prevAll = all
-
+	s := sl.bufs[sl.next]
+	s.source = st.Source()
+	s.estimates = st.p
+	s.maxResidual = sl.resBound
+	s.epsilon = st.Epsilon()
+	s.top = append(s.top[:0], sl.index.served()...)
 	sl.epoch++
-	spare.epoch = sl.epoch
-	sl.cur.Store(spare)
+	s.epoch = sl.epoch
+	sl.cur.Store(s)
 	sl.next ^= 1
-	return spare
+
+	var p []float64
+	if old != nil {
+		for old.readers.Load() != 0 {
+			runtime.Gosched()
+		}
+		p, old.estimates = old.estimates, nil
+	}
+	if full {
+		if cap(p) < n {
+			p = make([]float64, n)
+		}
+		p = p[:n]
+		copy(p, s.estimates)
+	} else {
+		for _, v := range dirty {
+			p[v] = s.estimates[v]
+		}
+	}
+	st.p = p
+	st.resetDirty()
+	return s
 }
 
 // Acquire returns the currently published snapshot with a read hold on it,

@@ -1,7 +1,10 @@
 package push
 
 import (
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynppr/internal/graph"
@@ -88,9 +91,24 @@ func TestSnapshotDoubleBufferAlternates(t *testing.T) {
 	}
 }
 
+// bitsHash is an FNV-1a hash over the bits of a snapshot's estimates.
+func bitsHash(s *Snapshot) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range s.estimates {
+		h ^= math.Float64bits(x)
+		h *= 1099511628211
+	}
+	return h
+}
+
 // TestSnapshotConcurrentReadersWhilePublishing hammers Acquire/Release from
 // several goroutines while the owner keeps republishing a mutating state.
-// Every read must observe a converged snapshot with a monotone epoch. Run
+// Every read must observe a converged snapshot with a monotone epoch. A
+// further reader holds snapshots hand over hand: it acquires the newest one
+// before releasing the one it holds, so each snapshot it holds spans the end
+// of the publication that made it (which recycles the vector published
+// before) and the start of the next one (which swaps it out and waits for
+// the hold); the bits it hashed on acquiring must not change meanwhile. Run
 // with -race to check the publication protocol.
 func TestSnapshotConcurrentReadersWhilePublishing(t *testing.T) {
 	st := snapshotTestState(t)
@@ -131,9 +149,51 @@ func TestSnapshotConcurrentReadersWhilePublishing(t *testing.T) {
 					t.Errorf("snapshot estimates sum %v, want > 0", sum)
 				}
 				s.Release()
+				runtime.Gosched()
 			}
 		}()
 	}
+
+	ready := make(chan struct{})
+	var spans atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s := sl.Acquire()
+		h := bitsHash(s)
+		close(ready)
+		defer func() {
+			if bitsHash(s) != h {
+				t.Errorf("held snapshot of epoch %d changed", s.Epoch())
+			}
+			s.Release()
+		}()
+		// Each hold stalls the writer until this goroutine is scheduled
+		// again, so a few spans are enough.
+		for spans.Load() < 3 {
+			for sl.Epoch() == s.Epoch() {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			// The publication that swapped s out waits for this hold, so
+			// the newest snapshot is the one it published.
+			next := sl.Acquire()
+			nextHash := bitsHash(next)
+			if bitsHash(s) != h {
+				t.Errorf("held snapshot of epoch %d changed", s.Epoch())
+			}
+			if s.Epoch() > 1 {
+				spans.Add(1)
+			}
+			s.Release()
+			s, h = next, nextHash
+		}
+	}()
+	<-ready
 
 	// The writer keeps perturbing the graph and republishing after each
 	// converged push.
@@ -153,4 +213,7 @@ func TestSnapshotConcurrentReadersWhilePublishing(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if spans.Load() < 2 {
+		t.Fatalf("the holding reader held %d snapshots across two publications, want ≥ 2", spans.Load())
+	}
 }

@@ -26,6 +26,7 @@ import (
 type SortAggregate struct {
 	workers int
 	cutover int
+	sc      scratch
 }
 
 // NewSortAggregate returns the sorting-and-aggregating parallel push engine.
@@ -56,7 +57,7 @@ type contribution struct {
 }
 
 func (e *SortAggregate) runPhase(st *State, candidates []graph.VertexID, ph phase) {
-	frontier := st.activeFrom(candidates, ph)
+	frontier := st.activeFrom(candidates, ph, &e.sc)
 	for len(frontier) > 0 {
 		st.Counters.ObserveIteration(len(frontier))
 		// The self-update session changes every frontier vertex's estimate;

@@ -155,8 +155,8 @@ func TestTopIndexPropertyRandom(t *testing.T) {
 			}
 		}
 		for v := range n {
-			if ti.member[v] != slices.Contains(want, VertexScore{Vertex: graph.VertexID(v), Score: st.Estimate(graph.VertexID(v))}) {
-				t.Fatalf("iter %d: member[%d] = %t disagrees with the entries", iter, v, ti.member[v])
+			if ti.member.has(graph.VertexID(v)) != slices.Contains(want, VertexScore{Vertex: graph.VertexID(v), Score: st.Estimate(graph.VertexID(v))}) {
+				t.Fatalf("iter %d: member[%d] = %t disagrees with the entries", iter, v, ti.member.has(graph.VertexID(v)))
 			}
 		}
 	}
@@ -205,10 +205,12 @@ func TestTopIndexAbsorbsDecays(t *testing.T) {
 	}
 }
 
-// TestPublishFullFallbacks verifies the poisoning and two-buffer rules: a
-// MarkAllEstimatesDirty forces the next TWO publications to full-copy (the
-// second buffer also missed the poisoned interval), and the path then
-// returns to deltas.
+// TestPublishFullFallbacks verifies the full-copy rules: the slot's first
+// publication, a grown vector and a poisoned dirty set (MarkAllEstimatesDirty)
+// each force exactly one full copy — the slot keeps one copy besides the
+// state's own P, so nothing else missed the interval — and every other
+// publication is a delta that leaves the state's P bit-identical to the
+// snapshot.
 func TestPublishFullFallbacks(t *testing.T) {
 	g := graph.New(0)
 	for v := 1; v < 50; v++ {
@@ -229,35 +231,33 @@ func TestPublishFullFallbacks(t *testing.T) {
 		}
 		engine.Run(st, []graph.VertexID{u})
 	}
-
-	slot.Publish(st) // 1: cold, full (buffer A never filled)
-	perturb(50, 0)
-	slot.Publish(st) // 2: full (buffer B never filled; also growth)
-	perturb(51, 0)
-	slot.Publish(st) // 3: full (buffer A is 2 vertices short)
-	perturb(1, 2)
-	slot.Publish(st) // 4: full (buffer B is still 1 vertex short)
-	st.MarkAllEstimatesDirty()
-	slot.Publish(st) // 5: full (poisoned)
-	perturb(2, 3)
-	snap := slot.Publish(st) // 6: full (other buffer missed the poisoned interval)
-	perturb(3, 4)
-	slot.Publish(st) // 7: delta at last — both buffers current, nothing poisoned
-
-	stats := slot.Stats()
-	if stats.Full != 6 || stats.Delta != 1 {
-		t.Fatalf("full=%d delta=%d, want 6 full / 1 delta", stats.Full, stats.Delta)
-	}
-	if want := st.Estimates(); len(want) != snap.NumVertices() {
-		t.Fatalf("snapshot covers %d vertices, state %d", snap.NumVertices(), len(want))
-	}
-	// Both buffers must have converged to the live state.
-	for i := 0; i < 2; i++ {
-		perturb(graph.VertexID(4+i), graph.VertexID(5+i))
-		s := slot.Publish(st)
-		if !bitsEq(s.Estimates(), st.Estimates()) {
-			t.Fatalf("buffer %d diverged from live state after fallback dance", i)
+	publish := func(step int, wantFull bool) {
+		t.Helper()
+		before := slot.Stats()
+		snap := slot.Publish(st)
+		after := slot.Stats()
+		if gotFull := after.Full > before.Full; gotFull != wantFull || after.Full+after.Delta != before.Full+before.Delta+1 {
+			t.Fatalf("publication %d: full=%t, want %t (%+v)", step, gotFull, wantFull, after)
 		}
+		if !bitsEq(snap.Estimates(), st.Estimates()) {
+			t.Fatalf("publication %d: the state's P diverges from the snapshot", step)
+		}
+	}
+
+	publish(1, true) // the slot's first publication
+	perturb(50, 0)
+	publish(2, true) // growth
+	perturb(51, 0)
+	publish(3, true) // growth
+	perturb(1, 2)
+	publish(4, false) // the copy published at 3 covers the vector
+	st.MarkAllEstimatesDirty()
+	publish(5, true) // poisoned
+	perturb(2, 3)
+	publish(6, false) // one full copy absorbed the poisoned interval
+	for i := range 3 {
+		perturb(graph.VertexID(3+i), graph.VertexID(4+i))
+		publish(7+i, false)
 	}
 }
 
@@ -268,6 +268,7 @@ func TestDrainDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.DrainDirty(nil) // a new state starts poisoned; its first drain lifts that
 	st.MarkEstimatesDirty([]int32{3, 1, 3, 2, 1})
 	if len(st.dirtyList) != 3 {
 		t.Fatalf("dirty count %d, want 3 (deduplicated)", len(st.dirtyList))

@@ -58,7 +58,9 @@ func (c Config) Validate() error {
 // that fans out hands each goroutine distinct vertices for plain access, and
 // goroutines that may touch the same element of R at once reach it only
 // through the fp atomics, with fp.For's barrier between the two kinds of
-// access.
+// access. P is private to the state even when it is published:
+// SnapshotSlot.Publish hands the vector itself to readers and gives the state
+// the slot's retired copy back, brought current.
 type State struct {
 	g      *graph.Graph
 	source graph.VertexID
@@ -68,20 +70,16 @@ type State struct {
 	r []float64
 
 	// Estimate-dirty tracking: the set of vertices whose estimate changed
-	// since the last DrainDirty. Engines mark the vertices they push (the
-	// only writers of P); SnapshotSlot.Publish drains the set to copy and
-	// index only what changed. dirtyAll poisons the set ("assume everything
-	// changed") for engines that cannot track cheaply and for restored
-	// states. All three fields are owned by the goroutine driving the engine.
-	dirtyMarked []bool
+	// since the last publication. Engines mark the vertices they push (the
+	// only writers of P); SnapshotSlot.Publish reads the list in place to
+	// copy and index only what changed, then resets it. dirtyAll poisons the
+	// set ("assume everything changed"): a state starts poisoned, so one that
+	// is never published records nothing, and engines that cannot track
+	// cheaply poison it. All three fields are owned by the goroutine driving
+	// the engine.
+	dirtyMarked bitmap
 	dirtyList   []int32
 	dirtyAll    bool
-
-	// activeBuf and activeSeen are reusable scratch for activeFrom, so the
-	// per-batch frontier seeding of the engines allocates nothing once the
-	// buffers have grown to their steady-state size.
-	activeBuf  []int32
-	activeSeen []bool
 
 	// Counters accumulates the work performed by invariant restoration and by
 	// the engines running over this state. Never nil.
@@ -116,7 +114,8 @@ func newState(g *graph.Graph, source graph.VertexID, cfg Config, p, r []float64)
 		cfg:         cfg,
 		p:           p,
 		r:           r,
-		dirtyMarked: make([]bool, len(p)),
+		dirtyMarked: bitmap(nil).grow(len(p)),
+		dirtyAll:    true,
 		Counters:    &metrics.Counters{},
 	}, nil
 }
@@ -178,9 +177,7 @@ func (st *State) sync() {
 		st.p = grow(st.p, n)
 		st.r = grow(st.r, n)
 	}
-	if n > len(st.dirtyMarked) {
-		st.dirtyMarked = append(st.dirtyMarked, make([]bool, n-len(st.dirtyMarked))...)
-	}
+	st.dirtyMarked = st.dirtyMarked.grow(n)
 }
 
 // grow returns v extended with zeros to length n, in a new array of exactly
@@ -191,55 +188,55 @@ func grow(v []float64, n int) []float64 {
 	return grown
 }
 
-// markEstimateDirty records that P(v) changed since the last drain. Callers
-// must own the state (engine coordinator or pipeline goroutine).
-func (st *State) markEstimateDirty(v int32) {
-	if st.dirtyAll {
-		return
+// bitmap is a one-bit-per-vertex membership set with a single owner, so its
+// words are read and written plainly: the estimate-dirty marks, the Top-K
+// index's members and an engine's candidate de-dup marks.
+type bitmap []uint64
+
+func (b bitmap) has(v int32) bool { return b[v>>6]&(1<<(v&63)) != 0 }
+func (b bitmap) set(v int32)      { b[v>>6] |= 1 << (v & 63) }
+func (b bitmap) clear(v int32)    { b[v>>6] &^= 1 << (v & 63) }
+
+// grow returns b extended to cover n vertices.
+func (b bitmap) grow(n int) bitmap {
+	if words := (n + 63) >> 6; words > len(b) {
+		return append(b, make(bitmap, words-len(b))...)
 	}
-	if !st.dirtyMarked[v] {
-		st.dirtyMarked[v] = true
+	return b
+}
+
+// markEstimateDirty records that P(v) changed since the last publication.
+// Callers must own the state (engine coordinator or pipeline goroutine).
+func (st *State) markEstimateDirty(v int32) {
+	if !st.dirtyAll && !st.dirtyMarked.has(v) {
+		st.dirtyMarked.set(v)
 		st.dirtyList = append(st.dirtyList, v)
 	}
 }
 
 // MarkEstimatesDirty records that the estimates of vs changed since the last
-// drain. Engines call it with each round's frontier (the exact set of
+// publication. Engines call it with each round's frontier (the exact set of
 // vertices whose estimate a round updates) from the coordinating goroutine.
 func (st *State) MarkEstimatesDirty(vs []int32) {
-	if st.dirtyAll {
-		return
-	}
 	for _, v := range vs {
-		if !st.dirtyMarked[v] {
-			st.dirtyMarked[v] = true
-			st.dirtyList = append(st.dirtyList, v)
-		}
+		st.markEstimateDirty(v)
 	}
 }
 
-// MarkAllEstimatesDirty poisons the dirty set: the next drain reports that
-// any estimate may have changed, forcing full-copy publication and a Top-K
-// rebuild. It exists for engines that update estimates concurrently without
-// a frontier hook (the vertex-centric baseline) and for restored states.
+// MarkAllEstimatesDirty poisons the dirty set: the next publication assumes
+// any estimate may have changed, forcing a full copy and a Top-K rebuild. It
+// exists for engines that update estimates concurrently without a frontier
+// hook (the vertex-centric baseline).
 func (st *State) MarkAllEstimatesDirty() { st.dirtyAll = true }
 
-// DrainDirty appends the dirty vertices to dst, resets the tracking, and
-// reports whether the set was poisoned (all == true means "assume every
-// estimate changed" and the appended list is empty). The single consumer is
-// SnapshotSlot.Publish, which passes a recycled buffer so steady-state
-// drains allocate nothing.
-func (st *State) DrainDirty(dst []int32) (dirty []int32, all bool) {
-	all = st.dirtyAll
-	if !all {
-		dst = append(dst, st.dirtyList...)
-	}
+// resetDirty empties the dirty set and lifts its poisoning once a
+// publication has consumed it.
+func (st *State) resetDirty() {
 	for _, v := range st.dirtyList {
-		st.dirtyMarked[v] = false
+		st.dirtyMarked.clear(v)
 	}
 	st.dirtyList = st.dirtyList[:0]
 	st.dirtyAll = false
-	return dst, all
 }
 
 // AppendTopK appends the k highest-estimate vertices (descending, ties by
@@ -367,46 +364,51 @@ func (st *State) InvariantError() float64 {
 // Converged reports whether every residual is within the error threshold.
 func (st *State) Converged() bool { return st.MaxResidual() <= st.cfg.Epsilon }
 
+// scratch is the frontier scratch an engine value keeps between runs: the
+// buffer activeFrom fills (the sequential push's FIFO) and its candidate
+// de-dup marks. A worker pushes one state at a time, so the scratch costs one
+// copy per engine, however many states the engine pushes.
+type scratch struct {
+	buf  []int32
+	seen bitmap
+}
+
 // activeFrom filters the candidate vertices down to those whose residual
 // currently satisfies the push condition of the given phase. A nil candidate
 // list means "scan every vertex". Duplicate candidates are removed.
 //
-// The returned slice is backed by reusable per-state scratch: it is valid
-// until the next activeFrom call, and callers may append to it freely (a
-// growth simply re-anchors the scratch on the next call).
-func (st *State) activeFrom(candidates []graph.VertexID, phase phase) []int32 {
+// The returned slice is backed by sc.buf: it is valid until the next
+// activeFrom call on sc, and callers may append to it freely (a growth simply
+// re-anchors the scratch on the next call).
+func (st *State) activeFrom(candidates []graph.VertexID, phase phase, sc *scratch) []int32 {
 	eps := st.cfg.Epsilon
-	out := st.activeBuf[:0]
+	out := sc.buf[:0]
 	if candidates == nil {
 		for v, rv := range st.r {
 			if phase.cond(rv, eps) {
 				out = append(out, int32(v))
 			}
 		}
-		st.activeBuf = out
+		sc.buf = out
 		return out
 	}
-	if len(st.activeSeen) < len(st.r) {
-		st.activeSeen = append(st.activeSeen, make([]bool, len(st.r)-len(st.activeSeen))...)
-	}
+	n := len(st.r)
+	sc.seen = sc.seen.grow(n)
 	for _, v := range candidates {
-		if int(v) >= len(st.r) || v < 0 {
+		if int(v) >= n || v < 0 || sc.seen.has(v) {
 			continue
 		}
-		if st.activeSeen[v] {
-			continue
-		}
-		st.activeSeen[v] = true
+		sc.seen.set(v)
 		if phase.cond(st.r[v], eps) {
 			out = append(out, int32(v))
 		}
 	}
 	for _, v := range candidates {
-		if int(v) < len(st.activeSeen) && v >= 0 {
-			st.activeSeen[v] = false
+		if int(v) < n && v >= 0 {
+			sc.seen.clear(v)
 		}
 	}
-	st.activeBuf = out
+	sc.buf = out
 	return out
 }
 
@@ -429,7 +431,7 @@ func (st *State) ActiveVertices(candidates []graph.VertexID, sign int) []graph.V
 	if sign < 0 {
 		ph = phaseNegative
 	}
-	raw := st.activeFrom(candidates, ph)
+	raw := st.activeFrom(candidates, ph, &scratch{})
 	out := make([]graph.VertexID, len(raw))
 	for i, v := range raw {
 		out[i] = graph.VertexID(v)
@@ -457,7 +459,9 @@ func (p phase) cond(r, eps float64) bool {
 
 // Engine pushes a state to convergence. Implementations are the sequential
 // push (Algorithm 2), the parallel push variants (Algorithms 3 and 4) and the
-// vertex-centric baseline.
+// vertex-centric baseline. An engine value may keep scratch between runs, so
+// it runs one state at a time; a multi-source maintainer holds one per
+// worker.
 type Engine interface {
 	// Name identifies the engine in experiment output.
 	Name() string

@@ -200,18 +200,19 @@ func TestActiveFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sc scratch
 	// Cold start: only the source is active.
-	got := st.activeFrom(nil, phasePositive)
+	got := st.activeFrom(nil, phasePositive, &sc)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("scan-all frontier = %v", got)
 	}
 	// Candidate list with duplicates and out-of-range entries.
-	got = st.activeFrom([]graph.VertexID{0, 0, 99, -1, 2}, phasePositive)
+	got = st.activeFrom([]graph.VertexID{0, 0, 99, -1, 2}, phasePositive, &sc)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("candidate frontier = %v", got)
 	}
 	// Negative phase finds nothing.
-	if got = st.activeFrom(nil, phaseNegative); len(got) != 0 {
+	if got = st.activeFrom(nil, phaseNegative, &sc); len(got) != 0 {
 		t.Fatalf("negative frontier = %v", got)
 	}
 }

@@ -154,10 +154,10 @@ type topIndex struct {
 	// vertices start with.
 	n     int
 	stale bool
-	// member[v] reports whether vertex v currently has an entry, making the
-	// common dirty-vertex case — not indexed, below threshold — O(1) instead
-	// of an O(cap) scan. Maintained by rebuild/update alongside entries.
-	member []bool
+	// member has vertex v's bit set while v has an entry, making the common
+	// dirty-vertex case — not indexed, below threshold — O(1) instead of an
+	// O(cap) scan. Maintained by rebuild/update alongside entries.
+	member bitmap
 	// rebuilds counts full-scan rebuilds (cold start, growth, a poisoned
 	// dirty set and an index drained below its served depth), for
 	// observability and tests. Atomic because Stats readers race the
@@ -193,11 +193,11 @@ func (ti *topIndex) find(v graph.VertexID) int {
 func (ti *topIndex) rebuild(st *State) {
 	n := st.NumVertices()
 	for _, e := range ti.entries {
-		ti.member[e.Vertex] = false
+		ti.member.clear(e.Vertex)
 	}
 	ti.entries = st.AppendTopK(ti.entries[:0], min(2*ti.cap, n))
 	for _, e := range ti.entries {
-		ti.member[e.Vertex] = true
+		ti.member.set(e.Vertex)
 	}
 	ti.n = n
 	ti.stale = false
@@ -220,7 +220,7 @@ func (ti *topIndex) noteGrowth(n int) {
 // dropping an entry.
 func (ti *topIndex) update(v graph.VertexID, s float64) {
 	entry := VertexScore{Vertex: v, Score: s}
-	if ti.member[v] {
+	if ti.member.has(v) {
 		i := ti.find(v)
 		old := ti.entries[i]
 		if entry == old {
@@ -244,7 +244,7 @@ func (ti *topIndex) update(v graph.VertexID, s float64) {
 		ti.entries[r] = entry
 		if last := len(ti.entries) - 1; r == last && len(ti.entries) < ti.n {
 			ti.entries = ti.entries[:last]
-			ti.member[v] = false
+			ti.member.clear(v)
 		}
 		return
 	}
@@ -255,15 +255,15 @@ func (ti *topIndex) update(v graph.VertexID, s float64) {
 		return
 	}
 	if len(ti.entries) == 2*ti.cap {
-		ti.member[ti.entries[last].Vertex] = false
+		ti.member.clear(ti.entries[last].Vertex)
 		ti.entries = ti.entries[:last]
 	}
 	r := ti.rank(entry)
 	ti.entries = slices.Insert(ti.entries, r, entry)
-	ti.member[v] = true
+	ti.member.set(v)
 }
 
-// apply folds one publication's drained dirty set into the index: the
+// apply folds one publication's dirty set into the index: the
 // incremental path when the set is sparse and the index stayed exact, a full
 // rebuild when it is stale or drained below the served depth. It must run
 // after the engine has converged st (the estimates read here are the ones
@@ -278,9 +278,7 @@ func (ti *topIndex) apply(st *State, dirty []int32, all bool) {
 			ti.noteGrowth(n)
 		}
 	}
-	if len(ti.member) < n {
-		ti.member = append(ti.member, make([]bool, n-len(ti.member))...)
-	}
+	ti.member = ti.member.grow(n)
 	if all {
 		ti.stale = true
 	}

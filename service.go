@@ -45,8 +45,9 @@ import (
 //     pointer and read immutable data. A snapshot is only published after its push has converged, so a
 //     read can never observe a mid-push, non-converged vector; during a
 //     batch, reads simply keep serving the previous converged state. Each
-//     source's snapshots are double-buffered, and the publisher waits for
-//     straggling readers before recycling a buffer.
+//     source's push writes a private estimate vector that publication hands
+//     to readers, and the publisher waits for straggling readers before it
+//     takes back the vector published before.
 //
 // Consequently every read reflects the graph as of some completed batch
 // (monotonically advancing per source), never a partially applied one.

@@ -3,6 +3,7 @@ package dynppr_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -325,10 +326,11 @@ func TestTopKMatchesFullSort(t *testing.T) {
 }
 
 // A tracked source is its pair of vectors plus what publishing them needs
-// (two snapshot buffers, Top-K and dirty lists: ≈ 37 bytes per vertex). The
-// scratch a push works in belongs to a worker's engine, so a further source
-// brings none of its own: the live heap each one adds
-// stays under 64 bytes per vertex.
+// (one published copy of P, the Top-K index and the dirty set: ≈ 24 bytes
+// per vertex). The scratch a push works in belongs to a worker's engine, so
+// a further source brings none of its own: the live heap each one adds
+// stays under 28 bytes per vertex. The cap() bytes of every slice the
+// source holds are logged beside it, so a regression names its slice.
 func TestServiceHeapPerSource(t *testing.T) {
 	const n = 200_000
 	edges := serviceTestEdges(t, dynppr.ModelErdosRenyi, n, 3*n, 5)
@@ -344,7 +346,8 @@ func TestServiceHeapPerSource(t *testing.T) {
 	t.Cleanup(func() { svc.Close() })
 
 	// Every measurement follows an effective batch, so each source has
-	// published twice and owns both of its snapshot buffers.
+	// published twice: its slot holds a published copy and its state a
+	// private P.
 	next := 0
 	liveHeap := func() uint64 {
 		t.Helper()
@@ -366,9 +369,20 @@ func TestServiceHeapPerSource(t *testing.T) {
 		}
 		after := liveHeap()
 		perVertex := (float64(after) - float64(before)) / n
-		t.Logf("source %d: +%.1f live heap bytes per vertex", s, perVertex)
-		if perVertex >= 64 {
-			t.Fatalf("source %d added %.1f live heap bytes per vertex, want < 64", s, perVertex)
+		parts := dynppr.SourceBytes(svc, s)
+		var held float64
+		var names []string
+		for name, b := range parts {
+			held += float64(b) / n
+			if b > 0 {
+				names = append(names, fmt.Sprintf("%s %.2f", name, float64(b)/n))
+			}
+		}
+		sort.Strings(names)
+		t.Logf("source %d: +%.1f live heap bytes per vertex; its slices hold %.2f: %s",
+			s, perVertex, held, strings.Join(names, ", "))
+		if perVertex >= 28 {
+			t.Fatalf("source %d added %.1f live heap bytes per vertex, want < 28", s, perVertex)
 		}
 		before = after
 	}

@@ -20,14 +20,15 @@ import (
 //
 // It is the one multi-source maintainer: a Service holds a TrackerSet and
 // adds journaling, snapshot publication and admission around it. The set
-// keeps one engine per worker, and an engine holds nothing of a state
-// between runs; the scratch a push works in is the state's own. A source is
-// therefore its pair of vectors plus that scratch — the push FIFO, the
-// candidate de-dup map and the estimate-dirty set, kept at their
-// steady-state size across batches — so push scratch memory is sources ×,
-// not workers ×. Which worker pushes which source is decided per batch by
+// keeps one engine per worker, and the scratch a push works in — the FIFO
+// and the candidate de-dup marks — is the engine's, kept at its
+// steady-state size across batches for every source the worker claims, so
+// push scratch memory is workers ×, not sources ×. A source is its pair of
+// vectors and its estimate-dirty set; a Service adds one published copy of
+// the estimates. Which worker pushes which source is decided per batch by
 // whoever is free; a source's bits cannot depend on it, because its push
-// reads and writes only its own state and the (quiescent) graph.
+// reads and writes only its own state and the (quiescent) graph, and the
+// engine's scratch carries nothing from one run to the next.
 //
 // With Options.Engine set to EngineSequential or EngineDeterministic the
 // whole set is therefore reproducible: each source's vectors are
