@@ -5,13 +5,13 @@ package graph
 // background goroutine); Install hands the result back to the goroutine that
 // owns the graph. The protocol:
 //
-//	c := g.BeginCompaction()   // on the owner: O(n/64 + #overlaid) freeze
+//	c := g.BeginCompaction()   // on the owner: O(#overlaid + n/4096) freeze
 //	base := c.Build()          // anywhere: run-copy merge, owner keeps mutating
 //	g.Install(c, base)         // on the owner: O(#overlaid) swap
 //
 // Compact is this protocol run inline, and Snapshot is the Build of a fresh
 // compaction: Build is the only merge. Its input is the overlaid segments in
-// ascending id order, read off the registry bitmap with no map and no sort.
+// ascending id order, read off the registry VertexSet with no map and no sort.
 //
 // The merge copies rather than rebuilds. Base rows are contiguous and both
 // overlay directions are exact sorted lists, so each direction of the new
@@ -48,12 +48,13 @@ type idOverlay struct {
 }
 
 // BeginCompaction freezes the current state as the compaction input, and
-// seals every live delta segment as View does.
+// seals every live delta segment as View does. It walks the registry in
+// ascending id order, O(#overlaid + n/4096).
 func (g *Graph) BeginCompaction() *Compaction {
 	g.viewGen++
 	c := &Compaction{base: g.base, n: g.n, m: g.m, epoch: g.epoch, gen: g.viewGen,
 		segs: make([]idOverlay, 0, g.OverlaidVertices())}
-	for u := range g.overlaidIDs() {
+	for u := range g.overlaid.All() {
 		c.segs = append(c.segs, idOverlay{u, viewOverlay{g.ov[dirOut][u], g.ov[dirIn][u]}})
 	}
 	return c
@@ -94,7 +95,7 @@ func (g *Graph) Install(c *Compaction, base *CSR) bool {
 			}
 		}
 		if !g.overlaidAt(o.id) {
-			g.overlaid[o.id/64] &^= 1 << (o.id % 64)
+			g.overlaid.Remove(o.id)
 		}
 	}
 	g.epoch++

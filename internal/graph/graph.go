@@ -43,11 +43,11 @@
 // written once for both. Only Graph's public per-direction accessors are
 // spelled out twice, so that each inlines into the push loops unchanged.
 //
-// The overlaid vertices are registered in a bitmap. View (see view.go)
+// The overlaid vertices are registered in a VertexSet. View (see view.go)
 // freezes their segments into a lookup map for readers, and a Compaction
-// (see compact.go) into a list in id order, the one merge input. Version
-// counts the logical changes — effective inserts and deletes, growth — and
-// nothing else moves it.
+// (see compact.go) into a list in id order, the one merge input; both walk
+// the registry in O(#overlaid + n/4096). Version counts the logical changes
+// — effective inserts and deletes, growth — and nothing else moves it.
 //
 // Vertices are identified by dense non-negative int32 ids. The graph grows
 // automatically when an edge mentions a vertex id beyond the current size,
@@ -58,8 +58,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"iter"
-	"math/bits"
 	"slices"
 	"sort"
 )
@@ -107,8 +105,8 @@ type Graph struct {
 	ov  [2][][]VertexID // delta segment per direction and vertex: nil = fall through to base
 	gen [2][]uint64     // viewGen at last write of the segment (copy-on-write seal)
 
-	overlaid   []uint64 // bitmap: bit u set when u has a non-nil overlay
-	deltaEdges int      // total adjacency entries held in overlays (both directions)
+	overlaid   VertexSet // the vertices with a non-nil overlay
+	deltaEdges int       // total adjacency entries held in overlays (both directions)
 
 	version uint64 // bumped by every logical change (see Version)
 	epoch   uint64 // bumped on every base swap; compactions pin it
@@ -145,7 +143,8 @@ func fromBase(c *CSR, n int) *Graph {
 
 // newGraph returns a graph over base with empty delta segments.
 func newGraph(base *CSR, n, m int, outDeg []int32) *Graph {
-	g := &Graph{base: base, n: n, m: m, outDeg: outDeg, overlaid: make([]uint64, words(n))}
+	g := &Graph{base: base, n: n, m: m, outDeg: outDeg}
+	g.overlaid.Grow(n)
 	for d := range g.ov {
 		g.ov[d] = make([][]VertexID, n)
 		g.gen[d] = make([]uint64, n)
@@ -224,31 +223,8 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 func (g *Graph) DeltaEdges() int { return g.deltaEdges }
 
 // OverlaidVertices returns the number of vertices with at least one delta
-// segment.
-func (g *Graph) OverlaidVertices() int {
-	k := 0
-	for _, w := range g.overlaid {
-		k += bits.OnesCount64(w)
-	}
-	return k
-}
-
-// overlaidIDs yields the vertices with a delta segment in ascending id
-// order: a walk of the registry bitmap, O(n/64 + #overlaid).
-func (g *Graph) overlaidIDs() iter.Seq[VertexID] {
-	return func(yield func(VertexID) bool) {
-		for i, w := range g.overlaid {
-			for ; w != 0; w &= w - 1 {
-				if !yield(VertexID(i*64 + bits.TrailingZeros64(w))) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// words returns the bitmap words that cover n vertices.
-func words(n int) int { return (n + 63) / 64 }
+// segment: the registry's member count, O(1).
+func (g *Graph) OverlaidVertices() int { return g.overlaid.Len() }
 
 // BaseEdges returns the number of edges stored in the immutable base segment
 // (live edges may be fewer — deletions shadow the base — or more, when
@@ -262,7 +238,7 @@ func (g *Graph) EnsureVertex(id VertexID) {
 		return
 	}
 	g.outDeg = grow(g.outDeg, need)
-	g.overlaid = grow(g.overlaid, words(need))
+	g.overlaid.Grow(need)
 	for d := range g.ov {
 		g.ov[d] = grow(g.ov[d], need)
 		g.gen[d] = grow(g.gen[d], need)
@@ -276,17 +252,10 @@ func grow[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		old := len(s)
 		s = s[:n]
-		var zero T
-		for i := old; i < n; i++ {
-			s[i] = zero
-		}
+		clear(s[old:])
 		return s
 	}
-	want := 2 * cap(s)
-	if want < n {
-		want = n
-	}
-	ns := make([]T, n, want)
+	ns := make([]T, n, max(2*cap(s), n))
 	copy(ns, s)
 	return ns
 }
@@ -314,7 +283,7 @@ func (g *Graph) writable(d int, u VertexID) []VertexID {
 	case ov == nil:
 		base := g.baseRow(d, u)
 		ov = append(make([]VertexID, 0, len(base)+4), base...)
-		g.overlaid[u/64] |= 1 << (u % 64)
+		g.overlaid.Add(u)
 		g.deltaEdges += len(ov)
 	case g.gen[d][u] < g.viewGen:
 		ov = append(make([]VertexID, 0, len(ov)+4), ov...)
@@ -448,12 +417,13 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Clone returns a deep copy of the graph. The immutable base segment is
-// shared (it is never written); delta segments are copied.
+// shared (it is never written); delta segments are copied, found by a walk
+// of the registry, O(#overlaid + n/4096) beside the per-vertex arrays.
 func (g *Graph) Clone() *Graph {
 	c := newGraph(g.base, g.n, g.m, slices.Clone(g.outDeg))
-	copy(c.overlaid, g.overlaid)
 	c.deltaEdges, c.version, c.epoch = g.deltaEdges, g.version, g.epoch
-	for u := range g.overlaidIDs() {
+	for u := range g.overlaid.All() {
+		c.overlaid.Add(u)
 		for d := range g.ov {
 			if s := g.ov[d][u]; s != nil {
 				c.ov[d][u] = append(make([]VertexID, 0, len(s)), s...)
@@ -497,8 +467,8 @@ func (g *Graph) TopDegreeVertices(k int) []VertexID {
 // (deltaEdges, overlaid registry) matches the segments actually present in
 // either direction. It is used by tests and by failure injection tooling.
 func (g *Graph) CheckConsistency() error {
-	if len(g.ov[dirOut]) != g.n || len(g.ov[dirIn]) != g.n || len(g.outDeg) != g.n || len(g.overlaid) != words(g.n) {
-		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots, %d degrees and %d registry words", g.n, len(g.ov[dirOut]), len(g.ov[dirIn]), len(g.outDeg), len(g.overlaid))
+	if len(g.ov[dirOut]) != g.n || len(g.ov[dirIn]) != g.n || len(g.outDeg) != g.n {
+		return fmt.Errorf("graph: %d vertices but %d out / %d in overlay slots and %d degrees", g.n, len(g.ov[dirOut]), len(g.ov[dirIn]), len(g.outDeg))
 	}
 	count := 0
 	for u := VertexID(0); int(u) < g.n; u++ {
@@ -522,7 +492,7 @@ func (g *Graph) CheckConsistency() error {
 	}
 	delta := 0
 	for u := VertexID(0); int(u) < g.n; u++ {
-		if reg := g.overlaid[u/64]&(1<<(u%64)) != 0; reg != g.overlaidAt(u) {
+		if reg := g.overlaid.Has(u); reg != g.overlaidAt(u) {
 			return fmt.Errorf("graph: vertex %d registered as overlaid %v, has a delta segment %v", u, reg, !reg)
 		}
 		delta += len(g.ov[dirOut][u]) + len(g.ov[dirIn][u])

@@ -7,14 +7,15 @@ type viewOverlay [2][]VertexID
 
 // View is a frozen, immutable view of the layered graph state for readers:
 // the shared base segment plus a lookup map of the delta segments present
-// when the view was taken. Building one costs O(#overlaid vertices) —
-// proportional to what recent batches touched, not to graph size — which is
-// what lets the on-demand query path stop materializing a full CSR per
-// graph version. A View is safe for concurrent readers and stays valid (and
-// logically unchanged) across later graph mutations and compactions:
-// mutations clone a frozen segment before editing it, and compaction only
-// swaps segments the view does not reference. It records the graph's
-// Version at the freeze, so holders can tell whether it is still current.
+// when the view was taken. Building one walks the overlay registry in
+// O(#overlaid + n/4096) — proportional to what recent batches touched, not
+// to graph size — which is what lets the on-demand query path stop
+// materializing a full CSR per graph version. A View is safe for concurrent
+// readers and stays valid (and logically unchanged) across later graph
+// mutations and compactions: mutations clone a frozen segment before
+// editing it, and compaction only swaps segments the view does not
+// reference. It records the graph's Version at the freeze, so holders can
+// tell whether it is still current.
 type View struct {
 	base *CSR
 	ov   map[VertexID]viewOverlay // nil when the graph was fully compacted
@@ -33,7 +34,7 @@ func (g *Graph) View() *View {
 	v := &View{base: g.base, n: g.n, version: g.version, deltaEdges: g.deltaEdges}
 	if k := g.OverlaidVertices(); k > 0 {
 		v.ov = make(map[VertexID]viewOverlay, k)
-		for u := range g.overlaidIDs() {
+		for u := range g.overlaid.All() {
 			v.ov[u] = viewOverlay{g.ov[dirOut][u], g.ov[dirIn][u]}
 		}
 	}

@@ -2,7 +2,6 @@ package push
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -100,16 +99,14 @@ var coldScratchPool = sync.Pool{New: func() any { return new(coldScratch) }}
 type coldCell struct{ r, p, outDeg float64 }
 
 // coldScratch is the reusable working set of the cold-push kernel. Between
-// queries every cell and every bitmap word is zero and the queue is empty; a
-// query dirties only the cells its bitmaps mark and push() zeroes exactly
-// those before it returns, so reuse costs O(touched + n/4096), not O(n).
+// queries every cell is zero, the touched set is empty and the queue is
+// empty; a query dirties only the cells it adds to the touched set and
+// push() zeroes exactly those before it returns, so reuse costs
+// O(touched + n/4096), not O(n).
 type coldScratch struct {
 	cells []coldCell
-	// seen is the touched set, one bit per cell: bit v marks a cell that may
-	// be nonzero. sum is its index, one bit per seen word, so one sum word
-	// covers 4096 vertices and a sweep skips untouched stretches whole.
-	seen []uint64
-	sum  []uint64
+	// touched holds every cell that may be nonzero.
+	touched graph.VertexSet
 	// queue[head:] is the FIFO frontier. A vertex is queued exactly while its
 	// residual exceeds ε (it enters when an update carries it across ε and
 	// leaves when it is pushed to zero), so no membership bitmap is needed.
@@ -121,27 +118,20 @@ type coldScratch struct {
 // frontier, extract the answer. The caller has validated cfg and source.
 func (sc *coldScratch) push(view *graph.View, source graph.VertexID, cfg Config, maxPushes int64) *ColdPushResult {
 	if n := view.NumVertices(); len(sc.cells) < n {
-		// The old cells and bitmaps are all zero, so growing is a fresh
+		// The old cells are all zero, so growing them is a fresh
 		// allocation; the slack keeps a graph that grows a vertex at a time
 		// from paying it per query.
 		slots := n + n/8
 		sc.cells = make([]coldCell, slots)
-		sc.seen = make([]uint64, (slots+63)/64)
-		sc.sum = make([]uint64, (len(sc.seen)+63)/64)
+		sc.touched.Grow(slots)
 	}
 	res := &ColdPushResult{}
 	sc.cells[source] = coldCell{r: 1, outDeg: float64(view.OutDegree(source))}
-	sc.mark(source)
+	sc.touched.Add(source)
 	sc.queue = append(sc.queue, source)
 	sc.drain(view, res, cfg.Alpha, cfg.Epsilon, maxPushes)
 	sc.finish(res)
 	return res
-}
-
-// mark records v in the touched bitmaps.
-func (sc *coldScratch) mark(v graph.VertexID) {
-	sc.seen[v>>6] |= 1 << (v & 63)
-	sc.sum[v>>12] |= 1 << (v >> 6 & 63)
 }
 
 // drain is the frontier kernel: it pushes the queue dry at threshold eps,
@@ -169,7 +159,7 @@ func (sc *coldScratch) drain(view *graph.View, res *ColdPushResult, alpha, eps f
 			c := &cells[v]
 			if c.outDeg == 0 {
 				c.outDeg = float64(view.OutDegree(v))
-				sc.mark(v)
+				sc.touched.Add(v)
 			}
 			old := c.r
 			c.r = old + spread/c.outDeg
@@ -181,52 +171,31 @@ func (sc *coldScratch) drain(view *graph.View, res *ColdPushResult, alpha, eps f
 	sc.queue, sc.head = sc.queue[:0], 0
 }
 
-// finish extracts the sparse answer and the residual bound by two sweeps of
-// the touched bitmaps, sum word → seen word → cell, in ascending id order, so
-// the answer comes out sorted with no sort. The first sweep takes the largest
-// residual, zeroes every cell whose estimate is zero and narrows each seen
-// word to the cells that remain, which it counts; the second fills the
-// exact-size answer from those cells and zeroes them and every bitmap word it
-// passes, returning the scratch to its all-zero state. Both cost
-// O(touched + n/4096).
+// finish extracts the sparse answer and the residual bound by two walks of
+// the touched set, in ascending id order, so the answer comes out sorted
+// with no sort. The first walk takes the largest residual and zeroes and
+// removes every cell whose estimate is zero, which leaves the set holding
+// exactly the answer's vertices; the second fills the exact-size answer from
+// them and zeroes them, and a reset returns the scratch to its all-zero
+// state. Each costs O(touched + n/4096).
 func (sc *coldScratch) finish(res *ColdPushResult) {
-	cells, seen, sum := sc.cells, sc.seen, sc.sum
-	maxR, nonzero := 0.0, 0
-	for i, s := range sum {
-		for ; s != 0; s &= s - 1 {
-			wi := i<<6 | bits.TrailingZeros64(s)
-			var keep uint64
-			for w := seen[wi]; w != 0; w &= w - 1 {
-				b := bits.TrailingZeros64(w)
-				c := &cells[wi<<6|b]
-				if c.r > maxR {
-					maxR = c.r
-				}
-				if c.p != 0 {
-					keep |= 1 << b
-				} else {
-					*c = coldCell{}
-				}
-			}
-			seen[wi] = keep
-			nonzero += bits.OnesCount64(keep)
+	cells, touched := sc.cells, &sc.touched
+	maxR := 0.0
+	for v := range touched.All() {
+		c := &cells[v]
+		if c.r > maxR {
+			maxR = c.r
+		}
+		if c.p == 0 {
+			*c = coldCell{}
+			touched.Remove(v)
 		}
 	}
 	res.MaxResidual = maxR
-	ids, ests := make([]graph.VertexID, nonzero), make([]float64, nonzero)
-	k := 0
-	for i, s := range sum {
-		for ; s != 0; s &= s - 1 {
-			wi := i<<6 | bits.TrailingZeros64(s)
-			for w := seen[wi]; w != 0; w &= w - 1 {
-				v := wi<<6 | bits.TrailingZeros64(w)
-				ids[k], ests[k] = graph.VertexID(v), cells[v].p
-				k++
-				cells[v] = coldCell{}
-			}
-			seen[wi] = 0
-		}
-		sum[i] = 0
+	res.Vertices, res.Estimates = make([]graph.VertexID, 0, touched.Len()), make([]float64, 0, touched.Len())
+	for v := range touched.All() {
+		res.Vertices, res.Estimates = append(res.Vertices, v), append(res.Estimates, cells[v].p)
+		cells[v] = coldCell{}
 	}
-	res.Vertices, res.Estimates = ids, ests
+	touched.Reset()
 }

@@ -216,9 +216,10 @@ func TestColdPushMatchesSortedKernel(t *testing.T) {
 				}
 			}
 		}
-		if len(sc.cells) < sh.n || len(sc.seen)*64 < len(sc.cells) || len(sc.sum)*64 < len(sc.seen) {
-			t.Fatalf("%s: scratch of %d cells, %d seen and %d sum words does not cover %d vertices",
-				sh.name, len(sc.cells), len(sc.seen), len(sc.sum), sh.n)
+		// Has on the last cell panics unless the touched set covers the cells.
+		if len(sc.cells) < sh.n || sc.touched.Has(graph.VertexID(len(sc.cells)-1)) {
+			t.Fatalf("%s: scratch of %d cells does not cover %d vertices or is not idle",
+				sh.name, len(sc.cells), sh.n)
 		}
 	}
 	if wideAnswers == 0 {

@@ -252,20 +252,14 @@ func TestColdScratchHygiene(t *testing.T) {
 		if len(sc.queue) != 0 || sc.head != 0 {
 			t.Fatalf("%s: queue not reset: queue=%d head=%d", what, len(sc.queue), sc.head)
 		}
+		// Has on every cell also checks that the touched set covers them.
 		for v, c := range sc.cells {
-			if c != (coldCell{}) {
-				t.Fatalf("%s: cell %d left dirty: %+v", what, v, c)
+			if c != (coldCell{}) || sc.touched.Has(graph.VertexID(v)) {
+				t.Fatalf("%s: cell %d left dirty: %+v, touched %t", what, v, c, sc.touched.Has(graph.VertexID(v)))
 			}
 		}
-		for i, w := range sc.seen {
-			if w != 0 {
-				t.Fatalf("%s: seen word %d left dirty: %#x", what, i, w)
-			}
-		}
-		for i, w := range sc.sum {
-			if w != 0 {
-				t.Fatalf("%s: sum word %d left dirty: %#x", what, i, w)
-			}
+		if sc.touched.Len() != 0 {
+			t.Fatalf("%s: touched set holds %d members", what, sc.touched.Len())
 		}
 	}
 	fresh := func(view *graph.View, src graph.VertexID) *ColdPushResult {
@@ -291,11 +285,7 @@ func TestColdScratchHygiene(t *testing.T) {
 	if len(sc.cells) < big.NumVertices() {
 		t.Fatalf("scratch did not grow: %d cells for %d vertices", len(sc.cells), big.NumVertices())
 	}
-	if len(sc.seen)*64 < len(sc.cells) || len(sc.sum)*64 < len(sc.seen) {
-		t.Fatalf("bitmaps did not grow with the cells: %d seen and %d sum words for %d cells",
-			len(sc.seen), len(sc.sum), len(sc.cells))
-	}
-	requireIdle("after growth")
+	requireIdle("after growth") // the touched set grew with the cells
 	requireSamePush(t, "A after growth", sc.push(small, 13, cfg, 0), a1)
 }
 

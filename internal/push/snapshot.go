@@ -1,8 +1,8 @@
 package push
 
 import (
-	"runtime"
 	"sync/atomic"
+	"time"
 
 	"dynppr/internal/graph"
 )
@@ -31,7 +31,7 @@ type Snapshot struct {
 	top []VertexScore
 
 	// readers counts in-flight readers of this snapshot; the publisher
-	// spin-waits for it to drain before recycling the buffer.
+	// waits for it to drain before recycling the buffer.
 	readers atomic.Int64
 }
 
@@ -199,26 +199,29 @@ func (sl *SnapshotSlot) SeedEpoch(e uint64) { sl.epoch = e }
 // The vector the previous snapshot published then becomes the state's P: it
 // differs from the new snapshot exactly in the state's estimate-dirty set
 // (maintained by the engines), so only those entries are copied in, and the
-// result is bit-identical to a full copy. A full copy is made instead when
-// the dirty set is poisoned (a new or restored state, MarkAllEstimatesDirty),
-// when the vector grew (new vertices), on the slot's first publication, or
-// when the set covers more than half the vector, where the dense copy is
-// cheaper.
+// result is bit-identical to a full copy. The residual bound, the Top-K
+// index and that copy each walk the set, O(members + n/4096). A full copy
+// is made instead when the dirty set is poisoned (a new or restored state,
+// MarkAllEstimatesDirty), when the vector grew (new vertices), on the
+// slot's first publication, or when the set covers more than half the
+// vector, where the dense copy is cheaper.
 //
 // Recycling the previous vector waits for stragglers: a reader that acquired
-// it may still be reading it, so Publish spins until its reader count drains
-// to zero. Readers hold snapshots only for the duration of one query, so the
-// wait is bounded and short.
+// it may still be reading it, so Publish waits until its reader count drains
+// to zero. Readers hold snapshots only for the duration of one query, so a
+// short spin covers the common case; past it Publish sleeps with back-off
+// (1 µs to 1 024 µs) and frees its core for the reader it waits on, where a
+// yield would queue it behind goroutines that never block.
 func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
 	n := st.NumVertices()
-	dirty, all := st.dirtyList, st.dirtyAll
+	dirty, all := &st.dirty, st.dirtyAll
 	old := sl.cur.Load()
-	full := all || old == nil || len(old.estimates) != n || len(dirty) > n/2
+	full := all || old == nil || len(old.estimates) != n || dirty.Len() > n/2
 	if full {
 		sl.resBound = st.MaxResidual()
 		sl.fullPublishes.Add(1)
 	} else {
-		for _, v := range dirty {
+		for v := range dirty.All() {
 			if r := st.r[v]; r > sl.resBound {
 				sl.resBound = r
 			} else if -r > sl.resBound {
@@ -242,8 +245,10 @@ func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
 
 	var p []float64
 	if old != nil {
-		for old.readers.Load() != 0 {
-			runtime.Gosched()
+		for spin := 0; old.readers.Load() != 0; spin++ {
+			if spin >= 256 { // sleep, not yield: spinning readers own the run queue
+				time.Sleep(time.Microsecond << min(spin-256, 10))
+			}
 		}
 		p, old.estimates = old.estimates, nil
 	}
@@ -254,7 +259,7 @@ func (sl *SnapshotSlot) Publish(st *State) *Snapshot {
 		p = p[:n]
 		copy(p, s.estimates)
 	} else {
-		for _, v := range dirty {
+		for v := range dirty.All() {
 			p[v] = s.estimates[v]
 		}
 	}

@@ -111,6 +111,21 @@ func bitsHash(s *Snapshot) uint64 {
 // the hold); the bits it hashed on acquiring must not change meanwhile. Run
 // with -race to check the publication protocol.
 func TestSnapshotConcurrentReadersWhilePublishing(t *testing.T) {
+	readersWhilePublishing(t, true)
+}
+
+// TestPublishWithSpinningReaders is TestSnapshotConcurrentReadersWhilePublishing
+// with readers that never yield: they keep every core busy, so a publisher
+// waiting for a retired snapshot's readers gets a core back only by
+// preemption. It checks the same correctness and sets no time bound.
+func TestPublishWithSpinningReaders(t *testing.T) {
+	readersWhilePublishing(t, false)
+}
+
+// readersWhilePublishing runs four acquire/release readers, which yield
+// after each release when yield is set, and one hand-over-hand holder
+// against a publisher.
+func readersWhilePublishing(t *testing.T, yield bool) {
 	st := snapshotTestState(t)
 	sl := NewSnapshotSlot()
 	sl.Publish(st)
@@ -149,7 +164,9 @@ func TestSnapshotConcurrentReadersWhilePublishing(t *testing.T) {
 					t.Errorf("snapshot estimates sum %v, want > 0", sum)
 				}
 				s.Release()
-				runtime.Gosched()
+				if yield {
+					runtime.Gosched()
+				}
 			}
 		}()
 	}

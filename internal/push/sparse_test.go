@@ -132,19 +132,21 @@ func TestTopIndexPropertyRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	ti := topIndex{cap: cap}
-	ti.apply(st, nil, true) // cold start
+	var dirty graph.VertexSet
+	dirty.Grow(n)
+	ti.apply(st, &dirty, true) // cold start
 
 	scores := []float64{0, 0, 0.1, 0.1, 0.2, 0.3, -0.05, 0.25}
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 4000; iter++ {
 		m := 1 + rng.Intn(3)
-		dirty := make([]int32, 0, m)
+		dirty.Reset()
 		for j := 0; j < m; j++ {
 			v := int32(rng.Intn(n))
 			st.p[v] = scores[rng.Intn(len(scores))]
-			dirty = append(dirty, v)
+			dirty.Add(v)
 		}
-		ti.apply(st, dirty, false)
+		ti.apply(st, &dirty, false)
 		if d := len(ti.entries); d < cap || d > 2*cap {
 			t.Fatalf("iter %d: index holds %d entries, want between %d and %d", iter, d, cap, 2*cap)
 		}
@@ -155,8 +157,8 @@ func TestTopIndexPropertyRandom(t *testing.T) {
 			}
 		}
 		for v := range n {
-			if ti.member.has(graph.VertexID(v)) != slices.Contains(want, VertexScore{Vertex: graph.VertexID(v), Score: st.Estimate(graph.VertexID(v))}) {
-				t.Fatalf("iter %d: member[%d] = %t disagrees with the entries", iter, v, ti.member.has(graph.VertexID(v)))
+			if ti.member.Has(graph.VertexID(v)) != slices.Contains(want, VertexScore{Vertex: graph.VertexID(v), Score: st.Estimate(graph.VertexID(v))}) {
+				t.Fatalf("iter %d: member[%d] = %t disagrees with the entries", iter, v, ti.member.Has(graph.VertexID(v)))
 			}
 		}
 	}
@@ -270,14 +272,14 @@ func TestDrainDirty(t *testing.T) {
 	}
 	st.DrainDirty(nil) // a new state starts poisoned; its first drain lifts that
 	st.MarkEstimatesDirty([]int32{3, 1, 3, 2, 1})
-	if len(st.dirtyList) != 3 {
-		t.Fatalf("dirty count %d, want 3 (deduplicated)", len(st.dirtyList))
+	if st.dirty.Len() != 3 {
+		t.Fatalf("dirty count %d, want 3 (deduplicated)", st.dirty.Len())
 	}
 	d, all := st.DrainDirty(nil)
 	if all || len(d) != 3 {
 		t.Fatalf("drain = %v all=%t, want 3 vertices, not poisoned", d, all)
 	}
-	if len(st.dirtyList) != 0 {
+	if st.dirty.Len() != 0 {
 		t.Fatal("drain did not reset the set")
 	}
 	st.MarkEstimatesDirty([]int32{4})

@@ -60,7 +60,9 @@ func (c Config) Validate() error {
 // through the fp atomics, with fp.For's barrier between the two kinds of
 // access. P is private to the state even when it is published:
 // SnapshotSlot.Publish hands the vector itself to readers and gives the state
-// the slot's retired copy back, brought current.
+// the slot's retired copy back, brought current. Beside P and R a state
+// holds only its estimate-dirty set, n/8 + n/512 bytes, which Publish walks
+// and resets in O(members + n/4096).
 type State struct {
 	g      *graph.Graph
 	source graph.VertexID
@@ -71,15 +73,14 @@ type State struct {
 
 	// Estimate-dirty tracking: the set of vertices whose estimate changed
 	// since the last publication. Engines mark the vertices they push (the
-	// only writers of P); SnapshotSlot.Publish reads the list in place to
+	// only writers of P); SnapshotSlot.Publish walks the set in place to
 	// copy and index only what changed, then resets it. dirtyAll poisons the
-	// set ("assume everything changed"): a state starts poisoned, so one that
-	// is never published records nothing, and engines that cannot track
-	// cheaply poison it. All three fields are owned by the goroutine driving
-	// the engine.
-	dirtyMarked bitmap
-	dirtyList   []int32
-	dirtyAll    bool
+	// set ("assume everything changed"): a state starts poisoned, so one
+	// that is never published records nothing, and engines that cannot
+	// track cheaply poison it. Both fields are owned by the goroutine
+	// driving the engine.
+	dirty    graph.VertexSet
+	dirtyAll bool
 
 	// Counters accumulates the work performed by invariant restoration and by
 	// the engines running over this state. Never nil.
@@ -109,14 +110,13 @@ func newState(g *graph.Graph, source graph.VertexID, cfg Config, p, r []float64)
 		return nil, fmt.Errorf("push: source must be non-negative, got %d", source)
 	}
 	return &State{
-		g:           g,
-		source:      source,
-		cfg:         cfg,
-		p:           p,
-		r:           r,
-		dirtyMarked: bitmap(nil).grow(len(p)),
-		dirtyAll:    true,
-		Counters:    &metrics.Counters{},
+		g:        g,
+		source:   source,
+		cfg:      cfg,
+		p:        p,
+		r:        r,
+		dirtyAll: true,
+		Counters: &metrics.Counters{},
 	}, nil
 }
 
@@ -177,7 +177,7 @@ func (st *State) sync() {
 		st.p = grow(st.p, n)
 		st.r = grow(st.r, n)
 	}
-	st.dirtyMarked = st.dirtyMarked.grow(n)
+	st.dirty.Grow(n)
 }
 
 // grow returns v extended with zeros to length n, in a new array of exactly
@@ -188,29 +188,11 @@ func grow(v []float64, n int) []float64 {
 	return grown
 }
 
-// bitmap is a one-bit-per-vertex membership set with a single owner, so its
-// words are read and written plainly: the estimate-dirty marks, the Top-K
-// index's members and an engine's candidate de-dup marks.
-type bitmap []uint64
-
-func (b bitmap) has(v int32) bool { return b[v>>6]&(1<<(v&63)) != 0 }
-func (b bitmap) set(v int32)      { b[v>>6] |= 1 << (v & 63) }
-func (b bitmap) clear(v int32)    { b[v>>6] &^= 1 << (v & 63) }
-
-// grow returns b extended to cover n vertices.
-func (b bitmap) grow(n int) bitmap {
-	if words := (n + 63) >> 6; words > len(b) {
-		return append(b, make(bitmap, words-len(b))...)
-	}
-	return b
-}
-
 // markEstimateDirty records that P(v) changed since the last publication.
 // Callers must own the state (engine coordinator or pipeline goroutine).
 func (st *State) markEstimateDirty(v int32) {
-	if !st.dirtyAll && !st.dirtyMarked.has(v) {
-		st.dirtyMarked.set(v)
-		st.dirtyList = append(st.dirtyList, v)
+	if !st.dirtyAll {
+		st.dirty.Add(v)
 	}
 }
 
@@ -229,13 +211,11 @@ func (st *State) MarkEstimatesDirty(vs []int32) {
 // hook (the vertex-centric baseline).
 func (st *State) MarkAllEstimatesDirty() { st.dirtyAll = true }
 
-// resetDirty empties the dirty set and lifts its poisoning once a
-// publication has consumed it.
+// resetDirty empties the dirty set, sized to cover P, and lifts its
+// poisoning once a publication has consumed it.
 func (st *State) resetDirty() {
-	for _, v := range st.dirtyList {
-		st.dirtyMarked.clear(v)
-	}
-	st.dirtyList = st.dirtyList[:0]
+	st.dirty.Reset()
+	st.dirty.Grow(len(st.p))
 	st.dirtyAll = false
 }
 
@@ -370,7 +350,7 @@ func (st *State) Converged() bool { return st.MaxResidual() <= st.cfg.Epsilon }
 // copy per engine, however many states the engine pushes.
 type scratch struct {
 	buf  []int32
-	seen bitmap
+	seen graph.VertexSet
 }
 
 // activeFrom filters the candidate vertices down to those whose residual
@@ -393,21 +373,13 @@ func (st *State) activeFrom(candidates []graph.VertexID, phase phase, sc *scratc
 		return out
 	}
 	n := len(st.r)
-	sc.seen = sc.seen.grow(n)
+	sc.seen.Grow(n)
 	for _, v := range candidates {
-		if int(v) >= n || v < 0 || sc.seen.has(v) {
-			continue
-		}
-		sc.seen.set(v)
-		if phase.cond(st.r[v], eps) {
+		if int(v) < n && v >= 0 && sc.seen.Add(v) && phase.cond(st.r[v], eps) {
 			out = append(out, int32(v))
 		}
 	}
-	for _, v := range candidates {
-		if int(v) < n && v >= 0 {
-			sc.seen.clear(v)
-		}
-	}
+	sc.seen.Reset()
 	sc.buf = out
 	return out
 }

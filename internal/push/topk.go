@@ -128,7 +128,8 @@ func AppendTopKSparse(dst []VertexScore, n int, ids []graph.VertexID, vals []flo
 // up to 2×cap, the slack that absorbs decays. Its exactness invariant is
 // that every vertex outside the index ranks strictly below the last entry
 // (the admission threshold), so every prefix of the index is the exact
-// ranking of that length. Estimate changes arriving through the dirty set
+// ranking of that length. Estimate changes arriving through the dirty set,
+// walked in ascending id order at O(members + n/4096) per publication,
 // preserve the invariant cheaply:
 //
 //   - an improvement of an indexed entry just repositions it;
@@ -154,10 +155,10 @@ type topIndex struct {
 	// vertices start with.
 	n     int
 	stale bool
-	// member has vertex v's bit set while v has an entry, making the common
-	// dirty-vertex case — not indexed, below threshold — O(1) instead of an
-	// O(cap) scan. Maintained by rebuild/update alongside entries.
-	member bitmap
+	// member holds v while v has an entry, making the common dirty-vertex
+	// case — not indexed, below threshold — O(1) instead of an O(cap) scan.
+	// Maintained by rebuild/update alongside entries.
+	member graph.VertexSet
 	// rebuilds counts full-scan rebuilds (cold start, growth, a poisoned
 	// dirty set and an index drained below its served depth), for
 	// observability and tests. Atomic because Stats readers race the
@@ -192,12 +193,10 @@ func (ti *topIndex) find(v graph.VertexID) int {
 // state's estimate vector.
 func (ti *topIndex) rebuild(st *State) {
 	n := st.NumVertices()
-	for _, e := range ti.entries {
-		ti.member.clear(e.Vertex)
-	}
+	ti.member.Reset()
 	ti.entries = st.AppendTopK(ti.entries[:0], min(2*ti.cap, n))
 	for _, e := range ti.entries {
-		ti.member.set(e.Vertex)
+		ti.member.Add(e.Vertex)
 	}
 	ti.n = n
 	ti.stale = false
@@ -220,7 +219,7 @@ func (ti *topIndex) noteGrowth(n int) {
 // dropping an entry.
 func (ti *topIndex) update(v graph.VertexID, s float64) {
 	entry := VertexScore{Vertex: v, Score: s}
-	if ti.member.has(v) {
+	if ti.member.Has(v) {
 		i := ti.find(v)
 		old := ti.entries[i]
 		if entry == old {
@@ -244,7 +243,7 @@ func (ti *topIndex) update(v graph.VertexID, s float64) {
 		ti.entries[r] = entry
 		if last := len(ti.entries) - 1; r == last && len(ti.entries) < ti.n {
 			ti.entries = ti.entries[:last]
-			ti.member.clear(v)
+			ti.member.Remove(v)
 		}
 		return
 	}
@@ -255,20 +254,21 @@ func (ti *topIndex) update(v graph.VertexID, s float64) {
 		return
 	}
 	if len(ti.entries) == 2*ti.cap {
-		ti.member.clear(ti.entries[last].Vertex)
+		ti.member.Remove(ti.entries[last].Vertex)
 		ti.entries = ti.entries[:last]
 	}
 	r := ti.rank(entry)
 	ti.entries = slices.Insert(ti.entries, r, entry)
-	ti.member.set(v)
+	ti.member.Add(v)
 }
 
 // apply folds one publication's dirty set into the index: the
-// incremental path when the set is sparse and the index stayed exact, a full
+// incremental path when the set is sparse and the index stayed exact, a
+// walk of the set in ascending id order, O(members + n/4096); a full
 // rebuild when it is stale or drained below the served depth. It must run
 // after the engine has converged st (the estimates read here are the ones
 // the snapshot publishes).
-func (ti *topIndex) apply(st *State, dirty []int32, all bool) {
+func (ti *topIndex) apply(st *State, dirty *graph.VertexSet, all bool) {
 	n := st.NumVertices()
 	if n != ti.n {
 		if ti.n == 0 {
@@ -278,12 +278,12 @@ func (ti *topIndex) apply(st *State, dirty []int32, all bool) {
 			ti.noteGrowth(n)
 		}
 	}
-	ti.member = ti.member.grow(n)
+	ti.member.Grow(n)
 	if all {
 		ti.stale = true
 	}
 	if !ti.stale {
-		for _, v := range dirty {
+		for v := range dirty.All() {
 			ti.update(v, st.Estimate(v))
 		}
 	}
